@@ -1,12 +1,12 @@
-//! Shared host-side plumbing for the SX-Aurora backends: VE process
-//! setup through VEO, target memory access for kernels, compute
-//! metering, buffer management and VEO-based bulk transfers
-//! (`put`/`get`).
+//! Everything the two SX-Aurora backends share: VE process setup
+//! through VEO, target memory access for kernels, compute metering,
+//! buffer management and VEO-based bulk transfers (`put`/`get`) in
+//! [`AuroraCore`], and the backend skeleton itself — spawn, teardown,
+//! fault gating, the VE-side message loop — in [`backend`].
 //!
 //! Both Aurora transports (`ham-backend-veo`, `ham-backend-dma`) sit on
-//! this crate, which depends only *downward* (simulator + runtime) —
-//! the shared pieces used to live inside `ham-backend-veo`, forcing the
-//! DMA backend to depend on a sibling backend. Protocol slot geometry
+//! this crate, which depends only *downward* (simulator + runtime);
+//! each supplies just a [`Protocol`]. Protocol slot geometry
 //! ([`ProtocolConfig`], [`SLOT_META`]) lives with the channel core in
 //! `ham-offload` and is re-exported here for convenience.
 
@@ -16,13 +16,16 @@
 use aurora_mem::{VeAddr, VhAddr};
 use aurora_sim_core::{BackendMetrics, Clock};
 use ham::{HamError, Registry, RegistryBuilder, TargetMemory};
-use ham_offload::backend::{RawBuffer, Registrar};
+use ham_offload::backend::{build_registry, RawBuffer, Registrar};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
 use std::sync::Arc;
 use veo_api::VeoProc;
 use veos_sim::{AuroraMachine, VeProcess};
 
+pub mod backend;
+
+pub use backend::{AuroraBackend, Protocol, Setup, VeTransport};
 pub use ham_offload::chan::{ProtocolConfig, SLOT_META};
 
 /// Registry seed of the host "binary".
@@ -115,7 +118,7 @@ impl AuroraCore {
     ) -> Self {
         let registrar: Arc<Registrar> = Arc::new(registrar);
         let host_clock = Clock::new();
-        let host_registry = Arc::new(Self::build_registry(&registrar, HOST_SEED));
+        let host_registry = Arc::new(build_registry(&registrar, HOST_SEED));
         let targets = ves
             .iter()
             .map(|&ve| TargetCore {
@@ -135,14 +138,6 @@ impl AuroraCore {
             targets,
             metrics,
         }
-    }
-
-    /// Build one process's registry from the shared registrar (the "same
-    /// source, two binaries" of §III-C).
-    pub fn build_registry(registrar: &Arc<Registrar>, seed: u64) -> Registry {
-        let mut b = RegistryBuilder::new();
-        registrar(&mut b);
-        b.seal(seed)
     }
 
     /// The shared registrar.
@@ -358,7 +353,7 @@ mod tests {
         let c = AuroraCore::new(machine(), 0, &[0], |b| {
             b.register::<probe>();
         });
-        let ve_reg = AuroraCore::build_registry(c.registrar(), VE_SEED_BASE);
+        let ve_reg = build_registry(c.registrar(), VE_SEED_BASE);
         assert_eq!(c.host_registry().names(), ve_reg.names());
     }
 

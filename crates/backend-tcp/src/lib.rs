@@ -24,25 +24,28 @@
 //!   ops alloc/free/put/get/ping, each answered by one response frame.
 //!
 //! Each connection starts with a 1-byte hello tag: `'M'` (message),
-//! `'C'` (control), or — cluster lifecycle only — `'Q'` (quit, unparks
-//! a target waiting in `accept`).
+//! `'C'` (control), or `'Q'` (quit, unparks a target waiting in
+//! `accept`). Anything else — or a connection that closes before its
+//! tag — is dropped and the target keeps accepting.
 //!
-//! ## Cluster lifecycle
+//! ## Lifecycle
 //!
-//! [`TcpBackend::spawn_cluster`] upgrades the point-to-point transport
-//! to a multi-host cluster story. On every freshly-accepted message
-//! connection the target writes an [`frame::Announce`] frame first:
-//! its capabilities (worker lanes, credit limit, memory) and the
+//! One lifecycle serves both the point-to-point and the cluster case;
+//! the **reconnect budget** tells them apart. On every freshly-accepted
+//! message connection the target writes an [`frame::Announce`] frame
+//! first: its capabilities (worker lanes, credit limit, memory) and the
 //! device-side dedup **watermark** (max executed seq, monotonic across
-//! sessions). A disconnect *degrades* the host-side channel — posts
-//! park, in-flight work stays pending — while a per-target link
-//! supervisor reconnects with bounded backoff under the
-//! `RecoveryPolicy` budget. On reconnect, the re-announced watermark
-//! splits the in-flight set: frames **above** it provably never
-//! executed and are replayed (exactly-once preserved); frames **at or
-//! below** it may have executed with the result lost, so they fail
-//! with `TargetLost` rather than risk double execution. Only an
-//! exhausted reconnect budget turns the degradation into an eviction.
+//! sessions). With a budget ([`TcpBackend::spawn_cluster`] given a
+//! `RecoveryPolicy`), a disconnect *degrades* the host-side channel —
+//! posts park, in-flight work stays pending — while a per-target link
+//! supervisor reconnects with bounded backoff. On reconnect, the
+//! re-announced watermark splits the in-flight set: frames **above** it
+//! provably never executed and are replayed (exactly-once preserved);
+//! frames **at or below** it may have executed with the result lost, so
+//! they fail with `TargetLost` rather than risk double execution. An
+//! exhausted budget turns the degradation into an eviction — and with
+//! budget 0 ([`TcpBackend::spawn`]) that happens at the first EOF, with
+//! no replay buffer kept.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -6,28 +6,27 @@
 //! (matched by sequence number), so the backend keeps the default no-op
 //! `poll_flags`/`fetch_frame` verbs.
 //!
-//! Two lifecycles exist. The point-to-point constructors
-//! ([`TcpBackend::spawn`] family) pin the historical semantics: one
-//! connection per target, and a disconnect is a permanent eviction.
-//! [`TcpBackend::spawn_cluster`] grows this into the cluster story:
-//! targets announce capabilities and their dedup watermark on every
-//! accepted connection ([`Announce`]), a disconnect only *degrades* the
-//! channel, and a per-target link supervisor re-establishes the
-//! connection under the [`RecoveryPolicy`]'s bounded budget, replaying
-//! exactly the provably-unexecuted in-flight frames on resume.
+//! There is one lifecycle, parameterised by the **reconnect budget**.
+//! Every target announces its capabilities and dedup watermark on each
+//! accepted connection ([`Announce`]); a per-target link supervisor
+//! deposits results and, when the link drops, *degrades* the channel
+//! and re-establishes the connection within the budget, replaying
+//! exactly the provably-unexecuted in-flight frames on resume. Budget 0
+//! — what [`TcpBackend::spawn`] uses — is the point-to-point case: no
+//! replay buffer is kept and a disconnect is a permanent eviction.
 
 use crate::frame::{read_frame, write_frame, Announce, ControlOp};
 use aurora_mem::RangeAllocator;
-use aurora_sim_core::{Clock, FaultPlan, HealthEventKind};
+use aurora_sim_core::{BackendMetrics, Clock, FaultPlan, HealthEventKind, LaneStats};
 use ham::message::VecMemory;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 use ham::{Registry, RegistryBuilder, TargetMemory};
-use ham_offload::backend::{CommBackend, RawBuffer, Registrar};
+use ham_offload::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use ham_offload::chan::pool::{FramePool, PooledFrame};
 use ham_offload::chan::{engine, BatchConfig, ChannelCore, RecoveryPolicy, Reservation};
 use ham_offload::device::{DeviceConfig, DeviceRuntime, HaltReason};
-use ham_offload::target_loop::{run_target_loop, Polled, TargetChannel, TargetEnv};
+use ham_offload::target_loop::{result_wire_frame, Polled, TargetChannel, TargetEnv};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
 use parking_lot::Mutex;
@@ -42,8 +41,8 @@ fn io_err(e: std::io::Error) -> OffloadError {
     OffloadError::Backend(format!("tcp: {e}"))
 }
 
-/// Capabilities one cluster target announces at spawn (and re-announces
-/// on every accepted connection).
+/// Capabilities one target runs with and announces at spawn (and
+/// re-announces on every accepted connection).
 #[derive(Clone, Copy, Debug)]
 pub struct TargetSpec {
     /// Device worker lanes (simulated VE cores).
@@ -96,49 +95,48 @@ struct TcpTarget {
     lanes: u32,
 }
 
-/// A pre-activated target slot.
-fn filled(t: TcpTarget) -> OnceLock<TcpTarget> {
-    let slot = OnceLock::new();
-    let _ = slot.set(t);
-    slot
-}
+/// Registry seed of the host "binary"; target `n` seals with `+ n`.
+const HOST_SEED: u64 = 0x7463_7000; // "tcp"
 
-/// Spawn one cluster target peer and connect to it: bind a loopback
-/// acceptor, start the target main loop, run the discovery handshake
-/// (read its [`Announce`]) and start the host-side link supervisor.
-/// Shared by the cluster constructors and [`TcpBackend::join_target`].
-fn spawn_cluster_target(
+/// Spawn one target peer and connect to it: bind a loopback acceptor,
+/// start the target main loop, run the discovery handshake (read its
+/// [`Announce`]) and start the host-side link supervisor. Shared by the
+/// constructor and [`TcpBackend::join_target`].
+fn spawn_target(
     node: u16,
     spec: TargetSpec,
-    registry: Registry,
+    registrar: &Arc<Registrar>,
     batch: BatchConfig,
     budget: u32,
-    metrics: &Arc<aurora_sim_core::BackendMetrics>,
+    metrics: &Arc<BackendMetrics>,
     clock: &Clock,
 ) -> std::io::Result<(TcpTarget, Announce)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
+    let registry = build_registry(registrar, HOST_SEED + u64::from(node));
+    let lane_stats = Arc::clone(metrics.lane_stats());
     let server = std::thread::Builder::new()
         .name(format!("tcp-target-{node}"))
-        .spawn(move || cluster_target_main(node, listener, spec, registry))?;
+        .spawn(move || target_main(node, listener, spec, registry, lane_stats))?;
 
     let (msg, ctrl, announce) = connect_pair(addr)?;
     let msg_rx = msg.try_clone()?;
-    // The announced credit limit bounds scheduler admission for this
-    // host; the replay-only recovery policy keeps sent frames around
-    // for the resume handshake.
-    let chan = Arc::new(
-        ChannelCore::unbounded()
-            .with_batching(batch)
-            .with_credit_limit(announce.credit_limit as usize)
-            .with_recovery(RecoveryPolicy::replay_only(budget)),
-    );
+    // TCP streams have no slot arrays; the announced credit limit bounds
+    // scheduler admission for this host. A reconnect budget needs sent
+    // frames kept around for the resume handshake (replay-only
+    // recovery); budget 0 never resumes, so it stores nothing.
+    let mut chan = ChannelCore::unbounded()
+        .with_batching(batch)
+        .with_credit_limit(announce.credit_limit as usize);
+    if budget > 0 {
+        chan = chan.with_recovery(RecoveryPolicy::replay_only(budget));
+    }
     let link = Arc::new(Link {
         node,
         addr,
         msg_tx: Mutex::new(msg),
         ctrl: Mutex::new(ctrl),
-        chan,
+        chan: Arc::new(chan),
         stop: AtomicBool::new(false),
         blackout: AtomicBool::new(false),
     });
@@ -163,8 +161,8 @@ fn spawn_cluster_target(
 /// The TCP/IP communication backend.
 ///
 /// Target slots are fixed at spawn, but a slot need not be *active*:
-/// [`TcpBackend::spawn_cluster_with_reserve`] leaves the reserve tail
-/// vacant and [`TcpBackend::join_target`] activates a vacant slot later
+/// [`TcpBackend::spawn_cluster`] leaves its reserve tail vacant and
+/// [`TcpBackend::join_target`] activates a vacant slot later
 /// via the same discovery handshake the constructor uses. `OnceLock`
 /// keeps the slot addresses stable so `channel()` can keep handing out
 /// `&ChannelCore` borrows while other slots join.
@@ -175,17 +173,14 @@ pub struct TcpBackend {
     /// spawned from. Indexed like `targets`.
     book: Vec<TargetSpec>,
     batch: BatchConfig,
-    /// Reconnect budget per disconnect (cluster lifecycle only).
+    /// Reconnect attempts per disconnect; 0 = a disconnect evicts.
     budget: u32,
     registrar: Arc<Registrar>,
     /// Serialises `join_target` activations per backend.
     join_lock: Mutex<()>,
     clock: Clock,
-    metrics: Arc<aurora_sim_core::BackendMetrics>,
+    metrics: Arc<BackendMetrics>,
     plan: Arc<FaultPlan>,
-    /// Cluster lifecycle ([`TcpBackend::spawn_cluster`]): disconnects
-    /// degrade + reconnect instead of evicting.
-    cluster: bool,
 }
 
 /// The target-process side of one TCP channel. A dedicated reader
@@ -212,22 +207,12 @@ impl TargetChannel for TcpSideChannel {
     }
 
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
-        let header = MsgHeader {
-            handler_key: HandlerKey(0),
-            payload_len: payload.len() as u32,
-            kind: MsgKind::Result,
-            reply_slot,
-            corr: 0,
-            seq,
-        };
-        let mut body = header.encode().to_vec();
-        body.extend_from_slice(&payload);
+        let body = result_wire_frame(reply_slot, seq, &payload);
         let _ = write_frame(&mut *self.tx.lock(), &body);
     }
 }
 
-/// Serve control RPCs over one connection until EOF/error. Shared by
-/// the point-to-point target and every cluster session.
+/// Serve control RPCs over one connection until EOF/error.
 fn serve_ctrl(mut stream: TcpStream, mem: &VecMemory, alloc: &Mutex<RangeAllocator>) {
     let respond = |stream: &mut TcpStream, ok: bool, body: &[u8]| {
         let mut frame = Vec::with_capacity(body.len() + 1);
@@ -303,67 +288,28 @@ fn spawn_frame_reader(
     (frame_rx, handle)
 }
 
-/// The target "process": serves the control RPC and the message loop.
-fn target_main(node: u16, listener: TcpListener, mem_bytes: u64, registry: Registry) -> u64 {
-    // Accept the two connections; a 1-byte hello tags each.
-    let mut msg_stream: Option<TcpStream> = None;
-    let mut ctrl_stream: Option<TcpStream> = None;
-    while msg_stream.is_none() || ctrl_stream.is_none() {
-        let (mut s, _) = listener.accept().expect("accept");
-        s.set_nodelay(true).ok();
-        let mut tag = [0u8; 1];
-        s.read_exact(&mut tag).expect("hello tag");
-        match tag[0] {
-            b'M' => msg_stream = Some(s),
-            b'C' => ctrl_stream = Some(s),
-            other => panic!("unknown hello {other}"),
-        }
-    }
-    let msg_stream = msg_stream.expect("message socket");
-    let ctrl_stream = ctrl_stream.expect("control socket");
-
-    let mem = Arc::new(VecMemory::new(mem_bytes as usize));
-    let alloc = Arc::new(Mutex::new(RangeAllocator::new(mem_bytes)));
-
-    // Control RPC loop on its own thread.
-    let mem2 = Arc::clone(&mem);
-    let alloc2 = Arc::clone(&alloc);
-    let ctrl_thread = std::thread::Builder::new()
-        .name(format!("tcp-target-{node}-ctrl"))
-        .spawn(move || serve_ctrl(ctrl_stream, &mem2, &alloc2))
-        .expect("spawn ctrl thread");
-
-    // The HAM message loop over the message socket.
-    let reader_rx = msg_stream.try_clone().expect("clone msg stream");
-    let (frame_rx, reader_thread) =
-        spawn_frame_reader(format!("tcp-target-{node}-reader"), reader_rx);
-    let chan = TcpSideChannel {
-        rx: frame_rx,
-        tx: Mutex::new(msg_stream),
-    };
-    let served = run_target_loop(node, &registry, &*mem, &chan);
-    let _ = reader_thread.join();
-    let _ = ctrl_thread.join();
-    served
-}
-
-/// The cluster target "process": memory, allocator, and the dedup
-/// watermark live *outside* the accept loop, so they survive
-/// disconnects. Each accepted connection pair starts a new device
-/// session that first announces capabilities + watermark on the message
-/// socket, then serves frames until the link drops
-/// ([`HaltReason::Closed`] — loop back to accept) or a `Control` frame
-/// arrives ([`HaltReason::Control`] — exit). A `'Q'` hello terminates a
-/// target parked in `accept`.
-fn cluster_target_main(
+/// The target "process": memory, allocator, and the dedup watermark
+/// live *outside* the accept loop, so they survive disconnects. Each
+/// accepted connection pair starts a new device session that first
+/// announces capabilities + watermark on the message socket, then
+/// serves frames until the link drops ([`HaltReason::Closed`] — loop
+/// back to accept) or a `Control` frame arrives
+/// ([`HaltReason::Control`] — exit). A `'Q'` hello terminates a target
+/// parked in `accept`.
+fn target_main(
     node: u16,
     listener: TcpListener,
     spec: TargetSpec,
     registry: Registry,
+    lane_stats: Arc<LaneStats>,
 ) -> u64 {
     let mem = Arc::new(VecMemory::new(spec.mem_bytes as usize));
     let alloc = Arc::new(Mutex::new(RangeAllocator::new(spec.mem_bytes)));
-    let runtime = DeviceRuntime::new(DeviceConfig::new().with_lanes(spec.lanes as usize));
+    let runtime = DeviceRuntime::new(
+        DeviceConfig::new()
+            .with_lanes(spec.lanes as usize)
+            .with_stats(lane_stats),
+    );
     let mut watermark: Option<u64> = None;
     let mut served_total: u64 = 0;
     loop {
@@ -383,7 +329,8 @@ fn cluster_target_main(
                 b'C' => ctrl_stream = Some(s),
                 b'Q' => return served_total,
                 // A half-open leftover from a torn-down connection
-                // attempt: drop it and keep accepting.
+                // attempt, or a stranger's bytes: drop it and keep
+                // accepting.
                 _ => continue,
             }
         }
@@ -462,17 +409,17 @@ fn connect_pair(addr: std::net::SocketAddr) -> std::io::Result<(TcpStream, TcpSt
     Ok((msg, ctrl, announce))
 }
 
-/// Per-target link supervisor (cluster lifecycle). Deposits result
-/// frames into the channel core; on EOF it degrades the channel (posts
-/// park, nothing is evicted), then drives bounded-backoff reconnect
+/// Per-target link supervisor. Deposits result frames into the channel
+/// core; on EOF it degrades the channel (posts park, nothing is
+/// evicted), then drives up to `budget` bounded-backoff reconnect
 /// attempts. A successful reconnect swaps fresh sockets in under the
 /// [`Link`] locks, resumes the channel against the re-announced
-/// watermark, and replays the provably-unexecuted frames. Only an
-/// exhausted budget evicts.
+/// watermark, and replays the provably-unexecuted frames. An exhausted
+/// budget evicts — at once when the budget is 0.
 fn run_link(
     link: &Link,
     mut msg_rx: TcpStream,
-    metrics: &aurora_sim_core::BackendMetrics,
+    metrics: &BackendMetrics,
     clock: &Clock,
     budget: u32,
 ) {
@@ -495,8 +442,11 @@ fn run_link(
         }
         // ---- Degrade: park posts, keep every pending entry alive ----
         // (`send_frame` may have degraded first on a write error; the
-        // Disconnect event is recorded once, by whoever won.)
-        if link.chan.degrade(lost()).is_some() {
+        // Disconnect event is recorded once, by whoever won.) With no
+        // budget there is nothing to park for: EOF is a peer death, so
+        // every in-flight offload fails with `TargetLost` below instead
+        // of hanging, and new posts are refused.
+        if budget > 0 && link.chan.degrade(lost()).is_some() {
             metrics
                 .health()
                 .record(node, HealthEventKind::Disconnect, 0, clock.now().as_ps());
@@ -577,259 +527,71 @@ impl TcpBackend {
     /// Default per-target memory.
     pub const DEFAULT_MEM: u64 = 16 << 20;
 
-    /// Spawn `n` targets as in-process "remote" peers connected over
-    /// loopback TCP.
+    /// Spawn `n` default targets ([`TargetSpec::default`]) as in-process
+    /// "remote" peers connected over loopback TCP, point-to-point: no
+    /// reconnect budget, so a disconnect evicts the target.
     pub fn spawn(
         n: u16,
         registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
     ) -> Arc<Self> {
-        Self::spawn_with_memory(n, Self::DEFAULT_MEM, registrar)
-    }
-
-    /// Spawn with an explicit per-target memory size.
-    pub fn spawn_with_memory(
-        n: u16,
-        mem_bytes: u64,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::spawn_with_faults(n, mem_bytes, FaultPlan::none(), registrar)
-    }
-
-    /// [`TcpBackend::spawn`] with small-message batching: consecutive
-    /// `post()`s coalesce into one wire frame per the watermarks.
-    pub fn spawn_batched(
-        n: u16,
-        batch: BatchConfig,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::spawn_inner(n, Self::DEFAULT_MEM, FaultPlan::none(), batch, registrar)
-    }
-
-    /// [`TcpBackend::spawn_with_memory`] under a deterministic
-    /// [`FaultPlan`] (used by [`CommBackend::kill_target`] to record
-    /// injected disconnects). TCP is a push transport with no recovery
-    /// policy: a dead peer is detected by the reader thread's EOF, which
-    /// evicts the channel with [`OffloadError::TargetLost`]. An
-    /// all-zero plan behaves identically to
-    /// [`TcpBackend::spawn_with_memory`].
-    pub fn spawn_with_faults(
-        n: u16,
-        mem_bytes: u64,
-        plan: Arc<FaultPlan>,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::spawn_inner(n, mem_bytes, plan, BatchConfig::default(), registrar)
-    }
-
-    fn spawn_inner(
-        n: u16,
-        mem_bytes: u64,
-        plan: Arc<FaultPlan>,
-        batch: BatchConfig,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        let registrar: Arc<Registrar> = Arc::new(registrar);
-        let build = |seed: u64| {
-            let mut b = RegistryBuilder::new();
-            registrar(&mut b);
-            b.seal(seed)
-        };
-        let host_registry = Arc::new(build(0x7463_7000)); // "tcp"
-        let metrics = Arc::new(aurora_sim_core::BackendMetrics::new());
-        for node in 1..=n {
-            metrics.health().register(node);
-        }
-        let clock = Clock::new();
-        let targets = (1..=n)
-            .map(|node| {
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-                let addr = listener.local_addr().expect("local addr");
-                let registry = build(0x7463_7000 + node as u64);
-                let server = std::thread::Builder::new()
-                    .name(format!("tcp-target-{node}"))
-                    .spawn(move || target_main(node, listener, mem_bytes, registry))
-                    .expect("spawn tcp target");
-
-                let mut msg = TcpStream::connect(addr).expect("connect msg");
-                msg.write_all(b"M").expect("hello M");
-                msg.set_nodelay(true).ok();
-                let mut ctrl = TcpStream::connect(addr).expect("connect ctrl");
-                ctrl.write_all(b"C").expect("hello C");
-                ctrl.set_nodelay(true).ok();
-
-                // Host-side result reader: deposits completions straight
-                // into the channel core, matched by sequence number.
-                // TCP streams have no slot arrays; the explicit credit
-                // limit keeps scheduler admission bounded anyway.
-                let chan = Arc::new(
-                    ChannelCore::unbounded()
-                        .with_batching(batch)
-                        .with_credit_limit(ham_offload::chan::DEFAULT_PUSH_CREDITS),
-                );
-                let chan2 = Arc::clone(&chan);
-                let metrics2 = Arc::clone(&metrics);
-                let clock2 = clock.clone();
-                let mut msg_rx = msg.try_clone().expect("clone msg stream");
-                let reader = std::thread::Builder::new()
-                    .name(format!("tcp-host-reader-{node}"))
-                    .spawn(move || {
-                        while let Ok(Some(body)) = read_frame(&mut msg_rx) {
-                            if let Ok(header) = MsgHeader::decode(&body) {
-                                if header.kind == MsgKind::Result && body.len() == header.wire_len()
-                                {
-                                    chan2.deposit(header.seq, body[HEADER_BYTES..].to_vec());
-                                }
-                            }
-                        }
-                        // EOF or socket error. During an orderly shutdown
-                        // the channel gate is already closed; anything
-                        // else is a peer death — evict so every in-flight
-                        // offload fails with `TargetLost` instead of
-                        // hanging, and new posts are refused.
-                        if !chan2.is_shutdown()
-                            && chan2
-                                .evict(OffloadError::TargetLost(NodeId(node)))
-                                .is_some()
-                        {
-                            metrics2.on_evict();
-                            metrics2.health().record(
-                                node,
-                                aurora_sim_core::HealthEventKind::Eviction,
-                                0,
-                                clock2.now().as_ps(),
-                            );
-                        }
-                    })
-                    .expect("spawn reader");
-
-                filled(TcpTarget {
-                    link: Arc::new(Link {
-                        node,
-                        addr,
-                        msg_tx: Mutex::new(msg),
-                        ctrl: Mutex::new(ctrl),
-                        chan,
-                        stop: AtomicBool::new(false),
-                        blackout: AtomicBool::new(false),
-                    }),
-                    reader: Mutex::new(Some(reader)),
-                    server: Mutex::new(Some(server)),
-                    mem_bytes,
-                    lanes: 1,
-                })
-            })
-            .collect();
-        let book = vec![
-            TargetSpec {
-                lanes: 1,
-                credit_limit: ham_offload::chan::DEFAULT_PUSH_CREDITS as u32,
-                mem_bytes,
-                ..TargetSpec::default()
-            };
-            n as usize
-        ];
-        Arc::new(Self {
-            host_registry,
-            targets,
-            book,
-            batch,
-            budget: 0,
-            registrar,
-            join_lock: Mutex::new(()),
-            clock,
-            metrics,
-            plan,
-            cluster: false,
-        })
-    }
-
-    /// Spawn a multi-host cluster of targets described by `specs`
-    /// (target `i` gets node id `i + 1`). Unlike the point-to-point
-    /// constructors, a disconnect here *degrades* the target instead of
-    /// evicting it: a per-target link supervisor re-establishes the
-    /// connection with bounded backoff (at most `policy.max_retries`
-    /// attempts per disconnect), re-reads the target's [`Announce`], and
-    /// replays exactly the in-flight frames the announced watermark
-    /// proves unexecuted. Only when the reconnect budget is exhausted is
-    /// the target evicted.
-    ///
-    /// The `policy`'s retry budget drives reconnects; its miss-based
-    /// retry half is coerced to [`RecoveryPolicy::replay_only`] because
-    /// spurious re-sends on a live TCP stream would double-execute
-    /// (the push transport runs without device-side dedup).
-    pub fn spawn_cluster(
-        specs: &[TargetSpec],
-        policy: RecoveryPolicy,
-        plan: Arc<FaultPlan>,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::spawn_cluster_batched(specs, policy, BatchConfig::default(), plan, registrar)
-    }
-
-    /// [`TcpBackend::spawn_cluster`] with small-message batching.
-    pub fn spawn_cluster_batched(
-        specs: &[TargetSpec],
-        policy: RecoveryPolicy,
-        batch: BatchConfig,
-        plan: Arc<FaultPlan>,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::cluster_inner(specs, &[], policy, batch, plan, Arc::new(registrar))
-    }
-
-    /// [`TcpBackend::spawn_cluster`] plus an address book of *reserve*
-    /// slots: node ids `active.len()+1 ..= active.len()+reserve.len()`
-    /// exist (they count toward [`CommBackend::num_targets`]) but no
-    /// process-analogue is spawned and no connection made until
-    /// [`TcpBackend::join_target`] activates them. Until then their
-    /// verbs fail with [`OffloadError::BadNode`].
-    pub fn spawn_cluster_with_reserve(
-        active: &[TargetSpec],
-        reserve: &[TargetSpec],
-        policy: RecoveryPolicy,
-        plan: Arc<FaultPlan>,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::cluster_inner(
-            active,
-            reserve,
-            policy,
+        Self::spawn_cluster(
+            &vec![TargetSpec::default(); n as usize],
+            &[],
+            None,
             BatchConfig::default(),
-            plan,
-            Arc::new(registrar),
+            FaultPlan::none(),
+            registrar,
         )
     }
 
-    fn cluster_inner(
+    /// Spawn the targets described by `active` (target `i` gets node id
+    /// `i + 1`) plus an address book of vacant `reserve` slots: node ids
+    /// `active.len()+1 ..= active.len()+reserve.len()` exist (they count
+    /// toward [`CommBackend::num_targets`]) but no process-analogue is
+    /// spawned and no connection made until [`TcpBackend::join_target`]
+    /// activates them. Until then their verbs fail with
+    /// [`OffloadError::BadNode`].
+    ///
+    /// `policy` sets the reconnect budget. With `Some`, a disconnect
+    /// *degrades* the target instead of evicting it: a per-target link
+    /// supervisor re-establishes the connection with bounded backoff (at
+    /// most `policy.max_retries` attempts per disconnect, at least one),
+    /// re-reads the target's [`Announce`], and replays exactly the
+    /// in-flight frames the announced watermark proves unexecuted; only
+    /// an exhausted budget evicts. The policy's miss-based retry half is
+    /// coerced to [`RecoveryPolicy::replay_only`] because spurious
+    /// re-sends on a live TCP stream would double-execute (the push
+    /// transport runs without device-side dedup). With `None` the budget
+    /// is 0: the reader's EOF evicts the channel with
+    /// [`OffloadError::TargetLost`].
+    ///
+    /// `plan` records the disconnects [`CommBackend::kill_target`]
+    /// injects; `batch` arms small-message batching (consecutive
+    /// `post()`s coalesce into one wire frame per the watermarks).
+    pub fn spawn_cluster(
         active: &[TargetSpec],
         reserve: &[TargetSpec],
-        policy: RecoveryPolicy,
+        policy: Option<RecoveryPolicy>,
         batch: BatchConfig,
         plan: Arc<FaultPlan>,
-        registrar: Arc<Registrar>,
+        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
     ) -> Arc<Self> {
-        let build = |seed: u64| {
-            let mut b = RegistryBuilder::new();
-            registrar(&mut b);
-            b.seal(seed)
-        };
-        let host_registry = Arc::new(build(0x7463_7000)); // "tcp"
-        let metrics = Arc::new(aurora_sim_core::BackendMetrics::new());
+        let registrar: Arc<Registrar> = Arc::new(registrar);
+        let host_registry = Arc::new(build_registry(&registrar, HOST_SEED));
+        let metrics = Arc::new(BackendMetrics::new());
         for node in 1..=active.len() as u16 {
             metrics.health().register(node);
         }
         let clock = Clock::new();
-        let budget = policy.max_retries.max(1);
+        let budget = policy.map_or(0, |p| p.max_retries.max(1));
         let mut targets: Vec<OnceLock<TcpTarget>> = active
             .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let node = (i + 1) as u16;
-                let registry = build(0x7463_7000 + node as u64);
+            .zip(1u16..)
+            .map(|(spec, node)| {
                 let (target, _announce) =
-                    spawn_cluster_target(node, *spec, registry, batch, budget, &metrics, &clock)
-                        .expect("cluster handshake");
-                filled(target)
+                    spawn_target(node, *spec, &registrar, batch, budget, &metrics, &clock)
+                        .expect("tcp handshake");
+                OnceLock::from(target)
             })
             .collect();
         // Reserve slots: known to the address book, vacant until joined.
@@ -846,25 +608,19 @@ impl TcpBackend {
             clock,
             metrics,
             plan,
-            cluster: true,
         })
     }
 
-    /// Activate a vacant reserve slot on a *running* cluster backend:
+    /// Activate a vacant reserve slot on a *running* backend:
     /// spawn the target peer from its address-book [`TargetSpec`], run
     /// the same discovery handshake the constructor uses (the target
     /// [`Announce`]s its capabilities and watermark), and start the
     /// per-link supervisor. Returns the announced capabilities.
     ///
-    /// Errors: non-cluster backends, out-of-range ids, and slots that
-    /// are already active. Joining is serialised per backend; a joined
-    /// target is probe-able and poolable the moment this returns.
+    /// Errors: out-of-range ids, and slots that are already active.
+    /// Joining is serialised per backend; a joined target is probe-able
+    /// and poolable the moment this returns.
     pub fn join_target(&self, node: NodeId) -> Result<Announce, OffloadError> {
-        if !self.cluster {
-            return Err(OffloadError::Backend(
-                "tcp: join_target requires a cluster backend".into(),
-            ));
-        }
         if node.is_host() || node.0 as usize > self.targets.len() {
             return Err(OffloadError::BadNode(node));
         }
@@ -876,15 +632,10 @@ impl TcpBackend {
                 node.0
             )));
         }
-        let registry = {
-            let mut b = RegistryBuilder::new();
-            (self.registrar)(&mut b);
-            b.seal(0x7463_7000 + u64::from(node.0))
-        };
-        let (t, announce) = spawn_cluster_target(
+        let (t, announce) = spawn_target(
             node.0,
             self.book[idx],
-            registry,
+            &self.registrar,
             self.batch,
             self.budget,
             &self.metrics,
@@ -965,7 +716,7 @@ impl TcpBackend {
         if t.link.chan.is_shutdown() {
             return Err(OffloadError::Shutdown);
         }
-        if self.cluster && t.link.chan.is_degraded() {
+        if t.link.chan.is_degraded() {
             // The control socket is down too; fail fast instead of
             // writing into a dead stream while the supervisor reconnects.
             return Err(OffloadError::Backend(format!(
@@ -1029,7 +780,7 @@ impl CommBackend for TcpBackend {
         let t = self.target(target)?;
         match write_frame(&mut *t.link.msg_tx.lock(), frame) {
             Ok(()) => Ok(()),
-            Err(e) if self.cluster && t.link.chan.eviction().is_none() => {
+            Err(_) if self.budget > 0 && t.link.chan.eviction().is_none() => {
                 // The socket died under this post. Degrade (the link
                 // supervisor also sees EOF; first one records the
                 // Disconnect) and report success: the engine then stores
@@ -1038,7 +789,6 @@ impl CommBackend for TcpBackend {
                 // executed — a partially-flushed frame that *did* reach
                 // the target lands at or below the watermark and fails
                 // with `TargetLost` instead of double-executing.
-                let _ = e;
                 if t.link
                     .chan
                     .degrade(OffloadError::TargetLost(target))
@@ -1098,7 +848,7 @@ impl CommBackend for TcpBackend {
         &self.clock
     }
 
-    fn metrics(&self) -> &aurora_sim_core::BackendMetrics {
+    fn metrics(&self) -> &BackendMetrics {
         &self.metrics
     }
 
@@ -1108,36 +858,26 @@ impl CommBackend for TcpBackend {
         TcpBackend::probe(self, target)
     }
 
-    /// Kill one peer abruptly: both sockets are torn down with no
-    /// Control handshake, as if the remote process died. The reader
-    /// thread observes EOF and evicts the channel; the ctrl and server
-    /// threads unblock on their dead sockets and exit.
+    /// Kill one peer's link abruptly: both sockets are torn down with no
+    /// Control handshake, as if the remote process died. The link
+    /// supervisor observes EOF and spends the reconnect budget; with
+    /// none, the channel is evicted before this returns.
     fn kill_target(&self, target: NodeId) -> Result<(), OffloadError> {
         let t = self.target(target)?;
         self.plan.disconnect(target.0, self.clock.now());
         let _ = t.link.msg_tx.lock().shutdown(std::net::Shutdown::Both);
         let _ = t.link.ctrl.lock().shutdown(std::net::Shutdown::Both);
-        if !self.cluster {
+        if self.budget == 0 {
             // Latch the eviction before returning rather than leaving
-            // it to the reader thread's EOF handling: otherwise a
+            // it to the supervisor's EOF handling: otherwise a
             // caller can observe every in-flight future failed (via
             // send-side errors) while `eviction()` is still unset for a
             // scheduling beat — `TargetPool::prune` would briefly keep
             // the dead target. `evict` is idempotent, so whichever of
-            // this call and the reader loses the race becomes a no-op.
-            if t.link
-                .chan
-                .evict(OffloadError::TargetLost(target))
-                .is_some()
-            {
-                self.metrics.on_evict();
-                self.metrics.health().record(
-                    target.0,
-                    aurora_sim_core::HealthEventKind::Eviction,
-                    0,
-                    self.clock.now().as_ps(),
-                );
-            }
+            // this call and the supervisor loses the race becomes a
+            // no-op.
+            let lost = OffloadError::TargetLost(target);
+            engine::evict(self, target, &t.link.chan, lost);
         }
         Ok(())
     }
@@ -1153,7 +893,7 @@ impl CommBackend for TcpBackend {
             if t.link.chan.begin_shutdown() {
                 continue;
             }
-            if self.cluster && t.link.chan.is_degraded() {
+            if t.link.chan.is_degraded() {
                 // Shutting down mid-reconnect: there is no live link to
                 // drain staged work into, so fail what's left instead of
                 // spinning on a parked flush.
@@ -1179,13 +919,11 @@ impl CommBackend for TcpBackend {
             // Close the sockets so the ctrl loop and reader unblock.
             let _ = t.link.msg_tx.lock().shutdown(std::net::Shutdown::Both);
             let _ = t.link.ctrl.lock().shutdown(std::net::Shutdown::Both);
-            if self.cluster {
-                // A cluster target that lost its session parks in
-                // `accept`; a 'Q' hello tells it to exit instead of
-                // waiting for a connection that will never come.
-                if let Ok(mut s) = TcpStream::connect(t.link.addr) {
-                    let _ = s.write_all(b"Q");
-                }
+            // A target that lost its session parks in `accept`; a 'Q'
+            // hello tells it to exit instead of waiting for a connection
+            // that will never come.
+            if let Ok(mut s) = TcpStream::connect(t.link.addr) {
+                let _ = s.write_all(b"Q");
             }
             if let Some(h) = t.server.lock().take() {
                 let _ = h.join();
@@ -1295,9 +1033,47 @@ mod tests {
         assert!(o.allocate::<f64>(NodeId(1), 4).is_err());
     }
 
+    /// The one accept loop left: strangers and half-open connections
+    /// are dropped, never a panic, and the next well-formed pair still
+    /// gets its announce.
+    #[test]
+    fn accept_loop_drops_hostile_hellos_and_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reg: Arc<Registrar> = Arc::new(registrar);
+        let registry = build_registry(&reg, HOST_SEED + 1);
+        let spec = TargetSpec::default();
+        let server = std::thread::spawn(move || {
+            target_main(1, listener, spec, registry, Arc::new(LaneStats::new()))
+        });
+        // Unknown hello byte, then a connection that closes before
+        // sending one (short read).
+        TcpStream::connect(addr).unwrap().write_all(b"X").unwrap();
+        drop(TcpStream::connect(addr).unwrap());
+        let (_msg, _ctrl, announce) = connect_pair(addr).expect("target must still accept");
+        assert_eq!((announce.node, announce.lanes), (1, spec.lanes));
+        assert_eq!(announce.watermark, None);
+        // Dropping the pair ends the session (`Closed`); 'Q' ends the
+        // target parked back in `accept`.
+        drop((_msg, _ctrl));
+        TcpStream::connect(addr).unwrap().write_all(b"Q").unwrap();
+        assert_eq!(server.join().expect("target must not panic"), 0);
+    }
+
     #[test]
     fn target_allocator_errors_travel_back() {
-        let o = Offload::new(TcpBackend::spawn_with_memory(1, 1024, registrar));
+        let spec = TargetSpec {
+            mem_bytes: 1024,
+            ..TargetSpec::default()
+        };
+        let o = Offload::new(TcpBackend::spawn_cluster(
+            &[spec],
+            &[],
+            None,
+            BatchConfig::default(),
+            FaultPlan::none(),
+            registrar,
+        ));
         assert!(matches!(
             o.allocate::<f64>(NodeId(1), 4096),
             Err(OffloadError::Mem(_))

@@ -21,34 +21,31 @@
 //! never need a (costly) host-side reset write.
 //!
 //! Host-side protocol state (slot rings, pending table, completion
-//! queue) lives in [`ham_offload::chan`]; this module implements only
-//! the VEO transport verbs. Polling is arrival-driven in virtual time
-//! (zero-cost real peeks; the successful poll is charged) — see the
-//! DESIGN.md discussion.
+//! queue) lives in [`ham_offload::chan`] and the backend skeleton
+//! (spawn, teardown, fault gating, the VE-side loop) in
+//! [`aurora_proto::backend`]; this module implements only the VEO
+//! transport verbs. Polling is arrival-driven in virtual time (zero-cost
+//! real peeks; the successful poll is charged) — see the DESIGN.md
+//! discussion.
 
-use crate::core::{AuroraCore, ProtocolConfig, VeTargetMemory, SLOT_META, VE_SEED_BASE};
-use aurora_mem::VeAddr;
-use aurora_sim_core::{calib, Clock, FaultPlan, SimTime};
-use ham::registry::HandlerKey;
-use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
-use ham::Registry;
-use ham_offload::backend::{CommBackend, RawBuffer};
+use aurora_mem::{MemError, VeAddr};
+use aurora_proto::{
+    AuroraBackend, AuroraCore, Protocol, ProtocolConfig, Setup, VeTransport, SLOT_META,
+};
+use aurora_sim_core::{calib, SimTime};
+use ham::wire::{MsgHeader, HEADER_BYTES};
 use ham_offload::chan::pool::{FramePool, PooledFrame};
-use ham_offload::chan::{engine, ChannelCore, PendingEntry, RecoveryPolicy, Reservation};
-use ham_offload::device::{DeviceConfig, DeviceRuntime};
-use ham_offload::target_loop::{Polled, TargetChannel};
-use ham_offload::types::{NodeDescriptor, NodeId};
+use ham_offload::chan::{PendingEntry, Reservation};
+use ham_offload::types::NodeId;
 use ham_offload::OffloadError;
-use parking_lot::Mutex;
 use std::sync::Arc;
-use veo_api::{ArgsStack, KernelLibrary, VeoContext};
-use veos_sim::{AuroraMachine, HostSlice, VeProcess};
+use veo_api::ArgsStack;
+use veos_sim::{HostSlice, VeProcess};
 
 /// Geometry of one slot array.
 #[derive(Clone, Copy, Debug)]
 struct Slots {
     base: VeAddr,
-    count: usize,
     stride: u64,
 }
 
@@ -64,271 +61,80 @@ impl Slots {
     }
 }
 
-struct TargetChan {
+/// The VEO communication backend (Fig. 5).
+pub type VeoBackend = AuroraBackend<VeoSlots>;
+
+/// Host half of the VEO protocol: both slot arrays live in VE memory
+/// and every access is a `veo_write_mem` / `veo_read_mem`.
+pub struct VeoSlots {
     recv: Slots,
     send: Slots,
-    ctx: Arc<VeoContext>,
-    chan: ChannelCore,
 }
 
-/// The VEO communication backend (Fig. 5).
-pub struct VeoBackend {
-    core: AuroraCore,
-    cfg: ProtocolConfig,
-    channels: Vec<TargetChan>,
-    plan: Arc<FaultPlan>,
-}
+impl Protocol for VeoSlots {
+    type Ve = VeSlots;
 
-impl VeoBackend {
-    /// Set up the backend: create VE processes, allocate the
-    /// communication buffers through VEO, communicate their addresses via
-    /// the HAM-Offload C-API (Fig. 4), and start `ham_main()` on each VE.
-    pub fn spawn(
-        machine: Arc<AuroraMachine>,
-        host_socket: u8,
-        ves: &[u8],
-        cfg: ProtocolConfig,
-        registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::spawn_with_faults(
-            machine,
-            host_socket,
-            ves,
-            cfg,
-            FaultPlan::none(),
-            None,
-            registrar,
-        )
-    }
+    const INIT_SYMBOL: &'static str = "ham_comm_init";
 
-    /// [`VeoBackend::spawn`] under a deterministic [`FaultPlan`]: each
-    /// VE's PCIe link, DMA engine and process are armed with the plan
-    /// (actor = node id), and an optional [`RecoveryPolicy`] arms
-    /// timeout/retry on every channel. An all-zero plan and `None`
-    /// policy behave bit-identically to [`VeoBackend::spawn`].
-    pub fn spawn_with_faults(
-        machine: Arc<AuroraMachine>,
-        host_socket: u8,
-        ves: &[u8],
-        cfg: ProtocolConfig,
-        plan: Arc<FaultPlan>,
-        policy: Option<RecoveryPolicy>,
-        registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        cfg.validate();
-        let core = AuroraCore::new(machine, host_socket, ves, registrar);
-        let mut channels = Vec::with_capacity(ves.len());
-        for node in 1..=core.num_targets() {
-            let t = core.target(NodeId(node)).expect("just created");
-            let proc = &t.proc;
-            // Arm this VE's PCIe link (and through it the user DMA
-            // engines) with the plan; actor = node id keys the draws.
-            core.machine()
-                .topology()
-                .link(proc.ve_id())
-                .arm_faults(Arc::clone(&plan), node);
-            let stride = cfg.slot_stride();
-            let recv_base = proc
-                .alloc_mem(cfg.array_bytes(cfg.recv_slots))
-                .expect("recv buffer allocation");
-            let send_base = proc
-                .alloc_mem(cfg.array_bytes(cfg.send_slots))
-                .expect("send buffer allocation");
-            // Zero both arrays (flags must start invalid).
-            let zeros = vec![0u8; cfg.array_bytes(cfg.recv_slots.max(cfg.send_slots)) as usize];
+    /// Allocate the communication buffers through VEO; their addresses
+    /// reach the VE via the HAM-Offload C-API (Fig. 4).
+    fn setup(core: &AuroraCore, node: NodeId, cfg: ProtocolConfig) -> Setup<Self> {
+        let proc = &core.target(node).expect("just created").proc;
+        let stride = cfg.slot_stride();
+        let alloc_zeroed = |slots: usize| {
+            let bytes = cfg.array_bytes(slots);
+            let base = proc.alloc_mem(bytes).expect("slot array allocation");
+            // Flags must start invalid.
             proc.process()
-                .write(
-                    recv_base,
-                    &zeros[..cfg.array_bytes(cfg.recv_slots) as usize],
-                )
-                .expect("zero recv");
-            proc.process()
-                .write(
-                    send_base,
-                    &zeros[..cfg.array_bytes(cfg.send_slots) as usize],
-                )
-                .expect("zero send");
-
-            // The VE-side "binary": the same application library, with the
-            // HAM-Offload C-API and ham_main() entry (Fig. 4).
-            let registrar = Arc::clone(core.registrar());
-            let node_id = node;
-            let init_cfg: Arc<Mutex<Option<(Slots, Slots)>>> = Arc::new(Mutex::new(None));
-            let init_cfg2 = Arc::clone(&init_cfg);
-            let cfg2 = cfg;
-            let ve_plan = Arc::clone(&plan);
-            let lane_stats = Arc::clone(core.metrics().lane_stats());
-            let lib = KernelLibrary::new()
-                .with("ham_comm_init", move |_ve, args| {
-                    let recv = Slots {
-                        base: VeAddr(args.get_u64(0)),
-                        count: args.get_u64(2) as usize,
-                        stride: args.get_u64(4),
-                    };
-                    let send = Slots {
-                        base: VeAddr(args.get_u64(1)),
-                        count: args.get_u64(3) as usize,
-                        stride: args.get_u64(4),
-                    };
-                    *init_cfg2.lock() = Some((recv, send));
-                    0
-                })
-                .with("ham_main", move |ve, _args| {
-                    let (recv, send) =
-                        (*init_cfg.lock()).expect("ham_comm_init must run before ham_main");
-                    let registry =
-                        AuroraCore::build_registry(&registrar, VE_SEED_BASE + node_id as u64);
-                    let mem = VeTargetMemory::new(Arc::clone(&ve.proc));
-                    let meter = crate::core::VeComputeMeter::new(ve.proc.clock().clone());
-                    let chan = VeSideChannel {
-                        proc: Arc::clone(&ve.proc),
-                        recv,
-                        send,
-                        cfg: cfg2,
-                        next: std::cell::Cell::new(0),
-                        node: node_id,
-                        plan: Arc::clone(&ve_plan),
-                    };
-                    let runtime = DeviceRuntime::new(
-                        DeviceConfig::new()
-                            .with_lanes(cfg2.lanes)
-                            .with_clock(ve.proc.clock().clone())
-                            .with_stats(Arc::clone(&lane_stats)),
-                    );
-                    runtime.run(
-                        &ham_offload::target_loop::TargetEnv {
-                            node: node_id,
-                            registry: &registry,
-                            mem: &mem,
-                            reverse: None,
-                            meter: Some(&meter),
-                            // VEO slot rotation delivers seqs in order,
-                            // so recovery re-sends dedup by watermark.
-                            dedup: true,
-                        },
-                        &chan,
-                    )
-                });
-            proc.load_library(lib);
-            let ctx = proc.open_context();
-            let init = proc.get_sym("ham_comm_init").expect("C-API symbol");
-            let req = ctx
-                .call_async(
-                    &init,
-                    ArgsStack::new()
-                        .push_u64(recv_base.get())
-                        .push_u64(send_base.get())
-                        .push_u64(cfg.recv_slots as u64)
-                        .push_u64(cfg.send_slots as u64)
-                        .push_u64(stride),
-                )
-                .expect("init call");
-            ctx.wait_result(req).expect("init result");
-            let main = proc.get_sym("ham_main").expect("ham_main symbol");
-            ctx.call_async(&main, ArgsStack::new())
-                .expect("start ham_main");
-
-            channels.push(TargetChan {
-                recv: Slots {
-                    base: recv_base,
-                    count: cfg.recv_slots,
-                    stride,
-                },
-                send: Slots {
-                    base: send_base,
-                    count: cfg.send_slots,
-                    stride,
-                },
-                ctx,
-                chan: {
-                    let mut c = ChannelCore::bounded(cfg.recv_slots, cfg.send_slots, cfg.msg_bytes)
-                        .with_batching(cfg.batch);
-                    if cfg.credits > 0 {
-                        c = c.with_credit_limit(cfg.credits);
-                    }
-                    match policy {
-                        Some(p) => c.with_recovery(p),
-                        None => c,
-                    }
-                },
-            });
+                .write(base, &vec![0u8; bytes as usize])
+                .expect("zero slot array");
+            Slots { base, stride }
+        };
+        let recv = alloc_zeroed(cfg.recv_slots);
+        let send = alloc_zeroed(cfg.send_slots);
+        Setup {
+            host: VeoSlots { recv, send },
+            init_args: ArgsStack::new()
+                .push_u64(recv.base.get())
+                .push_u64(send.base.get())
+                .push_u64(cfg.recv_slots as u64)
+                .push_u64(cfg.send_slots as u64)
+                .push_u64(stride),
+            ve_init: Box::new(move |ve, args| {
+                let slots = |base| Slots {
+                    base: VeAddr(args.get_u64(base)),
+                    stride: args.get_u64(4),
+                };
+                let side = VeSlots {
+                    proc: Arc::clone(&ve.proc),
+                    recv: slots(0),
+                    send: slots(1),
+                    msg_bytes: cfg.msg_bytes,
+                };
+                (0, side)
+            }),
         }
-        Arc::new(Self {
-            core,
-            cfg,
-            channels,
-            plan,
-        })
-    }
-
-    /// The shared host-side core.
-    pub fn core(&self) -> &AuroraCore {
-        &self.core
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.cfg
-    }
-
-    fn chan(&self, node: NodeId) -> Result<&TargetChan, OffloadError> {
-        self.core.target(node)?;
-        Ok(&self.channels[node.0 as usize - 1])
-    }
-}
-
-impl CommBackend for VeoBackend {
-    fn num_targets(&self) -> u16 {
-        self.core.num_targets()
-    }
-
-    fn host_registry(&self) -> &Arc<Registry> {
-        self.core.host_registry()
-    }
-
-    fn descriptor(&self, node: NodeId) -> Result<NodeDescriptor, OffloadError> {
-        self.core.descriptor(node)
-    }
-
-    fn channel(&self, target: NodeId) -> Result<&ChannelCore, OffloadError> {
-        Ok(&self.chan(target)?.chan)
     }
 
     /// Two `veo_write_mem`s: the message body, then the 16-byte ts+flag
     /// publish (the flag embeds its own quoted landing time).
     fn send_frame(
         &self,
-        target: NodeId,
+        core: &AuroraCore,
+        node: NodeId,
         res: &Reservation,
-        header: &MsgHeader,
         frame: &[u8],
     ) -> Result<(), OffloadError> {
-        let chan = self.chan(target)?;
-        if !chan.ctx.is_alive() {
-            return Err(OffloadError::TargetLost(target));
-        }
-        // Injected TLP drop: the frame vanishes in transit — the slot
-        // stays reserved, the flag never lands, and only a recovery
-        // re-send (same seq, next attempt) can complete the offload.
-        // Control frames are exempt: they are the teardown path, the
-        // one frame kind the recovery policy cannot re-send.
-        if matches!(header.kind, MsgKind::Offload | MsgKind::Batch)
-            && self
-                .plan
-                .drop_frame(target.0, res.seq, res.attempt, self.core.host_clock().now())
-        {
-            return Ok(());
-        }
-        let proc = &self.core.target(target)?.proc;
+        let proc = &core.target(node)?.proc;
         let r = res.recv_slot;
 
         // Write 1: the message body — the engine-assembled wire frame,
         // verbatim.
-        let vh = self.core.machine().vh(self.core.host_socket());
-        self.core.with_staging(frame.len() as u64, |staging| {
+        let vh = core.machine().vh(core.host_socket());
+        core.with_staging(frame.len() as u64, |staging| {
             vh.write(staging, frame)
                 .map_err(|e| OffloadError::Mem(e.to_string()))?;
-            proc.write_mem(staging, chan.recv.msg(r), frame.len() as u64)
+            proc.write_mem(staging, self.recv.msg(r), frame.len() as u64)
                 .map_err(|e| OffloadError::Backend(e.to_string()))?;
             Ok(())
         })?;
@@ -336,85 +142,75 @@ impl CommBackend for VeoBackend {
         // Write 2: ts + flag, priced as one 16-byte VEO write. The DMA
         // manager is quoted first so the flag's landing time can be
         // embedded; the raw stores happen payload-before-flag.
-        self.core.with_staging(SLOT_META, |staging| {
+        core.with_staging(SLOT_META, |staging| {
             let host = HostSlice {
                 vh: Arc::clone(vh),
                 vaddr: staging,
             };
-            let landing = self
-                .core
+            let landing = core
                 .machine()
                 .veos(proc.ve_id())
                 .dma()
-                .quote_write(self.core.host_clock(), &host, proc.process(), SLOT_META)
+                .quote_write(core.host_clock(), &host, proc.process(), SLOT_META)
                 .map_err(|e| OffloadError::Backend(e.to_string()))?;
             proc.process()
-                .write(chan.recv.ts(r), &landing.as_ps().to_le_bytes())
+                .write(self.recv.ts(r), &landing.as_ps().to_le_bytes())
                 .map_err(|e| OffloadError::Mem(e.to_string()))?;
             proc.process()
-                .store_flag(chan.recv.flag(r), res.seq + 1)
+                .store_flag(self.recv.flag(r), res.seq + 1)
                 .map_err(|e| OffloadError::Mem(e.to_string()))?;
             Ok(())
         })
     }
 
-    /// Free peek of the result flag (`seq+1` = ready). A dead
-    /// `ham_main` with no result pending errors the offload out.
-    fn poll_flags(
+    /// Free peek of the result flag (`seq+1` = ready).
+    fn poll_flag(
         &self,
-        target: NodeId,
+        core: &AuroraCore,
+        node: NodeId,
         seq: u64,
         entry: &PendingEntry,
     ) -> Result<Option<u64>, OffloadError> {
-        let chan = self.chan(target)?;
-        let proc = &self.core.target(target)?.proc;
-        let ready = proc
+        let flag = core
+            .target(node)?
+            .proc
             .process()
-            .load_flag(chan.send.flag(entry.send_slot))
-            .map(|f| f == seq + 1)
-            .unwrap_or(false);
-        if ready {
-            Ok(Some(0))
-        } else if chan.ctx.is_alive() {
-            Ok(None)
-        } else {
-            Err(OffloadError::TargetLost(target))
-        }
+            .load_flag(self.send.flag(entry.send_slot));
+        Ok(matches!(flag, Ok(f) if f == seq + 1).then_some(0))
     }
 
     /// Fetch a completed result: join its timestamp, pay the two VEO
     /// reads of the protocol.
     fn fetch_frame(
         &self,
-        target: NodeId,
+        core: &AuroraCore,
+        node: NodeId,
         seq: u64,
         entry: &PendingEntry,
         _token: u64,
     ) -> Result<Vec<u8>, OffloadError> {
-        let chan = self.chan(target)?;
-        let proc = &self.core.target(target)?.proc;
+        let proc = &core.target(node)?.proc;
         let s = entry.send_slot;
 
         // The flag is set (caller peeked); join its landing time.
         let mut ts_bytes = [0u8; 8];
         proc.process()
-            .read(chan.send.ts(s), &mut ts_bytes)
+            .read(self.send.ts(s), &mut ts_bytes)
             .map_err(|e| OffloadError::Mem(e.to_string()))?;
-        self.core
-            .host_clock()
+        core.host_clock()
             .join(SimTime::from_ps(u64::from_le_bytes(ts_bytes)));
 
-        let vh = self.core.machine().vh(self.core.host_socket());
+        let vh = core.machine().vh(core.host_socket());
         // Charged read 1: flag + ts.
-        self.core.with_staging(SLOT_META, |staging| {
-            proc.read_mem(chan.send.flag(s), staging, SLOT_META)
+        core.with_staging(SLOT_META, |staging| {
+            proc.read_mem(self.send.flag(s), staging, SLOT_META)
                 .map_err(|e| OffloadError::Backend(e.to_string()))?;
             Ok(())
         })?;
         // Peek the header (free) to size the charged message read.
         let mut hdr_bytes = [0u8; HEADER_BYTES];
         proc.process()
-            .read(chan.send.msg(s), &mut hdr_bytes)
+            .read(self.send.msg(s), &mut hdr_bytes)
             .map_err(|e| OffloadError::Mem(e.to_string()))?;
         let header =
             MsgHeader::decode(&hdr_bytes).map_err(|e| OffloadError::Backend(e.to_string()))?;
@@ -422,8 +218,8 @@ impl CommBackend for VeoBackend {
         let total = HEADER_BYTES as u64 + header.payload_len as u64;
         // Charged read 2: header + payload.
         let mut frame = vec![0u8; header.payload_len as usize];
-        self.core.with_staging(total, |staging| {
-            proc.read_mem(chan.send.msg(s), staging, total)
+        core.with_staging(total, |staging| {
+            proc.read_mem(self.send.msg(s), staging, total)
                 .map_err(|e| OffloadError::Backend(e.to_string()))?;
             let mut all = vec![0u8; total as usize];
             vh.read(staging, &mut all)
@@ -433,100 +229,41 @@ impl CommBackend for VeoBackend {
         })?;
         Ok(frame)
     }
-
-    fn allocate(&self, node: NodeId, bytes: u64) -> Result<u64, OffloadError> {
-        self.core.allocate(node, bytes)
-    }
-
-    fn free(&self, node: NodeId, addr: u64) -> Result<(), OffloadError> {
-        self.core.free(node, addr)
-    }
-
-    fn put_bytes(&self, dst: RawBuffer, data: &[u8]) -> Result<(), OffloadError> {
-        self.core.put_bytes(dst, data)
-    }
-
-    fn get_bytes(&self, src: RawBuffer, out: &mut [u8]) -> Result<(), OffloadError> {
-        self.core.get_bytes(src, out)
-    }
-
-    fn host_clock(&self) -> &Clock {
-        self.core.host_clock()
-    }
-
-    fn metrics(&self) -> &aurora_sim_core::BackendMetrics {
-        self.core.metrics()
-    }
-
-    /// Kill the VE process abruptly: `ham_main`'s polling loop observes
-    /// the plan's kill bit and panics, which clears the context's
-    /// liveness flag; the next host flag sweep sees the death and
-    /// evicts the channel with [`OffloadError::TargetLost`].
-    fn kill_target(&self, target: NodeId) -> Result<(), OffloadError> {
-        self.chan(target)?;
-        self.plan.kill(target.0, self.core.host_clock().now());
-        Ok(())
-    }
-
-    fn shutdown(&self) {
-        for node in 1..=self.num_targets() {
-            let target = NodeId(node);
-            let Ok(chan) = self.chan(target) else {
-                continue;
-            };
-            if chan.chan.begin_shutdown() {
-                continue;
-            }
-            // Deliver the termination message (control frames bypass the
-            // shutdown gate; a dead target is ignored), then stop
-            // ham_main and join the context worker.
-            if engine::post_control(self, target).is_err() && chan.ctx.is_alive() {
-                // The control frame cannot reach the target (evicted
-                // channel: its slot cursor is wedged on a lost frame's
-                // hole). Reap the stranded VE process — the moral
-                // equivalent of SIGKILLing an unreachable peer — or
-                // the context join below would wait forever.
-                self.plan.kill(node, self.core.host_clock().now());
-            }
-            chan.ctx.close();
-        }
-    }
 }
 
-impl Drop for VeoBackend {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The VE side of the protocol: in-order polling of local recv flags.
-struct VeSideChannel {
+/// VE half of the VEO protocol: the slots are local memory.
+pub struct VeSlots {
     proc: Arc<VeProcess>,
     recv: Slots,
     send: Slots,
-    cfg: ProtocolConfig,
-    next: std::cell::Cell<u64>,
-    node: u16,
-    plan: Arc<FaultPlan>,
+    msg_bytes: usize,
 }
 
-impl VeSideChannel {
-    /// Consume the published message in recv slot `i`: join its landing
-    /// time, charge one local read, copy it into a pooled body, release
-    /// the slot. `None` means the process died mid-read.
-    fn consume(&self, i: usize, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-        // Arrival-driven virtual cost: join the flag's landing time and
-        // charge one local read.
+impl VeTransport for VeSlots {
+    fn peek(&self, i: usize) -> Result<Option<SimTime>, MemError> {
+        if self.proc.load_flag(self.recv.flag(i))? == 0 {
+            return Ok(None);
+        }
         let mut ts = [0u8; 8];
-        self.proc.read(self.recv.ts(i), &mut ts).ok()?;
-        self.proc.clock().join_then_advance(
-            SimTime::from_ps(u64::from_le_bytes(ts)),
-            calib::HAM_LOCAL_MEM_TOUCH,
-        );
+        self.proc.read(self.recv.ts(i), &mut ts)?;
+        Ok(Some(SimTime::from_ps(u64::from_le_bytes(ts))))
+    }
+
+    /// Join the flag's landing time, charge one local read, copy the
+    /// message out, release the slot.
+    fn consume(
+        &self,
+        i: usize,
+        ts: SimTime,
+        pool: &Arc<FramePool>,
+    ) -> Option<(MsgHeader, PooledFrame)> {
+        self.proc
+            .clock()
+            .join_then_advance(ts, calib::HAM_LOCAL_MEM_TOUCH);
         let mut hdr = [0u8; HEADER_BYTES];
         self.proc.read(self.recv.msg(i), &mut hdr).ok()?;
         let header = MsgHeader::decode(&hdr).ok()?;
-        if header.payload_len as usize > self.cfg.msg_bytes {
+        if header.payload_len as usize > self.msg_bytes {
             return None; // corrupt header: stop the loop loudly.
         }
         let mut payload = pool.checkout();
@@ -539,97 +276,14 @@ impl VeSideChannel {
             .ok()?;
         // Release the slot for host reuse.
         self.proc.store_flag(self.recv.flag(i), 0).ok()?;
-        self.next.set(self.next.get() + 1);
         Some((header, payload))
     }
 
-    fn check_killed(&self) {
-        if self.plan.killed(self.node) {
-            // Injected VE process death: die like a crash, not a
-            // shutdown — the panic clears the VEO context's
-            // liveness flag and the host evicts the channel.
-            panic!("fault injection: VE process {} killed", self.node);
-        }
-    }
-}
-
-impl TargetChannel for VeSideChannel {
-    fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-        let i = (self.next.get() % self.recv.count as u64) as usize;
-        let flag_addr = self.recv.flag(i);
-        // Poll (real, zero virtual cost) until the host publishes.
-        loop {
-            self.check_killed();
-            match self.proc.load_flag(flag_addr) {
-                Ok(0) => std::thread::yield_now(),
-                Ok(_seq_plus_one) => break,
-                Err(_) => return None,
-            }
-        }
-        self.consume(i, pool)
-    }
-
-    fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-        self.check_killed();
-        let i = (self.next.get() % self.recv.count as u64) as usize;
-        // One free peek: the host publishes slots in rotation order, so
-        // an unset flag here means nothing further has arrived yet. A
-        // message whose landing time is still ahead of the device clock
-        // has not arrived *in virtual time* — consuming it would stall
-        // the clock on the join instead of overlapping the arrival with
-        // already-drained work, so it waits for a later window (or for
-        // the blocking recv, where the device is genuinely idle).
-        match self.proc.load_flag(self.recv.flag(i)) {
-            Ok(0) => Polled::Empty,
-            Ok(_seq_plus_one) => {
-                let mut ts = [0u8; 8];
-                if self.proc.read(self.recv.ts(i), &mut ts).is_err() {
-                    return Polled::Closed;
-                }
-                if u64::from_le_bytes(ts) > self.proc.clock().now().as_ps() {
-                    return Polled::Empty;
-                }
-                match self.consume(i, pool) {
-                    Some((h, p)) => Polled::Msg(h, p),
-                    None => Polled::Closed,
-                }
-            }
-            Err(_) => Polled::Closed,
-        }
-    }
-
-    fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
-        let s = reply_slot as usize;
-        debug_assert!(s < self.send.count);
-        // Oversized results become error frames (see the DMA channel).
-        let payload = if payload.len() > self.cfg.msg_bytes {
-            ham_offload::target_loop::frame_result(Err(ham::HamError::Wire(format!(
-                "result of {} bytes exceeds the protocol's {}-byte slots; \
-                     return bulk data via target buffers + get",
-                payload.len(),
-                self.cfg.msg_bytes
-            ))))
-        } else {
-            payload
-        };
-        // Target-side framework cost: dispatch, execution wrapper,
-        // result serialisation.
-        let clock = self.proc.clock();
-        clock.advance(calib::HAM_TARGET_OVERHEAD);
-        let header = MsgHeader {
-            handler_key: HandlerKey(0),
-            payload_len: payload.len() as u32,
-            kind: MsgKind::Result,
-            reply_slot,
-            corr: 0,
-            seq,
-        };
-        let mut bytes = header.encode().to_vec();
-        bytes.extend_from_slice(&payload);
+    fn publish(&self, s: usize, seq: u64, frame: &[u8]) {
         self.proc
-            .write(self.send.msg(s), &bytes)
+            .write(self.send.msg(s), frame)
             .expect("result write");
-        let landing = clock.advance(calib::HAM_LOCAL_MEM_TOUCH);
+        let landing = self.proc.clock().advance(calib::HAM_LOCAL_MEM_TOUCH);
         self.proc
             .write(self.send.ts(s), &landing.as_ps().to_le_bytes())
             .expect("result ts");
@@ -644,7 +298,7 @@ mod tests {
     use super::*;
     use ham::{f2f, ham_kernel};
     use ham_offload::Offload;
-    use veos_sim::MachineConfig;
+    use veos_sim::{AuroraMachine, MachineConfig};
 
     ham_kernel! {
         pub fn empty(_ctx) -> () {}

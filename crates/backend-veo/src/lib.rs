@@ -13,19 +13,18 @@
 //! which is why this backend's empty-offload cost is ~432 µs (Fig. 9):
 //! two writes (message, flag) + two reads (result flag, result message).
 //!
-//! Setup, buffer management and VEO-based bulk transfer live in the
-//! shared `aurora-proto` crate ([`core::AuroraCore`] re-exports it),
-//! since "starting the application, initialisation and data exchange
-//! are still performed through the VEO API" (§IV-B) for both Aurora
-//! backends. Host-side protocol state (slots, sequences, completions)
-//! lives in `ham_offload::chan` — this crate implements only the
-//! transport verbs of the VEO protocol.
+//! Setup, buffer management, VEO-based bulk transfer and the backend
+//! skeleton (spawn, teardown, the VE-side loop) live in the shared
+//! `aurora-proto` crate, since "starting the application,
+//! initialisation and data exchange are still performed through the
+//! VEO API" (§IV-B) for both Aurora backends. Host-side protocol state
+//! (slots, sequences, completions) lives in `ham_offload::chan` — this
+//! crate implements only the transport verbs of the VEO protocol.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod channel;
-pub mod core;
 
-pub use crate::core::{AuroraCore, ProtocolConfig, VeTargetMemory};
+pub use aurora_proto::{AuroraCore, ProtocolConfig, VeTargetMemory};
 pub use channel::VeoBackend;

@@ -28,6 +28,15 @@ use std::sync::Arc;
 /// "compile the whole application for both sides" (§III-C).
 pub type Registrar = dyn Fn(&mut ham::RegistryBuilder) + Send + Sync;
 
+/// Build one process's registry from the shared registrar (the "same
+/// source, two binaries" of §III-C): same kernels, a per-process `seed`
+/// for the local handler addresses.
+pub fn build_registry(registrar: &Arc<Registrar>, seed: u64) -> Registry {
+    let mut b = ham::RegistryBuilder::new();
+    registrar(&mut b);
+    b.seal(seed)
+}
+
 /// Identifies an in-flight offload on a target's channel: the sequence
 /// number its [`ChannelCore`] minted at reservation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

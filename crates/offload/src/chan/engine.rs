@@ -143,6 +143,7 @@ fn post_inner<B: CommBackend + ?Sized>(
     frame.extend_from_slice(payload);
     if let Err(e) = backend.send_frame(target, &res, &header, &frame) {
         chan.cancel(res.seq);
+        evict_if_lost(backend, target, chan, &e);
         return Err(e);
     }
     if matches!(kind, MsgKind::Offload) {
@@ -191,6 +192,7 @@ fn send_envelope<B: CommBackend + ?Sized>(
     let t0 = backend.host_clock().now();
     if let Err(e) = backend.send_frame(target, &f.res, &f.header, &f.frame) {
         chan.fail_batch(f.res.seq, e.clone());
+        evict_if_lost(backend, target, chan, &e);
         return Err(e);
     }
     let now = backend.host_clock().now();
@@ -379,6 +381,23 @@ fn sweep_with<B: CommBackend + ?Sized>(
         }
     }
     Ok(completed)
+}
+
+/// A transport that refuses a frame with [`OffloadError::TargetLost`]
+/// has seen the target dead. Latch that as the eviction it implies:
+/// with nothing in flight no sweep would ever observe the death, and a
+/// caller retrying the post until the channel is evicted would spin
+/// forever. Cold: the post path pays one never-taken branch for it.
+#[cold]
+fn evict_if_lost<B: CommBackend + ?Sized>(
+    backend: &B,
+    target: NodeId,
+    chan: &ChannelCore,
+    err: &OffloadError,
+) {
+    if matches!(err, OffloadError::TargetLost(_)) {
+        evict(backend, target, chan, err.clone());
+    }
 }
 
 /// Evict `target` behind `chan`: fail every in-flight offload with

@@ -10,7 +10,7 @@
 //! deposits result frames straight into the per-target
 //! [`ChannelCore`]'s completion queue, and the host never polls flags.
 
-use crate::backend::{CommBackend, RawBuffer, Registrar};
+use crate::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use crate::chan::pool::{FramePool, PooledFrame};
 use crate::chan::{engine, BatchConfig, ChannelCore, Reservation};
 use crate::target_loop::{run_target_loop, Polled, TargetChannel};
@@ -66,7 +66,6 @@ pub struct LocalBackend {
     host_registry: Arc<Registry>,
     targets: Vec<Target>,
     clock: Clock,
-    mem_bytes: u64,
     metrics: BackendMetrics,
 }
 
@@ -80,34 +79,18 @@ impl LocalBackend {
         n: u16,
         registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
     ) -> Arc<Self> {
-        Self::spawn_with_memory(n, Self::DEFAULT_MEM, registrar)
-    }
-
-    /// Spawn with an explicit per-target memory size.
-    pub fn spawn_with_memory(
-        n: u16,
-        mem_bytes: u64,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        Self::spawn_inner(n, mem_bytes, BatchConfig::default(), registrar)
+        Self::spawn_batched(n, BatchConfig::default(), registrar)
     }
 
     /// Spawn with small-message batching: consecutive posts to one
-    /// target coalesce into batch envelopes per `batch`'s watermarks.
+    /// target coalesce into batch envelopes per `batch`'s watermarks
+    /// (the default config disables batching).
     pub fn spawn_batched(
         n: u16,
         batch: BatchConfig,
         registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
     ) -> Arc<Self> {
-        Self::spawn_inner(n, Self::DEFAULT_MEM, batch, registrar)
-    }
-
-    fn spawn_inner(
-        n: u16,
-        mem_bytes: u64,
-        batch: BatchConfig,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
+        let mem_bytes = Self::DEFAULT_MEM;
         let registrar: Arc<Registrar> = Arc::new(registrar);
         let host_registry = Arc::new(build_registry(&registrar, HOST_SEED));
         let targets = (1..=n)
@@ -150,7 +133,6 @@ impl LocalBackend {
             host_registry,
             targets,
             clock: Clock::new(),
-            mem_bytes,
             metrics,
         })
     }
@@ -163,13 +145,6 @@ impl LocalBackend {
             .get(node.0 as usize - 1)
             .ok_or(OffloadError::BadNode(node))
     }
-}
-
-/// Build one process's registry from the shared registrar.
-pub fn build_registry(registrar: &Arc<Registrar>, seed: u64) -> Registry {
-    let mut b = RegistryBuilder::new();
-    registrar(&mut b);
-    b.seal(seed)
 }
 
 impl CommBackend for LocalBackend {
@@ -198,7 +173,7 @@ impl CommBackend for LocalBackend {
             node,
             name: format!("local target {}", node.0),
             device_type: DeviceType::Generic,
-            memory_bytes: self.mem_bytes,
+            memory_bytes: Self::DEFAULT_MEM,
             cores: 1,
         })
     }
@@ -265,8 +240,7 @@ impl CommBackend for LocalBackend {
 
     fn shutdown(&self) {
         for (i, t) in self.targets.iter().enumerate() {
-            if !t.chan.begin_shutdown()
-                && engine::post_control(self, NodeId(i as u16 + 1)).is_err()
+            if !t.chan.begin_shutdown() && engine::post_control(self, NodeId(i as u16 + 1)).is_err()
             {
                 // The engine refuses an evicted channel, but the worker
                 // thread is still parked on its queue — deliver the

@@ -86,6 +86,23 @@ pub fn unframe_result(bytes: &[u8]) -> Result<Vec<u8>, String> {
     unframe_result_ref(bytes).map(<[u8]>::to_vec)
 }
 
+/// Assemble a result wire frame — `MsgKind::Result` header ‖ `payload`
+/// — answering the offload that arrived with `reply_slot` and `seq`.
+pub fn result_wire_frame(reply_slot: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
+    let header = MsgHeader {
+        handler_key: ham::registry::HandlerKey(0),
+        payload_len: payload.len() as u32,
+        kind: ham::wire::MsgKind::Result,
+        reply_slot,
+        corr: 0,
+        seq,
+    };
+    let mut bytes = Vec::with_capacity(ham::wire::HEADER_BYTES + payload.len());
+    bytes.extend_from_slice(&header.encode());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 /// The target process's execution environment: everything kernels may
 /// touch, assembled by the backend.
 pub struct TargetEnv<'a> {
@@ -132,48 +149,11 @@ pub fn run_target_loop(
     )
 }
 
-/// [`run_target_loop`] with an optional reverse (target → host)
-/// transport, made available to kernels via
-/// [`ham::ExecContext::vhcall`].
-pub fn run_target_loop_with_reverse(
-    node: u16,
-    registry: &Registry,
-    mem: &dyn TargetMemory,
-    chan: &dyn TargetChannel,
-    reverse: Option<&dyn ham::message::ReverseTransport>,
-) -> u64 {
-    run_target_loop_env(
-        &TargetEnv {
-            node,
-            registry,
-            mem,
-            reverse,
-            meter: None,
-            dedup: false,
-        },
-        chan,
-    )
-}
-
 /// The fully-general message loop over a [`TargetEnv`]: a
 /// default-configured [`DeviceRuntime`] ([`crate::device::DEFAULT_LANES`]
 /// lanes, no clock, no lane registers).
 pub fn run_target_loop_env(env: &TargetEnv<'_>, chan: &dyn TargetChannel) -> u64 {
     DeviceRuntime::new(DeviceConfig::new()).run(env, chan)
-}
-
-/// One *session* of the message loop on a default-configured
-/// [`DeviceRuntime`], seeding the dedup watermark from a previous
-/// session. Reconnecting transports run this in a loop: a
-/// [`crate::device::HaltReason::Closed`] end means the link dropped and
-/// the session may resume with the returned watermark; `Control` means
-/// an orderly shutdown.
-pub fn run_target_session(
-    env: &TargetEnv<'_>,
-    chan: &dyn TargetChannel,
-    watermark: Option<u64>,
-) -> crate::device::SessionEnd {
-    DeviceRuntime::new(DeviceConfig::new()).run_session(env, chan, watermark)
 }
 
 #[cfg(test)]

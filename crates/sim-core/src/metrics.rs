@@ -808,11 +808,7 @@ impl MetricsSnapshot {
         );
         prom_counter(&mut out, "aurora_probes_total", self.probes);
         prom_counter(&mut out, "aurora_probe_misses_total", self.probe_misses);
-        prom_counter(
-            &mut out,
-            "aurora_membership_joins_total",
-            self.member_joins,
-        );
+        prom_counter(&mut out, "aurora_membership_joins_total", self.member_joins);
         prom_counter(
             &mut out,
             "aurora_membership_leaves_total",

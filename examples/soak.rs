@@ -18,9 +18,8 @@ use ham::f2f;
 use ham_aurora_repro::fault_scenario::{probe_expected, scenario_probe, BackendKind};
 use ham_aurora_repro::sim_core::SimTime;
 use ham_aurora_repro::{
-    dma_offload_with_faults, tcp_offload_batched, tcp_offload_cluster, tcp_offload_cluster_reserve,
-    veo_offload_with_faults, BatchConfig, FaultPlan, NodeId, Offload, OffloadError, PoolFuture,
-    RecoveryPolicy, SchedPolicy, SloSpec, TargetSpec,
+    offload_with, tcp_cluster, BatchConfig, FaultPlan, NodeId, Offload, OffloadError,
+    OffloadOptions, PoolFuture, RecoveryPolicy, SchedPolicy, SloSpec, TargetSpec,
 };
 
 /// Targets per pool; one is killed mid-run, so survivors keep serving.
@@ -99,22 +98,28 @@ fn spawn(kind: BackendKind, seed: u64) -> Offload {
     let reg = |b: &mut ham::RegistryBuilder| {
         b.register::<scenario_probe>();
     };
-    // Low-rate link faults for the polled protocols, absorbed by the
-    // retry policy; eviction needs retries exhausted, which at this
-    // rate never happens — the rolling kill provides the eviction.
-    let plan = FaultPlan::builder(seed).tlp_drop(0.002).build();
-    let policy = Some(RecoveryPolicy {
-        retry_after_misses: 64,
-        max_retries: 4,
-    });
-    match kind {
-        BackendKind::Veo => veo_offload_with_faults(TARGETS as u8, plan, policy, reg),
-        BackendKind::Dma => dma_offload_with_faults(TARGETS as u8, plan, policy, reg),
+    let opts = match kind {
         // TCP is a push transport: a dropped frame would hang, so it
         // soaks the other fault axis — staged batches killed mid-run
         // fail over to survivors (recording `Failover` health events).
-        BackendKind::Tcp => tcp_offload_batched(TARGETS, BatchConfig::up_to(TCP_BATCH), reg),
-    }
+        BackendKind::Tcp => OffloadOptions {
+            batch: BatchConfig::up_to(TCP_BATCH),
+            ..OffloadOptions::default()
+        },
+        // Low-rate link faults for the polled protocols, absorbed by
+        // the retry policy; eviction needs retries exhausted, which at
+        // this rate never happens — the rolling kill provides the
+        // eviction.
+        _ => OffloadOptions {
+            plan: FaultPlan::builder(seed).tlp_drop(0.002).build(),
+            recovery: Some(RecoveryPolicy {
+                retry_after_misses: 64,
+                max_retries: 4,
+            }),
+            ..OffloadOptions::default()
+        },
+    };
+    offload_with(kind, TARGETS, opts, reg)
 }
 
 struct RunStats {
@@ -206,6 +211,16 @@ fn soak_run(kind: BackendKind, seed: u64, offloads: usize) -> (RunStats, usize) 
     (stats, violations)
 }
 
+/// Cluster options of both TCP churn runs: a reconnect budget of 64 per
+/// disconnect, kills recorded under `seed`.
+fn churn_options(seed: u64) -> OffloadOptions {
+    OffloadOptions {
+        plan: FaultPlan::builder(seed).build(),
+        recovery: Some(RecoveryPolicy::replay_only(64)),
+        ..OffloadOptions::default()
+    }
+}
+
 /// TCP disconnect/reconnect churn: a cluster pool where the victim is
 /// repeatedly killed mid-wave and *reconnects* instead of being lost —
 /// the session-resume path under sustained load. Gated by the same
@@ -220,14 +235,9 @@ fn tcp_churn_run(seed: u64, offloads: usize) -> (RunStats, usize) {
         };
         TARGETS as usize
     ];
-    let o = tcp_offload_cluster(
-        &specs,
-        RecoveryPolicy::replay_only(64),
-        FaultPlan::builder(seed).build(),
-        |b| {
-            b.register::<scenario_probe>();
-        },
-    );
+    let (o, _be) = tcp_cluster(&specs, &[], churn_options(seed), |b| {
+        b.register::<scenario_probe>();
+    });
     let nodes: Vec<NodeId> = (1..=TARGETS).map(NodeId).collect();
     let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
 
@@ -311,15 +321,9 @@ fn membership_churn_run(seed: u64, offloads: usize) -> (RunStats, usize) {
         ..TargetSpec::default()
     };
     let active = vec![spec_t; TARGETS as usize - 1];
-    let (o, be) = tcp_offload_cluster_reserve(
-        &active,
-        &[spec_t],
-        RecoveryPolicy::replay_only(64),
-        FaultPlan::builder(seed).build(),
-        |b| {
-            b.register::<scenario_probe>();
-        },
-    );
+    let (o, be) = tcp_cluster(&active, &[spec_t], churn_options(seed), |b| {
+        b.register::<scenario_probe>();
+    });
     let nodes: Vec<NodeId> = (1..=TARGETS).map(NodeId).collect();
     let pool = o
         .pool_with(&nodes[..TARGETS as usize - 1], SchedPolicy::RoundRobin)

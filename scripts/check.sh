@@ -11,6 +11,9 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== workspace tests (the unit tests inside crates/*) =="
+cargo test --workspace -q
+
 echo "== examples build =="
 cargo build --release --examples
 

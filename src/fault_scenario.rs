@@ -25,9 +25,9 @@
 //! dead target's entries must have been failed, not forgotten) and
 //! snapshots the backend's recovery counters.
 
+pub use crate::BackendKind;
 use crate::{
-    dma_offload_with_faults, tcp_offload_with_faults, veo_offload_with_faults, FaultPlan, NodeId,
-    Offload, OffloadError, RecoveryPolicy,
+    offload_with, FaultPlan, NodeId, Offload, OffloadError, OffloadOptions, RecoveryPolicy,
 };
 use aurora_sim_core::{FaultEvent, SimTime};
 use ham::f2f;
@@ -44,31 +44,6 @@ ham::ham_kernel! {
 /// What [`scenario_probe`] returns for payload `x` served on `node`.
 pub fn probe_expected(x: u64, node: u16) -> u64 {
     x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((node as u64) << 48)
-}
-
-/// Which transport a scenario drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The VEO-based protocol (paper §III).
-    Veo,
-    /// The DMA-based protocol (paper §IV).
-    Dma,
-    /// Loopback TCP sockets (paper §I-A).
-    Tcp,
-}
-
-impl BackendKind {
-    /// Every fault-capable backend, for matrix tests.
-    pub const ALL: [BackendKind; 3] = [BackendKind::Veo, BackendKind::Dma, BackendKind::Tcp];
-
-    /// Short name for labelling assertions and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Veo => "veo",
-            BackendKind::Dma => "dma",
-            BackendKind::Tcp => "tcp",
-        }
-    }
 }
 
 /// One reproducible fault-injection scenario. Build it up, then
@@ -140,8 +115,9 @@ impl Scenario {
         self
     }
 
-    /// Arm the channel core's deadline/retry policy (VEO and DMA only;
-    /// TCP is a push transport and ignores it).
+    /// Arm the recovery policy: the channel core's deadline/retry on
+    /// VEO and DMA, the reconnect budget on TCP (see
+    /// [`OffloadOptions::recovery`]).
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.policy = Some(policy);
         self
@@ -176,14 +152,14 @@ impl Scenario {
     }
 
     fn spawn(&self, plan: Arc<FaultPlan>) -> Offload {
-        let reg = |b: &mut ham::RegistryBuilder| {
-            b.register::<scenario_probe>();
+        let opts = OffloadOptions {
+            plan,
+            recovery: self.policy,
+            ..OffloadOptions::default()
         };
-        match self.backend {
-            BackendKind::Veo => veo_offload_with_faults(self.targets as u8, plan, self.policy, reg),
-            BackendKind::Dma => dma_offload_with_faults(self.targets as u8, plan, self.policy, reg),
-            BackendKind::Tcp => tcp_offload_with_faults(self.targets, plan, reg),
-        }
+        offload_with(self.backend, self.targets, opts, |b| {
+            b.register::<scenario_probe>();
+        })
     }
 
     /// Run the scenario once and report what happened.

@@ -6,9 +6,13 @@
 //! running against a fully simulated Aurora platform.
 //!
 //! This facade crate re-exports the whole stack and provides one-call
-//! constructors for the common setups. See `README.md` for the tour,
-//! `DESIGN.md` for the system inventory, and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! constructors: one per backend with every default ([`local_offload`],
+//! [`veo_offload`], [`dma_offload`], [`tcp_offload`]), one taking
+//! [`OffloadOptions`] for everything else ([`offload_with`]: batching,
+//! fault plan, recovery policy — on any [`BackendKind`]), and
+//! [`tcp_cluster`] for per-target [`TargetSpec`]s and reserve slots.
+//! See `README.md` for the tour, `DESIGN.md` for the system inventory,
+//! and `EXPERIMENTS.md` for paper-vs-measured results.
 //!
 //! ```
 //! use ham::{ham_kernel, f2f};
@@ -56,225 +60,163 @@ pub use ham_offload::sched::{
 pub use ham_offload::{BufferPtr, Future, NodeId, Offload, OffloadError};
 
 use ham_backend_dma::DmaBackend;
+use ham_backend_tcp::TcpBackend;
 use ham_backend_veo::{ProtocolConfig, VeoBackend};
+use ham_offload::local::LocalBackend;
 use std::sync::Arc;
 use veos_sim::{AuroraMachine, MachineConfig};
 
-/// Default simulated memory sizes for the convenience constructors.
-fn default_machine(ves: u8) -> Arc<AuroraMachine> {
-    let cfg = MachineConfig {
-        hbm_bytes: 64 << 20,
-        vh_bytes: 128 << 20,
-        ..Default::default()
-    };
-    if ves <= 4 {
-        AuroraMachine::small(ves.max(1), cfg)
-    } else {
-        AuroraMachine::a300_8(cfg)
+/// Which transport an [`Offload`] runtime sits on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BackendKind {
+    /// The in-process reference backend (no Aurora modelling).
+    Local,
+    /// The VEO-based protocol (paper §III).
+    Veo,
+    /// The DMA-based protocol (paper §IV).
+    Dma,
+    /// Loopback TCP sockets (paper §I-A).
+    Tcp,
+}
+
+impl BackendKind {
+    /// Every backend with a fault model ([`OffloadOptions::plan`],
+    /// `kill_target`), for matrix tests.
+    pub const FAULT_CAPABLE: [BackendKind; 3] =
+        [BackendKind::Veo, BackendKind::Dma, BackendKind::Tcp];
+
+    /// Short name for labelling assertions and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendKind::Local => "local",
+            BackendKind::Veo => "veo",
+            BackendKind::Dma => "dma",
+            BackendKind::Tcp => "tcp",
+        }
     }
 }
 
-/// An [`Offload`] runtime over the **DMA-based** protocol (paper §IV) on
-/// a default simulated machine with `ves` Vector Engines.
-pub fn dma_offload(
-    ves: u8,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    let machine = default_machine(ves);
-    let targets: Vec<u8> = (0..ves.max(1).min(machine.ves().len() as u8)).collect();
-    Offload::new(DmaBackend::spawn(
-        machine,
-        0,
-        &targets,
-        ProtocolConfig::default(),
-        registrar,
-    ))
+/// Everything [`offload_with`] and [`tcp_cluster`] can set beyond the
+/// defaults. `OffloadOptions::default()` reproduces the default
+/// constructors exactly.
+#[derive(Clone, Debug)]
+pub struct OffloadOptions {
+    /// Small-message batching: consecutive `post()`s to a target
+    /// coalesce into one wire frame per the watermarks, so deep
+    /// pipelines pay one transport transaction and one flag poll per
+    /// *batch*; single-shot `sync` latency is unchanged.
+    /// [`BatchConfig::adaptive_up_to`] arms the self-tuning dataplane.
+    pub batch: BatchConfig,
+    /// Deterministic fault plan. On the Aurora backends it is armed on
+    /// every VE's PCIe link (TLP drops, duplications, delay spikes and
+    /// user-DMA stalls draw from it) and consulted for frame drops and
+    /// VE-process kills; on TCP it records injected disconnects. The
+    /// local backend has no fault model and ignores it.
+    pub plan: Arc<FaultPlan>,
+    /// Recovery policy. VEO/DMA: timeout/retry on every channel. TCP:
+    /// `max_retries` is the reconnect budget — with a policy a
+    /// disconnect *degrades* the target and a bounded-backoff reconnect
+    /// resumes the session; with `None` peer death **permanently
+    /// evicts** the channel with [`OffloadError::TargetLost`]. Ignored
+    /// by the local backend.
+    pub recovery: Option<RecoveryPolicy>,
 }
 
-/// An [`Offload`] runtime over the **VEO-based** protocol (paper §III).
-pub fn veo_offload(
-    ves: u8,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    let machine = default_machine(ves);
-    let targets: Vec<u8> = (0..ves.max(1).min(machine.ves().len() as u8)).collect();
-    Offload::new(VeoBackend::spawn(
-        machine,
-        0,
-        &targets,
-        ProtocolConfig::default(),
-        registrar,
-    ))
+impl Default for OffloadOptions {
+    fn default() -> Self {
+        Self {
+            batch: BatchConfig::default(),
+            plan: FaultPlan::none(),
+            recovery: None,
+        }
+    }
 }
 
-/// [`dma_offload`] with small-message batching: consecutive `post()`s to
-/// a target coalesce into one wire frame, up to `max_msgs` per frame.
-/// Deep pipelines pay one DMA transaction and one flag poll per *batch*
-/// instead of per message; single-shot `sync` latency is unchanged.
-pub fn dma_offload_batched(
-    ves: u8,
-    batch: BatchConfig,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    let machine = default_machine(ves);
-    let targets: Vec<u8> = (0..ves.max(1).min(machine.ves().len() as u8)).collect();
-    Offload::new(DmaBackend::spawn(
-        machine,
-        0,
-        &targets,
-        ProtocolConfig::default().with_batch(batch),
-        registrar,
-    ))
-}
-
-/// [`veo_offload`] with small-message batching. See
-/// [`dma_offload_batched`].
-pub fn veo_offload_batched(
-    ves: u8,
-    batch: BatchConfig,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    let machine = default_machine(ves);
-    let targets: Vec<u8> = (0..ves.max(1).min(machine.ves().len() as u8)).collect();
-    Offload::new(VeoBackend::spawn(
-        machine,
-        0,
-        &targets,
-        ProtocolConfig::default().with_batch(batch),
-        registrar,
-    ))
-}
-
-/// [`dma_offload`] under a deterministic [`FaultPlan`] and an optional
-/// retry/timeout [`RecoveryPolicy`].
-///
-/// The plan is armed on every VE's PCIe link (TLP drops, duplications,
-/// delay spikes and user-DMA stalls draw from it) and consulted by the
-/// backend for frame drops and VE-process kills. Pass
-/// [`FaultPlan::none`] and `None` to get exactly [`dma_offload`]
-/// behaviour.
-pub fn dma_offload_with_faults(
-    ves: u8,
-    plan: Arc<FaultPlan>,
-    policy: Option<RecoveryPolicy>,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    let machine = default_machine(ves);
-    let targets: Vec<u8> = (0..ves.max(1).min(machine.ves().len() as u8)).collect();
-    Offload::new(DmaBackend::spawn_with_faults(
-        machine,
-        0,
-        &targets,
-        ProtocolConfig::default(),
-        plan,
-        policy,
-        registrar,
-    ))
-}
-
-/// [`dma_offload_with_faults`] with small-message batching — the
-/// combination the device runtime's fault tests need: batch carriers
-/// engage the worker lanes while the plan injects kills.
-pub fn dma_offload_batched_with_faults(
-    ves: u8,
-    batch: BatchConfig,
-    plan: Arc<FaultPlan>,
-    policy: Option<RecoveryPolicy>,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    let machine = default_machine(ves);
-    let targets: Vec<u8> = (0..ves.max(1).min(machine.ves().len() as u8)).collect();
-    Offload::new(DmaBackend::spawn_with_faults(
-        machine,
-        0,
-        &targets,
-        ProtocolConfig::default().with_batch(batch),
-        plan,
-        policy,
-        registrar,
-    ))
-}
-
-/// [`veo_offload`] under a deterministic [`FaultPlan`] and an optional
-/// retry/timeout [`RecoveryPolicy`]. See [`dma_offload_with_faults`].
-pub fn veo_offload_with_faults(
-    ves: u8,
-    plan: Arc<FaultPlan>,
-    policy: Option<RecoveryPolicy>,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    let machine = default_machine(ves);
-    let targets: Vec<u8> = (0..ves.max(1).min(machine.ves().len() as u8)).collect();
-    Offload::new(VeoBackend::spawn_with_faults(
-        machine,
-        0,
-        &targets,
-        ProtocolConfig::default(),
-        plan,
-        policy,
-        registrar,
-    ))
-}
-
-/// [`tcp_offload`] under a deterministic [`FaultPlan`].
-///
-/// This keeps the *point-to-point* lifecycle: TCP is a push transport
-/// with no polling-based retry, so peer death is detected by the reader
-/// thread's EOF and **permanently evicts** the channel with
-/// [`OffloadError::TargetLost`]. For the cluster lifecycle — where a
-/// disconnect degrades the target and a bounded-backoff reconnect
-/// resumes the session — use [`tcp_offload_cluster`].
-pub fn tcp_offload_with_faults(
+/// An [`Offload`] runtime over `targets` targets of `kind` (for the
+/// Aurora kinds: that many Vector Engines of a default simulated
+/// machine), configured by `opts`.
+pub fn offload_with(
+    kind: BackendKind,
     targets: u16,
-    plan: Arc<FaultPlan>,
+    opts: OffloadOptions,
     registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
 ) -> Offload {
-    Offload::new(ham_backend_tcp::TcpBackend::spawn_with_faults(
-        targets,
-        ham_backend_tcp::TcpBackend::DEFAULT_MEM,
+    let OffloadOptions {
+        batch,
         plan,
-        registrar,
-    ))
+        recovery,
+    } = opts;
+    // Default simulated memory sizes; the host process sits on socket 0.
+    let aurora = || {
+        let cfg = MachineConfig {
+            hbm_bytes: 64 << 20,
+            vh_bytes: 128 << 20,
+            ..Default::default()
+        };
+        let machine = if targets <= 4 {
+            AuroraMachine::small(targets.max(1) as u8, cfg)
+        } else {
+            AuroraMachine::a300_8(cfg)
+        };
+        let ves: Vec<u8> = (0..targets.max(1).min(machine.ves().len() as u16) as u8).collect();
+        (machine, ves, ProtocolConfig::default().with_batch(batch))
+    };
+    match kind {
+        BackendKind::Local => Offload::new(LocalBackend::spawn_batched(targets, batch, registrar)),
+        BackendKind::Veo => {
+            let (machine, ves, cfg) = aurora();
+            Offload::new(VeoBackend::spawn_with_faults(
+                machine, 0, &ves, cfg, plan, recovery, registrar,
+            ))
+        }
+        BackendKind::Dma => {
+            let (machine, ves, cfg) = aurora();
+            Offload::new(DmaBackend::spawn_with_faults(
+                machine, 0, &ves, cfg, plan, recovery, registrar,
+            ))
+        }
+        BackendKind::Tcp => {
+            let specs = vec![TargetSpec::default(); targets as usize];
+            Offload::new(TcpBackend::spawn_cluster(
+                &specs,
+                &[],
+                recovery,
+                batch,
+                plan,
+                registrar,
+            ))
+        }
+    }
 }
 
-/// An [`Offload`] runtime over a **TCP cluster** of targets described by
-/// `specs` (target `i` gets node id `i + 1`), with session resume on
-/// reconnect.
+/// An [`Offload`] runtime over a **TCP cluster**: targets described by
+/// `active` (target `i` gets node id `i + 1`) plus an address book of
+/// vacant `reserve` slots for dynamic membership (may be empty). Returns
+/// the backend handle alongside the runtime so callers can activate a
+/// reserve slot later with [`ham_backend_tcp::TcpBackend::join_target`]
+/// (and then admit it to a running [`TargetPool`] via
+/// [`TargetPool::add_target`]).
 ///
 /// Each target announces its capabilities (worker lanes, credit limit,
-/// memory) and its dedup watermark on every accepted connection. A
-/// disconnect *degrades* the target instead of evicting it; a
-/// per-target link supervisor reconnects with bounded backoff (at most
-/// `policy.max_retries` attempts per disconnect) and replays exactly
-/// the in-flight frames the re-announced watermark proves unexecuted.
-/// Work the watermark cannot clear fails with
-/// [`OffloadError::TargetLost`] rather than risking double execution.
-pub fn tcp_offload_cluster(
-    specs: &[TargetSpec],
-    policy: RecoveryPolicy,
-    plan: Arc<FaultPlan>,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    Offload::new(ham_backend_tcp::TcpBackend::spawn_cluster(
-        specs, policy, plan, registrar,
-    ))
-}
-
-/// [`tcp_offload_cluster`] with an address book of vacant *reserve*
-/// slots for dynamic membership. Returns the backend handle alongside
-/// the runtime so callers can activate a reserve slot later with
-/// [`ham_backend_tcp::TcpBackend::join_target`] (and then admit it to a
-/// running [`sched::TargetPool`] via
-/// [`sched::TargetPool::add_target`]).
-pub fn tcp_offload_cluster_reserve(
+/// memory) and its dedup watermark on every accepted connection. With
+/// `opts.recovery` set, a per-target link supervisor reconnects a
+/// dropped link with bounded backoff and replays exactly the in-flight
+/// frames the re-announced watermark proves unexecuted; work the
+/// watermark cannot clear fails with [`OffloadError::TargetLost`] rather
+/// than risking double execution.
+pub fn tcp_cluster(
     active: &[TargetSpec],
     reserve: &[TargetSpec],
-    policy: RecoveryPolicy,
-    plan: Arc<FaultPlan>,
+    opts: OffloadOptions,
     registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> (Offload, Arc<ham_backend_tcp::TcpBackend>) {
-    let backend = ham_backend_tcp::TcpBackend::spawn_cluster_with_reserve(
-        active, reserve, policy, plan, registrar,
+) -> (Offload, Arc<TcpBackend>) {
+    let backend = TcpBackend::spawn_cluster(
+        active,
+        reserve,
+        opts.recovery,
+        opts.batch,
+        opts.plan,
+        registrar,
     );
     (Offload::new(backend.clone()), backend)
 }
@@ -285,7 +227,39 @@ pub fn local_offload(
     targets: u16,
     registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
 ) -> Offload {
-    Offload::new(ham_offload::local::LocalBackend::spawn(targets, registrar))
+    offload_with(
+        BackendKind::Local,
+        targets,
+        OffloadOptions::default(),
+        registrar,
+    )
+}
+
+/// An [`Offload`] runtime over the **VEO-based** protocol (paper §III).
+pub fn veo_offload(
+    ves: u8,
+    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
+) -> Offload {
+    offload_with(
+        BackendKind::Veo,
+        ves.into(),
+        OffloadOptions::default(),
+        registrar,
+    )
+}
+
+/// An [`Offload`] runtime over the **DMA-based** protocol (paper §IV) on
+/// a default simulated machine with `ves` Vector Engines.
+pub fn dma_offload(
+    ves: u8,
+    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
+) -> Offload {
+    offload_with(
+        BackendKind::Dma,
+        ves.into(),
+        OffloadOptions::default(),
+        registrar,
+    )
 }
 
 /// An [`Offload`] runtime over real loopback TCP sockets — the paper's
@@ -295,93 +269,10 @@ pub fn tcp_offload(
     targets: u16,
     registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
 ) -> Offload {
-    Offload::new(ham_backend_tcp::TcpBackend::spawn(targets, registrar))
-}
-
-/// [`tcp_offload`] with small-message batching. See
-/// [`dma_offload_batched`].
-pub fn tcp_offload_batched(
-    targets: u16,
-    batch: BatchConfig,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    Offload::new(ham_backend_tcp::TcpBackend::spawn_batched(
-        targets, batch, registrar,
-    ))
-}
-
-/// [`local_offload`] with small-message batching. See
-/// [`dma_offload_batched`].
-pub fn local_offload_batched(
-    targets: u16,
-    batch: BatchConfig,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    Offload::new(ham_offload::local::LocalBackend::spawn_batched(
-        targets, batch, registrar,
-    ))
-}
-
-/// [`dma_offload_batched`] with the **self-tuning dataplane** armed:
-/// batching up to `max_msgs` per frame, staged age hard-bounded to
-/// `slo_micros` of virtual time, and the adaptive watermark controller
-/// ([`ham_offload::chan::adaptive`]) tuning the effective watermarks
-/// per channel from the observed flush-latency histogram. Equivalent to
-/// passing [`BatchConfig::adaptive_up_to`] to the batched constructor.
-pub fn dma_offload_adaptive(
-    ves: u8,
-    max_msgs: usize,
-    slo_micros: u64,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    dma_offload_batched(
-        ves,
-        BatchConfig::adaptive_up_to(max_msgs, slo_micros),
-        registrar,
-    )
-}
-
-/// [`veo_offload_batched`] with the self-tuning dataplane armed. See
-/// [`dma_offload_adaptive`].
-pub fn veo_offload_adaptive(
-    ves: u8,
-    max_msgs: usize,
-    slo_micros: u64,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    veo_offload_batched(
-        ves,
-        BatchConfig::adaptive_up_to(max_msgs, slo_micros),
-        registrar,
-    )
-}
-
-/// [`tcp_offload_batched`] with the self-tuning dataplane armed. See
-/// [`dma_offload_adaptive`].
-pub fn tcp_offload_adaptive(
-    targets: u16,
-    max_msgs: usize,
-    slo_micros: u64,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    tcp_offload_batched(
+    offload_with(
+        BackendKind::Tcp,
         targets,
-        BatchConfig::adaptive_up_to(max_msgs, slo_micros),
-        registrar,
-    )
-}
-
-/// [`local_offload_batched`] with the self-tuning dataplane armed. See
-/// [`dma_offload_adaptive`].
-pub fn local_offload_adaptive(
-    targets: u16,
-    max_msgs: usize,
-    slo_micros: u64,
-    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
-) -> Offload {
-    local_offload_batched(
-        targets,
-        BatchConfig::adaptive_up_to(max_msgs, slo_micros),
+        OffloadOptions::default(),
         registrar,
     )
 }
@@ -396,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_constructors_work() {
+    fn all_default_constructors_work() {
         for o in [
             local_offload(1, |b| {
                 b.register::<ping>();
@@ -405,6 +296,9 @@ mod tests {
                 b.register::<ping>();
             }),
             dma_offload(1, |b| {
+                b.register::<ping>();
+            }),
+            tcp_offload(1, |b| {
                 b.register::<ping>();
             }),
         ] {

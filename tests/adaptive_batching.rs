@@ -11,8 +11,7 @@ use aurora_workloads::kernels::whoami;
 use ham::f2f;
 use ham_aurora_repro::sim_core::{HealthEventKind, SimTime};
 use ham_aurora_repro::{
-    dma_offload_adaptive, local_offload_adaptive, local_offload_batched, tcp_offload_adaptive,
-    veo_offload_adaptive, BatchConfig, FaultPlan, NodeId, RecoveryPolicy,
+    offload_with, BackendKind, BatchConfig, FaultPlan, NodeId, OffloadOptions, RecoveryPolicy,
 };
 use ham_backend_dma::{DmaBackend, ProtocolConfig};
 use ham_offload::chan::engine;
@@ -22,6 +21,16 @@ use std::sync::Arc;
 use veos_sim::{AuroraMachine, MachineConfig};
 
 const SLO_US: u64 = 50;
+
+/// One target on `kind` with batching per `batch`, everything else
+/// default.
+fn batched(kind: BackendKind, batch: BatchConfig) -> Offload {
+    let opts = OffloadOptions {
+        batch,
+        ..OffloadOptions::default()
+    };
+    offload_with(kind, 1, opts, aurora_workloads::register_all)
+}
 
 fn machine() -> Arc<AuroraMachine> {
     AuroraMachine::small(
@@ -94,15 +103,12 @@ fn check_sweep_slo_flush(o: &Offload, label: &str) {
 /// virtual time even when nothing else fills the accumulator.
 #[test]
 fn slo_flush_bounds_staged_age_on_every_backend() {
-    let reg = aurora_workloads::register_all;
-    let cases: Vec<(&str, Offload)> = vec![
-        ("local", local_offload_adaptive(1, 64, SLO_US, reg)),
-        ("veo", veo_offload_adaptive(1, 64, SLO_US, reg)),
-        ("dma", dma_offload_adaptive(1, 64, SLO_US, reg)),
-        ("tcp", tcp_offload_adaptive(1, 64, SLO_US, reg)),
-    ];
-    for (label, o) in cases {
-        check_sweep_slo_flush(&o, label);
+    for kind in [BackendKind::Local]
+        .into_iter()
+        .chain(BackendKind::FAULT_CAPABLE)
+    {
+        let o = batched(kind, BatchConfig::adaptive_up_to(64, SLO_US));
+        check_sweep_slo_flush(&o, kind.name());
         o.shutdown();
     }
 }
@@ -112,10 +118,9 @@ fn slo_flush_bounds_staged_age_on_every_backend() {
 /// guarantee.
 #[test]
 fn slo_flush_works_without_adaptive_controller() {
-    let o = local_offload_batched(
-        1,
+    let o = batched(
+        BackendKind::Local,
         BatchConfig::up_to(64).with_slo_micros(SLO_US),
-        aurora_workloads::register_all,
     );
     check_sweep_slo_flush(&o, "static+slo");
     o.shutdown();
@@ -126,7 +131,7 @@ fn slo_flush_works_without_adaptive_controller() {
 /// This is the knob-off determinism guarantee: sweeps stay read-only.
 #[test]
 fn sweep_never_flushes_without_slo_knob() {
-    let o = local_offload_batched(1, BatchConfig::up_to(64), aurora_workloads::register_all);
+    let o = batched(BackendKind::Local, BatchConfig::up_to(64));
     let t = NodeId(1);
     assert_eq!(o.sync(t, f2f!(whoami)).unwrap(), 1);
     let before = o.backend().metrics().snapshot();
@@ -150,7 +155,7 @@ fn sweep_never_flushes_without_slo_knob() {
 /// flushes — no sweep needed.
 #[test]
 fn aged_accumulator_flushes_on_next_post() {
-    let o = local_offload_adaptive(1, 64, SLO_US, aurora_workloads::register_all);
+    let o = batched(BackendKind::Local, BatchConfig::adaptive_up_to(64, SLO_US));
     let t = NodeId(1);
     assert_eq!(o.sync(t, f2f!(whoami)).unwrap(), 1);
     let before = o.backend().metrics().snapshot();
@@ -177,7 +182,7 @@ fn aged_accumulator_flushes_on_next_post() {
 /// SLO-flushed singles must narrow the watermark; dense full-envelope
 /// waves must widen it back to the ceiling.
 fn narrow_widen_cycle() -> (u64, u64, u64, usize, usize) {
-    let o = local_offload_adaptive(1, 8, SLO_US, aurora_workloads::register_all);
+    let o = batched(BackendKind::Local, BatchConfig::adaptive_up_to(8, SLO_US));
     let t = NodeId(1);
     assert_eq!(o.sync(t, f2f!(whoami)).unwrap(), 1);
     let chan = o.backend().channel(t).unwrap();

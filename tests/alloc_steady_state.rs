@@ -422,9 +422,7 @@ mod warm_wait {
 
         let _gate = super::gate();
         let o = Offload::new(Arc::new(MockBackend::new()));
-        let pool = o
-            .pool_with(&[NodeId(1)], SchedPolicy::RoundRobin)
-            .unwrap();
+        let pool = o.pool_with(&[NodeId(1)], SchedPolicy::RoundRobin).unwrap();
         // Warm-up: pooled rounds fill the frame pool, the channel
         // tables, and the pool's own admission state (healthy set,
         // miss-streak map, cursor).

@@ -1,7 +1,10 @@
 //! Table II API surface: every listed operation works on every backend.
 
 use ham::f2f;
-use ham_aurora_repro::{dma_offload, local_offload, veo_offload, NodeId, Offload};
+use ham_aurora_repro::{
+    dma_offload, local_offload, offload_with, tcp_cluster, tcp_offload, veo_offload, BackendKind,
+    BatchConfig, NodeId, Offload, OffloadOptions, TargetSpec,
+};
 use ham_offload::types::DeviceType;
 
 ham::ham_kernel! {
@@ -95,6 +98,54 @@ fn table2_on_veo_backend() {
 fn table2_on_dma_backend() {
     let o = dma_offload(1, registrar);
     exercise_table2(&o, DeviceType::VectorEngine);
+    o.shutdown();
+}
+
+#[test]
+fn table2_on_tcp_backend() {
+    let o = tcp_offload(1, registrar);
+    exercise_table2(&o, DeviceType::Generic);
+    o.shutdown();
+}
+
+/// A TCP target's descriptor reports the worker-lane count its device
+/// runtime actually schedules across — both come from the one
+/// `TargetSpec` — on the point-to-point path `tcp_offload` takes and on
+/// a cluster with its own specs. A 16-member batch carrier is dealt over
+/// every lane, so the lane registers show how many lanes ran.
+#[test]
+fn tcp_descriptor_cores_match_the_lanes_that_run() {
+    let batched = || OffloadOptions {
+        batch: BatchConfig::up_to(16),
+        ..OffloadOptions::default()
+    };
+    let spec = TargetSpec {
+        lanes: 3,
+        ..TargetSpec::default()
+    };
+    let cases = [
+        (
+            offload_with(BackendKind::Tcp, 1, batched(), registrar),
+            TargetSpec::default().lanes,
+        ),
+        (tcp_cluster(&[spec], &[], batched(), registrar).0, 3),
+    ];
+    for (o, lanes) in cases {
+        let futures: Vec<_> = (0..16)
+            .map(|_| o.async_(NodeId(1), f2f!(which_node)).unwrap())
+            .collect();
+        for r in o.wait_all(futures) {
+            assert_eq!(r.unwrap(), 1);
+        }
+        let ran = o.backend().metrics().lane_stats().per_lane().len();
+        assert_eq!(ran, lanes as usize, "lanes the target ran");
+        let cores = o.get_node_descriptor(NodeId(1)).unwrap().cores;
+        assert_eq!(cores, lanes, "descriptor cores");
+        o.shutdown();
+    }
+    let o = tcp_offload(1, registrar);
+    let cores = o.get_node_descriptor(NodeId(1)).unwrap().cores;
+    assert_eq!(cores, TargetSpec::default().lanes, "tcp_offload");
     o.shutdown();
 }
 

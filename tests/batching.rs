@@ -5,13 +5,21 @@
 use aurora_workloads::kernels::whoami;
 use ham::f2f;
 use ham_aurora_repro::{
-    dma_offload, dma_offload_batched, BatchConfig, FaultPlan, NodeId, OffloadError, RecoveryPolicy,
+    dma_offload, offload_with, BackendKind, BatchConfig, FaultPlan, NodeId, OffloadError,
+    OffloadOptions, RecoveryPolicy,
 };
 use ham_backend_dma::{DmaBackend, ProtocolConfig};
 use ham_offload::Offload;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use veos_sim::{AuroraMachine, MachineConfig};
+
+fn batched_up_to(max_msgs: usize) -> OffloadOptions {
+    OffloadOptions {
+        batch: BatchConfig::up_to(max_msgs),
+        ..OffloadOptions::default()
+    }
+}
 
 fn machine() -> Arc<AuroraMachine> {
     AuroraMachine::small(
@@ -58,7 +66,7 @@ fn dma_depth64_batching_cuts_frames_at_least_3x() {
     assert_eq!(msgs_off, 64);
     assert_eq!(frames_off, 64, "batching off: one frame per message");
 
-    let batched = dma_offload_batched(1, BatchConfig::up_to(16), reg);
+    let batched = offload_with(BackendKind::Dma, 1, batched_up_to(16), reg);
     let (frames_on, msgs_on, time_on) = run(&batched);
     batched.shutdown();
     assert_eq!(msgs_on, 64, "every message reaches the wire");
@@ -175,9 +183,10 @@ fn total_loss_of_batched_frames_times_out_and_evicts() {
 /// or the later futures spin on frames that never left the host.
 #[test]
 fn wait_any_flushes_staged_batches_on_every_involved_target() {
-    let o = ham_aurora_repro::local_offload_batched(
+    let o = offload_with(
+        BackendKind::Local,
         2,
-        BatchConfig::up_to(16),
+        batched_up_to(16),
         aurora_workloads::register_all,
     );
     // One staged (unflushed — watermark is 16) message per target.
@@ -198,9 +207,10 @@ fn wait_any_flushes_staged_batches_on_every_involved_target() {
 /// accumulators all complete in one blocking wait.
 #[test]
 fn wait_all_flushes_staged_batches_across_targets() {
-    let o = ham_aurora_repro::local_offload_batched(
+    let o = offload_with(
+        BackendKind::Local,
         2,
-        BatchConfig::up_to(16),
+        batched_up_to(16),
         aurora_workloads::register_all,
     );
     let futures: Vec<_> = (0..8)

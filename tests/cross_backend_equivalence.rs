@@ -124,10 +124,7 @@ fn wait_any_and_wait_all_agree_everywhere() {
 /// injection layer: the hooks themselves change nothing.
 #[test]
 fn zero_fault_plan_keeps_backends_bit_identical() {
-    use ham_aurora_repro::{
-        dma_offload_with_faults, tcp_offload_with_faults, veo_offload_with_faults, FaultPlan,
-        RecoveryPolicy,
-    };
+    use ham_aurora_repro::{offload_with, BackendKind, OffloadOptions, RecoveryPolicy};
     let xs = random_vector(11, 256);
     let ys = random_vector(12, 256);
     let run = |o: Offload| {
@@ -145,23 +142,22 @@ fn zero_fault_plan_keeps_backends_bit_identical() {
         (dot, pi)
     };
     let reg = aurora_workloads::register_all;
-    let policy = Some(RecoveryPolicy::default());
+    // The default options already carry the all-zero plan; arming a
+    // policy is the only difference from the default constructors.
+    let armed = |kind| {
+        let opts = OffloadOptions {
+            recovery: Some(RecoveryPolicy::default()),
+            ..OffloadOptions::default()
+        };
+        offload_with(kind, 1, opts, reg)
+    };
     let results: Vec<(&str, (u64, u64))> = vec![
         ("veo", run(veo_offload(1, reg))),
-        (
-            "veo+zero-plan",
-            run(veo_offload_with_faults(1, FaultPlan::none(), policy, reg)),
-        ),
+        ("veo+zero-plan", run(armed(BackendKind::Veo))),
         ("dma", run(dma_offload(1, reg))),
-        (
-            "dma+zero-plan",
-            run(dma_offload_with_faults(1, FaultPlan::none(), policy, reg)),
-        ),
+        ("dma+zero-plan", run(armed(BackendKind::Dma))),
         ("tcp", run(tcp_offload(1, reg))),
-        (
-            "tcp+zero-plan",
-            run(tcp_offload_with_faults(1, FaultPlan::none(), reg)),
-        ),
+        ("tcp+zero-plan", run(armed(BackendKind::Tcp))),
     ];
     assert!(results.windows(2).all(|w| w[0].1 == w[1].1), "{results:?}");
 }
@@ -171,10 +167,7 @@ fn zero_fault_plan_keeps_backends_bit_identical() {
 /// the batching-off constructors, on every backend.
 #[test]
 fn batching_on_keeps_backends_bit_identical() {
-    use ham_aurora_repro::{
-        dma_offload_batched, local_offload_batched, tcp_offload_batched, veo_offload_batched,
-        BatchConfig,
-    };
+    use ham_aurora_repro::{offload_with, BackendKind, BatchConfig, OffloadOptions};
     let reg = aurora_workloads::register_all;
     let seeds: Vec<u64> = (0..24).collect();
     let run = |o: Offload| {
@@ -191,16 +184,22 @@ fn batching_on_keeps_backends_bit_identical() {
         o.shutdown();
         bits
     };
-    let batch = BatchConfig::up_to(8);
+    let batched = |kind| {
+        let opts = OffloadOptions {
+            batch: BatchConfig::up_to(8),
+            ..OffloadOptions::default()
+        };
+        offload_with(kind, 1, opts, reg)
+    };
     let results: Vec<(&str, Vec<u64>)> = vec![
         ("local", run(local_offload(1, reg))),
-        ("local+batch", run(local_offload_batched(1, batch, reg))),
+        ("local+batch", run(batched(BackendKind::Local))),
         ("tcp", run(tcp_offload(1, reg))),
-        ("tcp+batch", run(tcp_offload_batched(1, batch, reg))),
+        ("tcp+batch", run(batched(BackendKind::Tcp))),
         ("veo", run(veo_offload(1, reg))),
-        ("veo+batch", run(veo_offload_batched(1, batch, reg))),
+        ("veo+batch", run(batched(BackendKind::Veo))),
         ("dma", run(dma_offload(1, reg))),
-        ("dma+batch", run(dma_offload_batched(1, batch, reg))),
+        ("dma+batch", run(batched(BackendKind::Dma))),
     ];
     assert!(results.windows(2).all(|w| w[0].1 == w[1].1), "{results:?}");
 }

@@ -3,7 +3,10 @@
 
 use aurora_workloads::kernels::{echo, whoami};
 use ham::f2f;
-use ham_aurora_repro::{dma_offload, tcp_offload, veo_offload, NodeId, OffloadError};
+use ham_aurora_repro::{
+    dma_offload, offload_with, tcp_offload, veo_offload, BackendKind, NodeId, OffloadError,
+    OffloadOptions, RecoveryPolicy,
+};
 use ham_backend_dma::DmaBackend;
 use ham_backend_veo::{ProtocolConfig, VeoBackend};
 use ham_offload::Offload;
@@ -259,6 +262,84 @@ fn tcp_peer_disconnect_mid_offload_is_a_clean_error() {
 }
 
 #[test]
+fn refused_post_to_a_dead_ve_latches_the_eviction() {
+    // Kill a VE with nothing in flight: no flag sweep will ever observe
+    // the death, so the post path must latch the eviction itself when
+    // the transport refuses the frame — or a caller waiting for the
+    // eviction (as `TargetPool` users do) would retry forever.
+    for o in [
+        veo_offload(1, aurora_workloads::register_all),
+        dma_offload(1, aurora_workloads::register_all),
+    ] {
+        let dead = NodeId(1);
+        assert_eq!(o.sync(dead, f2f!(whoami)).unwrap(), 1);
+        o.kill_target(dead).unwrap();
+        // Posts may still ride the dying process (and complete or fail)
+        // until the first one is refused.
+        let refused = loop {
+            match o.async_(dead, f2f!(whoami)) {
+                Ok(f) => drop(f.get()),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(refused, OffloadError::TargetLost(NodeId(1))));
+        let latched = o.backend().channel(dead).unwrap().eviction();
+        assert_eq!(latched, Some(OffloadError::TargetLost(dead)));
+        assert_eq!(o.in_flight(dead).unwrap(), 0, "leaked pending entry");
+        o.shutdown();
+    }
+}
+
+ham::ham_kernel! {
+    /// Slow in wall time only: the host sweeps (and re-sends) many times
+    /// while the VE is busy with it.
+    pub fn dawdle(ctx) -> u16 {
+        std::thread::sleep(std::time::Duration::from_micros(300));
+        ctx.node
+    }
+}
+
+#[test]
+fn spurious_resends_do_not_wedge_the_ve_cursor() {
+    // A recovery policy that re-sends after one fruitless sweep re-sends
+    // frames that are only slow, not lost. A copy sent after the VE took
+    // the original stays in its recv slot, flag raised. A full rotation
+    // later the VE used to consume it as the next position (the runtime
+    // dedups it, so no result shows the damage) and from then on waited
+    // one slot ahead of the host: the host's next frame — at the end of
+    // a run the Control frame of `shutdown` — was never seen.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for kind in [BackendKind::Veo, BackendKind::Dma] {
+            let opts = OffloadOptions {
+                recovery: Some(RecoveryPolicy {
+                    retry_after_misses: 1,
+                    max_retries: 40,
+                }),
+                ..OffloadOptions::default()
+            };
+            let o = offload_with(kind, 1, opts, |b| {
+                b.register::<dawdle>();
+            });
+            let t = NodeId(1);
+            // Three rotations of the default eight recv slots.
+            for _ in 0..24 {
+                assert_eq!(o.sync(t, f2f!(dawdle)).unwrap(), 1, "{kind:?}");
+            }
+            let snap = o.metrics_snapshot();
+            assert!(snap.resends >= 1, "{kind:?}: the policy never re-sent");
+            assert_eq!(snap.timeouts, 0, "{kind:?}");
+            assert_eq!(o.in_flight(t).unwrap(), 0, "{kind:?}: leaked pending entry");
+            o.shutdown();
+        }
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a spuriously re-sent frame wedged the VE's slot cursor");
+}
+
+#[test]
 fn shm_segments_survive_no_unwind() {
     // Regression: a panic between spawn and shutdown used to leak the
     // SysV segment (and its key) forever. The RAII guard must IPC_RMID
@@ -301,7 +382,7 @@ fn shm_keys_are_reclaimed_across_backend_generations() {
             ProtocolConfig::default(),
             aurora_workloads::register_all,
         );
-        keys.insert(backend.shm_key(NodeId(1)).unwrap());
+        keys.insert(backend.transport(NodeId(1)).unwrap().shm_key());
         let o = Offload::new(backend);
         o.sync(NodeId(1), f2f!(whoami)).unwrap();
         o.shutdown();

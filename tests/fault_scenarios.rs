@@ -207,7 +207,7 @@ fn timing_faults_change_no_outcome_dma() {
 /// no recovery machinery fires, the timeline is empty.
 #[test]
 fn zero_plan_is_inert_everywhere() {
-    for backend in BackendKind::ALL {
+    for backend in BackendKind::FAULT_CAPABLE {
         let r = Scenario::new(backend, 2, 0).waves(2, 3).run();
         let label = backend.name();
         assert_eq!(r.ok, 12, "{label}: {:?}", r.outcomes);

@@ -2,9 +2,10 @@
 //! processes are distinct "binaries" with different local handler
 //! addresses, reconciled only by sorted-type-name handler keys.
 
+use aurora_proto::{HOST_SEED, VE_SEED_BASE};
 use ham::registry::HandlerKey;
 use ham::{ExecContext, RegistryBuilder};
-use ham_backend_veo::core::{AuroraCore, HOST_SEED, VE_SEED_BASE};
+use ham_offload::backend::build_registry;
 use std::sync::Arc;
 
 ham::ham_kernel! {
@@ -26,8 +27,8 @@ fn registrar(b: &mut RegistryBuilder) {
 #[test]
 fn host_and_ve_registries_disagree_on_addresses_but_agree_on_keys() {
     let reg: Arc<ham_offload::backend::Registrar> = Arc::new(registrar);
-    let host = AuroraCore::build_registry(&reg, HOST_SEED);
-    let ve = AuroraCore::build_registry(&reg, VE_SEED_BASE + 1);
+    let host = build_registry(&reg, HOST_SEED);
+    let ve = build_registry(&reg, VE_SEED_BASE + 1);
 
     assert_eq!(host.names(), ve.names(), "shared sorted table layout");
     let mut any_address_differs = false;
@@ -71,8 +72,8 @@ fn registration_order_does_not_matter() {
 #[test]
 fn messages_encoded_by_one_binary_execute_in_another() {
     let reg: Arc<ham_offload::backend::Registrar> = Arc::new(registrar);
-    let host = AuroraCore::build_registry(&reg, HOST_SEED);
-    let ve = AuroraCore::build_registry(&reg, VE_SEED_BASE + 7);
+    let host = build_registry(&reg, HOST_SEED);
+    let ve = build_registry(&reg, VE_SEED_BASE + 7);
 
     let (key, payload) = host.encode_message(&ham::f2f!(beta, 40)).unwrap();
     let mem = ham::message::VecMemory::new(0);

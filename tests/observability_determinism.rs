@@ -12,9 +12,7 @@
 
 use aurora_workloads::kernels::{compute_burn, whoami};
 use ham::f2f;
-use ham_aurora_repro::{
-    dma_offload_batched, dma_offload_with_faults, BatchConfig, FaultPlan, NodeId,
-};
+use ham_aurora_repro::{offload_with, BackendKind, BatchConfig, FaultPlan, NodeId, OffloadOptions};
 
 struct Observed {
     aggregate: Vec<u64>,
@@ -24,7 +22,11 @@ struct Observed {
 
 fn run() -> Observed {
     let plan = FaultPlan::builder(42).build(); // seeded, zero-rate: kills only
-    let o = dma_offload_with_faults(2, plan, None, aurora_workloads::register_all);
+    let opts = OffloadOptions {
+        plan,
+        ..OffloadOptions::default()
+    };
+    let o = offload_with(BackendKind::Dma, 2, opts, aurora_workloads::register_all);
 
     // Warm both targets, then a fixed serial workload.
     for _ in 0..3 {
@@ -115,7 +117,11 @@ fn lane_schedule_and_steals_replay_bit_identically() {
     }
 
     fn run() -> LaneObserved {
-        let o = dma_offload_batched(1, BatchConfig::up_to(32), aurora_workloads::register_all);
+        let opts = OffloadOptions {
+            batch: BatchConfig::up_to(32),
+            ..OffloadOptions::default()
+        };
+        let o = offload_with(BackendKind::Dma, 1, opts, aurora_workloads::register_all);
         // Twenty-four members: more work items than the eight default
         // lanes. The first two members are an order of magnitude
         // heavier, so the light members queued behind them on the same

@@ -18,9 +18,8 @@ use aurora_workloads::kernels::compute_burn;
 use ham::f2f;
 use ham_aurora_repro::fault_scenario::{probe_expected, scenario_probe, BackendKind};
 use ham_aurora_repro::{
-    dma_offload_batched, dma_offload_batched_with_faults, dma_offload_with_faults,
-    tcp_offload_cluster_reserve, tcp_offload_with_faults, veo_offload_with_faults, BatchConfig,
-    FaultPlan, NodeId, Offload, OffloadError, RecoveryPolicy, TargetSpec, TargetState,
+    offload_with, tcp_cluster, BatchConfig, FaultPlan, NodeId, Offload, OffloadError,
+    OffloadOptions, RecoveryPolicy, TargetSpec, TargetState,
 };
 use ham_offload::backend::CommBackend;
 use ham_offload::sched::{PoolFuture, SchedPolicy, TargetPool};
@@ -32,14 +31,27 @@ const TARGETS: u16 = 4;
 const WAVE: usize = 16;
 
 fn spawn(kind: BackendKind, plan: Arc<FaultPlan>) -> Offload {
-    let reg = |b: &mut ham::RegistryBuilder| {
-        b.register::<scenario_probe>();
+    let opts = OffloadOptions {
+        plan,
+        ..OffloadOptions::default()
     };
-    match kind {
-        BackendKind::Veo => veo_offload_with_faults(TARGETS as u8, plan, None, reg),
-        BackendKind::Dma => dma_offload_with_faults(TARGETS as u8, plan, None, reg),
-        BackendKind::Tcp => tcp_offload_with_faults(TARGETS, plan, reg),
-    }
+    offload_with(kind, TARGETS, opts, |b| {
+        b.register::<scenario_probe>();
+    })
+}
+
+/// `TARGETS` targets on `kind`, staging up to 64 messages per frame.
+fn spawn_batched(
+    kind: BackendKind,
+    plan: Arc<FaultPlan>,
+    registrar: impl Fn(&mut ham::RegistryBuilder) + Send + Sync + 'static,
+) -> Offload {
+    let opts = OffloadOptions {
+        batch: BatchConfig::up_to(64),
+        plan,
+        ..OffloadOptions::default()
+    };
+    offload_with(kind, TARGETS, opts, registrar)
 }
 
 /// `(x, final_target, result)` for one collected offload.
@@ -265,11 +277,7 @@ fn staged_batch_offloads_fail_over_to_survivors() {
         let reg = |b: &mut ham::RegistryBuilder| {
             b.register::<scenario_probe>();
         };
-        let o = Offload::new(ham_backend_tcp::TcpBackend::spawn_batched(
-            TARGETS,
-            BatchConfig::up_to(64),
-            reg,
-        ));
+        let o = spawn_batched(BackendKind::Tcp, FaultPlan::none(), reg);
         let nodes: Vec<NodeId> = (1..=TARGETS).map(NodeId).collect();
         let pool = o.pool_with(&nodes, SchedPolicy::LeastLoaded).expect("pool");
         let victim = NodeId(1 + (seed % TARGETS as u64) as u16);
@@ -339,13 +347,7 @@ fn lanes_steal_while_a_target_dies() {
     const DEPTH: usize = 48; // 12 members per target: > 8 lanes each
     for seed in [3u64, 13, 42] {
         let plan = FaultPlan::builder(seed).build();
-        let o = dma_offload_batched_with_faults(
-            TARGETS as u8,
-            BatchConfig::up_to(64),
-            plan,
-            None,
-            aurora_workloads::register_all,
-        );
+        let o = spawn_batched(BackendKind::Dma, plan, aurora_workloads::register_all);
         let nodes: Vec<NodeId> = (1..=TARGETS).map(NodeId).collect();
         let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
         let victim = NodeId(1 + (seed % TARGETS as u64) as u16);
@@ -432,7 +434,7 @@ fn staged_members_migrate_off_a_slow_target() {
         let reg = |b: &mut ham::RegistryBuilder| {
             b.register::<scenario_probe>();
         };
-        let o = dma_offload_batched(TARGETS as u8, BatchConfig::up_to(64), reg);
+        let o = spawn_batched(BackendKind::Dma, FaultPlan::none(), reg);
         let nodes: Vec<NodeId> = (1..=TARGETS).map(NodeId).collect();
         let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
         let donor = NodeId(1 + (seed % TARGETS as u64) as u16);
@@ -611,6 +613,19 @@ fn wait_until(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
+/// A TCP cluster with a reconnect budget of `budget` per disconnect.
+fn cluster(
+    active: &[TargetSpec],
+    reserve: &[TargetSpec],
+    budget: u32,
+) -> (Offload, Arc<ham_backend_tcp::TcpBackend>) {
+    let opts = OffloadOptions {
+        recovery: Some(RecoveryPolicy::replay_only(budget)),
+        ..OffloadOptions::default()
+    };
+    tcp_cluster(active, reserve, opts, cluster_reg)
+}
+
 fn cluster_reg(b: &mut ham::RegistryBuilder) {
     b.register::<scenario_probe>();
 }
@@ -635,13 +650,7 @@ struct ChurnRun {
 /// run, every offload completes with a correct result, and the vacant
 /// slot was never placeable before its handshake ran.
 fn add_target_mid_flight_once(seed: u64) -> ChurnRun {
-    let (o, be) = tcp_offload_cluster_reserve(
-        &[TargetSpec::default(); 3],
-        &[TargetSpec::default()],
-        RecoveryPolicy::replay_only(4),
-        FaultPlan::none(),
-        cluster_reg,
-    );
+    let (o, be) = cluster(&[TargetSpec::default(); 3], &[TargetSpec::default()], 4);
     let nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();
     let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
     let joiner = NodeId(4);
@@ -697,7 +706,7 @@ fn add_target_mid_flight_once(seed: u64) -> ChurnRun {
         "{label}: placed on the joiner before it joined: {placements:?}"
     );
     assert!(
-        placements[join_at..].iter().any(|&p| p == joiner.0),
+        placements[join_at..].contains(&joiner.0),
         "{label}: the joiner never served work: {placements:?}"
     );
 
@@ -763,11 +772,7 @@ fn membership_add_target_mid_flight_matrix() {
 #[test]
 fn membership_remove_target_reclaims_staged_work() {
     for seed in SEEDS {
-        let o = Offload::new(ham_backend_tcp::TcpBackend::spawn_batched(
-            TARGETS,
-            BatchConfig::up_to(64),
-            cluster_reg,
-        ));
+        let o = spawn_batched(BackendKind::Tcp, FaultPlan::none(), cluster_reg);
         let nodes: Vec<NodeId> = (1..=TARGETS).map(NodeId).collect();
         let pool = o.pool_with(&nodes, SchedPolicy::LeastLoaded).expect("pool");
         let victim = NodeId(1 + (seed % TARGETS as u64) as u16);
@@ -855,13 +860,7 @@ fn membership_remove_target_reclaims_staged_work() {
 #[test]
 fn flapping_target_probed_deprioritized_then_heals() {
     for seed in [3u64, 13, 42] {
-        let (o, be) = tcp_offload_cluster_reserve(
-            &[TargetSpec::default(); 2],
-            &[],
-            RecoveryPolicy::replay_only(200),
-            FaultPlan::none(),
-            cluster_reg,
-        );
+        let (o, be) = cluster(&[TargetSpec::default(); 2], &[], 200);
         let nodes = [NodeId(1), NodeId(2)];
         let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
         let victim = nodes[(seed % 2) as usize];
@@ -944,13 +943,7 @@ fn all_degraded_cluster_submit_is_bounded_under_permanent_outage() {
         credit_limit: 2,
         ..TargetSpec::default()
     };
-    let (o, be) = tcp_offload_cluster_reserve(
-        &[spec; 2],
-        &[],
-        RecoveryPolicy::replay_only(4),
-        FaultPlan::none(),
-        cluster_reg,
-    );
+    let (o, be) = cluster(&[spec; 2], &[], 4);
     let nodes = [NodeId(1), NodeId(2)];
     let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
     for &n in &nodes {
@@ -1019,13 +1012,7 @@ fn all_degraded_cluster_submit_is_bounded_under_permanent_outage() {
 /// the health registry flips back to `Healthy` on its own.
 #[test]
 fn all_degraded_cluster_heals_and_unblocks_placement() {
-    let (o, be) = tcp_offload_cluster_reserve(
-        &[TargetSpec::default(); 2],
-        &[],
-        RecoveryPolicy::replay_only(200),
-        FaultPlan::none(),
-        cluster_reg,
-    );
+    let (o, be) = cluster(&[TargetSpec::default(); 2], &[], 200);
     let nodes = [NodeId(1), NodeId(2)];
     let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
 

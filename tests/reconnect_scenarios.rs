@@ -76,9 +76,10 @@ fn exec_count(tag: u64) -> usize {
 }
 
 fn cluster(budget: u32, batch: BatchConfig) -> (Offload, Arc<TcpBackend>) {
-    let backend = TcpBackend::spawn_cluster_batched(
+    let backend = TcpBackend::spawn_cluster(
         &[TargetSpec::default()],
-        RecoveryPolicy::replay_only(budget),
+        &[],
+        Some(RecoveryPolicy::replay_only(budget)),
         batch,
         FaultPlan::none(),
         registrar,
@@ -441,7 +442,9 @@ fn discovery_announces_per_host_capabilities() {
     ];
     let backend = TcpBackend::spawn_cluster(
         &specs,
-        RecoveryPolicy::replay_only(4),
+        &[],
+        Some(RecoveryPolicy::replay_only(4)),
+        BatchConfig::default(),
         FaultPlan::none(),
         registrar,
     );

@@ -1,10 +1,11 @@
 //! Observability and determinism guarantees of the simulation.
 
+use aurora_sim_core::{calib, SimTime};
 use aurora_workloads::kernels::whoami;
 use ham::f2f;
 use ham_aurora_repro::{dma_offload, NodeId};
 use ham_backend_dma::DmaBackend;
-use ham_backend_veo::ProtocolConfig;
+use ham_backend_veo::{ProtocolConfig, VeoBackend};
 use ham_offload::Offload;
 use std::sync::Arc;
 use veos_sim::{AuroraMachine, MachineConfig};
@@ -26,15 +27,11 @@ fn machine() -> Arc<AuroraMachine> {
 // its offload's correlation id, so the traced test filters to its own
 // offload and the three tests run independently.
 
-#[test]
-fn traced_components_cover_the_critical_path() {
-    let o = Offload::new(DmaBackend::spawn(
-        machine(),
-        0,
-        &[0],
-        ProtocolConfig::default(),
-        aurora_workloads::register_all,
-    ));
+/// Trace one steady-state empty offload on `o` and check its spans
+/// decompose into exactly `expected` from post to completion. Each
+/// entry names a span category and the untraced virtual time allowed
+/// right before it — zero everywhere means gap-free.
+fn assert_critical_path(o: Offload, expected: &[(&str, SimTime)]) {
     for _ in 0..10 {
         o.sync(NodeId(1), f2f!(whoami)).unwrap();
     }
@@ -48,7 +45,7 @@ fn traced_components_cover_the_critical_path() {
 
     // Our offload's spans only (concurrent tests' offloads carry other
     // ids); the PCIe wire-occupancy sub-spans overlap the DMA spans that
-    // subsume them, so they are excluded from the gap-free chain check.
+    // subsume them, so they are excluded from the chain check.
     let chain: Vec<_> = events
         .iter()
         .filter(|e| e.offload == id.0 && !e.category.starts_with("pcie."))
@@ -56,9 +53,28 @@ fn traced_components_cover_the_critical_path() {
 
     // The steady-state offload decomposes into exactly these components.
     let cats: Vec<&str> = chain.iter().map(|e| e.category).collect();
-    assert_eq!(
-        cats,
-        vec![
+    let want: Vec<&str> = expected.iter().map(|&(c, _)| c).collect();
+    assert_eq!(cats, want, "critical path composition");
+    // Each event starts where the previous one ended (plus the allowed
+    // gap), and the whole chain spans the measured end-to-end cost.
+    assert_eq!(chain[0].start, t0);
+    for (w, &(_, gap)) in chain.windows(2).zip(&expected[1..]) {
+        assert_eq!(w[0].end + gap, w[1].start, "{:?} -> {:?}", w[0], w[1]);
+    }
+    assert_eq!(chain.last().unwrap().end, t1);
+    o.shutdown();
+}
+
+#[test]
+fn traced_components_cover_the_critical_path() {
+    let reg = aurora_workloads::register_all;
+    let cfg = ProtocolConfig::default();
+    let gap_free = |cats: &[&'static str]| -> Vec<(&'static str, SimTime)> {
+        cats.iter().map(|&c| (c, SimTime::ZERO)).collect()
+    };
+    assert_critical_path(
+        Offload::new(DmaBackend::spawn(machine(), 0, &[0], cfg, reg)),
+        &gap_free(&[
             "ham.host_overhead",
             "vh.local_post",
             "lhm.word",
@@ -68,17 +84,23 @@ fn traced_components_cover_the_critical_path() {
             "udma.write",
             "shm.flag",
             "vh.local_consume",
-        ],
-        "critical path composition"
+        ]),
     );
-    // Gap-free: each event starts where the previous one ended, and the
-    // whole chain spans the measured end-to-end cost.
-    for w in chain.windows(2) {
-        assert_eq!(w[0].end, w[1].start, "{:?} -> {:?}", w[0], w[1]);
-    }
-    assert_eq!(chain.first().unwrap().start, t0);
-    assert_eq!(chain.last().unwrap().end, t1);
-    o.shutdown();
+    // VEO: the VE's two accesses to its own slot memory (read the
+    // message, raise the result flag) have no hardware unit to record
+    // them, so they are the only untraced time on the path.
+    let touch = calib::HAM_LOCAL_MEM_TOUCH;
+    assert_critical_path(
+        Offload::new(VeoBackend::spawn(machine(), 0, &[0], cfg, reg)),
+        &[
+            ("ham.host_overhead", SimTime::ZERO),
+            ("veo.write_mem", SimTime::ZERO),
+            ("veo.write_mem", SimTime::ZERO),
+            ("ham.target_overhead", touch),
+            ("veo.read_mem", touch),
+            ("veo.read_mem", SimTime::ZERO),
+        ],
+    );
 }
 
 #[test]
