@@ -1,42 +1,180 @@
 //! Length-prefixed framing over a TCP stream.
+//!
+//! A frame is `u32 length ‖ body`. Both directions cost one syscall per
+//! frame: [`write_frame`] hands prefix and body to the socket in one
+//! vectored write, and a [`FrameReader`] returns every frame a single
+//! `read` delivered before it reads again.
 
-use std::io::{Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 /// Maximum accepted frame size (defensive bound against corrupt length
 /// prefixes).
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Write one frame: `u32 length ‖ body`.
-pub fn write_frame(stream: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    let len = body.len() as u32;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(body)?;
+const PREFIX: usize = 4;
+
+/// A [`FrameReader`]'s buffer before any frame outgrows it.
+const READ_BUF: usize = 16 << 10;
+
+/// Write one frame: `u32 length ‖ body`, in one vectored write.
+pub fn write_frame(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    write_frame_parts(stream, body, &[])
+}
+
+/// Write the frame `u32 length ‖ head ‖ tail` in one vectored write, so
+/// a caller holding the body in two places need not join them first.
+pub fn write_frame_parts(stream: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
+    let len = u32::try_from(head.len() + tail.len())
+        .ok()
+        .filter(|len| *len <= MAX_FRAME)
+        .ok_or_else(|| io::Error::new(ErrorKind::InvalidInput, "frame exceeds MAX_FRAME"))?;
+    let prefix = len.to_le_bytes();
+    let mut parts = [&prefix[..], head, tail];
+    while parts.iter().any(|p| !p.is_empty()) {
+        let mut n = match stream.write_vectored(&parts.map(IoSlice::new)) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        // A short write: drop what went out and offer the rest again.
+        for p in &mut parts {
+            let k = n.min(p.len());
+            *p = &p[k..];
+            n -= k;
+        }
+    }
     stream.flush()
 }
 
-/// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
-pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    match stream.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_bytes);
+/// The body length a prefix announces, bounded by [`MAX_FRAME`].
+fn body_len(prefix: [u8; PREFIX]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+        return Err(io::Error::new(
+            ErrorKind::InvalidData,
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte bound"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body)?;
-    Ok(Some(body))
+    Ok(len as usize)
+}
+
+/// How large a receive buffer holding `have` received bytes may become
+/// on its way to `need`: at most double, so memory follows the bytes a
+/// peer has actually sent, never the length it merely claims.
+fn grown(have: usize, need: usize) -> usize {
+    need.min(2 * have.max(READ_BUF))
+}
+
+/// `read` that retries on `Interrupted`.
+fn read_some(stream: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match stream.read(buf) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            done => return done,
+        }
+    }
+}
+
+/// Read one frame and not a byte more; `Ok(None)` on clean EOF at a
+/// frame boundary. For handshakes and RPCs, where the next reader of
+/// the stream may be someone else; a message loop uses [`FrameReader`].
+pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut prefix = [0u8; PREFIX];
+    match read_some(stream, &mut prefix)? {
+        0 => return Ok(None),
+        got => stream.read_exact(&mut prefix[got..])?,
+    }
+    let len = body_len(prefix)?;
+    let mut body = vec![0u8; grown(0, len)];
+    let mut at = 0;
+    loop {
+        stream.read_exact(&mut body[at..])?;
+        at = body.len();
+        if at == len {
+            return Ok(Some(body));
+        }
+        body.resize(grown(at, len), 0);
+    }
+}
+
+/// Buffered frame reader for one stream: each `read` takes whatever the
+/// socket holds, and [`Self::next_frame`] serves frames from the buffer
+/// until it runs dry. The buffer starts at 16 KiB and grows to the
+/// largest frame seen.
+pub struct FrameReader {
+    /// Storage; `buf[start..end]` holds received, not yet returned bytes.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FrameReader {
+    /// An empty reader.
+    pub fn new() -> Self {
+        Self {
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// True while received bytes wait in the buffer: the next
+    /// [`Self::next_frame`] returns a frame without touching the stream,
+    /// or finishes one whose first bytes are in.
+    pub fn has_buffered(&self) -> bool {
+        self.start != self.end
+    }
+
+    /// The next frame's body; `Ok(None)` on clean EOF at a frame
+    /// boundary. Reads from `stream` only when the buffer holds no
+    /// complete frame.
+    pub fn next_frame(&mut self, stream: &mut impl Read) -> io::Result<Option<&[u8]>> {
+        loop {
+            let have = self.end - self.start;
+            let need = match self.buf[self.start..self.end].first_chunk::<PREFIX>() {
+                Some(prefix) => PREFIX + body_len(*prefix)?,
+                None => PREFIX,
+            };
+            if have >= need {
+                let body = self.start + PREFIX..self.start + need;
+                self.start += need;
+                return Ok(Some(&self.buf[body]));
+            }
+            self.make_room(need);
+            match read_some(stream, &mut self.buf[self.end..])? {
+                0 if have == 0 => return Ok(None),
+                0 => return Err(ErrorKind::UnexpectedEof.into()),
+                n => self.end += n,
+            }
+        }
+    }
+
+    /// Free space behind `end` for a frame of `need` bytes starting at
+    /// `start`: slide the pending bytes (if any) to the front when the
+    /// frame would not fit where it lies, and grow only a buffer that
+    /// received bytes have filled.
+    fn make_room(&mut self, need: usize) {
+        if self.start == self.end || self.start + need > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            self.buf.resize(grown(self.end, need), 0);
+        }
+    }
 }
 
 /// Control-channel operations (synchronous RPC).
 #[derive(Debug, PartialEq, Eq)]
-pub enum ControlOp {
+pub enum ControlOp<'a> {
     /// Allocate `bytes`; response: `u64` address.
     Alloc {
         /// Requested size.
@@ -51,8 +189,9 @@ pub enum ControlOp {
     Put {
         /// Destination address.
         addr: u64,
-        /// The bytes.
-        data: Vec<u8>,
+        /// The bytes, borrowed from the caller (sending) or from the
+        /// frame body (receiving).
+        data: &'a [u8],
     },
     /// Read `len` bytes at `addr`; response: the bytes.
     Get {
@@ -69,39 +208,28 @@ pub enum ControlOp {
     },
 }
 
-impl ControlOp {
-    /// Encode into a frame body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            ControlOp::Alloc { bytes } => {
-                out.push(1);
-                out.extend_from_slice(&bytes.to_le_bytes());
-            }
-            ControlOp::Free { addr } => {
-                out.push(2);
-                out.extend_from_slice(&addr.to_le_bytes());
-            }
-            ControlOp::Put { addr, data } => {
-                out.push(3);
-                out.extend_from_slice(&addr.to_le_bytes());
-                out.extend_from_slice(data);
-            }
+impl<'a> ControlOp<'a> {
+    /// Write as one frame, `op ‖ u64 ‖ rest`. A `Put`'s data goes from
+    /// the caller's slice to the socket without an intermediate copy.
+    pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
+        let len_bytes;
+        let (op, word, rest): (u8, u64, &[u8]) = match *self {
+            ControlOp::Alloc { bytes } => (1, bytes, &[]),
+            ControlOp::Free { addr } => (2, addr, &[]),
+            ControlOp::Put { addr, data } => (3, addr, data),
             ControlOp::Get { addr, len } => {
-                out.push(4);
-                out.extend_from_slice(&addr.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
+                len_bytes = len.to_le_bytes();
+                (4, addr, &len_bytes)
             }
-            ControlOp::Ping { echo } => {
-                out.push(5);
-                out.extend_from_slice(&echo.to_le_bytes());
-            }
-        }
-        out
+            ControlOp::Ping { echo } => (5, echo, &[]),
+        };
+        let mut head = [op; 9];
+        head[1..].copy_from_slice(&word.to_le_bytes());
+        write_frame_parts(stream, &head, rest)
     }
 
-    /// Decode from a frame body.
-    pub fn decode(body: &[u8]) -> Result<ControlOp, String> {
+    /// Decode from a frame body; a `Put`'s data stays in the body.
+    pub fn decode(body: &'a [u8]) -> Result<Self, String> {
         let take_u64 = |b: &[u8]| -> Result<u64, String> {
             b.get(..8)
                 .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
@@ -116,10 +244,7 @@ impl ControlOp {
             }),
             Some((3, rest)) => Ok(ControlOp::Put {
                 addr: take_u64(rest)?,
-                data: rest
-                    .get(8..)
-                    .ok_or_else(|| "truncated put".to_string())?
-                    .to_vec(),
+                data: rest.get(8..).ok_or_else(|| "truncated put".to_string())?,
             }),
             Some((4, rest)) => Ok(ControlOp::Get {
                 addr: take_u64(rest)?,
@@ -202,7 +327,95 @@ impl Announce {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
+
+    /// A stream that hands out `data` in pieces — `chunks[i]` bytes on
+    /// the i-th `read` (cycling) — and counts the calls.
+    struct Chunked {
+        data: Vec<u8>,
+        pos: usize,
+        chunks: Vec<usize>,
+        calls: usize,
+    }
+
+    impl Chunked {
+        fn new(data: Vec<u8>, chunks: Vec<usize>) -> Self {
+            Self {
+                data,
+                pos: 0,
+                chunks,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let chunk = self.chunks[self.calls % self.chunks.len()];
+            self.calls += 1;
+            let n = chunk.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// A sink that accepts at most `cap` bytes per call, vectored or
+    /// not, and counts the calls.
+    struct ShortWriter {
+        out: Vec<u8>,
+        cap: usize,
+        calls: usize,
+    }
+
+    impl ShortWriter {
+        fn new(cap: usize) -> Self {
+            Self {
+                out: Vec::new(),
+                cap,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.out.len();
+            for b in bufs {
+                let room = self.cap - (self.out.len() - before);
+                self.out.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every frame a reader yields, then how the stream ended:
+    /// `Ok(())` for clean EOF at a boundary, else the error kind.
+    type Drained = (Vec<Vec<u8>>, Result<(), ErrorKind>);
+
+    fn drain(mut next: impl FnMut() -> io::Result<Option<Vec<u8>>>) -> Drained {
+        let mut frames = Vec::new();
+        loop {
+            match next() {
+                Ok(Some(f)) => frames.push(f),
+                Ok(None) => return (frames, Ok(())),
+                Err(e) => return (frames, Err(e.kind())),
+            }
+        }
+    }
+
+    fn drain_reader(stream: &mut impl Read) -> Drained {
+        let mut frames = FrameReader::new();
+        drain(|| Ok(frames.next_frame(stream)?.map(<[u8]>::to_vec)))
+    }
 
     #[test]
     fn frame_round_trip() {
@@ -221,6 +434,8 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut cur = Cursor::new(buf);
         assert!(read_frame(&mut cur).is_err());
+        let too_long = vec![0u8; MAX_FRAME as usize + 1];
+        assert!(write_frame(&mut Vec::new(), &too_long).is_err());
     }
 
     #[test]
@@ -232,6 +447,135 @@ mod tests {
         assert!(read_frame(&mut cur).is_err(), "EOF mid-frame");
     }
 
+    proptest! {
+        /// However the stream chops the bytes up, a `FrameReader` yields
+        /// what `read_frame` yields on the whole: the same frames, then
+        /// the same end (clean EOF, or the same error).
+        #[test]
+        fn reader_agrees_with_read_frame_under_any_chunking(
+            // (class, size): empty, small, or larger than the buffer.
+            bodies in proptest::collection::vec((0usize..4, 0usize..2000), 0..12),
+            // How the stream ends after the last whole frame.
+            ending in 0usize..4,
+            cut in 1usize..64,
+            chunks in proptest::collection::vec(1usize..5000, 1..6),
+            fill: u8,
+        ) {
+            let mut wire = Vec::new();
+            for (class, size) in bodies {
+                let len = match class {
+                    0 => 0,
+                    1 | 2 => size,
+                    _ => READ_BUF + 17 * size,
+                };
+                write_frame(&mut wire, &vec![fill; len]).unwrap();
+            }
+            match ending {
+                0 => {}
+                // EOF inside a prefix, inside a body, and a hostile length.
+                1 => wire.extend_from_slice(&[9, 0, 0][..cut % 3 + 1]),
+                2 => {
+                    write_frame(&mut wire, &[fill; 64]).unwrap();
+                    wire.truncate(wire.len() - cut);
+                }
+                _ => wire.extend_from_slice(&(MAX_FRAME + cut as u32).to_le_bytes()),
+            }
+            let mut whole = Cursor::new(wire.clone());
+            let expect = drain(|| read_frame(&mut whole));
+            prop_assert_eq!(expect.1.is_ok(), ending == 0);
+            prop_assert_eq!(drain_reader(&mut Chunked::new(wire.clone(), chunks.clone())), expect.clone());
+            // `read_frame` itself, fed the same pieces.
+            let mut pieces = Chunked::new(wire, chunks);
+            prop_assert_eq!(drain(|| read_frame(&mut pieces)), expect);
+        }
+    }
+
+    #[test]
+    fn short_vectored_writes_emit_the_same_bytes() {
+        let body: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        let mut expect = (body.len() as u32).to_le_bytes().to_vec();
+        expect.extend_from_slice(&body);
+        for cap in [1, 2, 3, 4, 5, 7, 150, 303, 304, 4096] {
+            let mut w = ShortWriter::new(cap);
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.out, expect, "cap {cap}");
+            assert_eq!(w.calls, expect.len().div_ceil(cap), "cap {cap}");
+            let mut w = ShortWriter::new(cap);
+            write_frame_parts(&mut w, &body[..9], &body[9..]).unwrap();
+            assert_eq!(w.out, expect, "two parts, cap {cap}");
+        }
+    }
+
+    /// The syscall budget: one write per frame; one read per frame when
+    /// frames arrive one at a time, fewer when a read delivers several.
+    #[test]
+    fn one_write_per_frame_and_at_most_one_read() {
+        const FRAMES: usize = 100;
+        let mut w = ShortWriter::new(usize::MAX);
+        for i in 0..FRAMES {
+            write_frame(&mut w, &[i as u8; 40]).unwrap();
+        }
+        assert_eq!(w.calls, FRAMES);
+
+        // Ping-pong traffic: each read finds exactly one frame.
+        let mut one_each = Chunked::new(w.out.clone(), vec![PREFIX + 40]);
+        let mut frames = FrameReader::new();
+        for i in 0..FRAMES {
+            assert_eq!(
+                frames.next_frame(&mut one_each).unwrap().unwrap(),
+                [i as u8; 40]
+            );
+            assert!(!frames.has_buffered());
+            assert_eq!(one_each.calls, i + 1);
+        }
+
+        // Pipelined traffic: one read delivers all that fits the buffer.
+        let mut burst = Chunked::new(w.out, vec![usize::MAX]);
+        let (got, end) = drain_reader(&mut burst);
+        assert_eq!((got.len(), end), (FRAMES, Ok(())));
+        let eof_read = 1;
+        assert_eq!(
+            burst.calls,
+            (FRAMES * (PREFIX + 40)).div_ceil(READ_BUF) + eof_read
+        );
+    }
+
+    /// `has_buffered` is what `try_recv` keys on: true for whole frames
+    /// *and* for the first bytes of one, which `next_frame` then
+    /// finishes from the stream.
+    #[test]
+    fn buffered_tail_of_a_read_is_visible_and_finished() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"first").unwrap();
+        write_frame(&mut wire, b"second").unwrap();
+        write_frame(&mut wire, b"third").unwrap();
+        // First read: frame one, frame two, and 3 bytes of frame three.
+        let mut stream = Chunked::new(wire, vec![9 + 10 + 3, usize::MAX]);
+        let mut frames = FrameReader::new();
+        assert!(!frames.has_buffered());
+        assert_eq!(frames.next_frame(&mut stream).unwrap().unwrap(), b"first");
+        assert!(frames.has_buffered());
+        assert_eq!(frames.next_frame(&mut stream).unwrap().unwrap(), b"second");
+        assert_eq!((frames.has_buffered(), stream.calls), (true, 1));
+        assert_eq!(frames.next_frame(&mut stream).unwrap().unwrap(), b"third");
+        assert_eq!((frames.has_buffered(), stream.calls), (false, 2));
+    }
+
+    /// The buffer follows the frame, not the other way round: a frame
+    /// larger than the buffer grows it, and the frames behind it in the
+    /// same stream come out intact.
+    #[test]
+    fn buffer_grows_to_an_outsized_frame() {
+        let big: Vec<u8> = (0..5 * READ_BUF).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"before").unwrap();
+        write_frame(&mut wire, &big).unwrap();
+        write_frame(&mut wire, b"after").unwrap();
+        let (got, end) = drain_reader(&mut Cursor::new(wire));
+        assert_eq!(end, Ok(()));
+        assert_eq!(got, [b"before".to_vec(), big, b"after".to_vec()]);
+    }
+
     #[test]
     fn control_ops_round_trip() {
         for op in [
@@ -239,13 +583,15 @@ mod tests {
             ControlOp::Free { addr: 64 },
             ControlOp::Put {
                 addr: 128,
-                data: vec![1, 2, 3],
+                data: &[1, 2, 3],
             },
             ControlOp::Get { addr: 256, len: 16 },
             ControlOp::Ping { echo: 0xfeed },
         ] {
-            let enc = op.encode();
-            assert_eq!(ControlOp::decode(&enc).unwrap(), op);
+            let mut wire = Vec::new();
+            op.write_to(&mut wire).unwrap();
+            let body = read_frame(&mut Cursor::new(wire)).unwrap().unwrap();
+            assert_eq!(ControlOp::decode(&body).unwrap(), op);
         }
     }
 

@@ -23,6 +23,20 @@
 //! * **control socket** (synchronous RPC): `u32 len ‖ op u8 ‖ body` with
 //!   ops alloc/free/put/get/ping, each answered by one response frame.
 //!
+//! A frame costs one syscall per direction: [`frame::write_frame`] is
+//! one vectored write, and a [`frame::FrameReader`] returns every frame
+//! a `read` delivered before reading again. Nothing relays frames
+//! between threads. Per target there are three:
+//!
+//! * `tcp-target-N` — the target itself: the accept loop and, inside a
+//!   session, the device runtime, which blocks in `read` on the message
+//!   socket and writes results back on it;
+//! * `tcp-target-N-ctrl` — serves the control socket;
+//! * `tcp-link-N` — the host's link supervisor: reads results off the
+//!   message socket into pooled frames and deposits them, and owns
+//!   reconnect/resume/evict. Posts are written by whichever host thread
+//!   makes them.
+//!
 //! Each connection starts with a 1-byte hello tag: `'M'` (message),
 //! `'C'` (control), or `'Q'` (quit, unparks a target waiting in
 //! `accept`). Anything else — or a connection that closes before its

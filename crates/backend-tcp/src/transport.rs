@@ -1,10 +1,13 @@
 //! The TCP backend proper: real sockets, one acceptor per target.
 //!
-//! This is a **push** transport: a host-side reader thread per target
-//! deposits result frames straight into the shared
+//! This is a **push** transport: the host-side link supervisor thread
+//! of each target reads the message socket and deposits result frames
+//! straight into the shared
 //! [`ChannelCore`](ham_offload::chan::ChannelCore) completion queue
 //! (matched by sequence number), so the backend keeps the default no-op
-//! `poll_flags`/`fetch_frame` verbs.
+//! `poll_flags`/`fetch_frame` verbs. On the target the device thread
+//! reads the message socket itself; no thread relays frames on either
+//! side.
 //!
 //! There is one lifecycle, parameterised by the **reconnect budget**.
 //! Every target announces its capabilities and dedup watermark on each
@@ -15,7 +18,9 @@
 //! — what [`TcpBackend::spawn`] uses — is the point-to-point case: no
 //! replay buffer is kept and a disconnect is a permanent eviction.
 
-use crate::frame::{read_frame, write_frame, Announce, ControlOp};
+use crate::frame::{
+    read_frame, write_frame, write_frame_parts, Announce, ControlOp, FrameReader, MAX_FRAME,
+};
 use aurora_mem::RangeAllocator;
 use aurora_sim_core::{BackendMetrics, Clock, FaultPlan, HealthEventKind, LaneStats};
 use ham::message::VecMemory;
@@ -26,7 +31,7 @@ use ham_offload::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use ham_offload::chan::pool::{FramePool, PooledFrame};
 use ham_offload::chan::{engine, BatchConfig, ChannelCore, RecoveryPolicy, Reservation};
 use ham_offload::device::{DeviceConfig, DeviceRuntime, HaltReason};
-use ham_offload::target_loop::{result_wire_frame, Polled, TargetChannel, TargetEnv};
+use ham_offload::target_loop::{result_header, Polled, TargetChannel, TargetEnv};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
 use parking_lot::Mutex;
@@ -183,43 +188,58 @@ pub struct TcpBackend {
     plan: Arc<FaultPlan>,
 }
 
-/// The target-process side of one TCP channel. A dedicated reader
-/// thread decodes socket frames into `rx`, so the device runtime's
-/// non-blocking window drain is a plain channel poll — the stream
-/// itself can never be half-read by a `try_recv`.
+/// The target-process side of one TCP channel. The device thread reads
+/// the message socket itself: `recv` blocks in `read`, and `try_recv`
+/// hands out what that `read` delivered beyond the first frame.
 struct TcpSideChannel {
-    rx: crossbeam::channel::Receiver<(MsgHeader, Vec<u8>)>,
+    /// Read half and its buffer. Only the device thread takes this lock.
+    rx: Mutex<(TcpStream, FrameReader)>,
     tx: Mutex<TcpStream>,
+}
+
+/// The next message off a target's message socket. `None` ends the
+/// session: EOF, a socket error, or bytes that are not a well-formed
+/// message.
+fn next_msg(
+    (stream, frames): &mut (TcpStream, FrameReader),
+    pool: &Arc<FramePool>,
+) -> Option<(MsgHeader, PooledFrame)> {
+    let body = frames.next_frame(stream).ok()??;
+    let header = MsgHeader::decode(body).ok()?;
+    if body.len() != header.wire_len() {
+        return None;
+    }
+    let mut payload = pool.checkout();
+    payload.extend_from_slice(&body[HEADER_BYTES..]);
+    Some((header, payload))
 }
 
 impl TargetChannel for TcpSideChannel {
     fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-        self.rx.recv().ok().map(|(h, p)| (h, pool.adopt(p)))
+        next_msg(&mut self.rx.lock(), pool)
     }
 
+    /// Never waits for a *new* frame, but does finish one whose first
+    /// bytes are already in the buffer (the rest is in flight).
     fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-        use crossbeam::channel::TryRecvError;
-        match self.rx.try_recv() {
-            Ok((h, p)) => Polled::Msg(h, pool.adopt(p)),
-            Err(TryRecvError::Empty) => Polled::Empty,
-            Err(TryRecvError::Disconnected) => Polled::Closed,
+        let mut rx = self.rx.lock();
+        if !rx.1.has_buffered() {
+            return Polled::Empty;
+        }
+        match next_msg(&mut rx, pool) {
+            Some((h, p)) => Polled::Msg(h, p),
+            None => Polled::Closed,
         }
     }
 
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
-        let body = result_wire_frame(reply_slot, seq, &payload);
-        let _ = write_frame(&mut *self.tx.lock(), &body);
+        let header = result_header(reply_slot, seq, payload.len()).encode();
+        let _ = write_frame_parts(&mut *self.tx.lock(), &header, &payload);
     }
 }
 
 /// Serve control RPCs over one connection until EOF/error.
 fn serve_ctrl(mut stream: TcpStream, mem: &VecMemory, alloc: &Mutex<RangeAllocator>) {
-    let respond = |stream: &mut TcpStream, ok: bool, body: &[u8]| {
-        let mut frame = Vec::with_capacity(body.len() + 1);
-        frame.push(u8::from(!ok));
-        frame.extend_from_slice(body);
-        write_frame(stream, &frame)
-    };
     while let Ok(Some(body)) = read_frame(&mut stream) {
         let result: Result<Vec<u8>, String> = match ControlOp::decode(&body) {
             Err(e) => Err(e),
@@ -234,9 +254,12 @@ fn serve_ctrl(mut stream: TcpStream, mem: &VecMemory, alloc: &Mutex<RangeAllocat
                 .map(|_| Vec::new())
                 .map_err(|e| e.to_string()),
             Ok(ControlOp::Put { addr, data }) => mem
-                .mem_write(addr, &data)
+                .mem_write(addr, data)
                 .map(|_| Vec::new())
                 .map_err(|e| e.to_string()),
+            Ok(ControlOp::Get { len, .. }) if len > u64::from(MAX_FRAME) => {
+                Err(format!("get of {len} bytes exceeds the frame bound"))
+            }
             Ok(ControlOp::Get { addr, len }) => {
                 let mut out = vec![0u8; len as usize];
                 mem.mem_read(addr, &mut out)
@@ -245,47 +268,15 @@ fn serve_ctrl(mut stream: TcpStream, mem: &VecMemory, alloc: &Mutex<RangeAllocat
             }
             Ok(ControlOp::Ping { echo }) => Ok(echo.to_le_bytes().to_vec()),
         };
-        let done = match result {
-            Ok(body) => respond(&mut stream, true, &body),
-            Err(msg) => respond(&mut stream, false, msg.as_bytes()),
+        // Response frame: status byte ‖ body.
+        let done = match &result {
+            Ok(body) => write_frame_parts(&mut stream, &[0], body),
+            Err(msg) => write_frame_parts(&mut stream, &[1], msg.as_bytes()),
         };
         if done.is_err() {
             break;
         }
     }
-}
-
-/// Spawn a reader thread that decodes socket frames into a queue so
-/// the device runtime can poll without blocking; it exits when the
-/// peer closes the socket.
-fn spawn_frame_reader(
-    name: String,
-    mut stream: TcpStream,
-) -> (
-    crossbeam::channel::Receiver<(MsgHeader, Vec<u8>)>,
-    JoinHandle<()>,
-) {
-    let (frame_tx, frame_rx) = crossbeam::channel::unbounded();
-    let handle = std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            while let Ok(Some(body)) = read_frame(&mut stream) {
-                let Ok(header) = MsgHeader::decode(&body) else {
-                    break;
-                };
-                if body.len() != header.wire_len() {
-                    break;
-                }
-                if frame_tx
-                    .send((header, body[HEADER_BYTES..].to_vec()))
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        })
-        .expect("spawn reader thread");
-    (frame_rx, handle)
 }
 
 /// The target "process": memory, allocator, and the dedup watermark
@@ -357,11 +348,9 @@ fn target_main(
             .name(format!("tcp-target-{node}-ctrl"))
             .spawn(move || serve_ctrl(ctrl_stream, &mem2, &alloc2))
             .expect("spawn ctrl thread");
-        let reader_rx = msg_stream.try_clone().expect("clone msg stream");
-        let (frame_rx, reader_thread) =
-            spawn_frame_reader(format!("tcp-target-{node}-reader"), reader_rx);
+        let msg_rx = msg_stream.try_clone().expect("clone msg stream");
         let chan = TcpSideChannel {
-            rx: frame_rx,
+            rx: Mutex::new((msg_rx, FrameReader::new())),
             tx: Mutex::new(msg_stream),
         };
         let env = TargetEnv {
@@ -380,9 +369,8 @@ fn target_main(
         let end = runtime.run_session(&env, &chan, watermark);
         watermark = end.watermark;
         served_total += end.served;
-        // Drop the session's write half so the reader threads unblock.
+        // Shut the session's sockets down so the ctrl thread unblocks.
         let _ = chan.tx.lock().shutdown(std::net::Shutdown::Both);
-        let _ = reader_thread.join();
         let _ = ctrl_thread.join();
         if end.reason == HaltReason::Control {
             return served_total;
@@ -427,10 +415,13 @@ fn run_link(
     let lost = || OffloadError::TargetLost(NodeId(node));
     'session: loop {
         // ---- Deposit: pump result frames until the link drops ----
-        while let Ok(Some(body)) = read_frame(&mut msg_rx) {
-            if let Ok(header) = MsgHeader::decode(&body) {
+        let mut frames = FrameReader::new();
+        while let Ok(Some(body)) = frames.next_frame(&mut msg_rx) {
+            if let Ok(header) = MsgHeader::decode(body) {
                 if header.kind == MsgKind::Result && body.len() == header.wire_len() {
-                    link.chan.deposit(header.seq, body[HEADER_BYTES..].to_vec());
+                    let mut result = link.chan.pool().checkout();
+                    result.extend_from_slice(&body[HEADER_BYTES..]);
+                    link.chan.deposit_frame(header.seq, result);
                 }
             }
         }
@@ -711,7 +702,7 @@ impl TcpBackend {
     }
 
     /// Synchronous control RPC.
-    fn control(&self, node: NodeId, op: ControlOp) -> Result<Vec<u8>, OffloadError> {
+    fn control(&self, node: NodeId, op: ControlOp<'_>) -> Result<Vec<u8>, OffloadError> {
         let t = self.target(node)?;
         if t.link.chan.is_shutdown() {
             return Err(OffloadError::Shutdown);
@@ -725,7 +716,7 @@ impl TcpBackend {
             )));
         }
         let mut stream = t.link.ctrl.lock();
-        write_frame(&mut *stream, &op.encode()).map_err(io_err)?;
+        op.write_to(&mut *stream).map_err(io_err)?;
         let resp = read_frame(&mut *stream)
             .map_err(io_err)?
             .ok_or(OffloadError::Shutdown)?;
@@ -819,14 +810,9 @@ impl CommBackend for TcpBackend {
     }
 
     fn put_bytes(&self, dst: RawBuffer, data: &[u8]) -> Result<(), OffloadError> {
-        self.control(
-            dst.node,
-            ControlOp::Put {
-                addr: dst.addr,
-                data: data.to_vec(),
-            },
-        )
-        .map(|_| ())
+        let addr = dst.addr;
+        self.control(dst.node, ControlOp::Put { addr, data })
+            .map(|_| ())
     }
 
     fn get_bytes(&self, src: RawBuffer, out: &mut [u8]) -> Result<(), OffloadError> {
@@ -1033,31 +1019,159 @@ mod tests {
         assert!(o.allocate::<f64>(NodeId(1), 4).is_err());
     }
 
+    /// A bare target on a loopback port, no backend around it: tests
+    /// talk to it over raw sockets. Returns its address and its thread,
+    /// which yields the number of offloads served.
+    fn raw_target() -> (std::net::SocketAddr, JoinHandle<u64>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reg: Arc<Registrar> = Arc::new(registrar);
+        let registry = build_registry(&reg, HOST_SEED + 1);
+        let server = std::thread::spawn(move || {
+            let stats = Arc::new(LaneStats::new());
+            target_main(1, listener, TargetSpec::default(), registry, stats)
+        });
+        (addr, server)
+    }
+
+    /// A `node_echo` offload frame as the host engine would write it.
+    fn echo_frame(kind: MsgKind, seq: u64) -> Vec<u8> {
+        let reg: Arc<Registrar> = Arc::new(registrar);
+        let (key, payload) = build_registry(&reg, HOST_SEED)
+            .encode_message(&f2f!(node_echo))
+            .unwrap();
+        let header = MsgHeader {
+            handler_key: key,
+            payload_len: payload.len() as u32,
+            kind,
+            reply_slot: 0,
+            corr: 0,
+            seq,
+        };
+        [&header.encode()[..], &payload].concat()
+    }
+
     /// The one accept loop left: strangers and half-open connections
     /// are dropped, never a panic, and the next well-formed pair still
     /// gets its announce.
     #[test]
     fn accept_loop_drops_hostile_hellos_and_keeps_serving() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reg: Arc<Registrar> = Arc::new(registrar);
-        let registry = build_registry(&reg, HOST_SEED + 1);
-        let spec = TargetSpec::default();
-        let server = std::thread::spawn(move || {
-            target_main(1, listener, spec, registry, Arc::new(LaneStats::new()))
-        });
+        let (addr, server) = raw_target();
         // Unknown hello byte, then a connection that closes before
         // sending one (short read).
         TcpStream::connect(addr).unwrap().write_all(b"X").unwrap();
         drop(TcpStream::connect(addr).unwrap());
         let (_msg, _ctrl, announce) = connect_pair(addr).expect("target must still accept");
-        assert_eq!((announce.node, announce.lanes), (1, spec.lanes));
+        assert_eq!(
+            (announce.node, announce.lanes),
+            (1, TargetSpec::default().lanes)
+        );
         assert_eq!(announce.watermark, None);
         // Dropping the pair ends the session (`Closed`); 'Q' ends the
         // target parked back in `accept`.
         drop((_msg, _ctrl));
         TcpStream::connect(addr).unwrap().write_all(b"Q").unwrap();
         assert_eq!(server.join().expect("target must not panic"), 0);
+    }
+
+    /// Any peer can write a well-formed header: a `Result` message, a
+    /// header whose length disagrees with the frame, or bytes that are
+    /// no header at all each end the session as a dropped link — the
+    /// target keeps its watermark, goes back to `accept`, and serves the
+    /// next connection.
+    #[test]
+    fn hostile_message_frames_end_the_session_not_the_target() {
+        let (addr, server) = raw_target();
+        let mut long = echo_frame(MsgKind::Offload, 8);
+        long.push(0);
+        let hostile = [echo_frame(MsgKind::Result, 9), long, vec![0xff; 7]];
+        for (i, frame) in hostile.iter().enumerate() {
+            let (mut msg, _ctrl, announce) = connect_pair(addr).expect("target must accept");
+            assert_eq!(announce.watermark, (i > 0).then_some(7), "session {i}");
+            // A good offload first, in the same write as the hostile
+            // frame: it is served, and sets the watermark, regardless.
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &echo_frame(MsgKind::Offload, 7)).unwrap();
+            write_frame(&mut wire, frame).unwrap();
+            msg.write_all(&wire).unwrap();
+            let result = read_frame(&mut msg).unwrap().expect("result of seq 7");
+            assert_eq!(MsgHeader::decode(&result).unwrap().seq, 7);
+            assert_eq!(read_frame(&mut msg).unwrap(), None, "session {i} closed");
+        }
+        // The target is back in `accept` and whole: a real backend-style
+        // exchange still works.
+        let (mut msg, _ctrl, announce) = connect_pair(addr).expect("target must still accept");
+        assert_eq!(announce.watermark, Some(7));
+        write_frame(&mut msg, &echo_frame(MsgKind::Offload, 10)).unwrap();
+        let result = read_frame(&mut msg).unwrap().expect("result frame");
+        let header = MsgHeader::decode(&result).unwrap();
+        assert_eq!((header.kind, header.seq), (MsgKind::Result, 10));
+        let node = ham_offload::target_loop::unframe_result_ref(&result[HEADER_BYTES..]).unwrap();
+        assert_eq!(ham::codec::decode::<u16>(node).unwrap(), 1);
+        drop((msg, _ctrl));
+        TcpStream::connect(addr).unwrap().write_all(b"Q").unwrap();
+        assert_eq!(server.join().expect("target must not panic"), 4);
+    }
+
+    /// 64 posts before the first wait: the device thread's one blocking
+    /// `read` takes them all, and `try_recv` hands the other 63 out of
+    /// the buffer without touching the socket again (it would block
+    /// forever on this quiet socket if it did).
+    #[test]
+    fn try_recv_drains_what_one_read_delivered() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut host = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        host.set_nodelay(true).unwrap();
+        let (target, _) = listener.accept().unwrap();
+        let mut wire_len = 0;
+        for seq in 0..64 {
+            let frame = echo_frame(MsgKind::Offload, seq);
+            wire_len += 4 + frame.len();
+            write_frame(&mut host, &frame).unwrap();
+        }
+        // All 64 writes have returned; wait until all of them have
+        // crossed loopback too.
+        let mut seen = vec![0u8; wire_len];
+        while target.peek(&mut seen).unwrap() < wire_len {
+            std::thread::yield_now();
+        }
+        let chan = TcpSideChannel {
+            rx: Mutex::new((target.try_clone().unwrap(), FrameReader::new())),
+            tx: Mutex::new(target),
+        };
+        let pool = FramePool::new();
+        assert!(
+            matches!(chan.try_recv(&pool), Polled::Empty),
+            "nothing read yet"
+        );
+        let (first, _) = chan.recv(&pool).expect("first frame");
+        assert_eq!(first.seq, 0);
+        for seq in 1..64 {
+            match chan.try_recv(&pool) {
+                Polled::Msg(h, _) => assert_eq!(h.seq, seq),
+                _ => panic!("frame {seq} should be in the buffer"),
+            }
+        }
+        assert!(matches!(chan.try_recv(&pool), Polled::Empty));
+        // Peer gone: the blocking side reports the end of the session.
+        drop(host);
+        assert!(chan.recv(&pool).is_none());
+    }
+
+    #[test]
+    fn a_mebibyte_travels_through_the_control_socket() {
+        let o = Offload::new(TcpBackend::spawn(1, registrar));
+        let n: usize = (1 << 20) / 8;
+        let b = o.allocate::<f64>(NodeId(1), n as u64).unwrap();
+        let data: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+        o.put(&data, b).unwrap();
+        let mut back = vec![0.0f64; n];
+        o.get(b, &mut back).unwrap();
+        assert!(back == data, "1 MiB put/get round trip");
+        let sum = o.sync(NodeId(1), f2f!(over_the_wire, b.addr(), n as u64));
+        assert_eq!(sum.unwrap(), data.iter().sum::<f64>());
+        o.free(b).unwrap();
+        o.shutdown();
     }
 
     #[test]

@@ -347,8 +347,10 @@ impl DeviceRuntime {
                     }
                     MsgKind::Result => {
                         // A result message arriving at a target is a
-                        // protocol violation; surface it loudly.
-                        panic!("target {} received a Result message", env.node);
+                        // protocol violation any peer can commit: end
+                        // the session as a dropped link, never panic.
+                        halt = true;
+                        break;
                     }
                     MsgKind::Offload => {
                         let skip = env.dedup && wm_window.is_some_and(|w| h.seq <= w);

@@ -86,17 +86,22 @@ pub fn unframe_result(bytes: &[u8]) -> Result<Vec<u8>, String> {
     unframe_result_ref(bytes).map(<[u8]>::to_vec)
 }
 
-/// Assemble a result wire frame — `MsgKind::Result` header ‖ `payload`
-/// — answering the offload that arrived with `reply_slot` and `seq`.
-pub fn result_wire_frame(reply_slot: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let header = MsgHeader {
+/// The `MsgKind::Result` header answering the offload that arrived with
+/// `reply_slot` and `seq`, for a result payload of `payload_len` bytes.
+pub fn result_header(reply_slot: u16, seq: u64, payload_len: usize) -> MsgHeader {
+    MsgHeader {
         handler_key: ham::registry::HandlerKey(0),
-        payload_len: payload.len() as u32,
+        payload_len: payload_len as u32,
         kind: ham::wire::MsgKind::Result,
         reply_slot,
         corr: 0,
         seq,
-    };
+    }
+}
+
+/// Assemble a result wire frame — [`result_header`] ‖ `payload`.
+pub fn result_wire_frame(reply_slot: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
+    let header = result_header(reply_slot, seq, payload.len());
     let mut bytes = Vec::with_capacity(ham::wire::HEADER_BYTES + payload.len());
     bytes.extend_from_slice(&header.encode());
     bytes.extend_from_slice(payload);

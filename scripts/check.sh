@@ -17,6 +17,13 @@ cargo test --workspace -q
 echo "== examples build =="
 cargo build --release --examples
 
+echo "== benchmark crate: build against this tree + schema smoke =="
+# benchmark/ is a package of its own that reaches into crates/* through
+# public items (frame::read_frame, TcpBackend, ...). The driver builds
+# it from the committed tree; build and smoke it here so a changed
+# signature fails now, not there. Rows go to benchmark/out/.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --smoke >/dev/null
+
 echo "== pipelined-offloads smoke (writes BENCH_pipelined.json) =="
 cargo bench -q -p aurora-bench --bench pipelined_offloads -- --smoke
 
