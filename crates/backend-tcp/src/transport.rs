@@ -3,7 +3,7 @@
 //! This is a **push** transport: the host-side link supervisor thread
 //! of each target reads the message socket and deposits result frames
 //! straight into the shared
-//! [`ChannelCore`](ham_offload::chan::ChannelCore) completion queue
+//! [`ChannelCore`](ham_offload::chan::ChannelCore)'s parked completions
 //! (matched by sequence number), so the backend keeps the default no-op
 //! `poll_flags`/`fetch_frame` verbs. On the target the device thread
 //! reads the message socket itself; no thread relays frames on either

@@ -2,17 +2,16 @@
 
 use super::adaptive::{AdaptiveDecision, AdaptivePolicy, AdaptiveState};
 use super::batch::{self, BatchConfig};
-use super::pending::{PendingEntry, PendingTable};
+use super::pending::{FrameRecord, InFlight, PendingEntry};
 use super::pool::{FramePool, PooledFrame};
-use super::queue::CompletionQueue;
-use super::recovery::{MissVerdict, RecoveryPolicy, RecoveryState};
+use super::recovery::{MissVerdict, RecoveryPolicy, StoredFrame};
 use super::ring::SlotRing;
 use crate::OffloadError;
 use aurora_sim_core::{SimTime, HISTOGRAM_BUCKETS};
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -105,17 +104,17 @@ pub struct FlushFrame {
 }
 
 /// One in-flight frame the transport must re-send after a session
-/// resume: its wire image survived in the replay buffer and the
+/// resume: its wire image is still stored with its record and the
 /// device-side watermark proves the target never executed it.
 #[derive(Debug)]
 pub struct ReplayFrame {
-    /// Wire seq — unchanged; the pending entry stays keyed by it and
+    /// Wire seq — unchanged; the in-flight record stays keyed by it and
     /// the eventual result deposits under it as usual.
     pub seq: u64,
     /// The wire header as originally sent.
     pub header: MsgHeader,
-    /// Full wire bytes (header ‖ payload), cloned from the replay
-    /// buffer (replays are cold).
+    /// Full wire bytes (header ‖ payload), cloned from the stored wire
+    /// image (replays are cold).
     pub frame: Vec<u8>,
     /// Which send attempt this is (1 = first replay).
     pub attempt: u32,
@@ -156,12 +155,31 @@ impl BatchAccum {
     }
 }
 
+/// A finished offload's result frame (or the error that ended it),
+/// parked until its future claims it.
+struct Parked {
+    result: Result<PooledFrame, OffloadError>,
+    /// The offload failed *before its frame reached the transport*
+    /// (staged at eviction, reclaimed by a rebalance, member of an
+    /// envelope whose send failed). The scheduler distinguishes these —
+    /// safe to resubmit elsewhere — from offloads the target may already
+    /// have executed. Travels with the result, so it goes when the
+    /// completion is claimed.
+    unsent: bool,
+}
+
 /// Everything guarded by the channel lock.
 struct ChanState {
     recv: SlotRing,
     send: SlotRing,
-    pending: PendingTable,
-    completed: CompletionQueue,
+    /// Frames on the wire, by seq.
+    frames: InFlight,
+    /// Completed-but-unclaimed results, by seq. One flag sweep (or one
+    /// deposit) parks *every* ready completion here, so sibling futures
+    /// settle without touching the transport; transport errors park the
+    /// same way, so a dead target errors every outstanding future
+    /// instead of hanging them.
+    parked: HashMap<u64, Parked>,
     seq: u64,
     shutdown: bool,
     /// `Some(why)` once the target was evicted: every in-flight offload
@@ -172,60 +190,108 @@ struct ChanState {
     /// park with [`Reserve::Full`] until [`ChannelCore::resume`] or
     /// [`ChannelCore::evict`] settles the session.
     degraded: Option<OffloadError>,
-    /// Armed timeout/retry policy plus stored frames (fault-tolerant
-    /// channels only; `None` keeps the historical always-wait behavior).
-    recovery: Option<RecoveryState>,
     /// Staged messages awaiting flush (batching enabled only).
     accum: BatchAccum,
-    /// Member seqs of every in-flight batch, keyed by carrier seq.
-    batches: HashMap<u64, Vec<u64>>,
     /// Recycled member-seq vectors (keeps settling allocation-free).
     seq_pool: Vec<Vec<u64>>,
-    /// Seqs failed *before their frame reached the transport* (staged
-    /// messages at eviction, members of an envelope whose send failed).
-    /// The scheduler distinguishes these — safe to resubmit elsewhere —
-    /// from offloads the target may already have executed.
-    unsent: HashSet<u64>,
     /// The adaptive watermark controller (`BatchConfig::adaptive` only).
     adaptive: Option<AdaptiveState>,
 }
 
+impl ChanState {
+    /// Claim a receive/send slot pair, or neither.
+    fn acquire_slots(&mut self) -> Option<(usize, usize)> {
+        let recv_slot = self.recv.acquire()?;
+        let Some(send_slot) = self.send.acquire() else {
+            // Rewind, don't release: the rotation must re-offer this
+            // recv slot, since the target never saw it claimed.
+            self.recv.unacquire(recv_slot);
+            return None;
+        };
+        Some((recv_slot, send_slot))
+    }
+
+    /// The one way an in-flight frame leaves the channel: out of the
+    /// table, both slots back to their rings, and whatever the record
+    /// owned (stored wire image, counters) dropped with it. `claimed`
+    /// says who is asking — the sweeper that took the completion with
+    /// [`ChannelCore::take_pending`], or anybody else; a frame only
+    /// retires for the side that owns it.
+    fn retire(&mut self, seq: u64, claimed: bool) -> Option<FrameRecord> {
+        let rec = self.frames.remove(seq, claimed)?;
+        self.recv.release(rec.entry.recv_slot);
+        self.send.release(rec.entry.send_slot);
+        Some(rec)
+    }
+
+    fn park(&mut self, seq: u64, result: Result<PooledFrame, OffloadError>, unsent: bool) {
+        self.parked.insert(seq, Parked { result, unsent });
+    }
+
+    /// Park `err` for every seq in `seqs`.
+    fn fail_all(&mut self, seqs: &[u64], err: &OffloadError, unsent: bool) {
+        for &m in seqs {
+            self.park(m, Err(err.clone()), unsent);
+        }
+    }
+
+    fn recycle_seqs(&mut self, mut seqs: Vec<u64>) {
+        seqs.clear();
+        if self.seq_pool.len() < 8 {
+            self.seq_pool.push(seqs);
+        }
+    }
+
+    /// In-flight *messages*: what the frames on the wire carry plus
+    /// whatever is staged awaiting flush.
+    fn in_flight(&self) -> usize {
+        self.frames.msgs() + self.accum.seqs.len()
+    }
+}
+
 /// The host-side state of one target's channel: slot rings, the
-/// in-flight table and the completion queue under a single lock, plus
-/// the message-size limit the engine enforces before reserving.
+/// in-flight frame table and the parked completions under a single
+/// lock, plus the message-size limit the engine enforces before
+/// reserving.
 ///
 /// Backends own one per target and expose it through
 /// [`crate::CommBackend::channel`]; all transitions are driven by
-/// [`crate::chan::engine`]. The state machine per offload:
+/// [`crate::chan::engine`]. The state machine per frame:
 ///
 /// ```text
-/// try_reserve ──► pending ──(flags ready / deposit)──► completed ──take──► future
-///      │             │                                       ▲
-///      │             ├─(deadline, budget left)─ retry ───────┤ (same seq/slots)
-///      │             ├─(deadline, budget gone)─ Err(Timeout)─┤
-///      │             └─(transport dead)─ evict: Err(lost) ───┘ (errors park here too)
-///      └── cancel (send failed: slots freed, seq retired)
+///                                   ┌ deposit_frame (push transports) ────────┐
+///  try_reserve ──────────┐          ├ take_pending → fetch → finish (polled) ─┤
+///                        ▼          ├ note_miss: deadline, budget gone ───────┤
+///  stage ─► accumulator ─► IN FLIGHT┼ evict · resume (seq ≤ watermark) ───────┼─► retire ─► PARKED ─► claim ─► Future
+///    │      (take_flush)   ▲  │     ├ fail_batch (envelope send failed) ──────┤     │
+///    │                     └──┘     └ cancel (plain send failed) ─────────────┘     └ cancel parks nothing
+///    │        note_miss: deadline, budget left — re-send, same seq and slots
+///    └─ evict · take_staged_tail: parked as unsent failures, never in flight
 /// ```
 ///
-/// With batching enabled ([`ChannelCore::with_batching`]) offload posts
-/// take a staging detour: `stage` mints the seq and appends to an
-/// envelope, `take_flush` claims **one** slot pair for the whole
-/// envelope (the pending entry is keyed by the *carrier* seq — the last
-/// member's), and settling a carrier fans its result parts out to every
-/// member seq.
+/// Every edge out of *in flight* is the same transition (`retire`: the
+/// record leaves the table, both slots return); the edges differ only
+/// in what is parked for the future. With batching enabled
+/// ([`ChannelCore::with_batching`]) `stage` mints a seq per message and
+/// `take_flush` claims **one** slot pair for the whole envelope (the
+/// record is keyed by the *carrier* seq — the last member's); retiring
+/// a carrier fans its result out to every member seq.
 ///
 /// The retry/timeout edges exist only when a [`RecoveryPolicy`] is
-/// armed; eviction ([`ChannelCore::evict`]) fails every in-flight
-/// offload at once and latches the channel so later reservations refuse
+/// armed; eviction ([`ChannelCore::evict`]) retires every in-flight
+/// frame at once and latches the channel so later reservations refuse
 /// with the eviction error ([`Reserve::Lost`]).
 pub struct ChannelCore {
     state: Mutex<ChanState>,
     max_msg_bytes: usize,
     pool: Arc<FramePool>,
     batch: BatchConfig,
-    /// Scheduler admission limit override ([`Self::with_credit_limit`]);
-    /// `None` derives the limit from the slot rings.
-    credits: Option<usize>,
+    /// Armed timeout/retry policy (fault-tolerant channels only; `None`
+    /// keeps the historical always-wait behavior and stores no frames).
+    recovery: Option<RecoveryPolicy>,
+    /// Scheduler admission limit, fixed by the builders: ring
+    /// capacities never change after construction.
+    credits: usize,
     /// Count of settled [`Self::resume`] transitions — a lock-free
     /// "session healed" epoch. Pool probers watch it to clear liveness
     /// penalties the moment a transport reconnects, without waiting for
@@ -234,22 +300,37 @@ pub struct ChannelCore {
 }
 
 impl ChannelCore {
-    fn fresh_state(recv: SlotRing, send: SlotRing) -> ChanState {
-        ChanState {
-            recv,
-            send,
-            pending: PendingTable::new(),
-            completed: CompletionQueue::new(),
-            seq: 0,
-            shutdown: false,
-            evicted: None,
-            degraded: None,
+    fn new(recv: SlotRing, send: SlotRing, max_msg_bytes: usize) -> Self {
+        let credits = Self::ring_credits(&recv, &send);
+        Self {
+            state: Mutex::new(ChanState {
+                recv,
+                send,
+                frames: InFlight::default(),
+                parked: HashMap::new(),
+                seq: 0,
+                shutdown: false,
+                evicted: None,
+                degraded: None,
+                accum: BatchAccum::new(),
+                seq_pool: Vec::new(),
+                adaptive: None,
+            }),
+            max_msg_bytes,
+            pool: FramePool::new(),
+            batch: BatchConfig::default(),
             recovery: None,
-            accum: BatchAccum::new(),
-            batches: HashMap::new(),
-            seq_pool: Vec::new(),
-            unsent: HashSet::new(),
-            adaptive: None,
+            credits,
+            resumes: AtomicU64::new(0),
+        }
+    }
+
+    /// Frames the slot rings can carry at once; unbounded rings fall
+    /// back to [`DEFAULT_PUSH_CREDITS`].
+    fn ring_credits(recv: &SlotRing, send: &SlotRing) -> usize {
+        match (recv.capacity(), send.capacity()) {
+            (Some(r), Some(s)) => r.min(s),
+            _ => DEFAULT_PUSH_CREDITS,
         }
     }
 
@@ -257,41 +338,25 @@ impl ChannelCore {
     /// slots, `send_slots` first-free send slots, payloads capped at
     /// `max_msg_bytes`.
     pub fn bounded(recv_slots: usize, send_slots: usize, max_msg_bytes: usize) -> Self {
-        Self {
-            state: Mutex::new(Self::fresh_state(
-                SlotRing::round_robin(recv_slots),
-                SlotRing::first_free(send_slots),
-            )),
+        Self::new(
+            SlotRing::round_robin(recv_slots),
+            SlotRing::first_free(send_slots),
             max_msg_bytes,
-            pool: FramePool::new(),
-            batch: BatchConfig::default(),
-            credits: None,
-            resumes: AtomicU64::new(0),
-        }
+        )
     }
 
     /// A channel for transports without slot arrays (in-process
     /// channels, TCP streams): reservations never refuse and payloads
     /// are unlimited.
     pub fn unbounded() -> Self {
-        Self {
-            state: Mutex::new(Self::fresh_state(
-                SlotRing::unbounded(),
-                SlotRing::unbounded(),
-            )),
-            max_msg_bytes: usize::MAX,
-            pool: FramePool::new(),
-            batch: BatchConfig::default(),
-            credits: None,
-            resumes: AtomicU64::new(0),
-        }
+        Self::new(SlotRing::unbounded(), SlotRing::unbounded(), usize::MAX)
     }
 
     /// Arm a timeout/retry policy on this channel (builder style — used
     /// by fault-tolerant backend constructors). Without this, in-flight
     /// offloads wait forever, exactly as before.
-    pub fn with_recovery(self, policy: RecoveryPolicy) -> Self {
-        self.state.lock().recovery = Some(RecoveryState::new(policy));
+    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
+        self.recovery = Some(policy);
         self
     }
 
@@ -299,11 +364,14 @@ impl ChannelCore {
     /// (`max_msgs == 1`) keeps batching off and the wire traffic
     /// byte-identical to the unbatched protocol. `batch.adaptive` arms
     /// the [`super::adaptive`] controller with the config as its
-    /// ceiling.
+    /// ceiling. The credit limit becomes as many *messages* as the slot
+    /// rings carry frames times the batch watermark.
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
         self.batch = batch;
-        self.state.lock().adaptive = (batch.adaptive && batch.enabled())
+        let st = self.state.get_mut();
+        st.adaptive = (batch.adaptive && batch.enabled())
             .then(|| AdaptiveState::new(AdaptivePolicy::from_batch(&batch)));
+        self.credits = Self::ring_credits(&st.recv, &st.send) * batch.max_msgs.max(1);
         self
     }
 
@@ -329,35 +397,25 @@ impl ChannelCore {
         self.max_msg_bytes
     }
 
-    /// Override the scheduler's per-target credit limit (builder
-    /// style). Without it, bounded channels allow as many in-flight
-    /// *messages* as their slot rings can carry frames (times the batch
-    /// watermark when batching is on) and unbounded channels default to
-    /// [`DEFAULT_PUSH_CREDITS`].
+    /// Override the scheduler's per-target credit limit (builder style;
+    /// call it after [`Self::with_batching`], which derives the limit
+    /// afresh). Floored at 1.
     pub fn with_credit_limit(mut self, credits: usize) -> Self {
-        self.credits = Some(credits.max(1));
+        self.credits = credits.max(1);
         self
     }
 
     /// The scheduler's admission limit for this channel: how many
     /// in-flight messages ([`Self::in_flight`]) a target pool tolerates
     /// before [`crate::sched::TargetPool::submit`] stops placing work
-    /// here. Derived from the slot rings unless overridden.
+    /// here.
     pub fn credit_limit(&self) -> usize {
-        if let Some(c) = self.credits {
-            return c;
-        }
-        let st = self.state.lock();
-        let base = match (st.recv.capacity(), st.send.capacity()) {
-            (Some(r), Some(s)) => r.min(s),
-            _ => DEFAULT_PUSH_CREDITS,
-        };
-        base * self.batch.max_msgs.max(1)
+        self.credits
     }
 
     /// Whether the scheduler may place another message here right now.
     pub fn has_credit(&self) -> bool {
-        self.in_flight() < self.credit_limit()
+        self.in_flight() < self.credits
     }
 
     /// Claim a slot pair and mint a sequence number. Control frames
@@ -388,27 +446,19 @@ impl ChannelCore {
         if st.degraded.is_some() && !control {
             return Reserve::Full;
         }
-        let Some(recv_slot) = st.recv.acquire() else {
-            return Reserve::Full;
-        };
-        let Some(send_slot) = st.send.acquire() else {
-            // Rewind, don't release: the rotation must re-offer this
-            // recv slot, since the target never saw it claimed.
-            st.recv.unacquire(recv_slot);
+        let Some((recv_slot, send_slot)) = st.acquire_slots() else {
             return Reserve::Full;
         };
         let seq = st.seq;
         st.seq += 1;
-        st.pending.insert(
-            seq,
-            PendingEntry {
-                recv_slot,
-                send_slot,
-                offload,
-                posted_at,
-                bytes,
-            },
-        );
+        let entry = PendingEntry {
+            recv_slot,
+            send_slot,
+            offload,
+            posted_at,
+            bytes,
+        };
+        st.frames.insert(seq, FrameRecord::new(entry, Vec::new()));
         Reserve::Reserved(Reservation {
             seq,
             recv_slot,
@@ -488,16 +538,10 @@ impl ChannelCore {
         // member is older than `slo_micros` closes the envelope now.
         let aged = self.slo_ps() > 0
             && posted_at.saturating_sub(st.accum.first_posted) >= SimTime(self.slo_ps());
-        let slo = aged && !count_full && !bytes_full;
-        if slo {
-            if let Some(a) = st.adaptive.as_mut() {
-                a.note_slo();
-            }
-        }
         Stage::Staged {
             seq,
             flush: count_full || bytes_full || aged,
-            slo,
+            slo: aged && !count_full && !bytes_full,
         }
     }
 
@@ -522,8 +566,8 @@ impl ChannelCore {
     }
 
     /// Record an SLO-forced flush with the controller (the engine calls
-    /// this when [`Self::slo_flush_due`] fires; stage-time trips are
-    /// recorded internally).
+    /// this when it sends an envelope the age bound closed, whether
+    /// [`Self::stage`] or [`Self::slo_flush_due`] noticed).
     pub fn note_slo_trip(&self) {
         if let Some(a) = self.state.lock().adaptive.as_mut() {
             a.note_slo();
@@ -563,9 +607,9 @@ impl ChannelCore {
     }
 
     /// Claim the staged envelope for sending: one slot pair for the
-    /// whole batch, the pending entry keyed by the carrier seq (the last
-    /// member's). Works during shutdown — staged messages predate it and
-    /// must still drain.
+    /// whole batch, the in-flight record keyed by the carrier seq (the
+    /// last member's). Works during shutdown — staged messages predate
+    /// it and must still drain.
     pub fn take_flush(&self) -> FlushPrep {
         let mut st = self.state.lock();
         if st.accum.seqs.is_empty() {
@@ -578,11 +622,7 @@ impl ChannelCore {
         if st.degraded.is_some() {
             return FlushPrep::Full;
         }
-        let Some(recv_slot) = st.recv.acquire() else {
-            return FlushPrep::Full;
-        };
-        let Some(send_slot) = st.send.acquire() else {
-            st.recv.unacquire(recv_slot);
+        let Some((recv_slot, send_slot)) = st.acquire_slots() else {
             return FlushPrep::Full;
         };
         let mut frame = st.accum.frame.take().expect("staged frame");
@@ -598,17 +638,14 @@ impl ChannelCore {
             first_offload,
         );
         batch::patch_envelope(&mut frame, &header, msgs as u32);
-        st.pending.insert(
-            carrier_seq,
-            PendingEntry {
-                recv_slot,
-                send_slot,
-                offload: first_offload,
-                posted_at: first_posted,
-                bytes: frame.len() as u64,
-            },
-        );
-        st.batches.insert(carrier_seq, seqs);
+        let entry = PendingEntry {
+            recv_slot,
+            send_slot,
+            offload: first_offload,
+            posted_at: first_posted,
+            bytes: frame.len() as u64,
+        };
+        st.frames.insert(carrier_seq, FrameRecord::new(entry, seqs));
         FlushPrep::Ready(FlushFrame {
             res: Reservation {
                 seq: carrier_seq,
@@ -623,83 +660,59 @@ impl ChannelCore {
         })
     }
 
-    /// Undo a flushed batch whose envelope never made it onto the
-    /// transport: slots return, every member fails with `err`.
-    pub fn fail_batch(&self, carrier: u64, err: OffloadError) {
-        let mut st = self.state.lock();
-        if let Some(e) = st.pending.remove(carrier) {
-            st.recv.release(e.recv_slot);
-            st.send.release(e.send_slot);
-        }
-        if let Some(r) = st.recovery.as_mut() {
-            r.forget(carrier);
-        }
-        if let Some(members) = st.batches.remove(&carrier) {
-            for m in &members {
-                // The envelope never made it onto the transport, so no
-                // member can have executed — eligible for resubmission.
-                st.unsent.insert(*m);
-                st.completed.push(*m, Err(err.clone()));
-            }
-            Self::recycle_seqs(&mut st, members);
-        }
-    }
-
-    fn recycle_seqs(st: &mut ChanState, mut seqs: Vec<u64>) {
-        seqs.clear();
-        if st.seq_pool.len() < 8 {
-            st.seq_pool.push(seqs);
-        }
-    }
-
-    /// Park `result` for `seq` — fanning a batch carrier's combined
-    /// result out to every member seq. Runs under the channel lock; the
-    /// happy path copies each part into a pooled buffer and allocates
-    /// nothing once pool and maps are warm.
-    fn settle_locked(
+    /// Retire in-flight frame `seq` (unless a sweeper has claimed it)
+    /// and park `result` for its future. Returns how many offloads that
+    /// settled: a carrier counts every member, a frame that already
+    /// left counts none.
+    fn complete(
         &self,
         st: &mut ChanState,
         seq: u64,
         result: Result<PooledFrame, OffloadError>,
-    ) {
-        let Some(members) = st.batches.remove(&seq) else {
-            st.completed.push(seq, result);
-            return;
-        };
-        match result {
-            Ok(frame) => {
-                match crate::target_loop::unframe_result_ref(&frame) {
-                    Ok(body) => self.settle_batch_body(st, &members, body),
-                    Err(msg) => {
-                        // The target rejected the whole envelope.
-                        for m in &members {
-                            st.completed
-                                .push(*m, Err(OffloadError::Backend(msg.clone())));
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                for m in &members {
-                    st.completed.push(*m, Err(e.clone()));
-                }
-            }
+        unsent: bool,
+    ) -> usize {
+        match st.retire(seq, false) {
+            Some(rec) => self.settle(st, seq, rec, result, unsent),
+            None => 0,
         }
-        Self::recycle_seqs(st, members);
+    }
+
+    /// Park the outcome of a retired frame — fanning a batch carrier's
+    /// combined result out to every member seq. Runs under the channel
+    /// lock; the happy path copies each part into a pooled buffer and
+    /// allocates nothing once pool and tables are warm.
+    fn settle(
+        &self,
+        st: &mut ChanState,
+        seq: u64,
+        rec: FrameRecord,
+        result: Result<PooledFrame, OffloadError>,
+        unsent: bool,
+    ) -> usize {
+        let members = rec.members;
+        if members.is_empty() {
+            st.park(seq, result, unsent);
+            return 1;
+        }
+        match result {
+            Ok(frame) => match crate::target_loop::unframe_result_ref(&frame) {
+                Ok(body) => self.park_batch_parts(st, &members, body),
+                // The target rejected the whole envelope.
+                Err(msg) => st.fail_all(&members, &OffloadError::Backend(msg), false),
+            },
+            Err(e) => st.fail_all(&members, &e, unsent),
+        }
+        let msgs = members.len();
+        st.recycle_seqs(members);
+        msgs
     }
 
     /// Walk a batch result body against the member list in lockstep
     /// (the target answers in member order) and park each part.
-    fn settle_batch_body(&self, st: &mut ChanState, members: &[u64], body: &[u8]) {
+    fn park_batch_parts(&self, st: &mut ChanState, members: &[u64], body: &[u8]) {
         let mut parts = match batch::ResultPartIter::new(body) {
             Ok(it) => it,
-            Err(msg) => {
-                for m in members {
-                    st.completed
-                        .push(*m, Err(OffloadError::Backend(msg.clone())));
-                }
-                return;
-            }
+            Err(msg) => return st.fail_all(members, &OffloadError::Backend(msg), false),
         };
         let mut next: Option<(u64, &[u8])> = None;
         let mut bad: Option<String> = None;
@@ -715,65 +728,88 @@ impl ChannelCore {
                 Some((s, part)) if s == m => {
                     let mut out = self.pool.checkout();
                     out.extend_from_slice(part);
-                    st.completed.push(m, Ok(out));
+                    st.park(m, Ok(out), false);
                     next = None;
                 }
                 _ => {
                     let msg = bad
                         .clone()
                         .unwrap_or_else(|| format!("batch result missing part for seq {m}"));
-                    st.completed.push(m, Err(OffloadError::Backend(msg)));
+                    st.park(m, Err(OffloadError::Backend(msg)), false);
                 }
             }
         }
     }
 
+    /// Undo a flushed batch whose envelope never made it onto the
+    /// transport: slots return, every member fails with `err` — marked
+    /// unsent, since no member can have executed.
+    pub fn fail_batch(&self, carrier: u64, err: OffloadError) {
+        self.complete(&mut self.state.lock(), carrier, Err(err), true);
+    }
+
     /// Retire a reservation whose frame never made it onto the
     /// transport: slots return to the rings, the seq is abandoned.
     pub fn cancel(&self, seq: u64) {
-        let mut st = self.state.lock();
-        if let Some(e) = st.pending.remove(seq) {
-            st.recv.release(e.recv_slot);
-            st.send.release(e.send_slot);
-        }
-        if let Some(r) = st.recovery.as_mut() {
-            r.forget(seq);
-        }
+        self.state.lock().retire(seq, false);
     }
 
-    /// Remove an in-flight entry for completion. Returns `None` if
-    /// another thread already claimed it (the completion race is
-    /// resolved here, under the lock).
+    /// Claim an in-flight frame for completion: the caller fetches the
+    /// result outside the lock and hands it to [`Self::finish`], which
+    /// retires the frame. Returns `None` if another thread already
+    /// claimed or retired it (the completion race is resolved here,
+    /// under the lock).
     pub fn take_pending(&self, seq: u64) -> Option<PendingEntry> {
         let mut st = self.state.lock();
-        let e = st.pending.remove(seq);
-        if e.is_some() {
-            if let Some(r) = st.recovery.as_mut() {
-                r.forget(seq);
-            }
+        let rec = st.frames.unclaimed_mut(seq)?;
+        rec.claimed = true;
+        Some(rec.entry)
+    }
+
+    /// Finish a frame claimed with [`Self::take_pending`]: retire it
+    /// and park the result for its future (fanned out to members for a
+    /// batch carrier).
+    pub fn finish(&self, seq: u64, result: Result<Vec<u8>, OffloadError>) {
+        let mut st = self.state.lock();
+        if let Some(rec) = st.retire(seq, true) {
+            let result = result.map(|v| self.pool.adopt(v));
+            self.settle(&mut st, seq, rec, result, false);
         }
-        e
     }
 
     /// Record a successfully-sent frame (full wire bytes) for possible
     /// recovery re-sends. Control frames are not retryable; without an
-    /// armed [`RecoveryPolicy`] the buffer just returns to the pool.
+    /// armed [`RecoveryPolicy`], or when the result already came back,
+    /// the buffer just returns to the pool.
     pub fn note_sent(&self, seq: u64, header: &MsgHeader, frame: PooledFrame) {
-        if !matches!(header.kind, MsgKind::Offload | MsgKind::Batch) {
+        if self.recovery.is_none() || !matches!(header.kind, MsgKind::Offload | MsgKind::Batch) {
             return;
         }
-        if let Some(r) = self.state.lock().recovery.as_mut() {
-            r.store(seq, *header, frame);
+        if let Some(rec) = self.state.lock().frames.unclaimed_mut(seq) {
+            rec.stored = Some(StoredFrame::new(*header, frame));
         }
     }
 
     /// Count one fruitless flag sweep against `seq` and apply the armed
-    /// deadline policy. [`MissVerdict::Keep`] when no policy is armed.
+    /// deadline policy. [`MissVerdict::Keep`] when no policy is armed or
+    /// the frame has no stored wire image (control frames, anything
+    /// already timed out).
     pub fn note_miss(&self, seq: u64) -> MissVerdict {
-        match self.state.lock().recovery.as_mut() {
-            Some(r) => r.miss(seq),
-            None => MissVerdict::Keep,
+        let Some(policy) = &self.recovery else {
+            return MissVerdict::Keep;
+        };
+        let mut st = self.state.lock();
+        let Some(rec) = st.frames.unclaimed_mut(seq) else {
+            return MissVerdict::Keep;
+        };
+        let verdict = rec
+            .stored
+            .as_mut()
+            .map_or(MissVerdict::Keep, |s| s.miss(policy));
+        if matches!(verdict, MissVerdict::TimedOut) {
+            rec.stored = None;
         }
+        verdict
     }
 
     /// Evict the target: fail every in-flight offload (batch members and
@@ -788,28 +824,17 @@ impl ChannelCore {
         }
         st.evicted = Some(err.clone());
         st.degraded = None;
-        if let Some(r) = st.recovery.as_mut() {
-            r.clear();
-        }
-        let seqs: Vec<u64> = st.pending.snapshot().into_iter().map(|(s, _)| s).collect();
+        let seqs: Vec<u64> = st.frames.unclaimed().map(|(s, _)| s).collect();
         let mut failed = 0;
         for seq in seqs {
-            if let Some(e) = st.pending.remove(seq) {
-                st.recv.release(e.recv_slot);
-                st.send.release(e.send_slot);
-                failed += st.batches.get(&seq).map_or(1, Vec::len);
-                self.settle_locked(&mut st, seq, Err(err.clone()));
-            }
+            failed += self.complete(&mut st, seq, Err(err.clone()), false);
         }
         // Staged messages never reached the wire; fail them too —
         // marked unsent so a scheduler may resubmit them elsewhere.
         let staged = core::mem::take(&mut st.accum.seqs);
-        for m in &staged {
-            st.unsent.insert(*m);
-            st.completed.push(*m, Err(err.clone()));
-            failed += 1;
-        }
-        Self::recycle_seqs(&mut st, staged);
+        st.fail_all(&staged, &err, true);
+        failed += staged.len();
+        st.recycle_seqs(staged);
         st.accum.frame = None;
         Some(failed)
     }
@@ -820,22 +845,20 @@ impl ChannelCore {
     }
 
     /// Mark the transport disconnected *without* failing anything:
-    /// in-flight offloads stay pending (their wire images remain in the
-    /// replay buffer), new posts park on [`Reserve::Full`] until the
-    /// session settles, and staged messages keep accumulating. The
-    /// session settles through [`Self::resume`] (reconnected) or
-    /// [`Self::evict`] (reconnect budget exhausted). Returns the number
-    /// of in-flight messages at the moment of degradation; `None` if
-    /// already degraded or evicted (the first caller owns the
-    /// transition).
+    /// in-flight offloads stay pending (their wire images remain
+    /// stored), new posts park on [`Reserve::Full`] until the session
+    /// settles, and staged messages keep accumulating. The session
+    /// settles through [`Self::resume`] (reconnected) or [`Self::evict`]
+    /// (reconnect budget exhausted). Returns the number of in-flight
+    /// messages at the moment of degradation; `None` if already degraded
+    /// or evicted (the first caller owns the transition).
     pub fn degrade(&self, err: OffloadError) -> Option<usize> {
         let mut st = self.state.lock();
         if st.evicted.is_some() || st.degraded.is_some() {
             return None;
         }
         st.degraded = Some(err);
-        let extra: usize = st.batches.values().map(|m| m.len() - 1).sum();
-        Some(st.pending.len() + extra + st.accum.seqs.len())
+        Some(st.in_flight())
     }
 
     /// Why the channel is degraded, if it is.
@@ -854,9 +877,9 @@ impl ChannelCore {
     /// watermark is the *max* executed seq and only ever advances:
     ///
     /// * `seq > watermark` with a stored wire image — provably never
-    ///   executed: stays pending and is returned for replay;
-    /// * anything else — possibly executed (or not replayable): failed
-    ///   with `err`, batch members fanned out, slots released.
+    ///   executed: stays in flight and is returned for replay;
+    /// * anything else — possibly executed (or not replayable): retired
+    ///   with `err`, batch members fanned out.
     ///
     /// Returns `None` if the channel was not degraded (racing eviction
     /// or a double resume). The staged accumulator is untouched — it
@@ -864,35 +887,26 @@ impl ChannelCore {
     pub fn resume(&self, watermark: Option<u64>, err: OffloadError) -> Option<ResumeReport> {
         let mut st = self.state.lock();
         st.degraded.take()?;
-        let seqs: Vec<u64> = st.pending.snapshot().into_iter().map(|(s, _)| s).collect();
         let mut replay = Vec::new();
-        let mut lost = 0;
-        for seq in seqs {
+        let mut doomed = Vec::new();
+        for (seq, rec) in st.frames.unclaimed() {
             let provably_unexecuted = watermark.is_none_or(|w| seq > w);
-            let stored = if provably_unexecuted {
-                st.recovery.as_mut().and_then(|r| r.note_replay(seq))
-            } else {
-                None
-            };
-            match stored {
-                Some((header, frame, attempt)) => replay.push(ReplayFrame {
-                    seq,
-                    header,
-                    frame,
-                    attempt,
-                }),
-                None => {
-                    if let Some(e) = st.pending.remove(seq) {
-                        st.recv.release(e.recv_slot);
-                        st.send.release(e.send_slot);
-                        if let Some(r) = st.recovery.as_mut() {
-                            r.forget(seq);
-                        }
-                        lost += st.batches.get(&seq).map_or(1, Vec::len);
-                        self.settle_locked(&mut st, seq, Err(err.clone()));
-                    }
+            match rec.stored.as_mut().filter(|_| provably_unexecuted) {
+                Some(stored) => {
+                    let (header, frame, attempt) = stored.resend();
+                    replay.push(ReplayFrame {
+                        seq,
+                        header,
+                        frame,
+                        attempt,
+                    });
                 }
+                None => doomed.push(seq),
             }
+        }
+        let mut lost = 0;
+        for seq in doomed {
+            lost += self.complete(&mut st, seq, Err(err.clone()), false);
         }
         self.resumes.fetch_add(1, Ordering::Release);
         Some(ResumeReport { replay, lost })
@@ -912,30 +926,37 @@ impl ChannelCore {
     /// (`max_retries`), or `None` when no recovery is armed. Schedulers
     /// use it to bound how long a degraded target is worth waiting for.
     pub fn recovery_budget(&self) -> Option<u32> {
-        self.state
-            .lock()
-            .recovery
-            .as_ref()
-            .map(|r| r.policy().max_retries)
+        self.recovery.map(|p| p.max_retries)
     }
 
-    /// Snapshot of all in-flight offloads, ordered by seq.
-    pub fn pending_snapshot(&self) -> Vec<(u64, PendingEntry)> {
-        self.state.lock().pending.snapshot()
-    }
-
-    /// [`Self::pending_snapshot`] into a caller-provided scratch vector
-    /// — the allocation-free variant the engine's sweep loop uses.
+    /// Every in-flight frame no sweeper has claimed, ordered by seq so
+    /// flag sweeps visit slots deterministically, into a caller-provided
+    /// scratch vector (cleared first, capacity reused): the engine's
+    /// sweep runs every blocking-wait round and must not allocate per
+    /// round.
     pub fn pending_into(&self, out: &mut Vec<(u64, PendingEntry)>) {
-        self.state.lock().pending.snapshot_into(out);
+        out.clear();
+        out.extend(
+            self.state
+                .lock()
+                .frames
+                .unclaimed()
+                .map(|(s, r)| (s, r.entry)),
+        );
     }
 
-    /// Claim (and clear) the unsent marker for a failed seq. `true`
+    /// Claim (and clear) the unsent marker of a parked failure. `true`
     /// means the offload's frame never reached the transport — the
     /// target cannot have executed it, so a scheduler may safely
-    /// resubmit it to a survivor. One-shot, like completions.
+    /// resubmit it to a survivor. One-shot; a caller that claims the
+    /// completion first gets the marker with it instead (what
+    /// [`crate::Future`] does).
     pub fn take_unsent(&self, seq: u64) -> bool {
-        self.state.lock().unsent.remove(&seq)
+        self.state
+            .lock()
+            .parked
+            .get_mut(&seq)
+            .is_some_and(|p| core::mem::take(&mut p.unsent))
     }
 
     /// Number of staged-but-unflushed messages in the batch accumulator.
@@ -963,42 +984,36 @@ impl ChannelCore {
             // built, so re-walking the kept prefix cannot fail.
             batch::truncate_members(frame, keep).expect("staged envelope is well-formed");
         }
-        for m in &tail {
-            st.unsent.insert(*m);
-            st.completed.push(*m, Err(OffloadError::Migrated));
-        }
+        st.fail_all(&tail, &OffloadError::Migrated, true);
         let taken = tail.len();
-        Self::recycle_seqs(&mut st, tail);
+        st.recycle_seqs(tail);
         taken
     }
 
-    /// Number of in-flight *messages*: pending frames count their batch
-    /// members, plus whatever is staged awaiting flush.
+    /// Number of in-flight *messages*: frames on the wire count their
+    /// batch members, plus whatever is staged awaiting flush. A counter
+    /// read — the scheduler asks on every placement.
     pub fn in_flight(&self) -> usize {
-        let st = self.state.lock();
-        let extra: usize = st.batches.values().map(|m| m.len() - 1).sum();
-        st.pending.len() + extra + st.accum.seqs.len()
+        self.state.lock().in_flight()
     }
 
-    /// Wire bytes currently committed to this target: every pending
+    /// Wire bytes currently committed to this target: every in-flight
     /// frame plus the staged (unflushed) accumulator. The scheduler's
     /// `WeightedByLatency` policy adds this to its load term so a
     /// target holding a few dense batches does not look idler than one
     /// holding many small probes.
     pub fn bytes_in_flight(&self) -> u64 {
         let st = self.state.lock();
-        st.pending.bytes() + st.accum.frame.as_ref().map_or(0, |f| f.len() as u64)
+        st.frames.bytes() + st.accum.frame.as_ref().map_or(0, |f| f.len() as u64)
     }
 
-    /// Finish an offload whose entry was already removed with
-    /// [`Self::take_pending`]: free its slots and park the result for
-    /// its future (fanned out to members for a batch carrier).
-    pub fn finish(&self, seq: u64, entry: &PendingEntry, result: Result<Vec<u8>, OffloadError>) {
-        let mut st = self.state.lock();
-        st.recv.release(entry.recv_slot);
-        st.send.release(entry.send_slot);
-        let result = result.map(|v| self.pool.adopt(v));
-        self.settle_locked(&mut st, seq, result);
+    /// How many seqs the channel still holds state for: frames in
+    /// flight plus parked completions. Zero once every offload was
+    /// claimed or cancelled — the leak check of the lifecycle tests.
+    #[doc(hidden)]
+    pub fn tracked_seqs(&self) -> usize {
+        let st = self.state.lock();
+        st.frames.len() + st.parked.len()
     }
 
     /// Push-transport completion path: a receiver thread deposits a
@@ -1011,20 +1026,18 @@ impl ChannelCore {
     /// [`Self::deposit`] with a pooled buffer — the allocation-free
     /// variant.
     pub fn deposit_frame(&self, seq: u64, frame: PooledFrame) {
-        let mut st = self.state.lock();
-        if let Some(e) = st.pending.remove(seq) {
-            st.recv.release(e.recv_slot);
-            st.send.release(e.send_slot);
-            if let Some(r) = st.recovery.as_mut() {
-                r.forget(seq);
-            }
-            self.settle_locked(&mut st, seq, Ok(frame));
-        }
+        self.complete(&mut self.state.lock(), seq, Ok(frame), false);
+    }
+
+    /// Claim a parked completion together with its unsent marker.
+    pub(crate) fn claim(&self, seq: u64) -> Option<(Result<PooledFrame, OffloadError>, bool)> {
+        let p = self.state.lock().parked.remove(&seq)?;
+        Some((p.result, p.unsent))
     }
 
     /// Claim a parked completion.
     pub fn take_completed(&self, seq: u64) -> Option<Result<PooledFrame, OffloadError>> {
-        self.state.lock().completed.take(seq)
+        self.claim(seq).map(|(result, _)| result)
     }
 
     /// Mark the channel shut down; returns the *previous* state so the
@@ -1056,8 +1069,9 @@ mod tests {
             panic!("reserve failed");
         };
         assert_eq!((r.seq, r.recv_slot, r.send_slot), (0, 0, 0));
-        let e = c.take_pending(r.seq).unwrap();
-        c.finish(r.seq, &e, Ok(b"done".to_vec()));
+        assert!(c.take_pending(r.seq).is_some());
+        assert!(c.take_pending(r.seq).is_none(), "one sweeper owns it");
+        c.finish(r.seq, Ok(b"done".to_vec()));
         assert_eq!(
             c.take_completed(r.seq).unwrap().unwrap().as_slice(),
             b"done"
@@ -1158,11 +1172,11 @@ mod tests {
         assert_eq!(c.take_staged_tail(2), 2);
         assert_eq!(c.staged_len(), 3);
         for &m in &seqs[3..] {
+            assert!(c.take_unsent(m), "migrated members are provably unsent");
             assert!(matches!(
                 c.take_completed(m),
                 Some(Err(OffloadError::Migrated))
             ));
-            assert!(c.take_unsent(m), "migrated members are provably unsent");
         }
         // The kept prefix still flushes as a correctly re-enveloped
         // batch: the carrier covers exactly the remaining members.
@@ -1233,6 +1247,8 @@ mod tests {
             assert!(matches!(c.note_miss(r.seq), MissVerdict::Keep));
         }
         assert!(matches!(c.note_miss(r.seq), MissVerdict::TimedOut));
+        // The wire image is gone; further misses are inert.
+        assert!(matches!(c.note_miss(r.seq), MissVerdict::Keep));
         // A frame whose result arrives is forgotten before any deadline.
         let Reserve::Reserved(r2) = reserve(&c) else {
             panic!("reserve failed");
@@ -1438,15 +1454,15 @@ mod tests {
         c.stage(HandlerKey(9), payload, 0, SimTime::ZERO)
     }
 
-    /// Deposit a well-formed batch result for `f`: each member's framed
-    /// result is its own seq, little-endian.
-    fn answer_batch(c: &ChannelCore, f: &FlushFrame, members: &[u64]) {
+    /// Deposit a well-formed batch result for `carrier`: each member's
+    /// framed result is its own seq, little-endian.
+    fn answer_batch(c: &ChannelCore, carrier: u64, members: &[u64]) {
         let mut body = Vec::new();
         batch::begin_result(&mut body, members.len() as u32);
         for &m in members {
             batch::append_result_part(&mut body, m, &frame_result(Ok(m.to_le_bytes().to_vec())));
         }
-        c.deposit(f.res.seq, frame_result(Ok(body)));
+        c.deposit(carrier, frame_result(Ok(body)));
     }
 
     #[test]
@@ -1467,9 +1483,11 @@ mod tests {
         assert_eq!(f.header.kind, MsgKind::Batch);
         assert!(matches!(c.take_flush(), FlushPrep::Empty), "accum drained");
         // One slot pair for three messages.
-        assert_eq!(c.pending_snapshot().len(), 1);
+        let mut on_wire = Vec::new();
+        c.pending_into(&mut on_wire);
+        assert_eq!(on_wire.len(), 1);
         assert_eq!(c.in_flight(), 3);
-        answer_batch(&c, &f, &[0, 1, 2]);
+        answer_batch(&c, f.res.seq, &[0, 1, 2]);
         for m in 0..3u64 {
             let got = c.take_completed(m).unwrap().unwrap();
             assert_eq!(
@@ -1905,6 +1923,316 @@ mod tests {
                 prop_assert!(c.take_completed(*m).is_none(), "duplicate member: {}", m);
             }
             prop_assert_eq!(c.in_flight(), 0);
+        }
+    }
+
+    // --- lifecycle model ----------------------------------------------------
+
+    /// Where the model says one minted seq is.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Life {
+        Staged,
+        OnWire,
+        /// Retired, result parked: `ok` result or error, unsent marker.
+        Parked {
+            ok: bool,
+            unsent: bool,
+        },
+        Claimed,
+        Cancelled,
+    }
+
+    /// One frame the model believes is in flight.
+    #[derive(Clone, Debug)]
+    struct WireFrame {
+        seq: u64,
+        /// The messages it carries (`[seq]` for a plain frame).
+        msgs: Vec<u64>,
+        carrier: bool,
+    }
+
+    /// Sequential reference model of one channel: every minted seq is in
+    /// exactly one [`Life`] state, and the channel's observable counts
+    /// must agree with it after every step.
+    #[derive(Default)]
+    struct Model {
+        life: Vec<Life>,
+        staged: Vec<u64>,
+        wire: Vec<WireFrame>,
+        degraded: bool,
+        evicted: bool,
+    }
+
+    impl Model {
+        fn mint(&mut self, seq: u64, life: Life) {
+            assert_eq!(seq, self.life.len() as u64, "seqs are minted in order");
+            self.life.push(life);
+        }
+
+        fn park(&mut self, seqs: &[u64], ok: bool, unsent: bool) {
+            for &s in seqs {
+                let was =
+                    core::mem::replace(&mut self.life[s as usize], Life::Parked { ok, unsent });
+                assert!(
+                    matches!(was, Life::Staged | Life::OnWire),
+                    "seq {s} completed twice (was {was:?})"
+                );
+            }
+        }
+
+        /// Retire the `i`-th in-flight frame, parking its messages.
+        fn retire(&mut self, i: usize, ok: bool, unsent: bool) -> WireFrame {
+            let f = self.wire.remove(i);
+            self.park(&f.msgs, ok, unsent);
+            f
+        }
+
+        fn wire_msgs(&self) -> usize {
+            self.wire.iter().map(|f| f.msgs.len()).sum()
+        }
+
+        fn parked(&self) -> usize {
+            let parked = |l: &&Life| matches!(l, Life::Parked { .. });
+            self.life.iter().filter(parked).count()
+        }
+
+        /// The channel agrees with the model, and no seq that already
+        /// left (claimed or cancelled) has anything parked again.
+        fn check(&self, c: &ChannelCore) {
+            assert_eq!(c.in_flight(), self.wire_msgs() + self.staged.len());
+            assert_eq!(c.tracked_seqs(), self.wire.len() + self.parked());
+            for (s, l) in self.life.iter().enumerate() {
+                if matches!(l, Life::Claimed | Life::Cancelled) {
+                    assert!(c.take_completed(s as u64).is_none(), "seq {s} came back");
+                }
+            }
+        }
+
+        /// Put whatever is staged on the wire, as the engine would.
+        fn flush(&mut self, c: &ChannelCore) {
+            match c.take_flush() {
+                FlushPrep::Empty => assert!(self.staged.is_empty(), "lost staging"),
+                FlushPrep::Full => assert!(self.degraded || !self.wire.is_empty()),
+                FlushPrep::Ready(f) => {
+                    assert!(!self.degraded && !self.evicted);
+                    assert_eq!(Some(&f.res.seq), self.staged.last());
+                    c.note_sent(f.res.seq, &f.header, f.frame);
+                    let msgs = core::mem::take(&mut self.staged);
+                    for &m in &msgs {
+                        self.life[m as usize] = Life::OnWire;
+                    }
+                    self.wire.push(WireFrame {
+                        seq: f.res.seq,
+                        msgs,
+                        carrier: true,
+                    });
+                }
+            }
+        }
+
+        /// The target answers the `i`-th in-flight frame.
+        fn deposit(&mut self, c: &ChannelCore, i: usize) {
+            let f = self.retire(i, true, false);
+            if f.carrier {
+                answer_batch(c, f.seq, &f.msgs);
+            } else {
+                c.deposit(f.seq, frame_result(Ok(f.seq.to_le_bytes().to_vec())));
+            }
+        }
+
+        /// Claim the parked completion of `seq` and check it is the one
+        /// the model expects, marker included.
+        fn take(&mut self, c: &ChannelCore, seq: u64) {
+            let Life::Parked { ok, unsent } = self.life[seq as usize] else {
+                panic!("seq {seq} is not parked");
+            };
+            assert_eq!(c.take_unsent(seq), unsent, "unsent marker of seq {seq}");
+            match c.take_completed(seq).expect("parked completion") {
+                Ok(frame) => {
+                    assert!(ok, "seq {seq} should have failed");
+                    let bytes = crate::target_loop::unframe_result_ref(&frame).unwrap();
+                    assert_eq!(bytes, seq.to_le_bytes(), "seq {seq} got another result");
+                }
+                Err(_) => assert!(!ok, "seq {seq} should have succeeded"),
+            }
+            self.life[seq as usize] = Life::Claimed;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every way a frame can leave the channel, interleaved at
+        /// random on bounded and unbounded channels with and without a
+        /// recovery policy: no seq ever completes twice, and once the
+        /// traffic is driven to the end every minted seq was claimed or
+        /// cancelled exactly once, nothing is in flight or parked, and
+        /// every slot is back.
+        #[test]
+        fn every_retire_path_settles_each_seq_exactly_once(
+            slots in 0usize..4,
+            max_msgs in 2usize..5,
+            recovery in 0u8..3,
+            ops in proptest::collection::vec((0u8..12, 0usize..16), 0..96),
+        ) {
+            // `slots == 0` stands for an unbounded channel.
+            let c = if slots == 0 {
+                ChannelCore::unbounded()
+            } else {
+                ChannelCore::bounded(slots, slots, 4096)
+            };
+            let c = c.with_batching(BatchConfig::up_to(max_msgs));
+            let policy = match recovery {
+                0 => None,
+                1 => Some(RecoveryPolicy { retry_after_misses: 2, max_retries: 1 }),
+                _ => Some(RecoveryPolicy::replay_only(3)),
+            };
+            let c = match policy {
+                Some(p) => c.with_recovery(p),
+                None => c,
+            };
+            let lost = OffloadError::TargetLost(crate::types::NodeId(1));
+            let mut m = Model::default();
+            for (kind, i) in ops {
+                match kind {
+                    // reserve + send a plain frame
+                    0 => match reserve(&c) {
+                        Reserve::Reserved(r) => {
+                            prop_assert!(!m.evicted && !m.degraded);
+                            m.mint(r.seq, Life::OnWire);
+                            let wire = PooledFrame::detached(r.seq.to_le_bytes().to_vec());
+                            c.note_sent(r.seq, &offload_header(r.seq), wire);
+                            m.wire.push(WireFrame { seq: r.seq, msgs: vec![r.seq], carrier: false });
+                        }
+                        Reserve::Full => prop_assert!(m.degraded || !m.wire.is_empty()),
+                        Reserve::Lost(_) => prop_assert!(m.evicted),
+                        Reserve::Shutdown => prop_assert!(false, "never shut down"),
+                    },
+                    // stage, flushing when told to
+                    1 => match stage_one(&c, b"m") {
+                        Stage::Staged { seq, flush, .. } => {
+                            prop_assert!(!m.evicted);
+                            m.mint(seq, Life::Staged);
+                            m.staged.push(seq);
+                            if flush {
+                                m.flush(&c);
+                            }
+                        }
+                        Stage::FlushFirst => m.flush(&c),
+                        Stage::Lost(_) => prop_assert!(m.evicted),
+                        other => prop_assert!(false, "unexpected stage: {:?}", other),
+                    },
+                    2 => m.flush(&c),
+                    3 if !m.wire.is_empty() => m.deposit(&c, i % m.wire.len()),
+                    // cancel a plain frame / fail a carrier's send
+                    4 | 5 if !m.wire.is_empty() => {
+                        let at = i % m.wire.len();
+                        if m.wire[at].carrier {
+                            let f = m.retire(at, false, true);
+                            c.fail_batch(f.seq, OffloadError::Shutdown);
+                        } else {
+                            let f = m.wire.remove(at);
+                            c.cancel(f.seq);
+                            m.life[f.seq as usize] = Life::Cancelled;
+                        }
+                    }
+                    // miss a frame until its deadline policy gives up
+                    6 if !m.wire.is_empty() => {
+                        let at = i % m.wire.len();
+                        let seq = m.wire[at].seq;
+                        let timed_out = (0..16).any(|_| matches!(c.note_miss(seq), MissVerdict::TimedOut));
+                        prop_assert_eq!(timed_out, policy.is_some_and(|p| p.retries_on_miss()));
+                        if timed_out {
+                            prop_assert!(c.take_pending(seq).is_some());
+                            c.finish(seq, Err(OffloadError::Timeout));
+                            m.retire(at, false, false);
+                        }
+                    }
+                    7 => {
+                        let first = !m.evicted && !m.degraded;
+                        prop_assert_eq!(c.degrade(lost.clone()).is_some(), first);
+                        m.degraded |= first;
+                    }
+                    8 => {
+                        let watermark = i.checked_sub(1).map(|w| w as u64);
+                        match c.resume(watermark, lost.clone()) {
+                            None => prop_assert!(!m.degraded),
+                            Some(rep) => {
+                                prop_assert!(core::mem::take(&mut m.degraded));
+                                let replayed: Vec<u64> = rep.replay.iter().map(|f| f.seq).collect();
+                                let mut failed = 0;
+                                for at in (0..m.wire.len()).rev() {
+                                    let seq = m.wire[at].seq;
+                                    if replayed.contains(&seq) {
+                                        prop_assert!(policy.is_some() && watermark.is_none_or(|w| seq > w));
+                                    } else {
+                                        failed += m.retire(at, false, false).msgs.len();
+                                    }
+                                }
+                                prop_assert_eq!(rep.lost, failed);
+                            }
+                        }
+                    }
+                    // evict (rarely: most schedules should outlive it)
+                    9 if i % 4 == 0 => {
+                        let doomed = m.wire_msgs() + m.staged.len();
+                        let first = !core::mem::replace(&mut m.evicted, true);
+                        prop_assert_eq!(c.evict(lost.clone()), first.then_some(doomed));
+                        m.degraded = false;
+                        while !m.wire.is_empty() {
+                            m.retire(0, false, false);
+                        }
+                        let staged = core::mem::take(&mut m.staged);
+                        m.park(&staged, false, true);
+                    }
+                    10 => {
+                        let n = i % 4;
+                        let keep = m.staged.len().saturating_sub(n);
+                        prop_assert_eq!(c.take_staged_tail(n), m.staged.len() - keep);
+                        let tail = m.staged.split_off(keep);
+                        m.park(&tail, false, true);
+                    }
+                    11 => {
+                        let parked: Vec<u64> = (0..m.life.len() as u64)
+                            .filter(|&s| matches!(m.life[s as usize], Life::Parked { .. }))
+                            .collect();
+                        if !parked.is_empty() {
+                            m.take(&c, parked[i % parked.len()]);
+                        }
+                    }
+                    _ => {}
+                }
+                m.check(&c);
+            }
+            // Drive the traffic to the end: heal, flush, answer, claim.
+            if m.degraded {
+                prop_assert!(c.resume(None, lost.clone()).is_some());
+                m.degraded = false;
+                for at in (0..m.wire.len()).rev() {
+                    if policy.is_none() {
+                        m.retire(at, false, false);
+                    }
+                }
+            }
+            while !m.evicted && m.wire.len() + m.staged.len() > 0 {
+                while !m.wire.is_empty() {
+                    m.deposit(&c, 0);
+                }
+                m.flush(&c);
+            }
+            for s in 0..m.life.len() as u64 {
+                if matches!(m.life[s as usize], Life::Parked { .. }) {
+                    m.take(&c, s);
+                }
+            }
+            m.check(&c);
+            prop_assert!(m.life.iter().all(|l| matches!(l, Life::Claimed | Life::Cancelled)));
+            prop_assert_eq!((c.in_flight(), c.bytes_in_flight(), c.tracked_seqs()), (0, 0, 0));
+            if !m.evicted {
+                for _ in 0..slots {
+                    prop_assert!(matches!(reserve(&c), Reserve::Reserved(_)), "a slot leaked");
+                }
+            }
         }
     }
 }

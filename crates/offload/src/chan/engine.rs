@@ -12,7 +12,6 @@ use super::adaptive::Decision;
 use super::backoff::Backoff;
 use super::core::{ChannelCore, FlushFrame, FlushPrep, Reservation, Reserve, Stage};
 use super::pending::PendingEntry;
-use super::pool::PooledFrame;
 use super::recovery::MissVerdict;
 use crate::backend::CommBackend;
 use crate::types::NodeId;
@@ -45,23 +44,10 @@ pub fn post<B: CommBackend + ?Sized>(
                     slo,
                 } => {
                     if now {
-                        if slo {
-                            // The accumulator aged past `slo_micros`:
-                            // this flush is the latency bound firing,
-                            // not a watermark.
-                            let t = backend.host_clock().now();
-                            backend.metrics().on_slo_flush();
-                            backend.metrics().health().record(
-                                target.0,
-                                aurora_sim_core::HealthEventKind::SloFlush,
-                                offload,
-                                t.as_ps(),
-                            );
-                        }
                         // A send failure here is parked on the member
                         // futures by `fail_batch`; the post itself
                         // succeeded.
-                        let _ = flush(backend, target);
+                        let _ = flush_staged(backend, target, slo);
                     }
                     return Ok(seq);
                 }
@@ -158,6 +144,16 @@ fn post_inner<B: CommBackend + ?Sized>(
 /// full; a transport failure fails every member via
 /// [`ChannelCore::fail_batch`] and surfaces here too.
 pub fn flush<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<(), OffloadError> {
+    flush_staged(backend, target, false)
+}
+
+/// [`flush`], told whether the `slo_micros` age bound (rather than a
+/// watermark or a caller) is what closes the envelope.
+fn flush_staged<B: CommBackend + ?Sized>(
+    backend: &B,
+    target: NodeId,
+    slo: bool,
+) -> Result<(), OffloadError> {
     let chan = backend.channel(target)?;
     if !chan.batch_enabled() {
         return Ok(());
@@ -172,7 +168,7 @@ pub fn flush<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<(),
                 sweep(backend, target)?;
                 backoff.snooze();
             }
-            FlushPrep::Ready(f) => return send_envelope(backend, target, chan, f),
+            FlushPrep::Ready(f) => return send_envelope(backend, target, chan, f, slo),
         }
     }
 }
@@ -182,14 +178,28 @@ pub fn flush<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<(),
 /// accounting step (which, every [`super::adaptive::TICK_FLUSHES`]
 /// flushes, reads the cumulative flush-latency histogram and may retune
 /// the channel's watermarks; decisions surface as `aurora_batch_*`
-/// counters and health events).
+/// counters and health events). `slo` marks an envelope the
+/// `slo_micros` age bound closed: the latency bound firing, not a
+/// watermark — told to the controller, counted, and logged as a health
+/// event here, once the envelope actually leaves the accumulator.
 fn send_envelope<B: CommBackend + ?Sized>(
     backend: &B,
     target: NodeId,
     chan: &ChannelCore,
     f: FlushFrame,
+    slo: bool,
 ) -> Result<(), OffloadError> {
     let t0 = backend.host_clock().now();
+    if slo {
+        chan.note_slo_trip();
+        backend.metrics().on_slo_flush();
+        backend.metrics().health().record(
+            target.0,
+            aurora_sim_core::HealthEventKind::SloFlush,
+            trace::current_offload(),
+            t0.as_ps(),
+        );
+    }
     if let Err(e) = backend.send_frame(target, &f.res, &f.header, &f.frame) {
         chan.fail_batch(f.res.seq, e.clone());
         evict_if_lost(backend, target, chan, &e);
@@ -228,7 +238,7 @@ pub fn drain<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<usi
 }
 
 /// Sweep the completion flags of *every* in-flight offload on `target`
-/// and move the ready ones into the completion queue — one poll pass
+/// and park the ready ones for their futures — one poll pass
 /// retires any number of completions (O(completions) host work, not
 /// O(in-flight · polls)). Push transports have nothing to sweep; their
 /// receiver threads deposit directly. Returns how many offloads
@@ -273,23 +283,13 @@ fn sweep_with<B: CommBackend + ?Sized>(
     // small message never waits behind a filling batch just because
     // nobody else posted. With the knob unset (the default) this is a
     // lock-free field compare.
-    let now = backend.host_clock().now();
-    if chan.slo_flush_due(now) {
+    if chan.slo_flush_due(backend.host_clock().now()) {
         // One attempt, no loop: `Full` (no free slots) waits for this
-        // very sweep to retire completions, and the next sweep retries —
-        // the trip is only recorded once the envelope actually leaves.
+        // very sweep to retire completions, and the next sweep retries.
         // A send failure parks the error on every member via
         // `fail_batch`; the sweep itself carries on.
         if let FlushPrep::Ready(f) = chan.take_flush() {
-            chan.note_slo_trip();
-            backend.metrics().on_slo_flush();
-            backend.metrics().health().record(
-                target.0,
-                aurora_sim_core::HealthEventKind::SloFlush,
-                trace::current_offload(),
-                now.as_ps(),
-            );
-            let _ = send_envelope(backend, target, chan, f);
+            let _ = send_envelope(backend, target, chan, f, true);
         }
     }
     let mut completed = 0;
@@ -345,7 +345,7 @@ fn sweep_with<B: CommBackend + ?Sized>(
                         entry.offload,
                         now.as_ps(),
                     );
-                    chan.finish(seq, &entry, Err(OffloadError::Timeout));
+                    chan.finish(seq, Err(OffloadError::Timeout));
                     completed += 1;
                     // A frame lost beyond its retry budget leaves a
                     // permanent hole in the slot rings: targets consume
@@ -368,7 +368,7 @@ fn sweep_with<B: CommBackend + ?Sized>(
                 // completes, not whichever future's poll triggered it.
                 let _scope = trace::offload_scope(OffloadId(entry.offload));
                 let result = backend.fetch_frame(target, seq, &entry, token);
-                chan.finish(seq, &entry, result);
+                chan.finish(seq, result);
                 completed += 1;
             }
             Err(e) => {
@@ -449,27 +449,5 @@ pub fn probe<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<(),
             );
             Err(e)
         }
-    }
-}
-
-/// Poll for the result of offload `seq`: claim it if already parked,
-/// otherwise flush + sweep once and try again. `Ok(None)` while the
-/// offload is still running. The returned frame is still
-/// `frame_result`-framed (see [`crate::target_loop::unframe_result_ref`])
-/// and its buffer returns to the channel's pool on drop — callers
-/// decode in place instead of copying.
-pub fn try_result<B: CommBackend + ?Sized>(
-    backend: &B,
-    target: NodeId,
-    seq: u64,
-) -> Result<Option<PooledFrame>, OffloadError> {
-    let chan = backend.channel(target)?;
-    if let Some(done) = chan.take_completed(seq) {
-        return done.map(Some);
-    }
-    drain(backend, target)?;
-    match chan.take_completed(seq) {
-        Some(done) => done.map(Some),
-        None => Ok(None),
     }
 }

@@ -11,15 +11,15 @@
 //! * slot accounting — [`SlotRing`] hands out receive/send slots with
 //!   the discipline each side expects (strict round-robin for the
 //!   target-polled receive array, first-free for results);
-//! * sequence management and in-flight bookkeeping — [`PendingTable`]
-//!   maps a sequence number to its slots, post time and telemetry id;
-//! * completion buffering — [`CompletionQueue`] holds finished result
-//!   frames (or transport errors) until the owning future claims them,
-//!   so one flag sweep drains *all* ready completions instead of
-//!   checking a single slot;
-//! * the protocol state machine — [`ChannelCore`] ties the three
-//!   together under one lock, and [`engine`] drives it against the
-//!   [`crate::CommBackend`] transport verbs;
+//! * sequence management and in-flight bookkeeping — [`pending`] keeps
+//!   one record per frame on the wire (slots, post time, telemetry id,
+//!   batch members, stored wire image), ordered by sequence number;
+//! * the protocol state machine — [`ChannelCore`] holds the rings, the
+//!   in-flight records and the parked completions (finished result
+//!   frames or transport errors, kept until the owning future claims
+//!   them, so one flag sweep drains *all* ready completions instead of
+//!   checking a single slot) under one lock, and [`engine`] drives it
+//!   against the [`crate::CommBackend`] transport verbs;
 //! * small-message batching — [`batch`] defines the `MsgKind::Batch`
 //!   envelope and [`BatchConfig`] its flush watermarks, so deep
 //!   pipelines pay one transport transaction per *batch* instead of per
@@ -46,7 +46,6 @@ pub mod core;
 pub mod engine;
 pub mod pending;
 pub mod pool;
-pub mod queue;
 pub mod recovery;
 pub mod ring;
 
@@ -58,8 +57,7 @@ pub use adaptive::{AdaptiveDecision, AdaptivePolicy, Decision};
 pub use backoff::Backoff;
 pub use batch::BatchConfig;
 pub use config::{ProtocolConfig, SLOT_META};
-pub use pending::{PendingEntry, PendingTable};
+pub use pending::PendingEntry;
 pub use pool::{FramePool, PooledFrame};
-pub use queue::CompletionQueue;
 pub use recovery::{MissVerdict, RecoveryPolicy};
 pub use ring::SlotRing;

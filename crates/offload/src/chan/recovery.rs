@@ -25,7 +25,6 @@
 
 use super::pool::PooledFrame;
 use ham::wire::MsgHeader;
-use std::collections::HashMap;
 
 /// Deadline/retry configuration, armed per channel via
 /// [`super::ChannelCore::with_recovery`].
@@ -73,13 +72,15 @@ impl RecoveryPolicy {
 }
 
 /// A re-sendable copy of one posted frame plus its deadline counters.
+/// Lives in the frame's in-flight record, so it is dropped (and its
+/// buffer returned to the pool) when the frame retires.
 #[derive(Debug)]
 pub struct StoredFrame {
     /// The wire header as originally sent (seq, slots, kind unchanged).
     pub header: MsgHeader,
     /// The full wire bytes (header ‖ payload) — the engine hands its
     /// pooled send buffer here instead of copying, so the hot path is
-    /// allocation-free; the buffer returns to the pool on `forget`.
+    /// allocation-free.
     pub frame: PooledFrame,
     /// Fruitless sweeps since the last send of this frame.
     pub misses: u32,
@@ -105,100 +106,51 @@ pub enum MissVerdict {
     TimedOut,
 }
 
-/// Per-channel recovery state: the armed policy plus stored frames of
-/// every retryable in-flight offload. Lives inside the channel lock.
-#[derive(Debug)]
-pub struct RecoveryState {
-    policy: RecoveryPolicy,
-    frames: HashMap<u64, StoredFrame>,
-}
-
-impl RecoveryState {
-    /// Fresh state for `policy`.
-    pub fn new(policy: RecoveryPolicy) -> Self {
-        RecoveryState {
-            policy,
-            frames: HashMap::new(),
+impl StoredFrame {
+    /// A just-sent frame (full wire bytes), deadline clock at zero.
+    pub fn new(header: MsgHeader, frame: PooledFrame) -> Self {
+        StoredFrame {
+            header,
+            frame,
+            misses: 0,
+            retries: 0,
         }
     }
 
-    /// Stash a just-sent frame (full wire bytes) for possible re-sends.
-    pub fn store(&mut self, seq: u64, header: MsgHeader, frame: PooledFrame) {
-        self.frames.insert(
-            seq,
-            StoredFrame {
-                header,
-                frame,
-                misses: 0,
-                retries: 0,
-            },
-        );
+    /// Claim the frame for a re-send (deadline retry or connection-
+    /// resume replay): bumps the attempt counter, resets the miss clock,
+    /// and hands back a cloned wire image. The frame stays stored — a
+    /// second disconnect can replay it again.
+    pub fn resend(&mut self) -> (MsgHeader, Vec<u8>, u32) {
+        self.retries += 1;
+        self.misses = 0;
+        (self.header, self.frame.to_vec(), self.retries)
     }
 
-    /// Forget a frame (completed, cancelled, or evicted).
-    pub fn forget(&mut self, seq: u64) {
-        self.frames.remove(&seq);
-    }
-
-    /// The stored frame for `seq`, if any (resume replay reads the wire
-    /// bytes back out without consuming them).
-    pub fn stored(&self, seq: u64) -> Option<&StoredFrame> {
-        self.frames.get(&seq)
-    }
-
-    /// The armed policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Claim a stored frame for connection-resume replay: bumps the
-    /// attempt counter, resets the miss clock, and hands back a cloned
-    /// wire image. The frame stays stored — a second disconnect can
-    /// replay it again.
-    pub fn note_replay(&mut self, seq: u64) -> Option<(MsgHeader, Vec<u8>, u32)> {
-        let f = self.frames.get_mut(&seq)?;
-        f.retries += 1;
-        f.misses = 0;
-        Some((f.header, f.frame.to_vec(), f.retries))
-    }
-
-    /// Drop every stored frame (target evicted).
-    pub fn clear(&mut self) {
-        self.frames.clear();
-    }
-
-    /// Count one fruitless sweep against `seq` and apply the deadline.
-    pub fn miss(&mut self, seq: u64) -> MissVerdict {
-        if !self.policy.retries_on_miss() {
+    /// Count one fruitless sweep and apply `policy`'s deadline. After
+    /// [`MissVerdict::TimedOut`] the caller drops the stored frame.
+    pub fn miss(&mut self, policy: &RecoveryPolicy) -> MissVerdict {
+        if !policy.retries_on_miss() {
             // Replay-only: frames are stored for resume, not re-sent on
             // deadline — a miss carries no information on a push
             // transport.
             return MissVerdict::Keep;
         }
-        let Some(f) = self.frames.get_mut(&seq) else {
-            // Control frames and anything posted before arming are not
-            // retryable; they never time out either.
-            return MissVerdict::Keep;
-        };
-        f.misses += 1;
-        let deadline = self
-            .policy
+        self.misses += 1;
+        let deadline = policy
             .retry_after_misses
-            .saturating_mul(1u32.checked_shl(f.retries).unwrap_or(u32::MAX));
-        if f.misses < deadline.max(1) {
+            .saturating_mul(1u32.checked_shl(self.retries).unwrap_or(u32::MAX));
+        if self.misses < deadline.max(1) {
             return MissVerdict::Keep;
         }
-        if f.retries < self.policy.max_retries {
-            f.retries += 1;
-            f.misses = 0;
-            MissVerdict::Retry {
-                header: f.header,
-                frame: f.frame.to_vec(),
-                attempt: f.retries,
-            }
-        } else {
-            self.frames.remove(&seq);
-            MissVerdict::TimedOut
+        if self.retries >= policy.max_retries {
+            return MissVerdict::TimedOut;
+        }
+        let (header, frame, attempt) = self.resend();
+        MissVerdict::Retry {
+            header,
+            frame,
+            attempt,
         }
     }
 }
@@ -209,78 +161,59 @@ mod tests {
     use ham::registry::HandlerKey;
     use ham::wire::{MsgHeader, MsgKind};
 
-    fn header(seq: u64) -> MsgHeader {
-        MsgHeader {
+    fn stored() -> StoredFrame {
+        let header = MsgHeader {
             handler_key: HandlerKey(1),
             payload_len: 2,
             kind: MsgKind::Offload,
             reply_slot: 0,
             corr: 0,
-            seq,
-        }
+            seq: 0,
+        };
+        StoredFrame::new(header, PooledFrame::detached(b"hi".to_vec()))
     }
 
     #[test]
     fn deadline_retries_then_times_out_with_backoff() {
-        let mut st = RecoveryState::new(RecoveryPolicy {
+        let policy = RecoveryPolicy {
             retry_after_misses: 4,
             max_retries: 2,
-        });
-        st.store(0, header(0), PooledFrame::detached(b"hi".to_vec()));
+        };
+        let mut f = stored();
         // 3 misses: keep; 4th crosses the deadline → retry 1.
         for _ in 0..3 {
-            assert!(matches!(st.miss(0), MissVerdict::Keep));
+            assert!(matches!(f.miss(&policy), MissVerdict::Keep));
         }
-        let MissVerdict::Retry { attempt, frame, .. } = st.miss(0) else {
+        let MissVerdict::Retry { attempt, frame, .. } = f.miss(&policy) else {
             panic!("expected retry");
         };
         assert_eq!((attempt, frame.as_slice()), (1, b"hi".as_slice()));
         // Backoff doubles: 8 misses to the next deadline → retry 2.
         for _ in 0..7 {
-            assert!(matches!(st.miss(0), MissVerdict::Keep));
+            assert!(matches!(f.miss(&policy), MissVerdict::Keep));
         }
-        assert!(matches!(st.miss(0), MissVerdict::Retry { attempt: 2, .. }));
+        assert!(matches!(
+            f.miss(&policy),
+            MissVerdict::Retry { attempt: 2, .. }
+        ));
         // Budget exhausted: 16 misses then timeout.
         for _ in 0..15 {
-            assert!(matches!(st.miss(0), MissVerdict::Keep));
+            assert!(matches!(f.miss(&policy), MissVerdict::Keep));
         }
-        assert!(matches!(st.miss(0), MissVerdict::TimedOut));
-        // The frame is gone; further misses are inert.
-        assert!(matches!(st.miss(0), MissVerdict::Keep));
-    }
-
-    #[test]
-    fn unstored_seqs_never_time_out() {
-        let mut st = RecoveryState::new(RecoveryPolicy {
-            retry_after_misses: 1,
-            max_retries: 0,
-        });
-        for _ in 0..100 {
-            assert!(matches!(st.miss(9), MissVerdict::Keep));
-        }
+        assert!(matches!(f.miss(&policy), MissVerdict::TimedOut));
     }
 
     #[test]
     fn replay_only_policies_never_retry_on_misses() {
-        let mut st = RecoveryState::new(RecoveryPolicy::replay_only(2));
-        st.store(0, header(0), PooledFrame::detached(b"hi".to_vec()));
+        let policy = RecoveryPolicy::replay_only(2);
+        let mut f = stored();
         for _ in 0..10_000 {
-            assert!(matches!(st.miss(0), MissVerdict::Keep));
+            assert!(matches!(f.miss(&policy), MissVerdict::Keep));
         }
-        // The frame is still stored, available for resume replay.
-        assert_eq!(st.stored(0).unwrap().frame.as_slice(), b"hi");
-        assert!(!RecoveryPolicy::replay_only(2).retries_on_miss());
+        // The frame is still whole, available for resume replay.
+        let (_, wire, attempt) = f.resend();
+        assert_eq!((wire.as_slice(), attempt), (b"hi".as_slice(), 1));
+        assert!(!policy.retries_on_miss());
         assert!(RecoveryPolicy::default().retries_on_miss());
-    }
-
-    #[test]
-    fn forget_cancels_the_deadline() {
-        let mut st = RecoveryState::new(RecoveryPolicy {
-            retry_after_misses: 1,
-            max_retries: 0,
-        });
-        st.store(5, header(5), PooledFrame::detached(b"x".to_vec()));
-        st.forget(5);
-        assert!(matches!(st.miss(5), MissVerdict::Keep));
     }
 }

@@ -5,13 +5,15 @@
 //! target's result flag when asked ([`Future::test`]) or spins on it
 //! ([`Future::get`]). Nothing runs in the background on the host — the
 //! paper's design keeps the host thread in control of when communication
-//! happens. Since the channel-core refactor a poll is a *drain*: one
-//! flag sweep retires every ready completion on the channel into the
-//! [`crate::chan::CompletionQueue`], so sibling futures settle from the
-//! queue without touching the transport again.
+//! happens. A poll is a *drain*: one flag sweep retires every ready
+//! frame on the channel and parks its result in the
+//! [`crate::chan::ChannelCore`], so sibling futures settle from the
+//! parked completions without touching the transport again. Every
+//! blocking wait in the crate — [`Future::get`], `Offload::wait_*`,
+//! `TargetPool::{get, wait_*}` — is [`wait`].
 
 use crate::backend::{CommBackend, SlotId};
-use crate::chan::engine;
+use crate::chan::{engine, Backoff};
 use crate::types::NodeId;
 use crate::OffloadError;
 use aurora_sim_core::trace::{self, OffloadId};
@@ -33,6 +35,8 @@ pub struct Future<T> {
     offload: OffloadId,
     /// Virtual post time, for the latency metric at completion.
     posted_at: SimTime,
+    /// The channel's unsent marker, claimed together with the result.
+    unsent: bool,
 }
 
 enum State<T> {
@@ -59,6 +63,7 @@ impl<T> Future<T> {
             state: State::Pending,
             offload,
             posted_at,
+            unsent: false,
         }
     }
 
@@ -78,83 +83,52 @@ impl<T> Future<T> {
             state: State::Ready(value),
             offload: OffloadId(0),
             posted_at: SimTime::ZERO,
+            unsent: false,
         }
     }
 
     /// Non-blocking readiness check (Table II `test()`). Once this
     /// returns `true`, [`Future::get`] will not block.
     ///
-    /// A `test` sweeps the whole channel: every in-flight offload whose
-    /// flag is set completes into the queue in this one pass, so with N
-    /// offloads in flight the host does O(completions) work rather than
-    /// one transport poll per future per round.
+    /// A `test` that finds nothing parked sweeps the whole channel:
+    /// every in-flight offload whose flag is set is parked in this one
+    /// pass, so with N offloads in flight the host does O(completions)
+    /// work rather than one transport poll per future per round.
     pub fn test(&mut self) -> bool {
-        match &self.state {
-            State::Pending => {
-                let Some(backend) = &self.backend else {
-                    return true;
-                };
-                // Polls run on the host thread but belong to the offload's
-                // span tree.
-                let _scope = trace::offload_scope(self.offload);
-                let _node = trace::node_scope(crate::types::NodeId::HOST.0);
-                match engine::try_result(backend.as_ref(), self.target, self.slot.0) {
-                    Ok(None) => {
-                        backend.metrics().on_poll(false);
-                        false
-                    }
-                    Ok(Some(frame)) => {
-                        Self::complete(backend, self.target, self.posted_at);
-                        // Decode straight out of the pooled result frame;
-                        // dropping it returns the buffer to the channel.
-                        let decoded = match crate::target_loop::unframe_result_ref(&frame) {
-                            Ok(bytes) => (self.decode)(bytes).map_err(OffloadError::from),
-                            Err(msg) => Err(OffloadError::Backend(msg)),
-                        };
-                        self.state = State::Ready(decoded);
-                        true
-                    }
-                    Err(e) => {
-                        Self::complete(backend, self.target, self.posted_at);
-                        self.state = State::Ready(Err(e));
-                        true
-                    }
-                }
-            }
-            State::Ready(_) => true,
-            State::Taken => true,
+        // Polls run on the host thread but belong to the offload's span
+        // tree.
+        let _scope = trace::offload_scope(self.offload);
+        self.poll(false) || {
+            self.drain_channel();
+            self.poll(true)
         }
     }
 
     /// Blocking accessor (Table II `get()`): polls until the result
     /// message arrives, then decodes and returns it.
     pub fn get(mut self) -> Result<T, OffloadError> {
-        let mut backoff = crate::chan::Backoff::new();
-        loop {
-            if self.test() {
-                break;
-            }
-            // The real runtime busy-polls the flag; the backoff spins
-            // briefly, then yields, then sleeps, so a long wait stops
-            // starving the target thread (and the host core).
-            backoff.snooze();
-        }
+        let _scope = trace::offload_scope(self.offload);
+        wait(
+            core::slice::from_mut(&mut self),
+            |f| f,
+            |f, swept| f[0].poll(swept).then_some(()),
+        );
         match core::mem::replace(&mut self.state, State::Taken) {
             State::Ready(r) => r,
-            _ => unreachable!("test() returned true"),
+            _ => unreachable!("wait() returns once the future settled"),
         }
     }
 
-    /// The hit poll: count it, close the latency register (attributed
-    /// to `target` so the scheduler's per-node EWMA stays fed). Errors
-    /// also complete the offload — otherwise the inflight gauge would
-    /// leak.
-    fn complete(backend: &Arc<dyn CommBackend>, target: NodeId, posted_at: SimTime) {
-        backend.metrics().on_poll(true);
-        let now = backend.host_clock().now();
-        backend
-            .metrics()
-            .on_complete_on(target.0, now.saturating_sub(posted_at));
+    /// [`Self::try_settle_completed`] as `test`/`get` count it: coming
+    /// up empty right after a sweep of the channel is a poll miss.
+    fn poll(&mut self, swept: bool) -> bool {
+        let hit = self.try_settle_completed();
+        if swept && !hit {
+            if let Some(backend) = &self.backend {
+                backend.metrics().on_poll(false);
+            }
+        }
+        hit
     }
 
     /// Still waiting on the transport?
@@ -167,10 +141,11 @@ impl<T> Future<T> {
         matches!(self.state, State::Ready(_))
     }
 
-    /// Settle from the completion queue *without* a transport sweep —
-    /// the cheap half of `wait_any`/`wait_all` rounds: after one drain
-    /// of the channel, every sibling future settles from the queue.
-    /// Returns `true` if this future became (or already was) ready.
+    /// Settle from the channel's parked completions *without* a
+    /// transport sweep — the one place a result is claimed, decoded
+    /// (straight out of the pooled frame; dropping it returns the buffer
+    /// to the channel) and accounted. Returns `true` if this future
+    /// became (or already was) settled.
     pub(crate) fn try_settle_completed(&mut self) -> bool {
         if !self.is_pending() {
             return true;
@@ -181,27 +156,43 @@ impl<T> Future<T> {
         let Ok(chan) = backend.channel(self.target) else {
             return false;
         };
-        match chan.take_completed(self.slot.0) {
-            None => false,
-            Some(done) => {
-                Self::complete(backend, self.target, self.posted_at);
-                let decoded = match done {
-                    Ok(frame) => match crate::target_loop::unframe_result_ref(&frame) {
-                        Ok(bytes) => (self.decode)(bytes).map_err(OffloadError::from),
-                        Err(msg) => Err(OffloadError::Backend(msg)),
-                    },
-                    Err(e) => Err(e),
-                };
-                self.state = State::Ready(decoded);
-                true
-            }
+        let Some((done, unsent)) = chan.claim(self.slot.0) else {
+            return false;
+        };
+        // The hit poll: count it, close the latency register
+        // (attributed to the target so the scheduler's per-node EWMA
+        // stays fed). Errors also complete the offload — otherwise the
+        // inflight gauge would leak.
+        backend.metrics().on_poll(true);
+        let now = backend.host_clock().now();
+        backend
+            .metrics()
+            .on_complete_on(self.target.0, now.saturating_sub(self.posted_at));
+        let decoded = done.and_then(|frame| {
+            let bytes =
+                crate::target_loop::unframe_result_ref(&frame).map_err(OffloadError::Backend)?;
+            Ok((self.decode)(bytes)?)
+        });
+        self.unsent = unsent;
+        self.state = State::Ready(decoded);
+        true
+    }
+
+    /// One-shot: the error this future settled with, if the channel
+    /// marked the offload *unsent* — its frame never reached the
+    /// transport, so the target cannot have executed it and a scheduler
+    /// may resubmit it elsewhere.
+    pub(crate) fn take_unsent(&mut self) -> Option<OffloadError> {
+        match &self.state {
+            State::Ready(Err(e)) if core::mem::take(&mut self.unsent) => Some(e.clone()),
+            _ => None,
         }
     }
 
     /// Identity of the channel this future waits on (backend + target),
     /// for deduplicating sweeps across a future set. `None` once
     /// settled or for ready-constructed futures.
-    pub(crate) fn channel_key(&self) -> Option<(usize, NodeId)> {
+    fn channel_key(&self) -> Option<(usize, NodeId)> {
         if !self.is_pending() {
             return None;
         }
@@ -210,13 +201,19 @@ impl<T> Future<T> {
             .map(|b| (Arc::as_ptr(b) as *const () as usize, self.target))
     }
 
-    /// One flag sweep of this future's channel (no-op for ready
-    /// futures). Completions land in the queue for any sibling future.
-    pub(crate) fn drain_channel(&self) {
+    /// One flush + flag sweep of this future's channel (no-op for ready
+    /// futures). Completions are parked for any sibling future.
+    fn drain_channel(&self) {
         if let Some(backend) = &self.backend {
-            let _node = trace::node_scope(crate::types::NodeId::HOST.0);
+            let _node = trace::node_scope(NodeId::HOST.0);
             let _ = engine::drain(backend.as_ref(), self.target);
         }
+    }
+
+    /// The decoder of this offload's result type (a scheduler
+    /// resubmitting the offload reuses it).
+    pub(crate) fn decoder(&self) -> fn(&[u8]) -> Result<T, HamError> {
+        self.decode
     }
 
     /// The target this offload ran on.
@@ -224,15 +221,49 @@ impl<T> Future<T> {
         self.target
     }
 
-    /// Channel sequence number of the offload (the scheduler matches it
-    /// against the channel's unsent markers on failure).
-    pub(crate) fn seq(&self) -> u64 {
-        self.slot.0
-    }
-
     /// Telemetry correlation id of this offload (0 for ready futures).
     pub fn offload_id(&self) -> OffloadId {
         self.offload
+    }
+}
+
+/// The blocking wait: `settle` makes one pass over `futures`, claiming
+/// what is parked, and returns `Some` when the caller has what it came
+/// for; until then each round drains every distinct channel a pending
+/// future waits on and settles again, backing off between fruitless
+/// rounds. `settle` is told whether a drain preceded the pass. `inner`
+/// finds the [`Future`] inside a wrapper.
+///
+/// The backoff spins briefly, then yields, then sleeps, so a long wait
+/// stops starving the target thread (and the host core). This loop is
+/// also the one place a wake-up could replace the poll.
+pub(crate) fn wait<F, T, R>(
+    futures: &mut [F],
+    inner: impl Fn(&F) -> &Future<T>,
+    mut settle: impl FnMut(&mut [F], bool) -> Option<R>,
+) -> R {
+    if let Some(r) = settle(futures, false) {
+        return r;
+    }
+    let mut backoff = Backoff::new();
+    loop {
+        // Dedup is by prefix scan — quadratic in *distinct channels* (a
+        // handful), but allocation-free: this runs every round.
+        for (i, f) in futures.iter().enumerate() {
+            let Some(key) = inner(f).channel_key() else {
+                continue;
+            };
+            if !futures[..i]
+                .iter()
+                .any(|g| inner(g).channel_key() == Some(key))
+            {
+                inner(f).drain_channel();
+            }
+        }
+        if let Some(r) = settle(futures, true) {
+            return r;
+        }
+        backoff.snooze();
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! It is a **push** transport in channel-core terms: the target thread
 //! deposits result frames straight into the per-target
-//! [`ChannelCore`]'s completion queue, and the host never polls flags.
+//! [`ChannelCore`]'s parked completions, and the host never polls flags.
 
 use crate::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use crate::chan::pool::{FramePool, PooledFrame};

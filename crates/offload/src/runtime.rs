@@ -3,7 +3,7 @@
 use crate::backend::{CommBackend, RawBuffer, SlotId};
 use crate::buffer::BufferPtr;
 use crate::chan::engine;
-use crate::future::Future;
+use crate::future::{self, Future};
 use crate::scalar::Scalar;
 use crate::types::{NodeDescriptor, NodeId};
 use crate::OffloadError;
@@ -67,6 +67,28 @@ impl Offload {
         target: NodeId,
         msg: M,
     ) -> Result<Future<M::Output>, OffloadError> {
+        // Serialise into a recycled buffer from the target channel's
+        // frame pool — steady-state posting allocates nothing.
+        let mut payload = self.backend.channel(target)?.pool().checkout();
+        let key = self
+            .backend
+            .host_registry()
+            .encode_message_into(&msg, &mut payload)?;
+        self.submit_raw(target, key, &payload, decode_output::<M>)
+    }
+
+    /// Post an *already-encoded* message: the second half of
+    /// [`Self::async_`], and the scheduler's (re)submission path — a
+    /// pool keeps the encoded payload so a staged offload lost to an
+    /// eviction can be replayed on a survivor without re-encoding (or
+    /// still owning) the original functor value.
+    pub(crate) fn submit_raw<T>(
+        &self,
+        target: NodeId,
+        key: HandlerKey,
+        payload: &[u8],
+        decode: fn(&[u8]) -> Result<T, HamError>,
+    ) -> Result<Future<T>, OffloadError> {
         self.check_target(target)?;
         // Every offload gets a fresh correlation id; everything recorded
         // in this scope — and by the backend while posting — joins its
@@ -76,44 +98,6 @@ impl Offload {
         let _of = trace::offload_scope(id);
         let _node = trace::node_scope(NodeId::HOST.0);
         // Host-side framework cost: serialisation, bookkeeping, future.
-        let t0 = self.backend.host_clock().now();
-        let t1 = self.backend.host_clock().advance(calib::HAM_HOST_OVERHEAD);
-        trace::record("ham.host_overhead", 0, t0, t1);
-        // Serialise into a recycled buffer from the target channel's
-        // frame pool — steady-state posting allocates nothing.
-        let chan = self.backend.channel(target)?;
-        let mut payload = chan.pool().checkout();
-        let key = self
-            .backend
-            .host_registry()
-            .encode_message_into(&msg, &mut payload)?;
-        let seq = engine::post(self.backend.as_ref(), target, key, &payload)?;
-        self.backend.metrics().on_post(payload.len() as u64);
-        Ok(Future::new(
-            Arc::clone(&self.backend),
-            target,
-            SlotId(seq),
-            decode_output::<M>,
-            id,
-            self.backend.host_clock().now(),
-        ))
-    }
-
-    /// Post an *already-encoded* message — the scheduler's resubmission
-    /// path: a pool keeps the encoded payload so a staged offload lost
-    /// to an eviction can be replayed on a survivor without re-encoding
-    /// (or still owning) the original functor value.
-    pub(crate) fn submit_raw<T>(
-        &self,
-        target: NodeId,
-        key: HandlerKey,
-        payload: &[u8],
-        decode: fn(&[u8]) -> Result<T, HamError>,
-    ) -> Result<Future<T>, OffloadError> {
-        self.check_target(target)?;
-        let id = trace::next_offload_id();
-        let _of = trace::offload_scope(id);
-        let _node = trace::node_scope(NodeId::HOST.0);
         let t0 = self.backend.host_clock().now();
         let t1 = self.backend.host_clock().advance(calib::HAM_HOST_OVERHEAD);
         trace::record("ham.host_overhead", 0, t0, t1);
@@ -161,26 +145,20 @@ impl Offload {
     /// not N transport polls — the primitive load balancers used to
     /// fake with round-robin [`Future::test`] loops.
     pub fn wait_any<T>(&self, futures: &mut [Future<T>]) -> Option<usize> {
-        let mut backoff = crate::chan::Backoff::new();
-        loop {
-            let mut pending = false;
-            for (i, f) in futures.iter_mut().enumerate() {
-                if f.is_ready() {
-                    return Some(i);
-                }
-                if f.is_pending() {
-                    if f.try_settle_completed() {
-                        return Some(i);
+        future::wait(
+            futures,
+            |f| f,
+            |futures, _| {
+                let mut pending = false;
+                for (i, f) in futures.iter_mut().enumerate() {
+                    if f.is_ready() || (f.is_pending() && f.try_settle_completed()) {
+                        return Some(Some(i));
                     }
-                    pending = true;
+                    pending |= f.is_pending();
                 }
-            }
-            if !pending {
-                return None;
-            }
-            self.sweep(futures);
-            backoff.snooze();
-        }
+                (!pending).then_some(None)
+            },
+        )
     }
 
     /// Block until *every* future in `futures` is ready, then return
@@ -203,36 +181,19 @@ impl Offload {
         futures: &mut Vec<Future<T>>,
         out: &mut Vec<Result<T, OffloadError>>,
     ) {
-        let mut backoff = crate::chan::Backoff::new();
-        loop {
-            let mut pending = false;
-            for f in futures.iter_mut() {
-                if f.is_pending() && !f.try_settle_completed() {
-                    pending = true;
+        future::wait(
+            futures,
+            |f| f,
+            |futures, _| {
+                let mut settled = true;
+                for f in futures.iter_mut() {
+                    settled &= f.try_settle_completed();
                 }
-            }
-            if !pending {
-                break;
-            }
-            self.sweep(futures);
-            backoff.snooze();
-        }
-        // Everything is settled; get() only decodes/claims.
+                settled.then_some(())
+            },
+        );
+        // Everything is settled; get() only hands the result over.
         out.extend(futures.drain(..).map(Future::get));
-    }
-
-    /// One drain of every distinct channel the pending futures wait on.
-    /// Dedup is by prefix scan — quadratic in *distinct channels* (a
-    /// handful), but allocation-free: this runs every backoff round of
-    /// the blocking waits.
-    fn sweep<T>(&self, futures: &[Future<T>]) {
-        for (i, f) in futures.iter().enumerate() {
-            let Some(key) = f.channel_key() else { continue };
-            let dup = futures[..i].iter().any(|g| g.channel_key() == Some(key));
-            if !dup {
-                f.drain_channel();
-            }
-        }
     }
 
     // --- scheduling -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 use super::policy::SchedPolicy;
 use crate::chan::{engine, Backoff, ChannelCore};
-use crate::future::Future;
+use crate::future::{self, Future};
 use crate::runtime::{decode_output, Offload};
 use crate::types::NodeId;
 use crate::OffloadError;
@@ -10,7 +10,7 @@ use aurora_sim_core::{
     HealthEvent, HealthEventKind, MetricsSnapshot, NodeMetricsSnapshot, SimTime, TargetState,
 };
 use ham::registry::HandlerKey;
-use ham::{ActiveMessage, HamError};
+use ham::ActiveMessage;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,19 +90,25 @@ impl PoolState {
         self.flaky.get(&t.0).copied().unwrap_or(0)
     }
 
-    /// Remove `target` from the healthy set, preserving the rotation
-    /// position: the cursor keeps pointing at the same next target
-    /// modulo the shrunken set instead of snapping back to the lowest
-    /// survivor.
+    /// Remove `target` from the healthy set, if it is there.
     fn drop_healthy(&mut self, target: NodeId) {
         if let Some(pos) = self.healthy.iter().position(|&t| t == target) {
-            self.healthy.remove(pos);
-            if pos < self.cursor {
-                self.cursor -= 1;
-            }
-            if self.cursor >= self.healthy.len() {
-                self.cursor = 0;
-            }
+            self.drop_healthy_at(pos);
+        }
+    }
+
+    /// Remove the healthy target at `pos`, preserving the rotation
+    /// position: the cursor keeps pointing at the same next target
+    /// modulo the shrunken set instead of snapping back to the lowest
+    /// survivor (which would bias placement toward it after every
+    /// eviction).
+    fn drop_healthy_at(&mut self, pos: usize) {
+        self.healthy.remove(pos);
+        if pos < self.cursor {
+            self.cursor -= 1;
+        }
+        if self.cursor >= self.healthy.len() {
+            self.cursor = 0;
         }
     }
 }
@@ -250,12 +256,11 @@ pub struct PoolMetricsSnapshot {
 /// survivor; claim results with [`TargetPool::get`] /
 /// [`TargetPool::wait_any`] / [`TargetPool::wait_all`].
 pub struct PoolFuture<T> {
-    inner: Option<Future<T>>,
-    target: NodeId,
+    /// The offload's current attempt; the result stays inside it until
+    /// claimed.
+    inner: Future<T>,
     key: HandlerKey,
     payload: Vec<u8>,
-    decode: fn(&[u8]) -> Result<T, HamError>,
-    done: Option<Result<T, OffloadError>>,
     resubmits: u32,
     /// Affinity submissions ([`TargetPool::submit_to`]) are pinned to
     /// their target (their data lives there) and never fail over.
@@ -265,12 +270,12 @@ pub struct PoolFuture<T> {
 impl<T> PoolFuture<T> {
     /// The target currently serving (or having served) this offload.
     pub fn target(&self) -> NodeId {
-        self.target
+        self.inner.target()
     }
 
     /// Result arrived (and not yet consumed)?
     pub fn is_ready(&self) -> bool {
-        self.done.is_some()
+        self.inner.is_ready()
     }
 
     /// How many times the offload was resubmitted to a survivor after
@@ -282,15 +287,10 @@ impl<T> PoolFuture<T> {
 
 impl<T> core::fmt::Debug for PoolFuture<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let state = if self.done.is_some() {
-            "ready"
-        } else {
-            "pending"
-        };
         write!(
             f,
-            "PoolFuture({} {state}, {} resubmits)",
-            self.target, self.resubmits
+            "PoolFuture({:?}, {} resubmits)",
+            self.inner, self.resubmits
         )
     }
 }
@@ -424,26 +424,16 @@ impl TargetPool {
         self.len() == 0
     }
 
-    /// Drop evicted targets from the healthy set. The round-robin
-    /// cursor is adjusted for every removal *below* it so rotation
-    /// resumes at the same next survivor — resetting to 0 would bias
-    /// placement toward the lowest-id target after each eviction.
+    /// Drop evicted targets from the healthy set.
     fn prune(&self, st: &mut PoolState) {
         let backend = self.offload.backend();
-        let cursor = st.cursor;
-        let mut idx = 0usize;
-        let mut removed_below = 0usize;
-        st.healthy.retain(|&t| {
-            let keep = backend.channel(t).is_ok_and(|c| c.eviction().is_none());
-            if !keep && idx < cursor {
-                removed_below += 1;
+        let mut pos = 0;
+        while let Some(&t) = st.healthy.get(pos) {
+            if backend.channel(t).is_ok_and(|c| c.eviction().is_none()) {
+                pos += 1;
+            } else {
+                st.drop_healthy_at(pos);
             }
-            idx += 1;
-            keep
-        });
-        st.cursor = cursor - removed_below;
-        if st.cursor >= st.healthy.len() {
-            st.cursor = 0;
         }
     }
 
@@ -510,6 +500,7 @@ impl TargetPool {
             st.members.remove(pos);
             st.drop_healthy(target);
             st.flaky.remove(&target.0);
+            st.resumes_seen.remove(&target.0);
         }
         let backend = self.offload.backend();
         let mut reclaimed = 0;
@@ -711,39 +702,12 @@ impl TargetPool {
                 }
                 None
             }
-            SchedPolicy::LeastLoaded => {
-                let mut best: Option<((u32, usize), NodeId)> = None;
-                for &t in &st.healthy {
-                    let Ok(chan) = backend.channel(t) else {
-                        continue;
-                    };
-                    if chan.is_degraded() {
-                        continue;
-                    }
-                    let load = chan.in_flight();
-                    if respect_credit && load >= chan.credit_limit() {
-                        continue;
-                    }
-                    let key = (st.streak(t), load);
-                    if best.is_none_or(|(b, _)| key < b) {
-                        best = Some((key, t));
-                    }
-                }
-                best.map(|(_, t)| t)
-            }
-            SchedPolicy::WeightedByLatency => {
-                let metrics = backend.metrics();
-                // Cold targets (no completions yet) score with the
-                // pool-wide minimum EWMA so they are tried, not starved.
-                let mut min_ewma = f64::INFINITY;
-                for &t in &st.healthy {
-                    if let Some(e) = metrics.latency_ewma(t.0) {
-                        min_ewma = min_ewma.min(e);
-                    }
-                }
-                if !min_ewma.is_finite() {
-                    min_ewma = 1.0;
-                }
+            // Both load-aware policies are one scan for the smallest
+            // `(streak, score)`: in-flight messages, or the
+            // latency-weighted placement cost.
+            policy => {
+                let floor = matches!(policy, SchedPolicy::WeightedByLatency)
+                    .then(|| self.ewma_floor(&st.healthy));
                 let mut best: Option<((u32, f64), NodeId)> = None;
                 for &t in &st.healthy {
                     let Ok(chan) = backend.channel(t) else {
@@ -756,8 +720,10 @@ impl TargetPool {
                     if respect_credit && load >= chan.credit_limit() {
                         continue;
                     }
-                    let ewma = metrics.latency_ewma(t.0).unwrap_or(min_ewma);
-                    let score = placement_cost(chan, ewma, msg_bytes);
+                    let score = match floor {
+                        Some(floor) => placement_cost(chan, self.ewma(t, floor), msg_bytes),
+                        None => load as f64,
+                    };
                     let key = (st.streak(t), score);
                     if best.is_none_or(|(b, _)| key < b) {
                         best = Some((key, t));
@@ -766,6 +732,28 @@ impl TargetPool {
                 best.map(|(_, t)| t)
             }
         }
+    }
+
+    /// The smallest completion-latency EWMA among `targets` (1.0 when
+    /// none has completed anything): what a cold target scores with, so
+    /// it is tried rather than starved.
+    fn ewma_floor(&self, targets: &[NodeId]) -> f64 {
+        let metrics = self.offload.backend().metrics();
+        let min = targets
+            .iter()
+            .filter_map(|t| metrics.latency_ewma(t.0))
+            .fold(f64::INFINITY, f64::min);
+        if min.is_finite() {
+            min
+        } else {
+            1.0
+        }
+    }
+
+    /// `t`'s completion-latency EWMA, `floor` while it has none.
+    fn ewma(&self, t: NodeId, floor: f64) -> f64 {
+        let metrics = self.offload.backend().metrics();
+        metrics.latency_ewma(t.0).unwrap_or(floor)
     }
 
     /// Flush every healthy target's staged batch and sweep its
@@ -792,15 +780,7 @@ impl TargetPool {
     /// credit limit; fails over to a survivor if the chosen target dies
     /// before the post lands.
     pub fn submit<M: ActiveMessage>(&self, msg: M) -> Result<PoolFuture<M::Output>, OffloadError> {
-        // Encode into an owned buffer the future keeps: failover replays
-        // these bytes on a survivor without re-owning the functor.
-        let mut payload = Vec::new();
-        let key = self
-            .offload
-            .backend()
-            .host_registry()
-            .encode_message_into(&msg, &mut payload)?;
-        self.submit_encoded(key, payload, decode_output::<M>, false, None)
+        self.place(msg, None)
     }
 
     /// Affinity submission: place `msg` on `target` specifically — the
@@ -813,23 +793,22 @@ impl TargetPool {
         target: NodeId,
         msg: M,
     ) -> Result<PoolFuture<M::Output>, OffloadError> {
+        self.place(msg, Some(target))
+    }
+
+    fn place<M: ActiveMessage>(
+        &self,
+        msg: M,
+        fixed: Option<NodeId>,
+    ) -> Result<PoolFuture<M::Output>, OffloadError> {
+        // Encode into an owned buffer the future keeps: failover replays
+        // these bytes on a survivor without re-owning the functor.
         let mut payload = Vec::new();
         let key = self
             .offload
             .backend()
             .host_registry()
             .encode_message_into(&msg, &mut payload)?;
-        self.submit_encoded(key, payload, decode_output::<M>, true, Some(target))
-    }
-
-    fn submit_encoded<T>(
-        &self,
-        key: HandlerKey,
-        payload: Vec<u8>,
-        decode: fn(&[u8]) -> Result<T, HamError>,
-        pinned: bool,
-        fixed: Option<NodeId>,
-    ) -> Result<PoolFuture<T>, OffloadError> {
         let mut last_err: Option<OffloadError> = None;
         loop {
             let target = match fixed {
@@ -841,17 +820,17 @@ impl TargetPool {
                     Err(e) => return Err(last_err.unwrap_or(e)),
                 },
             };
-            match self.offload.submit_raw(target, key, &payload, decode) {
+            match self
+                .offload
+                .submit_raw(target, key, &payload, decode_output::<M>)
+            {
                 Ok(inner) => {
                     return Ok(PoolFuture {
-                        inner: Some(inner),
-                        target,
+                        inner,
                         key,
                         payload,
-                        decode,
-                        done: None,
                         resubmits: 0,
-                        pinned,
+                        pinned: fixed.is_some(),
                     });
                 }
                 // Whole-runtime failures are not the target's fault.
@@ -874,6 +853,16 @@ impl TargetPool {
         }
     }
 
+    /// Put `fut`'s kept message on `target` again; on success the new
+    /// attempt replaces the settled one.
+    fn resubmit<T>(&self, fut: &mut PoolFuture<T>, target: NodeId) -> Result<(), OffloadError> {
+        fut.inner = self
+            .offload
+            .submit_raw(target, fut.key, &fut.payload, fut.inner.decoder())?;
+        fut.resubmits += 1;
+        Ok(())
+    }
+
     /// Resubmit a failed-but-unsent offload to a survivor.
     fn repost<T>(&self, fut: &mut PoolFuture<T>) -> Result<(), OffloadError> {
         loop {
@@ -886,11 +875,8 @@ impl TargetPool {
                 self.select(&mut st, false, Some(fut.payload.len()))
                     .ok_or_else(pool_empty)?
             };
-            match self
-                .offload
-                .submit_raw(target, fut.key, &fut.payload, fut.decode)
-            {
-                Ok(inner) => {
+            match self.resubmit(fut, target) {
+                Ok(()) => {
                     // Record the failover in the health log with the
                     // *new* attempt's correlation id, so the event links
                     // to the span tree of the resubmission that landed.
@@ -898,12 +884,9 @@ impl TargetPool {
                     backend.metrics().health().record(
                         target.0,
                         HealthEventKind::Failover,
-                        inner.offload_id().0,
+                        fut.inner.offload_id().0,
                         backend.host_clock().now().as_ps(),
                     );
-                    fut.target = target;
-                    fut.inner = Some(inner);
-                    fut.resubmits += 1;
                     return Ok(());
                 }
                 Err(OffloadError::Shutdown) => return Err(OffloadError::Shutdown),
@@ -912,86 +895,39 @@ impl TargetPool {
         }
     }
 
-    /// Settle `fut` from its channel's completion queue (no transport
-    /// sweep). `true` once the future is ready; a failed-but-unsent
-    /// offload is resubmitted here and stays pending on its new target.
+    /// Settle `fut` from its channel's parked completions (no transport
+    /// sweep). `true` once the result is in (it stays inside the
+    /// future); a failure whose frame verifiably never reached the
+    /// transport is resubmitted here instead and stays pending on its
+    /// new target.
     fn settle<T>(&self, fut: &mut PoolFuture<T>) -> bool {
-        if fut.done.is_some() {
-            return true;
-        }
-        let Some(inner) = fut.inner.as_mut() else {
-            return true;
-        };
-        if !inner.try_settle_completed() {
+        if !fut.inner.try_settle_completed() {
             return false;
         }
-        self.harvest(fut)
-    }
-
-    /// Consume a settled inner future: success and ordinary failures
-    /// park in `done`; failures whose frame verifiably never reached
-    /// the transport fail over instead.
-    fn harvest<T>(&self, fut: &mut PoolFuture<T>) -> bool {
-        let inner = fut.inner.take().expect("settled inner future");
-        let seq = inner.seq();
-        let target = inner.target();
-        match inner.get() {
-            Ok(v) => {
-                fut.done = Some(Ok(v));
-                true
-            }
-            Err(e) => {
-                let unsent = self
-                    .offload
-                    .backend()
-                    .channel(target)
-                    .is_ok_and(|c| c.take_unsent(seq));
-                if !unsent {
-                    fut.done = Some(Err(e));
-                    return true;
-                }
-                let migrated = matches!(e, OffloadError::Migrated);
-                if fut.pinned {
-                    if migrated {
-                        // A rebalance reclaimed this member from its
-                        // pinned target's accumulator; the target is
-                        // alive, so the message goes straight back.
-                        match self
-                            .offload
-                            .submit_raw(target, fut.key, &fut.payload, fut.decode)
-                        {
-                            Ok(inner) => {
-                                fut.inner = Some(inner);
-                                fut.resubmits += 1;
-                                return false;
-                            }
-                            Err(e2) => {
-                                fut.done = Some(Err(e2));
-                                return true;
-                            }
-                        }
-                    }
-                    fut.done = Some(Err(e));
-                    return true;
-                }
-                if !migrated {
-                    // The frame never reached a *lost* target — drain
-                    // it from the pool. A migration donor is merely
-                    // slow and stays in.
-                    self.drop_target(target);
-                }
-                match self.repost(fut) {
-                    // Pending again, now on a survivor.
-                    Ok(()) => false,
-                    Err(_) => {
-                        // No survivors: surface the *original* error,
-                        // not the repost bookkeeping one.
-                        fut.done = Some(Err(e));
-                        true
-                    }
+        let Some(err) = fut.inner.take_unsent() else {
+            return true;
+        };
+        let target = fut.inner.target();
+        let migrated = matches!(err, OffloadError::Migrated);
+        if fut.pinned {
+            if migrated {
+                // A rebalance reclaimed this member from its pinned
+                // target's accumulator; the target is alive, so the
+                // message goes straight back.
+                if let Err(e) = self.resubmit(fut, target) {
+                    fut.inner = Future::ready(target, Err(e));
                 }
             }
+            return !fut.inner.is_pending();
         }
+        if !migrated {
+            // The frame never reached a *lost* target — drain it from
+            // the pool. A migration donor is merely slow and stays in.
+            self.drop_target(target);
+        }
+        // Pending again on a survivor — or, with no survivors, the
+        // *original* error stays where it is.
+        self.repost(fut).is_err()
     }
 
     /// Migrate staged-but-unflushed batch members off slow targets onto
@@ -1021,16 +957,7 @@ impl TargetPool {
             }
             st.healthy.clone()
         };
-        let metrics = backend.metrics();
-        let mut min_ewma = f64::INFINITY;
-        for &t in &healthy {
-            if let Some(e) = metrics.latency_ewma(t.0) {
-                min_ewma = min_ewma.min(e);
-            }
-        }
-        if !min_ewma.is_finite() {
-            min_ewma = 1.0;
-        }
+        let floor = self.ewma_floor(&healthy);
         // The cheapest completely idle recipient, scored with the same
         // size-aware cost model placement uses — evaluated for a
         // probe-class message, because rebalancing exists to un-starve
@@ -1043,8 +970,7 @@ impl TargetPool {
             if chan.is_degraded() || chan.in_flight() != 0 || !chan.has_credit() {
                 continue;
             }
-            let ewma = metrics.latency_ewma(t.0).unwrap_or(min_ewma);
-            recipient = recipient.min(placement_cost(chan, ewma, Some(0)));
+            recipient = recipient.min(placement_cost(chan, self.ewma(t, floor), Some(0)));
         }
         if !recipient.is_finite() {
             return 0;
@@ -1062,8 +988,7 @@ impl TargetPool {
             // donor cheaper than the best idle recipient (e.g. a fast
             // target briefly holding a shallow accumulator) keeps its
             // members.
-            let ewma = metrics.latency_ewma(t.0).unwrap_or(min_ewma);
-            if placement_cost(chan, ewma, Some(0)) <= recipient {
+            if placement_cost(chan, self.ewma(t, floor), Some(0)) <= recipient {
                 continue;
             }
             moved += chan.take_staged_tail(staged.div_ceil(2));
@@ -1071,85 +996,55 @@ impl TargetPool {
         moved
     }
 
-    /// One flag sweep per distinct channel the pending futures wait on
-    /// (prefix-scan dedup, mirroring [`Offload::wait_all`]).
-    fn drain_pending<T>(&self, futures: &[PoolFuture<T>]) {
-        let key_of = |f: &PoolFuture<T>| f.inner.as_ref().and_then(Future::channel_key);
-        for (i, f) in futures.iter().enumerate() {
-            let Some(key) = key_of(f) else { continue };
-            let dup = futures[..i].iter().any(|g| key_of(g) == Some(key));
-            if !dup {
-                if let Some(inner) = f.inner.as_ref() {
-                    inner.drain_channel();
-                }
-            }
-        }
-    }
-
     /// Block until at least one future is ready and return its index
     /// (claim the result with [`TargetPool::get`]). `None` when nothing
     /// is pending or ready.
     pub fn wait_any<T>(&self, futures: &mut [PoolFuture<T>]) -> Option<usize> {
-        let mut backoff = Backoff::new();
-        loop {
-            let mut pending = false;
-            for (i, f) in futures.iter_mut().enumerate() {
-                if f.done.is_some() {
-                    return Some(i);
+        future::wait(
+            futures,
+            |f| &f.inner,
+            |futures, _| {
+                if futures.is_empty() {
+                    return Some(None);
                 }
-                if f.inner.is_some() {
-                    if self.settle(f) {
-                        return Some(i);
-                    }
-                    pending = true;
+                let ready = futures.iter_mut().position(|f| self.settle(f));
+                if ready.is_none() {
+                    self.rebalance();
                 }
-            }
-            if !pending {
-                return None;
-            }
-            self.rebalance();
-            self.drain_pending(futures);
-            backoff.snooze();
-        }
+                ready.map(Some)
+            },
+        )
     }
 
     /// Block until every future is ready and return the results in
     /// order.
     pub fn wait_all<T>(&self, futures: Vec<PoolFuture<T>>) -> Vec<Result<T, OffloadError>> {
         let mut futures = futures;
-        let mut backoff = Backoff::new();
-        loop {
-            let mut pending = false;
-            for f in futures.iter_mut() {
-                if !self.settle(f) {
-                    pending = true;
+        future::wait(
+            &mut futures,
+            |f| &f.inner,
+            |futures, _| {
+                let mut settled = true;
+                for f in futures.iter_mut() {
+                    settled &= self.settle(f);
                 }
-            }
-            if !pending {
-                break;
-            }
-            self.rebalance();
-            self.drain_pending(&futures);
-            backoff.snooze();
-        }
-        futures
-            .into_iter()
-            .map(|f| f.done.expect("settled pool future"))
-            .collect()
+                if !settled {
+                    self.rebalance();
+                }
+                settled.then_some(())
+            },
+        );
+        futures.into_iter().map(|f| f.inner.get()).collect()
     }
 
     /// Blocking accessor: poll (and fail over) until the result is in.
     pub fn get<T>(&self, mut fut: PoolFuture<T>) -> Result<T, OffloadError> {
-        let mut backoff = Backoff::new();
-        while fut.done.is_none() {
-            if !self.settle(&mut fut) {
-                if let Some(inner) = fut.inner.as_ref() {
-                    inner.drain_channel();
-                }
-                backoff.snooze();
-            }
-        }
-        fut.done.expect("settled pool future")
+        future::wait(
+            core::slice::from_mut(&mut fut),
+            |f| &f.inner,
+            |f, _| self.settle(&mut f[0]).then_some(()),
+        );
+        fut.inner.get()
     }
 }
 
@@ -1630,8 +1525,16 @@ mod tests {
         assert!(served.contains(&NodeId(3)), "joiner got work: {served:?}");
         // Retiring a member drains it and stops new placements on it;
         // earlier results stay claimable.
+        p.probe_now();
+        assert!(p.state.lock().resumes_seen.contains_key(&2));
         p.remove_target(NodeId(2)).unwrap();
         assert_eq!(p.healthy(), vec![NodeId(1), NodeId(3)]);
+        let st = p.state.lock();
+        assert!(
+            !st.resumes_seen.contains_key(&2) && !st.flaky.contains_key(&2),
+            "a removed target leaves no prober state behind"
+        );
+        drop(st);
         assert!(
             matches!(p.remove_target(NodeId(2)), Err(OffloadError::BadNode(_))),
             "double remove refused"

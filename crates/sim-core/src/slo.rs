@@ -22,7 +22,7 @@ pub struct SloSpec {
     /// `Eviction` event to the `Failover` event that re-homed the
     /// stranded work.
     pub max_failover: SimTime,
-    /// `PendingTable` entries still in flight after the run drained.
+    /// In-flight frame records left in a channel after the run drained.
     pub max_leaked_pending: usize,
 }
 

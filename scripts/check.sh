@@ -8,10 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: release build =="
 cargo build --release
 
-echo "== tier-1: tests =="
-cargo test -q
-
-echo "== workspace tests (the unit tests inside crates/*) =="
+echo "== tier-1: tests (root package + the unit tests inside crates/*) =="
+# One run: `--workspace` includes the root package's tests/*.rs, which
+# is all that plain `cargo test -q` runs.
 cargo test --workspace -q
 
 echo "== examples build =="

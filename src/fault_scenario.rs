@@ -21,7 +21,7 @@
 //! ([`FaultPlan::semantic_events`]) comparable for all of them.
 //!
 //! After the last wave the harness checks for leaked
-//! `PendingTable` entries (`in_flight` must be zero everywhere — a
+//! in-flight frame records (`in_flight` must be zero everywhere — a
 //! dead target's entries must have been failed, not forgotten) and
 //! snapshots the backend's recovery counters.
 
@@ -279,7 +279,7 @@ pub struct ScenarioReport {
     pub outcomes: Vec<String>,
     /// Semantic fault timeline (site/actor/kind, no timestamps).
     pub timeline: Vec<String>,
-    /// `PendingTable` entries still in flight after every future was
+    /// In-flight frame records left in a channel after every future was
     /// collected — must be zero, or the recovery path leaked.
     pub leaked: usize,
     /// Frames re-sent by the recovery policy.

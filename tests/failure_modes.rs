@@ -299,6 +299,33 @@ ham::ham_kernel! {
     }
 }
 
+/// Regression: the channel kept the *unsent* marker of a failed offload
+/// in a set only `TargetPool` ever cleared, so offloads that failed
+/// unsent and were claimed through a plain `Future` left their seq
+/// behind for the life of the channel. The marker now travels with the
+/// parked completion and goes when that is claimed.
+#[test]
+fn unsent_failures_claimed_by_plain_futures_leave_nothing_behind() {
+    use ham_aurora_repro::BatchConfig;
+    const N: usize = 5;
+    let opts = OffloadOptions {
+        batch: BatchConfig::up_to(64),
+        ..Default::default()
+    };
+    let o = offload_with(BackendKind::Local, 1, opts, aurora_workloads::register_all);
+    let t = NodeId(1);
+    let chan = o.backend().channel(t).unwrap();
+    let staged: Vec<_> = (0..N).map(|_| o.async_(t, f2f!(whoami)).unwrap()).collect();
+    assert_eq!(chan.staged_len(), N);
+    let lost = OffloadError::TargetLost(t);
+    assert_eq!(chan.evict(lost.clone()), Some(N));
+    for f in staged {
+        assert_eq!(f.get().unwrap_err(), lost);
+    }
+    assert_eq!(chan.tracked_seqs(), 0, "every seq went with its claim");
+    o.shutdown();
+}
+
 #[test]
 fn spurious_resends_do_not_wedge_the_ve_cursor() {
     // A recovery policy that re-sends after one fruitless sweep re-sends

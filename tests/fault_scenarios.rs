@@ -10,7 +10,7 @@
 //! offloads is in flight, on **every** fault-capable backend (VEO, DMA,
 //! TCP) under **eight** seeds: in-flight offloads on the dead target
 //! fail with `TargetLost`, every survivor offload completes correctly,
-//! and no `PendingTable` entry leaks.
+//! and no in-flight frame record leaks.
 
 use ham_aurora_repro::fault_scenario::{BackendKind, Scenario};
 use ham_aurora_repro::sim_core::SimTime;

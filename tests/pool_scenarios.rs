@@ -5,7 +5,7 @@
 //! TCP) under the fixed seed set: every offload either completes with
 //! a correct result on the target that served it or fails with
 //! `TargetLost`, the pool prunes the dead target, post-kill waves run
-//! entirely on the survivors, and no `PendingTable` entry leaks —
+//! entirely on the survivors, and no in-flight frame record leaks —
 //! run twice per seed to pin the semantic fault timeline and the
 //! placement decisions.
 //!

@@ -191,8 +191,8 @@ proptest! {
     /// `k` misses and `r` retries armed, every in-flight offload is
     /// re-sent exactly at cumulative miss `k·(2^a − 1)` for attempts
     /// `a = 1..=r` and timed out exactly at miss `k·(2^(r+1) − 1)` —
-    /// regardless of how posts are staggered — and the PendingTable
-    /// evicts timed-out entries in post order, leaking nothing.
+    /// regardless of how posts are staggered — and timed-out frames
+    /// leave the in-flight table in post order, leaking nothing.
     #[test]
     fn prop_pending_deadline_ordering(
         k in 1u32..8,
@@ -223,8 +223,8 @@ proptest! {
                         }
                         MissVerdict::TimedOut => {
                             timeouts.push((seq, sweep));
-                            let entry = core.take_pending(seq).expect("timed-out entry still pending");
-                            core.finish(seq, &entry, Err(OffloadError::Timeout));
+                            core.take_pending(seq).expect("timed-out entry still pending");
+                            core.finish(seq, Err(OffloadError::Timeout));
                             live.retain(|&s| s != seq);
                         }
                     }
