@@ -251,9 +251,6 @@ impl<P: Protocol> AuroraBackend<P> {
 
                 let mut chan = ChannelCore::bounded(cfg.recv_slots, cfg.send_slots, cfg.msg_bytes)
                     .with_batching(cfg.batch);
-                if cfg.credits > 0 {
-                    chan = chan.with_credit_limit(cfg.credits);
-                }
                 if let Some(p) = policy {
                     chan = chan.with_recovery(p);
                 }

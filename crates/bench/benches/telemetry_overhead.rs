@@ -14,8 +14,10 @@
 //!   window and every sweep checks the staged-age SLO; arming the
 //!   self-tuning dataplane must also stay <5% of the offload cycle.
 //!
-//! Writes `BENCH_telemetry.json` at the workspace root; the gate in
-//! `scripts/check.sh` checks `hist_overhead_lt_5pct` there.
+//! The three `assert!`s at the end are the gate: `scripts/check.sh` runs
+//! this bench and relies on its exit status. The ratios' denominator is
+//! the warm `sync` cycle, so the bars tighten whenever the runtime gets
+//! faster (see EXPERIMENTS.md, "One measurement system").
 //!
 //! Run with: `cargo bench -p aurora-bench --bench telemetry_overhead`
 //! (`-- --smoke` for the small CI configuration).
@@ -109,9 +111,7 @@ fn main() {
     o.shutdown();
 
     let overhead_pct = 100.0 * hist / cycle;
-    let lt_5pct = overhead_pct < 5.0;
     let ctrl_pct = 100.0 * ctrl / cycle;
-    let ctrl_lt_5pct = ctrl_pct < 5.0;
 
     println!("## Telemetry overhead (wall clock, best of 3)\n");
     println!("{:<44} {:>10}", "path", "ns/op");
@@ -129,38 +129,17 @@ fn main() {
     println!("\nalways-on histogram path: {overhead_pct:.2}% of the warm offload cycle (bar: <5%)");
     println!("adaptive controller path: {ctrl_pct:.2}% of the warm offload cycle (bar: <5%)");
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"telemetry_overhead\",\n",
-            "  \"ns_record_disabled\": {:.2},\n",
-            "  \"ns_record_enabled\": {:.2},\n",
-            "  \"ns_hist_record\": {:.2},\n",
-            "  \"ns_ctrl_tick\": {:.2},\n",
-            "  \"ns_offload_cycle\": {:.2},\n",
-            "  \"hist_overhead_pct\": {:.3},\n",
-            "  \"hist_overhead_lt_5pct\": {},\n",
-            "  \"ctrl_overhead_pct\": {:.3},\n",
-            "  \"ctrl_overhead_lt_5pct\": {}\n",
-            "}}\n"
-        ),
-        disabled, enabled, hist, ctrl, cycle, overhead_pct, lt_5pct, ctrl_pct, ctrl_lt_5pct
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    std::fs::write(path, &json).expect("write BENCH_telemetry.json");
-    println!("\nwrote BENCH_telemetry.json:\n{json}");
-
     assert!(
         disabled < 50.0,
         "disabled trace::record must stay ~an atomic load: {disabled:.2} ns"
     );
     assert!(
-        lt_5pct,
+        overhead_pct < 5.0,
         "always-on histogram path must cost <5% of the offload cycle: \
          {hist:.2} ns vs {cycle:.2} ns ({overhead_pct:.2}%)"
     );
     assert!(
-        ctrl_lt_5pct,
+        ctrl_pct < 5.0,
         "adaptive controller must cost <5% of the offload cycle: \
          {ctrl:.2} ns vs {cycle:.2} ns ({ctrl_pct:.2}%)"
     );

@@ -2,7 +2,8 @@
 //! count at pipeline depths 1 / 8 / 64 on the DMA protocol, with the
 //! channel core's message coalescing off (the default) and on
 //! (`BatchConfig::up_to(16)`). Source of the EXPERIMENTS.md batching
-//! table; the CI artifact/gate lives in the `pipelined_offloads` bench.
+//! table; the depth-64 bounds are asserted by
+//! `tests/batching.rs::dma_depth64_batching_cuts_frames_at_least_3x`.
 
 use aurora_bench::harness::{render_table, Row};
 use aurora_workloads::kernels::whoami;

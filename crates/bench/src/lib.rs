@@ -15,7 +15,11 @@
 //! `repro_all` runs everything and writes `EXPERIMENTS`-ready output.
 //!
 //! Methodology mirrors §V: warm-up iterations, then averages over many
-//! repetitions; measurements are deterministic virtual time.
+//! repetitions; measurements are deterministic virtual time. Bounds on
+//! virtual-time results are `#[test]`s in the root package's `tests/`;
+//! wall-clock measurement is `benchmark/` (`hotpath`). The one bench
+//! target here, `telemetry_overhead`, gates the always-on telemetry's
+//! wall-clock cost against the offload cycle it rides on.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

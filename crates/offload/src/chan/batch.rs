@@ -39,11 +39,10 @@ pub const COUNT_BYTES: usize = 4;
 /// to the pre-batching wire traffic.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// Flush once this many messages are staged. `1` disables batching.
+    /// Flush once this many messages are staged, or earlier when the
+    /// next one would not fit the transport's message slot (the byte
+    /// budget of an envelope is the slot size). `1` disables batching.
     pub max_msgs: usize,
-    /// Flush before the staged envelope payload would exceed this many
-    /// bytes. `0` means "whatever fits the transport's message slots".
-    pub max_bytes: usize,
     /// Latency SLO: hard bound on how long (virtual µs) a staged
     /// message may sit in the accumulator. Staging past the bound trips
     /// an immediate flush, and the engine's flag sweep force-flushes any
@@ -64,7 +63,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_msgs: 1,
-            max_bytes: 0,
             slo_micros: 0,
             adaptive: false,
         }
@@ -88,7 +86,8 @@ impl BatchConfig {
     }
 
     /// Builder: arm the adaptive watermark controller. The configured
-    /// `max_msgs`/`max_bytes` become the controller's *ceiling*.
+    /// `max_msgs` and the slot-size byte budget become the controller's
+    /// *ceiling*.
     pub fn self_tuning(mut self) -> Self {
         self.adaptive = true;
         self
@@ -105,16 +104,6 @@ impl BatchConfig {
     /// Whether batching is on at all.
     pub fn enabled(&self) -> bool {
         self.max_msgs > 1
-    }
-
-    /// The byte budget of one envelope payload (count field + subs),
-    /// clamped so the envelope always fits the transport's slots.
-    pub fn effective_bytes(&self, msg_bytes: usize) -> usize {
-        if self.max_bytes == 0 {
-            msg_bytes
-        } else {
-            self.max_bytes.min(msg_bytes)
-        }
     }
 }
 
@@ -524,13 +513,5 @@ mod tests {
         assert!(!off.enabled());
         let on = BatchConfig::up_to(16);
         assert!(on.enabled());
-        assert_eq!(on.effective_bytes(4096), 4096);
-        let capped = BatchConfig {
-            max_msgs: 16,
-            max_bytes: 512,
-            ..BatchConfig::default()
-        };
-        assert_eq!(capped.effective_bytes(4096), 512);
-        assert_eq!(capped.effective_bytes(256), 256);
     }
 }

@@ -19,11 +19,6 @@ pub struct ProtocolConfig {
     /// Small-message batching watermarks (disabled by default, which
     /// keeps the wire traffic byte-identical to the unbatched protocol).
     pub batch: super::batch::BatchConfig,
-    /// Scheduler admission limit per target (in-flight messages a
-    /// [`crate::sched::TargetPool`] tolerates before placing elsewhere).
-    /// `0` (the default) derives it from the slot rings — see
-    /// [`super::ChannelCore::credit_limit`].
-    pub credits: usize,
     /// Device-side worker lanes (simulated VE cores) the target's
     /// [`crate::device::DeviceRuntime`] schedules across. Defaults to
     /// [`crate::device::DEFAULT_LANES`] (the SX-Aurora core count);
@@ -39,7 +34,6 @@ impl Default for ProtocolConfig {
             msg_bytes: 4096,
             reverse: false,
             batch: super::batch::BatchConfig::default(),
-            credits: 0,
             lanes: crate::device::DEFAULT_LANES,
         }
     }

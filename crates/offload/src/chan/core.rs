@@ -477,7 +477,9 @@ impl ChannelCore {
         offload: u64,
         posted_at: SimTime,
     ) -> Stage {
-        let cap = self.batch.effective_bytes(self.max_msg_bytes);
+        // The byte budget of one envelope payload (count field + subs)
+        // is what fits the transport's slots.
+        let cap = self.max_msg_bytes;
         let mut st = self.state.lock();
         if st.shutdown {
             return Stage::Shutdown;
@@ -1513,11 +1515,7 @@ mod tests {
 
     #[test]
     fn byte_watermark_forces_flush_first_and_toobig_falls_through() {
-        let c = ChannelCore::bounded(2, 2, 4096).with_batching(BatchConfig {
-            max_msgs: 16,
-            max_bytes: 256,
-            ..BatchConfig::default()
-        });
+        let c = ChannelCore::bounded(2, 2, 256).with_batching(BatchConfig::up_to(16));
         // 100-byte payloads: two fit a 256-byte envelope (4 + 2·132),
         // a third does not.
         let p = [7u8; 100];

@@ -15,7 +15,7 @@
 //! ## The window
 //!
 //! Each cycle blocks for one message, then drains whatever the host has
-//! already made available (bounded by [`DeviceConfig::window`]) into a
+//! already made available (at most 64 messages) into a
 //! scheduling window. Everything in the window is independent in-flight
 //! work by construction — the host only pipelines offloads that have no
 //! ordering constraint between them — so its members may share the lane
@@ -54,8 +54,8 @@ use std::sync::Arc;
 /// The paper's VE core count — the default worker-lane count.
 pub const DEFAULT_LANES: usize = 8;
 
-/// Default cap on messages drained into one scheduling window.
-pub const DEFAULT_WINDOW: usize = 64;
+/// Cap on messages drained into one scheduling window.
+const WINDOW: usize = 64;
 
 /// Initial per-lane deque capacity; grown when a window outsizes it.
 const LANE_DEQUE_CAP: usize = 64;
@@ -66,8 +66,6 @@ pub struct DeviceConfig {
     /// Worker lanes (simulated VE cores). `0` is clamped to `1`; `1`
     /// reproduces the serial loop's timeline exactly.
     pub lanes: usize,
-    /// Most messages one window drains before scheduling (`0` → default).
-    pub window: usize,
     /// The device's virtual clock, joined to each carrier's completion
     /// barrier at publication. `None` (clock-less transports: local,
     /// TCP) publishes immediately — their kernels carry no meter, so
@@ -89,7 +87,6 @@ impl DeviceConfig {
     pub fn new() -> Self {
         Self {
             lanes: DEFAULT_LANES,
-            window: DEFAULT_WINDOW,
             clock: None,
             stats: None,
         }
@@ -276,11 +273,6 @@ impl DeviceRuntime {
     ) -> SessionEnd {
         let _node = trace::node_scope(env.node);
         let lanes = self.cfg.lanes.max(1);
-        let window_cap = if self.cfg.window == 0 {
-            DEFAULT_WINDOW
-        } else {
-            self.cfg.window
-        };
         let mut served: u64 = 0;
         let mut watermark: Option<u64> = initial_watermark;
         let mut reason = HaltReason::Closed;
@@ -311,7 +303,7 @@ impl DeviceRuntime {
             let mut closed = false;
             let mut saw_control = h.kind == MsgKind::Control;
             window.push((h, p));
-            while !saw_control && window.len() < window_cap {
+            while !saw_control && window.len() < WINDOW {
                 let mark = trace::mark();
                 match chan.try_recv(&self.pool) {
                     Polled::Msg(h, p) => {

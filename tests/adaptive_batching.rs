@@ -269,6 +269,105 @@ fn controller_decisions_are_deterministic() {
     assert_eq!(a, b, "adaptive controller diverged between identical runs");
 }
 
+/// Mixed traffic on a poll-driven host: three rounds of two dense
+/// 64-deep waves, then eight lone probes separated by idle time. A
+/// probe's client has other work, so instead of blocking it steps the
+/// virtual clock 10 µs at a time and runs the engine sweep until its
+/// message has left the accumulator or an 800 µs poll budget is spent,
+/// and only then pays the blocking round trip. The clock is stepped by the host
+/// program alone — never while waiting for the device thread — so a
+/// probe's latency is a function of the batching config, not of how the
+/// OS scheduled that thread. Returns the sorted probe latencies (µs)
+/// and the wire frames / messages of the whole run.
+fn mixed_traffic(batch: BatchConfig) -> (Vec<f64>, u64, u64) {
+    const ROUNDS: usize = 3;
+    const BULK: usize = 64;
+    const PROBES: usize = 8;
+    const STEP_US: u64 = 10;
+    const GIVE_UP_US: u64 = 800;
+    let o = Offload::new(DmaBackend::spawn(
+        machine(),
+        0,
+        &[0],
+        ProtocolConfig {
+            recv_slots: 2 * BULK,
+            send_slots: 2 * BULK,
+            ..Default::default()
+        }
+        .with_batch(batch),
+        aurora_workloads::register_all,
+    ));
+    let t = NodeId(1);
+    let clock = o.backend().host_clock();
+    let chan = o.backend().channel(t).unwrap();
+    for _ in 0..10 {
+        assert_eq!(o.sync(t, f2f!(whoami)).unwrap(), 1);
+    }
+    let before = o.backend().metrics().snapshot();
+    let mut lat = Vec::new();
+    for _ in 0..ROUNDS {
+        for _ in 0..2 {
+            let futures: Vec<_> = (0..BULK)
+                .map(|_| o.async_(t, f2f!(whoami)).unwrap())
+                .collect();
+            for r in o.wait_all(futures) {
+                assert_eq!(r.unwrap(), 1);
+            }
+        }
+        for _ in 0..PROBES {
+            clock.advance(SimTime::from_us(50));
+            let t0 = clock.now();
+            let fut = o.async_(t, f2f!(whoami)).unwrap();
+            for _ in 0..GIVE_UP_US / STEP_US {
+                if chan.staged_len() == 0 {
+                    break;
+                }
+                clock.advance(SimTime::from_us(STEP_US));
+                engine::sweep(o.backend().as_ref(), t).unwrap();
+            }
+            assert_eq!(fut.get().unwrap(), 1);
+            lat.push((clock.now() - t0).as_us_f64());
+        }
+    }
+    let after = o.backend().metrics().snapshot();
+    o.shutdown();
+    lat.sort_by(f64::total_cmp);
+    (
+        lat,
+        after.frames_sent - before.frames_sent,
+        after.msgs_sent - before.msgs_sent,
+    )
+}
+
+/// Under a static depth-64 watermark a lone probe sits in the
+/// accumulator until the client gives up, so every probe burns the
+/// whole poll budget (800 µs + one round trip); with a 200 µs SLO armed
+/// the sweep flushes it at the bound (200 µs + one round trip). The
+/// worst adaptive probe must be at least 2× better than the worst
+/// static one, and adaptation must keep the dense waves' ≥ 3× cut in
+/// wire frames.
+#[test]
+fn adaptive_slo_halves_probe_p99_and_keeps_the_frame_cut() {
+    // 24 probes per config: the 99th percentile is the maximum.
+    let (s_lat, s_frames, s_msgs) = mixed_traffic(BatchConfig::up_to(64));
+    let (a_lat, a_frames, a_msgs) = mixed_traffic(BatchConfig::adaptive_up_to(64, 200));
+    let (s_p99, a_p99) = (s_lat[s_lat.len() - 1], a_lat[a_lat.len() - 1]);
+    println!(
+        "static: p50 {:.1} p99 {s_p99:.1} us, {s_frames} frames / {s_msgs} msgs; \
+         adaptive: p50 {:.1} p99 {a_p99:.1} us, {a_frames} frames / {a_msgs} msgs",
+        s_lat[s_lat.len() / 2 - 1],
+        a_lat[a_lat.len() / 2 - 1],
+    );
+    assert!(
+        s_p99 >= 2.0 * a_p99,
+        "adaptive probe p99 must be >=2x better: {a_p99:.1} vs {s_p99:.1} us"
+    );
+    assert!(
+        a_frames * 3 <= a_msgs,
+        "adaptation must keep the >=3x frame cut: {a_frames} frames for {a_msgs} msgs"
+    );
+}
+
 static EXECUTIONS: AtomicU64 = AtomicU64::new(0);
 
 ham::ham_kernel! {

@@ -1,6 +1,7 @@
-//! Acceptance tests for small-message frame batching: transaction-count
-//! reduction at depth, exactly-once replay of dropped batch frames, and
-//! eviction when a batched frame times out.
+//! Acceptance tests for deep pipelines and small-message frame batching:
+//! a pipelined wave against the serial loop, transaction-count reduction
+//! at depth, exactly-once replay of dropped batch frames, and eviction
+//! when a batched frame times out.
 
 use aurora_workloads::kernels::whoami;
 use ham::f2f;
@@ -30,6 +31,57 @@ fn machine() -> Arc<AuroraMachine> {
             ..Default::default()
         },
     )
+}
+
+/// 64 offloads kept in flight and harvested by one `wait_all` must cost
+/// no more virtual host time per offload than 64 blocking round trips,
+/// and the backend must have seen the whole depth in flight at once.
+#[test]
+fn pipelined_wave_is_no_slower_than_the_serial_loop() {
+    const DEPTH: usize = 64;
+    let o = Offload::new(DmaBackend::spawn(
+        machine(),
+        0,
+        &[0],
+        ProtocolConfig {
+            recv_slots: DEPTH,
+            send_slots: DEPTH,
+            ..Default::default()
+        },
+        aurora_workloads::register_all,
+    ));
+    let t = NodeId(1);
+    let clock = o.backend().host_clock();
+    for _ in 0..10 {
+        o.sync(t, f2f!(whoami)).unwrap();
+    }
+
+    let t0 = clock.now();
+    for _ in 0..DEPTH {
+        assert_eq!(o.sync(t, f2f!(whoami)).unwrap(), 1);
+    }
+    let serial_us = (clock.now() - t0).as_us_f64() / DEPTH as f64;
+
+    let t0 = clock.now();
+    let futures: Vec<_> = (0..DEPTH)
+        .map(|_| o.async_(t, f2f!(whoami)).unwrap())
+        .collect();
+    for r in o.wait_all(futures) {
+        assert_eq!(r.unwrap(), 1);
+    }
+    let pipelined_us = (clock.now() - t0).as_us_f64() / DEPTH as f64;
+    let inflight_peak = o.backend().metrics().snapshot().inflight_peak;
+    o.shutdown();
+
+    println!("serial {serial_us:.3} us/offload, pipelined {pipelined_us:.3} us/offload, inflight peak {inflight_peak}");
+    assert!(
+        pipelined_us <= serial_us,
+        "pipelined {pipelined_us:.3} us/offload vs serial {serial_us:.3} us/offload"
+    );
+    assert!(
+        inflight_peak >= DEPTH as i64,
+        "expected {DEPTH} offloads in flight, peak was {inflight_peak}"
+    );
 }
 
 /// Depth-64 pipeline on the DMA protocol: batching must cut the number
