@@ -6,8 +6,8 @@
 //! an 8-core vector processor. This runtime models those cores as
 //! **worker lanes**: each lane is a virtual-time cursor, work items
 //! (batch members and independently pipelined offloads) are dealt
-//! round-robin onto per-lane [`deque::StealDeque`]s, and an idle lane
-//! steals from the most-loaded peer. Execution still happens on the
+//! round-robin onto per-lane queues, and an idle lane steals the oldest
+//! item of the most-loaded peer. Execution still happens on the
 //! device-loop thread in a fixed order — the deterministic greedy
 //! schedule below — so same-seed replays stay bit-identical; the
 //! *parallelism* shows up on the virtual timeline the benches measure.
@@ -36,17 +36,15 @@
 //! after *all* its members finished (per-carrier completion barrier),
 //! so a re-sent carrier still dedups atomically.
 
-pub mod deque;
-
 use crate::chan::batch;
 use crate::chan::pool::{FramePool, PooledFrame};
 use crate::target_loop::{frame_result, Polled, TargetChannel, TargetEnv};
 use aurora_sim_core::trace::{self, OffloadId};
 use aurora_sim_core::{Clock, LaneStats, SimTime};
-use deque::StealDeque;
 use ham::message::ComputeMeter;
 use ham::wire::{MsgHeader, MsgKind};
 use ham::{ExecContext, HamError};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,9 +54,6 @@ pub const DEFAULT_LANES: usize = 8;
 
 /// Cap on messages drained into one scheduling window.
 const WINDOW: usize = 64;
-
-/// Initial per-lane deque capacity; grown when a window outsizes it.
-const LANE_DEQUE_CAP: usize = 64;
 
 /// Configuration of one target's device runtime.
 #[derive(Clone)]
@@ -278,9 +273,8 @@ impl DeviceRuntime {
         let mut reason = HaltReason::Closed;
         // Lane cursors persist across windows and only move forward.
         let mut avail = vec![0u64; lanes];
-        let mut deques: Vec<StealDeque> = (0..lanes)
-            .map(|_| StealDeque::with_capacity(LANE_DEQUE_CAP))
-            .collect();
+        // Per-lane work queues; every window drains them completely.
+        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
         // Window scratch, reused so the warm cycle allocates little
         // beyond the result buffers themselves.
         let mut window: Vec<(MsgHeader, PooledFrame)> = Vec::new();
@@ -407,27 +401,8 @@ impl DeviceRuntime {
 
             // ---- Schedule: greedy deterministic lane simulation ----
             if !items.is_empty() {
-                let need = items.len().div_ceil(lanes);
-                if deques[0].capacity() < need {
-                    deques = (0..lanes)
-                        .map(|_| StealDeque::with_capacity(need.next_power_of_two()))
-                        .collect();
-                }
-                for d in &deques {
-                    d.reset();
-                }
                 for k in 0..items.len() {
-                    let mut lane = k % lanes;
-                    let mut pending = k as u64;
-                    for _ in 0..lanes {
-                        match deques[lane].push(pending) {
-                            Ok(()) => break,
-                            Err(v) => {
-                                pending = v;
-                                lane = (lane + 1) % lanes;
-                            }
-                        }
-                    }
+                    queues[k % lanes].push_back(k);
                 }
                 let base = self.cfg.clock.as_ref().map_or(0, |c| c.now().as_ps());
                 for a in &mut avail {
@@ -443,19 +418,17 @@ impl DeviceRuntime {
                     let lane = (0..lanes)
                         .min_by_key(|&l| (avail[l], executed[l], l))
                         .expect("at least one lane");
-                    // Own deque first, else steal from the most loaded
-                    // peer (ties to the lowest lane id).
-                    let (idx, stolen) = match deques[lane].take() {
-                        Some(i) => (i as usize, false),
+                    // Own queue first, else steal the oldest item of the
+                    // most loaded peer (ties to the lowest lane id).
+                    let (idx, stolen) = match queues[lane].pop_front() {
+                        Some(i) => (i, false),
                         None => {
-                            let victim = (0..lanes)
-                                .filter(|&v| v != lane && !deques[v].is_empty())
-                                .max_by_key(|&v| (deques[v].len(), std::cmp::Reverse(v)))
+                            let i = (0..lanes)
+                                .filter(|&v| v != lane)
+                                .max_by_key(|&v| (queues[v].len(), std::cmp::Reverse(v)))
+                                .and_then(|v| queues[v].pop_front())
                                 .expect("remaining > 0 implies queued work");
-                            match deques[victim].take() {
-                                Some(i) => (i as usize, true),
-                                None => continue,
-                            }
+                            (i, true)
                         }
                     };
                     let item = &items[idx];
@@ -552,14 +525,18 @@ impl DeviceRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::target_loop::unframe_result_ref;
     use ham::message::VecMemory;
     use ham::registry::HandlerKey;
     use ham::{f2f, ham_kernel, Registry, RegistryBuilder};
     use parking_lot::Mutex;
-    use std::collections::VecDeque;
 
     ham_kernel! {
         pub fn burn(ctx, flops: u64) -> u64 { ctx.charge_flops(flops); flops }
+    }
+
+    ham_kernel! {
+        pub fn add(_ctx, a: u64, b: u64) -> u64 { a + b }
     }
 
     /// 1 ps per flop; `charge_flops` is never called directly because
@@ -614,21 +591,62 @@ mod tests {
     fn registry() -> Registry {
         let mut b = RegistryBuilder::new();
         b.register::<burn>();
+        b.register::<add>();
         b.seal(7)
     }
 
+    fn header(kind: MsgKind, key: HandlerKey, len: usize, slot: u16, seq: u64) -> MsgHeader {
+        MsgHeader {
+            handler_key: key,
+            payload_len: len as u32,
+            kind,
+            reply_slot: slot,
+            corr: 0,
+            seq,
+        }
+    }
+
     fn offload(key: HandlerKey, payload: &[u8], slot: u16, seq: u64) -> (MsgHeader, Vec<u8>) {
+        let mut h = header(MsgKind::Offload, key, payload.len(), slot, seq);
+        h.corr = seq + 1;
+        (h, payload.to_vec())
+    }
+
+    /// A batch carrier over `members` answering on `slot`; like the
+    /// host's, its seq is the last member's.
+    fn envelope(members: &[(MsgHeader, Vec<u8>)], slot: u16, corr: u64) -> (MsgHeader, Vec<u8>) {
+        use ham::wire::HEADER_BYTES;
+        let mut frame = vec![0u8; HEADER_BYTES + batch::COUNT_BYTES];
+        for (h, p) in members {
+            batch::append_sub(&mut frame, h, p);
+        }
+        let seq = members.last().map_or(0, |m| m.0.seq);
+        let carrier = batch::carrier_header(seq, frame.len() - HEADER_BYTES, slot, corr);
+        batch::patch_envelope(&mut frame, &carrier, members.len() as u32);
+        (carrier, frame[HEADER_BYTES..].to_vec())
+    }
+
+    fn add_msg(key: HandlerKey, a: u64, b: u64, slot: u16, seq: u64) -> (MsgHeader, Vec<u8>) {
+        let payload = ham::codec::encode(&f2f!(add, a, b)).unwrap();
         (
-            MsgHeader {
-                handler_key: key,
-                payload_len: payload.len() as u32,
-                kind: MsgKind::Offload,
-                reply_slot: slot,
-                corr: seq + 1,
-                seq,
-            },
-            payload.to_vec(),
+            header(MsgKind::Offload, key, payload.len(), slot, seq),
+            payload,
         )
+    }
+
+    /// One session on the default runtime (no clock, no meter), as the
+    /// clock-less transports run it.
+    fn serve(registry: &Registry, dedup: bool, chan: &QueueChannel) -> u64 {
+        let mem = VecMemory::new(0);
+        let env = TargetEnv {
+            node: 1,
+            registry,
+            mem: &mem,
+            reverse: None,
+            meter: None,
+            dedup,
+        };
+        DeviceRuntime::new(DeviceConfig::new()).run(&env, chan)
     }
 
     fn run_with(
@@ -727,39 +745,37 @@ mod tests {
     }
 
     #[test]
-    fn batch_barrier_waits_for_the_slowest_member() {
-        use ham::wire::HEADER_BYTES;
-        let reg = registry();
-        let key = reg.key_of::<burn>().unwrap();
-        let mut frame = vec![0u8; HEADER_BYTES + batch::COUNT_BYTES];
-        for (seq, cost) in [(0u64, 5_000u64), (1, 100)] {
-            let payload = ham::codec::encode(&f2f!(burn, cost)).unwrap();
-            let sub = MsgHeader {
-                handler_key: key,
-                payload_len: payload.len() as u32,
-                kind: MsgKind::Offload,
-                reply_slot: 0,
-                corr: seq + 1,
-                seq,
-            };
-            batch::append_sub(&mut frame, &sub, &payload);
-        }
-        let carrier = batch::carrier_header(1, frame.len() - HEADER_BYTES, 2, 9);
-        batch::patch_envelope(&mut frame, &carrier, 2);
+    fn thieves_steal_the_oldest_item() {
+        let stats = Arc::new(LaneStats::new());
         let clock = Clock::new();
-        let (served, now, out) = run_with(
-            8,
+        // Lane 0 holds {0: 100, 2: 50, 4: 5000}, lane 1 holds three
+        // 10s. Lane 1 goes idle at 30 while lane 0 is still on item 0;
+        // taking the front steals item 2 first, then item 4 at 80
+        // (makespan 5 080). Stealing from the back would grab item 4 at
+        // 30 and leave item 2 to lane 0 (makespan 5 030, one steal).
+        let (_, now, _) = run_with(
+            2,
             &clock,
-            None,
-            vec![(carrier, frame[HEADER_BYTES..].to_vec())],
+            Some(Arc::clone(&stats)),
+            burn_msgs(&[100, 10, 50, 10, 5_000, 10]),
         );
+        assert_eq!(stats.steals(), 2);
+        assert_eq!((stats.tasks(0), stats.tasks(1)), (1, 5));
+        assert_eq!(now.as_ps(), 5_080);
+    }
+
+    #[test]
+    fn batch_barrier_waits_for_the_slowest_member() {
+        let carrier = envelope(&burn_msgs(&[5_000, 100]), 2, 9);
+        let clock = Clock::new();
+        let (served, now, out) = run_with(8, &clock, None, vec![carrier]);
         assert_eq!(served, 2);
         assert_eq!(out.len(), 1, "one combined result for the batch");
         assert_eq!((out[0].0, out[0].1), (2, 1));
         // Barrier: published at the slow member's finish, not the sum.
         assert_eq!(now.as_ps(), 5_000);
-        let body = crate::target_loop::unframe_result(&out[0].2).unwrap();
-        let parts: Vec<_> = batch::ResultPartIter::new(&body)
+        let body = unframe_result_ref(&out[0].2).unwrap();
+        let parts: Vec<_> = batch::ResultPartIter::new(body)
             .unwrap()
             .map(|p| p.unwrap())
             .collect();
@@ -795,14 +811,7 @@ mod tests {
         // seq ≤ 2 is deduplicated, a fresh seq executes, and the
         // Control frame ends the session for good.
         let ctrl = (
-            MsgHeader {
-                handler_key: HandlerKey(0),
-                payload_len: 0,
-                kind: MsgKind::Control,
-                reply_slot: 0,
-                corr: 0,
-                seq: u64::MAX,
-            },
+            header(MsgKind::Control, HandlerKey(0), 0, 0, u64::MAX),
             vec![],
         );
         let chan = QueueChannel::new(vec![replayed, fresh, ctrl]);
@@ -830,5 +839,129 @@ mod tests {
             (served, now, out, lanes, stats.steals())
         };
         assert_eq!(run(), run(), "bit-identical replay");
+    }
+
+    #[test]
+    fn loop_serves_offloads_then_stops_on_control() {
+        let registry = registry();
+        let key = registry.key_of::<add>().unwrap();
+        let chan = QueueChannel::new(vec![
+            add_msg(key, 20, 22, 3, 100),
+            add_msg(key, 20, 22, 4, 101),
+            (header(MsgKind::Control, HandlerKey(0), 0, 0, 102), vec![]),
+        ]);
+        let served = serve(&registry, false, &chan);
+        assert_eq!(served, 2);
+        let out = chan.outbox.lock();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].0, 3);
+        assert_eq!(out[0].1, 100);
+        let bytes = unframe_result_ref(&out[0].2).unwrap();
+        assert_eq!(ham::codec::decode::<u64>(bytes).unwrap(), 42);
+    }
+
+    #[test]
+    fn handler_errors_travel_as_error_frames() {
+        let registry = registry();
+        let key = registry.key_of::<add>().unwrap();
+        // Corrupt payload → codec error inside the handler.
+        let chan = QueueChannel::new(vec![(
+            header(MsgKind::Offload, key, 3, 0, 0),
+            vec![1, 2, 3],
+        )]);
+        serve(&registry, false, &chan);
+        let out = chan.outbox.lock();
+        assert!(unframe_result_ref(&out[0].2).is_err());
+    }
+
+    #[test]
+    fn dedup_skips_resent_seqs_without_reexecuting() {
+        let registry = registry();
+        let key = registry.key_of::<add>().unwrap();
+        let mk = |seq| add_msg(key, 1, 2, 0, seq);
+        // seq 0 served, then a duplicate of 0, then 1, then a late
+        // duplicate of 0 again.
+        let chan = QueueChannel::new(vec![mk(0), mk(0), mk(1), mk(0)]);
+        assert_eq!(serve(&registry, true, &chan), 2);
+        let out = chan.outbox.lock();
+        assert_eq!(out.iter().map(|o| o.1).collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    fn batch_envelope_executes_members_in_order_with_one_result() {
+        let registry = registry();
+        let key = registry.key_of::<add>().unwrap();
+        // Envelope of two adds with seqs 10 and 11 (carrier seq = 11).
+        let members = [add_msg(key, 1, 100, 0, 10), add_msg(key, 2, 100, 0, 11)];
+        let chan = QueueChannel::new(vec![envelope(&members, 5, 10)]);
+        assert_eq!(serve(&registry, false, &chan), 2);
+        let out = chan.outbox.lock();
+        assert_eq!(out.len(), 1, "one result message for the whole batch");
+        assert_eq!((out[0].0, out[0].1), (5, 11));
+        let body = unframe_result_ref(&out[0].2).unwrap();
+        let parts: Vec<_> = batch::ResultPartIter::new(body)
+            .unwrap()
+            .map(|p| p.unwrap())
+            .collect();
+        assert_eq!(parts.len(), 2);
+        for (i, expect) in [(0usize, 101u64), (1, 102)] {
+            let (seq, framed) = parts[i];
+            assert_eq!(seq, 10 + i as u64);
+            let bytes = unframe_result_ref(framed).unwrap();
+            assert_eq!(ham::codec::decode::<u64>(bytes).unwrap(), expect);
+        }
+    }
+
+    #[test]
+    fn malformed_batch_is_rejected_wholesale() {
+        let registry = registry();
+        let carrier = batch::carrier_header(3, 4, 0, 0);
+        // Count claims one sub but no bytes follow.
+        let chan = QueueChannel::new(vec![(carrier, 1u32.to_le_bytes().to_vec())]);
+        assert_eq!(serve(&registry, false, &chan), 0);
+        let out = chan.outbox.lock();
+        assert_eq!(out.len(), 1);
+        assert!(unframe_result_ref(&out[0].2).is_err(), "error frame");
+    }
+
+    #[test]
+    fn loop_survives_malformed_batch_and_keeps_serving() {
+        let registry = registry();
+        let key = registry.key_of::<add>().unwrap();
+        // A lying envelope (count = 2, one truncated sub) followed by a
+        // well-formed plain offload: the loop must answer the first with
+        // an error frame and still serve the second.
+        let mut hostile = 2u32.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&[0xAB; 7]);
+        let chan = QueueChannel::new(vec![
+            (batch::carrier_header(5, hostile.len(), 1, 0), hostile),
+            add_msg(key, 40, 2, 2, 6),
+        ]);
+        assert_eq!(serve(&registry, false, &chan), 1);
+        let out = chan.outbox.lock();
+        assert_eq!(out.len(), 2);
+        assert!(
+            unframe_result_ref(&out[0].2).is_err(),
+            "hostile batch errors"
+        );
+        let bytes = unframe_result_ref(&out[1].2).unwrap();
+        assert_eq!(ham::codec::decode::<u64>(bytes).unwrap(), 42);
+    }
+
+    #[test]
+    fn dedup_skips_resent_batches_atomically() {
+        let registry = registry();
+        let key = registry.key_of::<add>().unwrap();
+        let members = [add_msg(key, 0, 1, 0, 0), add_msg(key, 1, 1, 0, 1)];
+        let carrier = envelope(&members, 0, 0);
+        let chan = QueueChannel::new(vec![carrier.clone(), carrier]);
+        assert_eq!(serve(&registry, true, &chan), 2, "duplicate skipped");
+        assert_eq!(chan.outbox.lock().len(), 1);
+    }
+
+    #[test]
+    fn empty_channel_ends_loop() {
+        let chan = QueueChannel::new(vec![]);
+        assert_eq!(serve(&registry(), false, &chan), 0);
     }
 }

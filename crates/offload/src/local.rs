@@ -13,16 +13,17 @@
 use crate::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use crate::chan::pool::{FramePool, PooledFrame};
 use crate::chan::{engine, BatchConfig, ChannelCore, Reservation};
-use crate::target_loop::{run_target_loop, Polled, TargetChannel};
+use crate::device::{DeviceConfig, DeviceRuntime};
+use crate::target_loop::{Polled, TargetChannel, TargetEnv};
 use crate::types::{DeviceType, NodeDescriptor, NodeId};
 use crate::OffloadError;
 use aurora_mem::RangeAllocator;
 use aurora_sim_core::{BackendMetrics, Clock};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ham::message::VecMemory;
 use ham::wire::MsgHeader;
 use ham::{Registry, RegistryBuilder};
 use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -39,7 +40,6 @@ impl TargetChannel for ChannelEnd {
         self.rx.recv().ok().map(|(h, p)| (h, pool.adopt(p)))
     }
     fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-        use crossbeam::channel::TryRecvError;
         match self.rx.try_recv() {
             Ok((h, p)) => Polled::Msg(h, pool.adopt(p)),
             Err(TryRecvError::Empty) => Polled::Empty,
@@ -95,7 +95,7 @@ impl LocalBackend {
         let host_registry = Arc::new(build_registry(&registrar, HOST_SEED));
         let targets = (1..=n)
             .map(|node| {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 // In-process channels have no slot arrays; the explicit
                 // credit limit keeps scheduler admission bounded anyway.
                 let chan = Arc::new(
@@ -114,7 +114,17 @@ impl LocalBackend {
                 let mem2 = Arc::clone(&mem);
                 let thread = std::thread::Builder::new()
                     .name(format!("local-target-{node}"))
-                    .spawn(move || run_target_loop(node, &registry, &*mem2, &end))
+                    .spawn(move || {
+                        let env = TargetEnv {
+                            node,
+                            registry: &registry,
+                            mem: &*mem2,
+                            reverse: None,
+                            meter: None,
+                            dedup: false,
+                        };
+                        DeviceRuntime::new(DeviceConfig::new()).run(&env, &end)
+                    })
                     .expect("spawn target thread");
                 Target {
                     tx,

@@ -136,7 +136,7 @@ impl LaneStats {
         self.busy_ps[i].add(busy_ps);
     }
 
-    /// An idle lane took a work item from another lane's deque.
+    /// An idle lane took a work item from another lane's queue.
     #[inline]
     pub fn on_steal(&self) {
         self.steals.incr();
@@ -645,7 +645,7 @@ pub struct MetricsSnapshot {
     /// Per-lane occupancy registers, trimmed to the last active lane
     /// (empty when no device runtime recorded lane work).
     pub lanes: Vec<LaneMetricsSnapshot>,
-    /// Work items an idle lane took from another lane's deque.
+    /// Work items an idle lane took from another lane's queue.
     pub steals: u64,
 }
 

@@ -1,9 +1,9 @@
 //! Small deterministic RNG (SplitMix64) for simulation-internal choices.
 //!
-//! Used where the simulator itself needs pseudo-randomness that must be
-//! reproducible regardless of the `rand` crate's version-dependent stream
-//! semantics: scrambling per-process handler tables (emulating differing
-//! code addresses in heterogeneous binaries) and jittering workloads.
+//! Used wherever the simulator needs reproducible pseudo-randomness:
+//! scrambling per-process handler tables (emulating differing code
+//! addresses in heterogeneous binaries), jittering workloads, and the
+//! input generators of `aurora-workloads`.
 
 /// SplitMix64: tiny, fast, passes BigCrush for this purpose.
 #[derive(Clone, Debug)]

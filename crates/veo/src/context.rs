@@ -6,9 +6,9 @@ use crate::VeoError;
 use aurora_mem::ShmManager;
 use aurora_sim_core::{calib, Clock, SimTime};
 use aurora_ve::{LhmShmUnit, UserDma};
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use veos_sim::VeProcess;
@@ -66,7 +66,7 @@ impl VeoContext {
     /// Open a context on `proc`; `ve_ctx` is the world kernels see.
     /// `host_clock` is the submitting VH process's clock.
     pub(crate) fn open(ve_ctx: VeContext, host_clock: Clock) -> Arc<Self> {
-        let (tx, rx) = unbounded::<Command>();
+        let (tx, rx) = channel::<Command>();
         let results: Arc<Mutex<HashMap<u64, (u64, SimTime)>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let results2 = Arc::clone(&results);
@@ -181,9 +181,6 @@ impl VeoContext {
 
 impl Drop for VeoContext {
     fn drop(&mut self) {
-        let _ = self.tx.send(Command::Close);
-        if let Some(h) = self.worker.lock().take() {
-            let _ = h.join();
-        }
+        self.close();
     }
 }

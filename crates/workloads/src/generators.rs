@@ -1,37 +1,11 @@
 //! Deterministic input generators for examples, tests and benchmarks.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A tiny linear congruential generator for cheap deterministic streams
-/// (e.g. seeding per-offload Monte-Carlo kernels).
-#[derive(Clone, Debug)]
-pub struct Lcg {
-    state: u64,
-}
-
-impl Lcg {
-    /// Seeded constructor.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            state: seed.wrapping_mul(2862933555777941757).wrapping_add(1),
-        }
-    }
-
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.state
-    }
-}
+use aurora_sim_core::rng::SplitMix64;
 
 /// A reproducible random vector of `n` doubles in `[-1, 1)`.
 pub fn random_vector(seed: u64, n: usize) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    let mut rng = SplitMix64::new(seed);
+    (0..n).map(|_| -1.0 + 2.0 * rng.next_f64()).collect()
 }
 
 /// A reproducible random row-major `rows × cols` matrix.
@@ -75,15 +49,6 @@ mod tests {
     #[test]
     fn matrix_dimensions() {
         assert_eq!(random_matrix(3, 4, 5).len(), 20);
-    }
-
-    #[test]
-    fn lcg_is_deterministic() {
-        let mut a = Lcg::new(9);
-        let mut b = Lcg::new(9);
-        for _ in 0..10 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

@@ -17,5 +17,5 @@
 pub mod generators;
 pub mod kernels;
 
-pub use generators::{random_matrix, random_vector, Lcg};
+pub use generators::{random_matrix, random_vector};
 pub use kernels::register_all;

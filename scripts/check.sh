@@ -3,8 +3,9 @@
 # --workspace` (which holds every virtual-time bound), examples, the
 # benchmark crate's `hotpath all --smoke`, the telemetry-overhead bench,
 # the fault matrix, the soak, clippy and rustfmt.
-# Only workspace crates (crates/* + the facade) are linted/formatted; the
-# vendored stand-ins under vendor/ are plain dependencies and stay exempt.
+# The offline stand-ins under vendor/ (parking_lot, proptest, serde,
+# serde_derive) are path dependencies inside the workspace root, so cargo
+# makes them members: they are tested, linted and formatted like crates/*.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,7 +24,12 @@ echo "== benchmark crate: build against this tree + schema smoke =="
 # benchmark/ is a package of its own that reaches into crates/* through
 # public items (frame::read_frame, TcpBackend, ...). The driver builds
 # it from the committed tree; build and smoke it here so a changed
-# signature fails now, not there. Rows go to benchmark/out/.
+# signature fails now, not there. Rows go to benchmark/out/. The build
+# rewrites benchmark/Cargo.lock whenever a crate's dependency list moved;
+# put the file back as found, pass or fail, so no gate run dirties it.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --smoke >/dev/null
 
 echo "== telemetry gate: disabled record <50 ns, histogram and controller paths <5% of an offload =="

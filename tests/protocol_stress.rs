@@ -10,9 +10,8 @@ use ham::wire::{MsgHeader, MsgKind};
 use ham_aurora_repro::{dma_offload, veo_offload, NodeId, Offload};
 use ham_offload::chan::pool::FramePool;
 use ham_offload::chan::{ChannelCore, MissVerdict, PooledFrame, RecoveryPolicy, Reserve};
-use ham_offload::target_loop::{
-    run_target_loop_env, unframe_result, Polled, TargetChannel, TargetEnv,
-};
+use ham_offload::device::{DeviceConfig, DeviceRuntime};
+use ham_offload::target_loop::{unframe_result_ref, Polled, TargetChannel, TargetEnv};
 use ham_offload::OffloadError;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -347,7 +346,7 @@ proptest! {
             meter: None,
             dedup: true,
         };
-        let served = run_target_loop_env(&env, &chan);
+        let served = DeviceRuntime::new(DeviceConfig::new()).run(&env, &chan);
 
         // Exactly one execution per distinct seq, results published in
         // first-arrival (= seq) order with the right reply slots.
@@ -356,9 +355,9 @@ proptest! {
         prop_assert_eq!(out.len(), n);
         for (i, (slot, seq, frame)) in out.iter().enumerate() {
             prop_assert_eq!((*slot, *seq), (i as u16, i as u64));
-            let bytes = unframe_result(frame).unwrap();
+            let bytes = unframe_result_ref(frame).unwrap();
             prop_assert_eq!(
-                ham::codec::decode::<Vec<u8>>(&bytes).unwrap(),
+                ham::codec::decode::<Vec<u8>>(bytes).unwrap(),
                 vec![i as u8; 3]
             );
         }
