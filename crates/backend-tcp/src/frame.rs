@@ -5,6 +5,8 @@
 //! vectored write, and a [`FrameReader`] returns every frame a single
 //! `read` delivered before it reads again.
 
+use ham::codec::Wire;
+use ham::HamError;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 /// Maximum accepted frame size (defensive bound against corrupt length
@@ -228,33 +230,32 @@ impl<'a> ControlOp<'a> {
         write_frame_parts(stream, &head, rest)
     }
 
-    /// Decode from a frame body; a `Put`'s data stays in the body.
+    /// Decode from a frame body; a `Put`'s data stays in the body. Only a
+    /// `Put` carries bytes after its word and only a `Get` a second word:
+    /// anything else that follows is corruption, since `write_to` never
+    /// sends it.
     pub fn decode(body: &'a [u8]) -> Result<Self, String> {
-        let take_u64 = |b: &[u8]| -> Result<u64, String> {
-            b.get(..8)
-                .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-                .ok_or_else(|| "truncated control frame".to_string())
-        };
-        match body.split_first() {
-            Some((1, rest)) => Ok(ControlOp::Alloc {
-                bytes: take_u64(rest)?,
-            }),
-            Some((2, rest)) => Ok(ControlOp::Free {
-                addr: take_u64(rest)?,
-            }),
-            Some((3, rest)) => Ok(ControlOp::Put {
-                addr: take_u64(rest)?,
-                data: rest.get(8..).ok_or_else(|| "truncated put".to_string())?,
-            }),
-            Some((4, rest)) => Ok(ControlOp::Get {
-                addr: take_u64(rest)?,
-                len: take_u64(rest.get(8..).ok_or_else(|| "truncated get".to_string())?)?,
-            }),
-            Some((5, rest)) => Ok(ControlOp::Ping {
-                echo: take_u64(rest)?,
-            }),
-            Some((op, _)) => Err(format!("unknown control op {op}")),
-            None => Err("empty control frame".into()),
+        let (&op, rest) = body.split_first().ok_or("empty control frame")?;
+        let (word, rest) = rest
+            .split_first_chunk::<8>()
+            .ok_or_else(|| format!("truncated control op {op}"))?;
+        let word = u64::from_le_bytes(*word);
+        match (op, rest) {
+            (1, []) => Ok(ControlOp::Alloc { bytes: word }),
+            (2, []) => Ok(ControlOp::Free { addr: word }),
+            (3, data) => Ok(ControlOp::Put { addr: word, data }),
+            (4, len) => <[u8; 8]>::try_from(len)
+                .map(|len| ControlOp::Get {
+                    addr: word,
+                    len: u64::from_le_bytes(len),
+                })
+                .map_err(|_| format!("get needs an 8-byte length, got {} bytes", len.len())),
+            (5, []) => Ok(ControlOp::Ping { echo: word }),
+            (1 | 2 | 5, extra) => Err(format!(
+                "{} trailing bytes after control op {op}",
+                extra.len()
+            )),
+            _ => Err(format!("unknown control op {op}")),
         }
     }
 }
@@ -279,47 +280,24 @@ pub struct Announce {
     pub watermark: Option<u64>,
 }
 
-impl Announce {
-    /// Encode into a frame body:
-    /// `node ‖ lanes ‖ credit_limit ‖ mem_bytes ‖ wm_present ‖ wm`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(27);
-        out.extend_from_slice(&self.node.to_le_bytes());
-        out.extend_from_slice(&self.lanes.to_le_bytes());
-        out.extend_from_slice(&self.credit_limit.to_le_bytes());
-        out.extend_from_slice(&self.mem_bytes.to_le_bytes());
-        match self.watermark {
-            Some(w) => {
-                out.push(1);
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out
+/// On the wire, through the codec:
+/// `node ‖ lanes ‖ credit_limit ‖ mem_bytes ‖ Option<watermark>`, 19 bytes
+/// without a watermark and 27 with one.
+impl Wire for Announce {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.node.encode(out);
+        self.lanes.encode(out);
+        self.credit_limit.encode(out);
+        self.mem_bytes.encode(out);
+        self.watermark.encode(out);
     }
-
-    /// Decode from a frame body.
-    pub fn decode(body: &[u8]) -> Result<Announce, String> {
-        let err = || "truncated announce frame".to_string();
-        let node = u16::from_le_bytes(body.get(..2).ok_or_else(err)?.try_into().expect("2"));
-        let lanes = u32::from_le_bytes(body.get(2..6).ok_or_else(err)?.try_into().expect("4"));
-        let credit_limit =
-            u32::from_le_bytes(body.get(6..10).ok_or_else(err)?.try_into().expect("4"));
-        let mem_bytes =
-            u64::from_le_bytes(body.get(10..18).ok_or_else(err)?.try_into().expect("8"));
-        let watermark = match body.get(18).ok_or_else(err)? {
-            0 => None,
-            1 => Some(u64::from_le_bytes(
-                body.get(19..27).ok_or_else(err)?.try_into().expect("8"),
-            )),
-            b => return Err(format!("bad announce watermark tag {b}")),
-        };
+    fn decode(input: &mut &[u8]) -> Result<Self, HamError> {
         Ok(Announce {
-            node,
-            lanes,
-            credit_limit,
-            mem_bytes,
-            watermark,
+            node: Wire::decode(input)?,
+            lanes: Wire::decode(input)?,
+            credit_limit: Wire::decode(input)?,
+            mem_bytes: Wire::decode(input)?,
+            watermark: Wire::decode(input)?,
         })
     }
 }
@@ -327,6 +305,7 @@ impl Announce {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ham::codec;
     use proptest::prelude::*;
     use std::io::Cursor;
 
@@ -602,6 +581,24 @@ mod tests {
         assert!(ControlOp::decode(&[1, 0]).is_err());
         assert!(ControlOp::decode(&[4, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
         assert!(ControlOp::decode(&[5, 1, 2]).is_err(), "truncated ping");
+        // A fixed-size op followed by a stray byte is corrupt.
+        let word = [0u8; 8];
+        for op in [1u8, 2, 5] {
+            let body = [&[op][..], &word, &[7]].concat();
+            assert!(ControlOp::decode(&body).is_err(), "op {op} + 1 byte");
+        }
+        let get = [&[4u8][..], &word, &word, &[7]].concat();
+        assert!(ControlOp::decode(&get).is_err(), "get + 1 byte");
+    }
+
+    fn announce(watermark: Option<u64>) -> Announce {
+        Announce {
+            node: 1,
+            lanes: 8,
+            credit_limit: 64,
+            mem_bytes: 4096,
+            watermark,
+        }
     }
 
     #[test]
@@ -614,25 +611,34 @@ mod tests {
                 mem_bytes: 1 << 20,
                 watermark: wm,
             };
-            assert_eq!(Announce::decode(&a.encode()).unwrap(), a);
+            let bytes = codec::encode(&a).unwrap();
+            assert_eq!(codec::decode::<Announce>(&bytes).unwrap(), a);
         }
+    }
+
+    /// The frames the hand-rolled encoder wrote before the codec did.
+    #[test]
+    fn announce_frames_keep_their_bytes() {
+        let fresh = [1, 0, 8, 0, 0, 0, 64, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(codec::encode(&announce(None)).unwrap(), fresh);
+        let resumed = [
+            1, 0, 8, 0, 0, 0, 64, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 1, 7, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(codec::encode(&announce(Some(7))).unwrap(), resumed);
     }
 
     #[test]
     fn malformed_announce_rejected() {
-        let good = Announce {
-            node: 1,
-            lanes: 8,
-            credit_limit: 64,
-            mem_bytes: 4096,
-            watermark: Some(7),
-        }
-        .encode();
-        assert!(Announce::decode(&good[..good.len() - 1]).is_err());
-        assert!(Announce::decode(&good[..10]).is_err());
-        assert!(Announce::decode(&[]).is_err());
+        let good = codec::encode(&announce(Some(7))).unwrap();
+        let decode = codec::decode::<Announce>;
+        assert!(decode(&good[..good.len() - 1]).is_err());
+        assert!(decode(&good[..10]).is_err());
+        assert!(decode(&[]).is_err());
         let mut bad_tag = good.clone();
         bad_tag[18] = 9;
-        assert!(Announce::decode(&bad_tag).is_err());
+        assert!(decode(&bad_tag).is_err());
+        let mut trailing = good;
+        trailing.push(0);
+        assert!(decode(&trailing).is_err(), "trailing garbage");
     }
 }

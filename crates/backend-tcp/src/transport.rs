@@ -23,6 +23,7 @@ use crate::frame::{
 };
 use aurora_mem::RangeAllocator;
 use aurora_sim_core::{BackendMetrics, Clock, FaultPlan, HealthEventKind, LaneStats};
+use ham::codec::Wire;
 use ham::message::VecMemory;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
@@ -338,7 +339,9 @@ fn target_main(
             mem_bytes: spec.mem_bytes,
             watermark,
         };
-        if write_frame(&mut msg_stream, &announce.encode()).is_err() {
+        let mut body = Vec::new();
+        announce.encode(&mut body);
+        if write_frame(&mut msg_stream, &body).is_err() {
             continue;
         }
 
@@ -392,7 +395,7 @@ fn connect_pair(addr: std::net::SocketAddr) -> std::io::Result<(TcpStream, TcpSt
     let body = read_frame(&mut msg)?.ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "no announce frame")
     })?;
-    let announce = Announce::decode(&body)
+    let announce = ham::codec::decode::<Announce>(&body)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     Ok((msg, ctrl, announce))
 }

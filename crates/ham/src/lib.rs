@@ -10,7 +10,8 @@
 //!
 //! Components:
 //!
-//! * [`codec`] — compact little-endian wire format (serde front-end);
+//! * [`codec`] — compact little-endian wire format: the [`codec::Wire`]
+//!   trait and its impls;
 //! * [`message`] — the [`ActiveMessage`] trait and execution context;
 //! * [`registry`] — per-process handler tables with the sorted-type-name
 //!   key construction of the paper (`typeid` + lexicographic order);
@@ -20,13 +21,6 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
-
-// Let `ham::...` paths resolve inside this crate too, so the macros can
-// reference the serde re-export uniformly from anywhere.
-extern crate self as ham;
-
-#[doc(hidden)]
-pub use serde;
 
 pub mod codec;
 pub mod message;
@@ -43,7 +37,7 @@ pub use wire::MsgHeader;
 /// Errors of the active-message layer.
 #[derive(Clone, Debug, PartialEq)]
 pub enum HamError {
-    /// (De)serialisation failure.
+    /// Malformed payload bytes: truncated, trailing or invalid.
     Codec(String),
     /// A handler key with no local translation — the binaries disagree
     /// on the registered message set.

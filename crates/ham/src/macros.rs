@@ -3,7 +3,8 @@
 //! The paper's `f2f()` ("function to functor") binds arguments to a
 //! function and yields an offloadable functor. Rust closures cannot
 //! travel between binaries, so [`ham_kernel!`] generates, from a plain
-//! `fn` item, the message struct, its [`crate::ActiveMessage`] impl and a
+//! `fn` item, the message struct, its [`crate::ActiveMessage`] impl, its
+//! [`crate::codec::Wire`] impl (the arguments in order) and a
 //! positional constructor; [`f2f!`] then reads exactly like the paper's
 //! call sites:
 //!
@@ -19,7 +20,7 @@
 //! }
 //!
 //! let functor = f2f!(saxpy, 2.0, 3.0, 1.0);
-//! // `functor` is a plain serialisable struct: saxpy { a: 2.0, ... }.
+//! // `functor` is a plain struct on the wire: saxpy { a: 2.0, ... }.
 //! assert_eq!(functor.a, 2.0);
 //! ```
 
@@ -35,8 +36,7 @@ macro_rules! ham_kernel {
         $body:block
     ) => {
         $(#[$meta])*
-        #[derive(ham::serde::Serialize, ham::serde::Deserialize, Clone, Debug)]
-        #[serde(crate = "ham::serde")]
+        #[derive(Clone, Debug)]
         #[allow(non_camel_case_types)]
         $vis struct $name {
             $(
@@ -50,6 +50,21 @@ macro_rules! ham_kernel {
             #[allow(clippy::too_many_arguments)]
             $vis fn new($($arg: $ty),*) -> Self {
                 Self { $($arg),* }
+            }
+        }
+
+        // On the wire: the arguments in order, no framing.
+        impl $crate::codec::Wire for $name {
+            #[allow(unused_variables)]
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::codec::Wire::encode(&self.$arg, out);)*
+            }
+
+            #[allow(unused_variables)]
+            fn decode(input: &mut &[u8]) -> ::core::result::Result<Self, $crate::HamError> {
+                ::core::result::Result::Ok(Self {
+                    $($arg: $crate::codec::Wire::decode(input)?,)*
+                })
             }
         }
 

@@ -186,40 +186,22 @@ mod tests {
     use super::*;
     use crate::message::VecMemory;
     use proptest::prelude::*;
-    use serde::{Deserialize, Serialize};
 
-    #[derive(Serialize, Deserialize)]
-    struct Add {
-        a: u64,
-        b: u64,
-    }
-    impl ActiveMessage for Add {
-        type Output = u64;
-        fn execute(self, _: &mut ExecContext<'_>) -> u64 {
-            self.a + self.b
+    crate::ham_kernel! {
+        pub fn Add(_ctx, a: u64, b: u64) -> u64 {
+            a + b
         }
     }
 
-    #[derive(Serialize, Deserialize)]
-    struct Mul {
-        a: u64,
-        b: u64,
-    }
-    impl ActiveMessage for Mul {
-        type Output = u64;
-        fn execute(self, _: &mut ExecContext<'_>) -> u64 {
-            self.a.wrapping_mul(self.b)
+    crate::ham_kernel! {
+        pub fn Mul(_ctx, a: u64, b: u64) -> u64 {
+            a.wrapping_mul(b)
         }
     }
 
-    #[derive(Serialize, Deserialize)]
-    struct Greet {
-        name: String,
-    }
-    impl ActiveMessage for Greet {
-        type Output = String;
-        fn execute(self, ctx: &mut ExecContext<'_>) -> String {
-            format!("hello {} from node {}", self.name, ctx.node)
+    crate::ham_kernel! {
+        pub fn Greet(ctx, name: String) -> String {
+            format!("hello {} from node {}", name, ctx.node)
         }
     }
 
@@ -269,7 +251,7 @@ mod tests {
             "heterogeneous binaries must have different addresses"
         );
         // ...and yet the key still executes correctly on both.
-        let payload = codec::encode(&Add { a: 2, b: 3 }).unwrap();
+        let payload = codec::encode(&crate::f2f!(Add, 2, 3)).unwrap();
         let mem = VecMemory::new(0);
         let mut ctx = ExecContext::new(1, &mem);
         let r1 = host.execute(key, &payload, &mut ctx).unwrap();
@@ -283,9 +265,7 @@ mod tests {
         let host = build(11);
         let target = build_reversed(22);
         let (key, payload) = host
-            .encode_message(&Greet {
-                name: "aurora".into(),
-            })
+            .encode_message(&crate::f2f!(Greet, "aurora".into()))
             .unwrap();
         let mem = VecMemory::new(0);
         let mut ctx = ExecContext::new(1, &mem);
@@ -309,15 +289,16 @@ mod tests {
 
     #[test]
     fn unregistered_type_is_rejected() {
-        #[derive(Serialize, Deserialize)]
-        struct Ghost;
-        impl ActiveMessage for Ghost {
-            type Output = ();
-            fn execute(self, _: &mut ExecContext<'_>) {}
+        crate::ham_kernel! {
+            pub fn Ghost(_ctx) -> () {}
         }
         let r = build(1);
         assert!(matches!(
             r.key_of::<Ghost>(),
+            Err(HamError::Unregistered(_))
+        ));
+        assert!(matches!(
+            r.encode_message(&crate::f2f!(Ghost)),
             Err(HamError::Unregistered(_))
         ));
     }
@@ -348,7 +329,7 @@ mod tests {
         fn prop_translation_invariant(seed_a: u64, seed_b: u64, a: u64, b: u64) {
             let host = build(seed_a);
             let target = build_reversed(seed_b);
-            let (key, payload) = host.encode_message(&Mul { a, b }).unwrap();
+            let (key, payload) = host.encode_message(&crate::f2f!(Mul, a, b)).unwrap();
             let mem = VecMemory::new(0);
             let mut ctx = ExecContext::new(1, &mem);
             let result = target.execute(key, &payload, &mut ctx).unwrap();

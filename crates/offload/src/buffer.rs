@@ -3,18 +3,34 @@
 use crate::scalar::Scalar;
 use crate::types::NodeId;
 use core::marker::PhantomData;
-use serde::{Deserialize, Serialize};
+use ham::codec::Wire;
+use ham::HamError;
 
 /// A typed pointer into an offload target's memory. Carries the node
 /// address, so it can be transported inside active messages and resolved
 /// on the target (paper Table II).
-#[derive(Serialize, Deserialize)]
 pub struct BufferPtr<T> {
     node: NodeId,
     addr: u64,
     len: u64,
-    #[serde(skip)]
     _elem: PhantomData<fn() -> T>,
+}
+
+/// On the wire: `node ‖ addr ‖ len`; the element type is the message's.
+impl<T> Wire for BufferPtr<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.node.encode(out);
+        self.addr.encode(out);
+        self.len.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, HamError> {
+        Ok(Self {
+            node: NodeId::decode(input)?,
+            addr: u64::decode(input)?,
+            len: u64::decode(input)?,
+            _elem: PhantomData,
+        })
+    }
 }
 
 // Manual impls: `T` itself is never stored, so no bounds on it.
@@ -131,9 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_inside_messages() {
+    fn wire_round_trip_inside_messages() {
         let p = BufferPtr::<f64>::from_raw(NodeId(3), 0xABC, 100);
         let bytes = ham::codec::encode(&p).unwrap();
+        assert_eq!(bytes.len(), 2 + 8 + 8, "node, addr, len; no framing");
         let back: BufferPtr<f64> = ham::codec::decode(&bytes).unwrap();
         assert_eq!(back, p);
     }

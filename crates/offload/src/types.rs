@@ -1,15 +1,24 @@
 //! Node addressing and description (Table II: `node_t`,
 //! `node_descriptor`).
 
-use serde::{Deserialize, Serialize};
+use ham::codec::Wire;
+use ham::HamError;
 
 /// Address of a process in the offload application (`node_t`).
 ///
 /// Node 0 is the host; nodes `1..num_nodes` are offload targets.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u16);
+
+/// On the wire: the `u16`.
+impl Wire for NodeId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, HamError> {
+        u16::decode(input).map(NodeId)
+    }
+}
 
 impl NodeId {
     /// The host process.
@@ -28,7 +37,7 @@ impl core::fmt::Display for NodeId {
 }
 
 /// Kind of device a node runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceType {
     /// A host CPU.
     Host,
@@ -39,7 +48,7 @@ pub enum DeviceType {
 }
 
 /// Information about a node (`node_descriptor`, Table II).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeDescriptor {
     /// The node's address.
     pub node: NodeId,
@@ -93,9 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn node_id_serde_round_trip() {
-        let n = NodeId(3);
+    fn node_id_wire_round_trip() {
+        let n = NodeId(0x0103);
         let bytes = ham::codec::encode(&n).unwrap();
+        assert_eq!(bytes, [3, 1]);
         assert_eq!(ham::codec::decode::<NodeId>(&bytes).unwrap(), n);
     }
 }

@@ -3,14 +3,15 @@
 # --workspace` (which holds every virtual-time bound), examples, the
 # benchmark crate's `hotpath all --smoke`, the telemetry-overhead bench,
 # the fault matrix, the soak, clippy and rustfmt.
-# The offline stand-ins under vendor/ (parking_lot, proptest, serde,
-# serde_derive) are path dependencies inside the workspace root, so cargo
-# makes them members: they are tested, linted and formatted like crates/*.
+# The offline stand-ins under vendor/ (parking_lot, proptest) are path
+# dependencies inside the workspace root, so cargo makes them members:
+# they are tested, linted and formatted like crates/*.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
-cargo build --release
+# --locked: a stale root Cargo.lock fails here instead of being rewritten.
+cargo build --release --locked
 
 echo "== tier-1: tests (root package + the unit tests inside crates/*) =="
 # One run: `--workspace` includes the root package's tests/*.rs, which

@@ -3,7 +3,8 @@
 //! send → result → complete cycle performs **zero** heap allocations.
 //! The TCP cases count across threads: what a warm offload over real
 //! sockets allocates, and what a hostile length prefix can make a
-//! reader allocate.
+//! reader allocate. The last case asks the same of the codec's length
+//! prefixes.
 
 use ham::registry::HandlerKey;
 use ham_aurora_repro::sim_core::SimTime;
@@ -513,4 +514,32 @@ fn a_claimed_frame_length_is_not_preallocated() {
     });
     let bytes = ALLOC_BYTES.load(Ordering::SeqCst) - before;
     assert!(bytes < 1 << 20, "{bytes} bytes allocated for 4 received");
+}
+
+/// A codec length prefix is a claim too: a payload announcing `u64::MAX`
+/// elements and carrying nothing after it is rejected before any buffer
+/// is sized from the claim.
+#[test]
+fn a_claimed_codec_length_is_not_preallocated() {
+    use ham::codec::{decode, Wire};
+
+    fn decode_bytes<T: Wire>(wire: &[u8]) -> (bool, u64) {
+        let before = ALLOC_BYTES.load(Ordering::SeqCst);
+        let (rejected, _) = counted(|| decode::<T>(wire).is_err());
+        (rejected, ALLOC_BYTES.load(Ordering::SeqCst) - before)
+    }
+
+    let _gate = gate();
+    let wire = u64::MAX.to_le_bytes();
+    for (shape, (rejected, bytes)) in [
+        ("Vec<u64>", decode_bytes::<Vec<u64>>(&wire)),
+        ("Vec<u8>", decode_bytes::<Vec<u8>>(&wire)),
+        ("String", decode_bytes::<String>(&wire)),
+    ] {
+        assert!(rejected, "{shape} accepted a length with no elements");
+        assert!(
+            bytes < 1 << 10,
+            "{shape}: {bytes} bytes allocated for 8 received"
+        );
+    }
 }
