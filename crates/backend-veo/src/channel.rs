@@ -221,11 +221,8 @@ impl Protocol for VeoSlots {
         core.with_staging(total, |staging| {
             proc.read_mem(self.send.msg(s), staging, total)
                 .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            let mut all = vec![0u8; total as usize];
-            vh.read(staging, &mut all)
-                .map_err(|e| OffloadError::Mem(e.to_string()))?;
-            frame.copy_from_slice(&all[HEADER_BYTES..]);
-            Ok(())
+            vh.read(staging.offset(HEADER_BYTES as u64), &mut frame)
+                .map_err(|e| OffloadError::Mem(e.to_string()))
         })?;
         Ok(frame)
     }

@@ -16,8 +16,9 @@
 //!   user DMA and LHM/SHM require (§IV-A).
 
 #![warn(missing_docs)]
-// The one crate with unsafe: the Region façade (see region.rs safety
-// contract). Everything above it is #![deny(unsafe_code)].
+// The one crate built around unsafe: the Region façade (see region.rs
+// safety contract). Everything above it is #![deny(unsafe_code)], with
+// one exception: ham-offload's sealed `Scalar` byte view.
 
 pub mod addr;
 pub mod alloc;

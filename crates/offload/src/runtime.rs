@@ -247,7 +247,7 @@ impl Offload {
                 dst.len()
             )));
         }
-        let bytes = T::encode_slice(src);
+        let bytes = T::as_le_bytes(src);
         let _node = trace::node_scope(NodeId::HOST.0);
         self.backend.put_bytes(
             RawBuffer {
@@ -255,7 +255,7 @@ impl Offload {
                 addr: dst.addr(),
                 len: bytes.len() as u64,
             },
-            &bytes,
+            bytes,
         )?;
         self.backend.metrics().on_put(bytes.len() as u64);
         Ok(())
@@ -270,7 +270,7 @@ impl Offload {
                 src.len()
             )));
         }
-        let mut bytes = vec![0u8; dst.len() * T::SIZE];
+        let bytes = T::as_le_bytes_mut(dst);
         let _node = trace::node_scope(NodeId::HOST.0);
         self.backend.get_bytes(
             RawBuffer {
@@ -278,10 +278,9 @@ impl Offload {
                 addr: src.addr(),
                 len: bytes.len() as u64,
             },
-            &mut bytes,
+            bytes,
         )?;
         self.backend.metrics().on_get(bytes.len() as u64);
-        T::decode_slice(&bytes, dst);
         Ok(())
     }
 

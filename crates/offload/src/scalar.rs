@@ -1,11 +1,25 @@
 //! Element types for explicit buffers.
 //!
-//! Buffers cross the host/target boundary as raw bytes; [`Scalar`] fixes
-//! the wire representation (little-endian, native width) per element type
-//! so `put`/`get` are portable between the heterogeneous "binaries".
+//! Buffers cross the host/target boundary as raw bytes. The wire layout of
+//! an element is its little-endian, native-width representation, which is
+//! also its in-memory layout on both the VH (x86-64) and the VE, so
+//! `put`/`get` hand a slice's own bytes to the backend with no encode or
+//! decode pass.
+
+#[cfg(target_endian = "big")]
+compile_error!(
+    "bulk put/get send scalar slices as their in-memory bytes, which must be little-endian"
+);
+
+mod sealed {
+    pub trait Sealed {}
+}
 
 /// A plain-old-data element type with a defined wire layout.
-pub trait Scalar: Copy + Send + Sync + 'static {
+///
+/// Sealed: implemented only for the ten primitive integer and float
+/// types, which have no padding and accept every bit pattern.
+pub trait Scalar: sealed::Sealed + Copy + Send + Sync + 'static {
     /// Encoded size in bytes.
     const SIZE: usize;
 
@@ -13,41 +27,48 @@ pub trait Scalar: Copy + Send + Sync + 'static {
     /// before data lands in them.
     const ZERO: Self;
 
-    /// Write `self` little-endian into `out` (`out.len() == SIZE`).
-    fn write_le(&self, out: &mut [u8]);
+    /// The slice's wire bytes, borrowed.
+    fn as_le_bytes(values: &[Self]) -> &[u8];
 
-    /// Read a value little-endian from `input` (`input.len() == SIZE`).
-    fn read_le(input: &[u8]) -> Self;
-
-    /// Encode a slice into a fresh byte vector.
-    fn encode_slice(values: &[Self]) -> Vec<u8> {
-        let mut out = vec![0u8; values.len() * Self::SIZE];
-        for (v, chunk) in values.iter().zip(out.chunks_exact_mut(Self::SIZE)) {
-            v.write_le(chunk);
-        }
-        out
-    }
-
-    /// Decode bytes into `out` (`bytes.len() == out.len() * SIZE`).
-    fn decode_slice(bytes: &[u8], out: &mut [Self]) {
-        assert_eq!(bytes.len(), out.len() * Self::SIZE, "length mismatch");
-        for (chunk, v) in bytes.chunks_exact(Self::SIZE).zip(out.iter_mut()) {
-            *v = Self::read_le(chunk);
-        }
-    }
+    /// The slice's wire bytes, borrowed mutably: writing them sets the
+    /// elements.
+    fn as_le_bytes_mut(values: &mut [Self]) -> &mut [u8];
 }
 
 macro_rules! scalar_impl {
     ($($ty:ty),*) => {
         $(
+            impl sealed::Sealed for $ty {}
+
             impl Scalar for $ty {
                 const SIZE: usize = core::mem::size_of::<$ty>();
                 const ZERO: Self = 0 as $ty;
-                fn write_le(&self, out: &mut [u8]) {
-                    out.copy_from_slice(&self.to_le_bytes());
+
+                #[allow(unsafe_code)]
+                fn as_le_bytes(values: &[Self]) -> &[u8] {
+                    // SAFETY: `$ty` is a primitive number with no padding,
+                    // so all `size_of_val(values)` bytes behind the pointer
+                    // are initialised; `u8` has alignment 1; the borrow of
+                    // `values` outlives the returned slice.
+                    unsafe {
+                        core::slice::from_raw_parts(
+                            values.as_ptr().cast::<u8>(),
+                            core::mem::size_of_val(values),
+                        )
+                    }
                 }
-                fn read_le(input: &[u8]) -> Self {
-                    <$ty>::from_le_bytes(input.try_into().expect("size checked"))
+
+                #[allow(unsafe_code)]
+                fn as_le_bytes_mut(values: &mut [Self]) -> &mut [u8] {
+                    // SAFETY: as above, and every bit pattern is a valid
+                    // `$ty`, so any bytes written through the view leave
+                    // valid elements; the exclusive borrow is transferred.
+                    unsafe {
+                        core::slice::from_raw_parts_mut(
+                            values.as_mut_ptr().cast::<u8>(),
+                            core::mem::size_of_val(values),
+                        )
+                    }
                 }
             }
         )*
@@ -59,7 +80,6 @@ scalar_impl!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn sizes() {
@@ -69,45 +89,10 @@ mod tests {
     }
 
     #[test]
-    fn slice_round_trip() {
-        let xs = [1.5f64, -2.25, 1e300, 0.0];
-        let bytes = f64::encode_slice(&xs);
-        assert_eq!(bytes.len(), 32);
-        let mut out = [0.0f64; 4];
-        f64::decode_slice(&bytes, &mut out);
-        assert_eq!(out, xs);
-    }
-
-    #[test]
-    fn endianness_is_fixed() {
-        let bytes = u32::encode_slice(&[0x0102_0304]);
-        assert_eq!(bytes, vec![4, 3, 2, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn decode_length_checked() {
-        let mut out = [0u16; 2];
-        u16::decode_slice(&[0u8; 3], &mut out);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_round_trip_f64(xs: Vec<f64>) {
-            let bytes = f64::encode_slice(&xs);
-            let mut out = vec![0.0f64; xs.len()];
-            f64::decode_slice(&bytes, &mut out);
-            for (a, b) in xs.iter().zip(&out) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        #[test]
-        fn prop_round_trip_i16(xs: Vec<i16>) {
-            let bytes = i16::encode_slice(&xs);
-            let mut out = vec![0i16; xs.len()];
-            i16::decode_slice(&bytes, &mut out);
-            prop_assert_eq!(xs, out);
-        }
+    fn byte_view_is_little_endian() {
+        assert_eq!(u32::as_le_bytes(&[0x0102_0304]), [4, 3, 2, 1]);
+        let mut xs = [0u16; 2];
+        u16::as_le_bytes_mut(&mut xs).copy_from_slice(&[1, 0, 0, 2]);
+        assert_eq!(xs, [1, 0x0200]);
     }
 }

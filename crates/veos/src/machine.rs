@@ -98,6 +98,11 @@ impl VhMemory {
         self.alloc.lock().free(off)
     }
 
+    /// Number of live VH allocations.
+    pub fn live_allocations(&self) -> usize {
+        self.alloc.lock().live_allocations()
+    }
+
     /// Translate a VH virtual address to its region offset.
     pub fn translate(&self, addr: VhAddr) -> Result<u64, MemError> {
         self.page_table.lock().translate(addr.get())

@@ -4,7 +4,7 @@
 //! The TCP cases count across threads: what a warm offload over real
 //! sockets allocates, and what a hostile length prefix can make a
 //! reader allocate. The last case asks the same of the codec's length
-//! prefixes.
+//! prefixes. One more holds the bulk `put`/`get` path to zero.
 
 use ham::registry::HandlerKey;
 use ham_aurora_repro::sim_core::SimTime;
@@ -495,6 +495,34 @@ fn warm_tcp_sync_allocates_twice_per_offload() {
         allocs < 3 * OFFLOADS,
         "{allocs} allocations over {OFFLOADS} warm TCP offloads"
     );
+}
+
+/// A warm Table II `put` + `get` on the DMA backend: the slice's own
+/// bytes go to the backend and come back into the caller's slice, and
+/// the VH staging buffer is the pooled one, so nothing is allocated.
+#[test]
+fn warm_dma_put_get_allocates_nothing() {
+    use ham_aurora_repro::{dma_offload, NodeId};
+
+    let _gate = gate();
+    let o = dma_offload(1, |_b| {});
+    for len in [1usize << 20, 4096] {
+        let b = o.allocate::<u8>(NodeId(1), len as u64).unwrap();
+        let src = vec![0x5au8; len];
+        let mut dst = vec![0u8; len];
+        let put_get = |dst: &mut [u8]| {
+            o.put(&src, b).unwrap();
+            o.get(b, dst).unwrap();
+        };
+        put_get(&mut dst);
+        let before = ALLOC_BYTES.load(Ordering::SeqCst);
+        let ((), allocs) = counted(|| put_get(&mut dst));
+        let bytes = ALLOC_BYTES.load(Ordering::SeqCst) - before;
+        assert_eq!((allocs, bytes), (0, 0), "warm put + get of {len} bytes");
+        assert_eq!(dst, src);
+        o.free(b).unwrap();
+    }
+    o.shutdown();
 }
 
 /// A length prefix is a claim, not a delivery: a peer that announces
