@@ -22,10 +22,10 @@ use ham_offload::backend::{build_registry, CommBackend, RawBuffer};
 use ham_offload::chan::pool::{FramePool, PooledFrame};
 use ham_offload::chan::{engine, ChannelCore, PendingEntry, RecoveryPolicy, Reservation};
 use ham_offload::device::{DeviceConfig, DeviceRuntime};
-use ham_offload::target_loop::{frame_result, result_wire_frame, Polled, TargetChannel, TargetEnv};
+use ham_offload::target_loop::{frame_result, result_header, Polled, TargetChannel, TargetEnv};
 use ham_offload::types::{NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
 use veo_api::{ArgsStack, KernelLibrary, VeContext, VeoContext};
 use veos_sim::AuroraMachine;
@@ -216,6 +216,7 @@ impl<P: Protocol> AuroraBackend<P> {
                             fresh: Cell::new(0),
                             node,
                             plan: Arc::clone(&ve_plan),
+                            scratch: RefCell::new(Vec::new()),
                         };
                         let registry = build_registry(&registrar, VE_SEED_BASE + node as u64);
                         let mem = VeTargetMemory::new(Arc::clone(&ve.proc));
@@ -424,6 +425,8 @@ struct VeChannel<V> {
     fresh: Cell<u64>,
     node: u16,
     plan: Arc<FaultPlan>,
+    /// Reused `header ‖ payload` assembly buffer for published results.
+    scratch: RefCell<Vec<u8>>,
 }
 
 impl<V: VeTransport> VeChannel<V> {
@@ -517,7 +520,10 @@ impl<V: VeTransport> TargetChannel for VeChannel<V> {
         let t0 = self.clock.now();
         let t1 = self.clock.advance(calib::HAM_TARGET_OVERHEAD);
         aurora_sim_core::trace::record("ham.target_overhead", 0, t0, t1);
-        self.ve
-            .publish(s, seq, &result_wire_frame(reply_slot, seq, &payload));
+        let mut frame = self.scratch.borrow_mut();
+        frame.clear();
+        frame.extend_from_slice(&result_header(reply_slot, seq, payload.len()).encode());
+        frame.extend_from_slice(&payload);
+        self.ve.publish(s, seq, &frame);
     }
 }

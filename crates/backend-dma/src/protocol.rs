@@ -741,6 +741,47 @@ mod tests {
     }
 
     ham_kernel! {
+        /// Host-side helper answering `n` bytes.
+        pub fn host_bytes(_ctx, n: u64) -> Vec<u8> { vec![7; n as usize] }
+    }
+
+    ham_kernel! {
+        /// Asks the host for `n` bytes; reports the length or the error.
+        pub fn vhcall_bytes(ctx, n: u64) -> String {
+            match ctx.vhcall(f2f!(host_bytes, n)) {
+                Ok(bytes) => format!("ok {}", bytes.len()),
+                Err(e) => e.to_string(),
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_reverse_results_become_error_frames() {
+        let o = Offload::new(DmaBackend::spawn(
+            machine(),
+            0,
+            &[0],
+            ProtocolConfig {
+                reverse: true,
+                ..Default::default()
+            },
+            |b| {
+                b.register::<host_bytes>();
+                b.register::<vhcall_bytes>();
+            },
+        ));
+        // status byte + u64 length prefix + 5000 bytes > 4096-byte slots.
+        let too_big = "reverse result of 5009 bytes exceeds the protocol's 4096-byte slots";
+        // The service reuses its response buffer: a small answer after a
+        // rejected large one, and the rejection again, come out whole.
+        for (n, want) in [(5000, too_big), (16, "ok 16"), (5000, too_big)] {
+            let got = o.sync(NodeId(1), f2f!(vhcall_bytes, n)).unwrap();
+            assert!(got.contains(want), "{n} bytes: {got}");
+        }
+        o.shutdown();
+    }
+
+    ham_kernel! {
         pub fn vhcall_expect_err(ctx) -> bool {
             !ctx.has_reverse()
                 && ctx.vhcall(f2f!(host_adder, 1, 2)).is_err()

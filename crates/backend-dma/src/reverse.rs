@@ -27,7 +27,7 @@ use ham::message::ReverseTransport;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 use ham::{ExecContext, HamError, Registry};
-use ham_offload::target_loop::{frame_result, unframe_result_ref};
+use ham_offload::target_loop::{unframe_result_ref, write_framed};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,6 +89,10 @@ impl ReverseService {
         let resp_msg = req_msg + msg_stride(&self.cfg);
         // Host-side scratch memory for reverse handlers.
         let scratch = ham::message::VecMemory::new(1 << 16);
+        // Reused per call: the request payload, and the response message
+        // (header ‖ status ‖ output) that the handler encodes into.
+        let mut payload = Vec::new();
+        let mut resp = Vec::new();
         loop {
             let ts = match self.region.load_u64(req_flag) {
                 Ok(0) => {
@@ -114,7 +118,8 @@ impl ReverseService {
                 Ok(h) => h,
                 Err(_) => return,
             };
-            let mut payload = vec![0u8; header.payload_len as usize];
+            payload.clear();
+            payload.resize(header.payload_len as usize, 0);
             if self
                 .region
                 .read(req_msg + HEADER_BYTES as u64, &mut payload)
@@ -122,33 +127,38 @@ impl ReverseService {
             {
                 return;
             }
-            // Execute on the host, with host-side framework cost.
+            // Execute on the host, with host-side framework cost; the
+            // result is framed in place behind room for its header.
             self.clock.advance(calib::HAM_TARGET_OVERHEAD);
             let mut ctx = ExecContext::new(0, &scratch);
-            let result = self
-                .registry
-                .execute(header.handler_key, &payload, &mut ctx);
-            let mut frame = frame_result(result);
-            if frame.len() > self.cfg.msg_bytes {
-                frame = frame_result(Err(ham::HamError::Wire(format!(
-                    "reverse result of {} bytes exceeds the protocol's {}-byte slots",
-                    frame.len(),
-                    self.cfg.msg_bytes
-                ))));
+            resp.clear();
+            resp.resize(HEADER_BYTES, 0);
+            write_framed(&mut resp, |out| {
+                self.registry
+                    .execute_into(header.handler_key, &payload, &mut ctx, out)
+            });
+            let framed = resp.len() - HEADER_BYTES;
+            if framed > self.cfg.msg_bytes {
+                resp.truncate(HEADER_BYTES);
+                write_framed(&mut resp, |_| {
+                    Err(ham::HamError::Wire(format!(
+                        "reverse result of {} bytes exceeds the protocol's {}-byte slots",
+                        framed, self.cfg.msg_bytes
+                    )))
+                });
             }
 
             // Response message + flag (all host-local writes).
             let resp_header = MsgHeader {
                 handler_key: HandlerKey(0),
-                payload_len: frame.len() as u32,
+                payload_len: (resp.len() - HEADER_BYTES) as u32,
                 kind: MsgKind::Result,
                 reply_slot: 0,
                 corr: header.corr,
                 seq: header.seq,
             };
-            let mut bytes = resp_header.encode().to_vec();
-            bytes.extend_from_slice(&frame);
-            if self.region.write(resp_msg, &bytes).is_err() {
+            resp[..HEADER_BYTES].copy_from_slice(&resp_header.encode());
+            if self.region.write(resp_msg, &resp).is_err() {
                 return;
             }
             // Free the request slot, then publish the response.

@@ -22,15 +22,15 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HandlerKey(pub u64);
 
-/// A local handler: deserialises the payload, executes, serialises the
-/// result. Generated per message type.
-pub type HandlerFn = fn(&[u8], &mut ExecContext<'_>) -> Result<Vec<u8>, HamError>;
+/// A local handler: deserialises the payload, executes, and appends the
+/// encoded result to the caller's buffer (HAM serialises straight into
+/// the reply). Generated per message type.
+pub type HandlerFn = fn(&[u8], &mut ExecContext<'_>, &mut Vec<u8>) -> Result<(), HamError>;
 
 fn handler_of<M: ActiveMessage>() -> HandlerFn {
-    |payload, ctx| {
+    |payload, ctx, out| {
         let msg: M = codec::decode(payload)?;
-        let out = msg.execute(ctx);
-        codec::encode(&out)
+        codec::encode_into(&msg.execute(ctx), out)
     }
 }
 
@@ -116,19 +116,34 @@ impl Registry {
     }
 
     /// Execute the handler for `key` on `payload` (receiver side of
-    /// Fig. 6: key → address → call).
+    /// Fig. 6: key → address → call), appending its encoded result to
+    /// `out`. Existing contents of `out` are left untouched; on `Err`
+    /// nothing was appended.
+    pub fn execute_into(
+        &self,
+        key: HandlerKey,
+        payload: &[u8],
+        ctx: &mut ExecContext<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), HamError> {
+        let addr = self.address_of(key)?;
+        let handler = self
+            .handlers
+            .get(&addr)
+            .ok_or(HamError::UnknownKey(key.0))?;
+        handler(payload, ctx, out)
+    }
+
+    /// [`Self::execute_into`] a fresh buffer.
     pub fn execute(
         &self,
         key: HandlerKey,
         payload: &[u8],
         ctx: &mut ExecContext<'_>,
     ) -> Result<Vec<u8>, HamError> {
-        let addr = self.address_of(key)?;
-        let handler = self
-            .handlers
-            .get(&addr)
-            .ok_or(HamError::UnknownKey(key.0))?;
-        handler(payload, ctx)
+        let mut out = Vec::new();
+        self.execute_into(key, payload, ctx, &mut out)?;
+        Ok(out)
     }
 
     /// Number of registered message types.
@@ -274,6 +289,21 @@ mod tests {
             Registry::decode_result::<Greet>(&result).unwrap(),
             "hello aurora from node 1"
         );
+    }
+
+    #[test]
+    fn execute_into_appends_after_existing_bytes() {
+        let r = build(3);
+        let key = r.key_of::<Add>().unwrap();
+        let payload = codec::encode(&crate::f2f!(Add, 40, 2)).unwrap();
+        let mem = VecMemory::new(0);
+        let mut ctx = ExecContext::new(1, &mem);
+        let mut out = vec![0xEE];
+        r.execute_into(key, &payload, &mut ctx, &mut out).unwrap();
+        assert_eq!(out[0], 0xEE, "existing bytes untouched");
+        assert_eq!(Registry::decode_result::<Add>(&out[1..]).unwrap(), 42);
+        assert!(r.execute_into(key, &[1], &mut ctx, &mut out).is_err());
+        assert_eq!(out.len(), 9, "a failed handler appends nothing");
     }
 
     #[test]

@@ -206,29 +206,32 @@ impl<'a> Iterator for BatchIter<'a> {
     }
 }
 
-/// Parse a batch envelope payload into `(sub_header, payload_range)`
-/// pairs whose ranges index into `payload` — the borrow-free
-/// counterpart of [`BatchIter`] for runtimes that schedule members out
-/// of line and need offsets rather than slices.
+/// Parse a batch envelope payload into `out` (cleared first) as
+/// `(sub_header, payload_range)` pairs whose ranges index into
+/// `payload` — the borrow-free counterpart of [`BatchIter`] for runtimes
+/// that schedule members out of line and need offsets rather than
+/// slices. `out` is the caller's, so a reused vector makes parsing a
+/// warm carrier allocation-free; the wire count never sizes it.
 ///
-/// Returns the well-formed prefix plus the wire error that stopped
-/// parsing, if any; a top-level `Err` means even the count field was
-/// missing. Error strings match [`BatchIter`]'s so hostile envelopes
-/// produce identical error frames whichever parser a runtime uses.
-#[allow(clippy::type_complexity)]
+/// `out` ends holding the well-formed prefix; the return value is the
+/// wire error that stopped parsing, if any. A top-level `Err` means even
+/// the count field was missing. Error strings match [`BatchIter`]'s so
+/// hostile envelopes produce identical error frames whichever parser a
+/// runtime uses.
 pub fn member_ranges(
     payload: &[u8],
-) -> Result<(Vec<(MsgHeader, core::ops::Range<usize>)>, Option<String>), String> {
+    out: &mut Vec<(MsgHeader, core::ops::Range<usize>)>,
+) -> Result<Option<String>, String> {
+    out.clear();
     let Some((count, _)) = read_u32(payload) else {
         return Err("batch payload shorter than its count field".into());
     };
     let mut pos = COUNT_BYTES;
-    let mut out = Vec::with_capacity(count as usize);
     for _ in 0..count {
         let rest = &payload[pos..];
         let header = match MsgHeader::decode(rest) {
             Ok(h) => h,
-            Err(e) => return Ok((out, Some(format!("malformed batch sub-header: {e}")))),
+            Err(e) => return Ok(Some(format!("malformed batch sub-header: {e}"))),
         };
         let end = HEADER_BYTES.checked_add(header.payload_len as usize);
         let valid = end.and_then(|e| {
@@ -236,12 +239,12 @@ pub fn member_ranges(
             Some(e)
         });
         let Some(end) = valid else {
-            return Ok((out, Some("batch sub-payload truncated".into())));
+            return Ok(Some("batch sub-payload truncated".into()));
         };
         out.push((header, pos + HEADER_BYTES..pos + end));
         pos += end;
     }
-    Ok((out, None))
+    Ok(None)
 }
 
 /// Truncate a *staged* envelope frame (32 zeroed header bytes ‖ 4 zeroed
@@ -268,6 +271,10 @@ pub fn truncate_members(frame: &mut Vec<u8>, keep: usize) -> Result<(), String> 
 pub fn begin_result(out: &mut Vec<u8>, count: u32) {
     out.extend_from_slice(&count.to_le_bytes());
 }
+
+/// Bytes [`append_result_part`] writes ahead of each part: `u64 seq ‖
+/// u32 len`.
+pub const PART_PREFIX_BYTES: usize = 12;
 
 /// Append one sub-result (`seq` ‖ length-prefixed framed result bytes)
 /// to a batch result body.
@@ -452,7 +459,8 @@ mod tests {
         let carrier = carrier_header(1, frame.len() - HEADER_BYTES, 3, 7);
         patch_envelope(&mut frame, &carrier, 2);
         let payload = &frame[HEADER_BYTES..];
-        let (members, err) = member_ranges(payload).unwrap();
+        let mut members = Vec::new();
+        let err = member_ranges(payload, &mut members).unwrap();
         assert!(err.is_none());
         let via_iter: Vec<_> = BatchIter::new(payload)
             .unwrap()
@@ -469,15 +477,22 @@ mod tests {
         append_sub(&mut short, &sub(0, b"aa"), b"aa");
         let short_carrier = carrier_header(0, short.len() - HEADER_BYTES, 0, 7);
         patch_envelope(&mut short, &short_carrier, 9);
-        let (prefix, err) = member_ranges(&short[HEADER_BYTES..]).unwrap();
-        assert_eq!(prefix.len(), 1);
+        // The reused vector is refilled, not appended to.
+        let err = member_ranges(&short[HEADER_BYTES..], &mut members).unwrap();
+        assert_eq!(members.len(), 1);
         let iter_err = BatchIter::new(&short[HEADER_BYTES..])
             .unwrap()
             .find_map(|r| r.err())
             .unwrap();
         assert_eq!(err.unwrap(), iter_err);
         // No count field at all.
-        assert!(member_ranges(&[1, 0]).is_err());
+        assert!(member_ranges(&[1, 0], &mut members).is_err());
+        assert!(members.is_empty());
+        // A count of u32::MAX over no members is truncation, and sizes
+        // nothing from the claim.
+        let mut fresh = Vec::new();
+        let err = member_ranges(&u32::MAX.to_le_bytes(), &mut fresh).unwrap();
+        assert!(err.is_some() && fresh.capacity() == 0);
     }
 
     #[test]

@@ -1187,7 +1187,8 @@ mod tests {
         };
         assert_eq!(f.msgs, 3);
         assert_eq!(f.res.seq, seqs[2], "carrier seq is the last kept member");
-        let (members, err) = batch::member_ranges(&f.frame[HEADER_BYTES..]).unwrap();
+        let mut members = Vec::new();
+        let err = batch::member_ranges(&f.frame[HEADER_BYTES..], &mut members).unwrap();
         assert!(err.is_none(), "re-enveloped frame parses cleanly");
         let got: Vec<u64> = members.iter().map(|(h, _)| h.seq).collect();
         assert_eq!(got, seqs[..3]);

@@ -13,9 +13,11 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// How many idle buffers a pool retains; checkouts beyond this are
-/// served by plain allocation and returns beyond it are dropped. Far
-/// above any channel's slot count, so bounded protocols never spill.
-const POOL_CAP: usize = 64;
+/// served by plain allocation and returns beyond it are dropped. Two
+/// 64-offload waves keep up to 128 results parked at once; with room
+/// for twice that, their buffers return here when claimed instead of
+/// being freed and allocated again by the next wave.
+const POOL_CAP: usize = 256;
 
 /// A bounded freelist of reusable frame buffers.
 #[derive(Debug, Default)]

@@ -38,7 +38,7 @@
 
 use crate::chan::batch;
 use crate::chan::pool::{FramePool, PooledFrame};
-use crate::target_loop::{frame_result, Polled, TargetChannel, TargetEnv};
+use crate::target_loop::{frame_result, write_framed, Polled, TargetChannel, TargetEnv};
 use aurora_sim_core::trace::{self, OffloadId};
 use aurora_sim_core::{Clock, LaneStats, SimTime};
 use ham::message::ComputeMeter;
@@ -214,13 +214,15 @@ pub struct SessionEnd {
 }
 
 /// Execute one member with the lane meter shim in place of the
-/// backend's clock-advancing meter.
+/// backend's clock-advancing meter, appending its framed result
+/// (`status ‖ output`) to `out`.
 fn execute_member(
     env: &TargetEnv<'_>,
     meter: &LaneMeter<'_>,
     header: &MsgHeader,
     payload: &[u8],
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) {
     let mut ctx = ExecContext::new(env.node, env.mem);
     if let Some(r) = env.reverse {
         ctx = ctx.with_reverse_transport(env.registry, r);
@@ -228,7 +230,10 @@ fn execute_member(
     if env.meter.is_some() {
         ctx = ctx.with_meter(meter);
     }
-    frame_result(env.registry.execute(header.handler_key, payload, &mut ctx))
+    write_framed(out, |out| {
+        env.registry
+            .execute_into(header.handler_key, payload, &mut ctx, out)
+    });
 }
 
 /// The shared target-side engine. Owns the lane scheduler and the
@@ -275,12 +280,17 @@ impl DeviceRuntime {
         let mut avail = vec![0u64; lanes];
         // Per-lane work queues; every window drains them completely.
         let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-        // Window scratch, reused so the warm cycle allocates little
-        // beyond the result buffers themselves.
+        // Window scratch, reused so the warm cycle allocates nothing but
+        // one exact-size buffer per published result frame.
         let mut window: Vec<(MsgHeader, PooledFrame)> = Vec::new();
         let mut items: Vec<Item> = Vec::new();
         let mut carriers: Vec<Carrier> = Vec::new();
-        let mut parts: Vec<Vec<u8>> = Vec::new();
+        let mut members: Vec<(MsgHeader, Range<usize>)> = Vec::new();
+        // The result arena: every member appends its framed result
+        // (`status ‖ output`) here, in execution order; `spans[idx]` is
+        // item `idx`'s bytes.
+        let mut arena: Vec<u8> = Vec::new();
+        let mut spans: Vec<Range<usize>> = Vec::new();
         let mut executed = vec![0u64; lanes];
         let meter = LaneMeter::new(env.meter);
 
@@ -366,11 +376,11 @@ impl DeviceRuntime {
                         let (reject, wm) = if skip {
                             (None, None)
                         } else {
-                            match batch::member_ranges(payload) {
+                            match batch::member_ranges(payload, &mut members) {
                                 Err(e) => (Some(e), None),
-                                Ok((members, err)) => {
+                                Ok(err) => {
                                     let mut wm = None;
-                                    for (sh, range) in members {
+                                    for (sh, range) in members.drain(..) {
                                         items.push(Item {
                                             msg: mi,
                                             carrier: carriers.len(),
@@ -409,8 +419,9 @@ impl DeviceRuntime {
                     *a = (*a).max(base);
                 }
                 executed.iter_mut().for_each(|e| *e = 0);
-                parts.clear();
-                parts.resize(items.len(), Vec::new());
+                arena.clear();
+                spans.clear();
+                spans.resize(items.len(), 0..0);
                 let mut remaining = items.len();
                 while remaining > 0 {
                     // Next lane to run: earliest virtual cursor; ties
@@ -435,11 +446,13 @@ impl DeviceRuntime {
                     // Execute now, in real time; the member's compute
                     // cost lands on this lane's virtual cursor.
                     meter.begin(avail[lane]);
-                    let part = {
+                    let start = arena.len();
+                    {
                         let _of = trace::offload_scope(OffloadId(item.header.corr));
                         let body = &window[item.msg].1[item.payload.clone()];
-                        execute_member(env, &meter, &item.header, body)
-                    };
+                        execute_member(env, &meter, &item.header, body, &mut arena);
+                    }
+                    spans[idx] = start..arena.len();
                     let d = meter.charged();
                     avail[lane] += d;
                     executed[lane] += 1;
@@ -451,7 +464,6 @@ impl DeviceRuntime {
                     }
                     let c = &mut carriers[item.carrier];
                     c.finish_ps = c.finish_ps.max(avail[lane]);
-                    parts[idx] = part;
                     remaining -= 1;
                 }
             }
@@ -486,23 +498,29 @@ impl DeviceRuntime {
                     );
                 } else if !c.batch {
                     join_barrier(c);
-                    chan.send_result(
-                        c.header.reply_slot,
-                        c.header.seq,
-                        std::mem::take(&mut parts[c.items.start]),
-                    );
+                    let frame = arena[spans[c.items.start].clone()].to_vec();
+                    chan.send_result(c.header.reply_slot, c.header.seq, frame);
                     served += 1;
                 } else {
                     // One combined result answers the whole batch:
-                    // count ‖ per-member (seq ‖ len ‖ framed result),
-                    // in member order.
-                    let mut body = Vec::new();
-                    batch::begin_result(&mut body, c.items.len() as u32);
-                    for idx in c.items.clone() {
-                        batch::append_result_part(&mut body, items[idx].header.seq, &parts[idx]);
-                    }
+                    // 0 ‖ count ‖ per-member (seq ‖ len ‖ framed
+                    // result), in member order, sized before it is
+                    // written.
+                    let parts = &spans[c.items.clone()];
+                    let len = parts
+                        .iter()
+                        .map(|s| batch::PART_PREFIX_BYTES + s.len())
+                        .sum::<usize>();
+                    let mut frame = Vec::with_capacity(1 + batch::COUNT_BYTES + len);
+                    write_framed(&mut frame, |body| {
+                        batch::begin_result(body, parts.len() as u32);
+                        for (item, span) in items[c.items.clone()].iter().zip(parts) {
+                            batch::append_result_part(body, item.header.seq, &arena[span.clone()]);
+                        }
+                        Ok(())
+                    });
                     join_barrier(c);
-                    chan.send_result(c.header.reply_slot, c.header.seq, frame_result(Ok(body)));
+                    chan.send_result(c.header.reply_slot, c.header.seq, frame);
                     served += c.items.len() as u64;
                 }
                 if let Some(w) = c.wm {
@@ -537,6 +555,11 @@ mod tests {
 
     ham_kernel! {
         pub fn add(_ctx, a: u64, b: u64) -> u64 { a + b }
+    }
+
+    ham_kernel! {
+        /// Variable-length output: `n % 40` copies of `n as u8`.
+        pub fn fill(_ctx, n: u64) -> Vec<u8> { vec![n as u8; (n % 40) as usize] }
     }
 
     /// 1 ps per flop; `charge_flops` is never called directly because
@@ -592,6 +615,7 @@ mod tests {
         let mut b = RegistryBuilder::new();
         b.register::<burn>();
         b.register::<add>();
+        b.register::<fill>();
         b.seal(7)
     }
 
@@ -963,5 +987,75 @@ mod tests {
     fn empty_channel_ends_loop() {
         let chan = QueueChannel::new(vec![]);
         assert_eq!(serve(&registry(), false, &chan), 0);
+    }
+
+    /// One member of the byte-equality property: `kind` 0 runs `fill(n)`
+    /// (Ok, 0-39 output bytes), 1 a truncated `add` payload (handler
+    /// error), 2 an unregistered key.
+    fn member(registry: &Registry, kind: u8, n: u64, seq: u64) -> (MsgHeader, Vec<u8>) {
+        let (key, payload) = match kind {
+            0 => registry.encode_message(&f2f!(fill, n)).unwrap(),
+            1 => {
+                let (key, full) = registry.encode_message(&f2f!(add, n, n)).unwrap();
+                (key, full[..(n % 16) as usize].to_vec())
+            }
+            _ => (HandlerKey(99), n.to_le_bytes().to_vec()),
+        };
+        offload(key, &payload, (seq % 8) as u16, seq)
+    }
+
+    proptest::proptest! {
+        /// The result arena publishes exactly the bytes the per-result
+        /// path did: a plain frame is `frame_result(registry.execute(..))`
+        /// and a batch frame is `frame_result(Ok(body))` over a
+        /// `begin_result`/`append_result_part` body of those frames — for
+        /// Ok, handler-error and unknown-key members alike.
+        #[test]
+        fn prop_arena_frames_match_per_result_framing(
+            groups in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0u64..1000), 1..6),
+                1..12,
+            ),
+        ) {
+            let reg = registry();
+            let mem = VecMemory::new(0);
+            let mut ctx = ExecContext::new(1, &mem);
+            let mut msgs = Vec::new();
+            let mut expect = Vec::new();
+            let mut seq = 0u64;
+            for (g, group) in groups.iter().enumerate() {
+                let subs: Vec<_> = group
+                    .iter()
+                    .map(|&(kind, n)| {
+                        seq += 1;
+                        member(&reg, kind, n, seq)
+                    })
+                    .collect();
+                let parts: Vec<_> = subs
+                    .iter()
+                    .map(|(h, p)| frame_result(reg.execute(h.handler_key, p, &mut ctx)))
+                    .collect();
+                if let [single] = &subs[..] {
+                    msgs.push(single.clone());
+                    expect.push(parts[0].clone());
+                } else {
+                    msgs.push(envelope(&subs, g as u16, 0));
+                    let mut body = Vec::new();
+                    batch::begin_result(&mut body, subs.len() as u32);
+                    for ((h, _), part) in subs.iter().zip(&parts) {
+                        batch::append_result_part(&mut body, h.seq, part);
+                    }
+                    expect.push(frame_result(Ok(body)));
+                }
+            }
+            let chan = QueueChannel::new(msgs.clone());
+            serve(&reg, false, &chan);
+            let out = chan.outbox.lock();
+            proptest::prop_assert_eq!(out.len(), expect.len());
+            for ((slot, seq, frame), ((h, _), want)) in out.iter().zip(msgs.iter().zip(&expect)) {
+                proptest::prop_assert_eq!((*slot, *seq), (h.reply_slot, h.seq));
+                proptest::prop_assert_eq!(frame, want);
+            }
+        }
     }
 }

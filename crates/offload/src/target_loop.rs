@@ -9,11 +9,12 @@
 //! bookkeeping — lives in [`crate::device::DeviceRuntime`]; every
 //! backend runs that one engine. This module keeps the
 //! transport-facing pieces: [`TargetChannel`], [`TargetEnv`], and the
-//! `frame_result` wire helpers.
+//! result-frame wire helpers ([`write_framed`] and its inverse).
 
 use crate::chan::pool::{FramePool, PooledFrame};
 use ham::wire::MsgHeader;
 use ham::{HamError, Registry, TargetMemory};
+use std::io::Write;
 use std::sync::Arc;
 
 /// Outcome of a non-blocking poll on a [`TargetChannel`].
@@ -48,24 +49,32 @@ pub trait TargetChannel {
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>);
 }
 
-/// Frame a handler outcome for the wire: `0x00 ‖ bytes` on success,
-/// `0x01 ‖ utf-8 message` on failure.
-pub fn frame_result(result: Result<Vec<u8>, HamError>) -> Vec<u8> {
-    match result {
-        Ok(mut bytes) => {
-            let mut out = Vec::with_capacity(bytes.len() + 1);
-            out.push(0);
-            out.append(&mut bytes);
-            out
-        }
-        Err(e) => {
-            let msg = e.to_string();
-            let mut out = Vec::with_capacity(msg.len() + 1);
-            out.push(1);
-            out.extend_from_slice(msg.as_bytes());
-            out
-        }
+/// Append one framed handler outcome to `out`: the status byte, then
+/// whatever `write` appends — `0x00 ‖ output` on success. On `Err`,
+/// everything `write` appended is dropped and the frame becomes
+/// `0x01 ‖ utf-8 message`. The one writer of the result frame format;
+/// a handler run inside `write` encodes straight into `out`, with no
+/// buffer of its own.
+pub fn write_framed(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> Result<(), HamError>) {
+    let mark = out.len();
+    out.push(0);
+    if let Err(e) = write(out) {
+        out.truncate(mark);
+        out.push(1);
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{e}");
     }
+}
+
+/// Frame a handler outcome for the wire: `0x00 ‖ bytes` on success,
+/// `0x01 ‖ utf-8 message` on failure ([`write_framed`] into a fresh
+/// buffer).
+pub fn frame_result(result: Result<Vec<u8>, HamError>) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_framed(&mut out, |out| {
+        result.map(|bytes| out.extend_from_slice(&bytes))
+    });
+    out
 }
 
 /// Undo [`frame_result`] without copying: the success payload is a
@@ -89,15 +98,6 @@ pub fn result_header(reply_slot: u16, seq: u64, payload_len: usize) -> MsgHeader
         corr: 0,
         seq,
     }
-}
-
-/// Assemble a result wire frame — [`result_header`] ‖ `payload`.
-pub fn result_wire_frame(reply_slot: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let header = result_header(reply_slot, seq, payload.len());
-    let mut bytes = Vec::with_capacity(ham::wire::HEADER_BYTES + payload.len());
-    bytes.extend_from_slice(&header.encode());
-    bytes.extend_from_slice(payload);
-    bytes
 }
 
 /// The target process's execution environment: everything kernels may
@@ -133,10 +133,29 @@ mod tests {
         assert_eq!(frame_result(Ok(vec![1, 2])), vec![0, 1, 2]);
         assert_eq!(unframe_result_ref(&[0, 1, 2]).unwrap(), [1, 2]);
         let err = frame_result(Err(HamError::UnknownKey(5)));
+        let mut expect = vec![1u8];
+        expect.extend_from_slice(HamError::UnknownKey(5).to_string().as_bytes());
+        assert_eq!(err, expect);
         assert!(unframe_result_ref(&err)
             .unwrap_err()
             .contains("unknown handler key 5"));
         assert!(unframe_result_ref(&[]).is_err());
         assert!(unframe_result_ref(&[9]).is_err());
+    }
+
+    #[test]
+    fn write_framed_appends_and_rolls_back_a_failed_write() {
+        let mut out = vec![7u8];
+        write_framed(&mut out, |o| {
+            o.extend_from_slice(&[1, 2]);
+            Ok(())
+        });
+        assert_eq!(out, [7, 0, 1, 2]);
+        write_framed(&mut out, |o| {
+            o.extend_from_slice(&[9; 5]);
+            Err(HamError::UnknownKey(5))
+        });
+        assert_eq!(out[..4], [7, 0, 1, 2], "earlier frames untouched");
+        assert_eq!(out[4..], frame_result(Err(HamError::UnknownKey(5)))[..]);
     }
 }

@@ -1,7 +1,8 @@
 //! Counting-allocator proof of the zero-copy frame path: once the frame
 //! pool and the channel core's tables are warm, a full post → flush →
 //! send → result → complete cycle performs **zero** heap allocations.
-//! The TCP cases count across threads: what a warm offload over real
+//! On the target side, a warm device runtime allocates one buffer per
+//! published result frame and nothing per member. The TCP cases count across threads: what a warm offload over real
 //! sockets allocates, and what a hostile length prefix can make a
 //! reader allocate. The last case asks the same of the codec's length
 //! prefixes. One more holds the bulk `put`/`get` path to zero.
@@ -460,13 +461,179 @@ mod warm_wait {
     }
 }
 
+// --- the target side: a warm device runtime -----------------------------
+//
+// Handlers encode into the runtime's reused result arena, so a warm
+// window allocates one buffer per published result frame (the exact-size
+// `Vec` `TargetChannel::send_result` takes) and nothing per member.
+
+mod warm_device {
+    use ham::message::VecMemory;
+    use ham::registry::HandlerKey;
+    use ham::wire::{MsgHeader, MsgKind};
+    use ham::{f2f, ham_kernel, Registry, RegistryBuilder};
+    use ham_offload::chan::batch;
+    use ham_offload::chan::pool::{FramePool, PooledFrame};
+    use ham_offload::device::{DeviceConfig, DeviceRuntime};
+    use ham_offload::target_loop::{Polled, TargetChannel, TargetEnv};
+    use std::cell::Cell;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    ham_kernel! {
+        pub fn add_probe(_ctx, a: u64, b: u64) -> u64 { a + b }
+    }
+
+    /// Windows run before counting starts, and windows counted.
+    const WARM: usize = 8;
+    const MEASURED: usize = 32;
+    /// Members per batch carrier.
+    const MEMBERS: usize = 16;
+
+    /// Replays the same intake window over and over: `recv` opens a
+    /// window with its first message, `try_recv` hands out the rest and
+    /// then reports `Empty`. Bodies are copied into checkouts of the
+    /// runtime's own pool. From window `WARM` on, allocations count.
+    struct Replay {
+        window: Vec<(MsgHeader, Vec<u8>)>,
+        next: Cell<usize>,
+        opened: Cell<usize>,
+        published: Cell<u64>,
+        /// `(allocations, frames published)` when counting started.
+        mark: Cell<(u64, u64)>,
+    }
+
+    impl Replay {
+        fn take(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
+            let (h, body) = self.window.get(self.next.get())?;
+            self.next.set(self.next.get() + 1);
+            let mut frame = pool.checkout();
+            frame.extend_from_slice(body);
+            Some((*h, frame))
+        }
+    }
+
+    impl TargetChannel for Replay {
+        fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
+            let opened = self.opened.get();
+            if opened == WARM + MEASURED {
+                return None;
+            }
+            if opened == WARM {
+                super::IN_WINDOW.with(|w| w.set(true));
+                let allocs = super::ALLOCS.load(Ordering::SeqCst);
+                self.mark.set((allocs, self.published.get()));
+            }
+            self.opened.set(opened + 1);
+            self.next.set(0);
+            self.take(pool)
+        }
+
+        fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
+            match self.take(pool) {
+                Some((h, frame)) => Polled::Msg(h, frame),
+                None => Polled::Empty,
+            }
+        }
+
+        fn send_result(&self, _reply_slot: u16, _seq: u64, payload: Vec<u8>) {
+            assert_eq!(payload[0], 0, "every member succeeds");
+            self.published.set(self.published.get() + 1);
+        }
+    }
+
+    fn offload(key: HandlerKey, seq: u64) -> (MsgHeader, Vec<u8>) {
+        let payload = ham::codec::encode(&f2f!(add_probe, seq, 1)).unwrap();
+        let header = MsgHeader {
+            handler_key: key,
+            payload_len: payload.len() as u32,
+            kind: MsgKind::Offload,
+            reply_slot: (seq % 64) as u16,
+            corr: 0,
+            seq,
+        };
+        (header, payload)
+    }
+
+    /// Serve `WARM + MEASURED` copies of `window`; returns the counted
+    /// `(allocations, result frames published)`.
+    fn serve(registry: &Registry, window: Vec<(MsgHeader, Vec<u8>)>) -> (u64, u64) {
+        let mem = VecMemory::new(0);
+        let env = TargetEnv {
+            node: 1,
+            registry,
+            mem: &mem,
+            reverse: None,
+            meter: None,
+            dedup: false,
+        };
+        let chan = Replay {
+            window,
+            next: Cell::new(0),
+            opened: Cell::new(0),
+            published: Cell::new(0),
+            mark: Cell::new((0, 0)),
+        };
+        DeviceRuntime::new(DeviceConfig::new()).run(&env, &chan);
+        super::IN_WINDOW.with(|w| w.set(false));
+        let (allocs, published) = chan.mark.get();
+        (
+            super::ALLOCS.load(Ordering::SeqCst) - allocs,
+            chan.published.get() - published,
+        )
+    }
+
+    fn registry() -> Registry {
+        let mut b = RegistryBuilder::new();
+        b.register::<add_probe>();
+        b.seal(0x0D1C)
+    }
+
+    #[test]
+    fn warm_device_allocates_once_per_plain_result() {
+        let _gate = super::gate();
+        let reg = registry();
+        let key = reg.key_of::<add_probe>().unwrap();
+        let window = (0..64).map(|seq| offload(key, seq)).collect();
+        let (allocs, frames) = serve(&reg, window);
+        assert_eq!(frames, (64 * MEASURED) as u64);
+        assert_eq!(allocs, frames, "one allocation per published result");
+    }
+
+    #[test]
+    fn warm_device_allocates_once_per_batch_carrier_and_never_per_member() {
+        let _gate = super::gate();
+        let reg = registry();
+        let key = reg.key_of::<add_probe>().unwrap();
+        let window = (0..4u64)
+            .map(|c| {
+                let mut body = (MEMBERS as u32).to_le_bytes().to_vec();
+                let first = c * MEMBERS as u64;
+                for seq in first..first + MEMBERS as u64 {
+                    let (h, p) = offload(key, seq);
+                    batch::append_sub(&mut body, &h, &p);
+                }
+                let last = first + MEMBERS as u64 - 1;
+                (batch::carrier_header(last, body.len(), c as u16, 0), body)
+            })
+            .collect();
+        let (allocs, frames) = serve(&reg, window);
+        assert_eq!(frames, (4 * MEASURED) as u64);
+        assert_eq!(
+            allocs, frames,
+            "one allocation per carrier, none for its {MEMBERS} members"
+        );
+    }
+}
+
 /// A warm `sync(whoami)` over loopback TCP: the request is encoded into
 /// a pooled frame, the device thread copies it from its socket buffer
-/// into a pooled frame, and the link supervisor deposits the result
-/// from a pooled frame — what is left is the kernel's result `Vec` and
-/// its framed copy. Counted on every thread.
+/// into a pooled frame, the kernel encodes into the device's result
+/// arena, and the link supervisor deposits the result from a pooled
+/// frame — what is left is the one exact-size `Vec` the device hands
+/// `send_result`. Counted on every thread.
 #[test]
-fn warm_tcp_sync_allocates_twice_per_offload() {
+fn warm_tcp_sync_allocates_once_per_offload() {
     use aurora_workloads::kernels::whoami;
     use ham::f2f;
     use ham_aurora_repro::{NodeId, Offload};
@@ -489,10 +656,10 @@ fn warm_tcp_sync_allocates_twice_per_offload() {
     });
     EVERY_THREAD.store(false, Ordering::SeqCst);
     o.shutdown();
-    // Two per offload today; the third would be a pooled buffer turned
-    // back into a fresh one (the issue's budget was four, from six).
+    // One per offload; the slack absorbs a thread's one-off lazy
+    // allocations (a parker, a socket buffer's first growth).
     assert!(
-        allocs < 3 * OFFLOADS,
+        allocs <= OFFLOADS + OFFLOADS / 50,
         "{allocs} allocations over {OFFLOADS} warm TCP offloads"
     );
 }
