@@ -5,11 +5,12 @@
 //! * the flight recorder — every costed hardware operation calls
 //!   `trace::record`; with no session active that must stay a single
 //!   relaxed atomic load, so disabled telemetry is free;
-//! * the metric registers — every offload completion records into the
-//!   aggregate log₂ histogram *and* its target's register (histogram +
-//!   EWMA CAS loop), unconditionally. The acceptance bar is that this
-//!   always-on histogram path costs <5% of the warm offload cycle it
-//!   rides on;
+//! * the metric registers — every offload post bumps the post counter
+//!   and payload sum, and every completion records into its target's
+//!   register only (one log-linear bucket, the latency sum, the EWMA
+//!   store), unconditionally; no lock is taken. The acceptance bar is
+//!   that this always-on histogram path costs <5% of the warm offload
+//!   cycle it rides on;
 //! * the adaptive batching controller — every flush feeds the tick
 //!   window and every sweep checks the staged-age SLO; arming the
 //!   self-tuning dataplane must also stay <5% of the offload cycle.
@@ -106,9 +107,10 @@ fn main() {
     drop(session.finish());
 
     // --- metric registers (the always-on histogram path) ----------------
-    // What the engine adds per completed offload: the post counter, the
-    // completion record (aggregate histogram + per-target histogram +
-    // EWMA CAS), and the EWMA read the weighted scheduler makes.
+    // What the engine adds per completed offload: the post record (post
+    // counter, payload sum and extremes, in-flight peak check), the
+    // completion record (the target's bucket, latency sum, extremes and
+    // EWMA), and the EWMA read the weighted scheduler makes.
     let m = BackendMetrics::new();
     for i in 0..10_000u64 {
         m.on_complete_on((i % 4) as u16 + 1, SimTime::from_us(5));

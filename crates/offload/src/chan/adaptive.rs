@@ -33,9 +33,9 @@
 //!
 //! Everything here is integer arithmetic on histogram buckets so a
 //! controller tick allocates nothing and costs a bounded scan of
-//! [`HISTOGRAM_BUCKETS`] words.
+//! [`LOG2_BUCKETS`] words.
 
-use aurora_sim_core::HISTOGRAM_BUCKETS;
+use aurora_sim_core::LOG2_BUCKETS;
 
 use super::batch::BatchConfig;
 
@@ -140,7 +140,7 @@ pub fn apply(watermark: usize, policy: &AdaptivePolicy, decision: Decision) -> u
 /// The p99 floor (in ps) of a histogram delta: the lower bound of the
 /// log₂ bucket holding the 99th percentile sample. Zero when the delta
 /// is empty.
-pub fn p99_floor_ps(delta: &[u64; HISTOGRAM_BUCKETS]) -> u64 {
+pub fn p99_floor_ps(delta: &[u64; LOG2_BUCKETS]) -> u64 {
     let total: u64 = delta.iter().sum();
     if total == 0 {
         return 0;
@@ -178,7 +178,7 @@ pub(crate) struct AdaptiveState {
     flushes_since_tick: u64,
     msgs_since_tick: u64,
     slo_since_tick: u64,
-    prev_flush_hist: [u64; HISTOGRAM_BUCKETS],
+    prev_flush_hist: [u64; LOG2_BUCKETS],
 }
 
 impl AdaptiveState {
@@ -192,7 +192,7 @@ impl AdaptiveState {
             flushes_since_tick: 0,
             msgs_since_tick: 0,
             slo_since_tick: 0,
-            prev_flush_hist: [0; HISTOGRAM_BUCKETS],
+            prev_flush_hist: [0; LOG2_BUCKETS],
         }
     }
 
@@ -226,8 +226,8 @@ impl AdaptiveState {
     /// Run one controller tick against the current cumulative flush
     /// histogram. Resets the window. Returns the verdict (including
     /// `Hold`) so the engine can decide what to surface.
-    pub(crate) fn tick(&mut self, flush_hist: &[u64; HISTOGRAM_BUCKETS]) -> AdaptiveDecision {
-        let mut delta = [0u64; HISTOGRAM_BUCKETS];
+    pub(crate) fn tick(&mut self, flush_hist: &[u64; LOG2_BUCKETS]) -> AdaptiveDecision {
+        let mut delta = [0u64; LOG2_BUCKETS];
         for (d, (cur, prev)) in delta
             .iter_mut()
             .zip(flush_hist.iter().zip(self.prev_flush_hist.iter()))
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn p99_floor_walks_buckets_from_the_top() {
-        let mut delta = [0u64; HISTOGRAM_BUCKETS];
+        let mut delta = [0u64; LOG2_BUCKETS];
         assert_eq!(p99_floor_ps(&delta), 0);
         // 100 samples in bucket 10, one outlier in bucket 20: the
         // outlier is the 1% tail, p99 floors at bucket 10.
@@ -344,7 +344,7 @@ mod tests {
         delta[20] = 1;
         assert_eq!(p99_floor_ps(&delta), 1 << 10);
         // With ≤ 100 samples all in one bucket, that bucket is the p99.
-        let mut one = [0u64; HISTOGRAM_BUCKETS];
+        let mut one = [0u64; LOG2_BUCKETS];
         one[5] = 42;
         assert_eq!(p99_floor_ps(&one), 1 << 5);
     }
@@ -359,7 +359,7 @@ mod tests {
             assert!(!st.note_flush(16));
         }
         assert!(st.note_flush(16));
-        let hist = [0u64; HISTOGRAM_BUCKETS];
+        let hist = [0u64; LOG2_BUCKETS];
         let d = st.tick(&hist);
         assert_eq!(d.decision, Decision::Hold);
         assert_eq!(d.watermark, 16);

@@ -7,7 +7,7 @@ use super::pool::{FramePool, PooledFrame};
 use super::recovery::{MissVerdict, RecoveryPolicy, StoredFrame};
 use super::ring::SlotRing;
 use crate::OffloadError;
-use aurora_sim_core::{SimTime, HISTOGRAM_BUCKETS};
+use aurora_sim_core::{SimTime, LOG2_BUCKETS};
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 use parking_lot::Mutex;
@@ -586,7 +586,7 @@ impl ChannelCore {
     pub fn adaptive_tick(
         &self,
         msgs: usize,
-        flush_hist: impl FnOnce() -> [u64; HISTOGRAM_BUCKETS],
+        flush_hist: impl FnOnce() -> [u64; LOG2_BUCKETS],
     ) -> Option<AdaptiveDecision> {
         let mut st = self.state.lock();
         let a = st.adaptive.as_mut()?;

@@ -36,7 +36,7 @@ pub mod time;
 pub mod trace;
 
 pub use aurora_telemetry::{
-    HealthEvent, HealthEventKind, HealthRegistry, TargetState, HISTOGRAM_BUCKETS,
+    HealthEvent, HealthEventKind, HealthRegistry, TargetState, HISTOGRAM_BUCKETS, LOG2_BUCKETS,
 };
 pub use clock::Clock;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSite};
@@ -46,5 +46,5 @@ pub use metrics::{
 pub use model::{LinkModel, SegmentedModel, TransferCost};
 pub use resource::Timeline;
 pub use slo::{SloReport, SloSpec};
-pub use stats::{Histogram, OnlineStats, Sampler};
+pub use stats::{Histogram, Sampler, Summary};
 pub use time::SimTime;

@@ -5,23 +5,30 @@
 //! allocate/free), so all four backends are measured identically and for
 //! free — counters are single relaxed atomics (see
 //! [`aurora_telemetry::metrics`]) and stay on even when no trace session
-//! is recording. The latency registers are always-on lock-free log₂
-//! histograms ([`aurora_telemetry::AtomicHistogram`]): offload
-//! completion latency (aggregate and per target), batch flush latency,
-//! and retry/backoff delay, all in virtual time. Each backend also owns
-//! a [`HealthRegistry`] its targets register with.
+//! is recording. No register takes a lock on the offload path: a sample
+//! is one relaxed RMW per word it feeds, and extremes are a relaxed load
+//! that writes only on a new extreme.
+//!
+//! The latency registers are lock-free log-linear histograms
+//! ([`aurora_telemetry::AtomicHistogram`], 12.5 % resolution): batch
+//! flush latency, retry/backoff delay and — per target only — offload
+//! completion latency, all in virtual time. The aggregate completion
+//! histogram, its count and mean are derived at snapshot time by summing
+//! the per-target registers. Each backend also owns a [`HealthRegistry`]
+//! its targets register with.
 //!
 //! [`BackendMetrics::snapshot`] returns a plain-data [`MetricsSnapshot`]
 //! with derived statistics, renderable as text ([`MetricsSnapshot::render`]),
 //! Prometheus exposition text ([`MetricsSnapshot::to_prometheus_text`]) or
 //! JSON ([`MetricsSnapshot::to_json`]).
 
-use crate::stats::{Histogram, OnlineStats};
+use crate::stats::{Histogram, Summary};
 use crate::time::SimTime;
-use aurora_telemetry::{AtomicHistogram, Counter, Gauge, HealthRegistry};
+use aurora_telemetry::metrics::bucket_ceil;
+use aurora_telemetry::{AtomicHistogram, Counter, Gauge, HealthRegistry, MinMax, LOG2_BUCKETS};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Targets that get their own completion-latency register. Node ids at
@@ -43,50 +50,46 @@ const LATENCY_EWMA_ALPHA: f64 = 0.2;
 /// which an EWMA of finite samples can never produce.
 const EWMA_UNSET: u64 = u64::MAX;
 
-/// Per-target completion-latency register: log₂ histogram, EWMA and
-/// completion count, all lock-free and preallocated so the warm
-/// completion path never touches the heap.
+/// Per-target completion-latency register — the only place a completion
+/// is recorded. Log-linear histogram, latency sum and extremes, and the
+/// EWMA the scheduler reads; all lock-free and preallocated so the warm
+/// completion path never touches the heap. The completion count is the
+/// histogram's sum.
 #[derive(Debug)]
 struct NodeRegister {
-    hist: AtomicHistogram,
     /// `f64` bits of the EWMA in ns; [`EWMA_UNSET`] before the first
     /// sample.
     ewma_bits: AtomicU64,
-    completions: Counter,
+    sum_ps: Counter,
+    extremes_ps: MinMax,
+    hist: AtomicHistogram,
 }
 
 impl NodeRegister {
     const fn new() -> Self {
         NodeRegister {
-            hist: AtomicHistogram::new(),
             ewma_bits: AtomicU64::new(EWMA_UNSET),
-            completions: Counter::new(),
+            sum_ps: Counter::new(),
+            extremes_ps: MinMax::new(),
+            hist: AtomicHistogram::new(),
         }
     }
 
     #[inline]
     fn record(&self, latency: SimTime) {
-        self.hist.record_ps(latency.as_ps());
-        self.completions.incr();
+        let ps = latency.as_ps();
+        self.hist.record_ps(ps);
+        self.sum_ps.add(ps);
+        self.extremes_ps.record(ps);
+        // A load and a plain store, not a CAS loop: two completions on
+        // one target racing here keep one of their updates, which moves
+        // a smoothed estimate by one sample's weight at most.
         let sample = latency.as_ns_f64();
-        let mut cur = self.ewma_bits.load(Ordering::Relaxed);
-        loop {
-            let next = if cur == EWMA_UNSET {
-                sample // first sample seeds the estimate
-            } else {
-                let e = f64::from_bits(cur);
-                e + LATENCY_EWMA_ALPHA * (sample - e)
-            };
-            match self.ewma_bits.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        let next = match self.ewma() {
+            None => sample, // first sample seeds the estimate
+            Some(e) => e + LATENCY_EWMA_ALPHA * (sample - e),
+        };
+        self.ewma_bits.store(next.to_bits(), Ordering::Relaxed);
     }
 
     fn ewma(&self) -> Option<f64> {
@@ -189,7 +192,6 @@ pub struct BackendMetrics {
     member_joins: Counter,
     /// Targets removed (drained) from a running pool's membership.
     member_leaves: Counter,
-    completions: Counter,
     puts: Counter,
     gets: Counter,
     bytes_put: Counter,
@@ -202,16 +204,12 @@ pub struct BackendMetrics {
     batch_narrows: Counter,
     /// Envelope flushes forced by the `slo_micros` age bound.
     batch_slo_flushes: Counter,
-    /// Offloads posted but not yet completed.
-    inflight: Gauge,
+    /// Highest `posts − completions` seen at post time.
+    inflight_peak: AtomicI64,
     /// Bytes currently allocated on targets via `allocate`.
     alloc_live: Gauge,
-    payload: Mutex<OnlineStats>,
-    batch_occupancy: Mutex<OnlineStats>,
-    latency: Mutex<OnlineStats>,
-    /// Aggregate offload completion latency (post → result, virtual
-    /// time).
-    latency_hist: AtomicHistogram,
+    payload_sum: Counter,
+    payload_extremes: MinMax,
     /// Batch flush latency: first stage → frame handed to the
     /// transport.
     flush_hist: AtomicHistogram,
@@ -219,7 +217,8 @@ pub struct BackendMetrics {
     /// frame.
     retry_hist: AtomicHistogram,
     /// Per-target completion-latency registers — the single source of
-    /// truth the scheduler's `WeightedByLatency` policy reads.
+    /// truth for completion latency: the snapshot's aggregate and the
+    /// scheduler's `WeightedByLatency` policy both read them.
     nodes: Vec<NodeRegister>,
     /// Per-target health state + structured event log.
     health: Arc<HealthRegistry>,
@@ -255,7 +254,6 @@ impl BackendMetrics {
             probe_misses: Counter::new(),
             member_joins: Counter::new(),
             member_leaves: Counter::new(),
-            completions: Counter::new(),
             puts: Counter::new(),
             gets: Counter::new(),
             bytes_put: Counter::new(),
@@ -265,12 +263,10 @@ impl BackendMetrics {
             batch_widens: Counter::new(),
             batch_narrows: Counter::new(),
             batch_slo_flushes: Counter::new(),
-            inflight: Gauge::new(),
+            inflight_peak: AtomicI64::new(0),
             alloc_live: Gauge::new(),
-            payload: Mutex::new(OnlineStats::new()),
-            batch_occupancy: Mutex::new(OnlineStats::new()),
-            latency: Mutex::new(OnlineStats::new()),
-            latency_hist: AtomicHistogram::new(),
+            payload_sum: Counter::new(),
+            payload_extremes: MinMax::new(),
             flush_hist: AtomicHistogram::new(),
             retry_hist: AtomicHistogram::new(),
             nodes: (0..MAX_TRACKED_NODES)
@@ -301,10 +297,25 @@ impl BackendMetrics {
     }
 
     /// An offload message of `payload_bytes` was posted.
+    ///
+    /// The in-flight level is `posts − completions`. Here, completions
+    /// are counted as hit polls (`polls − retries`): the runtime makes
+    /// exactly one hit poll per completion, so the check needs no
+    /// completion counter of its own. Raising the peak is relaxed loads
+    /// unless this post sets a new one.
     pub fn on_post(&self, payload_bytes: u64) {
-        self.posts.incr();
-        self.inflight.add(1);
-        self.payload.lock().record(payload_bytes as f64);
+        let posts = self.posts.incr();
+        self.payload_sum.add(payload_bytes);
+        self.payload_extremes.record(payload_bytes);
+        // This post's own count first, then `retries` before `polls`: a
+        // poll racing these reads can only add to the hits, so a race
+        // reads the level low, never high.
+        let misses = self.retries.get();
+        let hits = self.polls.get().saturating_sub(misses);
+        let level = posts as i64 - hits as i64;
+        if level > self.inflight_peak.load(Ordering::Relaxed) {
+            self.inflight_peak.fetch_max(level, Ordering::Relaxed);
+        }
     }
 
     /// One wire frame carrying `msgs` offload messages went onto the
@@ -314,7 +325,6 @@ impl BackendMetrics {
     pub fn on_frame(&self, msgs: u64) {
         self.frames.incr();
         self.msgs.add(msgs);
-        self.batch_occupancy.lock().record(msgs as f64);
     }
 
     /// The host polled a future; `ready` tells whether the result had
@@ -404,11 +414,11 @@ impl BackendMetrics {
         self.batch_slo_flushes.incr();
     }
 
-    /// Raw log₂ bucket counts of the flush-latency histogram — a stack
-    /// copy, allocation-free. The adaptive batching controller's tick
-    /// input.
-    pub fn flush_hist_buckets(&self) -> [u64; aurora_telemetry::HISTOGRAM_BUCKETS] {
-        self.flush_hist.snapshot()
+    /// The flush-latency histogram folded to one word per log₂ octave —
+    /// a stack copy, allocation-free. The adaptive batching controller's
+    /// tick input.
+    pub fn flush_hist_buckets(&self) -> [u64; LOG2_BUCKETS] {
+        self.flush_hist.log2_snapshot()
     }
 
     /// A recovery re-send fired `delay` of virtual time after the
@@ -417,19 +427,11 @@ impl BackendMetrics {
         self.retry_hist.record_ps(delay.as_ps());
     }
 
-    /// An offload completed after `latency` of virtual time post→result.
-    pub fn on_complete(&self, latency: SimTime) {
-        self.completions.incr();
-        self.inflight.add(-1);
-        self.latency.lock().record_time(latency);
-        self.latency_hist.record_ps(latency.as_ps());
-    }
-
-    /// [`Self::on_complete`] attributed to the target `node` that served
-    /// the offload — also feeds the per-target register (histogram +
-    /// EWMA) the scheduler's latency-weighted policy reads.
+    /// An offload served by target `node` completed after `latency` of
+    /// virtual time post→result. Recorded into that target's register
+    /// only: histogram, sum, extremes, and the EWMA the scheduler's
+    /// latency-weighted policy reads.
     pub fn on_complete_on(&self, node: u16, latency: SimTime) {
-        self.on_complete(latency);
         self.node_register(node).record(latency);
     }
 
@@ -468,22 +470,36 @@ impl BackendMetrics {
         }
     }
 
-    /// Copy the registers into a plain-data snapshot.
+    /// Copy the registers into a plain-data snapshot. The aggregate
+    /// completion histogram, count and mean are the per-target registers
+    /// summed here, off the offload path.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let per_node: Vec<NodeMetricsSnapshot> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.completions.get() > 0)
-            .map(|(n, r)| NodeMetricsSnapshot {
+        let mut per_node = Vec::new();
+        let mut latency_hist = Histogram::new();
+        let (mut sum_ps, mut extremes) = (0u128, None::<(u64, u64)>);
+        for (n, r) in self.nodes.iter().enumerate() {
+            let buckets = r.hist.snapshot();
+            if buckets.iter().all(|&c| c == 0) {
+                continue;
+            }
+            let hist = Histogram::from_buckets(buckets);
+            latency_hist.merge(&hist);
+            sum_ps += r.sum_ps.get() as u128;
+            if let Some((lo, hi)) = r.extremes_ps.get() {
+                extremes = Some(extremes.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+            }
+            per_node.push(NodeMetricsSnapshot {
                 node: n as u16,
-                completions: r.completions.get(),
+                completions: hist.count(),
                 ewma_ns: r.ewma().unwrap_or(0.0),
-                latency_hist: Histogram::from_buckets(r.hist.snapshot()),
-            })
-            .collect();
+                latency_hist: hist,
+            });
+        }
+        let ns = |ps: u64| SimTime::from_ps(ps).as_ns_f64();
+        let posts = self.posts.get();
+        let completions = latency_hist.count();
         MetricsSnapshot {
-            posts: self.posts.get(),
+            posts,
             frames_sent: self.frames.get(),
             msgs_sent: self.msgs.get(),
             polls: self.polls.get(),
@@ -498,7 +514,7 @@ impl BackendMetrics {
             probe_misses: self.probe_misses.get(),
             member_joins: self.member_joins.get(),
             member_leaves: self.member_leaves.get(),
-            completions: self.completions.get(),
+            completions,
             puts: self.puts.get(),
             gets: self.gets.get(),
             bytes_put: self.bytes_put.get(),
@@ -508,14 +524,23 @@ impl BackendMetrics {
             batch_widens: self.batch_widens.get(),
             batch_narrows: self.batch_narrows.get(),
             batch_slo_flushes: self.batch_slo_flushes.get(),
-            inflight: self.inflight.get(),
-            inflight_peak: self.inflight.peak(),
+            inflight: posts as i64 - completions as i64,
+            inflight_peak: self.inflight_peak.load(Ordering::Relaxed),
             alloc_bytes_live: self.alloc_live.get(),
             alloc_bytes_peak: self.alloc_live.peak(),
-            payload_bytes: self.payload.lock().clone(),
-            batch_occupancy: self.batch_occupancy.lock().clone(),
-            latency: self.latency.lock().clone(),
-            latency_hist: Histogram::from_buckets(self.latency_hist.snapshot()),
+            payload_bytes: Summary::new(
+                posts,
+                self.payload_sum.get() as f64,
+                self.payload_extremes
+                    .get()
+                    .map(|(lo, hi)| (lo as f64, hi as f64)),
+            ),
+            latency: Summary::new(
+                completions,
+                sum_ps as f64 / 1e3,
+                extremes.map(|(lo, hi)| (ns(lo), ns(hi))),
+            ),
+            latency_hist,
             flush_hist: Histogram::from_buckets(self.flush_hist.snapshot()),
             retry_hist: Histogram::from_buckets(self.retry_hist.snapshot()),
             node_latency_ewma: per_node.iter().map(|n| (n.node, n.ewma_ns)).collect(),
@@ -556,7 +581,7 @@ pub struct NodeMetricsSnapshot {
     pub completions: u64,
     /// EWMA completion latency (ns).
     pub ewma_ns: f64,
-    /// Log₂ histogram of this target's completion latencies.
+    /// Log-linear histogram of this target's completion latencies.
     pub latency_hist: Histogram,
 }
 
@@ -595,7 +620,8 @@ pub struct MetricsSnapshot {
     pub member_joins: u64,
     /// Targets removed (drained) from a running pool's membership.
     pub member_leaves: u64,
-    /// Offloads whose result was consumed.
+    /// Offloads whose result was consumed (the per-target registers'
+    /// sum).
     pub completions: u64,
     /// `put` operations.
     pub puts: u64,
@@ -615,26 +641,24 @@ pub struct MetricsSnapshot {
     pub batch_narrows: u64,
     /// Envelope flushes forced by the `slo_micros` age bound.
     pub batch_slo_flushes: u64,
-    /// Offloads currently in flight.
+    /// Offloads currently in flight: `posts − completions`.
     pub inflight: i64,
-    /// Highest concurrent in-flight count observed.
+    /// Highest in-flight count seen at post time.
     pub inflight_peak: i64,
     /// Bytes currently allocated on targets.
     pub alloc_bytes_live: i64,
     /// Highest live allocation level observed.
     pub alloc_bytes_peak: i64,
-    /// Distribution of posted payload sizes (bytes).
-    pub payload_bytes: OnlineStats,
-    /// Distribution of messages per sent frame (all 1s with batching
-    /// off).
-    pub batch_occupancy: OnlineStats,
-    /// Offload latency distribution (recorded in nanoseconds).
-    pub latency: OnlineStats,
-    /// Log₂ histogram of offload completion latencies (ps buckets).
+    /// Posted payload sizes (bytes): count, mean and extremes.
+    pub payload_bytes: Summary,
+    /// Offload completion latency (ns): count, mean and extremes.
+    pub latency: Summary,
+    /// Histogram of offload completion latencies (ps buckets), the sum
+    /// of the per-target ones.
     pub latency_hist: Histogram,
-    /// Log₂ histogram of batch flush latencies (first stage → send).
+    /// Histogram of batch flush latencies (first stage → send).
     pub flush_hist: Histogram,
-    /// Log₂ histogram of retry/backoff delays (post → re-send).
+    /// Histogram of retry/backoff delays (post → re-send).
     pub retry_hist: Histogram,
     /// Per-target registers, sorted by node id (only targets with at
     /// least one completion appear).
@@ -659,16 +683,18 @@ fn prom_gauge(out: &mut String, name: &str, v: i64) {
     out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
 }
 
-/// Append a log₂ histogram as cumulative `_bucket` samples. Bucket `i`
-/// covers `[2^i, 2^(i+1))` ps, so its `le` bound is `2^(i+1)` ps;
-/// buckets past the last non-empty one collapse into `+Inf`.
+/// Append a histogram as cumulative `_bucket` samples. Bucket `i`'s `le`
+/// bound is its exclusive upper edge, the next bucket's floor in ps
+/// (eight edges per octave in the sub-bucketed range, powers of two
+/// outside it); buckets past the last non-empty one collapse into
+/// `+Inf`.
 fn prom_hist(out: &mut String, name: &str, h: &Histogram) {
     out.push_str(&format!("# TYPE {name} histogram\n"));
     if let Some(last) = h.buckets().iter().rposition(|&c| c > 0) {
         let mut cum = 0u64;
         for (i, &c) in h.buckets().iter().enumerate().take(last + 1) {
             cum += c;
-            let le = 1u128 << (i + 1);
+            let le = bucket_ceil(i);
             out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
         }
     }
@@ -705,7 +731,11 @@ impl MetricsSnapshot {
         if self.msgs_sent > self.frames_sent {
             line(
                 "frames (msgs/frame)",
-                format!("{} ({:.2})", self.frames_sent, self.batch_occupancy.mean()),
+                format!(
+                    "{} ({:.2})",
+                    self.frames_sent,
+                    self.msgs_sent as f64 / self.frames_sent as f64
+                ),
             );
         }
         line("polls", self.polls.to_string());
@@ -764,9 +794,8 @@ impl MetricsSnapshot {
             line(
                 "offload latency",
                 format!(
-                    "mean {:.3} us (sd {:.3}, min {:.3}, max {:.3})",
+                    "mean {:.3} us (min {:.3}, max {:.3})",
                     self.latency.mean() / 1e3,
-                    self.latency.stddev() / 1e3,
                     self.latency.min() / 1e3,
                     self.latency.max() / 1e3
                 ),
@@ -781,8 +810,8 @@ impl MetricsSnapshot {
     /// Prometheus text exposition (version 0.0.4) of every register.
     ///
     /// Counters end in `_total`, latency histograms are cumulative
-    /// `_bucket` series with `le` bounds in **picoseconds** (powers of
-    /// two — the registers are log₂), per-target series carry a
+    /// `_bucket` series with `le` bounds in **picoseconds** (the
+    /// registers' log-linear bucket edges), per-target series carry a
     /// `node="N"` label. The format is pinned by
     /// `tests/exposition_golden.rs`; extend it, don't reshape it.
     pub fn to_prometheus_text(&self) -> String {
@@ -994,7 +1023,7 @@ mod tests {
         m.on_post(300);
         m.on_poll(false);
         m.on_poll(true);
-        m.on_complete(SimTime::from_us(6));
+        m.on_complete_on(1, SimTime::from_us(6));
         let s = m.snapshot();
         assert_eq!(s.posts, 2);
         assert_eq!(s.polls, 2);
@@ -1004,7 +1033,29 @@ mod tests {
         assert_eq!(s.inflight_peak, 2);
         assert_eq!(s.payload_bytes.count(), 2);
         assert!((s.payload_bytes.mean() - 200.0).abs() < 1e-9);
+        assert_eq!(
+            (s.payload_bytes.min(), s.payload_bytes.max()),
+            (100.0, 300.0)
+        );
         assert_eq!(s.latency_hist.count(), 1);
+        assert_eq!(s.latency.count(), 1);
+        assert_eq!((s.latency.min(), s.latency.max()), (6_000.0, 6_000.0));
+    }
+
+    #[test]
+    fn inflight_peak_is_checked_at_post_time() {
+        let m = BackendMetrics::new();
+        for round in 0..3u64 {
+            for _ in 0..=round {
+                m.on_post(8);
+            }
+            for _ in 0..=round {
+                m.on_poll(true);
+                m.on_complete_on(1, SimTime::from_us(5));
+            }
+        }
+        let s = m.snapshot();
+        assert_eq!((s.inflight, s.inflight_peak), (0, 3));
     }
 
     #[test]
@@ -1047,8 +1098,8 @@ mod tests {
         m.on_frame(8);
         let s = m.snapshot();
         assert_eq!((s.frames_sent, s.msgs_sent), (2, 9));
-        assert!((s.batch_occupancy.mean() - 4.5).abs() < 1e-9);
-        assert!(s.render().contains("frames (msgs/frame)"));
+        assert!(s.render().contains("frames (msgs/frame)"), "{}", s.render());
+        assert!(s.render().contains("2 (4.50)"), "{}", s.render());
     }
 
     #[test]
@@ -1069,7 +1120,7 @@ mod tests {
         m.on_complete_on(2, SimTime::from_us(5));
         assert!((m.latency_ewma(2).unwrap() - 5_000.0).abs() < 1e-9);
         let s = m.snapshot();
-        assert_eq!(s.completions, 3, "on_complete_on feeds the totals too");
+        assert_eq!(s.completions, 3, "the registers sum to the total");
         assert_eq!(s.node_latency_ewma.len(), 2);
         assert_eq!(s.node_latency_ewma[0].0, 1);
         assert_eq!(s.node_latency_ewma[1].0, 2);
@@ -1095,11 +1146,64 @@ mod tests {
         assert_eq!(merged.buckets(), s.latency_hist.buckets());
         // Per-node percentiles come from the same buckets: node 1's
         // median lands in the 10 µs sample's bucket.
-        let b10 = 63 - SimTime::from_us(10).as_ps().leading_zeros();
+        let b10 = aurora_telemetry::metrics::bucket_index(SimTime::from_us(10).as_ps());
         assert_eq!(
             s.per_node[0].latency_hist.percentile(50.0),
-            Some(SimTime::from_ps(1u64 << b10))
+            Some(SimTime::from_ps(aurora_telemetry::metrics::bucket_floor(
+                b10
+            )))
         );
+        // 10, 20, 5 and 40 µs: the mean and extremes are exact.
+        assert_eq!(s.latency.mean(), 18_750.0);
+        assert_eq!((s.latency.min(), s.latency.max()), (5_000.0, 40_000.0));
+    }
+
+    #[test]
+    fn concurrent_recording_is_exact() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 5_000;
+        let m = BackendMetrics::new();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let m = &m;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        m.on_post(64);
+                        m.on_poll(false);
+                        m.on_poll(true);
+                        let node = ((t + i) % 3) as u16 + 1;
+                        m.on_complete_on(node, SimTime::from_ns(1_000 + i % 1_000));
+                    }
+                });
+            }
+        });
+        let s = m.snapshot();
+        let total = THREADS * PER_THREAD;
+        assert_eq!(s.posts, total);
+        assert_eq!(s.completions, total);
+        assert_eq!((s.polls, s.retries), (2 * total, total));
+        assert_eq!(s.inflight, 0);
+        assert!((1..=THREADS as i64).contains(&s.inflight_peak));
+        // Each thread sends i to node (t + i) % 3 + 1: count per node
+        // exactly.
+        let mut want = [0u64; 3];
+        for t in 0..THREADS {
+            for i in 0..PER_THREAD {
+                want[((t + i) % 3) as usize] += 1;
+            }
+        }
+        let got: Vec<(u16, u64)> = s.per_node.iter().map(|n| (n.node, n.completions)).collect();
+        assert_eq!(got, vec![(1, want[0]), (2, want[1]), (3, want[2])]);
+        let mut merged = Histogram::new();
+        for n in &s.per_node {
+            merged.merge(&n.latency_hist);
+        }
+        assert_eq!(merged.buckets(), s.latency_hist.buckets());
+        assert_eq!(s.latency.count(), total);
+        // Every thread records 1000..2000 ns five times over: mean 1499.5.
+        assert_eq!(s.latency.mean(), 1_499.5);
+        assert_eq!((s.latency.min(), s.latency.max()), (1_000.0, 1_999.0));
+        assert_eq!(s.payload_bytes.mean(), 64.0);
     }
 
     #[test]

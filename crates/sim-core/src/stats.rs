@@ -1,45 +1,36 @@
 //! Measurement statistics for the benchmark harness.
 //!
 //! Mirrors the paper's methodology (§V): repeated measurements with
-//! warm-up, reported as averages; we additionally keep min/max/stddev,
-//! percentiles and log₂ histograms because a reproduction should expose
-//! its variance.
+//! warm-up, reported as averages; we additionally keep min/max,
+//! percentiles and log-linear histograms because a reproduction should
+//! expose its variance.
 
 use crate::time::SimTime;
+use aurora_telemetry::metrics::{bucket_floor, bucket_index};
+use aurora_telemetry::HISTOGRAM_BUCKETS;
 
-/// Numerically stable online mean/variance (Welford) plus min/max.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
+/// Count, total and extremes of a sample stream: what a lock-free
+/// register keeps with one relaxed write per sample. The mean is derived;
+/// there is no variance.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Summary {
     count: u64,
-    mean: f64,
-    m2: f64,
+    sum: f64,
     min: f64,
     max: f64,
 }
 
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
+impl Summary {
+    /// `count` samples adding up to `sum`, with `extremes` as
+    /// `(min, max)` (`None` when empty).
+    pub fn new(count: u64, sum: f64, extremes: Option<(f64, f64)>) -> Self {
+        let (min, max) = extremes.unwrap_or((f64::NAN, f64::NAN));
         Self {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            ..Default::default()
+            count,
+            sum,
+            min,
+            max,
         }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Record a duration in nanoseconds.
-    pub fn record_time(&mut self, t: SimTime) {
-        self.record(t.as_ns_f64());
     }
 
     /// Number of samples.
@@ -49,54 +40,21 @@ impl OnlineStats {
 
     /// Arithmetic mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population standard deviation (0 if < 2 samples).
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
+        if self.count == 0 {
             0.0
         } else {
-            (self.m2 / self.count as f64).sqrt()
+            self.sum / self.count as f64
         }
     }
 
     /// Smallest sample (`NaN` if empty).
     pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
+        self.min
     }
 
     /// Largest sample (`NaN` if empty).
     pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.max
     }
 }
 
@@ -165,10 +123,14 @@ impl Sampler {
     }
 }
 
-/// Log₂-bucketed histogram of durations, for latency distributions.
+/// Log-linear histogram of durations, for latency distributions. It has
+/// [`aurora_telemetry::AtomicHistogram`]'s bucket layout — eight
+/// sub-buckets per octave over `[2^10, 2^42)` ps, one bucket per octave
+/// outside it — so a snapshot of one is a value of the other.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` picoseconds.
+    /// `buckets[i]` counts samples in
+    /// `[bucket_floor(i), bucket_floor(i + 1))` picoseconds.
     buckets: Vec<u64>,
     count: u64,
 }
@@ -180,29 +142,24 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Empty histogram (64 buckets cover the whole `u64` ps range).
+    /// Empty histogram ([`HISTOGRAM_BUCKETS`] buckets cover the whole
+    /// `u64` ps range).
     pub fn new() -> Self {
         Self {
-            buckets: vec![0; 64],
+            buckets: vec![0; HISTOGRAM_BUCKETS],
             count: 0,
         }
     }
 
     /// Record a duration.
     pub fn record(&mut self, t: SimTime) {
-        let ps = t.as_ps();
-        let idx = if ps == 0 {
-            0
-        } else {
-            63 - ps.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
+        self.buckets[bucket_index(t.as_ps())] += 1;
         self.count += 1;
     }
 
     /// A histogram from a plain bucket array (e.g. an
     /// `AtomicHistogram` snapshot).
-    pub fn from_buckets(buckets: [u64; 64]) -> Self {
+    pub fn from_buckets(buckets: [u64; HISTOGRAM_BUCKETS]) -> Self {
         Self {
             count: buckets.iter().sum(),
             buckets: buckets.to_vec(),
@@ -214,14 +171,15 @@ impl Histogram {
         self.count
     }
 
-    /// The raw buckets (`buckets[i]` counts `[2^i, 2^(i+1))` ps).
+    /// The raw buckets, in the layout of
+    /// [`aurora_telemetry::metrics::bucket_index`].
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 
     /// Nearest-rank percentile `p` in [0, 100], resolved to the
-    /// *floor* of the bucket the rank lands in (log₂ resolution).
-    /// `None` if empty.
+    /// *floor* of the bucket the rank lands in — within 12.5 % of the
+    /// sample in the sub-bucketed range. `None` if empty.
     pub fn percentile(&self, p: f64) -> Option<SimTime> {
         if self.count == 0 {
             return None;
@@ -231,7 +189,7 @@ impl Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(SimTime::from_ps(1u64 << i));
+                return Some(SimTime::from_ps(bucket_floor(i)));
             }
         }
         // p > 100 lands past the last sample; report the top bucket.
@@ -252,61 +210,24 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (SimTime::from_ps(1u64 << i), c))
+            .map(|(i, &c)| (SimTime::from_ps(bucket_floor(i)), c))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aurora_telemetry::metrics::{bucket_ceil, bucket_octave, FINE_HI, FINE_LO};
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        xs.iter().for_each(|&x| whole.record(x));
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        xs[..37].iter().for_each(|&x| a.record(x));
-        xs[37..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.record(1.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before);
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 1);
-    }
-
-    #[test]
-    fn empty_stats_are_nan_or_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
-        assert_eq!(s.stddev(), 0.0);
+    fn summary_derives_mean_and_keeps_extremes() {
+        let s = Summary::new(4, 20.0, Some((2.0, 9.0)));
+        assert_eq!(s.count(), 4);
+        assert_eq!(s.mean(), 5.0);
+        assert_eq!((s.min(), s.max()), (2.0, 9.0));
+        let e = Summary::new(0, 0.0, None);
+        assert_eq!(e.mean(), 0.0);
+        assert!(e.min().is_nan() && e.max().is_nan());
     }
 
     #[test]
@@ -328,36 +249,42 @@ mod tests {
         h.record(SimTime::from_ps(1));
         h.record(SimTime::from_ps(3));
         h.record(SimTime::from_ps(1024));
+        h.record(SimTime::from_ps(1100));
         h.record(SimTime::ZERO);
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.count(), 5);
         let buckets: Vec<_> = h.nonzero().collect();
         assert!(buckets.contains(&(SimTime::from_ps(1), 2))); // 0 and 1
         assert!(buckets.contains(&(SimTime::from_ps(2), 1))); // 3
-        assert!(buckets.contains(&(SimTime::from_ps(1024), 1)));
+        assert!(buckets.contains(&(SimTime::from_ps(1024), 2))); // 1024..1152
     }
 
     #[test]
-    fn histogram_percentiles_are_bucket_floors() {
+    fn histogram_percentiles_are_sub_bucket_floors() {
         let mut h = Histogram::new();
-        // 90 samples in bucket 10 (1024 ps), 10 in bucket 20.
+        // p50 and p99 in the same octave: 90 samples at 5 µs, 10 at
+        // 7.5 µs, both in [2^22, 2^23) ps.
         for _ in 0..90 {
-            h.record(SimTime::from_ps(1500));
+            h.record(SimTime::from_us(5));
         }
         for _ in 0..10 {
-            h.record(SimTime::from_ps(1 << 20));
+            h.record(SimTime::from_ns(7_500));
         }
-        assert_eq!(h.percentile(50.0), Some(SimTime::from_ps(1 << 10)));
-        assert_eq!(h.percentile(90.0), Some(SimTime::from_ps(1 << 10)));
-        assert_eq!(h.percentile(99.0), Some(SimTime::from_ps(1 << 20)));
-        assert_eq!(h.percentile(100.0), Some(SimTime::from_ps(1 << 20)));
+        let p50 = h.percentile(50.0).unwrap().as_ps();
+        let p99 = h.percentile(99.0).unwrap().as_ps();
+        assert!(p50 < p99, "same octave, different sub-buckets");
+        for (floor, sample) in [(p50, 5_000_000u64), (p99, 7_500_000)] {
+            assert!(floor <= sample && sample - floor <= floor / 8);
+        }
+        assert_eq!(h.percentile(90.0), h.percentile(50.0));
+        assert_eq!(h.percentile(100.0), h.percentile(99.0));
         assert_eq!(Histogram::new().percentile(50.0), None);
     }
 
     #[test]
     fn histogram_from_buckets_and_merge() {
-        let mut buckets = [0u64; 64];
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         buckets[3] = 5;
-        buckets[63] = 1;
+        buckets[HISTOGRAM_BUCKETS - 1] = 1;
         let h = Histogram::from_buckets(buckets);
         assert_eq!(h.count(), 6);
         assert_eq!(h.buckets()[3], 5);
@@ -367,7 +294,57 @@ mod tests {
         a.merge(&h);
         assert_eq!(a.count(), 7);
         assert_eq!(a.buckets()[3], 6);
-        assert_eq!(a.buckets()[63], 1);
+        assert_eq!(a.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+    }
+
+    #[test]
+    fn histogram_matches_the_atomic_layout() {
+        let atomic = aurora_telemetry::AtomicHistogram::new();
+        let mut plain = Histogram::new();
+        for ps in [0, 1, 999, 1 << 10, 6_000_000, 6_400_000, 1 << 45, u64::MAX] {
+            atomic.record_ps(ps);
+            plain.record(SimTime::from_ps(ps));
+        }
+        assert_eq!(
+            Histogram::from_buckets(atomic.snapshot()).buckets(),
+            plain.buckets()
+        );
+    }
+
+    proptest::proptest! {
+        /// Every sample in the sub-bucketed range lands in a bucket whose
+        /// `[floor, ceil)` holds it, and that bucket is at most 12.5 % of
+        /// its floor wide.
+        #[test]
+        fn prop_fine_buckets_hold_their_samples(
+            oct in FINE_LO..FINE_HI,
+            bits in proptest::arbitrary::any::<u64>(),
+        ) {
+            let ps = (1u64 << oct) | (bits & ((1u64 << oct) - 1));
+            let i = bucket_index(ps);
+            proptest::prop_assert!(bucket_floor(i) <= ps);
+            proptest::prop_assert!((ps as u128) < bucket_ceil(i));
+            let width = bucket_ceil(i) - bucket_floor(i) as u128;
+            proptest::prop_assert!(width * 8 <= bucket_floor(i) as u128);
+        }
+
+        /// Folding to octaves gives back the log₂ bucket
+        /// (`63 - leading_zeros`, 0 in bucket 0) for every `u64`, and a
+        /// sample outside the sub-bucketed range is kept in its octave.
+        #[test]
+        fn prop_log2_fold_matches_leading_zeros(
+            oct in 0u32..64,
+            bits in proptest::arbitrary::any::<u64>(),
+        ) {
+            let ps = if oct == 0 { bits & 1 } else { (1u64 << oct) | (bits & ((1u64 << oct) - 1)) };
+            let old = if ps == 0 { 0 } else { 63 - ps.leading_zeros() as usize };
+            proptest::prop_assert_eq!(bucket_octave(bucket_index(ps)), old);
+            let h = aurora_telemetry::AtomicHistogram::new();
+            h.record_ps(ps);
+            let folded = h.log2_snapshot();
+            proptest::prop_assert_eq!(folded[old], 1);
+            proptest::prop_assert_eq!(folded.iter().sum::<u64>(), 1);
+        }
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn warm_adaptive_tick_and_slo_check_allocate_nothing() {
 }
 
 /// The always-on observability layer must be free to keep on: recording
-/// a completion (aggregate histogram + per-target register + EWMA),
+/// a completion (the per-target register: histogram, sum, EWMA),
 /// a flush latency, a retry delay, and reading the EWMA back are all
 /// atomic operations on preallocated registers — zero heap traffic.
 /// The health event ring is bounded, so once it has wrapped, recording
