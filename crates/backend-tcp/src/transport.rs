@@ -58,11 +58,6 @@ pub struct TargetSpec {
     pub credit_limit: u32,
     /// Target memory size in bytes.
     pub mem_bytes: u64,
-    /// Suggested health-probe cadence (virtual microseconds) for this
-    /// target. The pool prober derives its round interval from the
-    /// smallest cadence across the address book
-    /// ([`TcpBackend::probe_config`]).
-    pub probe_every_us: u64,
 }
 
 impl Default for TargetSpec {
@@ -71,7 +66,6 @@ impl Default for TargetSpec {
             lanes: ham_offload::device::DEFAULT_LANES as u32,
             credit_limit: ham_offload::chan::DEFAULT_PUSH_CREDITS as u32,
             mem_bytes: TcpBackend::DEFAULT_MEM,
-            probe_every_us: 200,
         }
     }
 }
@@ -649,24 +643,6 @@ impl TcpBackend {
                 .targets
                 .get(node.0 as usize - 1)
                 .is_some_and(|s| s.get().is_some())
-    }
-
-    /// Derive a pool [`ProbeConfig`](ham_offload::sched::ProbeConfig)
-    /// from the address book: the round interval is the smallest
-    /// `probe_every_us` any slot asked for, so the chattiest target's
-    /// cadence bounds staleness for everyone.
-    pub fn probe_config(&self) -> ham_offload::sched::ProbeConfig {
-        let us = self
-            .book
-            .iter()
-            .map(|s| s.probe_every_us.max(1))
-            .min()
-            .unwrap_or(200);
-        ham_offload::sched::ProbeConfig {
-            every: aurora_sim_core::SimTime::from_us(us),
-            poll: Duration::from_micros(us),
-            ..ham_offload::sched::ProbeConfig::default()
-        }
     }
 
     /// Test/ops hook: while `on`, reconnect attempts for `node` fail

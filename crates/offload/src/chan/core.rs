@@ -1000,10 +1000,10 @@ impl ChannelCore {
     }
 
     /// Wire bytes currently committed to this target: every in-flight
-    /// frame plus the staged (unflushed) accumulator. The scheduler's
-    /// `WeightedByLatency` policy adds this to its load term so a
-    /// target holding a few dense batches does not look idler than one
-    /// holding many small probes.
+    /// frame plus the staged (unflushed) accumulator. The pool's
+    /// rebalance cost adds this to its load term so a target holding a
+    /// few dense batches does not look idler than one holding many
+    /// small probes.
     pub fn bytes_in_flight(&self) -> u64 {
         let st = self.state.lock();
         st.frames.bytes() + st.accum.frame.as_ref().map_or(0, |f| f.len() as u64)

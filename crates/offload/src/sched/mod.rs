@@ -11,14 +11,15 @@
 //!   deterministic under the fault harness's fixed seeds.
 //! * [`SchedPolicy::RoundRobin`] — strict rotation over the healthy
 //!   set, skipping targets that are out of credits.
-//! * [`SchedPolicy::WeightedByLatency`] — minimises expected queue
-//!   delay `(in_flight + 1 + bytes_in_flight/4096) · EWMA(latency)`
-//!   using the per-target completion-latency register
-//!   [`aurora_sim_core::BackendMetrics`] keeps (the same histogram-backed
-//!   register the exposition surface reports, so the scheduler and the
-//!   metrics endpoint can never disagree) plus the channel's
-//!   bytes-in-flight gauge, which folds large staged frames in as
-//!   equivalent queued messages.
+//!
+//! Both are one scan over the healthy set for the smallest integer key
+//! (`(streak, in_flight)`, or `(streak > 0, distance from the cursor)`).
+//! [`TargetPool::rebalance`] alone weighs targets by latency: it moves
+//! staged members only onto an idle peer whose
+//! `(in_flight + 1 + bytes_in_flight/4096 + staged) · EWMA(latency)` is
+//! lower, reading the per-target completion-latency register
+//! [`aurora_sim_core::BackendMetrics`] keeps (the same histogram-backed
+//! register the exposition surface reports).
 //!
 //! **Credits.** Every channel exposes a credit limit derived from its
 //! slot rings ([`crate::chan::ChannelCore::credit_limit`]): the number
@@ -48,9 +49,9 @@
 //! running pool (it receives placements on the next `select`) and
 //! [`TargetPool::remove_target`] retires one — staged members are
 //! reclaimed for failover, wire traffic drains in place. A background
-//! prober ([`TargetPool::start_prober`], paced by [`ProbeConfig`])
-//! issues periodic `probe()` round trips per member, feeds a
-//! per-target miss streak into every policy's `select` (flapping
+//! prober ([`TargetPool::start_prober`], one round per 200 µs of
+//! virtual time) issues periodic `probe()` round trips per member,
+//! feeds a per-target miss streak into both policies' `select` (flapping
 //! targets are deprioritized before they hard-fail) and records
 //! `Probe`/`ProbeMiss` health events, driving the `Degraded → healed`
 //! registry edge without any caller touching the channel.
@@ -59,6 +60,4 @@ mod policy;
 mod pool;
 
 pub use policy::SchedPolicy;
-pub use pool::{
-    HealthReport, PoolFuture, PoolMetricsSnapshot, ProbeConfig, TargetHealth, TargetPool,
-};
+pub use pool::{HealthReport, PoolFuture, PoolMetricsSnapshot, TargetHealth, TargetPool};

@@ -1,17 +1,17 @@
 //! Placement policies for [`super::TargetPool`].
 
-/// How a pool picks the target for the next submission. All policies
+/// How a pool picks the target for the next submission. Both policies
 /// consume only observable channel state (in-flight counts, credit
-/// limits, latency EWMAs) and break ties to the lowest node id, so
-/// placement is deterministic for a deterministic workload.
+/// limits, the rotation cursor) and break ties to the lowest node id,
+/// so placement is deterministic for a deterministic workload.
 ///
 /// When the pool's background prober is running
-/// ([`super::TargetPool::start_prober`]), every policy additionally
-/// orders candidates by their probe-miss streak first (lexicographic
-/// `(streak, policy key)`): a target whose probes go unanswered sheds
-/// placements to clean peers *before* it hard-fails, and earns them
-/// back as probes answer again. With no prober all streaks are zero
-/// and the ordering reduces to the plain policy key.
+/// ([`super::TargetPool::start_prober`]), both policies additionally
+/// order candidates by their probe-miss streak first: a target whose
+/// probes go unanswered sheds placements to clean peers *before* it
+/// hard-fails, and earns them back as probes answer again. With no
+/// prober all streaks are zero and the ordering reduces to the plain
+/// policy key.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// Fewest in-flight messages wins (the default).
@@ -20,10 +20,4 @@ pub enum SchedPolicy {
     /// Strict rotation over the healthy targets, skipping any that are
     /// out of credits.
     RoundRobin,
-    /// Minimise expected queue delay: `(in_flight + 1) · EWMA(latency)`
-    /// per target, fed from the backend's per-node completion-latency
-    /// estimate. Targets with no completions yet score as if their
-    /// latency were the pool-wide minimum, so cold targets are tried
-    /// early rather than starved.
-    WeightedByLatency,
 }

@@ -17,46 +17,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One queued message's worth of wire bytes: the divisor that converts
+/// One queued message's worth of wire bytes: the divisor that folds
 /// the channel's bytes-in-flight gauge into "equivalent queued
-/// messages" for [`SchedPolicy::WeightedByLatency`]. A target holding
-/// few large frames queues as much service time as one holding many
-/// small ones.
+/// messages", so a target digesting a few large frames is not mistaken
+/// for an idle one.
 const WEIGHT_BYTES_PER_MSG: f64 = 4096.0;
 
-/// Payloads at or below this are "probe-class" for size-aware
-/// placement: latency-bound, and cheap enough that the frame cost
-/// dominates — they want shallow staged accumulators. Larger payloads
-/// are throughput traffic that amortizes onto deep ones.
-const SMALL_MSG_BYTES: usize = 256;
-
-/// The expected-service-delay score [`SchedPolicy::WeightedByLatency`]
-/// minimizes — and the common currency [`TargetPool::rebalance`]
-/// compares donors and recipients in. The base term is queued messages
-/// (in-flight plus the candidate itself, with bytes in flight folded in
-/// as equivalent messages so a target digesting large frames is not
-/// mistaken for an idle one) scaled by the target's EWMA latency.
-///
-/// `msg_bytes` is the candidate message's payload size when known and
-/// makes the score *size-aware*: a probe-class message pays for every
-/// member already staged in the target's accumulator (the envelope must
-/// fill or age out before the probe flies), while a large message
-/// joining a deep accumulator shares its frame and gets half that depth
-/// discounted. `None` (placement without a message in hand, e.g.
-/// [`TargetPool::try_pick`]) keeps the size-blind score.
-fn placement_cost(chan: &ChannelCore, ewma: f64, msg_bytes: Option<usize>) -> f64 {
-    let mut queued =
+/// The expected-service-delay score [`TargetPool::rebalance`] compares
+/// donors and recipients in: the messages a probe-class newcomer would
+/// queue behind (in flight, plus itself, plus bytes in flight as
+/// equivalent messages, plus every member staged in the accumulator —
+/// the envelope must fill or age out before the newcomer flies), scaled
+/// by the target's EWMA latency.
+fn rebalance_cost(chan: &ChannelCore, ewma: f64) -> f64 {
+    let queued =
         chan.in_flight() as f64 + 1.0 + chan.bytes_in_flight() as f64 / WEIGHT_BYTES_PER_MSG;
-    if let Some(bytes) = msg_bytes {
-        queued += bytes as f64 / WEIGHT_BYTES_PER_MSG;
-        let staged = chan.staged_len() as f64;
-        if bytes <= SMALL_MSG_BYTES {
-            queued += staged;
-        } else {
-            queued = (queued - staged * 0.5).max(1.0);
-        }
-    }
-    queued * ewma
+    (queued + chan.staged_len() as f64) * ewma
 }
 
 fn pool_empty() -> OffloadError {
@@ -113,37 +89,21 @@ impl PoolState {
     }
 }
 
-/// Cadence and pacing of a pool's background prober (see
-/// [`TargetPool::start_prober`]).
-///
-/// Probe rounds are keyed to *virtual* time: a round fires when
-/// `now / every` crosses a tick boundary, so two runs over the same
-/// deterministic timeline probe at the same virtual instants. Virtual
-/// time only advances while operations advance it, though — a pool
-/// whose targets are all down would freeze the clock and starve the
-/// prober of the very rounds that detect the healing. `idle_grace`
-/// bounds that: after that many consecutive wall polls with no virtual
-/// tick, a round fires anyway (wall-paced liveness fallback).
-#[derive(Clone, Copy, Debug)]
-pub struct ProbeConfig {
-    /// Virtual-time cadence between probe rounds.
-    pub every: SimTime,
-    /// Wall-clock granularity at which the prober thread re-checks the
-    /// virtual clock.
-    pub poll: Duration,
-    /// Consecutive tickless wall polls before a round fires anyway.
-    pub idle_grace: u32,
-}
+/// Virtual-time cadence between background probe rounds. Rounds are
+/// keyed to *virtual* time: one fires when `now / PROBE_EVERY` crosses a
+/// tick boundary, so two runs over the same deterministic timeline
+/// probe at the same virtual instants.
+const PROBE_EVERY: SimTime = SimTime::from_us(200);
 
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig {
-            every: SimTime::from_us(200),
-            poll: Duration::from_micros(200),
-            idle_grace: 4,
-        }
-    }
-}
+/// Wall-clock granularity at which the prober re-checks the virtual
+/// clock.
+const PROBE_POLL: Duration = Duration::from_micros(200);
+
+/// Consecutive tickless wall polls before a round fires anyway. Virtual
+/// time only advances while operations advance it — a pool whose
+/// targets are all down would freeze the clock and starve the prober of
+/// the very rounds that detect the healing.
+const PROBE_IDLE_GRACE: u32 = 4;
 
 /// Handle to a running background prober thread.
 struct Prober {
@@ -527,12 +487,12 @@ impl TargetPool {
     }
 
     /// Start the background prober: a supervisor thread that issues one
-    /// `probe()` round trip per member per round (cadence in `cfg`),
-    /// maintaining the per-target miss streaks `select` deprioritizes
-    /// by and recording `Probe`/`ProbeMiss` health events — so the
-    /// `Degraded → healed` edge is driven without any caller touching
-    /// the channel. Idempotent while a prober is already running.
-    pub fn start_prober(&self, cfg: ProbeConfig) {
+    /// `probe()` round trip per member every [`PROBE_EVERY`] of virtual
+    /// time, maintaining the per-target miss streaks `select`
+    /// deprioritizes by and recording `Probe`/`ProbeMiss` health events
+    /// — so the `Degraded → healed` edge is driven without any caller
+    /// touching the channel. Idempotent while a prober is already running.
+    pub fn start_prober(&self) {
         let mut guard = self.prober.lock();
         if guard.is_some() {
             return;
@@ -544,7 +504,7 @@ impl TargetPool {
             let state = self.state.clone();
             std::thread::Builder::new()
                 .name("pool-prober".into())
-                .spawn(move || prober_main(&offload, &state, cfg, &stop))
+                .spawn(move || prober_main(&offload, &state, &stop))
                 .expect("spawn pool prober thread")
         };
         *guard = Some(Prober { stop, handle });
@@ -577,13 +537,12 @@ impl TargetPool {
         if st.healthy.is_empty() {
             return Err(pool_empty());
         }
-        Ok(self.select(&mut st, true, None))
+        Ok(self.select(&mut st, true))
     }
 
     /// Blocking placement: flush staged batches (a full accumulator
     /// holds credits without being on the wire) and back off until a
-    /// credit frees up. `msg_bytes` feeds size-aware scoring when the
-    /// caller has the message in hand.
+    /// credit frees up.
     ///
     /// Credit exhaustion waits indefinitely (the work in flight *will*
     /// retire), but an **all-degraded** pool must not: every link is
@@ -592,7 +551,7 @@ impl TargetPool {
     /// ([`ChannelCore::resumes`] advancing) restarts the budget, an
     /// eviction exits through `pool_empty`, and budget expiry surfaces
     /// [`OffloadError::Timeout`] instead of hanging forever.
-    fn pick(&self, msg_bytes: Option<usize>) -> Result<NodeId, OffloadError> {
+    fn pick(&self) -> Result<NodeId, OffloadError> {
         let mut backoff = Backoff::new();
         // `(deadline, resume_epoch)` while every healthy target is
         // degraded; `None` otherwise.
@@ -604,7 +563,7 @@ impl TargetPool {
                 if st.healthy.is_empty() {
                     return Err(pool_empty());
                 }
-                if let Some(t) = self.select(&mut st, true, msg_bytes) {
+                if let Some(t) = self.select(&mut st, true) {
                     return Ok(t);
                 }
                 match self.degraded_wait_budget(&st) {
@@ -653,85 +612,52 @@ impl TargetPool {
         Some((Duration::from_millis(budget_ms.min(60_000)), epoch))
     }
 
-    /// Policy dispatch over the healthy set. `respect_credit = false`
-    /// (failover resubmission) still load-balances but never refuses:
-    /// blocking on our own in-flight work mid-wait would deadlock, and
-    /// the engine's slot backpressure bounds the overshoot. `msg_bytes`
-    /// (the candidate message's payload size, when known) makes the
-    /// latency-weighted policy size-aware — see [`placement_cost`].
+    /// Policy dispatch over the healthy set: one ascending scan that
+    /// skips missing and degraded channels (a degraded target stays
+    /// pooled — its link is reconnecting and it may heal — but takes no
+    /// new placements while down) and keeps the candidate with the
+    /// smallest key; strict `<` tie-breaks to the lowest node id.
+    /// `respect_credit = false` (failover resubmission) still
+    /// load-balances but never refuses: blocking on our own in-flight
+    /// work mid-wait would deadlock, and the engine's slot backpressure
+    /// bounds the overshoot.
     ///
-    /// Every policy folds in the prober's liveness signal: a target
+    /// Both policies fold in the prober's liveness signal: a target
     /// with a probe-miss streak is considered only after all clean
-    /// targets (lexicographic `(streak, policy key)` ordering), so a
-    /// flapping link sheds placements before it hard-fails. With no
-    /// prober running all streaks are zero and behavior is unchanged.
-    fn select(
-        &self,
-        st: &mut PoolState,
-        respect_credit: bool,
-        msg_bytes: Option<usize>,
-    ) -> Option<NodeId> {
+    /// targets, so a flapping link sheds placements before it
+    /// hard-fails. With no prober running all streaks are zero.
+    fn select(&self, st: &mut PoolState, respect_credit: bool) -> Option<NodeId> {
         let backend = self.offload.backend();
-        match self.policy {
-            SchedPolicy::RoundRobin => {
-                let n = st.healthy.len();
-                // Pass 0 rotates over clean targets only; pass 1 admits
-                // flaky ones — a deprioritized target still serves when
-                // it is all that's left.
-                for pass in 0..2 {
-                    for i in 0..n {
-                        let idx = (st.cursor + i) % n;
-                        let t = st.healthy[idx];
-                        if pass == 0 && st.streak(t) > 0 {
-                            continue;
-                        }
-                        let Ok(chan) = backend.channel(t) else {
-                            continue;
-                        };
-                        // A degraded target stays pooled (its link is
-                        // reconnecting and it may heal) but takes no new
-                        // placements while down.
-                        if chan.is_degraded() {
-                            continue;
-                        }
-                        if !respect_credit || chan.has_credit() {
-                            st.cursor = (idx + 1) % n;
-                            return Some(t);
-                        }
-                    }
-                }
-                None
+        let n = st.healthy.len();
+        let mut best: Option<((u32, usize), usize)> = None;
+        for (idx, &t) in st.healthy.iter().enumerate() {
+            let Ok(chan) = backend.channel(t) else {
+                continue;
+            };
+            if chan.is_degraded() {
+                continue;
             }
-            // Both load-aware policies are one scan for the smallest
-            // `(streak, score)`: in-flight messages, or the
-            // latency-weighted placement cost.
-            policy => {
-                let floor = matches!(policy, SchedPolicy::WeightedByLatency)
-                    .then(|| self.ewma_floor(&st.healthy));
-                let mut best: Option<((u32, f64), NodeId)> = None;
-                for &t in &st.healthy {
-                    let Ok(chan) = backend.channel(t) else {
-                        continue;
-                    };
-                    if chan.is_degraded() {
-                        continue;
-                    }
-                    let load = chan.in_flight();
-                    if respect_credit && load >= chan.credit_limit() {
-                        continue;
-                    }
-                    let score = match floor {
-                        Some(floor) => placement_cost(chan, self.ewma(t, floor), msg_bytes),
-                        None => load as f64,
-                    };
-                    let key = (st.streak(t), score);
-                    if best.is_none_or(|(b, _)| key < b) {
-                        best = Some((key, t));
-                    }
-                }
-                best.map(|(_, t)| t)
+            let load = chan.in_flight();
+            if respect_credit && load >= chan.credit_limit() {
+                continue;
+            }
+            let streak = st.streak(t);
+            let key = match self.policy {
+                SchedPolicy::LeastLoaded => (streak, load),
+                // Clean targets first, each tier in rotation order from
+                // the cursor: a flaky target still serves when it is all
+                // that's left.
+                SchedPolicy::RoundRobin => (u32::from(streak > 0), (idx + n - st.cursor) % n),
+            };
+            if best.is_none_or(|(b, _)| key < b) {
+                best = Some((key, idx));
             }
         }
+        let (_, idx) = best?;
+        if self.policy == SchedPolicy::RoundRobin {
+            st.cursor = (idx + 1) % n;
+        }
+        Some(st.healthy[idx])
     }
 
     /// The smallest completion-latency EWMA among `targets` (1.0 when
@@ -813,7 +739,7 @@ impl TargetPool {
         loop {
             let target = match fixed {
                 Some(t) => t,
-                None => match self.pick(Some(payload.len())) {
+                None => match self.pick() {
                     Ok(t) => t,
                     // Prefer the error that emptied the pool over the
                     // generic "no targets" one.
@@ -872,8 +798,7 @@ impl TargetPool {
                 if st.healthy.is_empty() {
                     return Err(pool_empty());
                 }
-                self.select(&mut st, false, Some(fut.payload.len()))
-                    .ok_or_else(pool_empty)?
+                self.select(&mut st, false).ok_or_else(pool_empty)?
             };
             match self.resubmit(fut, target) {
                 Ok(()) => {
@@ -936,13 +861,11 @@ impl TargetPool {
     /// — a purely-staged target just needs a flush, not a migration);
     /// migration runs only while some healthy peer is completely idle
     /// with spare credit, so the reclaimed members land somewhere that
-    /// serves them now — and only from donors whose [`placement_cost`]
-    /// (evaluated for a probe-class message, the traffic rebalancing
-    /// exists to un-starve) exceeds that recipient's, so members never
-    /// migrate *onto* a worse target. Half the donor's staged tail
-    /// (rounded up) is
-    /// reclaimed via [`crate::chan::ChannelCore::take_staged_tail`] —
-    /// provably unsent, so the failover replay is exact — and each
+    /// serves them now — and only from donors whose [`rebalance_cost`]
+    /// exceeds that recipient's, so members never migrate *onto* a worse
+    /// target. Half the donor's staged tail (rounded up) is reclaimed
+    /// via [`crate::chan::ChannelCore::take_staged_tail`] — provably
+    /// unsent, so the failover replay is exact — and each
     /// member's [`PoolFuture`] resubmits itself on its next settle.
     /// Runs automatically inside [`TargetPool::wait_any`] /
     /// [`TargetPool::wait_all`] rounds; returns how many members were
@@ -958,10 +881,7 @@ impl TargetPool {
             st.healthy.clone()
         };
         let floor = self.ewma_floor(&healthy);
-        // The cheapest completely idle recipient, scored with the same
-        // size-aware cost model placement uses — evaluated for a
-        // probe-class message, because rebalancing exists to un-starve
-        // exactly that traffic class.
+        // The cheapest completely idle recipient.
         let mut recipient = f64::INFINITY;
         for &t in &healthy {
             let Ok(chan) = backend.channel(t) else {
@@ -970,7 +890,7 @@ impl TargetPool {
             if chan.is_degraded() || chan.in_flight() != 0 || !chan.has_credit() {
                 continue;
             }
-            recipient = recipient.min(placement_cost(chan, self.ewma(t, floor), Some(0)));
+            recipient = recipient.min(rebalance_cost(chan, self.ewma(t, floor)));
         }
         if !recipient.is_finite() {
             return 0;
@@ -988,7 +908,7 @@ impl TargetPool {
             // donor cheaper than the best idle recipient (e.g. a fast
             // target briefly holding a shallow accumulator) keeps its
             // members.
-            if placement_cost(chan, self.ewma(t, floor), Some(0)) <= recipient {
+            if rebalance_cost(chan, self.ewma(t, floor)) <= recipient {
                 continue;
             }
             moved += chan.take_staged_tail(staged.div_ceil(2));
@@ -1108,21 +1028,16 @@ fn probe_round(offload: &Offload, state: &Mutex<PoolState>) -> (usize, usize) {
 
 /// Body of the prober supervisor thread: wall-poll the virtual clock
 /// and run [`probe_round`] once per virtual tick (deterministic while
-/// traffic advances the clock), with the `idle_grace` wall fallback
-/// keeping liveness when virtual time is frozen. Returns the number of
-/// rounds run.
-fn prober_main(
-    offload: &Offload,
-    state: &Mutex<PoolState>,
-    cfg: ProbeConfig,
-    stop: &AtomicBool,
-) -> u64 {
-    let every = cfg.every.as_ps().max(1);
+/// traffic advances the clock), with the [`PROBE_IDLE_GRACE`] wall
+/// fallback keeping liveness when virtual time is frozen. Returns the
+/// number of rounds run.
+fn prober_main(offload: &Offload, state: &Mutex<PoolState>, stop: &AtomicBool) -> u64 {
+    let every = PROBE_EVERY.as_ps();
     let mut last_tick = offload.backend().host_clock().now().as_ps() / every;
     let mut frozen = 0u32;
     let mut rounds = 0u64;
     while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(cfg.poll);
+        std::thread::sleep(PROBE_POLL);
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -1133,7 +1048,7 @@ fn prober_main(
             true
         } else {
             frozen += 1;
-            if frozen >= cfg.idle_grace.max(1) {
+            if frozen >= PROBE_IDLE_GRACE {
                 frozen = 0;
                 true
             } else {
@@ -1157,17 +1072,13 @@ impl core::fmt::Debug for TargetPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chan::Reserve;
     use crate::local::LocalBackend;
     use ham::{f2f, ham_kernel};
+    use proptest::prelude::*;
 
     ham_kernel! {
         pub fn pool_probe(ctx, x: u64) -> u64 { x * 1000 + ctx.node as u64 }
-    }
-
-    ham_kernel! {
-        pub fn pool_blob(ctx, data: Vec<u8>) -> u64 {
-            data.len() as u64 * 1000 + ctx.node as u64
-        }
     }
 
     fn pooled(targets: u16, policy: SchedPolicy) -> (Offload, TargetPool) {
@@ -1248,19 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_policy_prefers_idle_fast_targets() {
-        let (_o, p) = pooled(2, SchedPolicy::WeightedByLatency);
-        // No EWMA yet: cold targets score equally, lowest id wins.
-        let f = p.submit(f2f!(pool_probe, 7)).unwrap();
-        assert_eq!(f.target(), NodeId(1));
-        p.get(f).unwrap();
-        // With one completion on node 1 and none on node 2, node 2
-        // scores with the pool minimum — equal latency, equal load →
-        // still deterministic lowest-id.
-        assert_eq!(p.try_pick().unwrap(), Some(NodeId(1)));
-    }
-
-    #[test]
     fn rebalance_migrates_staged_members_off_a_slow_target() {
         use crate::chan::BatchConfig;
         use aurora_sim_core::SimTime;
@@ -1305,86 +1203,27 @@ mod tests {
     #[test]
     fn placement_cost_charges_probes_for_staged_depth() {
         use crate::chan::BatchConfig;
-        use aurora_sim_core::SimTime;
         use ham::registry::HandlerKey;
         let chan = ChannelCore::unbounded().with_batching(BatchConfig::up_to(64));
-        // Empty channel: the probe and the blind score differ only by
-        // the candidate's own bytes; a large message scores its byte
-        // term in full.
-        let blind0 = placement_cost(&chan, 1.0, None);
-        assert!(placement_cost(&chan, 1.0, Some(16)) - blind0 < 0.01);
+        // The size-blind base: queued messages plus the newcomer, with
+        // bytes in flight folded in as equivalent messages.
+        let blind = |chan: &ChannelCore| {
+            chan.in_flight() as f64 + 1.0 + chan.bytes_in_flight() as f64 / WEIGHT_BYTES_PER_MSG
+        };
+        // Empty channel: nothing staged, nothing to pay on top.
+        assert!(rebalance_cost(&chan, 1.0) - blind(&chan) < 0.01);
         for i in 0..4 {
             chan.stage(HandlerKey(7), &[0u8; 16], i, SimTime::ZERO);
         }
-        let blind = placement_cost(&chan, 1.0, None);
-        let small = placement_cost(&chan, 1.0, Some(16));
-        let large = placement_cost(&chan, 1.0, Some(4096));
-        // Probe-class messages pay one unit per staged member on top of
-        // the blind score; large ones get half the depth discounted.
+        // A probe-class newcomer pays one unit per staged member on top
+        // of the blind score.
+        let (cost, base) = (rebalance_cost(&chan, 1.0), blind(&chan));
         assert!(
-            small - blind >= 4.0,
-            "probe must pay staged depth: {small} vs {blind}"
+            cost - base >= 4.0,
+            "probe must pay staged depth: {cost} vs {base}"
         );
-        assert!(
-            large < blind + 1.0,
-            "large message must get the staged discount"
-        );
-        assert!(large >= 1.0, "score floored at one queued message");
         // EWMA scales the whole score.
-        assert_eq!(
-            placement_cost(&chan, 3.0, Some(16)),
-            3.0 * placement_cost(&chan, 1.0, Some(16))
-        );
-    }
-
-    #[test]
-    fn small_probes_avoid_deep_staged_accumulators() {
-        use crate::chan::BatchConfig;
-        let o = Offload::new(LocalBackend::spawn_batched(
-            2,
-            BatchConfig::up_to(64),
-            |b| {
-                b.register::<pool_probe>();
-                b.register::<pool_blob>();
-            },
-        ));
-        let nodes: Vec<NodeId> = (1..=2).map(NodeId).collect();
-        let p = o.pool_with(&nodes, SchedPolicy::WeightedByLatency).unwrap();
-        // Four members staged directly on target 1 (below the watermark,
-        // nothing on the wire yet). Target 1 is the *faster* node
-        // (1us vs 3us EWMA) — attractive enough that only the
-        // size-aware terms decide whether the depth is worth it.
-        use aurora_sim_core::SimTime;
-        let m = o.backend().metrics();
-        m.on_complete_on(1, SimTime::from_us(1));
-        m.on_complete_on(2, SimTime::from_us(3));
-        let staged: Vec<_> = (0..4)
-            .map(|i| o.async_(NodeId(1), f2f!(pool_probe, 90 + i)).unwrap())
-            .collect();
-        assert_eq!(o.backend().channel(NodeId(1)).unwrap().staged_len(), 4);
-        // A large message amortizes the envelope: the staged-depth
-        // discount (-0.5/member) pulls the fast deep target below the
-        // slow idle peer. Without the discount the same numbers pick
-        // the idle node.
-        let blob = p.submit(f2f!(pool_blob, vec![1u8; 2048])).unwrap();
-        assert_eq!(
-            blob.target(),
-            NodeId(1),
-            "large message should amortize onto the staged envelope"
-        );
-        // A probe-class message pays for every staged member on t1 and
-        // dodges to the slower-but-idle peer.
-        let probe = p.submit(f2f!(pool_probe, 7)).unwrap();
-        assert_eq!(
-            probe.target(),
-            NodeId(2),
-            "small probe must dodge the deep accumulator"
-        );
-        for f in staged {
-            assert_eq!(f.get().unwrap() % 1000, 1);
-        }
-        assert_eq!(p.get(probe).unwrap(), 7 * 1000 + 2);
-        assert_eq!(p.get(blob).unwrap(), 2048 * 1000 + 1);
+        assert_eq!(rebalance_cost(&chan, 3.0), 3.0 * rebalance_cost(&chan, 1.0));
     }
 
     #[test]
@@ -1585,12 +1424,8 @@ mod tests {
     #[test]
     fn background_prober_runs_rounds_without_traffic() {
         let (o, p) = pooled(2, SchedPolicy::LeastLoaded);
-        p.start_prober(ProbeConfig {
-            every: SimTime::from_us(50),
-            poll: Duration::from_millis(1),
-            idle_grace: 1,
-        });
-        p.start_prober(ProbeConfig::default()); // idempotent
+        p.start_prober();
+        p.start_prober(); // idempotent
         let deadline = Instant::now() + Duration::from_secs(30);
         while o.backend().metrics().snapshot().probes < 3 {
             assert!(Instant::now() < deadline, "prober must make rounds");
@@ -1616,5 +1451,127 @@ mod tests {
         }
         assert_eq!(seen, 6);
         assert!(p.wait_any::<u64>(&mut []).is_none());
+    }
+
+    /// Test-only copy of the two hand-written loops the one-scan
+    /// `select` replaced: round-robin's "clean first, then flaky"
+    /// rotation and least-loaded's lexicographic `(streak, load)` scan.
+    fn two_loop_select(p: &TargetPool, st: &mut PoolState, respect_credit: bool) -> Option<NodeId> {
+        let backend = p.offload.backend();
+        match p.policy {
+            SchedPolicy::RoundRobin => {
+                let n = st.healthy.len();
+                for pass in 0..2 {
+                    for i in 0..n {
+                        let idx = (st.cursor + i) % n;
+                        let t = st.healthy[idx];
+                        if pass == 0 && st.streak(t) > 0 {
+                            continue;
+                        }
+                        let Ok(chan) = backend.channel(t) else {
+                            continue;
+                        };
+                        if chan.is_degraded() {
+                            continue;
+                        }
+                        if !respect_credit || chan.has_credit() {
+                            st.cursor = (idx + 1) % n;
+                            return Some(t);
+                        }
+                    }
+                }
+                None
+            }
+            SchedPolicy::LeastLoaded => {
+                let mut best: Option<((u32, f64), NodeId)> = None;
+                for &t in &st.healthy {
+                    let Ok(chan) = backend.channel(t) else {
+                        continue;
+                    };
+                    if chan.is_degraded() {
+                        continue;
+                    }
+                    let load = chan.in_flight();
+                    if respect_credit && load >= chan.credit_limit() {
+                        continue;
+                    }
+                    let key = (st.streak(t), load as f64);
+                    if best.is_none_or(|(b, _)| key < b) {
+                        best = Some((key, t));
+                    }
+                }
+                best.map(|(_, t)| t)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one-scan `select` returns the same target and leaves the
+        /// same cursor as the two loops it replaced, under both
+        /// policies, from every cursor position, with and without credit
+        /// admission — over random synthetic loads up to the credit
+        /// limit, degraded channels, probe-miss streaks, and (`ghost`)
+        /// a healthy-set entry the backend has no channel for.
+        #[test]
+        fn one_scan_select_places_like_the_two_loops(
+            targets in proptest::collection::vec((0usize..6, 0u8..4, 0u32..3), 1..7),
+            ghost: bool,
+        ) {
+            let n = targets.len() as u16;
+            let o = Offload::new(LocalBackend::spawn(n, |b| {
+                b.register::<pool_probe>();
+            }));
+            let nodes: Vec<NodeId> = (1..=n).map(NodeId).collect();
+            let pools = [SchedPolicy::LeastLoaded, SchedPolicy::RoundRobin]
+                .map(|policy| o.pool_with(&nodes, policy).unwrap());
+            let b = o.backend();
+            for (&t, &(load, degraded, streak)) in nodes.iter().zip(&targets) {
+                let chan = b.channel(t).unwrap();
+                let limit = chan.credit_limit();
+                // 0..=3 in flight, one short of the limit, or at it.
+                let load = match load {
+                    4 => limit - 1,
+                    5 => limit,
+                    l => l,
+                };
+                for _ in 0..load {
+                    let r = chan.try_reserve(false, 0, SimTime::ZERO, 0);
+                    prop_assert!(matches!(r, Reserve::Reserved(_)));
+                }
+                if degraded == 0 {
+                    chan.degrade(OffloadError::TargetLost(t));
+                }
+                for p in &pools {
+                    if streak > 0 {
+                        p.state.lock().flaky.insert(t.0, streak);
+                    }
+                }
+            }
+            for p in &pools {
+                let mut st = p.state.lock();
+                if ghost {
+                    st.healthy.push(NodeId(n + 1));
+                }
+                for cursor in 0..st.healthy.len() {
+                    for respect_credit in [false, true] {
+                        st.cursor = cursor;
+                        let want = two_loop_select(p, &mut st, respect_credit);
+                        let want_cursor = st.cursor;
+                        st.cursor = cursor;
+                        let got = p.select(&mut st, respect_credit);
+                        prop_assert_eq!(
+                            (got, st.cursor),
+                            (want, want_cursor),
+                            "{:?} from cursor {} (credit {})",
+                            p.policy,
+                            cursor,
+                            respect_credit
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -217,31 +217,9 @@ pub const SUSTAINED_EFFICIENCY: f64 = 0.5;
 /// VE sustained compute rate: Table I peak (2150.4 GFLOPS) x efficiency.
 pub const VE_SUSTAINED_GFLOPS: f64 = 2150.4 * SUSTAINED_EFFICIENCY;
 
-/// VH sustained compute rate: Table I peak (998.4 GFLOPS) x efficiency.
-pub const VH_SUSTAINED_GFLOPS: f64 = 998.4 * SUSTAINED_EFFICIENCY;
-
 /// Virtual compute time of `flops` on the VE.
 pub fn ve_compute_time(flops: u64) -> SimTime {
     SimTime::from_secs_f64(flops as f64 / (VE_SUSTAINED_GFLOPS * 1e9))
-}
-
-/// Virtual compute time of `flops` on the VH.
-pub fn vh_compute_time(flops: u64) -> SimTime {
-    SimTime::from_secs_f64(flops as f64 / (VH_SUSTAINED_GFLOPS * 1e9))
-}
-
-// ---------------------------------------------------------------------------
-// Local memories (Table I)
-// ---------------------------------------------------------------------------
-
-/// VE HBM2: 1228.8 GB/s ≈ 1144 GiB/s (Table I), ~150 ns latency.
-pub fn hbm2() -> LinkModel {
-    LinkModel::new(SimTime::from_ns(150), 1144.4)
-}
-
-/// VH DDR4: 128 GB/s ≈ 119 GiB/s per socket (Table I), ~90 ns latency.
-pub fn ddr4() -> LinkModel {
-    LinkModel::new(SimTime::from_ns(90), 119.2)
 }
 
 // ---------------------------------------------------------------------------

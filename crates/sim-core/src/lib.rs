@@ -46,5 +46,5 @@ pub use metrics::{
 pub use model::{LinkModel, SegmentedModel, TransferCost};
 pub use resource::Timeline;
 pub use slo::{SloReport, SloSpec};
-pub use stats::{Histogram, Sampler, Summary};
+pub use stats::{Histogram, Summary};
 pub use time::SimTime;

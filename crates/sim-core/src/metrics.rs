@@ -218,7 +218,7 @@ pub struct BackendMetrics {
     retry_hist: AtomicHistogram,
     /// Per-target completion-latency registers — the single source of
     /// truth for completion latency: the snapshot's aggregate and the
-    /// scheduler's `WeightedByLatency` policy both read them.
+    /// pool's rebalance cost both read them.
     nodes: Vec<NodeRegister>,
     /// Per-target health state + structured event log.
     health: Arc<HealthRegistry>,

@@ -103,14 +103,6 @@ impl TransferCost {
     pub fn total(&self) -> SimTime {
         self.setup + self.per_unit + self.wire
     }
-
-    /// A cost that is pure setup.
-    pub fn setup_only(setup: SimTime) -> Self {
-        TransferCost {
-            setup,
-            ..Default::default()
-        }
-    }
 }
 
 /// Piecewise-linear word-cost model used for the VE SHM (store host

@@ -58,71 +58,6 @@ impl Summary {
     }
 }
 
-/// Sample reservoir with exact percentiles (sorts on demand).
-#[derive(Clone, Debug, Default)]
-pub struct Sampler {
-    samples: Vec<f64>,
-}
-
-impl Sampler {
-    /// Empty sampler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-allocate for `n` samples.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            samples: Vec::with_capacity(n),
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.samples.push(x);
-    }
-
-    /// Record a duration in nanoseconds.
-    pub fn record_time(&mut self, t: SimTime) {
-        self.record(t.as_ns_f64());
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Exact percentile `p` in [0, 100] via nearest-rank on a sorted copy.
-    /// `NaN` if empty.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).floor() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// Arithmetic mean (`NaN` if empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-}
-
 /// Log-linear histogram of durations, for latency distributions. It has
 /// [`aurora_telemetry::AtomicHistogram`]'s bucket layout — eight
 /// sub-buckets per octave over `[2^10, 2^42)` ps, one bucket per octave
@@ -231,19 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn sampler_percentiles() {
-        let mut s = Sampler::new();
-        for i in 1..=100 {
-            s.record(i as f64);
-        }
-        assert_eq!(s.median(), 50.0);
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 100.0);
-        assert!((s.mean() - 50.5).abs() < 1e-12);
-        assert!(Sampler::new().median().is_nan());
-    }
-
-    #[test]
     fn histogram_buckets() {
         let mut h = Histogram::new();
         h.record(SimTime::from_ps(1));
@@ -345,12 +267,5 @@ mod tests {
             proptest::prop_assert_eq!(folded[old], 1);
             proptest::prop_assert_eq!(folded.iter().sum::<u64>(), 1);
         }
-    }
-
-    #[test]
-    fn sampler_record_time_uses_ns() {
-        let mut s = Sampler::new();
-        s.record_time(SimTime::from_us(1));
-        assert_eq!(s.mean(), 1000.0);
     }
 }

@@ -5,9 +5,9 @@
 //! each requested backend while a seeded fault plan drops frames and a
 //! rolling kill takes one target down mid-run. After every run the
 //! backend's metric registers (always on — the same per-target
-//! histograms the scheduler's `WeightedByLatency` policy reads) and the
-//! health event log are evaluated against the SLO spec; any violation
-//! makes the process exit nonzero, so CI can use this binary as a gate.
+//! histograms the pool's rebalancing reads) and the health event log
+//! are evaluated against the SLO spec; any violation makes the process
+//! exit nonzero, so CI can use this binary as a gate.
 //!
 //! ```sh
 //! cargo run --release --example soak                 # full: ≥10⁵ offloads
@@ -136,10 +136,10 @@ fn soak_run(kind: BackendKind, seed: u64, offloads: usize) -> (RunStats, usize) 
     let nodes: Vec<NodeId> = (1..=TARGETS).map(NodeId).collect();
     // TCP's receiver threads retire completions concurrently, which
     // would race load-based placement; the polled protocols exercise
-    // the histogram-backed weighted policy.
+    // the default least-loaded policy.
     let policy = match kind {
         BackendKind::Tcp => SchedPolicy::RoundRobin,
-        _ => SchedPolicy::WeightedByLatency,
+        _ => SchedPolicy::LeastLoaded,
     };
     let pool = o.pool_with(&nodes, policy).expect("pool");
 
@@ -328,7 +328,7 @@ fn membership_churn_run(seed: u64, offloads: usize) -> (RunStats, usize) {
     let pool = o
         .pool_with(&nodes[..TARGETS as usize - 1], SchedPolicy::RoundRobin)
         .expect("pool");
-    pool.start_prober(be.probe_config());
+    pool.start_prober();
     let joiner = NodeId(TARGETS);
 
     let wave_size = TARGETS as usize * PER_TARGET_PER_WAVE;

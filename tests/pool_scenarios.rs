@@ -866,7 +866,7 @@ fn flapping_target_probed_deprioritized_then_heals() {
         let victim = nodes[(seed % 2) as usize];
         let survivor = nodes[1 - (seed % 2) as usize];
         let label = format!("churn flap seed {seed}");
-        pool.start_prober(be.probe_config());
+        pool.start_prober();
 
         // Flap: kill the sockets behind a reconnect blackout. The
         // supervisor burns budgeted attempts against the wall while the

@@ -431,13 +431,11 @@ fn discovery_announces_per_host_capabilities() {
             lanes: 2,
             credit_limit: 7,
             mem_bytes: 1 << 20,
-            ..TargetSpec::default()
         },
         TargetSpec {
             lanes: 16,
             credit_limit: 64,
             mem_bytes: 2 << 20,
-            ..TargetSpec::default()
         },
     ];
     let backend = TcpBackend::spawn_cluster(
