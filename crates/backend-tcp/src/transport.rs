@@ -87,6 +87,21 @@ struct Link {
     blackout: AtomicBool,
 }
 
+impl Link {
+    /// The link dropped: degrade the channel (posts park, nothing is
+    /// failed). The supervisor's EOF and a failed write can both get
+    /// here; whichever degrades first records the one `Disconnect`.
+    fn disconnect(&self, metrics: &BackendMetrics, clock: &Clock) {
+        let lost = OffloadError::TargetLost(NodeId(self.node));
+        if self.chan.degrade(lost).is_some() {
+            let now = clock.now().as_ps();
+            metrics
+                .health()
+                .record(self.node, HealthEventKind::Disconnect, 0, now);
+        }
+    }
+}
+
 struct TcpTarget {
     link: Arc<Link>,
     reader: Mutex<Option<JoinHandle<()>>>,
@@ -429,15 +444,11 @@ fn run_link(
             return;
         }
         // ---- Degrade: park posts, keep every pending entry alive ----
-        // (`send_frame` may have degraded first on a write error; the
-        // Disconnect event is recorded once, by whoever won.) With no
-        // budget there is nothing to park for: EOF is a peer death, so
-        // every in-flight offload fails with `TargetLost` below instead
-        // of hanging, and new posts are refused.
-        if budget > 0 && link.chan.degrade(lost()).is_some() {
-            metrics
-                .health()
-                .record(node, HealthEventKind::Disconnect, 0, clock.now().as_ps());
+        // With no budget there is nothing to park for: EOF is a peer
+        // death, so every in-flight offload fails with `TargetLost`
+        // below instead of hanging, and new posts are refused.
+        if budget > 0 {
+            link.disconnect(metrics, clock);
         }
         // ---- Reconnect: bounded backoff under the policy budget ----
         let mut backoff = Duration::from_micros(500);
@@ -478,7 +489,6 @@ fn run_link(
                     }
                     metrics.on_replay(replayed);
                 }
-                metrics.on_reconnect();
                 metrics
                     .health()
                     .record(node, HealthEventKind::Reconnect, 0, clock.now().as_ps());
@@ -488,21 +498,13 @@ fn run_link(
                 }
                 // The fresh connection died mid-replay: degrade again
                 // and keep burning this disconnect's budget.
-                if link.chan.degrade(lost()).is_some() {
-                    metrics.health().record(
-                        node,
-                        HealthEventKind::Disconnect,
-                        0,
-                        clock.now().as_ps(),
-                    );
-                }
+                link.disconnect(metrics, clock);
             }
             std::thread::sleep(backoff);
             backoff = (backoff * 2).min(Duration::from_millis(20));
         }
         // ---- Budget exhausted: the disconnect becomes an eviction ----
         if link.chan.evict(lost()).is_some() {
-            metrics.on_evict();
             metrics
                 .health()
                 .record(node, HealthEventKind::Eviction, 0, clock.now().as_ps());
@@ -654,22 +656,6 @@ impl TcpBackend {
         Ok(())
     }
 
-    /// Health probe: a `Ping` round trip over the control socket. On
-    /// success records a [`HealthEventKind::Probe`] observation for the
-    /// node. Failures surface as errors (a degraded link already
-    /// recorded its `Disconnect`).
-    pub fn probe(&self, node: NodeId) -> Result<(), OffloadError> {
-        let echo = 0x70_69_6e_67_u64 ^ u64::from(node.0); // "ping"
-        let resp = self.control(node, ControlOp::Ping { echo })?;
-        if resp.get(..8) != Some(&echo.to_le_bytes()[..]) {
-            return Err(OffloadError::Backend("bad ping echo".into()));
-        }
-        self.metrics
-            .health()
-            .record(node.0, HealthEventKind::Probe, 0, self.clock.now().as_ps());
-        Ok(())
-    }
-
     fn target(&self, node: NodeId) -> Result<&TcpTarget, OffloadError> {
         if node.is_host() {
             return Err(OffloadError::BadNode(node));
@@ -752,25 +738,14 @@ impl CommBackend for TcpBackend {
             Ok(()) => Ok(()),
             Err(_) if self.budget > 0 && t.link.chan.eviction().is_none() => {
                 // The socket died under this post. Degrade (the link
-                // supervisor also sees EOF; first one records the
-                // Disconnect) and report success: the engine then stores
-                // the frame in the replay buffer, and the resume
-                // handshake replays it iff the watermark proves it never
-                // executed — a partially-flushed frame that *did* reach
-                // the target lands at or below the watermark and fails
-                // with `TargetLost` instead of double-executing.
-                if t.link
-                    .chan
-                    .degrade(OffloadError::TargetLost(target))
-                    .is_some()
-                {
-                    self.metrics.health().record(
-                        target.0,
-                        HealthEventKind::Disconnect,
-                        0,
-                        self.clock.now().as_ps(),
-                    );
-                }
+                // supervisor also sees EOF) and report success: the
+                // engine then stores the frame in the replay buffer, and
+                // the resume handshake replays it iff the watermark
+                // proves it never executed — a partially-flushed frame
+                // that *did* reach the target lands at or below the
+                // watermark and fails with `TargetLost` instead of
+                // double-executing.
+                t.link.disconnect(&self.metrics, &self.clock);
                 Ok(())
             }
             Err(e) => Err(io_err(e)),
@@ -818,9 +793,16 @@ impl CommBackend for TcpBackend {
     }
 
     /// A real `Ping` round trip over the control socket (the default
-    /// trait probe only inspects host-side channel state).
+    /// trait probe only inspects host-side channel state). Failures
+    /// surface as errors (a degraded link already recorded its
+    /// `Disconnect`); [`engine::probe`] records the outcome.
     fn probe(&self, target: NodeId) -> Result<(), OffloadError> {
-        TcpBackend::probe(self, target)
+        let echo = 0x70_69_6e_67_u64 ^ u64::from(target.0); // "ping"
+        let resp = self.control(target, ControlOp::Ping { echo })?;
+        if resp.get(..8) != Some(&echo.to_le_bytes()[..]) {
+            return Err(OffloadError::Backend("bad ping echo".into()));
+        }
+        Ok(())
     }
 
     /// Kill one peer's link abruptly: both sockets are torn down with no

@@ -138,26 +138,15 @@ pub trait CommBackend: Send + Sync + 'static {
     /// placing work on it. Transports with a control plane (TCP) send a
     /// real `Ping` round trip; the default checks the channel state — an
     /// evicted or degraded channel fails with its latched error, a
-    /// settled one answers. Implementations record the
-    /// [`aurora_sim_core::HealthEventKind::Probe`] event themselves so
-    /// the health timeline carries the transport's own evidence; the
-    /// engine-level wrapper ([`crate::chan::engine::probe`]) adds the
-    /// miss bookkeeping on failure.
+    /// settled one answers. Implementations only check reachability and
+    /// record nothing: [`crate::chan::engine::probe`] records the
+    /// `Probe` or `ProbeMiss` health event for the outcome.
     fn probe(&self, target: NodeId) -> Result<(), OffloadError> {
         let chan = self.channel(target)?;
-        if let Some(e) = chan.eviction() {
-            return Err(e);
+        match chan.eviction().or_else(|| chan.degradation()) {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        if let Some(e) = chan.degradation() {
-            return Err(e);
-        }
-        self.metrics().health().record(
-            target.0,
-            aurora_sim_core::HealthEventKind::Probe,
-            0,
-            self.host_clock().now().as_ps(),
-        );
-        Ok(())
     }
 
     /// Fault injection: kill one target abruptly (process death, link

@@ -17,6 +17,7 @@ use crate::backend::CommBackend;
 use crate::types::NodeId;
 use crate::OffloadError;
 use aurora_sim_core::trace::{self, OffloadId};
+use aurora_sim_core::HealthEventKind;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 
@@ -177,11 +178,11 @@ fn flush_staged<B: CommBackend + ?Sized>(
 /// metrics/trace, recovery bookkeeping — then one adaptive-controller
 /// accounting step (which, every [`super::adaptive::TICK_FLUSHES`]
 /// flushes, reads the cumulative flush-latency histogram and may retune
-/// the channel's watermarks; decisions surface as `aurora_batch_*`
-/// counters and health events). `slo` marks an envelope the
-/// `slo_micros` age bound closed: the latency bound firing, not a
-/// watermark — told to the controller, counted, and logged as a health
-/// event here, once the envelope actually leaves the accumulator.
+/// the channel's watermarks; each decision is one health event, counted
+/// as `aurora_batch_*`). `slo` marks an envelope the `slo_micros` age
+/// bound closed: the latency bound firing, not a watermark — told to
+/// the controller and recorded as a `SloFlush` event here, once the
+/// envelope actually leaves the accumulator.
 fn send_envelope<B: CommBackend + ?Sized>(
     backend: &B,
     target: NodeId,
@@ -192,10 +193,9 @@ fn send_envelope<B: CommBackend + ?Sized>(
     let t0 = backend.host_clock().now();
     if slo {
         chan.note_slo_trip();
-        backend.metrics().on_slo_flush();
         backend.metrics().health().record(
             target.0,
-            aurora_sim_core::HealthEventKind::SloFlush,
+            HealthEventKind::SloFlush,
             trace::current_offload(),
             t0.as_ps(),
         );
@@ -214,12 +214,9 @@ fn send_envelope<B: CommBackend + ?Sized>(
     trace::record("chan.batch_flush", f.msgs as u64, t0, now);
     chan.note_sent(f.res.seq, &f.header, f.frame);
     if let Some(d) = chan.adaptive_tick(f.msgs, || metrics.flush_hist_buckets()) {
-        let kind = if matches!(d.decision, Decision::Widen) {
-            metrics.on_batch_widen();
-            aurora_sim_core::HealthEventKind::BatchWiden
-        } else {
-            metrics.on_batch_narrow();
-            aurora_sim_core::HealthEventKind::BatchNarrow
+        let kind = match d.decision {
+            Decision::Widen => HealthEventKind::BatchWiden,
+            _ => HealthEventKind::BatchNarrow,
         };
         metrics
             .health()
@@ -312,7 +309,14 @@ fn sweep_with<B: CommBackend + ?Sized>(
                         send_slot: entry.send_slot,
                         attempt,
                     };
-                    backend.metrics().on_resend();
+                    // Recorded before the write, so `resends` counts an
+                    // attempted re-send even when the write then fails.
+                    backend.metrics().health().record(
+                        target.0,
+                        HealthEventKind::Retry,
+                        entry.offload,
+                        t0.as_ps(),
+                    );
                     if let Err(e) = backend.send_frame(target, &res, &header, &frame) {
                         completed += evict(backend, target, chan, e);
                         break;
@@ -323,12 +327,6 @@ fn sweep_with<B: CommBackend + ?Sized>(
                     backend
                         .metrics()
                         .on_retry_delay(now.saturating_sub(entry.posted_at));
-                    backend.metrics().health().record(
-                        target.0,
-                        aurora_sim_core::HealthEventKind::Retry,
-                        entry.offload,
-                        now.as_ps(),
-                    );
                     trace::record("chan.retry", (frame.len() - HEADER_BYTES) as u64, t0, now);
                 }
                 MissVerdict::TimedOut => {
@@ -338,10 +336,9 @@ fn sweep_with<B: CommBackend + ?Sized>(
                     let _scope = trace::offload_scope(OffloadId(entry.offload));
                     let now = backend.host_clock().now();
                     trace::record("chan.timeout", 0, now, now);
-                    backend.metrics().on_timeout();
                     backend.metrics().health().record(
                         target.0,
-                        aurora_sim_core::HealthEventKind::Timeout,
+                        HealthEventKind::Timeout,
                         entry.offload,
                         now.as_ps(),
                     );
@@ -415,10 +412,9 @@ pub fn evict<B: CommBackend + ?Sized>(
     };
     let now = backend.host_clock().now();
     trace::record("chan.evict", failed as u64, now, now);
-    backend.metrics().on_evict();
     backend.metrics().health().record(
         target.0,
-        aurora_sim_core::HealthEventKind::Eviction,
+        HealthEventKind::Eviction,
         trace::current_offload(),
         now.as_ps(),
     );
@@ -426,28 +422,24 @@ pub fn evict<B: CommBackend + ?Sized>(
 }
 
 /// One liveness probe round trip against `target`, with full
-/// bookkeeping: [`CommBackend::probe`] supplies the transport evidence
-/// (and records the `Probe` health event on success), this wrapper adds
-/// the metric counters and, on failure, the
-/// [`aurora_sim_core::HealthEventKind::ProbeMiss`] event — the earliest
+/// bookkeeping. [`CommBackend::probe`] only checks reachability; this
+/// is the one place that records the outcome: a `Probe` health event on
+/// success, a [`HealthEventKind::ProbeMiss`] on failure — the earliest
 /// degradation signal the health registry sees, arriving before any
-/// offload traffic fails on the link. The pool prober calls this on its
+/// offload traffic fails on the link. Both events are also the
+/// `probes`/`probe_misses` counters. The pool prober calls this on its
 /// cadence; it is also safe to call ad hoc.
 pub fn probe<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<(), OffloadError> {
-    match backend.probe(target) {
-        Ok(()) => {
-            backend.metrics().on_probe();
-            Ok(())
-        }
-        Err(e) => {
-            backend.metrics().on_probe_miss();
-            backend.metrics().health().record(
-                target.0,
-                aurora_sim_core::HealthEventKind::ProbeMiss,
-                trace::current_offload(),
-                backend.host_clock().now().as_ps(),
-            );
-            Err(e)
-        }
-    }
+    let result = backend.probe(target);
+    let kind = match result {
+        Ok(()) => HealthEventKind::Probe,
+        Err(_) => HealthEventKind::ProbeMiss,
+    };
+    backend.metrics().health().record(
+        target.0,
+        kind,
+        trace::current_offload(),
+        backend.host_clock().now().as_ps(),
+    );
+    result
 }

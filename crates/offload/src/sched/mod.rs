@@ -39,10 +39,10 @@
 
 //!
 //! **Observability.** [`TargetPool::metrics_snapshot`] scopes the
-//! backend's metric registers to the pool's targets and
-//! [`TargetPool::health_report`] aggregates per-target health-registry
-//! state, channel occupancy, credit utilization and the latency
-//! register with the structured health event log.
+//! backend's metric registers to the pool's targets; per-target health
+//! state and the event log are the backend's health registry, and
+//! channel occupancy is the channel's own `in_flight()` /
+//! `credit_limit()`.
 //!
 //! **Dynamic membership & probing.** Pools are not frozen at
 //! construction: [`TargetPool::add_target`] admits a target into a
@@ -60,4 +60,4 @@ mod policy;
 mod pool;
 
 pub use policy::SchedPolicy;
-pub use pool::{HealthReport, PoolFuture, PoolMetricsSnapshot, TargetHealth, TargetPool};
+pub use pool::{PoolFuture, PoolMetricsSnapshot, TargetPool};

@@ -6,9 +6,7 @@ use crate::future::{self, Future};
 use crate::runtime::{decode_output, Offload};
 use crate::types::NodeId;
 use crate::OffloadError;
-use aurora_sim_core::{
-    HealthEvent, HealthEventKind, MetricsSnapshot, NodeMetricsSnapshot, SimTime, TargetState,
-};
+use aurora_sim_core::{HealthEventKind, MetricsSnapshot, NodeMetricsSnapshot, SimTime};
 use ham::registry::HandlerKey;
 use ham::ActiveMessage;
 use parking_lot::Mutex;
@@ -125,75 +123,6 @@ pub struct TargetPool {
     /// `Arc` so membership survives while the pool handle is in use.
     state: Arc<Mutex<PoolState>>,
     prober: Mutex<Option<Prober>>,
-}
-
-/// Per-target operational state as seen by a [`TargetPool`]: health
-/// registry verdict, channel occupancy, and the latency register.
-/// Produced by [`TargetPool::health_report`].
-#[derive(Clone, Debug)]
-pub struct TargetHealth {
-    /// The target node.
-    pub node: NodeId,
-    /// Health-registry state (healthy / degraded / evicted).
-    pub state: TargetState,
-    /// Offloads currently in flight on the target's channel.
-    pub in_flight: usize,
-    /// Wire bytes in flight (pending frames + staged batch).
-    pub bytes_in_flight: u64,
-    /// The channel's credit limit.
-    pub credit_limit: usize,
-    /// `in_flight / credit_limit` in `[0, 1]` (0 for a zero limit).
-    pub credit_utilization: f64,
-    /// Completions recorded on this target.
-    pub completions: u64,
-    /// EWMA completion latency in nanoseconds (NaN before the first
-    /// completion).
-    pub latency_ewma_ns: f64,
-    /// Median completion latency (histogram bucket floor).
-    pub latency_p50: Option<SimTime>,
-    /// 99th-percentile completion latency (histogram bucket floor).
-    pub latency_p99: Option<SimTime>,
-}
-
-/// Aggregated health view of a pool: one [`TargetHealth`] per
-/// configured target (evicted ones included) plus the backend's
-/// structured health event log.
-#[derive(Clone, Debug)]
-pub struct HealthReport {
-    /// Per-target state, sorted by node id.
-    pub targets: Vec<TargetHealth>,
-    /// The backend's health event log (oldest first, ring-bounded).
-    pub events: Vec<HealthEvent>,
-}
-
-impl HealthReport {
-    /// Text rendering: one line per target, then the event count.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for t in &self.targets {
-            let ewma = if t.latency_ewma_ns.is_nan() {
-                "-".to_string()
-            } else {
-                format!("{:.1}ns", t.latency_ewma_ns)
-            };
-            let fmt = |t: Option<SimTime>| t.map_or("-".to_string(), |t| t.to_string());
-            out.push_str(&format!(
-                "node {}  {}  in-flight {}/{} ({:.0}%)  bytes {}  completions {}  ewma {}  p50 {}  p99 {}\n",
-                t.node.0,
-                t.state.name(),
-                t.in_flight,
-                t.credit_limit,
-                t.credit_utilization * 100.0,
-                t.bytes_in_flight,
-                t.completions,
-                ewma,
-                fmt(t.latency_p50),
-                fmt(t.latency_p99),
-            ));
-        }
-        out.push_str(&format!("events: {}\n", self.events.len()));
-        out
-    }
 }
 
 /// A [`MetricsSnapshot`] scoped to one pool: the backend-wide registers
@@ -316,47 +245,6 @@ impl TargetPool {
             .cloned()
             .collect();
         PoolMetricsSnapshot { backend, targets }
-    }
-
-    /// Aggregate per-target health: registry state, channel occupancy,
-    /// credit utilization, and the latency register, plus the backend's
-    /// structured event log. Covers every configured target, evicted
-    /// ones included.
-    pub fn health_report(&self) -> HealthReport {
-        let members = self.targets();
-        let backend = self.offload.backend();
-        let health = backend.metrics().health();
-        let snap = backend.metrics().snapshot();
-        let targets = members
-            .iter()
-            .map(|&t| {
-                let (in_flight, bytes_in_flight, credit_limit) = backend
-                    .channel(t)
-                    .map(|c| (c.in_flight(), c.bytes_in_flight(), c.credit_limit()))
-                    .unwrap_or((0, 0, 0));
-                let per_node = snap.per_node.iter().find(|n| n.node == t.0);
-                TargetHealth {
-                    node: t,
-                    state: health.state(t.0).unwrap_or(TargetState::Healthy),
-                    in_flight,
-                    bytes_in_flight,
-                    credit_limit,
-                    credit_utilization: if credit_limit == 0 {
-                        0.0
-                    } else {
-                        in_flight as f64 / credit_limit as f64
-                    },
-                    completions: per_node.map_or(0, |n| n.completions),
-                    latency_ewma_ns: per_node.map_or(f64::NAN, |n| n.ewma_ns),
-                    latency_p50: per_node.and_then(|n| n.latency_hist.percentile(50.0)),
-                    latency_p99: per_node.and_then(|n| n.latency_hist.percentile(99.0)),
-                }
-            })
-            .collect();
-        HealthReport {
-            targets,
-            events: health.events(),
-        }
     }
 
     /// The placement policy this pool runs.

@@ -15,7 +15,10 @@
 //! completion latency, all in virtual time. The aggregate completion
 //! histogram, its count and mean are derived at snapshot time by summing
 //! the per-target registers. Each backend also owns a [`HealthRegistry`]
-//! its targets register with.
+//! its targets register with; the counters that count target events
+//! (resends, timeouts, evictions, reconnects, probes, probe misses and
+//! the batching controller's decisions) are that registry's per-kind
+//! event counts, read at snapshot time — an event is recorded once.
 //!
 //! [`BackendMetrics::snapshot`] returns a plain-data [`MetricsSnapshot`]
 //! with derived statistics, renderable as text ([`MetricsSnapshot::render`]),
@@ -25,7 +28,9 @@
 use crate::stats::{Histogram, Summary};
 use crate::time::SimTime;
 use aurora_telemetry::metrics::bucket_ceil;
-use aurora_telemetry::{AtomicHistogram, Counter, Gauge, HealthRegistry, MinMax, LOG2_BUCKETS};
+use aurora_telemetry::{
+    AtomicHistogram, Counter, Gauge, HealthEventKind, HealthRegistry, MinMax, LOG2_BUCKETS,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -178,16 +183,8 @@ pub struct BackendMetrics {
     msgs: Counter,
     polls: Counter,
     retries: Counter,
-    resends: Counter,
-    timeouts: Counter,
-    evictions: Counter,
     reconnect_attempts: Counter,
-    reconnects: Counter,
     replayed: Counter,
-    /// Background liveness probes that answered.
-    probes: Counter,
-    /// Background liveness probes that went unanswered.
-    probe_misses: Counter,
     /// Targets added to a running pool's membership.
     member_joins: Counter,
     /// Targets removed (drained) from a running pool's membership.
@@ -198,12 +195,6 @@ pub struct BackendMetrics {
     bytes_get: Counter,
     allocs: Counter,
     frees: Counter,
-    /// Adaptive-batching controller: widen decisions (watermark ×2).
-    batch_widens: Counter,
-    /// Adaptive-batching controller: narrow decisions (watermark ÷2).
-    batch_narrows: Counter,
-    /// Envelope flushes forced by the `slo_micros` age bound.
-    batch_slo_flushes: Counter,
     /// Highest `posts − completions` seen at post time.
     inflight_peak: AtomicI64,
     /// Bytes currently allocated on targets via `allocate`.
@@ -220,7 +211,8 @@ pub struct BackendMetrics {
     /// truth for completion latency: the snapshot's aggregate and the
     /// pool's rebalance cost both read them.
     nodes: Vec<NodeRegister>,
-    /// Per-target health state + structured event log.
+    /// Per-target health state, structured event log and per-kind
+    /// event counts (the event-backed counters).
     health: Arc<HealthRegistry>,
     /// Device-lane occupancy + steal registers, shared with the
     /// target-side runtimes.
@@ -244,14 +236,8 @@ impl BackendMetrics {
             msgs: Counter::new(),
             polls: Counter::new(),
             retries: Counter::new(),
-            resends: Counter::new(),
-            timeouts: Counter::new(),
-            evictions: Counter::new(),
             reconnect_attempts: Counter::new(),
-            reconnects: Counter::new(),
             replayed: Counter::new(),
-            probes: Counter::new(),
-            probe_misses: Counter::new(),
             member_joins: Counter::new(),
             member_leaves: Counter::new(),
             puts: Counter::new(),
@@ -260,9 +246,6 @@ impl BackendMetrics {
             bytes_get: Counter::new(),
             allocs: Counter::new(),
             frees: Counter::new(),
-            batch_widens: Counter::new(),
-            batch_narrows: Counter::new(),
-            batch_slo_flushes: Counter::new(),
             inflight_peak: AtomicI64::new(0),
             alloc_live: Gauge::new(),
             payload_sum: Counter::new(),
@@ -283,9 +266,10 @@ impl BackendMetrics {
         &self.nodes[(node as usize).min(MAX_TRACKED_NODES - 1)]
     }
 
-    /// The backend's health registry: per-target state and the
-    /// structured event log. Backends register their targets here at
-    /// spawn; fault paths record events.
+    /// The backend's health registry: per-target state, the structured
+    /// event log and the per-kind counts. Backends register their
+    /// targets here at spawn; fault paths, the prober and the batching
+    /// controller record events — once, here, which also counts them.
     pub fn health(&self) -> &Arc<HealthRegistry> {
         &self.health
     }
@@ -336,50 +320,16 @@ impl BackendMetrics {
         }
     }
 
-    /// The recovery policy re-sent an in-flight frame whose completion
-    /// flag stayed cold past its deadline.
-    pub fn on_resend(&self) {
-        self.resends.incr();
-    }
-
-    /// An offload was failed with `OffloadError::Timeout` after its
-    /// bounded retries were exhausted.
-    pub fn on_timeout(&self) {
-        self.timeouts.incr();
-    }
-
-    /// A target was evicted: its channel failed every in-flight offload
-    /// and refuses new posts.
-    pub fn on_evict(&self) {
-        self.evictions.incr();
-    }
-
     /// The transport tried to re-establish a dropped connection (one
     /// count per attempt, successful or not).
     pub fn on_reconnect_attempt(&self) {
         self.reconnect_attempts.incr();
     }
 
-    /// A dropped connection was re-established and its session resumed.
-    pub fn on_reconnect(&self) {
-        self.reconnects.incr();
-    }
-
     /// A session resume replayed `frames` provably-unexecuted in-flight
     /// frames onto the fresh connection.
     pub fn on_replay(&self, frames: u64) {
         self.replayed.add(frames);
-    }
-
-    /// A background liveness probe completed its ping round trip.
-    pub fn on_probe(&self) {
-        self.probes.incr();
-    }
-
-    /// A background liveness probe went unanswered (the target is
-    /// unreachable or its link is degraded).
-    pub fn on_probe_miss(&self) {
-        self.probe_misses.incr();
     }
 
     /// A target joined a running pool's membership.
@@ -396,22 +346,6 @@ impl BackendMetrics {
     /// time after its first member was staged.
     pub fn on_flush(&self, delay: SimTime) {
         self.flush_hist.record_ps(delay.as_ps());
-    }
-
-    /// The adaptive controller widened a channel's batch watermark.
-    pub fn on_batch_widen(&self) {
-        self.batch_widens.incr();
-    }
-
-    /// The adaptive controller narrowed a channel's batch watermark.
-    pub fn on_batch_narrow(&self) {
-        self.batch_narrows.incr();
-    }
-
-    /// An envelope flush was forced by the `slo_micros` staged-age
-    /// bound rather than a count/byte watermark.
-    pub fn on_slo_flush(&self) {
-        self.batch_slo_flushes.incr();
     }
 
     /// The flush-latency histogram folded to one word per log₂ octave —
@@ -472,7 +406,8 @@ impl BackendMetrics {
 
     /// Copy the registers into a plain-data snapshot. The aggregate
     /// completion histogram, count and mean are the per-target registers
-    /// summed here, off the offload path.
+    /// summed here, off the offload path; the event-backed counters are
+    /// the health registry's per-kind counts.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut per_node = Vec::new();
         let mut latency_hist = Histogram::new();
@@ -498,20 +433,21 @@ impl BackendMetrics {
         let ns = |ps: u64| SimTime::from_ps(ps).as_ns_f64();
         let posts = self.posts.get();
         let completions = latency_hist.count();
+        let events = |kind| self.health.count(kind);
         MetricsSnapshot {
             posts,
             frames_sent: self.frames.get(),
             msgs_sent: self.msgs.get(),
             polls: self.polls.get(),
             retries: self.retries.get(),
-            resends: self.resends.get(),
-            timeouts: self.timeouts.get(),
-            evictions: self.evictions.get(),
+            resends: events(HealthEventKind::Retry),
+            timeouts: events(HealthEventKind::Timeout),
+            evictions: events(HealthEventKind::Eviction),
             reconnect_attempts: self.reconnect_attempts.get(),
-            reconnects: self.reconnects.get(),
+            reconnects: events(HealthEventKind::Reconnect),
             replayed_frames: self.replayed.get(),
-            probes: self.probes.get(),
-            probe_misses: self.probe_misses.get(),
+            probes: events(HealthEventKind::Probe),
+            probe_misses: events(HealthEventKind::ProbeMiss),
             member_joins: self.member_joins.get(),
             member_leaves: self.member_leaves.get(),
             completions,
@@ -521,9 +457,9 @@ impl BackendMetrics {
             bytes_get: self.bytes_get.get(),
             allocs: self.allocs.get(),
             frees: self.frees.get(),
-            batch_widens: self.batch_widens.get(),
-            batch_narrows: self.batch_narrows.get(),
-            batch_slo_flushes: self.batch_slo_flushes.get(),
+            batch_widens: events(HealthEventKind::BatchWiden),
+            batch_narrows: events(HealthEventKind::BatchNarrow),
+            batch_slo_flushes: events(HealthEventKind::SloFlush),
             inflight: posts as i64 - completions as i64,
             inflight_peak: self.inflight_peak.load(Ordering::Relaxed),
             alloc_bytes_live: self.alloc_live.get(),
@@ -543,7 +479,6 @@ impl BackendMetrics {
             latency_hist,
             flush_hist: Histogram::from_buckets(self.flush_hist.snapshot()),
             retry_hist: Histogram::from_buckets(self.retry_hist.snapshot()),
-            node_latency_ewma: per_node.iter().map(|n| (n.node, n.ewma_ns)).collect(),
             per_node,
             lanes: self
                 .lanes
@@ -663,9 +598,6 @@ pub struct MetricsSnapshot {
     /// Per-target registers, sorted by node id (only targets with at
     /// least one completion appear).
     pub per_node: Vec<NodeMetricsSnapshot>,
-    /// Per-target latency EWMA (ns), sorted by node id. Not rendered —
-    /// scheduler food, surfaced here for tests and tooling.
-    pub node_latency_ewma: Vec<(u16, f64)>,
     /// Per-lane occupancy registers, trimmed to the last active lane
     /// (empty when no device runtime recorded lane work).
     pub lanes: Vec<LaneMetricsSnapshot>,
@@ -1121,10 +1053,11 @@ mod tests {
         assert!((m.latency_ewma(2).unwrap() - 5_000.0).abs() < 1e-9);
         let s = m.snapshot();
         assert_eq!(s.completions, 3, "the registers sum to the total");
-        assert_eq!(s.node_latency_ewma.len(), 2);
-        assert_eq!(s.node_latency_ewma[0].0, 1);
-        assert_eq!(s.node_latency_ewma[1].0, 2);
-        // The per-node vector is scheduler food, not report noise.
+        let nodes: Vec<u16> = s.per_node.iter().map(|n| n.node).collect();
+        assert_eq!(nodes, vec![1, 2]);
+        assert!((s.per_node[0].ewma_ns - 12_000.0).abs() < 1e-9);
+        assert!((s.per_node[1].ewma_ns - 5_000.0).abs() < 1e-9);
+        // The per-node EWMA is scheduler food, not report noise.
         assert!(!s.render().contains("ewma"));
     }
 
@@ -1283,6 +1216,43 @@ mod tests {
         // Out-of-range lanes fold into the last register, never panic.
         lanes.on_task(MAX_TRACKED_LANES + 5, 1);
         assert_eq!(lanes.tasks(MAX_TRACKED_LANES - 1), 1);
+    }
+
+    #[test]
+    fn event_backed_counters_are_the_health_counts() {
+        let m = BackendMetrics::new();
+        // A distinct count per kind, so a swapped mapping cannot pass.
+        let kinds = [
+            HealthEventKind::Retry,
+            HealthEventKind::Timeout,
+            HealthEventKind::Eviction,
+            HealthEventKind::Reconnect,
+            HealthEventKind::Probe,
+            HealthEventKind::ProbeMiss,
+            HealthEventKind::BatchWiden,
+            HealthEventKind::BatchNarrow,
+            HealthEventKind::SloFlush,
+        ];
+        for (n, &kind) in kinds.iter().enumerate() {
+            for _ in 0..=n {
+                m.health().record(1, kind, 0, 0);
+            }
+        }
+        // Kinds without a counter of their own change none of them.
+        m.health().record(1, HealthEventKind::Failover, 0, 0);
+        let s = m.snapshot();
+        let got = [
+            s.resends,
+            s.timeouts,
+            s.evictions,
+            s.reconnects,
+            s.probes,
+            s.probe_misses,
+            s.batch_widens,
+            s.batch_narrows,
+            s.batch_slo_flushes,
+        ];
+        assert_eq!(got, [1, 2, 3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]

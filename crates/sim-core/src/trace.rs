@@ -18,7 +18,7 @@ use crate::time::SimTime;
 
 pub use aurora_telemetry::{
     current_offload, enabled, mark, next_offload_id, node_scope, offload_scope, retag_since,
-    ContextGuard, Mark, OffloadId, Trace, NODE_UNKNOWN,
+    ContextGuard, Mark, OffloadId, Trace, TraceSession, NODE_UNKNOWN,
 };
 
 /// One recorded operation on the virtual timeline, `SimTime`-typed.
@@ -61,27 +61,6 @@ impl Event {
             Some((_, phase)) => phase,
             None => self.category,
         }
-    }
-}
-
-/// RAII recording session (see [`aurora_telemetry::TraceSession`]).
-///
-/// Starting a session waits for any other live session to end; dropping
-/// without [`TraceSession::finish`] discards the captured spans. This
-/// replaces the old free-running `enable()`/`disable_and_take()` pair,
-/// whose process-global toggle let concurrent tests corrupt each other's
-/// captures.
-pub struct TraceSession(aurora_telemetry::TraceSession);
-
-impl TraceSession {
-    /// Begin recording.
-    pub fn start() -> TraceSession {
-        TraceSession(aurora_telemetry::TraceSession::start())
-    }
-
-    /// Stop recording; spans come back sorted by `(start, end)`.
-    pub fn finish(self) -> Trace {
-        self.0.finish()
     }
 }
 

@@ -5,25 +5,31 @@
 //! retry, timeout, eviction, failover, reconnect) as they happen. The
 //! registry derives a coarse [`TargetState`] per target from those
 //! events and keeps a bounded ring of [`HealthEvent`]s for the SLO
-//! evaluator and the health report.
+//! evaluator.
 //!
 //! Events carry a *correlation id* (`corr`): the offload id the event
 //! belongs to, the same id that rides the wire header's `corr` field
 //! and tags flight-recorder spans — so an eviction in the event log can
 //! be lined up with the spans of the offload that triggered it.
 //!
+//! Each event is recorded once: [`HealthRegistry::record`] pushes it
+//! onto the ring *and* bumps its kind's count, and those counts are the
+//! backend's `resends`/`timeouts`/`evictions`/... counters — so a
+//! counter cannot disagree with the log it summarises, and the count
+//! survives the ring dropping old events.
+//!
 //! Times are raw `u64` picoseconds of virtual time, like everything
-//! else in this crate. Recording takes one short mutex (the event log
+//! else in this crate. Recording takes two short mutexes (the event log
 //! is not on the warm offload completion path — only fault-handling
-//! paths record events, and those already hold the channel lock).
+//! paths, the prober and the batching controller record events).
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bound on retained events; older events are dropped (counted by
-/// [`HealthRegistry::dropped`]) so a long soak cannot grow without
-/// bound.
+/// [`HealthRegistry::dropped`], still counted by
+/// [`HealthRegistry::count`]) so a long soak cannot grow without bound.
 pub const MAX_HEALTH_EVENTS: usize = 4096;
 
 /// Coarse per-target health, derived from the event stream.
@@ -88,6 +94,9 @@ pub enum HealthEventKind {
 }
 
 impl HealthEventKind {
+    /// Number of kinds: the length of the registry's per-kind counts.
+    const COUNT: usize = HealthEventKind::SloFlush as usize + 1;
+
     /// Stable lower-case name, used by the exposition surfaces.
     pub fn name(self) -> &'static str {
         match self {
@@ -125,7 +134,8 @@ pub struct HealthEvent {
     pub at_ps: u64,
 }
 
-/// Aggregates per-target state and the bounded event log.
+/// Aggregates per-target state, the bounded event log and the per-kind
+/// event counts.
 ///
 /// One registry per backend (handed out by `BackendMetrics::health()`
 /// in `sim-core`), not process-global: tests and multi-backend
@@ -135,9 +145,19 @@ pub struct HealthRegistry {
     // BTreeMap so iteration order — and therefore every report — is
     // sorted by node id, independent of registration order.
     states: Mutex<BTreeMap<u16, TargetState>>,
-    events: Mutex<VecDeque<HealthEvent>>,
-    ordinal: AtomicU64,
-    dropped: AtomicU64,
+    log: Mutex<EventLog>,
+    /// Events ever recorded, per [`HealthEventKind`] (indexed by
+    /// discriminant); not bounded by the ring.
+    counts: [AtomicU64; HealthEventKind::COUNT],
+}
+
+/// The ring and the ordinal counter, under one lock so ordinals enter
+/// the ring in increasing order.
+#[derive(Debug, Default)]
+struct EventLog {
+    ring: VecDeque<HealthEvent>,
+    /// Ordinals issued so far — every event ever recorded.
+    issued: u64,
 }
 
 impl HealthRegistry {
@@ -155,13 +175,16 @@ impl HealthRegistry {
             .or_insert(TargetState::Healthy);
     }
 
-    /// Record an event and update the target's derived state.
+    /// Record an event: update the target's derived state, append the
+    /// event to the log and count it under its kind.
     ///
     /// `Retry`/`Timeout`/`FaultInjected`/`Disconnect`/`ProbeMiss`
-    /// degrade a healthy target, `Eviction` evicts it, `Reconnect` and
-    /// an answered `Probe` restore a degraded (not evicted) target to
-    /// healthy; `Failover` describes the *survivor* receiving work and
-    /// does not change its state.
+    /// degrade a healthy target, `Eviction` evicts it, `Reconnect`
+    /// restores a degraded *or evicted* target to healthy (a resumed
+    /// session is serving again), an answered `Probe` heals a degraded
+    /// target only (eviction stays latched against probes); `Failover`
+    /// describes the *survivor* receiving work and, like the batching
+    /// kinds, does not change state.
     pub fn record(&self, node: u16, kind: HealthEventKind, corr: u64, at_ps: u64) {
         {
             let mut states = self.states.lock();
@@ -191,19 +214,26 @@ impl HealthRegistry {
                 | HealthEventKind::SloFlush => {}
             }
         }
-        let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed);
-        let mut events = self.events.lock();
-        if events.len() == MAX_HEALTH_EVENTS {
-            events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
+        let mut log = self.log.lock();
+        if log.ring.len() == MAX_HEALTH_EVENTS {
+            log.ring.pop_front();
         }
-        events.push_back(HealthEvent {
+        let ordinal = log.issued;
+        log.issued += 1;
+        log.ring.push_back(HealthEvent {
             ordinal,
             node,
             kind,
             corr,
             at_ps,
         });
+    }
+
+    /// Events of `kind` ever recorded, including those the ring has
+    /// since dropped.
+    pub fn count(&self, kind: HealthEventKind) -> u64 {
+        self.counts[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Current state of `node`, if registered (or mentioned by an
@@ -219,22 +249,24 @@ impl HealthRegistry {
 
     /// The retained event log, oldest first.
     pub fn events(&self) -> Vec<HealthEvent> {
-        self.events.lock().iter().copied().collect()
+        self.log.lock().ring.iter().copied().collect()
     }
 
     /// Retained events concerning `node`, oldest first.
     pub fn events_for(&self, node: u16) -> Vec<HealthEvent> {
-        self.events
-            .lock()
+        let log = self.log.lock();
+        log.ring
             .iter()
             .filter(|e| e.node == node)
             .copied()
             .collect()
     }
 
-    /// Events discarded because the ring was full.
+    /// Events discarded because the ring was full: ordinals issued
+    /// minus events retained.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        let log = self.log.lock();
+        log.issued - log.ring.len() as u64
     }
 }
 
@@ -324,6 +356,39 @@ mod tests {
         assert_eq!(r.dropped(), 10);
         // Oldest retained event is the 11th ever recorded.
         assert_eq!(evs[0].ordinal, 10);
+        // The count covers dropped events too.
+        assert_eq!(r.count(HealthEventKind::Retry), 4106);
+        assert_eq!(r.count(HealthEventKind::Timeout), 0);
+    }
+
+    /// A stress test, not a proof: with the ordinal issued outside the
+    /// log lock, two recorders could enter the ring out of ordinal
+    /// order. The barrier starts all four at once to maximise overlap.
+    #[test]
+    fn concurrent_recorders_keep_ordinals_in_ring_order() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 2_000;
+        let r = HealthRegistry::new();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (r, start) = (&r, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        r.record(t as u16, HealthEventKind::Probe, i, i);
+                    }
+                });
+            }
+        });
+        let evs = r.events();
+        assert!(
+            evs.windows(2).all(|w| w[0].ordinal < w[1].ordinal),
+            "ordinals must strictly increase along the ring"
+        );
+        let total = THREADS * PER_THREAD;
+        assert_eq!(r.count(HealthEventKind::Probe), total);
+        assert_eq!(r.dropped() + evs.len() as u64, total);
     }
 
     #[test]

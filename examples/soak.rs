@@ -19,7 +19,7 @@ use ham_aurora_repro::fault_scenario::{probe_expected, scenario_probe, BackendKi
 use ham_aurora_repro::sim_core::SimTime;
 use ham_aurora_repro::{
     offload_with, tcp_cluster, BatchConfig, FaultPlan, NodeId, Offload, OffloadError,
-    OffloadOptions, PoolFuture, RecoveryPolicy, SchedPolicy, SloSpec, TargetSpec,
+    OffloadOptions, PoolFuture, RecoveryPolicy, SchedPolicy, SloSpec, TargetPool, TargetSpec,
 };
 
 /// Targets per pool; one is killed mid-run, so survivors keep serving.
@@ -122,6 +122,30 @@ fn spawn(kind: BackendKind, seed: u64) -> Offload {
     offload_with(kind, TARGETS, opts, reg)
 }
 
+/// One line per pool member — health state, completions and the
+/// completion-latency p50/p99 of its register (virtual time) — then
+/// the size of the backend's health event log.
+fn print_targets(o: &Offload, pool: &TargetPool) {
+    let health = o.backend().metrics().health();
+    let snap = pool.metrics_snapshot();
+    for t in pool.targets() {
+        let state = health.state(t.0).map_or("-", |s| s.name());
+        let reg = snap.targets.iter().find(|n| n.node == t.0);
+        let pct = |p| {
+            reg.and_then(|n| n.latency_hist.percentile(p))
+                .map_or("-".to_string(), |t| t.to_string())
+        };
+        println!(
+            "node {}  {state}  completions {}  p50 {}  p99 {}",
+            t.0,
+            reg.map_or(0, |n| n.completions),
+            pct(50.0),
+            pct(99.0),
+        );
+    }
+    println!("events: {}", health.events().len());
+}
+
 struct RunStats {
     ok: usize,
     lost: usize,
@@ -202,7 +226,7 @@ fn soak_run(kind: BackendKind, seed: u64, offloads: usize) -> (RunStats, usize) 
         stats.refused,
         stats.failed
     );
-    print!("{}", pool.health_report().render());
+    print_targets(&o, &pool);
     print!("{}", report.render());
     println!();
 
@@ -298,7 +322,7 @@ fn tcp_churn_run(seed: u64, offloads: usize) -> (RunStats, usize) {
         snap.reconnect_attempts,
         snap.replayed_frames,
     );
-    print!("{}", pool.health_report().render());
+    print_targets(&o, &pool);
     print!("{}", report.render());
     println!();
 
@@ -411,7 +435,7 @@ fn membership_churn_run(seed: u64, offloads: usize) -> (RunStats, usize) {
         snap.probes,
         snap.probe_misses,
     );
-    print!("{}", pool.health_report().render());
+    print_targets(&o, &pool);
     print!("{}", report.render());
     println!();
 

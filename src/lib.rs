@@ -53,9 +53,7 @@ pub use aurora_sim_core::{
 };
 pub use ham_backend_tcp::{Announce, TargetSpec};
 pub use ham_offload::chan::{BatchConfig, RecoveryPolicy};
-pub use ham_offload::sched::{
-    HealthReport, PoolFuture, PoolMetricsSnapshot, SchedPolicy, TargetHealth, TargetPool,
-};
+pub use ham_offload::sched::{PoolFuture, PoolMetricsSnapshot, SchedPolicy, TargetPool};
 pub use ham_offload::{BufferPtr, Future, NodeId, Offload, OffloadError};
 
 use ham_backend_dma::DmaBackend;

@@ -13,7 +13,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test exposition_golden
 //! ```
 
-use aurora_sim_core::{BackendMetrics, SimTime};
+use aurora_sim_core::{BackendMetrics, HealthEventKind, SimTime};
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -52,21 +52,25 @@ fn build() -> BackendMetrics {
     m.on_complete_on(1, SimTime::from_us(8));
     m.on_complete_on(2, SimTime::from_us(120));
     m.on_flush(SimTime::from_us(2));
-    // Adaptive batching controller: one widen, two narrows, one flush
-    // forced by the latency-SLO age bound.
-    m.on_batch_widen();
-    m.on_batch_narrow();
-    m.on_batch_narrow();
-    m.on_slo_flush();
-    m.on_resend();
+    // Target events are recorded once, into the health registry; the
+    // event-backed counters are its per-kind counts. Adaptive batching
+    // controller: one widen, two narrows, one flush forced by the
+    // latency-SLO age bound; then one re-send, one timeout and one
+    // eviction.
+    let event = |kind| m.health().record(1, kind, 0, 0);
+    event(HealthEventKind::BatchWiden);
+    event(HealthEventKind::BatchNarrow);
+    event(HealthEventKind::BatchNarrow);
+    event(HealthEventKind::SloFlush);
+    event(HealthEventKind::Retry);
     m.on_retry_delay(SimTime::from_us(40));
-    m.on_timeout();
-    m.on_evict();
+    event(HealthEventKind::Timeout);
+    event(HealthEventKind::Eviction);
     // Cluster-TCP link supervisor: two reconnect attempts, one of
     // which healed the link and replayed five in-flight frames.
     m.on_reconnect_attempt();
     m.on_reconnect_attempt();
-    m.on_reconnect();
+    event(HealthEventKind::Reconnect);
     m.on_replay(5);
     m.on_put(4096);
     m.on_get(512);

@@ -24,6 +24,7 @@ use ham_aurora_repro::{
 };
 use ham_backend_tcp::TcpBackend;
 use ham_offload::backend::CommBackend;
+use ham_offload::chan::engine;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -455,14 +456,15 @@ fn discovery_announces_per_host_capabilities() {
         assert_eq!(d.cores, spec.lanes, "lanes surface as cores");
         assert_eq!(d.memory_bytes, spec.mem_bytes);
     }
-    // Both hosts execute work; probes record health observations.
+    // Both hosts execute work; probes through the engine record health
+    // observations.
     let base = tag_base(10, 0);
     let a = o.async_(NodeId(1), f2f!(record_tag, base)).unwrap();
     let b = o.async_(NodeId(2), f2f!(record_tag, base + 1)).unwrap();
     assert_eq!(a.get().unwrap(), base);
     assert_eq!(b.get().unwrap(), base + 1);
-    backend.probe(NodeId(1)).unwrap();
-    backend.probe(NodeId(2)).unwrap();
+    engine::probe(&*backend, NodeId(1)).unwrap();
+    engine::probe(&*backend, NodeId(2)).unwrap();
     assert!(be_has_probe(&backend, 1) && be_has_probe(&backend, 2));
     o.shutdown();
 }
