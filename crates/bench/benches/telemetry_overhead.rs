@@ -11,8 +11,10 @@
 //!   store), unconditionally; no lock is taken. The acceptance bar is
 //!   that this always-on histogram path costs <5% of the warm offload
 //!   cycle it rides on;
-//! * the adaptive batching controller — every flush feeds the tick
-//!   window and every sweep checks the staged-age SLO; arming the
+//! * the adaptive batching controller — every flush feeds its
+//!   occupancy and latency into the channel's tick window (the largest
+//!   flush latency is one `max` under the channel lock; no histogram is
+//!   read) and every sweep checks the staged-age SLO; arming the
 //!   self-tuning dataplane must also stay <5% of the offload cycle.
 //!
 //! The three `assert!`s at the end are the gate: `scripts/check.sh` runs
@@ -125,16 +127,17 @@ fn main() {
 
     // --- adaptive controller (per-flush tick + per-sweep SLO check) -----
     // What arming the self-tuning dataplane adds to the hot path: the
-    // flush accounting (and, every tick window, a histogram snapshot,
-    // window delta, p99 walk and one decision) plus the sweep-side
-    // staged-age check.
+    // flush accounting under the channel lock (occupancy and the
+    // window's largest flush latency; every tick window, one power-of-
+    // two floor and one decision) plus the sweep-side staged-age check.
     let chan =
         ChannelCore::bounded(64, 64, 4096).with_batching(BatchConfig::adaptive_up_to(64, 200));
     let ctrl_round = || {
         round_ns(n, |i| {
-            black_box(
-                chan.adaptive_tick(black_box(32 + (i % 8) as usize), || m.flush_hist_buckets()),
-            );
+            black_box(chan.adaptive_tick(
+                black_box(32 + (i % 8) as usize),
+                black_box(SimTime::from_us(2 + i % 5).as_ps()),
+            ));
             black_box(chan.slo_flush_due(SimTime::from_us(i)));
         })
     };

@@ -64,16 +64,17 @@ fn main() {
     let capture = session.finish();
 
     println!("## Measured timeline of one empty offload (DMA protocol)\n");
-    let events = trace::sim_events(&capture);
-    let offload_events: Vec<_> = events.iter().filter(|e| e.offload != 0).cloned().collect();
-    println!("{}", trace::render(&offload_events));
+    let mut attributed = capture.clone();
+    attributed.events.retain(|e| e.offload != 0);
+    println!("{}", attributed.render());
     println!(
         "end-to-end (host clock): {} — paper Fig. 9: 6.1 us",
         t1 - t0
     );
-    let traced: f64 = offload_events
+    let traced: f64 = attributed
+        .events
         .iter()
-        .map(|e| e.duration().as_us_f64())
+        .map(|e| e.duration_ps() as f64 / 1e6)
         .sum();
     println!("sum of traced component durations: {traced:.3} us");
     println!(

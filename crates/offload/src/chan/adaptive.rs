@@ -1,6 +1,6 @@
 //! The adaptive batch-watermark controller.
 //!
-//! Static [`BatchConfig`](super::BatchConfig) watermarks force a choice:
+//! Static [`BatchConfig`] watermarks force a choice:
 //! batch deep and starve the occasional latency-sensitive probe inside a
 //! filling accumulator, or batch shallow and forfeit the per-frame
 //! amortization the paper's offload win is built on. This module closes
@@ -12,7 +12,7 @@
 //!   halving when the latency SLO trips or occupancy collapses (the
 //!   traffic cannot fill the envelope in time);
 //! * decisions are a **pure function of virtual-time state** — the
-//!   flush-latency histogram delta since the last tick plus counters
+//!   largest flush latency this channel saw in the window plus counters
 //!   accumulated under the channel lock. No wall clocks, no randomness:
 //!   a replayed fault timeline reproduces the exact same widen/narrow
 //!   sequence, which is what keeps the cross-backend bit-identity and
@@ -31,17 +31,15 @@
 //!            or occupancy < wm/4
 //! ```
 //!
-//! Everything here is integer arithmetic on histogram buckets so a
-//! controller tick allocates nothing and costs a bounded scan of
-//! [`LOG2_BUCKETS`] words.
-
-use aurora_sim_core::LOG2_BUCKETS;
+//! Everything here is integer arithmetic on a few words of channel
+//! state, so a controller tick allocates nothing and reads no other
+//! channel's flushes.
 
 use super::batch::BatchConfig;
 
 /// How many successful flushes between controller ticks. Reacting on
 /// every flush would chase noise; a small window keeps convergence
-/// within tens of envelopes while the histogram delta stays meaningful.
+/// within tens of envelopes.
 pub const TICK_FLUSHES: u64 = 4;
 
 /// Tuning bounds and cadence derived from a [`BatchConfig`] ceiling.
@@ -88,7 +86,8 @@ pub struct TickInputs {
     /// (so 7/8 of a watermark compares without floats).
     pub mean_occupancy_x16: u64,
     /// p99 flush latency (time from first stage to wire) over the
-    /// window, picoseconds — the bucket floor of the histogram delta.
+    /// window, picoseconds. A window of [`TICK_FLUSHES`] flushes has no
+    /// 1 % tail, so this is the largest one, floored to a power of two.
     pub flush_p99_ps: u64,
     /// SLO-triggered flushes observed since the last tick.
     pub slo_flushes: u64,
@@ -137,25 +136,14 @@ pub fn apply(watermark: usize, policy: &AdaptivePolicy, decision: Decision) -> u
     }
 }
 
-/// The p99 floor (in ps) of a histogram delta: the lower bound of the
-/// log₂ bucket holding the 99th percentile sample. Zero when the delta
-/// is empty.
-pub fn p99_floor_ps(delta: &[u64; LOG2_BUCKETS]) -> u64 {
-    let total: u64 = delta.iter().sum();
-    if total == 0 {
-        return 0;
+/// The largest power of two at or below `ps`; 0 below 2 ps (a sample of
+/// 0 or 1 sits in octave 0, whose floor the controller reads as 0).
+fn pow2_floor(ps: u64) -> u64 {
+    if ps < 2 {
+        0
+    } else {
+        1 << ps.ilog2()
     }
-    // Samples allowed *above* the p99 mark: 1% of the window, rounded
-    // down — walk from the top bucket until we have passed that many.
-    let above = total / 100;
-    let mut seen = 0u64;
-    for (i, &n) in delta.iter().enumerate().rev() {
-        seen += n;
-        if seen > above {
-            return if i == 0 { 0 } else { 1u64 << i };
-        }
-    }
-    0
 }
 
 /// A controller decision surfaced to the engine so it can emit metrics
@@ -178,7 +166,8 @@ pub(crate) struct AdaptiveState {
     flushes_since_tick: u64,
     msgs_since_tick: u64,
     slo_since_tick: u64,
-    prev_flush_hist: [u64; LOG2_BUCKETS],
+    /// Largest flush latency (ps) since the last tick.
+    max_flush_ps: u64,
 }
 
 impl AdaptiveState {
@@ -192,7 +181,7 @@ impl AdaptiveState {
             flushes_since_tick: 0,
             msgs_since_tick: 0,
             slo_since_tick: 0,
-            prev_flush_hist: [0; LOG2_BUCKETS],
+            max_flush_ps: 0,
         }
     }
 
@@ -215,36 +204,31 @@ impl AdaptiveState {
         self.slo_since_tick += 1;
     }
 
-    /// Account a successful flush of `msgs` members; `true` when the
+    /// Account a successful flush of `msgs` members that left
+    /// `flush_ps` after its first member was staged; `true` when the
     /// tick window is full and [`Self::tick`] should run.
-    pub(crate) fn note_flush(&mut self, msgs: usize) -> bool {
+    pub(crate) fn note_flush(&mut self, msgs: usize, flush_ps: u64) -> bool {
         self.flushes_since_tick += 1;
         self.msgs_since_tick += msgs as u64;
+        self.max_flush_ps = self.max_flush_ps.max(flush_ps);
         self.flushes_since_tick >= self.policy.tick_flushes
     }
 
-    /// Run one controller tick against the current cumulative flush
-    /// histogram. Resets the window. Returns the verdict (including
-    /// `Hold`) so the engine can decide what to surface.
-    pub(crate) fn tick(&mut self, flush_hist: &[u64; LOG2_BUCKETS]) -> AdaptiveDecision {
-        let mut delta = [0u64; LOG2_BUCKETS];
-        for (d, (cur, prev)) in delta
-            .iter_mut()
-            .zip(flush_hist.iter().zip(self.prev_flush_hist.iter()))
-        {
-            *d = cur.saturating_sub(*prev);
-        }
+    /// Run one controller tick on the window's counters. Resets the
+    /// window. Returns the verdict (including `Hold`) so the engine can
+    /// decide what to surface.
+    pub(crate) fn tick(&mut self) -> AdaptiveDecision {
         let inputs = TickInputs {
             mean_occupancy_x16: self.msgs_since_tick * 16 / self.flushes_since_tick.max(1),
-            flush_p99_ps: p99_floor_ps(&delta),
+            flush_p99_ps: pow2_floor(self.max_flush_ps),
             slo_flushes: self.slo_since_tick,
         };
         let decision = decide(self.watermark_msgs, &self.policy, &inputs);
         self.watermark_msgs = apply(self.watermark_msgs, &self.policy, decision);
-        self.prev_flush_hist = *flush_hist;
         self.flushes_since_tick = 0;
         self.msgs_since_tick = 0;
         self.slo_since_tick = 0;
+        self.max_flush_ps = 0;
         AdaptiveDecision {
             decision,
             watermark: self.watermark_msgs,
@@ -335,18 +319,28 @@ mod tests {
     }
 
     #[test]
-    fn p99_floor_walks_buckets_from_the_top() {
-        let mut delta = [0u64; LOG2_BUCKETS];
-        assert_eq!(p99_floor_ps(&delta), 0);
-        // 100 samples in bucket 10, one outlier in bucket 20: the
-        // outlier is the 1% tail, p99 floors at bucket 10.
-        delta[10] = 100;
-        delta[20] = 1;
-        assert_eq!(p99_floor_ps(&delta), 1 << 10);
-        // With ≤ 100 samples all in one bucket, that bucket is the p99.
-        let mut one = [0u64; LOG2_BUCKETS];
-        one[5] = 42;
-        assert_eq!(p99_floor_ps(&one), 1 << 5);
+    fn window_max_floors_to_a_power_of_two_and_resets() {
+        assert_eq!(pow2_floor(0), 0);
+        assert_eq!(pow2_floor(1), 0, "octave 0 floors to 0");
+        assert_eq!(pow2_floor(2), 2);
+        assert_eq!(pow2_floor((1 << 20) + 1), 1 << 20);
+        assert_eq!(pow2_floor(u64::MAX), 1 << 63);
+        // Full envelopes at half the ceiling, 50 µs SLO: the window's
+        // largest flush, not its last one, decides the headroom.
+        let mut st = AdaptiveState::new(policy(16, 50));
+        st.watermark_msgs = 8;
+        for flush_ps in [1_000, 40_000_000, 3_000] {
+            assert!(!st.note_flush(8, flush_ps));
+        }
+        assert!(st.note_flush(8, 0));
+        // 40 µs floors to 2^25 ps ≈ 33.6 µs; doubled, past the SLO.
+        assert_eq!(st.tick().decision, Decision::Hold);
+        assert_eq!(st.max_flush_ps, 0, "the tick resets the window");
+        // 30 µs floors to 2^24 ps ≈ 16.8 µs; doubled, inside it.
+        for flush_ps in [30_000_000, 0, 0, 0] {
+            st.note_flush(8, flush_ps);
+        }
+        assert_eq!(st.tick().decision, Decision::Widen);
     }
 
     #[test]
@@ -356,26 +350,25 @@ mod tests {
         // Four full flushes (16 members each) → widen attempt; already
         // at the ceiling so the watermark holds.
         for _ in 0..3 {
-            assert!(!st.note_flush(16));
+            assert!(!st.note_flush(16, 0));
         }
-        assert!(st.note_flush(16));
-        let hist = [0u64; LOG2_BUCKETS];
-        let d = st.tick(&hist);
+        assert!(st.note_flush(16, 0));
+        let d = st.tick();
         assert_eq!(d.decision, Decision::Hold);
         assert_eq!(d.watermark, 16);
         // A window with an SLO trip narrows — and the reset means the
         // next window starts clean.
         st.note_slo();
         for _ in 0..4 {
-            st.note_flush(2);
+            st.note_flush(2, 0);
         }
-        assert_eq!(st.tick(&hist).decision, Decision::Narrow);
+        assert_eq!(st.tick().decision, Decision::Narrow);
         assert_eq!(st.watermark(), 8);
         for _ in 0..4 {
-            st.note_flush(8);
+            st.note_flush(8, 0);
         }
         // Full again at the new watermark → widen back.
-        let d = st.tick(&hist);
+        let d = st.tick();
         assert_eq!(d.decision, Decision::Widen);
         assert_eq!(d.watermark, 16);
     }

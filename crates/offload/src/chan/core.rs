@@ -7,7 +7,7 @@ use super::pool::{FramePool, PooledFrame};
 use super::recovery::{MissVerdict, RecoveryPolicy, StoredFrame};
 use super::ring::SlotRing;
 use crate::OffloadError;
-use aurora_sim_core::{SimTime, LOG2_BUCKETS};
+use aurora_sim_core::SimTime;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 use parking_lot::Mutex;
@@ -576,25 +576,19 @@ impl ChannelCore {
         }
     }
 
-    /// Account a successful envelope flush of `msgs` members with the
-    /// adaptive controller and, when its tick window is full, run one
-    /// controller tick against the cumulative flush-latency histogram
-    /// (fetched lazily — the common non-tick flush never touches it).
-    /// Returns a non-`Hold` decision for the engine to surface as
-    /// metrics/health events; `None` when the controller is off, the
-    /// window is still filling, or the tick held.
-    pub fn adaptive_tick(
-        &self,
-        msgs: usize,
-        flush_hist: impl FnOnce() -> [u64; LOG2_BUCKETS],
-    ) -> Option<AdaptiveDecision> {
+    /// Account a successful envelope flush of `msgs` members, sent
+    /// `flush_ps` after its first member was staged, with the adaptive
+    /// controller and, when its tick window is full, run one controller
+    /// tick on this channel's window. Returns a non-`Hold` decision for
+    /// the engine to surface as health events; `None` when the
+    /// controller is off, the window is still filling, or the tick held.
+    pub fn adaptive_tick(&self, msgs: usize, flush_ps: u64) -> Option<AdaptiveDecision> {
         let mut st = self.state.lock();
         let a = st.adaptive.as_mut()?;
-        if !a.note_flush(msgs) {
+        if !a.note_flush(msgs, flush_ps) {
             return None;
         }
-        let hist = flush_hist();
-        let d = a.tick(&hist);
+        let d = a.tick();
         (d.decision != super::adaptive::Decision::Hold).then_some(d)
     }
 

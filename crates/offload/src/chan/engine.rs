@@ -177,12 +177,12 @@ fn flush_staged<B: CommBackend + ?Sized>(
 /// Put one claimed envelope on the wire: transport write, flush
 /// metrics/trace, recovery bookkeeping — then one adaptive-controller
 /// accounting step (which, every [`super::adaptive::TICK_FLUSHES`]
-/// flushes, reads the cumulative flush-latency histogram and may retune
-/// the channel's watermarks; each decision is one health event, counted
-/// as `aurora_batch_*`). `slo` marks an envelope the `slo_micros` age
-/// bound closed: the latency bound firing, not a watermark — told to
-/// the controller and recorded as a `SloFlush` event here, once the
-/// envelope actually leaves the accumulator.
+/// flushes, reads the largest flush latency this channel saw in the
+/// window and may retune its watermarks; each decision is one health
+/// event, counted as `aurora_batch_*`). `slo` marks an envelope the
+/// `slo_micros` age bound closed: the latency bound firing, not a
+/// watermark — told to the controller and recorded as a `SloFlush`
+/// event here, once the envelope actually leaves the accumulator.
 fn send_envelope<B: CommBackend + ?Sized>(
     backend: &B,
     target: NodeId,
@@ -210,10 +210,11 @@ fn send_envelope<B: CommBackend + ?Sized>(
     metrics.on_frame(f.msgs as u64);
     // Flush latency: first member staged → envelope on the
     // transport, in virtual time.
-    metrics.on_flush(now.saturating_sub(f.posted_at));
+    let flush = now.saturating_sub(f.posted_at);
+    metrics.on_flush(flush);
     trace::record("chan.batch_flush", f.msgs as u64, t0, now);
     chan.note_sent(f.res.seq, &f.header, f.frame);
-    if let Some(d) = chan.adaptive_tick(f.msgs, || metrics.flush_hist_buckets()) {
+    if let Some(d) = chan.adaptive_tick(f.msgs, flush.as_ps()) {
         let kind = match d.decision {
             Decision::Widen => HealthEventKind::BatchWiden,
             _ => HealthEventKind::BatchNarrow,

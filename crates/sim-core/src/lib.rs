@@ -36,7 +36,7 @@ pub mod time;
 pub mod trace;
 
 pub use aurora_telemetry::{
-    HealthEvent, HealthEventKind, HealthRegistry, TargetState, HISTOGRAM_BUCKETS, LOG2_BUCKETS,
+    HealthEvent, HealthEventKind, HealthRegistry, TargetState, HISTOGRAM_BUCKETS,
 };
 pub use clock::Clock;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSite};

@@ -23,14 +23,13 @@
 //! [`BackendMetrics::snapshot`] returns a plain-data [`MetricsSnapshot`]
 //! with derived statistics, renderable as text ([`MetricsSnapshot::render`]),
 //! Prometheus exposition text ([`MetricsSnapshot::to_prometheus_text`]) or
-//! JSON ([`MetricsSnapshot::to_json`]).
+//! JSON ([`MetricsSnapshot::to_json`]). Both expositions read one table
+//! row per counter, gauge and histogram: its JSON key and an accessor.
 
 use crate::stats::{Histogram, Summary};
 use crate::time::SimTime;
 use aurora_telemetry::metrics::bucket_ceil;
-use aurora_telemetry::{
-    AtomicHistogram, Counter, Gauge, HealthEventKind, HealthRegistry, MinMax, LOG2_BUCKETS,
-};
+use aurora_telemetry::{AtomicHistogram, Counter, Gauge, HealthEventKind, HealthRegistry, MinMax};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -348,13 +347,6 @@ impl BackendMetrics {
         self.flush_hist.record_ps(delay.as_ps());
     }
 
-    /// The flush-latency histogram folded to one word per log₂ octave —
-    /// a stack copy, allocation-free. The adaptive batching controller's
-    /// tick input.
-    pub fn flush_hist_buckets(&self) -> [u64; LOG2_BUCKETS] {
-        self.flush_hist.log2_snapshot()
-    }
-
     /// A recovery re-send fired `delay` of virtual time after the
     /// offload was posted (the retry/backoff delay distribution).
     pub fn on_retry_delay(&self, delay: SimTime) {
@@ -605,15 +597,58 @@ pub struct MetricsSnapshot {
     pub steals: u64,
 }
 
-/// Append one Prometheus counter sample (with its `# TYPE` line).
-fn prom_counter(out: &mut String, name: &str, v: u64) {
-    out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-}
+/// One exposed metric: its JSON key and its reading in a snapshot.
+type Row<T> = (&'static str, fn(&MetricsSnapshot) -> T);
 
-/// Append one Prometheus gauge sample (with its `# TYPE` line).
-fn prom_gauge(out: &mut String, name: &str, v: i64) {
-    out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-}
+/// A [`Row`] whose reading borrows a histogram from the snapshot.
+type HistRow = (&'static str, fn(&MetricsSnapshot) -> &Histogram);
+
+/// Every exposed counter. The Prometheus name is `aurora_<key>_total`.
+/// Both expositions list the rows in this order.
+const COUNTERS: [Row<u64>; 26] = [
+    ("posts", |s| s.posts),
+    ("frames_sent", |s| s.frames_sent),
+    ("msgs_sent", |s| s.msgs_sent),
+    ("polls", |s| s.polls),
+    ("poll_misses", |s| s.retries),
+    ("resends", |s| s.resends),
+    ("timeouts", |s| s.timeouts),
+    ("evictions", |s| s.evictions),
+    ("reconnect_attempts", |s| s.reconnect_attempts),
+    ("reconnects", |s| s.reconnects),
+    ("replayed_frames", |s| s.replayed_frames),
+    ("probes", |s| s.probes),
+    ("probe_misses", |s| s.probe_misses),
+    ("membership_joins", |s| s.member_joins),
+    ("membership_leaves", |s| s.member_leaves),
+    ("completions", |s| s.completions),
+    ("puts", |s| s.puts),
+    ("gets", |s| s.gets),
+    ("bytes_put", |s| s.bytes_put),
+    ("bytes_get", |s| s.bytes_get),
+    ("allocs", |s| s.allocs),
+    ("frees", |s| s.frees),
+    ("lane_steals", |s| s.steals),
+    ("batch_widens", |s| s.batch_widens),
+    ("batch_narrows", |s| s.batch_narrows),
+    ("batch_slo_flushes", |s| s.batch_slo_flushes),
+];
+
+/// Every exposed gauge; the Prometheus name is `aurora_<key>`.
+const GAUGES: [Row<i64>; 4] = [
+    ("inflight", |s| s.inflight),
+    ("inflight_peak", |s| s.inflight_peak),
+    ("alloc_bytes_live", |s| s.alloc_bytes_live),
+    ("alloc_bytes_peak", |s| s.alloc_bytes_peak),
+];
+
+/// Every exposed backend-wide histogram; the Prometheus name is
+/// `aurora_<key>`.
+const HISTOGRAMS: [HistRow; 3] = [
+    ("completion_latency_ps", |s| &s.latency_hist),
+    ("flush_latency_ps", |s| &s.flush_hist),
+    ("retry_delay_ps", |s| &s.retry_hist),
+];
 
 /// Append a histogram as cumulative `_bucket` samples. Bucket `i`'s `le`
 /// bound is its exclusive upper edge, the next bucket's floor in ps
@@ -640,15 +675,26 @@ fn prom_hist(out: &mut String, name: &str, h: &Histogram) {
 /// pairs (non-empty buckets only).
 fn json_hist(out: &mut String, h: &Histogram) {
     out.push('[');
-    let mut first = true;
-    for (floor, count) in h.nonzero() {
-        if !first {
+    for (i, (floor, count)) in h.nonzero().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
         out.push_str(&format!("[{},{}]", floor.as_ps(), count));
     }
     out.push(']');
+}
+
+/// Append `rows` read from `snap` as a JSON object of `"key": value`
+/// members.
+fn json_object<T: std::fmt::Display>(out: &mut String, rows: &[Row<T>], snap: &MetricsSnapshot) {
+    out.push('{');
+    for (i, (key, get)) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!("\"{key}\": {}", get(snap)));
+    }
+    out.push('}');
 }
 
 impl MetricsSnapshot {
@@ -744,59 +790,23 @@ impl MetricsSnapshot {
     /// Counters end in `_total`, latency histograms are cumulative
     /// `_bucket` series with `le` bounds in **picoseconds** (the
     /// registers' log-linear bucket edges), per-target series carry a
-    /// `node="N"` label. The format is pinned by
+    /// `node="N"` label. Every unlabelled series is one row of the
+    /// `COUNTERS`, `GAUGES` or `HISTOGRAMS` table that [`Self::to_json`]
+    /// reads too: a new metric is one row. The format is pinned by
     /// `tests/exposition_golden.rs`; extend it, don't reshape it.
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
-        prom_counter(&mut out, "aurora_posts_total", self.posts);
-        prom_counter(&mut out, "aurora_frames_sent_total", self.frames_sent);
-        prom_counter(&mut out, "aurora_msgs_sent_total", self.msgs_sent);
-        prom_counter(&mut out, "aurora_polls_total", self.polls);
-        prom_counter(&mut out, "aurora_poll_misses_total", self.retries);
-        prom_counter(&mut out, "aurora_resends_total", self.resends);
-        prom_counter(&mut out, "aurora_timeouts_total", self.timeouts);
-        prom_counter(&mut out, "aurora_evictions_total", self.evictions);
-        prom_counter(
-            &mut out,
-            "aurora_reconnect_attempts_total",
-            self.reconnect_attempts,
-        );
-        prom_counter(&mut out, "aurora_reconnects_total", self.reconnects);
-        prom_counter(
-            &mut out,
-            "aurora_replayed_frames_total",
-            self.replayed_frames,
-        );
-        prom_counter(&mut out, "aurora_probes_total", self.probes);
-        prom_counter(&mut out, "aurora_probe_misses_total", self.probe_misses);
-        prom_counter(&mut out, "aurora_membership_joins_total", self.member_joins);
-        prom_counter(
-            &mut out,
-            "aurora_membership_leaves_total",
-            self.member_leaves,
-        );
-        prom_counter(&mut out, "aurora_completions_total", self.completions);
-        prom_counter(&mut out, "aurora_puts_total", self.puts);
-        prom_counter(&mut out, "aurora_gets_total", self.gets);
-        prom_counter(&mut out, "aurora_bytes_put_total", self.bytes_put);
-        prom_counter(&mut out, "aurora_bytes_get_total", self.bytes_get);
-        prom_counter(&mut out, "aurora_allocs_total", self.allocs);
-        prom_counter(&mut out, "aurora_frees_total", self.frees);
-        prom_counter(&mut out, "aurora_lane_steals_total", self.steals);
-        prom_counter(&mut out, "aurora_batch_widens_total", self.batch_widens);
-        prom_counter(&mut out, "aurora_batch_narrows_total", self.batch_narrows);
-        prom_counter(
-            &mut out,
-            "aurora_batch_slo_flushes_total",
-            self.batch_slo_flushes,
-        );
-        prom_gauge(&mut out, "aurora_inflight", self.inflight);
-        prom_gauge(&mut out, "aurora_inflight_peak", self.inflight_peak);
-        prom_gauge(&mut out, "aurora_alloc_bytes_live", self.alloc_bytes_live);
-        prom_gauge(&mut out, "aurora_alloc_bytes_peak", self.alloc_bytes_peak);
-        prom_hist(&mut out, "aurora_completion_latency_ps", &self.latency_hist);
-        prom_hist(&mut out, "aurora_flush_latency_ps", &self.flush_hist);
-        prom_hist(&mut out, "aurora_retry_delay_ps", &self.retry_hist);
+        for (key, get) in COUNTERS {
+            let name = format!("aurora_{key}_total");
+            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", get(self)));
+        }
+        for (key, get) in GAUGES {
+            let name = format!("aurora_{key}");
+            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", get(self)));
+        }
+        for (key, get) in HISTOGRAMS {
+            prom_hist(&mut out, &format!("aurora_{key}"), get(self));
+        }
         if !self.lanes.is_empty() {
             out.push_str("# TYPE aurora_lane_tasks_total counter\n");
             for l in &self.lanes {
@@ -846,77 +856,28 @@ impl MetricsSnapshot {
     /// `[bucket_floor_ps, count]` pairs; floats are fixed to three
     /// decimals so the output is byte-stable for golden tests.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, v)) in [
-            ("posts", self.posts),
-            ("frames_sent", self.frames_sent),
-            ("msgs_sent", self.msgs_sent),
-            ("polls", self.polls),
-            ("poll_misses", self.retries),
-            ("resends", self.resends),
-            ("timeouts", self.timeouts),
-            ("evictions", self.evictions),
-            ("reconnect_attempts", self.reconnect_attempts),
-            ("reconnects", self.reconnects),
-            ("replayed_frames", self.replayed_frames),
-            ("probes", self.probes),
-            ("probe_misses", self.probe_misses),
-            ("membership_joins", self.member_joins),
-            ("membership_leaves", self.member_leaves),
-            ("completions", self.completions),
-            ("puts", self.puts),
-            ("gets", self.gets),
-            ("bytes_put", self.bytes_put),
-            ("bytes_get", self.bytes_get),
-            ("allocs", self.allocs),
-            ("frees", self.frees),
-            ("lane_steals", self.steals),
-            ("batch_widens", self.batch_widens),
-            ("batch_narrows", self.batch_narrows),
-            ("batch_slo_flushes", self.batch_slo_flushes),
-        ]
-        .iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\": {v}"));
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (name, v)) in [
-            ("inflight", self.inflight),
-            ("inflight_peak", self.inflight_peak),
-            ("alloc_bytes_live", self.alloc_bytes_live),
-            ("alloc_bytes_peak", self.alloc_bytes_peak),
-        ]
-        .iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\": {v}"));
-        }
+        let mut out = String::from("{\n  \"counters\": ");
+        json_object(&mut out, &COUNTERS, self);
+        out.push_str(",\n  \"gauges\": ");
+        json_object(&mut out, &GAUGES, self);
         let (mean, min, max) = if self.latency.count() == 0 {
             (0.0, 0.0, 0.0)
         } else {
             (self.latency.mean(), self.latency.min(), self.latency.max())
         };
         out.push_str(&format!(
-            "}},\n  \"latency_ns\": {{\"count\": {}, \"mean\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}},\n",
+            ",\n  \"latency_ns\": {{\"count\": {}, \"mean\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}},\n",
             self.latency.count(),
             mean,
             min,
             max
         ));
-        out.push_str("  \"completion_latency_ps\": ");
-        json_hist(&mut out, &self.latency_hist);
-        out.push_str(",\n  \"flush_latency_ps\": ");
-        json_hist(&mut out, &self.flush_hist);
-        out.push_str(",\n  \"retry_delay_ps\": ");
-        json_hist(&mut out, &self.retry_hist);
-        out.push_str(",\n  \"lanes\": [");
+        for (key, get) in HISTOGRAMS {
+            out.push_str(&format!("  \"{key}\": "));
+            json_hist(&mut out, get(self));
+            out.push_str(",\n");
+        }
+        out.push_str("  \"lanes\": [");
         for (i, l) in self.lanes.iter().enumerate() {
             if i > 0 {
                 out.push(',');

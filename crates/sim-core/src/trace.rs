@@ -1,9 +1,10 @@
-//! Virtual-time event tracing — `SimTime`-typed facade over the
-//! [`aurora_telemetry`] flight recorder.
+//! Virtual-time event tracing — `SimTime`-typed recording facade over
+//! the [`aurora_telemetry`] flight recorder.
 //!
 //! Simulated hardware components call [`record`] for every costed
 //! operation (engine reservations, wire occupancy, framework overheads).
-//! A [`TraceSession`] collects those spans; the returned [`Trace`] exports
+//! A [`TraceSession`] collects those spans; the returned [`Trace`] keeps
+//! raw picoseconds (compare them against [`SimTime::as_ps`]) and exports
 //! text, JSONL, and Chrome trace-event JSON (see
 //! [`aurora_telemetry::export`]). The `repro_trace` harness renders the
 //! per-offload timeline — the measured counterpart of the §V-A cost
@@ -21,102 +22,11 @@ pub use aurora_telemetry::{
     ContextGuard, Mark, OffloadId, Trace, TraceSession, NODE_UNKNOWN,
 };
 
-/// One recorded operation on the virtual timeline, `SimTime`-typed.
-///
-/// The raw [`Trace`] keeps picoseconds; this view is for consumers that
-/// compare against simulation clocks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Component category, `"<engine>.<phase>"` (e.g. `"udma.read"`).
-    pub category: &'static str,
-    /// Correlation id of the offload this span served (0 = unattributed).
-    pub offload: u64,
-    /// Node the work ran on ([`NODE_UNKNOWN`] if outside a `node_scope`).
-    pub node: u16,
-    /// Operation size in bytes (0 when not applicable).
-    pub bytes: u64,
-    /// Virtual start time.
-    pub start: SimTime,
-    /// Virtual end time.
-    pub end: SimTime,
-}
-
-impl Event {
-    /// The operation's duration.
-    pub fn duration(&self) -> SimTime {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// The engine (category up to the first `'.'`).
-    pub fn engine(&self) -> &'static str {
-        match self.category.split_once('.') {
-            Some((engine, _)) => engine,
-            None => self.category,
-        }
-    }
-
-    /// The phase (category after the first `'.'`).
-    pub fn phase(&self) -> &'static str {
-        match self.category.split_once('.') {
-            Some((_, phase)) => phase,
-            None => self.category,
-        }
-    }
-}
-
 /// Record one operation (no-op unless a session is active). Attribution
 /// comes from the calling thread's [`offload_scope`] / [`node_scope`].
 #[inline]
 pub fn record(category: &'static str, bytes: u64, start: SimTime, end: SimTime) {
     aurora_telemetry::record(category, bytes, start.as_ps(), end.as_ps());
-}
-
-/// `SimTime`-typed copies of a trace's spans, in timeline order.
-pub fn sim_events(trace: &Trace) -> Vec<Event> {
-    trace
-        .events
-        .iter()
-        .map(|e| Event {
-            category: e.category,
-            offload: e.offload,
-            node: e.node,
-            bytes: e.bytes,
-            start: SimTime::from_ps(e.start_ps),
-            end: SimTime::from_ps(e.end_ps),
-        })
-        .collect()
-}
-
-/// Render `SimTime`-typed events as an aligned text timeline.
-pub fn render(events: &[Event]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<20} {:>8} {:>6} {:>10} {:>14} {:>14} {:>12}\n",
-        "component", "offload", "node", "bytes", "start", "end", "duration"
-    ));
-    for e in events {
-        let offload = if e.offload == 0 {
-            "-".to_string()
-        } else {
-            format!("of{}", e.offload)
-        };
-        let node = if e.node == NODE_UNKNOWN {
-            "-".to_string()
-        } else {
-            e.node.to_string()
-        };
-        out.push_str(&format!(
-            "{:<20} {:>8} {:>6} {:>10} {:>14} {:>14} {:>12}\n",
-            e.category,
-            offload,
-            node,
-            e.bytes,
-            format!("{}", e.start),
-            format!("{}", e.end),
-            format!("{}", e.duration()),
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -140,14 +50,16 @@ mod tests {
         let session = TraceSession::start();
         record("facade.late", 8, SimTime::from_ns(10), SimTime::from_ns(20));
         record("facade.early", 64, SimTime::from_ns(5), SimTime::from_ns(9));
-        let events = sim_events(&session.finish());
-        let own: Vec<_> = events
+        let trace = session.finish();
+        let own: Vec<_> = trace
+            .events
             .iter()
             .filter(|e| e.category.starts_with("facade."))
             .collect();
         assert_eq!(own.len(), 2);
         assert_eq!(own[0].category, "facade.early", "sorted by start");
-        assert_eq!(own[1].duration(), SimTime::from_ns(10));
+        assert_eq!(own[0].start_ps, SimTime::from_ns(5).as_ps());
+        assert_eq!(own[1].duration_ps(), SimTime::from_ns(10).as_ps());
     }
 
     /// The binary's tests run concurrently and one of them deliberately
@@ -180,8 +92,7 @@ mod tests {
             let _of = offload_scope(id);
             record("facade.span", 96, SimTime::from_ns(5), SimTime::from_ns(15));
         }
-        let events = sim_events(&session.finish());
-        let rendered = render(&events);
+        let rendered = session.finish().render();
         assert!(rendered.contains("facade.span"));
         assert!(rendered.contains(&format!("of{}", id.0)));
         assert!(

@@ -37,7 +37,7 @@ pub mod metrics;
 
 pub use export::Trace;
 pub use health::{HealthEvent, HealthEventKind, HealthRegistry, TargetState};
-pub use metrics::{AtomicHistogram, Counter, Gauge, MinMax, HISTOGRAM_BUCKETS, LOG2_BUCKETS};
+pub use metrics::{AtomicHistogram, Counter, Gauge, MinMax, HISTOGRAM_BUCKETS};
 
 use parking_lot::Mutex;
 use std::cell::Cell;

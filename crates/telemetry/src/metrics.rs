@@ -147,10 +147,6 @@ const FINE_END: usize = FINE_START + (FINE_HI - FINE_LO) as usize * SUB;
 /// Every `u64` lands somewhere.
 pub const HISTOGRAM_BUCKETS: usize = FINE_END + (64 - FINE_HI as usize);
 
-/// Words of a histogram folded to octaves
-/// ([`AtomicHistogram::log2_snapshot`]): one per bit of a `u64`.
-pub const LOG2_BUCKETS: usize = 64;
-
 /// Bucket of sample `ps`. Its log₂ octave (`63 - leading_zeros`, with 0
 /// sharing octave 0) picks the octave; inside the fine range the next
 /// three bits below the leading one pick the sub-bucket.
@@ -167,8 +163,8 @@ pub const fn bucket_index(ps: u64) -> usize {
     }
 }
 
-/// The log₂ octave bucket `i` lies in — the bucket the 64-word layout
-/// would have put its samples in.
+/// The log₂ octave bucket `i` lies in: `63 - leading_zeros` of its
+/// samples (0 for the samples 0 and 1).
 #[inline]
 pub const fn bucket_octave(i: usize) -> usize {
     if i < FINE_START {
@@ -181,7 +177,7 @@ pub const fn bucket_octave(i: usize) -> usize {
 }
 
 /// Lower bound (ps) of bucket `i`. Bucket 0 also holds the sample 0; it
-/// reports 1, as the log₂ layout did.
+/// reports 1, the floor of octave 0.
 pub const fn bucket_floor(i: usize) -> u64 {
     let oct = bucket_octave(i) as u32;
     if FINE_START <= i && i < FINE_END {
@@ -242,31 +238,6 @@ impl AtomicHistogram {
         let mut out = [0u64; HISTOGRAM_BUCKETS];
         for (o, b) in out.iter_mut().zip(&self.buckets) {
             *o = b.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// The buckets folded to one word per octave: word `k` counts the
-    /// samples whose highest set bit is `k` (0 counts in word 0), as the
-    /// 64-bucket log₂ layout did. Summed while loading, with no
-    /// intermediate copy. The three ranges are walked separately: a
-    /// per-bucket `bucket_octave` index doubles the controller tick's
-    /// cost in `telemetry_overhead`.
-    pub fn log2_snapshot(&self) -> [u64; LOG2_BUCKETS] {
-        let load = |b: &AtomicU64| b.load(Ordering::Relaxed);
-        let (low, rest) = self.buckets.split_at(FINE_START);
-        let (fine, high) = rest.split_at(FINE_END - FINE_START);
-        let mut out = [0u64; LOG2_BUCKETS];
-        let (out_low, out_rest) = out.split_at_mut(FINE_START);
-        let (out_fine, out_high) = out_rest.split_at_mut(FINE_HI as usize - FINE_START);
-        for (o, b) in out_low.iter_mut().zip(low) {
-            *o = load(b);
-        }
-        for (o, octave) in out_fine.iter_mut().zip(fine.chunks_exact(SUB)) {
-            *o = octave.iter().map(load).sum();
-        }
-        for (o, b) in out_high.iter_mut().zip(high) {
-            *o = load(b);
         }
         out
     }
@@ -355,9 +326,6 @@ mod tests {
         assert_eq!(snap[FINE_START + 3], 1);
         assert_eq!(snap[HISTOGRAM_BUCKETS - 1], 1);
         assert_eq!(snap.iter().sum::<u64>(), 7);
-        let log2 = h.log2_snapshot();
-        assert_eq!((log2[0], log2[1], log2[10], log2[63]), (2, 2, 2, 1));
-        assert_eq!(log2.iter().sum::<u64>(), 7);
     }
 
     #[test]

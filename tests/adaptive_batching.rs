@@ -269,6 +269,77 @@ fn controller_decisions_are_deterministic() {
     assert_eq!(a, b, "adaptive controller diverged between identical runs");
 }
 
+/// `narrow_widen_cycle`'s traffic on node 1 of a two-VE DMA backend;
+/// returns node 1's widen/narrow sequence. With `neighbour`, node 2
+/// sends one lone message before each of node 1's sparse posts and
+/// dense waves, flushed 40 µs after it was staged: slower than
+/// `SLO_US / 2`, so it would veto a widen, but inside the SLO.
+fn node1_decisions_beside(neighbour: bool) -> Vec<HealthEventKind> {
+    let opts = OffloadOptions {
+        batch: BatchConfig::adaptive_up_to(8, SLO_US),
+        ..OffloadOptions::default()
+    };
+    let o = offload_with(BackendKind::Dma, 2, opts, aurora_workloads::register_all);
+    let (t, other) = (NodeId(1), NodeId(2));
+    let clock = o.backend().host_clock();
+    let neighbour_flush = || {
+        if neighbour {
+            let fut = o.async_(other, f2f!(whoami)).unwrap();
+            clock.advance(SimTime::from_us(40));
+            engine::flush(o.backend().as_ref(), other).unwrap();
+            assert_eq!(fut.get().unwrap(), 2);
+        }
+    };
+    assert_eq!(o.sync(t, f2f!(whoami)).unwrap(), 1);
+    for _ in 0..4 {
+        neighbour_flush();
+        let fut = o.async_(t, f2f!(whoami)).unwrap();
+        clock.advance(SimTime::from_us(SLO_US + 10));
+        engine::sweep(o.backend().as_ref(), t).unwrap();
+        assert_eq!(fut.get().unwrap(), 1);
+    }
+    for _ in 0..16 {
+        neighbour_flush();
+        let wave = o.backend().channel(t).unwrap().effective_watermark();
+        let futures: Vec<_> = (0..wave)
+            .map(|_| o.async_(t, f2f!(whoami)).unwrap())
+            .collect();
+        for r in o.wait_all(futures) {
+            assert_eq!(r.unwrap(), 1);
+        }
+    }
+    let kinds = o
+        .backend()
+        .metrics()
+        .health()
+        .events_for(t.0)
+        .iter()
+        .map(|e| e.kind)
+        .filter(|k| {
+            matches!(
+                k,
+                HealthEventKind::BatchWiden | HealthEventKind::BatchNarrow
+            )
+        })
+        .collect();
+    o.shutdown();
+    kinds
+}
+
+/// A channel's controller reads its own flushes only: a neighbour on
+/// the same backend whose envelopes leave slowly (but inside the SLO)
+/// changes none of node 1's widen/narrow decisions.
+#[test]
+fn neighbour_flushes_do_not_steer_the_controller() {
+    let alone = node1_decisions_beside(false);
+    assert!(
+        alone.contains(&HealthEventKind::BatchNarrow)
+            && alone.contains(&HealthEventKind::BatchWiden),
+        "the cycle must narrow and widen: {alone:?}"
+    );
+    assert_eq!(node1_decisions_beside(true), alone);
+}
+
 /// Mixed traffic on a poll-driven host: three rounds of two dense
 /// 64-deep waves, then eight lone probes separated by idle time. A
 /// probe's client has other work, so instead of blocking it steps the

@@ -159,9 +159,9 @@ fn steady_state_batched_cycle_allocates_nothing() {
 }
 
 /// The self-tuning dataplane's warm path is heap-silent too: a
-/// controller tick (histogram snapshot, window delta, p99 walk,
-/// decision) and the sweep's SLO age check are integer math on stack
-/// arrays — arming adaptation must not cost the zero-alloc guarantee.
+/// controller tick (window counters, largest flush latency, decision)
+/// and the sweep's SLO age check are integer math on channel state —
+/// arming adaptation must not cost the zero-alloc guarantee.
 #[test]
 fn warm_adaptive_tick_and_slo_check_allocate_nothing() {
     use ham_aurora_repro::sim_core::BackendMetrics;
@@ -172,8 +172,9 @@ fn warm_adaptive_tick_and_slo_check_allocate_nothing() {
     let m = BackendMetrics::new();
     let tick = |i: u64| {
         cycle(&chan);
-        m.on_flush(SimTime::from_us(2 + i % 5));
-        let _ = chan.adaptive_tick(BATCH, || m.flush_hist_buckets());
+        let flush = SimTime::from_us(2 + i % 5);
+        m.on_flush(flush);
+        let _ = chan.adaptive_tick(BATCH, flush.as_ps());
         // The sweep-side age check, both arms: the staged-empty lock
         // path here (the accumulator was just flushed), the lock-free
         // disabled path implicitly covered by the static test above.

@@ -41,12 +41,13 @@ fn assert_critical_path(o: Offload, expected: &[(&str, SimTime)]) {
     let id = fut.offload_id();
     fut.get().unwrap();
     let t1 = o.backend().host_clock().now();
-    let events = aurora_sim_core::trace::sim_events(&session.finish());
+    let trace = session.finish();
 
     // Our offload's spans only (concurrent tests' offloads carry other
     // ids); the PCIe wire-occupancy sub-spans overlap the DMA spans that
     // subsume them, so they are excluded from the chain check.
-    let chain: Vec<_> = events
+    let chain: Vec<_> = trace
+        .events
         .iter()
         .filter(|e| e.offload == id.0 && !e.category.starts_with("pcie."))
         .collect();
@@ -57,11 +58,17 @@ fn assert_critical_path(o: Offload, expected: &[(&str, SimTime)]) {
     assert_eq!(cats, want, "critical path composition");
     // Each event starts where the previous one ended (plus the allowed
     // gap), and the whole chain spans the measured end-to-end cost.
-    assert_eq!(chain[0].start, t0);
+    assert_eq!(chain[0].start_ps, t0.as_ps());
     for (w, &(_, gap)) in chain.windows(2).zip(&expected[1..]) {
-        assert_eq!(w[0].end + gap, w[1].start, "{:?} -> {:?}", w[0], w[1]);
+        assert_eq!(
+            w[0].end_ps + gap.as_ps(),
+            w[1].start_ps,
+            "{:?} -> {:?}",
+            w[0],
+            w[1]
+        );
     }
-    assert_eq!(chain.last().unwrap().end, t1);
+    assert_eq!(chain.last().unwrap().end_ps, t1.as_ps());
     o.shutdown();
 }
 
