@@ -2,6 +2,7 @@
 
 use crate::codec::Wire;
 use crate::HamError;
+use std::ops::Range;
 
 /// A message that carries an action (paper §I-A).
 ///
@@ -194,34 +195,30 @@ impl VecMemory {
             data: parking_lot::Mutex::new(vec![0; len]),
         }
     }
+
+    /// The index range of `[addr, addr + len)` in memory of `size`
+    /// bytes, or `HamError::Mem` if any of it lies outside (including an
+    /// `addr + len` past `u64::MAX`).
+    fn range(op: &str, addr: u64, len: usize, size: usize) -> Result<Range<usize>, HamError> {
+        usize::try_from(addr)
+            .ok()
+            .and_then(|start| Some(start..start.checked_add(len)?))
+            .filter(|r| r.end <= size)
+            .ok_or_else(|| HamError::Mem(format!("{op} {len} bytes at {addr} beyond {size}")))
+    }
 }
 
 impl TargetMemory for VecMemory {
     fn mem_read(&self, addr: u64, out: &mut [u8]) -> Result<(), HamError> {
         let data = self.data.lock();
-        let start = addr as usize;
-        let end = start + out.len();
-        if end > data.len() {
-            return Err(HamError::Mem(format!(
-                "read [{start}, {end}) beyond {}",
-                data.len()
-            )));
-        }
-        out.copy_from_slice(&data[start..end]);
+        out.copy_from_slice(&data[Self::range("read", addr, out.len(), data.len())?]);
         Ok(())
     }
 
     fn mem_write(&self, addr: u64, src: &[u8]) -> Result<(), HamError> {
         let mut data = self.data.lock();
-        let start = addr as usize;
-        let end = start + src.len();
-        if end > data.len() {
-            return Err(HamError::Mem(format!(
-                "write [{start}, {end}) beyond {}",
-                data.len()
-            )));
-        }
-        data[start..end].copy_from_slice(src);
+        let r = Self::range("write", addr, src.len(), data.len())?;
+        data[r].copy_from_slice(src);
         Ok(())
     }
 }
@@ -258,6 +255,17 @@ mod tests {
         assert!(mem.mem_read(8, &mut out).is_ok());
         assert_eq!(out, [1; 8]);
         assert!(mem.mem_read(16, &mut out).is_err());
+        // An end past `u64::MAX` is an error, not an overflow panic.
+        for addr in [u64::MAX - 3, u64::MAX] {
+            assert!(matches!(
+                mem.mem_write(addr, &[0; 8]),
+                Err(HamError::Mem(_))
+            ));
+            assert!(matches!(
+                mem.mem_read(addr, &mut out),
+                Err(HamError::Mem(_))
+            ));
+        }
     }
 
     #[test]
