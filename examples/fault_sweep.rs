@@ -41,7 +41,7 @@ fn main() {
     );
     for rate in [0.0, 0.01, 0.05, 0.10, 0.25, 0.50, 1.0] {
         let r = Scenario::new(BackendKind::Dma, 1, 7)
-            .tlp_drop(rate)
+            .faults(|f| f.tlp_drop(rate))
             .recovery(policy)
             .waves(8, 4)
             .run();

@@ -29,7 +29,8 @@ pub use crate::BackendKind;
 use crate::{
     offload_with, FaultPlan, NodeId, Offload, OffloadError, OffloadOptions, RecoveryPolicy,
 };
-use aurora_sim_core::{FaultEvent, SimTime};
+use aurora_sim_core::fault::FaultPlanBuilder;
+use aurora_sim_core::FaultEvent;
 use ham::f2f;
 use std::sync::Arc;
 
@@ -53,12 +54,7 @@ pub fn probe_expected(x: u64, node: u16) -> u64 {
 pub struct Scenario {
     backend: BackendKind,
     targets: u16,
-    seed: u64,
-    tlp_drop: f64,
-    tlp_dup: f64,
-    delay_spike: Option<(f64, SimTime)>,
-    dma_stall: Option<(f64, SimTime)>,
-    dma_partial: f64,
+    faults: FaultPlanBuilder,
     policy: Option<RecoveryPolicy>,
     waves: usize,
     per_wave: usize,
@@ -72,12 +68,7 @@ impl Scenario {
         Scenario {
             backend,
             targets: targets.max(1),
-            seed,
-            tlp_drop: 0.0,
-            tlp_dup: 0.0,
-            delay_spike: None,
-            dma_stall: None,
-            dma_partial: 0.0,
+            faults: FaultPlan::builder(seed),
             policy: None,
             waves: 4,
             per_wave: 4,
@@ -85,33 +76,10 @@ impl Scenario {
         }
     }
 
-    /// Probability that a posted frame is dropped by the link.
-    pub fn tlp_drop(mut self, rate: f64) -> Self {
-        self.tlp_drop = rate;
-        self
-    }
-
-    /// Probability that a link transfer's TLPs are replayed.
-    pub fn tlp_dup(mut self, rate: f64) -> Self {
-        self.tlp_dup = rate;
-        self
-    }
-
-    /// Probability (and size) of a link latency spike.
-    pub fn delay_spike(mut self, rate: f64, by: SimTime) -> Self {
-        self.delay_spike = Some((rate, by));
-        self
-    }
-
-    /// Probability (and length) of a user-DMA engine stall.
-    pub fn dma_stall(mut self, rate: f64, by: SimTime) -> Self {
-        self.dma_stall = Some((rate, by));
-        self
-    }
-
-    /// Probability of a partial DMA transfer (retransmitted).
-    pub fn dma_partial(mut self, rate: f64) -> Self {
-        self.dma_partial = rate;
+    /// Set fault rates on the scenario's plan, seeded in [`Self::new`]:
+    /// `.faults(|f| f.tlp_drop(0.01))`.
+    pub fn faults(mut self, f: impl FnOnce(FaultPlanBuilder) -> FaultPlanBuilder) -> Self {
+        self.faults = f(self.faults);
         self
     }
 
@@ -137,20 +105,6 @@ impl Scenario {
         self
     }
 
-    fn plan(&self) -> Arc<FaultPlan> {
-        let mut b = FaultPlan::builder(self.seed)
-            .tlp_drop(self.tlp_drop)
-            .tlp_dup(self.tlp_dup)
-            .dma_partial(self.dma_partial);
-        if let Some((rate, by)) = self.delay_spike {
-            b = b.delay_spike(rate, by);
-        }
-        if let Some((rate, by)) = self.dma_stall {
-            b = b.dma_stall(rate, by);
-        }
-        b.build()
-    }
-
     fn spawn(&self, plan: Arc<FaultPlan>) -> Offload {
         let opts = OffloadOptions {
             plan,
@@ -164,7 +118,7 @@ impl Scenario {
 
     /// Run the scenario once and report what happened.
     pub fn run(&self) -> ScenarioReport {
-        let plan = self.plan();
+        let plan = self.faults.clone().build();
         let o = self.spawn(Arc::clone(&plan));
         let nodes: Vec<NodeId> = (1..=self.targets).map(NodeId).collect();
         let mut report = ScenarioReport::default();
@@ -243,9 +197,9 @@ impl Scenario {
         assert_eq!(
             first.timeline,
             second.timeline,
-            "{} seed {} must replay the same failure timeline",
+            "{} with {:?} must replay the same failure timeline",
             self.backend.name(),
-            self.seed,
+            self.faults,
         );
         first
     }

@@ -89,7 +89,7 @@ fn kill_one_of_two_targets_tcp() {
 fn drops_recovered_by_retries(backend: BackendKind) {
     for seed in [7u64, 1234] {
         let s = Scenario::new(backend, 1, seed)
-            .tlp_drop(0.25)
+            .faults(|f| f.tlp_drop(0.25))
             .recovery(RecoveryPolicy {
                 retry_after_misses: 64,
                 max_retries: 4,
@@ -141,7 +141,7 @@ fn drops_recovered_by_retries_dma() {
 /// replayed.
 fn total_loss_times_out(backend: BackendKind) {
     let r = Scenario::new(backend, 1, 99)
-        .tlp_drop(1.0)
+        .faults(|f| f.tlp_drop(1.0))
         .recovery(RecoveryPolicy {
             retry_after_misses: 32,
             max_retries: 2,
@@ -176,10 +176,12 @@ fn total_loss_times_out_dma() {
 /// completes and the *semantic* timeline stays empty.
 fn timing_faults_change_no_outcome(backend: BackendKind) {
     let r = Scenario::new(backend, 1, 5)
-        .tlp_dup(0.5)
-        .delay_spike(0.5, SimTime::from_us(50))
-        .dma_stall(0.5, SimTime::from_us(20))
-        .dma_partial(0.5)
+        .faults(|f| {
+            f.tlp_dup(0.5)
+                .delay_spike(0.5, SimTime::from_us(50))
+                .dma_stall(0.5, SimTime::from_us(20))
+                .dma_partial(0.5)
+        })
         .waves(2, 3)
         .run();
     let label = backend.name();
