@@ -7,7 +7,7 @@
 //! [`AuroraBackend`] owns the per-target spawn scaffold (arm faults →
 //! load the VE library → init C-API call → start `ham_main`), the
 //! [`CommBackend`] delegations to [`AuroraCore`], liveness and
-//! fault-drop gating, `kill_target` and teardown; [`VeChannel`] owns the
+//! fault-drop gating, `kill_target` and teardown; `VeChannel` owns the
 //! VE-side polling loop, the kill check and result framing. A protocol
 //! crate supplies a [`Protocol`] (where the slots live + the host-side
 //! verbs) and its [`VeTransport`] (the VE-side verbs).
@@ -96,7 +96,7 @@ pub trait Protocol: Send + Sync + Sized + 'static {
 }
 
 /// The VE half of one Aurora messaging protocol: slot-level verbs the
-/// shared [`VeChannel`] loop drives. Slot rotation, the kill check and
+/// shared `VeChannel` loop drives. Slot rotation, the kill check and
 /// result framing are the loop's job.
 pub trait VeTransport {
     /// Free (zero virtual cost) peek of recv slot `i`: `None` while the

@@ -375,11 +375,6 @@ impl ChannelCore {
         self
     }
 
-    /// The armed batching watermarks.
-    pub fn batching(&self) -> BatchConfig {
-        self.batch
-    }
-
     /// Whether offload posts go through the staging path. Lock-free —
     /// the disabled check on the default post path costs nothing.
     pub fn batch_enabled(&self) -> bool {
@@ -912,7 +907,7 @@ impl ChannelCore {
     /// degradation. Lock-free; monotonic. A change since the last read
     /// is a "healed" notification — the pool prober uses it to clear a
     /// target's liveness penalty without a probe round trip, and
-    /// [`crate::sched::TargetPool::pick`] uses it to restart its
+    /// `TargetPool::pick` uses it to restart its
     /// all-degraded wait budget (a resume is progress).
     pub fn resumes(&self) -> u64 {
         self.resumes.load(Ordering::Acquire)

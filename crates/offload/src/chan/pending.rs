@@ -1,4 +1,4 @@
-//! In-flight bookkeeping: one [`FrameRecord`] per frame on the wire,
+//! In-flight bookkeeping: one `FrameRecord` per frame on the wire,
 //! in a table ordered by sequence number.
 
 use super::recovery::StoredFrame;

@@ -10,7 +10,7 @@
 //! [`crate::chan::ChannelCore`], so sibling futures settle from the
 //! parked completions without touching the transport again. Every
 //! blocking wait in the crate — [`Future::get`], `Offload::wait_*`,
-//! `TargetPool::{get, wait_*}` — is [`wait`].
+//! `TargetPool::{get, wait_*}` — is `wait`.
 
 use crate::backend::{CommBackend, SlotId};
 use crate::chan::{engine, Backoff};

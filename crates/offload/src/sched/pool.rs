@@ -375,7 +375,7 @@ impl TargetPool {
     }
 
     /// Start the background prober: a supervisor thread that issues one
-    /// `probe()` round trip per member every [`PROBE_EVERY`] of virtual
+    /// `probe()` round trip per member every `PROBE_EVERY` of virtual
     /// time, maintaining the per-target miss streaks `select`
     /// deprioritizes by and recording `Probe`/`ProbeMiss` health events
     /// — so the `Degraded → healed` edge is driven without any caller
@@ -749,7 +749,7 @@ impl TargetPool {
     /// — a purely-staged target just needs a flush, not a migration);
     /// migration runs only while some healthy peer is completely idle
     /// with spare credit, so the reclaimed members land somewhere that
-    /// serves them now — and only from donors whose [`rebalance_cost`]
+    /// serves them now — and only from donors whose `rebalance_cost`
     /// exceeds that recipient's, so members never migrate *onto* a worse
     /// target. Half the donor's staged tail (rounded up) is reclaimed
     /// via [`crate::chan::ChannelCore::take_staged_tail`] — provably

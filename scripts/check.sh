@@ -2,7 +2,7 @@
 # The repo's gate; CI runs exactly this: release build, `cargo test
 # --workspace` (which holds every virtual-time bound), examples, the
 # benchmark crate's `hotpath all --smoke`, the telemetry-overhead bench,
-# the fault matrix, the soak, clippy and rustfmt.
+# the fault matrix, the soak, clippy, rustdoc and rustfmt.
 # The offline stand-ins under vendor/ (parking_lot, proptest) are path
 # dependencies inside the workspace root, so cargo makes them members:
 # they are tested, linted and formatted like crates/*.
@@ -46,6 +46,9 @@ echo "== soak gate (scaled down: all backends x 4 seeds, SLO-checked) =="
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (warnings are errors: broken, private or redundant links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== rustfmt =="
 cargo fmt --check
