@@ -8,12 +8,13 @@
 //! halves. What remains here are transport verbs:
 //!
 //! * **polled** transports (VEO, DMA — the Aurora protocols with real
-//!   flag words in memory) implement [`CommBackend::poll_flags`] and
-//!   [`CommBackend::fetch_frame`]; the engine sweeps flags and pulls
-//!   every ready frame;
-//! * **push** transports (in-process channels, TCP sockets) have a
-//!   receiver thread call [`crate::chan::ChannelCore::deposit`] as
-//!   results arrive, and keep the default no-op polls.
+//!   flag words in memory — and the in-process slot arrays of
+//!   [`crate::local::LocalBackend`]) implement
+//!   [`CommBackend::poll_flags`] and [`CommBackend::fetch_frame`]; the
+//!   engine sweeps flags and pulls every ready frame;
+//! * **push** transports (TCP sockets) have a receiver thread call
+//!   [`crate::chan::ChannelCore::deposit_frame`] as results arrive, and
+//!   keep the default no-op polls.
 
 use crate::chan::{ChannelCore, PendingEntry, Reservation};
 use crate::types::{NodeDescriptor, NodeId};

@@ -1010,12 +1010,6 @@ impl ChannelCore {
     /// Push-transport completion path: a receiver thread deposits a
     /// finished result frame. Unknown sequence numbers are dropped
     /// (late frames racing a shutdown).
-    pub fn deposit(&self, seq: u64, frame: Vec<u8>) {
-        self.deposit_frame(seq, self.pool.adopt(frame));
-    }
-
-    /// [`Self::deposit`] with a pooled buffer — the allocation-free
-    /// variant.
     pub fn deposit_frame(&self, seq: u64, frame: PooledFrame) {
         self.complete(&mut self.state.lock(), seq, Ok(frame), false);
     }
@@ -1077,7 +1071,7 @@ mod tests {
             panic!("reserve failed");
         };
         assert!(matches!(reserve(&c), Reserve::Full));
-        c.deposit(r.seq, vec![]);
+        c.deposit_frame(r.seq, PooledFrame::detached(vec![]));
         assert!(matches!(reserve(&c), Reserve::Reserved(_)));
     }
 
@@ -1110,7 +1104,7 @@ mod tests {
     #[test]
     fn deposit_for_unknown_seq_is_dropped() {
         let c = ChannelCore::unbounded();
-        c.deposit(7, b"late".to_vec());
+        c.deposit_frame(7, PooledFrame::detached(b"late".to_vec()));
         assert!(c.take_completed(7).is_none());
     }
 
@@ -1143,7 +1137,7 @@ mod tests {
         ));
         assert_eq!(c.eviction(), Some(lost));
         // Late deposits for retired seqs are dropped.
-        c.deposit(r1.seq, b"late".to_vec());
+        c.deposit_frame(r1.seq, PooledFrame::detached(b"late".to_vec()));
         assert!(c.take_completed(r1.seq).is_none());
     }
 
@@ -1250,7 +1244,7 @@ mod tests {
             &header(r2.seq),
             PooledFrame::detached(b"b".to_vec()),
         );
-        c.deposit(r2.seq, vec![0]);
+        c.deposit_frame(r2.seq, PooledFrame::detached(vec![0]));
         for _ in 0..10 {
             assert!(matches!(c.note_miss(r2.seq), MissVerdict::Keep));
         }
@@ -1346,7 +1340,7 @@ mod tests {
         }
         // Replayed offloads stay pending and complete via deposit.
         assert_eq!(c.in_flight(), 2);
-        c.deposit(2, b"ok".to_vec());
+        c.deposit_frame(2, PooledFrame::detached(b"ok".to_vec()));
         assert_eq!(c.take_completed(2).unwrap().unwrap().as_slice(), b"ok");
         // Posts flow again after resume.
         assert!(matches!(reserve(&c), Reserve::Reserved(_)));
@@ -1454,7 +1448,7 @@ mod tests {
         for &m in members {
             batch::append_result_part(&mut body, m, &frame_result(Ok(m.to_le_bytes().to_vec())));
         }
-        c.deposit(carrier, frame_result(Ok(body)));
+        c.deposit_frame(carrier, PooledFrame::detached(frame_result(Ok(body))));
     }
 
     #[test]
@@ -1578,9 +1572,9 @@ mod tests {
         };
         // An error frame instead of a batch body: the target rejected
         // the envelope wholesale.
-        c.deposit(
+        c.deposit_frame(
             f.res.seq,
-            frame_result(Err(ham::HamError::Wire("bad".into()))),
+            PooledFrame::detached(frame_result(Err(ham::HamError::Wire("bad".into())))),
         );
         for m in [0u64, 1] {
             assert!(matches!(
@@ -1604,7 +1598,7 @@ mod tests {
         batch::begin_result(&mut body, 2);
         batch::append_result_part(&mut body, 0, &frame_result(Ok(vec![0])));
         batch::append_result_part(&mut body, 2, &frame_result(Ok(vec![2])));
-        c.deposit(f.res.seq, frame_result(Ok(body)));
+        c.deposit_frame(f.res.seq, PooledFrame::detached(frame_result(Ok(body))));
         assert!(c.take_completed(0).unwrap().is_ok());
         assert!(matches!(
             c.take_completed(1),
@@ -1648,7 +1642,7 @@ mod tests {
             panic!("reserve failed");
         };
         assert!(!c.has_credit(), "one slot, one in flight");
-        c.deposit(r.seq, vec![]);
+        c.deposit_frame(r.seq, PooledFrame::detached(vec![]));
         assert!(c.has_credit(), "completion returns the credit");
     }
 
@@ -1741,7 +1735,7 @@ mod tests {
                     },
                     Op::Deposit(i) => {
                         if let Some(&(seq, _)) = in_flight.get(i) {
-                            c.deposit(seq, seq.to_le_bytes().to_vec());
+                            c.deposit_frame(seq, PooledFrame::detached(seq.to_le_bytes().to_vec()));
                             in_flight.remove(i);
                             deposited.push(seq);
                         }
@@ -1856,7 +1850,7 @@ mod tests {
                                     &frame_result(Ok(m.to_le_bytes().to_vec())),
                                 );
                             }
-                            c.deposit(carrier, frame_result(Ok(body)));
+                            c.deposit_frame(carrier, PooledFrame::detached(frame_result(Ok(body))));
                             answered.extend(members);
                         }
                     }
@@ -1886,7 +1880,7 @@ mod tests {
                             &frame_result(Ok(m.to_le_bytes().to_vec())),
                         );
                     }
-                    c.deposit(carrier, frame_result(Ok(body)));
+                    c.deposit_frame(carrier, PooledFrame::detached(frame_result(Ok(body))));
                     answered.extend(members);
                 }
             }
@@ -1900,7 +1894,7 @@ mod tests {
                         &frame_result(Ok(m.to_le_bytes().to_vec())),
                     );
                 }
-                c.deposit(carrier, frame_result(Ok(body)));
+                c.deposit_frame(carrier, PooledFrame::detached(frame_result(Ok(body))));
                 answered.extend(members);
             }
             for m in answered {
@@ -2024,7 +2018,10 @@ mod tests {
             if f.carrier {
                 answer_batch(c, f.seq, &f.msgs);
             } else {
-                c.deposit(f.seq, frame_result(Ok(f.seq.to_le_bytes().to_vec())));
+                c.deposit_frame(
+                    f.seq,
+                    PooledFrame::detached(frame_result(Ok(f.seq.to_le_bytes().to_vec()))),
+                );
             }
         }
 

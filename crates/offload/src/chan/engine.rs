@@ -6,7 +6,7 @@
 //! claim — happens in these functions, for all transports. Backends
 //! contribute only [`CommBackend::send_frame`] /
 //! [`CommBackend::poll_flags`] / [`CommBackend::fetch_frame`] (or a
-//! receiver thread that calls [`super::ChannelCore::deposit`]).
+//! receiver thread that calls [`super::ChannelCore::deposit_frame`]).
 
 use super::adaptive::Decision;
 use super::backoff::Backoff;

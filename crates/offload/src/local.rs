@@ -1,18 +1,31 @@
 //! The in-process reference backend.
 //!
-//! Targets are plain threads with byte-vector memories; messages travel
-//! over channels. No SX-Aurora modelling — this backend pins down the
-//! *semantics* of [`crate::CommBackend`] so the protocol backends can be
-//! checked against it, and gives examples/tests a fast, dependency-free
+//! Targets are plain threads with byte-vector memories. No SX-Aurora
+//! modelling — this backend pins down the *semantics* of
+//! [`crate::CommBackend`] so the protocol backends can be checked
+//! against it, and gives examples/tests a fast, dependency-free
 //! transport (it plays the role of the paper's most generic backend).
 //!
-//! It is a **push** transport in channel-core terms: the target thread
-//! deposits result frames straight into the per-target
-//! [`ChannelCore`]'s parked completions, and the host never polls flags.
+//! It speaks the paper's slot-and-flag protocol (§III-D) over
+//! in-process slot arrays, so it is a **polled** transport in
+//! channel-core terms. Each target owns 128 receive and 128 send
+//! slots; a slot is a flag word (0 = empty, `seq + 1` = full) and
+//! a reusable buffer that grows to the largest message it carried, so
+//! message size stays unlimited. The host copies a frame into the
+//! receive slot its reservation names and raises the flag; the target
+//! consumes receive slots strictly in rotation, clears each flag, and
+//! answers into the send slot the header names. The host's flag sweep
+//! finds the raised send flag and copies the result out. The target
+//! never takes the host channel's lock, and each slot's buffer mutex
+//! is never contended: the flag hands the slot from one side to the
+//! other.
+//!
+//! An idle target spins for [`SPIN`] of wall time, then parks; a host
+//! that raises a flag unparks it.
 
 use crate::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use crate::chan::pool::{FramePool, PooledFrame};
-use crate::chan::{engine, BatchConfig, ChannelCore, Reservation};
+use crate::chan::{engine, BatchConfig, ChannelCore, PendingEntry, Reservation};
 use crate::device::{DeviceConfig, DeviceRuntime};
 use crate::target_loop::{Polled, TargetChannel, TargetEnv};
 use crate::types::{DeviceType, NodeDescriptor, NodeId};
@@ -20,42 +33,171 @@ use crate::OffloadError;
 use aurora_mem::RangeAllocator;
 use aurora_sim_core::{BackendMetrics, Clock};
 use ham::message::VecMemory;
-use ham::wire::MsgHeader;
+use ham::wire::{MsgHeader, HEADER_BYTES};
 use ham::{Registry, RegistryBuilder};
 use parking_lot::Mutex;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 /// Process seed of the "host binary".
 const HOST_SEED: u64 = 0x4841_4D00;
 
+/// Receive and send slots per target: room for two 64-offload waves in
+/// flight at once.
+const SLOTS: usize = 128;
+
+/// How long an idle target polls its next receive slot before it parks.
+pub const SPIN: Duration = Duration::from_micros(50);
+
+/// Slot buffers keep at most this much capacity once drained, so one
+/// burst of large messages does not pin `2 × SLOTS` large buffers.
+const RETAIN_BYTES: usize = 64 << 10;
+
+/// One slot of an array: the flag word and the message buffer it
+/// guards. Aligned to a cache line so neighbouring flags do not share
+/// one.
+#[repr(align(64))]
+#[derive(Default)]
+struct Slot {
+    /// 0 = empty, `seq + 1` = `buf` holds the frame of `seq`.
+    flag: AtomicU64,
+    buf: Mutex<Vec<u8>>,
+}
+
+impl Slot {
+    /// Producer side: copy `bytes` in, then raise the flag for `seq`.
+    fn publish(&self, seq: u64, bytes: &[u8]) {
+        {
+            let mut buf = self.buf.lock();
+            buf.clear();
+            buf.extend_from_slice(bytes);
+        }
+        self.flag.store(seq + 1, SeqCst);
+    }
+
+    /// Consumer side: copy the bytes from `skip` on into `out`, then
+    /// clear the flag. Returns what `head` made of the leading bytes.
+    fn consume<R>(&self, skip: usize, out: &mut Vec<u8>, head: impl FnOnce(&[u8]) -> R) -> R {
+        let r = {
+            let mut buf = self.buf.lock();
+            let r = head(&buf[..]);
+            out.extend_from_slice(buf.get(skip..).unwrap_or_default());
+            if buf.capacity() > RETAIN_BYTES {
+                buf.clear();
+                buf.shrink_to(RETAIN_BYTES);
+            }
+            r
+        };
+        self.flag.store(0, SeqCst);
+        r
+    }
+}
+
+/// The two slot arrays of one target, shared by host and target thread.
+struct Ring {
+    /// Host → target offload frames (header ‖ payload).
+    recv: Box<[Slot]>,
+    /// Target → host result frames.
+    send: Box<[Slot]>,
+    /// The target is about to park (or parked): a producer must unpark
+    /// it after raising a flag.
+    sleeping: AtomicBool,
+    /// The host is shutting the target down: the target leaves its loop
+    /// at the first empty slot of the rotation.
+    closed: AtomicBool,
+}
+
+impl Ring {
+    fn new() -> Self {
+        let slots = || (0..SLOTS).map(|_| Slot::default()).collect();
+        Self {
+            recv: slots(),
+            send: slots(),
+            sleeping: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+        }
+    }
+}
+
+/// The target thread's end of a [`Ring`].
 struct ChannelEnd {
-    rx: Receiver<(MsgHeader, Vec<u8>)>,
-    chan: Arc<ChannelCore>,
+    ring: Arc<Ring>,
+    /// Next receive slot in rotation.
+    cursor: Cell<usize>,
+}
+
+impl ChannelEnd {
+    /// Park until a producer unparks the thread. Announces the nap
+    /// first, then looks once more: a producer raises its flag before
+    /// it reads `sleeping`, so with both sides SeqCst either this
+    /// re-check sees the flag or the producer sees `sleeping` and
+    /// unparks.
+    fn nap(&self) {
+        self.ring.sleeping.store(true, SeqCst);
+        if self.ring.recv[self.cursor.get()].flag.load(SeqCst) == 0
+            && !self.ring.closed.load(SeqCst)
+        {
+            std::thread::park();
+        }
+        self.ring.sleeping.store(false, SeqCst);
+    }
 }
 
 impl TargetChannel for ChannelEnd {
     fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-        self.rx.recv().ok().map(|(h, p)| (h, pool.adopt(p)))
-    }
-    fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-        match self.rx.try_recv() {
-            Ok((h, p)) => Polled::Msg(h, pool.adopt(p)),
-            Err(TryRecvError::Empty) => Polled::Empty,
-            Err(TryRecvError::Disconnected) => Polled::Closed,
+        let mut spun_since = None;
+        loop {
+            match self.try_recv(pool) {
+                Polled::Msg(h, p) => return Some((h, p)),
+                Polled::Closed => return None,
+                Polled::Empty => {}
+            }
+            let since = *spun_since.get_or_insert_with(Instant::now);
+            if since.elapsed() < SPIN {
+                std::hint::spin_loop();
+            } else {
+                self.nap();
+                spun_since = None;
+            }
         }
     }
-    fn send_result(&self, _reply_slot: u16, seq: u64, payload: Vec<u8>) {
-        // Owned hand-off: the target's result buffer is deposited as-is
-        // (and adopted into the host-side frame pool), no copy.
-        self.chan.deposit(seq, payload);
+
+    fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
+        let i = self.cursor.get();
+        let slot = &self.ring.recv[i];
+        if slot.flag.load(SeqCst) == 0 {
+            return if self.ring.closed.load(SeqCst) {
+                Polled::Closed
+            } else {
+                Polled::Empty
+            };
+        }
+        let mut body = pool.checkout();
+        let header = slot.consume(HEADER_BYTES, &mut body, MsgHeader::decode);
+        self.cursor.set((i + 1) % SLOTS);
+        match header {
+            Ok(h) => Polled::Msg(h, body),
+            // Only this backend's host writes the slots; a frame it
+            // cannot read ends the session like a dropped link.
+            Err(_) => Polled::Closed,
+        }
+    }
+
+    fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
+        if let Some(slot) = self.ring.send.get(reply_slot as usize) {
+            slot.publish(seq, &payload);
+        }
     }
 }
 
 struct Target {
-    tx: Sender<(MsgHeader, Vec<u8>)>,
-    chan: Arc<ChannelCore>,
+    ring: Arc<Ring>,
+    /// The target thread, to unpark after raising a flag.
+    waker: Thread,
+    chan: ChannelCore,
     mem: Arc<VecMemory>,
     alloc: Mutex<RangeAllocator>,
     thread: Mutex<Option<JoinHandle<u64>>>,
@@ -95,21 +237,20 @@ impl LocalBackend {
         let host_registry = Arc::new(build_registry(&registrar, HOST_SEED));
         let targets = (1..=n)
             .map(|node| {
-                let (tx, rx) = channel();
-                // In-process channels have no slot arrays; the explicit
-                // credit limit keeps scheduler admission bounded anyway.
-                let chan = Arc::new(
-                    ChannelCore::unbounded()
-                        .with_batching(batch)
-                        .with_credit_limit(crate::chan::DEFAULT_PUSH_CREDITS),
-                );
+                let ring = Arc::new(Ring::new());
+                // Slot buffers grow, so messages stay unlimited. The
+                // slots are sized for two waves in flight; scheduler
+                // admission keeps the push transports' credit limit.
+                let chan = ChannelCore::bounded(SLOTS, SLOTS, usize::MAX)
+                    .with_batching(batch)
+                    .with_credit_limit(crate::chan::DEFAULT_PUSH_CREDITS);
                 let mem = Arc::new(VecMemory::new(mem_bytes as usize));
                 // Each target is its own "binary": same registrar,
                 // different seed → different local handler addresses.
                 let registry = build_registry(&registrar, 0x5645_0000 + node as u64);
                 let end = ChannelEnd {
-                    rx,
-                    chan: Arc::clone(&chan),
+                    ring: Arc::clone(&ring),
+                    cursor: Cell::new(0),
                 };
                 let mem2 = Arc::clone(&mem);
                 let thread = std::thread::Builder::new()
@@ -127,7 +268,8 @@ impl LocalBackend {
                     })
                     .expect("spawn target thread");
                 Target {
-                    tx,
+                    ring,
+                    waker: thread.thread().clone(),
                     chan,
                     mem,
                     alloc: Mutex::new(RangeAllocator::new(mem_bytes)),
@@ -189,23 +331,49 @@ impl CommBackend for LocalBackend {
     }
 
     fn channel(&self, target: NodeId) -> Result<&ChannelCore, OffloadError> {
-        Ok(self.target(target)?.chan.as_ref())
+        Ok(&self.target(target)?.chan)
     }
 
     fn send_frame(
         &self,
         target: NodeId,
-        _res: &Reservation,
-        header: &MsgHeader,
+        res: &Reservation,
+        _header: &MsgHeader,
         frame: &[u8],
     ) -> Result<(), OffloadError> {
         let t = self.target(target)?;
-        // One copy, straight out of the engine's pooled wire frame (the
-        // payload path used to copy twice: once assembling the frame,
-        // once here). A closed channel means the target thread is gone.
-        let payload = frame[ham::wire::HEADER_BYTES..].to_vec();
-        t.tx.send((*header, payload))
-            .map_err(|_| OffloadError::Shutdown)
+        if t.ring.closed.load(SeqCst) {
+            return Err(OffloadError::Shutdown);
+        }
+        t.ring.recv[res.recv_slot].publish(res.seq, frame);
+        if t.ring.sleeping.load(SeqCst) {
+            t.waker.unpark();
+        }
+        Ok(())
+    }
+
+    fn poll_flags(
+        &self,
+        target: NodeId,
+        seq: u64,
+        entry: &PendingEntry,
+    ) -> Result<Option<u64>, OffloadError> {
+        let t = self.target(target)?;
+        let flag = t.ring.send[entry.send_slot].flag.load(SeqCst);
+        Ok((flag == seq + 1).then_some(0))
+    }
+
+    fn fetch_frame(
+        &self,
+        target: NodeId,
+        _seq: u64,
+        entry: &PendingEntry,
+        _token: u64,
+    ) -> Result<Vec<u8>, OffloadError> {
+        let t = self.target(target)?;
+        let mut frame = t.chan.pool().checkout();
+        t.ring.send[entry.send_slot].consume(0, &mut frame, |_| ());
+        Ok(frame.into_vec())
     }
 
     fn allocate(&self, node: NodeId, bytes: u64) -> Result<u64, OffloadError> {
@@ -250,20 +418,16 @@ impl CommBackend for LocalBackend {
 
     fn shutdown(&self) {
         for (i, t) in self.targets.iter().enumerate() {
-            if !t.chan.begin_shutdown() && engine::post_control(self, NodeId(i as u16 + 1)).is_err()
-            {
-                // The engine refuses an evicted channel, but the worker
-                // thread is still parked on its queue — deliver the
-                // terminator directly so the join below can't hang.
-                let header = MsgHeader {
-                    handler_key: ham::registry::HandlerKey(0),
-                    payload_len: 0,
-                    kind: ham::wire::MsgKind::Control,
-                    reply_slot: 0,
-                    corr: 0,
-                    seq: u64::MAX,
-                };
-                let _ = t.tx.send((header, Vec::new()));
+            if !t.chan.begin_shutdown() {
+                // The control frame follows everything posted so far in
+                // the rotation. The engine refuses it on an evicted
+                // channel, and a reservation that never carried a frame
+                // leaves a slot the target cannot pass; closing the ring
+                // ends the loop at the first empty slot either way, so
+                // the join below cannot hang.
+                let _ = engine::post_control(self, NodeId(i as u16 + 1));
+                t.ring.closed.store(true, SeqCst);
+                t.waker.unpark();
             }
             if let Some(h) = t.thread.lock().take() {
                 let _ = h.join();
@@ -473,6 +637,52 @@ mod tests {
             snap.frames_sent
         );
         o.shutdown();
+    }
+
+    #[test]
+    fn drained_slot_buffers_keep_bounded_capacity() {
+        let slot = Slot::default();
+        let mut out = Vec::new();
+        slot.publish(7, &[3; 4096]);
+        assert_eq!(slot.flag.load(SeqCst), 8);
+        slot.consume(0, &mut out, |_| ());
+        assert_eq!((out.len(), slot.flag.load(SeqCst)), (4096, 0));
+        assert!(slot.buf.lock().capacity() >= 4096, "small buffers are kept");
+        out.clear();
+        slot.publish(8, &vec![5; 4 * RETAIN_BYTES]);
+        slot.consume(0, &mut out, |_| ());
+        assert!(out == [5; 4 * RETAIN_BYTES]);
+        assert!(
+            slot.buf.lock().capacity() <= RETAIN_BYTES,
+            "large buffers shrink"
+        );
+    }
+
+    #[test]
+    fn a_nap_after_the_flag_or_close_returns_at_once() {
+        // The producer raised its flag (or shutdown closed the ring)
+        // and then read `sleeping` as false, so nobody will unpark the
+        // target: the nap's re-check must see the store.
+        for close in [false, true] {
+            let end = ChannelEnd {
+                ring: Arc::new(Ring::new()),
+                cursor: Cell::new(0),
+            };
+            if close {
+                end.ring.closed.store(true, SeqCst);
+            } else {
+                end.ring.recv[0].publish(0, &[0; HEADER_BYTES]);
+            }
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                end.nap();
+                let _ = done_tx.send(());
+            });
+            let what = if close { "close" } else { "flag" };
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("the nap slept through a {what} stored before it"));
+        }
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub trait TargetChannel {
     fn try_recv(&self, pool: &Arc<FramePool>) -> Polled;
 
     /// Publish a result payload for the offload that arrived with
-    /// `reply_slot` and sequence number `seq`. Takes ownership so
-    /// in-process transports deposit the buffer without another copy.
+    /// `reply_slot` and sequence number `seq`. Takes ownership, so a
+    /// transport may keep the buffer instead of copying it.
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>);
 }
 
@@ -118,9 +118,9 @@ pub struct TargetEnv<'a> {
     /// arrival (the Aurora flag protocols: VEO, DMA) — there a frame
     /// with `seq ≤` the watermark can only be a recovery re-send whose
     /// original was already served, and its result still sits in the
-    /// send slot. Push transports (local, TCP) post from many host
-    /// threads and may deliver seqs out of order, so they must keep
-    /// this off (they do not re-send frames either).
+    /// send slot. TCP posts from many host threads and may deliver
+    /// seqs out of order, so it must keep this off; the local backend
+    /// never re-sends, so it has nothing to drop.
     pub dedup: bool,
 }
 

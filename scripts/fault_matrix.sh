@@ -20,7 +20,11 @@
 # churn scenarios (also tests/pool_scenarios.rs) add dynamic pool
 # rosters: a reserve target joining mid-flight, a member retired with
 # staged work, a flapping link deprioritized by the background prober,
-# and the bounded all-degraded placement wait.
+# and the bounded all-degraded placement wait. The local ring tests
+# (tests/local_ring.rs) drive the in-process backend's slot arrays:
+# four host threads on one target's rotation, a target that parks
+# between posts, and shutdown of a parked or evicted target — a lost
+# wake-up there is a hang too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +35,7 @@ PER_TEST_TIMEOUT="${PER_TEST_TIMEOUT:-120}"
 cargo test -q --test fault_scenarios --no-run
 cargo test -q --test pool_scenarios --no-run
 cargo test -q --test reconnect_scenarios --no-run
+cargo test -q --test local_ring --no-run
 
 tests=(
   kill_one_of_two_targets_veo
@@ -96,4 +101,20 @@ for t in "${reconnect_tests[@]}"; do
   fi
 done
 
-echo "Fault matrix passed: ${#tests[@]} channel + ${#pool_tests[@]} pool + ${#reconnect_tests[@]} reconnect scenarios, 3 backends, 8 seeds."
+ring_tests=(
+  four_hosts_share_one_target_rotation
+  syncs_after_the_target_parked_all_complete
+  shutdown_joins_a_parked_target
+  shutdown_after_eviction_joins
+)
+
+for t in "${ring_tests[@]}"; do
+  echo "-- local ring: $t"
+  if ! timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
+      cargo test -q --test local_ring -- --exact "$t"; then
+    echo "FAULT MATRIX FAILURE: '$t' failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
+    exit 1
+  fi
+done
+
+echo "Fault matrix passed: ${#tests[@]} channel + ${#pool_tests[@]} pool + ${#reconnect_tests[@]} reconnect scenarios, 3 backends, 8 seeds; ${#ring_tests[@]} local ring tests."

@@ -5,7 +5,9 @@
 //! published result frame and nothing per member. The TCP cases count across threads: what a warm offload over real
 //! sockets allocates, and what a hostile length prefix can make a
 //! reader allocate. The last case asks the same of the codec's length
-//! prefixes. One more holds the bulk `put`/`get` path to zero.
+//! prefixes. The in-process backend's slot arrays are held to the same
+//! one allocation per offload as TCP, and the bulk `put`/`get` path to
+//! zero.
 
 use ham::registry::HandlerKey;
 use ham_aurora_repro::sim_core::SimTime;
@@ -662,6 +664,45 @@ fn warm_tcp_sync_allocates_once_per_offload() {
     assert!(
         allocs <= OFFLOADS + OFFLOADS / 50,
         "{allocs} allocations over {OFFLOADS} warm TCP offloads"
+    );
+}
+
+/// A warm `sync` over the in-process slot arrays, with a scalar
+/// argument and result: the host encodes the request into a pooled
+/// frame and copies it into a receive slot, the target copies it out
+/// into its own pooled frame, and the host copies the result out of the
+/// send slot into the channel's pool — what is left is the one
+/// exact-size `Vec` the device hands `send_result`. Counted on every
+/// thread.
+#[test]
+fn warm_local_sync_allocates_once_per_offload() {
+    use aurora_workloads::kernels::busy_work;
+    use ham::f2f;
+    use ham_aurora_repro::{local_offload, NodeId};
+
+    const OFFLOADS: u64 = 2000;
+    let _gate = gate();
+    let o = local_offload(1, |b| {
+        b.register::<busy_work>();
+    });
+    let want = o.sync(NodeId(1), f2f!(busy_work, 16)).unwrap();
+    let sync = || assert_eq!(o.sync(NodeId(1), f2f!(busy_work, 16)).unwrap(), want);
+    for _ in 0..200 {
+        sync();
+    }
+    EVERY_THREAD.store(true, Ordering::SeqCst);
+    let ((), allocs) = counted(|| {
+        for _ in 0..OFFLOADS {
+            sync();
+        }
+    });
+    EVERY_THREAD.store(false, Ordering::SeqCst);
+    o.shutdown();
+    // One per offload; the slack absorbs a thread's one-off lazy
+    // allocations (a parker on its first park).
+    assert!(
+        allocs <= OFFLOADS + OFFLOADS / 50,
+        "{allocs} allocations over {OFFLOADS} warm local offloads"
     );
 }
 

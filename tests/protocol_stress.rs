@@ -442,7 +442,7 @@ proptest! {
                     executed.push(seq);
                     wm = Some(wm.map_or(seq, |w| w.max(seq)));
                     if result_bits[cycle] >> (seq % 64) & 1 == 1 {
-                        core.deposit(seq, vec![seq as u8]);
+                        core.deposit_frame(seq, PooledFrame::detached(vec![seq as u8]));
                         let done = core.take_completed(seq).unwrap().unwrap();
                         prop_assert_eq!(done.as_slice(), &[seq as u8][..]);
                         prop_assert_eq!(
@@ -495,7 +495,7 @@ proptest! {
 
         // The final session serves everything still in flight.
         for seq in live {
-            core.deposit(seq, vec![seq as u8]);
+            core.deposit_frame(seq, PooledFrame::detached(vec![seq as u8]));
             prop_assert!(core.take_completed(seq).unwrap().is_ok());
             prop_assert_eq!(terminal.insert(seq, Terminal::Completed), None);
         }
