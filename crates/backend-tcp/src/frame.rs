@@ -1,9 +1,11 @@
 //! Length-prefixed framing over a TCP stream.
 //!
-//! A frame is `u32 length ‖ body`. Both directions cost one syscall per
-//! frame: [`write_frame`] hands prefix and body to the socket in one
-//! vectored write, and a [`FrameReader`] returns every frame a single
-//! `read` delivered before it reads again.
+//! A frame is `u32 length ‖ body`. One `writev` per post; one write per
+//! window of results: [`write_frame`] hands a post's prefix and body to
+//! the socket in one vectored write, while a target queues a window's
+//! result frames in a buffer ([`write_frame_parts`] writes into a
+//! `Vec<u8>` as into a socket) that goes out whole. A [`FrameReader`]
+//! returns every frame a single `read` delivered before it reads again.
 
 use ham::codec::Wire;
 use ham::HamError;
@@ -13,7 +15,8 @@ use std::io::{self, ErrorKind, IoSlice, Read, Write};
 /// prefixes).
 pub const MAX_FRAME: u32 = 64 << 20;
 
-const PREFIX: usize = 4;
+/// Bytes of the length prefix in front of every frame body.
+pub(crate) const PREFIX: usize = 4;
 
 /// A [`FrameReader`]'s buffer before any frame outgrows it.
 const READ_BUF: usize = 16 << 10;
@@ -303,7 +306,7 @@ impl Wire for Announce {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ham::codec;
     use proptest::prelude::*;
@@ -342,14 +345,14 @@ mod tests {
 
     /// A sink that accepts at most `cap` bytes per call, vectored or
     /// not, and counts the calls.
-    struct ShortWriter {
-        out: Vec<u8>,
+    pub(crate) struct ShortWriter {
+        pub(crate) out: Vec<u8>,
         cap: usize,
-        calls: usize,
+        pub(crate) calls: usize,
     }
 
     impl ShortWriter {
-        fn new(cap: usize) -> Self {
+        pub(crate) fn new(cap: usize) -> Self {
             Self {
                 out: Vec::new(),
                 cap,
@@ -485,8 +488,10 @@ mod tests {
         }
     }
 
-    /// The syscall budget: one write per frame; one read per frame when
-    /// frames arrive one at a time, fewer when a read delivers several.
+    /// The syscall budget: one `writev` per frame written on its own (a
+    /// post; a window's results share one write, see the transport's
+    /// queue tests); one read per frame when frames arrive one at a
+    /// time, fewer when a read delivers several.
     #[test]
     fn one_write_per_frame_and_at_most_one_read() {
         const FRAMES: usize = 100;

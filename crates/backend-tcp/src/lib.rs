@@ -23,14 +23,17 @@
 //! * **control socket** (synchronous RPC): `u32 len ‖ op u8 ‖ body` with
 //!   ops alloc/free/put/get/ping, each answered by one response frame.
 //!
-//! A frame costs one syscall per direction: [`frame::write_frame`] is
-//! one vectored write, and a [`frame::FrameReader`] returns every frame
-//! a `read` delivered before reading again. Nothing relays frames
-//! between threads. Per target there are three:
+//! One `writev` per post; one write per window of results. The host
+//! writes each post with [`frame::write_frame`]. The device runtime
+//! publishes a whole intake window before it reads again, and the
+//! target queues that window's result frames and writes them at once.
+//! On both sides a [`frame::FrameReader`] returns every frame a `read`
+//! delivered before reading again. Nothing relays frames between
+//! threads. Per target there are three:
 //!
 //! * `tcp-target-N` — the target itself: the accept loop and, inside a
 //!   session, the device runtime, which blocks in `read` on the message
-//!   socket and writes results back on it;
+//!   socket and writes each window's results back on it in one write;
 //! * `tcp-target-N-ctrl` — serves the control socket;
 //! * `tcp-link-N` — the host's link supervisor: reads results off the
 //!   message socket into pooled frames and deposits them, and owns

@@ -19,7 +19,7 @@
 //! replay buffer is kept and a disconnect is a permanent eviction.
 
 use crate::frame::{
-    read_frame, write_frame, write_frame_parts, Announce, ControlOp, FrameReader, MAX_FRAME,
+    read_frame, write_frame, write_frame_parts, Announce, ControlOp, FrameReader, MAX_FRAME, PREFIX,
 };
 use aurora_mem::RangeAllocator;
 use aurora_sim_core::{BackendMetrics, Clock, FaultPlan, HealthEventKind, LaneStats};
@@ -198,13 +198,60 @@ pub struct TcpBackend {
     plan: Arc<FaultPlan>,
 }
 
+/// The most result bytes a target queues before it writes them: a
+/// frame that would take the queue past this flushes the queue first,
+/// and a frame larger than this goes out on its own, uncopied.
+const RESULT_QUEUE: usize = 64 << 10;
+
 /// The target-process side of one TCP channel. The device thread reads
 /// the message socket itself: `recv` blocks in `read`, and `try_recv`
-/// hands out what that `read` delivered beyond the first frame.
+/// hands out what that `read` delivered beyond the first frame. Results
+/// queue behind the write half until the device runtime's per-window
+/// `flush`, which writes them all at once.
 struct TcpSideChannel {
     /// Read half and its buffer. Only the device thread takes this lock.
     rx: Mutex<(TcpStream, FrameReader)>,
-    tx: Mutex<TcpStream>,
+    /// Write half and the result frames queued since the last flush.
+    tx: Mutex<(TcpStream, Vec<u8>)>,
+}
+
+impl TcpSideChannel {
+    fn new(stream: TcpStream) -> std::io::Result<Self> {
+        Ok(Self {
+            rx: Mutex::new((stream.try_clone()?, FrameReader::new())),
+            tx: Mutex::new((stream, Vec::with_capacity(RESULT_QUEUE))),
+        })
+    }
+}
+
+/// Queue the frame `len ‖ head ‖ tail` behind `queue`, keeping the
+/// queue within [`RESULT_QUEUE`]: what would overflow it is written to
+/// `out` first, and a frame too large to queue follows it directly.
+fn queue_frame(
+    out: &mut impl Write,
+    queue: &mut Vec<u8>,
+    head: &[u8],
+    tail: &[u8],
+) -> std::io::Result<()> {
+    let len = PREFIX + head.len() + tail.len();
+    if queue.len() + len > RESULT_QUEUE {
+        write_queued(out, queue)?;
+    }
+    if len > RESULT_QUEUE {
+        write_frame_parts(out, head, tail)
+    } else {
+        write_frame_parts(queue, head, tail)
+    }
+}
+
+/// Hand every queued frame to `out` in one write, and empty the queue.
+fn write_queued(out: &mut impl Write, queue: &mut Vec<u8>) -> std::io::Result<()> {
+    if queue.is_empty() {
+        return Ok(());
+    }
+    let done = out.write_all(queue);
+    queue.clear();
+    done
 }
 
 /// The next message off a target's message socket. `None` ends the
@@ -244,7 +291,13 @@ impl TargetChannel for TcpSideChannel {
 
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
         let header = result_header(reply_slot, seq, payload.len()).encode();
-        let _ = write_frame_parts(&mut *self.tx.lock(), &header, &payload);
+        let (stream, queue) = &mut *self.tx.lock();
+        let _ = queue_frame(stream, queue, &header, &payload);
+    }
+
+    fn flush(&self) {
+        let (stream, queue) = &mut *self.tx.lock();
+        let _ = write_queued(stream, queue);
     }
 }
 
@@ -360,11 +413,7 @@ fn target_main(
             .name(format!("tcp-target-{node}-ctrl"))
             .spawn(move || serve_ctrl(ctrl_stream, &mem2, &alloc2))
             .expect("spawn ctrl thread");
-        let msg_rx = msg_stream.try_clone().expect("clone msg stream");
-        let chan = TcpSideChannel {
-            rx: Mutex::new((msg_rx, FrameReader::new())),
-            tx: Mutex::new(msg_stream),
-        };
+        let chan = TcpSideChannel::new(msg_stream).expect("clone msg stream");
         let env = TargetEnv {
             node,
             registry: &registry,
@@ -382,7 +431,7 @@ fn target_main(
         watermark = end.watermark;
         served_total += end.served;
         // Shut the session's sockets down so the ctrl thread unblocks.
-        let _ = chan.tx.lock().shutdown(std::net::Shutdown::Both);
+        let _ = chan.tx.lock().0.shutdown(std::net::Shutdown::Both);
         let _ = ctrl_thread.join();
         if end.reason == HaltReason::Control {
             return served_total;
@@ -891,6 +940,7 @@ impl Drop for TcpBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::tests::ShortWriter;
     use ham::f2f;
     use ham_offload::Offload;
 
@@ -1096,10 +1146,7 @@ mod tests {
         while target.peek(&mut seen).unwrap() < wire_len {
             std::thread::yield_now();
         }
-        let chan = TcpSideChannel {
-            rx: Mutex::new((target.try_clone().unwrap(), FrameReader::new())),
-            tx: Mutex::new(target),
-        };
+        let chan = TcpSideChannel::new(target).unwrap();
         let pool = FramePool::new();
         assert!(
             matches!(chan.try_recv(&pool), Polled::Empty),
@@ -1117,6 +1164,168 @@ mod tests {
         // Peer gone: the blocking side reports the end of the session.
         drop(host);
         assert!(chan.recv(&pool).is_none());
+    }
+
+    /// The bytes `send_result(slot, seq, payload)` puts on the wire,
+    /// as a frame written on its own.
+    fn result_wire(slot: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let header = result_header(slot, seq, payload.len()).encode();
+        write_frame_parts(&mut wire, &header, payload).unwrap();
+        wire
+    }
+
+    /// A target-side channel over a fresh loopback connection, and the
+    /// host's end of it.
+    fn side_channel() -> (TcpSideChannel, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let host = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (target, _) = listener.accept().unwrap();
+        (TcpSideChannel::new(target).unwrap(), host)
+    }
+
+    /// Results wait in the queue until `flush`, then reach the host
+    /// byte-exact and in order; the queue hands them to the writer in
+    /// one call.
+    #[test]
+    fn results_wait_for_flush_and_leave_in_one_write() {
+        let results = [
+            (1u16, 7u64, vec![0u8, 42]),
+            (2, 8, vec![]),
+            (3, 9, vec![5; 300]),
+        ];
+        let expect: Vec<u8> = results
+            .iter()
+            .flat_map(|(slot, seq, p)| result_wire(*slot, *seq, p))
+            .collect();
+
+        let (chan, mut host) = side_channel();
+        for (slot, seq, p) in &results {
+            chan.send_result(*slot, *seq, p.clone());
+        }
+        host.set_nonblocking(true).unwrap();
+        let mut probe = [0u8; 1];
+        assert_eq!(
+            host.peek(&mut probe).map_err(|e| e.kind()),
+            Err(std::io::ErrorKind::WouldBlock),
+            "nothing is written before flush"
+        );
+        chan.flush();
+        host.set_nonblocking(false).unwrap();
+        let mut got = vec![0u8; expect.len()];
+        host.read_exact(&mut got).unwrap();
+        assert_eq!(got, expect);
+
+        let mut w = ShortWriter::new(usize::MAX);
+        let mut queue = Vec::new();
+        for (slot, seq, p) in &results {
+            let header = result_header(*slot, *seq, p.len()).encode();
+            queue_frame(&mut w, &mut queue, &header, p).unwrap();
+        }
+        assert_eq!(w.calls, 0, "queued, not written");
+        write_queued(&mut w, &mut queue).unwrap();
+        assert_eq!((w.calls, &w.out), (1, &expect));
+        write_queued(&mut w, &mut queue).unwrap();
+        assert_eq!(w.calls, 1, "an empty queue writes nothing");
+    }
+
+    /// A frame that would overflow the queue writes the queue first; a
+    /// frame larger than the queue then follows in its own write, and
+    /// a smaller one starts the next queue.
+    #[test]
+    fn a_frame_past_the_bound_flushes_the_queue_first() {
+        let small = result_wire(0, 1, &[1; 10]);
+        let half = vec![2u8; RESULT_QUEUE / 2];
+        let big = vec![3u8; RESULT_QUEUE + 1];
+        let header = |seq, len| result_header(0, seq, len).encode();
+        let mut w = ShortWriter::new(usize::MAX);
+        let mut queue = Vec::new();
+        queue_frame(&mut w, &mut queue, &header(1, 10), &[1; 10]).unwrap();
+        queue_frame(&mut w, &mut queue, &header(2, big.len()), &big).unwrap();
+        assert_eq!(w.calls, 2, "the queue, then the outsized frame");
+        assert!(queue.is_empty());
+        queue_frame(&mut w, &mut queue, &header(3, half.len()), &half).unwrap();
+        queue_frame(&mut w, &mut queue, &header(4, half.len()), &half).unwrap();
+        assert_eq!(w.calls, 3, "the second half-size frame overflows");
+        assert_eq!(queue, result_wire(0, 4, &half), "and starts the next queue");
+        write_queued(&mut w, &mut queue).unwrap();
+        let expect = [
+            small,
+            result_wire(0, 2, &big),
+            result_wire(0, 3, &half),
+            result_wire(0, 4, &half),
+        ]
+        .concat();
+        assert_eq!((w.calls, w.out == expect), (4, true), "arrival order holds");
+    }
+
+    /// Whatever the frame sizes, flush points and short writes, the
+    /// writer sees the frames' bytes in order, the queue never holds
+    /// more than the bound, and the channel's queue never grows past it.
+    #[test]
+    fn queue_stays_bounded_and_emits_the_same_bytes_under_short_writes() {
+        let mut rng = aurora_sim_core::rng::SplitMix64::new(27);
+        let sizes: Vec<usize> = (0..400)
+            .map(|_| match rng.next_below(8) {
+                0 => RESULT_QUEUE + rng.next_below(4096) as usize,
+                1 => RESULT_QUEUE - HEADER_BYTES - PREFIX,
+                2 | 3 => rng.next_below(20_000) as usize,
+                _ => rng.next_below(64) as usize,
+            })
+            .collect();
+        let frames: Vec<Vec<u8>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| vec![i as u8; n])
+            .collect();
+        let expect: Vec<u8> = frames
+            .iter()
+            .enumerate()
+            .flat_map(|(i, p)| result_wire(0, i as u64, p))
+            .collect();
+        for cap in [1usize, 7, 4096, usize::MAX] {
+            let mut w = ShortWriter::new(cap);
+            let mut queue = Vec::new();
+            for (i, p) in frames.iter().enumerate() {
+                let header = result_header(0, i as u64, p.len()).encode();
+                queue_frame(&mut w, &mut queue, &header, p).unwrap();
+                assert!(queue.len() <= RESULT_QUEUE);
+                if i % 5 == 4 {
+                    write_queued(&mut w, &mut queue).unwrap();
+                }
+            }
+            write_queued(&mut w, &mut queue).unwrap();
+            assert!(w.out == expect, "cap {cap}: bytes or order differ");
+        }
+
+        // The channel's own queue, over a socket a reader drains.
+        let (chan, mut host) = side_channel();
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            host.read_to_end(&mut got).unwrap();
+            got
+        });
+        for (i, p) in frames.iter().enumerate() {
+            chan.send_result(0, i as u64, p.clone());
+            let cap = chan.tx.lock().1.capacity();
+            assert!(
+                cap <= RESULT_QUEUE + PREFIX + HEADER_BYTES + p.len(),
+                "{cap}"
+            );
+            if i % 5 == 4 {
+                chan.flush();
+            }
+        }
+        chan.flush();
+        chan.tx
+            .lock()
+            .0
+            .shutdown(std::net::Shutdown::Write)
+            .unwrap();
+        assert!(
+            reader.join().unwrap() == expect,
+            "the socket saw other bytes"
+        );
     }
 
     #[test]

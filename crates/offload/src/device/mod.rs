@@ -21,7 +21,10 @@
 //! ordering constraint between them — so its members may share the lane
 //! schedule. All results of a window are published before the runtime
 //! blocks again, so the host never waits on a result the device is
-//! sitting on.
+//! sitting on: after the window's last result the runtime calls
+//! [`TargetChannel::flush`] once, and a transport that queued the
+//! results hands them to the wire there. Over TCP that is one write
+//! per window of results, where a post costs one `writev` of its own.
 //!
 //! ## In-order publication
 //!
@@ -527,6 +530,7 @@ impl DeviceRuntime {
                     watermark = Some(watermark.map_or(w, |cur| cur.max(w)));
                 }
             }
+            chan.flush();
 
             if halt {
                 break;
@@ -660,7 +664,7 @@ mod tests {
 
     /// One session on the default runtime (no clock, no meter), as the
     /// clock-less transports run it.
-    fn serve(registry: &Registry, dedup: bool, chan: &QueueChannel) -> u64 {
+    fn serve(registry: &Registry, dedup: bool, chan: &dyn TargetChannel) -> u64 {
         let mem = VecMemory::new(0);
         let env = TargetEnv {
             node: 1,
@@ -981,6 +985,105 @@ mod tests {
         let chan = QueueChannel::new(vec![carrier.clone(), carrier]);
         assert_eq!(serve(&registry, true, &chan), 2, "duplicate skipped");
         assert_eq!(chan.outbox.lock().len(), 1);
+    }
+
+    /// What a [`Windowed`] channel was asked to do, in order.
+    #[derive(Debug, PartialEq)]
+    enum Sent {
+        /// `send_result` for this seq.
+        Result(u64),
+        Flush,
+    }
+
+    /// Scripted channel with window boundaries: a `None` entry makes
+    /// `try_recv` report `Empty`, and a script that runs out reports
+    /// `Closed`. Logs `send_result` and `flush` in call order.
+    struct Windowed {
+        script: Mutex<VecDeque<Step>>,
+        log: Mutex<Vec<Sent>>,
+    }
+
+    /// One entry of a [`Windowed`] script: a message, or `None` for the
+    /// end of a window.
+    type Step = Option<(MsgHeader, Vec<u8>)>;
+
+    impl Windowed {
+        fn new(script: Vec<Step>) -> Self {
+            Self {
+                script: Mutex::new(script.into()),
+                log: Mutex::new(vec![]),
+            }
+        }
+    }
+
+    impl TargetChannel for Windowed {
+        fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
+            let mut script = self.script.lock();
+            while let Some(next) = script.pop_front() {
+                if let Some((h, p)) = next {
+                    return Some((h, pool.adopt(p)));
+                }
+            }
+            None
+        }
+        fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
+            match self.script.lock().pop_front() {
+                Some(Some((h, p))) => Polled::Msg(h, pool.adopt(p)),
+                Some(None) => Polled::Empty,
+                None => Polled::Closed,
+            }
+        }
+        fn send_result(&self, _reply_slot: u16, seq: u64, _payload: Vec<u8>) {
+            self.log.lock().push(Sent::Result(seq));
+        }
+        fn flush(&self) {
+            self.log.lock().push(Sent::Flush);
+        }
+    }
+
+    /// Every window ends in exactly one flush, after its last result:
+    /// windows that end empty, on a `Control` frame, on `Closed`, on a
+    /// `Result` sent to the target, and windows that answer a hostile
+    /// batch envelope with an error frame.
+    #[test]
+    fn one_flush_per_window_after_its_last_result() {
+        use Sent::{Flush, Result as R};
+        let registry = registry();
+        let key = registry.key_of::<add>().unwrap();
+        let add = |seq| Some(add_msg(key, 1, 2, 0, seq));
+        let control = || Some((header(MsgKind::Control, HandlerKey(0), 0, 0, 99), vec![]));
+        let hostile = |seq| {
+            let mut body = 2u32.to_le_bytes().to_vec();
+            body.extend_from_slice(&[0xAB; 7]);
+            Some((batch::carrier_header(seq, body.len(), 0, 0), body))
+        };
+        let result = || Some((header(MsgKind::Result, HandlerKey(0), 0, 0, 98), vec![]));
+        let cases = [
+            (
+                vec![
+                    add(0),
+                    add(1),
+                    add(2),
+                    None,
+                    add(3),
+                    None,
+                    add(4),
+                    control(),
+                ],
+                vec![R(0), R(1), R(2), Flush, R(3), Flush, R(4), Flush],
+            ),
+            (vec![add(0), add(1)], vec![R(0), R(1), Flush]),
+            (
+                vec![hostile(5), add(6), None, hostile(7)],
+                vec![R(5), R(6), Flush, R(7), Flush],
+            ),
+            (vec![add(0), result(), add(1)], vec![R(0), Flush]),
+        ];
+        for (script, want) in cases {
+            let chan = Windowed::new(script);
+            serve(&registry, false, &chan);
+            assert_eq!(*chan.log.lock(), want);
+        }
     }
 
     #[test]

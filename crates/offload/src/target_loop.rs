@@ -45,8 +45,16 @@ pub trait TargetChannel {
 
     /// Publish a result payload for the offload that arrived with
     /// `reply_slot` and sequence number `seq`. Takes ownership, so a
-    /// transport may keep the buffer instead of copying it.
+    /// transport may keep the buffer instead of copying it. A transport
+    /// may queue the result until the next [`Self::flush`]; results
+    /// still reach the host in the order they were sent.
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>);
+
+    /// Hand every result queued by [`Self::send_result`] to the
+    /// transport. The device runtime calls this once per window, after
+    /// the window's last result. Transports that publish each result at
+    /// once keep this default no-op.
+    fn flush(&self) {}
 }
 
 /// Append one framed handler outcome to `out`: the status byte, then

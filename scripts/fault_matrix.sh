@@ -13,8 +13,8 @@
 # kill 1 of 4 pooled targets mid-wave on each backend and require every
 # offload to complete on a survivor or surface `TargetLost`. The
 # reconnect scenarios (tests/reconnect_scenarios.rs) exercise the
-# cluster-TCP session-resume path: mid-batch disconnects, double
-# disconnects, blackouts that exhaust (or nearly exhaust) the reconnect
+# cluster-TCP session-resume path: mid-batch and mid-wave disconnects,
+# double disconnects, blackouts that exhaust (or nearly exhaust) the reconnect
 # budget, and the discovery handshake, asserting exactly-once-or-lost
 # outcomes and zero leaked pending entries throughout. The membership
 # churn scenarios (also tests/pool_scenarios.rs) add dynamic pool
@@ -78,6 +78,7 @@ reconnect_tests=(
   disconnect_during_staged_accumulator_matrix
   double_disconnect_matrix
   reconnect_after_timeout_matrix
+  mid_wave_disconnect_matrix
   replayed_timelines_are_deterministic
   eviction_waits_for_the_reconnect_budget
   discovery_announces_per_host_capabilities

@@ -667,6 +667,53 @@ fn warm_tcp_sync_allocates_once_per_offload() {
     );
 }
 
+/// Warm 64-deep waves of `whoami` over loopback TCP, `async_` then
+/// `wait_all_into`: the device publishes each intake window into a
+/// result queue it keeps for the session, so the one exact-size `Vec`
+/// per result is still all that is allocated, never one per window.
+/// Counted on every thread.
+#[test]
+fn warm_tcp_pipelined_allocates_once_per_offload() {
+    use aurora_workloads::kernels::whoami;
+    use ham::f2f;
+    use ham_aurora_repro::{NodeId, Offload};
+    use ham_backend_tcp::TcpBackend;
+
+    const DEPTH: usize = 64;
+    const WAVES: u64 = 40;
+    const OFFLOADS: u64 = WAVES * DEPTH as u64;
+    let _gate = gate();
+    let o = Offload::new(TcpBackend::spawn(1, |b| {
+        b.register::<whoami>();
+    }));
+    let mut futures = Vec::with_capacity(DEPTH);
+    let mut out = Vec::with_capacity(DEPTH);
+    let mut wave = || {
+        out.clear();
+        for _ in 0..DEPTH {
+            futures.push(o.async_(NodeId(1), f2f!(whoami)).unwrap());
+        }
+        o.wait_all_into(&mut futures, &mut out);
+        assert!(out.iter().all(|r| *r.as_ref().unwrap() == 1));
+    };
+    for _ in 0..20 {
+        wave();
+    }
+    EVERY_THREAD.store(true, Ordering::SeqCst);
+    let ((), allocs) = counted(|| {
+        for _ in 0..WAVES {
+            wave();
+        }
+    });
+    EVERY_THREAD.store(false, Ordering::SeqCst);
+    o.shutdown();
+    // One per offload, with the same slack as the `sync` case.
+    assert!(
+        allocs <= OFFLOADS + OFFLOADS / 50,
+        "{allocs} allocations over {OFFLOADS} warm pipelined TCP offloads"
+    );
+}
+
 /// A warm `sync` over the in-process slot arrays, with a scalar
 /// argument and result: the host encodes the request into a pooled
 /// frame and copies it into a receive slot, the target copies it out

@@ -284,6 +284,31 @@ fn run_reconnect_after_timeout(seed: u64) {
     o.shutdown();
 }
 
+/// Scenario 5: the link dies right after the first result of a full
+/// wave lands. The target writes a window's results in one write, so
+/// the rest of that window lands with it or is lost with it; either way
+/// every offload completes exactly once or surfaces `TargetLost`.
+fn run_mid_wave_disconnect(seed: u64) {
+    let (o, _be) = cluster(64, BatchConfig::default());
+    let t = NodeId(1);
+    let base = tag_base(11, seed);
+    let mut futs: Vec<_> = (0..64u64)
+        .map(|i| (base + i, o.async_(t, f2f!(record_tag, base + i)).unwrap()))
+        .collect();
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            futs.iter_mut().any(|(_, f)| f.test())
+        }),
+        "no offload of the wave completed"
+    );
+    o.kill_target(t).unwrap();
+    let outcomes: Vec<(u64, Result<u64, OffloadError>)> =
+        futs.into_iter().map(|(tag, f)| (tag, f.get())).collect();
+    check_exactly_once(&outcomes);
+    drained(&o, t);
+    o.shutdown();
+}
+
 #[test]
 fn mid_batch_disconnect_matrix() {
     for seed in 1..=8 {
@@ -309,6 +334,13 @@ fn double_disconnect_matrix() {
 fn reconnect_after_timeout_matrix() {
     for seed in 1..=8 {
         run_reconnect_after_timeout(seed);
+    }
+}
+
+#[test]
+fn mid_wave_disconnect_matrix() {
+    for seed in 1..=8 {
+        run_mid_wave_disconnect(seed);
     }
 }
 
