@@ -79,9 +79,9 @@ struct Link {
     addr: std::net::SocketAddr,
     msg_tx: Mutex<TcpStream>,
     ctrl: Mutex<TcpStream>,
+    /// Its shutdown latch ([`ChannelCore::is_shutdown`]) also tells
+    /// the supervisor to stop reconnecting.
     chan: Arc<ChannelCore>,
-    /// Orderly shutdown in progress: the supervisor must not reconnect.
-    stop: AtomicBool,
     /// Test hook: while set, reconnect attempts fail deterministically
     /// without touching the network (a simulated network blackout).
     blackout: AtomicBool,
@@ -152,7 +152,6 @@ fn spawn_target(
         msg_tx: Mutex::new(msg),
         ctrl: Mutex::new(ctrl),
         chan: Arc::new(chan),
-        stop: AtomicBool::new(false),
         blackout: AtomicBool::new(false),
     });
     let link2 = Arc::clone(&link);
@@ -486,10 +485,7 @@ fn run_link(
                 }
             }
         }
-        if link.stop.load(Ordering::SeqCst)
-            || link.chan.is_shutdown()
-            || link.chan.eviction().is_some()
-        {
+        if link.chan.is_shutdown() || link.chan.eviction().is_some() {
             return;
         }
         // ---- Degrade: park posts, keep every pending entry alive ----
@@ -502,7 +498,7 @@ fn run_link(
         // ---- Reconnect: bounded backoff under the policy budget ----
         let mut backoff = Duration::from_micros(500);
         for _ in 0..budget {
-            if link.stop.load(Ordering::SeqCst) {
+            if link.chan.is_shutdown() {
                 return;
             }
             metrics.on_reconnect_attempt();
@@ -515,7 +511,7 @@ fn run_link(
                 connect_pair(link.addr)
             };
             if let Ok((msg, ctrl, announce)) = attempt {
-                if link.stop.load(Ordering::SeqCst) {
+                if link.chan.is_shutdown() {
                     return;
                 }
                 let Ok(rx) = msg.try_clone() else {
@@ -797,7 +793,9 @@ impl CommBackend for TcpBackend {
                 t.link.disconnect(&self.metrics, &self.clock);
                 Ok(())
             }
-            Err(e) => Err(io_err(e)),
+            // Point to point there is no session to resume: the peer is
+            // gone, and the engine latches the eviction on this error.
+            Err(_) => Err(OffloadError::TargetLost(target)),
         }
     }
 
@@ -868,10 +866,10 @@ impl CommBackend for TcpBackend {
             // it to the supervisor's EOF handling: otherwise a
             // caller can observe every in-flight future failed (via
             // send-side errors) while `eviction()` is still unset for a
-            // scheduling beat — `TargetPool::prune` would briefly keep
-            // the dead target. `evict` is idempotent, so whichever of
-            // this call and the supervisor loses the race becomes a
-            // no-op.
+            // scheduling beat — a `TargetPool` would briefly keep
+            // placing on the dead target. `evict` is idempotent, so
+            // whichever of this call and the supervisor loses the race
+            // becomes a no-op.
             let lost = OffloadError::TargetLost(target);
             engine::evict(self, target, &t.link.chan, lost);
         }
@@ -884,8 +882,8 @@ impl CommBackend for TcpBackend {
                 Ok(t) => t,
                 Err(_) => continue,
             };
-            // Stop the link supervisor from reconnecting past this point.
-            t.link.stop.store(true, Ordering::SeqCst);
+            // The latch also stops the link supervisor from reconnecting
+            // past this point.
             if t.link.chan.begin_shutdown() {
                 continue;
             }
@@ -1028,6 +1026,24 @@ mod tests {
         o.shutdown(); // idempotent
         assert!(o.sync(NodeId(1), f2f!(node_echo)).is_err());
         assert!(o.allocate::<f64>(NodeId(1), 4).is_err());
+    }
+
+    /// Point to point a failed message-socket write is the peer's loss:
+    /// the post reports `TargetLost` and the engine latches the
+    /// eviction, as EOF and `kill_target` do.
+    #[test]
+    fn a_failed_write_to_a_point_to_point_peer_latches_the_eviction() {
+        let backend = TcpBackend::spawn(1, registrar);
+        let link = &backend.target(NodeId(1)).unwrap().link;
+        link.msg_tx
+            .lock()
+            .shutdown(std::net::Shutdown::Write)
+            .unwrap();
+        let o = Offload::new(backend.clone());
+        let err = o.sync(NodeId(1), f2f!(node_echo)).unwrap_err();
+        assert_eq!(err, OffloadError::TargetLost(NodeId(1)));
+        assert!(link.chan.eviction().is_some());
+        o.shutdown();
     }
 
     /// A bare target on a loopback port, no backend around it: tests

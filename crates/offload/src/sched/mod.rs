@@ -2,18 +2,22 @@
 //!
 //! The paper's FETI case study (Sec. V) hand-rolls target selection on
 //! top of `wait_any`; serving many VEs for real needs placement to be a
-//! runtime concern. A [`TargetPool`] wraps a set of healthy targets and
-//! places each [`TargetPool::submit`] by policy:
+//! runtime concern. A [`TargetPool`] wraps a roster of targets and
+//! places each [`TargetPool::submit`] by policy on a healthy one: a
+//! member whose channel exists and is not evicted, read from the
+//! channel at every scan (the pool keeps no copy of target health):
 //!
 //! * [`SchedPolicy::LeastLoaded`] (default) — the target with the
 //!   fewest in-flight messages wins; ties break to the lowest node id,
 //!   so placement is a pure function of observable channel state and
 //!   deterministic under the fault harness's fixed seeds.
 //! * [`SchedPolicy::RoundRobin`] — strict rotation over the healthy
-//!   set, skipping targets that are out of credits.
+//!   targets in node order, resuming after the last pick and skipping
+//!   targets that are out of credits.
 //!
-//! Both are one scan over the healthy set for the smallest integer key
-//! (`(streak, in_flight)`, or `(streak > 0, distance from the cursor)`).
+//! Both are one scan over the roster for the smallest integer key
+//! (`(streak, in_flight)`, or `(streak > 0, node-id distance after the
+//! last pick)`).
 //! [`TargetPool::rebalance`] alone weighs targets by latency: it moves
 //! staged members only onto an idle peer whose
 //! `(in_flight + 1 + bytes_in_flight/4096 + staged) · EWMA(latency)` is
@@ -29,13 +33,15 @@
 //! limit — admission control rather than unbounded queueing.
 //!
 //! **Failover.** A target evicted by the recovery policy (or killed by
-//! fault injection) is drained from the pool. Offloads whose frames
-//! never reached the transport — staged batch members, envelopes whose
-//! send failed — are marked *unsent* by the channel core and are
-//! resubmitted to a survivor transparently. Offloads the lost target
-//! may already have executed surface their original
-//! [`crate::OffloadError`] unchanged: the scheduler must not silently
-//! re-execute work with visible side effects.
+//! fault injection) takes no further placements. Offloads whose frames
+//! never reached it — staged batch members, envelopes or posts whose
+//! send failed — are resubmitted to a survivor transparently, but only
+//! when the failure evicted the target: any other error (a message too
+//! large for the slots, shutdown) returns to the caller, and the target
+//! stays in the pool. Offloads the lost target may already have
+//! executed surface their original [`crate::OffloadError`] unchanged:
+//! the scheduler must not silently re-execute work with visible side
+//! effects.
 
 //!
 //! **Observability.** [`TargetPool::metrics_snapshot`] scopes the

@@ -2,7 +2,7 @@
 
 /// How a pool picks the target for the next submission. Both policies
 /// consume only observable channel state (in-flight counts, credit
-/// limits, the rotation cursor) and break ties to the lowest node id,
+/// limits, the last pick) and break ties to the lowest node id,
 /// so placement is deterministic for a deterministic workload.
 ///
 /// When the pool's background prober is running
@@ -17,7 +17,7 @@ pub enum SchedPolicy {
     /// Fewest in-flight messages wins (the default).
     #[default]
     LeastLoaded,
-    /// Strict rotation over the healthy targets, skipping any that are
-    /// out of credits.
+    /// Strict rotation over the healthy targets in node order, resuming
+    /// after the last pick and skipping any that are out of credits.
     RoundRobin,
 }

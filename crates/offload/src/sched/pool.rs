@@ -10,7 +10,6 @@ use aurora_sim_core::{HealthEventKind, MetricsSnapshot, NodeMetricsSnapshot, Sim
 use ham::registry::HandlerKey;
 use ham::ActiveMessage;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,53 +36,50 @@ fn pool_empty() -> OffloadError {
     OffloadError::Backend("target pool: no healthy targets remain".into())
 }
 
-/// Mutable pool state under one lock: the membership roster, the
-/// healthy set (sorted ascending, so strict-`<` scans tie-break to the
-/// lowest node id), the round-robin cursor, and the per-target
-/// probe-miss streaks the background prober maintains.
-struct PoolState {
-    /// Every current member (sorted, deduped). Eviction prunes a target
-    /// from `healthy` but keeps it here so reports cover lost targets;
-    /// only [`TargetPool::remove_target`] deletes from the roster.
-    members: Vec<NodeId>,
-    healthy: Vec<NodeId>,
-    cursor: usize,
-    /// Consecutive probe-miss streak per target (absent = clean). A
-    /// non-zero streak deprioritizes the target in `select` — flapping
-    /// targets lose placements *before* they hard-fail — and decays as
-    /// probes answer again.
-    flaky: HashMap<u16, u32>,
-    /// Last [`ChannelCore::resumes`] epoch seen per target. An advance
+/// One pool member: its node and what the background prober has seen
+/// of it. Liveness is not kept here: every scan reads it from the
+/// member's channel, so a target is out of the running exactly while
+/// its channel is missing or evicted.
+struct Member {
+    node: NodeId,
+    /// Consecutive probe misses (0 = clean). A non-zero streak
+    /// deprioritizes the target in `select` — flapping targets lose
+    /// placements *before* they hard-fail — and decays as probes answer
+    /// again.
+    streak: u32,
+    /// Last [`ChannelCore::resumes`] epoch the prober saw. An advance
     /// between probe rounds means the session healed: the miss streak
     /// is cleared immediately instead of decaying over future rounds.
-    resumes_seen: HashMap<u16, u64>,
+    resumes: u64,
+}
+
+impl Member {
+    fn new(node: NodeId) -> Self {
+        Self {
+            node,
+            streak: 0,
+            resumes: 0,
+        }
+    }
+}
+
+/// Mutable pool state under one lock.
+struct PoolState {
+    /// Every current member, sorted by node id, so strict-`<` scans
+    /// tie-break to the lowest node id. An evicted target stays here so
+    /// reports cover lost targets; only [`TargetPool::remove_target`]
+    /// deletes from the roster.
+    members: Vec<Member>,
+    /// The target placed on last ([`NodeId::HOST`] before the first
+    /// pick). Round-robin resumes at the next member above it, so
+    /// joins, leaves and evictions need no cursor bookkeeping.
+    last: NodeId,
 }
 
 impl PoolState {
-    fn streak(&self, t: NodeId) -> u32 {
-        self.flaky.get(&t.0).copied().unwrap_or(0)
-    }
-
-    /// Remove `target` from the healthy set, if it is there.
-    fn drop_healthy(&mut self, target: NodeId) {
-        if let Some(pos) = self.healthy.iter().position(|&t| t == target) {
-            self.drop_healthy_at(pos);
-        }
-    }
-
-    /// Remove the healthy target at `pos`, preserving the rotation
-    /// position: the cursor keeps pointing at the same next target
-    /// modulo the shrunken set instead of snapping back to the lowest
-    /// survivor (which would bias placement toward it after every
-    /// eviction).
-    fn drop_healthy_at(&mut self, pos: usize) {
-        self.healthy.remove(pos);
-        if pos < self.cursor {
-            self.cursor -= 1;
-        }
-        if self.cursor >= self.healthy.len() {
-            self.cursor = 0;
-        }
+    fn member(&mut self, node: NodeId) -> Option<&mut Member> {
+        let pos = self.members.binary_search_by_key(&node, |m| m.node).ok()?;
+        Some(&mut self.members[pos])
     }
 }
 
@@ -197,29 +193,26 @@ impl TargetPool {
                 "target pool: no targets given".into(),
             ));
         }
-        let mut healthy = Vec::with_capacity(targets.len());
+        let mut nodes = Vec::with_capacity(targets.len());
         for &t in targets {
             offload.check_target(t)?;
-            healthy.push(t);
+            nodes.push(t);
         }
-        healthy.sort_unstable();
-        healthy.dedup();
+        nodes.sort_unstable();
+        nodes.dedup();
         // Seed the health registry so reports cover targets that never
         // see an event (a target absent from the registry would read as
         // "unknown" rather than healthy-but-idle).
         let health = offload.backend().metrics().health().clone();
-        for &t in &healthy {
+        for &t in &nodes {
             health.register(t.0);
         }
         Ok(Self {
             offload,
             policy,
             state: Arc::new(Mutex::new(PoolState {
-                members: healthy.clone(),
-                healthy,
-                cursor: 0,
-                flaky: HashMap::new(),
-                resumes_seen: HashMap::new(),
+                members: nodes.into_iter().map(Member::new).collect(),
+                last: NodeId::HOST,
             })),
             prober: Mutex::new(None),
         })
@@ -229,7 +222,7 @@ impl TargetPool {
     /// included (reports cover lost targets until
     /// [`TargetPool::remove_target`] deletes them from the roster).
     pub fn targets(&self) -> Vec<NodeId> {
-        self.state.lock().members.clone()
+        self.state.lock().members.iter().map(|m| m.node).collect()
     }
 
     /// Snapshot the backend's metric registers scoped to this pool:
@@ -252,19 +245,25 @@ impl TargetPool {
         self.policy
     }
 
-    /// Targets still in the pool (evicted ones are pruned lazily).
+    /// Members still in the running: those whose channel exists and
+    /// is not evicted (a degraded one counts — it may heal).
     pub fn healthy(&self) -> Vec<NodeId> {
-        let mut st = self.state.lock();
-        self.prune(&mut st);
-        st.healthy.clone()
+        let st = self.state.lock();
+        st.members
+            .iter()
+            .map(|m| m.node)
+            .filter(|&t| self.live(t).is_some())
+            .collect()
     }
 
     /// Number of healthy targets. Counts under the lock without
-    /// cloning the healthy set — this sits on the admission path.
+    /// collecting them — this sits on the admission path.
     pub fn len(&self) -> usize {
-        let mut st = self.state.lock();
-        self.prune(&mut st);
-        st.healthy.len()
+        let st = self.state.lock();
+        st.members
+            .iter()
+            .filter(|m| self.live(m.node).is_some())
+            .count()
     }
 
     /// True when every target has been lost.
@@ -272,23 +271,20 @@ impl TargetPool {
         self.len() == 0
     }
 
-    /// Drop evicted targets from the healthy set.
-    fn prune(&self, st: &mut PoolState) {
-        let backend = self.offload.backend();
-        let mut pos = 0;
-        while let Some(&t) = st.healthy.get(pos) {
-            if backend.channel(t).is_ok_and(|c| c.eviction().is_none()) {
-                pos += 1;
-            } else {
-                st.drop_healthy_at(pos);
-            }
-        }
+    /// `t`'s channel while `t` is in the running: present and not
+    /// evicted.
+    fn live(&self, t: NodeId) -> Option<&ChannelCore> {
+        let chan = self.offload.backend().channel(t).ok()?;
+        chan.eviction().is_none().then_some(chan)
     }
 
-    /// Remove one target explicitly (used after a submit/flush failure
-    /// that may not have latched an eviction yet).
-    fn drop_target(&self, target: NodeId) {
-        self.state.lock().drop_healthy(target);
+    /// Did `err`, returned by work placed on `target`, evict it? Only
+    /// then does an offload move to another target. The engine latches
+    /// an eviction for every [`OffloadError::TargetLost`] it sees; the
+    /// error is matched too, so a failed batch member claimed between
+    /// its failure and that latch still counts.
+    fn evicted_by(&self, target: NodeId, err: &OffloadError) -> bool {
+        matches!(err, OffloadError::TargetLost(_)) || self.live(target).is_none()
     }
 
     /// Admit `target` into the running pool. The target must exist on
@@ -296,9 +292,7 @@ impl TargetPool {
     /// already completed — see `TcpBackend::join_target`) and must not
     /// be evicted; it starts receiving placements on the very next
     /// `select`. Idempotent: re-adding a current member is a no-op
-    /// (`Ok(false)`), and a member that was dropped from the healthy
-    /// set by a transient submit failure is re-admitted. Returns
-    /// `Ok(true)` when the roster actually grew.
+    /// (`Ok(false)`). Returns `Ok(true)` when the roster actually grew.
     pub fn add_target(&self, target: NodeId) -> Result<bool, OffloadError> {
         self.offload.check_target(target)?;
         let backend = self.offload.backend();
@@ -308,21 +302,13 @@ impl TargetPool {
         }
         let grew = {
             let mut st = self.state.lock();
-            let grew = if let Err(pos) = st.members.binary_search(&target) {
-                st.members.insert(pos, target);
-                true
-            } else {
-                false
-            };
-            if let Err(pos) = st.healthy.binary_search(&target) {
-                st.healthy.insert(pos, target);
-                // An insert below the cursor shifts the rotation's
-                // "next" target up by one; keep pointing at it.
-                if pos < st.cursor {
-                    st.cursor += 1;
+            match st.members.binary_search_by_key(&target, |m| m.node) {
+                Ok(_) => false,
+                Err(pos) => {
+                    st.members.insert(pos, Member::new(target));
+                    true
                 }
             }
-            grew
         };
         if grew {
             backend.metrics().health().register(target.0);
@@ -342,13 +328,10 @@ impl TargetPool {
     pub fn remove_target(&self, target: NodeId) -> Result<usize, OffloadError> {
         {
             let mut st = self.state.lock();
-            let Ok(pos) = st.members.binary_search(&target) else {
+            let Ok(pos) = st.members.binary_search_by_key(&target, |m| m.node) else {
                 return Err(OffloadError::BadNode(target));
             };
             st.members.remove(pos);
-            st.drop_healthy(target);
-            st.flaky.remove(&target.0);
-            st.resumes_seen.remove(&target.0);
         }
         let backend = self.offload.backend();
         let mut reclaimed = 0;
@@ -420,12 +403,7 @@ impl TargetPool {
     /// caller can do other work — e.g. run a task on the host — instead
     /// of blocking), `Err` when no healthy target remains.
     pub fn try_pick(&self) -> Result<Option<NodeId>, OffloadError> {
-        let mut st = self.state.lock();
-        self.prune(&mut st);
-        if st.healthy.is_empty() {
-            return Err(pool_empty());
-        }
-        Ok(self.select(&mut st, true))
+        self.select(&mut self.state.lock(), true)
     }
 
     /// Blocking placement: flush staged batches (a full accumulator
@@ -447,11 +425,7 @@ impl TargetPool {
         loop {
             {
                 let mut st = self.state.lock();
-                self.prune(&mut st);
-                if st.healthy.is_empty() {
-                    return Err(pool_empty());
-                }
-                if let Some(t) = self.select(&mut st, true) {
+                if let Some(t) = self.select(&mut st, true)? {
                     return Ok(t);
                 }
                 match self.degraded_wait_budget(&st) {
@@ -483,11 +457,10 @@ impl TargetPool {
     /// (progress detector). `None` while any healthy target is still
     /// connected (its credits will free up; wait indefinitely).
     fn degraded_wait_budget(&self, st: &PoolState) -> Option<(Duration, u64)> {
-        let backend = self.offload.backend();
         let mut epoch = 0u64;
         let mut budget_ms = 0u64;
-        for &t in &st.healthy {
-            let Ok(chan) = backend.channel(t) else {
+        for m in &st.members {
+            let Some(chan) = self.live(m.node) else {
                 continue;
             };
             if !chan.is_degraded() {
@@ -500,11 +473,13 @@ impl TargetPool {
         Some((Duration::from_millis(budget_ms.min(60_000)), epoch))
     }
 
-    /// Policy dispatch over the healthy set: one ascending scan that
-    /// skips missing and degraded channels (a degraded target stays
-    /// pooled — its link is reconnecting and it may heal — but takes no
-    /// new placements while down) and keeps the candidate with the
-    /// smallest key; strict `<` tie-breaks to the lowest node id.
+    /// Policy dispatch over the roster: one ascending scan that skips
+    /// members whose channel is missing, evicted or degraded (a degraded
+    /// target stays pooled — its link is reconnecting and it may heal —
+    /// but takes no new placements while down) and keeps the candidate
+    /// with the smallest key; strict `<` tie-breaks to the lowest node
+    /// id. `Err` when no member is live, `Ok(None)` when every live one
+    /// is degraded or (with `respect_credit`) out of credits.
     /// `respect_credit = false` (failover resubmission) still
     /// load-balances but never refuses: blocking on our own in-flight
     /// work mid-wait would deadlock, and the engine's slot backpressure
@@ -514,14 +489,18 @@ impl TargetPool {
     /// with a probe-miss streak is considered only after all clean
     /// targets, so a flapping link sheds placements before it
     /// hard-fails. With no prober running all streaks are zero.
-    fn select(&self, st: &mut PoolState, respect_credit: bool) -> Option<NodeId> {
-        let backend = self.offload.backend();
-        let n = st.healthy.len();
-        let mut best: Option<((u32, usize), usize)> = None;
-        for (idx, &t) in st.healthy.iter().enumerate() {
-            let Ok(chan) = backend.channel(t) else {
+    fn select(
+        &self,
+        st: &mut PoolState,
+        respect_credit: bool,
+    ) -> Result<Option<NodeId>, OffloadError> {
+        let mut any_live = false;
+        let mut best: Option<((u32, usize), NodeId)> = None;
+        for m in &st.members {
+            let Some(chan) = self.live(m.node) else {
                 continue;
             };
+            any_live = true;
             if chan.is_degraded() {
                 continue;
             }
@@ -529,23 +508,28 @@ impl TargetPool {
             if respect_credit && load >= chan.credit_limit() {
                 continue;
             }
-            let streak = st.streak(t);
             let key = match self.policy {
-                SchedPolicy::LeastLoaded => (streak, load),
-                // Clean targets first, each tier in rotation order from
-                // the cursor: a flaky target still serves when it is all
-                // that's left.
-                SchedPolicy::RoundRobin => (u32::from(streak > 0), (idx + n - st.cursor) % n),
+                SchedPolicy::LeastLoaded => (m.streak, load),
+                // Clean targets first, each tier in node order starting
+                // after the last pick: a flaky target still serves when
+                // it is all that's left.
+                SchedPolicy::RoundRobin => (
+                    u32::from(m.streak > 0),
+                    usize::from(m.node.0.wrapping_sub(st.last.0).wrapping_sub(1)),
+                ),
             };
             if best.is_none_or(|(b, _)| key < b) {
-                best = Some((key, idx));
+                best = Some((key, m.node));
             }
         }
-        let (_, idx) = best?;
-        if self.policy == SchedPolicy::RoundRobin {
-            st.cursor = (idx + 1) % n;
+        if !any_live {
+            return Err(pool_empty());
         }
-        Some(st.healthy[idx])
+        let picked = best.map(|(_, t)| t);
+        if let Some(t) = picked {
+            st.last = t;
+        }
+        Ok(picked)
     }
 
     /// The smallest completion-latency EWMA among `targets` (1.0 when
@@ -573,12 +557,7 @@ impl TargetPool {
     /// Flush every healthy target's staged batch and sweep its
     /// completion flags once.
     pub fn drain_all(&self) {
-        let targets = {
-            let mut st = self.state.lock();
-            self.prune(&mut st);
-            st.healthy.clone()
-        };
-        for t in targets {
+        for t in self.healthy() {
             let backend = self.offload.backend().as_ref();
             // A degraded target's flush parks until its link heals;
             // don't let it stall draining of the healthy targets.
@@ -647,22 +626,11 @@ impl TargetPool {
                         pinned: fixed.is_some(),
                     });
                 }
-                // Whole-runtime failures are not the target's fault.
-                Err(
-                    e @ (OffloadError::Shutdown
-                    | OffloadError::Ham(_)
-                    | OffloadError::Mem(_)
-                    | OffloadError::BadNode(_)),
-                ) => return Err(e),
-                Err(e) => {
-                    // Target-specific failure before anything reached
-                    // the wire: drain it from the pool, try a survivor.
-                    self.drop_target(target);
-                    if fixed.is_some() {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                }
+                // The post evicted its target before anything reached
+                // the wire: try a survivor. Any other error (a message
+                // too large for the slots, shutdown) is the caller's.
+                Err(e) if fixed.is_none() && self.evicted_by(target, &e) => last_err = Some(e),
+                Err(e) => return Err(e),
             }
         }
     }
@@ -680,14 +648,9 @@ impl TargetPool {
     /// Resubmit a failed-but-unsent offload to a survivor.
     fn repost<T>(&self, fut: &mut PoolFuture<T>) -> Result<(), OffloadError> {
         loop {
-            let target = {
-                let mut st = self.state.lock();
-                self.prune(&mut st);
-                if st.healthy.is_empty() {
-                    return Err(pool_empty());
-                }
-                self.select(&mut st, false).ok_or_else(pool_empty)?
-            };
+            let target = self
+                .select(&mut self.state.lock(), false)?
+                .ok_or_else(pool_empty)?;
             match self.resubmit(fut, target) {
                 Ok(()) => {
                     // Record the failover in the health log with the
@@ -702,8 +665,8 @@ impl TargetPool {
                     );
                     return Ok(());
                 }
-                Err(OffloadError::Shutdown) => return Err(OffloadError::Shutdown),
-                Err(_) => self.drop_target(target),
+                Err(e) if self.evicted_by(target, &e) => {}
+                Err(e) => return Err(e),
             }
         }
     }
@@ -733,10 +696,11 @@ impl TargetPool {
             }
             return !fut.inner.is_pending();
         }
-        if !migrated {
-            // The frame never reached a *lost* target — drain it from
-            // the pool. A migration donor is merely slow and stays in.
-            self.drop_target(target);
+        // A migration donor is merely slow; otherwise the offload moves
+        // only when its failure evicted the target, and any other error
+        // stays the caller's.
+        if !migrated && !self.evicted_by(target, &err) {
+            return true;
         }
         // Pending again on a survivor — or, with no survivors, the
         // *original* error stays where it is.
@@ -760,14 +724,10 @@ impl TargetPool {
     /// reclaimed.
     pub fn rebalance(&self) -> usize {
         let backend = self.offload.backend();
-        let healthy = {
-            let mut st = self.state.lock();
-            self.prune(&mut st);
-            if st.healthy.len() < 2 {
-                return 0;
-            }
-            st.healthy.clone()
-        };
+        let healthy = self.healthy();
+        if healthy.len() < 2 {
+            return 0;
+        }
         let floor = self.ewma_floor(&healthy);
         // The cheapest completely idle recipient.
         let mut recipient = f64::INFINITY;
@@ -870,7 +830,7 @@ impl Drop for TargetPool {
 /// `(answered, missed)`.
 fn probe_round(offload: &Offload, state: &Mutex<PoolState>) -> (usize, usize) {
     let backend = offload.backend();
-    let members: Vec<NodeId> = state.lock().members.clone();
+    let members: Vec<NodeId> = state.lock().members.iter().map(|m| m.node).collect();
     let (mut answered, mut missed) = (0, 0);
     for t in members {
         let Ok(chan) = backend.channel(t) else {
@@ -880,35 +840,27 @@ fn probe_round(offload: &Offload, state: &Mutex<PoolState>) -> (usize, usize) {
             continue;
         }
         let epoch = chan.resumes();
-        {
-            let mut st = state.lock();
-            if let Some(prev) = st.resumes_seen.insert(t.0, epoch) {
-                if prev != epoch {
-                    // The transport resumed the session between rounds:
-                    // that is the heal notification — forgive the
-                    // streak now, don't make the target earn placements
-                    // back one halving at a time.
-                    st.flaky.remove(&t.0);
-                }
+        if let Some(m) = state.lock().member(t) {
+            if core::mem::replace(&mut m.resumes, epoch) != epoch {
+                // The transport resumed the session between rounds:
+                // that is the heal notification — forgive the streak
+                // now, don't make the target earn placements back one
+                // halving at a time.
+                m.streak = 0;
             }
         }
-        match engine::probe(backend.as_ref(), t) {
-            Ok(()) => {
-                answered += 1;
-                let mut st = state.lock();
-                if let Some(s) = st.flaky.get_mut(&t.0) {
-                    *s /= 2;
-                    if *s == 0 {
-                        st.flaky.remove(&t.0);
-                    }
-                }
-            }
-            Err(_) => {
-                missed += 1;
-                let mut st = state.lock();
-                let s = st.flaky.entry(t.0).or_insert(0);
-                *s = s.saturating_add(1);
-            }
+        let ok = engine::probe(backend.as_ref(), t).is_ok();
+        if ok {
+            answered += 1;
+        } else {
+            missed += 1;
+        }
+        if let Some(m) = state.lock().member(t) {
+            m.streak = if ok {
+                m.streak / 2
+            } else {
+                m.streak.saturating_add(1)
+            };
         }
     }
     (answered, missed)
@@ -964,6 +916,7 @@ mod tests {
     use crate::local::LocalBackend;
     use ham::{f2f, ham_kernel};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     ham_kernel! {
         pub fn pool_probe(ctx, x: u64) -> u64 { x * 1000 + ctx.node as u64 }
@@ -1200,8 +1153,7 @@ mod tests {
 
     /// Regression: pruning an evicted target used to reset the
     /// round-robin cursor to 0, biasing placement toward the lowest
-    /// surviving id. The rotation position must be preserved modulo the
-    /// shrunken set.
+    /// surviving id. Rotation must continue after the last pick.
     #[test]
     fn round_robin_rotation_survives_eviction_without_reset() {
         let (o, p) = pooled(3, SchedPolicy::RoundRobin);
@@ -1253,15 +1205,17 @@ mod tests {
         // Retiring a member drains it and stops new placements on it;
         // earlier results stay claimable.
         p.probe_now();
-        assert!(p.state.lock().resumes_seen.contains_key(&2));
+        let resumes = o.backend().channel(NodeId(2)).unwrap().resumes();
+        assert_eq!(
+            p.state.lock().member(NodeId(2)).map(|m| m.resumes),
+            Some(resumes)
+        );
         p.remove_target(NodeId(2)).unwrap();
         assert_eq!(p.healthy(), vec![NodeId(1), NodeId(3)]);
-        let st = p.state.lock();
         assert!(
-            !st.resumes_seen.contains_key(&2) && !st.flaky.contains_key(&2),
+            p.state.lock().member(NodeId(2)).is_none(),
             "a removed target leaves no prober state behind"
         );
-        drop(st);
         assert!(
             matches!(p.remove_target(NodeId(2)), Err(OffloadError::BadNode(_))),
             "double remove refused"
@@ -1292,8 +1246,8 @@ mod tests {
         let health = o.backend().metrics().health();
         assert_eq!(health.state(1), Some(TargetState::Degraded));
         // The link heals. Before the next probe round the streak still
-        // stands, so the clean peer is preferred even though the
-        // rotation cursor points at target 1...
+        // stands, so the clean peer is preferred even though rotation
+        // would reach target 1 first...
         chan.resume(None, OffloadError::TargetLost(NodeId(1)));
         assert_eq!(p.try_pick().unwrap(), Some(NodeId(2)));
         // ...and the next round sees the resume epoch advance, forgives
@@ -1341,41 +1295,58 @@ mod tests {
         assert!(p.wait_any::<u64>(&mut []).is_none());
     }
 
-    /// Test-only copy of the two hand-written loops the one-scan
-    /// `select` replaced: round-robin's "clean first, then flaky"
-    /// rotation and least-loaded's lexicographic `(streak, load)` scan.
-    fn two_loop_select(p: &TargetPool, st: &mut PoolState, respect_credit: bool) -> Option<NodeId> {
+    /// Test-only reference for the one-scan `select`: the parent's
+    /// prune (members whose channel is missing or evicted drop out),
+    /// then the two hand-written loops it replaced — round-robin's
+    /// "clean first, then flaky" rotation, starting at the first live
+    /// member above the last pick, and least-loaded's lexicographic
+    /// `(streak, load)` scan.
+    fn two_loop_select(
+        p: &TargetPool,
+        st: &mut PoolState,
+        respect_credit: bool,
+    ) -> Result<Option<NodeId>, OffloadError> {
         let backend = p.offload.backend();
-        match p.policy {
+        let live: Vec<(NodeId, u32)> = st
+            .members
+            .iter()
+            .filter(|m| {
+                backend
+                    .channel(m.node)
+                    .is_ok_and(|c| c.eviction().is_none())
+            })
+            .map(|m| (m.node, m.streak))
+            .collect();
+        if live.is_empty() {
+            return Err(pool_empty());
+        }
+        let picked = match p.policy {
             SchedPolicy::RoundRobin => {
-                let n = st.healthy.len();
-                for pass in 0..2 {
+                let n = live.len();
+                let cursor = live.iter().position(|&(t, _)| t > st.last).unwrap_or(0);
+                let mut picked = None;
+                'scan: for pass in 0..2 {
                     for i in 0..n {
-                        let idx = (st.cursor + i) % n;
-                        let t = st.healthy[idx];
-                        if pass == 0 && st.streak(t) > 0 {
+                        let (t, streak) = live[(cursor + i) % n];
+                        if pass == 0 && streak > 0 {
                             continue;
                         }
-                        let Ok(chan) = backend.channel(t) else {
-                            continue;
-                        };
+                        let chan = backend.channel(t).unwrap();
                         if chan.is_degraded() {
                             continue;
                         }
                         if !respect_credit || chan.has_credit() {
-                            st.cursor = (idx + 1) % n;
-                            return Some(t);
+                            picked = Some(t);
+                            break 'scan;
                         }
                     }
                 }
-                None
+                picked
             }
             SchedPolicy::LeastLoaded => {
                 let mut best: Option<((u32, f64), NodeId)> = None;
-                for &t in &st.healthy {
-                    let Ok(chan) = backend.channel(t) else {
-                        continue;
-                    };
+                for &(t, streak) in &live {
+                    let chan = backend.channel(t).unwrap();
                     if chan.is_degraded() {
                         continue;
                     }
@@ -1383,28 +1354,33 @@ mod tests {
                     if respect_credit && load >= chan.credit_limit() {
                         continue;
                     }
-                    let key = (st.streak(t), load as f64);
+                    let key = (streak, load as f64);
                     if best.is_none_or(|(b, _)| key < b) {
                         best = Some((key, t));
                     }
                 }
                 best.map(|(_, t)| t)
             }
+        };
+        if let Some(t) = picked {
+            st.last = t;
         }
+        Ok(picked)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The one-scan `select` returns the same target and leaves the
-        /// same cursor as the two loops it replaced, under both
-        /// policies, from every cursor position, with and without credit
-        /// admission — over random synthetic loads up to the credit
-        /// limit, degraded channels, probe-miss streaks, and (`ghost`)
-        /// a healthy-set entry the backend has no channel for.
+        /// The one-scan `select` returns the same target (or the same
+        /// pool-empty error) and leaves the same last pick as the two
+        /// loops it replaced, under both policies, from every last pick
+        /// in `0..=n+1`, with and without credit admission — over random
+        /// synthetic loads up to the credit limit, degraded channels,
+        /// evicted channels, probe-miss streaks, and (`ghost`) a member
+        /// the backend has no channel for.
         #[test]
         fn one_scan_select_places_like_the_two_loops(
-            targets in proptest::collection::vec((0usize..6, 0u8..4, 0u32..3), 1..7),
+            targets in proptest::collection::vec((0usize..6, 0u8..4, 0u8..4, 0u32..3), 1..7),
             ghost: bool,
         ) {
             let n = targets.len() as u16;
@@ -1415,7 +1391,7 @@ mod tests {
             let pools = [SchedPolicy::LeastLoaded, SchedPolicy::RoundRobin]
                 .map(|policy| o.pool_with(&nodes, policy).unwrap());
             let b = o.backend();
-            for (&t, &(load, degraded, streak)) in nodes.iter().zip(&targets) {
+            for (&t, &(load, degraded, evicted, streak)) in nodes.iter().zip(&targets) {
                 let chan = b.channel(t).unwrap();
                 let limit = chan.credit_limit();
                 // 0..=3 in flight, one short of the limit, or at it.
@@ -1431,30 +1407,31 @@ mod tests {
                 if degraded == 0 {
                     chan.degrade(OffloadError::TargetLost(t));
                 }
+                if evicted == 0 {
+                    chan.evict(OffloadError::TargetLost(t));
+                }
                 for p in &pools {
-                    if streak > 0 {
-                        p.state.lock().flaky.insert(t.0, streak);
-                    }
+                    p.state.lock().member(t).unwrap().streak = streak;
                 }
             }
             for p in &pools {
                 let mut st = p.state.lock();
                 if ghost {
-                    st.healthy.push(NodeId(n + 1));
+                    st.members.push(Member::new(NodeId(n + 1)));
                 }
-                for cursor in 0..st.healthy.len() {
+                for last in (0..=n + 1).map(NodeId) {
                     for respect_credit in [false, true] {
-                        st.cursor = cursor;
+                        st.last = last;
                         let want = two_loop_select(p, &mut st, respect_credit);
-                        let want_cursor = st.cursor;
-                        st.cursor = cursor;
+                        let want_last = st.last;
+                        st.last = last;
                         let got = p.select(&mut st, respect_credit);
                         prop_assert_eq!(
-                            (got, st.cursor),
-                            (want, want_cursor),
-                            "{:?} from cursor {} (credit {})",
+                            (got, st.last),
+                            (want, want_last),
+                            "{:?} after last pick {:?} (credit {})",
                             p.policy,
-                            cursor,
+                            last,
                             respect_credit
                         );
                     }

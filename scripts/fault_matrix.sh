@@ -56,6 +56,7 @@ pool_tests=(
   pool_kill_one_of_four_tcp
   staged_batch_offloads_fail_over_to_survivors
   killing_every_target_empties_the_pool
+  oversized_submit_leaves_the_pool_whole
   kill_target_latches_eviction_before_returning
   membership_add_target_mid_flight_matrix
   membership_remove_target_reclaims_staged_work

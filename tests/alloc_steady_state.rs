@@ -429,11 +429,11 @@ mod warm_wait {
     }
 
     /// Pool admission is heap-silent once warm: `len`/`is_empty` count
-    /// the healthy set under the lock (they used to clone the healthy
-    /// `Vec` — one allocation per liveness check, on the hot submit
-    /// path of every pooled caller), and a `try_pick` placement
-    /// decision (prune + policy select + credit check) is pointer
-    /// chasing and integer math over preallocated state.
+    /// the live members under the lock (they once cloned a `Vec` — one
+    /// allocation per liveness check, on the hot submit path of every
+    /// pooled caller), and a `try_pick` placement decision (one roster
+    /// scan: liveness, policy key, credit check) is pointer chasing and
+    /// integer math over preallocated state.
     #[test]
     fn warm_pool_admission_allocates_nothing() {
         use ham_offload::sched::SchedPolicy;
@@ -442,8 +442,8 @@ mod warm_wait {
         let o = Offload::new(Arc::new(MockBackend::new()));
         let pool = o.pool_with(&[NodeId(1)], SchedPolicy::RoundRobin).unwrap();
         // Warm-up: pooled rounds fill the frame pool, the channel
-        // tables, and the pool's own admission state (healthy set,
-        // miss-streak map, cursor).
+        // tables, and the pool's own admission state (member records,
+        // last pick).
         for _ in 0..4 {
             let futs: Vec<_> = (0..DEPTH)
                 .map(|_| pool.submit(f2f!(echo_probe, VALUE)).unwrap())

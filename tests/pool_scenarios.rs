@@ -4,7 +4,7 @@
 //! offloads is in flight, on every fault-capable backend (VEO, DMA,
 //! TCP) under the fixed seed set: every offload either completes with
 //! a correct result on the target that served it or fails with
-//! `TargetLost`, the pool prunes the dead target, post-kill waves run
+//! `TargetLost`, the dead target leaves the pool, post-kill waves run
 //! entirely on the survivors, and no in-flight frame record leaks —
 //! run twice per seed to pin the semantic fault timeline and the
 //! placement decisions.
@@ -14,7 +14,7 @@
 //! whose envelope failed to send) verifiably never reached the wire,
 //! so the pool resubmits them to survivors and *all* offloads complete.
 
-use aurora_workloads::kernels::compute_burn;
+use aurora_workloads::kernels::{compute_burn, echo};
 use ham::f2f;
 use ham_aurora_repro::fault_scenario::{probe_expected, scenario_probe, BackendKind};
 use ham_aurora_repro::{
@@ -159,8 +159,8 @@ fn kill_one_of_four_once(kind: BackendKind, policy: SchedPolicy, seed: u64) -> P
 
     // Pin the death onto the books before the next wave: a pinned probe
     // rides the dying channel into its eviction (or is refused outright
-    // once the eviction is latched), so wave 2's prune is
-    // deterministic. A last-gasp completion just loops again.
+    // once the eviction is latched), so wave 2 skips the victim
+    // deterministically. A last-gasp completion just loops again.
     while o
         .backend()
         .channel(victim)
@@ -225,7 +225,7 @@ fn kill_one_of_four_once(kind: BackendKind, policy: SchedPolicy, seed: u64) -> P
 
 /// The kill-wave's ok/lost split can race the victim's last flag fetch,
 /// so the replay comparison pins everything that must be deterministic
-/// (placements, fault timeline, fault-free waves, the pruned set) and
+/// (placements, fault timeline, fault-free waves, the surviving set) and
 /// only requires the racy split to stay fully accounted.
 fn pool_kill_one_of_four(kind: BackendKind, policy: SchedPolicy) {
     for seed in SEEDS {
@@ -521,7 +521,7 @@ fn staged_members_migrate_off_a_slow_target() {
 /// the eviction latch to the TCP reader thread's EOF handling, so a
 /// caller could observe every in-flight future resolved (send-side
 /// errors fail them first) while `eviction()` was still unset for a
-/// scheduling beat — `prune` kept the dead target and `is_empty()`
+/// scheduling beat — the pool kept the dead target and `is_empty()`
 /// reported a live pool. `kill_target` now latches the eviction
 /// before returning in non-cluster mode, so the post-condition is
 /// deterministic: no sleeps or yields here, the eviction must be
@@ -591,6 +591,45 @@ fn killing_every_target_empties_the_pool() {
         assert_eq!(o.in_flight(n).unwrap_or(0), 0, "leak on t{}", n.0);
     }
     o.shutdown();
+}
+
+/// A submit too large for the slots is the caller's error, not the
+/// target's: it returns the size error, every target stays in the
+/// pool, and valid placed and affinity submits still complete.
+#[test]
+fn oversized_submit_leaves_the_pool_whole() {
+    for kind in [BackendKind::Veo, BackendKind::Dma] {
+        let o = offload_with(kind, 2, OffloadOptions::default(), |b| {
+            b.register::<scenario_probe>();
+            b.register::<echo>();
+        });
+        let nodes = vec![NodeId(1), NodeId(2)];
+        let pool = o.pool_with(&nodes, SchedPolicy::RoundRobin).expect("pool");
+        let slot = o
+            .backend()
+            .channel(NodeId(1))
+            .expect("channel")
+            .max_msg_bytes();
+        let err = pool.submit(f2f!(echo, vec![0u8; 2 * slot])).unwrap_err();
+        assert!(
+            err.to_string().contains("exceeds the protocol's"),
+            "{kind:?}: {err}"
+        );
+        assert_eq!(pool.healthy(), nodes, "{kind:?}: the pool must stay whole");
+        let f = pool
+            .submit(f2f!(echo, vec![7u8; 16]))
+            .expect("valid submit");
+        assert_eq!(pool.get(f).expect("echo"), vec![7u8; 16], "{kind:?}");
+        let f = pool
+            .submit_to(NodeId(2), f2f!(scenario_probe, 5))
+            .expect("valid submit_to");
+        assert_eq!(
+            pool.get(f).expect("probe"),
+            probe_expected(5, 2),
+            "{kind:?}"
+        );
+        o.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------
