@@ -200,14 +200,14 @@ impl<P: Protocol> AuroraBackend<P> {
                 let lib = KernelLibrary::new()
                     .with(P::INIT_SYMBOL, move |ve, args| {
                         let (ret, side) = ve_init(ve, args);
-                        *ve_side2.lock().expect("init slot poisoned") = Some(side);
+                        *ve_side2.lock().unwrap() = Some(side);
                         ret
                     })
                     .with("ham_main", move |ve, _args| {
                         let chan = VeChannel {
                             ve: ve_side
                                 .lock()
-                                .expect("init slot poisoned")
+                                .unwrap()
                                 .take()
                                 .expect("the init symbol must run before ham_main"),
                             clock: ve.clock().clone(),

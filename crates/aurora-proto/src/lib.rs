@@ -19,7 +19,7 @@ use ham::{HamError, Registry, RegistryBuilder, TargetMemory};
 use ham_offload::backend::{build_registry, RawBuffer, Registrar};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use veo_api::VeoProc;
 use veos_sim::{AuroraMachine, VeProcess};
 
@@ -245,7 +245,7 @@ impl AuroraCore {
     ) -> Result<R, OffloadError> {
         let len = len.max(1);
         let idle = {
-            let mut pool = self.staging.lock().expect("staging pool poisoned");
+            let mut pool = self.staging.lock().unwrap();
             let fit = pool.iter().position(|&(_, cap)| cap >= len);
             fit.or(pool.len().checked_sub(1))
                 .map(|i| pool.swap_remove(i))
@@ -265,10 +265,7 @@ impl AuroraCore {
             }
         };
         let result = f(buf.0);
-        self.staging
-            .lock()
-            .expect("staging pool poisoned")
-            .push(buf);
+        self.staging.lock().unwrap().push(buf);
         result
     }
 
@@ -305,7 +302,11 @@ impl AuroraCore {
 impl Drop for AuroraCore {
     fn drop(&mut self) {
         let vh = self.machine.vh(self.host_socket);
-        let pool = self.staging.get_mut().unwrap_or_else(|e| e.into_inner());
+        // This can run during an unwind: take the pool even if poisoned.
+        let pool = self
+            .staging
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         for (addr, _) in pool.drain(..) {
             let _ = vh.free(addr);
         }

@@ -43,9 +43,8 @@ use ham_offload::chan::pool::{FramePool, PooledFrame};
 use ham_offload::chan::{PendingEntry, Reservation};
 use ham_offload::types::NodeId;
 use ham_offload::OffloadError;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use veo_api::ArgsStack;
 use veos_sim::VeProcess;
@@ -74,6 +73,7 @@ impl ShmKeyPool {
         let key = self
             .free
             .lock()
+            .unwrap()
             .pop()
             .unwrap_or_else(|| self.next.fetch_add(1, Ordering::Relaxed));
         ShmKeyLease { pool: self, key }
@@ -90,7 +90,7 @@ struct ShmKeyLease {
 
 impl Drop for ShmKeyLease {
     fn drop(&mut self) {
-        self.pool.free.lock().push(self.key);
+        self.pool.free.lock().unwrap().push(self.key);
     }
 }
 
@@ -326,7 +326,7 @@ impl Protocol for DmaSegment {
     fn stop(&self) {
         if let Some(r) = &self.reverse {
             r.stop.store(true, Ordering::Release);
-            if let Some(h) = r.thread.lock().take() {
+            if let Some(h) = r.thread.lock().unwrap().take() {
                 let _ = h.join();
             }
         }

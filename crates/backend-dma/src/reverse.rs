@@ -28,9 +28,8 @@ use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 use ham::{ExecContext, HamError, Registry};
 use ham_offload::target_loop::{unframe_result_ref, write_framed};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Message-area stride inside the reverse slot.
 fn msg_stride(cfg: &ProtocolConfig) -> u64 {
@@ -197,7 +196,7 @@ impl ReverseTransport for VeReverseTransport {
                 self.cfg.msg_bytes
             )));
         }
-        let mut seq_guard = self.seq.lock();
+        let mut seq_guard = self.seq.lock().unwrap();
         let seq = *seq_guard;
         *seq_guard += 1;
 

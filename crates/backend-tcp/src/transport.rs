@@ -35,11 +35,10 @@ use ham_offload::device::{DeviceConfig, DeviceRuntime, HaltReason};
 use ham_offload::target_loop::{result_header, Polled, TargetChannel, TargetEnv};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
-use parking_lot::Mutex;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -88,6 +87,12 @@ struct Link {
 }
 
 impl Link {
+    /// Tear both sockets down, so the ctrl loop and the reader see EOF.
+    fn close_sockets(&self) {
+        let _ = self.msg_tx.lock().unwrap().shutdown(Shutdown::Both);
+        let _ = self.ctrl.lock().unwrap().shutdown(Shutdown::Both);
+    }
+
     /// The link dropped: degrade the channel (posts park, nothing is
     /// failed). The supervisor's EOF and a failed write can both get
     /// here; whichever degrades first records the one `Disconnect`.
@@ -272,13 +277,13 @@ fn next_msg(
 
 impl TargetChannel for TcpSideChannel {
     fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-        next_msg(&mut self.rx.lock(), pool)
+        next_msg(&mut self.rx.lock().unwrap(), pool)
     }
 
     /// Never waits for a *new* frame, but does finish one whose first
     /// bytes are already in the buffer (the rest is in flight).
     fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-        let mut rx = self.rx.lock();
+        let mut rx = self.rx.lock().unwrap();
         if !rx.1.has_buffered() {
             return Polled::Empty;
         }
@@ -290,12 +295,12 @@ impl TargetChannel for TcpSideChannel {
 
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
         let header = result_header(reply_slot, seq, payload.len()).encode();
-        let (stream, queue) = &mut *self.tx.lock();
+        let (stream, queue) = &mut *self.tx.lock().unwrap();
         let _ = queue_frame(stream, queue, &header, &payload);
     }
 
     fn flush(&self) {
-        let (stream, queue) = &mut *self.tx.lock();
+        let (stream, queue) = &mut *self.tx.lock().unwrap();
         let _ = write_queued(stream, queue);
     }
 }
@@ -307,11 +312,13 @@ fn serve_ctrl(mut stream: TcpStream, mem: &VecMemory, alloc: &Mutex<RangeAllocat
             Err(e) => Err(e),
             Ok(ControlOp::Alloc { bytes }) => alloc
                 .lock()
+                .unwrap()
                 .alloc(bytes, 8)
                 .map(|a| a.to_le_bytes().to_vec())
                 .map_err(|e| e.to_string()),
             Ok(ControlOp::Free { addr }) => alloc
                 .lock()
+                .unwrap()
                 .free(addr)
                 .map(|_| Vec::new())
                 .map_err(|e| e.to_string()),
@@ -430,7 +437,7 @@ fn target_main(
         watermark = end.watermark;
         served_total += end.served;
         // Shut the session's sockets down so the ctrl thread unblocks.
-        let _ = chan.tx.lock().0.shutdown(std::net::Shutdown::Both);
+        let _ = chan.tx.lock().unwrap().0.shutdown(Shutdown::Both);
         let _ = ctrl_thread.join();
         if end.reason == HaltReason::Control {
             return served_total;
@@ -517,13 +524,13 @@ fn run_link(
                 let Ok(rx) = msg.try_clone() else {
                     continue;
                 };
-                *link.msg_tx.lock() = msg;
-                *link.ctrl.lock() = ctrl;
+                *link.msg_tx.lock().unwrap() = msg;
+                *link.ctrl.lock().unwrap() = ctrl;
                 // Resume: replay what the watermark proves unexecuted,
                 // fail the possibly-executed rest with `TargetLost`.
                 let mut replay_ok = true;
                 if let Some(report) = link.chan.resume(announce.watermark, lost()) {
-                    let mut tx = link.msg_tx.lock();
+                    let mut tx = link.msg_tx.lock().unwrap();
                     let mut replayed = 0u64;
                     for f in &report.replay {
                         if write_frame(&mut *tx, &f.frame).is_err() {
@@ -659,7 +666,7 @@ impl TcpBackend {
         if node.is_host() || node.0 as usize > self.targets.len() {
             return Err(OffloadError::BadNode(node));
         }
-        let _guard = self.join_lock.lock();
+        let _guard = self.join_lock.lock().unwrap();
         let idx = node.0 as usize - 1;
         if self.targets[idx].get().is_some() {
             return Err(OffloadError::Backend(format!(
@@ -725,7 +732,7 @@ impl TcpBackend {
                 node.0
             )));
         }
-        let mut stream = t.link.ctrl.lock();
+        let mut stream = t.link.ctrl.lock().unwrap();
         op.write_to(&mut *stream).map_err(io_err)?;
         let resp = read_frame(&mut *stream)
             .map_err(io_err)?
@@ -779,7 +786,7 @@ impl CommBackend for TcpBackend {
         frame: &[u8],
     ) -> Result<(), OffloadError> {
         let t = self.target(target)?;
-        match write_frame(&mut *t.link.msg_tx.lock(), frame) {
+        match write_frame(&mut *t.link.msg_tx.lock().unwrap(), frame) {
             Ok(()) => Ok(()),
             Err(_) if self.budget > 0 && t.link.chan.eviction().is_none() => {
                 // The socket died under this post. Degrade (the link
@@ -859,8 +866,7 @@ impl CommBackend for TcpBackend {
     fn kill_target(&self, target: NodeId) -> Result<(), OffloadError> {
         let t = self.target(target)?;
         self.plan.disconnect(target.0, self.clock.now());
-        let _ = t.link.msg_tx.lock().shutdown(std::net::Shutdown::Both);
-        let _ = t.link.ctrl.lock().shutdown(std::net::Shutdown::Both);
+        t.link.close_sockets();
         if self.budget == 0 {
             // Latch the eviction before returning rather than leaving
             // it to the supervisor's EOF handling: otherwise a
@@ -908,21 +914,20 @@ impl CommBackend for TcpBackend {
                     corr: 0,
                     seq: u64::MAX,
                 };
-                let _ = write_frame(&mut *t.link.msg_tx.lock(), &header.encode());
+                let _ = write_frame(&mut *t.link.msg_tx.lock().unwrap(), &header.encode());
             }
             // Close the sockets so the ctrl loop and reader unblock.
-            let _ = t.link.msg_tx.lock().shutdown(std::net::Shutdown::Both);
-            let _ = t.link.ctrl.lock().shutdown(std::net::Shutdown::Both);
+            t.link.close_sockets();
             // A target that lost its session parks in `accept`; a 'Q'
             // hello tells it to exit instead of waiting for a connection
             // that will never come.
             if let Ok(mut s) = TcpStream::connect(t.link.addr) {
                 let _ = s.write_all(b"Q");
             }
-            if let Some(h) = t.server.lock().take() {
+            if let Some(h) = t.server.lock().unwrap().take() {
                 let _ = h.join();
             }
-            if let Some(h) = t.reader.lock().take() {
+            if let Some(h) = t.reader.lock().unwrap().take() {
                 let _ = h.join();
             }
         }
@@ -1037,7 +1042,8 @@ mod tests {
         let link = &backend.target(NodeId(1)).unwrap().link;
         link.msg_tx
             .lock()
-            .shutdown(std::net::Shutdown::Write)
+            .unwrap()
+            .shutdown(Shutdown::Write)
             .unwrap();
         let o = Offload::new(backend.clone());
         let err = o.sync(NodeId(1), f2f!(node_echo)).unwrap_err();
@@ -1323,7 +1329,7 @@ mod tests {
         });
         for (i, p) in frames.iter().enumerate() {
             chan.send_result(0, i as u64, p.clone());
-            let cap = chan.tx.lock().1.capacity();
+            let cap = chan.tx.lock().unwrap().1.capacity();
             assert!(
                 cap <= RESULT_QUEUE + PREFIX + HEADER_BYTES + p.len(),
                 "{cap}"
@@ -1333,11 +1339,7 @@ mod tests {
             }
         }
         chan.flush();
-        chan.tx
-            .lock()
-            .0
-            .shutdown(std::net::Shutdown::Write)
-            .unwrap();
+        chan.tx.lock().unwrap().0.shutdown(Shutdown::Write).unwrap();
         assert!(
             reader.join().unwrap() == expect,
             "the socket saw other bytes"

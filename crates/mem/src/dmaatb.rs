@@ -11,8 +11,7 @@
 //! registration is the expensive, setup-time operation.
 
 use crate::{MemError, Region, Vehva};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// What a DMAATB entry points at.
 #[derive(Clone, Debug)]
@@ -60,12 +59,12 @@ impl Dmaatb {
                 size: target.region.len(),
             });
         }
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.lock().unwrap();
         let slot = entries
             .iter_mut()
             .find(|e| e.is_none())
             .ok_or(MemError::DmaatbFull)?;
-        let mut next = self.next_vehva.lock();
+        let mut next = self.next_vehva.lock().unwrap();
         let vehva = *next;
         *next += len.next_multiple_of(VEHVA_ALIGN).max(VEHVA_ALIGN);
         *slot = Some(Entry { vehva, len, target });
@@ -74,7 +73,7 @@ impl Dmaatb {
 
     /// Drop the registration whose window starts at `vehva`.
     pub fn unregister(&self, vehva: Vehva) -> Result<(), MemError> {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.lock().unwrap();
         for e in entries.iter_mut() {
             if matches!(e, Some(entry) if entry.vehva == vehva.get()) {
                 *e = None;
@@ -88,7 +87,7 @@ impl Dmaatb {
     /// target. The access must lie entirely within one registration
     /// (hardware would raise an exception otherwise).
     pub fn translate(&self, vehva: Vehva, len: u64) -> Result<DmaTarget, MemError> {
-        let entries = self.entries.lock();
+        let entries = self.entries.lock().unwrap();
         for e in entries.iter().flatten() {
             if vehva.get() >= e.vehva && vehva.get() + len <= e.vehva + e.len {
                 let delta = vehva.get() - e.vehva;
@@ -107,12 +106,12 @@ impl Dmaatb {
 
     /// Number of live registrations.
     pub fn live_entries(&self) -> usize {
-        self.entries.lock().iter().flatten().count()
+        self.entries.lock().unwrap().iter().flatten().count()
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().unwrap().len()
     }
 }
 
@@ -146,6 +145,37 @@ mod tests {
         let b = atb.register(target(64), 64).unwrap();
         assert_ne!(a, b);
         assert_eq!(atb.live_entries(), 2);
+    }
+
+    #[test]
+    fn concurrent_registrations_get_disjoint_aligned_windows() {
+        let atb = Dmaatb::new(8);
+        let start = std::sync::Barrier::new(8);
+        let mut windows: Vec<(Vehva, u64, DmaTarget)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (1..=8u64)
+                .map(|i| {
+                    let (atb, start) = (&atb, &start);
+                    s.spawn(move || {
+                        let len = i * 40_000;
+                        let t = target(len);
+                        start.wait();
+                        (atb.register(t.clone(), len).unwrap(), len, t)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        windows.sort_by_key(|(v, _, _)| v.get());
+        for pair in windows.windows(2) {
+            let (v, len, _) = &pair[0];
+            assert!(v.get() + len <= pair[1].0.get(), "windows overlap");
+        }
+        for (v, len, t) in &windows {
+            assert_eq!(v.get() % VEHVA_ALIGN, 0, "unaligned window");
+            let back = atb.translate(*v, *len).unwrap();
+            assert!(Arc::ptr_eq(&back.region, &t.region), "wrong target");
+        }
+        assert_eq!(atb.live_entries(), 8);
     }
 
     #[test]

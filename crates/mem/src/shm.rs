@@ -6,9 +6,8 @@
 //! `shmget`/`shmat`/`shmdt`/`shmctl(IPC_RMID)` subset those steps need.
 
 use crate::{MemError, Region};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One shared-memory segment: a key plus its backing region.
 #[derive(Debug)]
@@ -42,7 +41,7 @@ impl ShmSegment {
 
     /// Current number of attachments.
     pub fn attach_count(&self) -> u32 {
-        *self.attach_count.lock()
+        *self.attach_count.lock().unwrap()
     }
 }
 
@@ -100,7 +99,7 @@ impl ShmManager {
 
     /// `shmget(key, size, IPC_CREAT | IPC_EXCL)`: create a segment.
     pub fn create(&self, key: i32, size: u64) -> Result<Arc<ShmSegment>, MemError> {
-        let mut segs = self.segments.lock();
+        let mut segs = self.segments.lock().unwrap();
         if segs.contains_key(&key) {
             return Err(MemError::ShmKey { key });
         }
@@ -116,9 +115,9 @@ impl ShmManager {
 
     /// `shmget(key, 0, 0)` + `shmat`: look up and attach.
     pub fn attach(&self, key: i32) -> Result<Arc<ShmSegment>, MemError> {
-        let segs = self.segments.lock();
+        let segs = self.segments.lock().unwrap();
         let seg = segs.get(&key).ok_or(MemError::ShmKey { key })?;
-        *seg.attach_count.lock() += 1;
+        *seg.attach_count.lock().unwrap() += 1;
         Ok(Arc::clone(seg))
     }
 
@@ -126,21 +125,21 @@ impl ShmManager {
     /// and this was the last attachment.
     pub fn detach(&self, seg: &Arc<ShmSegment>) {
         let remaining = {
-            let mut c = seg.attach_count.lock();
+            let mut c = seg.attach_count.lock().unwrap();
             *c = c.saturating_sub(1);
             *c
         };
-        if remaining == 0 && *seg.rmid.lock() {
-            self.segments.lock().remove(&seg.key);
+        if remaining == 0 && *seg.rmid.lock().unwrap() {
+            self.segments.lock().unwrap().remove(&seg.key);
         }
     }
 
     /// `shmctl(IPC_RMID)`: mark for removal; the segment disappears from
     /// the registry once all attachments are gone (SysV semantics).
     pub fn mark_remove(&self, key: i32) -> Result<(), MemError> {
-        let mut segs = self.segments.lock();
+        let mut segs = self.segments.lock().unwrap();
         let seg = segs.get(&key).ok_or(MemError::ShmKey { key })?;
-        *seg.rmid.lock() = true;
+        *seg.rmid.lock().unwrap() = true;
         if seg.attach_count() == 0 {
             segs.remove(&key);
         }
@@ -149,7 +148,7 @@ impl ShmManager {
 
     /// Number of registered segments.
     pub fn segment_count(&self) -> usize {
-        self.segments.lock().len()
+        self.segments.lock().unwrap().len()
     }
 }
 
@@ -239,7 +238,7 @@ mod tests {
         mgr.detach(&b);
         // One extra attach above; detach it too.
         let c = {
-            let segs = mgr.segments.lock();
+            let segs = mgr.segments.lock().unwrap();
             segs.get(&7).cloned()
         };
         if let Some(c) = c {

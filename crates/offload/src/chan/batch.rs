@@ -33,10 +33,10 @@ use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 pub const COUNT_BYTES: usize = 4;
 
 /// Batching watermarks, configured per channel via
-/// [`ProtocolConfig::batch`] (slot transports) or the backends'
-/// `spawn_batched` constructors (push transports). Disabled by default:
-/// `max_msgs == 1` posts every message as its own frame, byte-identical
-/// to the pre-batching wire traffic.
+/// [`ProtocolConfig::batch`] (VEO and DMA), `LocalBackend::spawn_batched`
+/// or the `batch` argument of `TcpBackend::spawn_cluster`. Disabled by
+/// default: `max_msgs == 1` posts every message as its own frame,
+/// byte-identical to the pre-batching wire traffic.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Flush once this many messages are staged, or earlier when the

@@ -10,14 +10,14 @@ use crate::OffloadError;
 use aurora_sim_core::SimTime;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Default credit limit of channels whose slot rings are unbounded
-/// (push transports: in-process channels, TCP streams). Bounded
-/// channels derive their limit from the slot arrays instead.
+/// Credit limit of channels whose slot rings set none: the unbounded
+/// rings of TCP, the one push transport. The Local backend also sets it
+/// on its 128-slot rings, which would allow 128. Other bounded channels
+/// derive their limit from the slot arrays.
 pub const DEFAULT_PUSH_CREDITS: usize = 64;
 
 /// A claimed pair of slots plus the sequence number minted for them —
@@ -345,9 +345,8 @@ impl ChannelCore {
         )
     }
 
-    /// A channel for transports without slot arrays (in-process
-    /// channels, TCP streams): reservations never refuse and payloads
-    /// are unlimited.
+    /// A channel for transports without slot arrays (TCP streams):
+    /// reservations never refuse and payloads are unlimited.
     pub fn unbounded() -> Self {
         Self::new(SlotRing::unbounded(), SlotRing::unbounded(), usize::MAX)
     }
@@ -368,7 +367,7 @@ impl ChannelCore {
     /// rings carry frames times the batch watermark.
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
         self.batch = batch;
-        let st = self.state.get_mut();
+        let st = self.state.get_mut().unwrap();
         st.adaptive = (batch.adaptive && batch.enabled())
             .then(|| AdaptiveState::new(AdaptivePolicy::from_batch(&batch)));
         self.credits = Self::ring_credits(&st.recv, &st.send) * batch.max_msgs.max(1);
@@ -425,7 +424,7 @@ impl ChannelCore {
         posted_at: SimTime,
         bytes: u64,
     ) -> Reserve {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if st.shutdown && !control {
             return Reserve::Shutdown;
         }
@@ -475,7 +474,7 @@ impl ChannelCore {
         // The byte budget of one envelope payload (count field + subs)
         // is what fits the transport's slots.
         let cap = self.max_msg_bytes;
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if st.shutdown {
             return Stage::Shutdown;
         }
@@ -556,7 +555,7 @@ impl ChannelCore {
         if self.slo_ps() == 0 || !self.batch.enabled() {
             return false;
         }
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap();
         !st.accum.seqs.is_empty()
             && st.degraded.is_none()
             && now.saturating_sub(st.accum.first_posted) >= SimTime(self.slo_ps())
@@ -566,7 +565,7 @@ impl ChannelCore {
     /// this when it sends an envelope the age bound closed, whether
     /// [`Self::stage`] or [`Self::slo_flush_due`] noticed).
     pub fn note_slo_trip(&self) {
-        if let Some(a) = self.state.lock().adaptive.as_mut() {
+        if let Some(a) = self.state.lock().unwrap().adaptive.as_mut() {
             a.note_slo();
         }
     }
@@ -578,7 +577,7 @@ impl ChannelCore {
     /// the engine to surface as health events; `None` when the
     /// controller is off, the window is still filling, or the tick held.
     pub fn adaptive_tick(&self, msgs: usize, flush_ps: u64) -> Option<AdaptiveDecision> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         let a = st.adaptive.as_mut()?;
         if !a.note_flush(msgs, flush_ps) {
             return None;
@@ -592,6 +591,7 @@ impl ChannelCore {
     pub fn effective_watermark(&self) -> usize {
         self.state
             .lock()
+            .unwrap()
             .adaptive
             .as_ref()
             .map_or(self.batch.max_msgs, |a| a.watermark())
@@ -602,7 +602,7 @@ impl ChannelCore {
     /// last member's). Works during shutdown — staged messages predate
     /// it and must still drain.
     pub fn take_flush(&self) -> FlushPrep {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if st.accum.seqs.is_empty() {
             // Eviction clears the accumulator, so an evicted channel
             // always lands here.
@@ -736,13 +736,13 @@ impl ChannelCore {
     /// transport: slots return, every member fails with `err` — marked
     /// unsent, since no member can have executed.
     pub fn fail_batch(&self, carrier: u64, err: OffloadError) {
-        self.complete(&mut self.state.lock(), carrier, Err(err), true);
+        self.complete(&mut self.state.lock().unwrap(), carrier, Err(err), true);
     }
 
     /// Retire a reservation whose frame never made it onto the
     /// transport: slots return to the rings, the seq is abandoned.
     pub fn cancel(&self, seq: u64) {
-        self.state.lock().retire(seq, false);
+        self.state.lock().unwrap().retire(seq, false);
     }
 
     /// Claim an in-flight frame for completion: the caller fetches the
@@ -751,7 +751,7 @@ impl ChannelCore {
     /// claimed or retired it (the completion race is resolved here,
     /// under the lock).
     pub fn take_pending(&self, seq: u64) -> Option<PendingEntry> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         let rec = st.frames.unclaimed_mut(seq)?;
         rec.claimed = true;
         Some(rec.entry)
@@ -761,7 +761,7 @@ impl ChannelCore {
     /// and park the result for its future (fanned out to members for a
     /// batch carrier).
     pub fn finish(&self, seq: u64, result: Result<Vec<u8>, OffloadError>) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if let Some(rec) = st.retire(seq, true) {
             let result = result.map(|v| self.pool.adopt(v));
             self.settle(&mut st, seq, rec, result, false);
@@ -776,7 +776,7 @@ impl ChannelCore {
         if self.recovery.is_none() || !matches!(header.kind, MsgKind::Offload | MsgKind::Batch) {
             return;
         }
-        if let Some(rec) = self.state.lock().frames.unclaimed_mut(seq) {
+        if let Some(rec) = self.state.lock().unwrap().frames.unclaimed_mut(seq) {
             rec.stored = Some(StoredFrame::new(*header, frame));
         }
     }
@@ -789,7 +789,7 @@ impl ChannelCore {
         let Some(policy) = &self.recovery else {
             return MissVerdict::Keep;
         };
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         let Some(rec) = st.frames.unclaimed_mut(seq) else {
             return MissVerdict::Keep;
         };
@@ -809,7 +809,7 @@ impl ChannelCore {
     /// number of offloads failed, or `None` if already evicted (the
     /// first caller runs the eviction; later callers see a no-op).
     pub fn evict(&self, err: OffloadError) -> Option<usize> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if st.evicted.is_some() {
             return None;
         }
@@ -832,7 +832,7 @@ impl ChannelCore {
 
     /// Why the target was evicted, if it was.
     pub fn eviction(&self) -> Option<OffloadError> {
-        self.state.lock().evicted.clone()
+        self.state.lock().unwrap().evicted.clone()
     }
 
     /// Mark the transport disconnected *without* failing anything:
@@ -844,7 +844,7 @@ impl ChannelCore {
     /// messages at the moment of degradation; `None` if already degraded
     /// or evicted (the first caller owns the transition).
     pub fn degrade(&self, err: OffloadError) -> Option<usize> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if st.evicted.is_some() || st.degraded.is_some() {
             return None;
         }
@@ -854,12 +854,12 @@ impl ChannelCore {
 
     /// Why the channel is degraded, if it is.
     pub fn degradation(&self) -> Option<OffloadError> {
-        self.state.lock().degraded.clone()
+        self.state.lock().unwrap().degraded.clone()
     }
 
     /// True while the channel is disconnected-but-resumable.
     pub fn is_degraded(&self) -> bool {
-        self.state.lock().degraded.is_some()
+        self.state.lock().unwrap().degraded.is_some()
     }
 
     /// Settle a degraded session against the device-side dedup
@@ -876,7 +876,7 @@ impl ChannelCore {
     /// or a double resume). The staged accumulator is untouched — it
     /// never reached the wire and flushes normally after resume.
     pub fn resume(&self, watermark: Option<u64>, err: OffloadError) -> Option<ResumeReport> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         st.degraded.take()?;
         let mut replay = Vec::new();
         let mut doomed = Vec::new();
@@ -930,6 +930,7 @@ impl ChannelCore {
         out.extend(
             self.state
                 .lock()
+                .unwrap()
                 .frames
                 .unclaimed()
                 .map(|(s, r)| (s, r.entry)),
@@ -945,6 +946,7 @@ impl ChannelCore {
     pub fn take_unsent(&self, seq: u64) -> bool {
         self.state
             .lock()
+            .unwrap()
             .parked
             .get_mut(&seq)
             .is_some_and(|p| core::mem::take(&mut p.unsent))
@@ -952,7 +954,7 @@ impl ChannelCore {
 
     /// Number of staged-but-unflushed messages in the batch accumulator.
     pub fn staged_len(&self) -> usize {
-        self.state.lock().accum.seqs.len()
+        self.state.lock().unwrap().accum.seqs.len()
     }
 
     /// Reclaim the last `n` staged members from the batch accumulator.
@@ -962,7 +964,7 @@ impl ChannelCore {
     /// with [`OffloadError::Migrated`]; the earlier members stay staged
     /// in a correctly re-enveloped frame. Returns how many were taken.
     pub fn take_staged_tail(&self, n: usize) -> usize {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if n == 0 || st.accum.seqs.is_empty() {
             return 0;
         }
@@ -985,7 +987,7 @@ impl ChannelCore {
     /// batch members, plus whatever is staged awaiting flush. A counter
     /// read — the scheduler asks on every placement.
     pub fn in_flight(&self) -> usize {
-        self.state.lock().in_flight()
+        self.state.lock().unwrap().in_flight()
     }
 
     /// Wire bytes currently committed to this target: every in-flight
@@ -994,7 +996,7 @@ impl ChannelCore {
     /// few dense batches does not look idler than one holding many
     /// small probes.
     pub fn bytes_in_flight(&self) -> u64 {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap();
         st.frames.bytes() + st.accum.frame.as_ref().map_or(0, |f| f.len() as u64)
     }
 
@@ -1003,7 +1005,7 @@ impl ChannelCore {
     /// claimed or cancelled — the leak check of the lifecycle tests.
     #[doc(hidden)]
     pub fn tracked_seqs(&self) -> usize {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap();
         st.frames.len() + st.parked.len()
     }
 
@@ -1011,12 +1013,12 @@ impl ChannelCore {
     /// finished result frame. Unknown sequence numbers are dropped
     /// (late frames racing a shutdown).
     pub fn deposit_frame(&self, seq: u64, frame: PooledFrame) {
-        self.complete(&mut self.state.lock(), seq, Ok(frame), false);
+        self.complete(&mut self.state.lock().unwrap(), seq, Ok(frame), false);
     }
 
     /// Claim a parked completion together with its unsent marker.
     pub(crate) fn claim(&self, seq: u64) -> Option<(Result<PooledFrame, OffloadError>, bool)> {
-        let p = self.state.lock().parked.remove(&seq)?;
+        let p = self.state.lock().unwrap().parked.remove(&seq)?;
         Some((p.result, p.unsent))
     }
 
@@ -1028,12 +1030,12 @@ impl ChannelCore {
     /// Mark the channel shut down; returns the *previous* state so the
     /// first caller (and only the first) runs the shutdown protocol.
     pub fn begin_shutdown(&self) -> bool {
-        core::mem::replace(&mut self.state.lock().shutdown, true)
+        core::mem::replace(&mut self.state.lock().unwrap().shutdown, true)
     }
 
     /// True once [`Self::begin_shutdown`] has run.
     pub fn is_shutdown(&self) -> bool {
-        self.state.lock().shutdown
+        self.state.lock().unwrap().shutdown
     }
 }
 

@@ -9,8 +9,7 @@
 //! warm. See `tests/alloc_steady_state.rs` for the counting-allocator
 //! proof.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How many idle buffers a pool retains; checkouts beyond this are
 /// served by plain allocation and returns beyond it are dropped. Two
@@ -33,7 +32,7 @@ impl FramePool {
 
     /// Check out an empty buffer (recycled capacity when available).
     pub fn checkout(self: &Arc<Self>) -> PooledFrame {
-        let buf = self.free.lock().pop().unwrap_or_default();
+        let buf = self.free.lock().unwrap().pop().unwrap_or_default();
         PooledFrame {
             buf,
             pool: Some(Arc::clone(self)),
@@ -51,7 +50,7 @@ impl FramePool {
 
     /// Idle buffers currently held (tests).
     pub fn idle(&self) -> usize {
-        self.free.lock().len()
+        self.free.lock().unwrap().len()
     }
 }
 
@@ -92,7 +91,7 @@ impl core::ops::DerefMut for PooledFrame {
 impl Drop for PooledFrame {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.take() {
-            let mut free = pool.free.lock();
+            let mut free = pool.free.lock().unwrap();
             if free.len() < POOL_CAP {
                 self.buf.clear();
                 free.push(core::mem::take(&mut self.buf));

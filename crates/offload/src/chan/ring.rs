@@ -7,8 +7,8 @@
 /// must fill them in the same rotation or the target would stall on an
 /// empty slot while a later one holds a message. *Send* slots carry
 /// results the host harvests by flag, in any order, so first-free packs
-/// them densely. Transports without slot arrays (in-process channels,
-/// TCP streams) use an unbounded ring that never refuses.
+/// them densely. Transports without slot arrays (TCP streams) use an
+/// unbounded ring that never refuses.
 #[derive(Debug)]
 pub struct SlotRing {
     mode: Mode,

@@ -551,7 +551,7 @@ mod tests {
     use ham::message::VecMemory;
     use ham::registry::HandlerKey;
     use ham::{f2f, ham_kernel, Registry, RegistryBuilder};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     ham_kernel! {
         pub fn burn(ctx, flops: u64) -> u64 { ctx.charge_flops(flops); flops }
@@ -601,17 +601,18 @@ mod tests {
         fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
             self.inbox
                 .lock()
+                .unwrap()
                 .pop_front()
                 .map(|(h, p)| (h, pool.adopt(p)))
         }
         fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-            match self.inbox.lock().pop_front() {
+            match self.inbox.lock().unwrap().pop_front() {
                 Some((h, p)) => Polled::Msg(h, pool.adopt(p)),
                 None => Polled::Closed,
             }
         }
         fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
-            self.outbox.lock().push((reply_slot, seq, payload));
+            self.outbox.lock().unwrap().push((reply_slot, seq, payload));
         }
     }
 
@@ -700,7 +701,7 @@ mod tests {
         cfg.stats = stats;
         let chan = QueueChannel::new(msgs);
         let served = DeviceRuntime::new(cfg).run(&env, &chan);
-        let out = std::mem::take(&mut *chan.outbox.lock());
+        let out = std::mem::take(&mut *chan.outbox.lock().unwrap());
         (served, clock.now(), out)
     }
 
@@ -849,7 +850,7 @@ mod tests {
             (1, Some(3), HaltReason::Control)
         );
         assert_eq!(
-            chan.outbox.lock().len(),
+            chan.outbox.lock().unwrap().len(),
             1,
             "the duplicate publishes nothing"
         );
@@ -880,7 +881,7 @@ mod tests {
         ]);
         let served = serve(&registry, false, &chan);
         assert_eq!(served, 2);
-        let out = chan.outbox.lock();
+        let out = chan.outbox.lock().unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].0, 3);
         assert_eq!(out[0].1, 100);
@@ -898,7 +899,7 @@ mod tests {
             vec![1, 2, 3],
         )]);
         serve(&registry, false, &chan);
-        let out = chan.outbox.lock();
+        let out = chan.outbox.lock().unwrap();
         assert!(unframe_result_ref(&out[0].2).is_err());
     }
 
@@ -911,7 +912,7 @@ mod tests {
         // duplicate of 0 again.
         let chan = QueueChannel::new(vec![mk(0), mk(0), mk(1), mk(0)]);
         assert_eq!(serve(&registry, true, &chan), 2);
-        let out = chan.outbox.lock();
+        let out = chan.outbox.lock().unwrap();
         assert_eq!(out.iter().map(|o| o.1).collect::<Vec<_>>(), vec![0, 1]);
     }
 
@@ -923,7 +924,7 @@ mod tests {
         let members = [add_msg(key, 1, 100, 0, 10), add_msg(key, 2, 100, 0, 11)];
         let chan = QueueChannel::new(vec![envelope(&members, 5, 10)]);
         assert_eq!(serve(&registry, false, &chan), 2);
-        let out = chan.outbox.lock();
+        let out = chan.outbox.lock().unwrap();
         assert_eq!(out.len(), 1, "one result message for the whole batch");
         assert_eq!((out[0].0, out[0].1), (5, 11));
         let body = unframe_result_ref(&out[0].2).unwrap();
@@ -947,7 +948,7 @@ mod tests {
         // Count claims one sub but no bytes follow.
         let chan = QueueChannel::new(vec![(carrier, 1u32.to_le_bytes().to_vec())]);
         assert_eq!(serve(&registry, false, &chan), 0);
-        let out = chan.outbox.lock();
+        let out = chan.outbox.lock().unwrap();
         assert_eq!(out.len(), 1);
         assert!(unframe_result_ref(&out[0].2).is_err(), "error frame");
     }
@@ -966,7 +967,7 @@ mod tests {
             add_msg(key, 40, 2, 2, 6),
         ]);
         assert_eq!(serve(&registry, false, &chan), 1);
-        let out = chan.outbox.lock();
+        let out = chan.outbox.lock().unwrap();
         assert_eq!(out.len(), 2);
         assert!(
             unframe_result_ref(&out[0].2).is_err(),
@@ -984,7 +985,7 @@ mod tests {
         let carrier = envelope(&members, 0, 0);
         let chan = QueueChannel::new(vec![carrier.clone(), carrier]);
         assert_eq!(serve(&registry, true, &chan), 2, "duplicate skipped");
-        assert_eq!(chan.outbox.lock().len(), 1);
+        assert_eq!(chan.outbox.lock().unwrap().len(), 1);
     }
 
     /// What a [`Windowed`] channel was asked to do, in order.
@@ -1018,7 +1019,7 @@ mod tests {
 
     impl TargetChannel for Windowed {
         fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-            let mut script = self.script.lock();
+            let mut script = self.script.lock().unwrap();
             while let Some(next) = script.pop_front() {
                 if let Some((h, p)) = next {
                     return Some((h, pool.adopt(p)));
@@ -1027,17 +1028,17 @@ mod tests {
             None
         }
         fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-            match self.script.lock().pop_front() {
+            match self.script.lock().unwrap().pop_front() {
                 Some(Some((h, p))) => Polled::Msg(h, pool.adopt(p)),
                 Some(None) => Polled::Empty,
                 None => Polled::Closed,
             }
         }
         fn send_result(&self, _reply_slot: u16, seq: u64, _payload: Vec<u8>) {
-            self.log.lock().push(Sent::Result(seq));
+            self.log.lock().unwrap().push(Sent::Result(seq));
         }
         fn flush(&self) {
-            self.log.lock().push(Sent::Flush);
+            self.log.lock().unwrap().push(Sent::Flush);
         }
     }
 
@@ -1082,7 +1083,7 @@ mod tests {
         for (script, want) in cases {
             let chan = Windowed::new(script);
             serve(&registry, false, &chan);
-            assert_eq!(*chan.log.lock(), want);
+            assert_eq!(*chan.log.lock().unwrap(), want);
         }
     }
 
@@ -1153,7 +1154,7 @@ mod tests {
             }
             let chan = QueueChannel::new(msgs.clone());
             serve(&reg, false, &chan);
-            let out = chan.outbox.lock();
+            let out = chan.outbox.lock().unwrap();
             proptest::prop_assert_eq!(out.len(), expect.len());
             for ((slot, seq, frame), ((h, _), want)) in out.iter().zip(msgs.iter().zip(&expect)) {
                 proptest::prop_assert_eq!((*slot, *seq), (h.reply_slot, h.seq));

@@ -35,10 +35,9 @@ use aurora_sim_core::{BackendMetrics, Clock};
 use ham::message::VecMemory;
 use ham::wire::{MsgHeader, HEADER_BYTES};
 use ham::{Registry, RegistryBuilder};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -71,7 +70,7 @@ impl Slot {
     /// Producer side: copy `bytes` in, then raise the flag for `seq`.
     fn publish(&self, seq: u64, bytes: &[u8]) {
         {
-            let mut buf = self.buf.lock();
+            let mut buf = self.buf.lock().unwrap();
             buf.clear();
             buf.extend_from_slice(bytes);
         }
@@ -82,7 +81,7 @@ impl Slot {
     /// clear the flag. Returns what `head` made of the leading bytes.
     fn consume<R>(&self, skip: usize, out: &mut Vec<u8>, head: impl FnOnce(&[u8]) -> R) -> R {
         let r = {
-            let mut buf = self.buf.lock();
+            let mut buf = self.buf.lock().unwrap();
             let r = head(&buf[..]);
             out.extend_from_slice(buf.get(skip..).unwrap_or_default());
             if buf.capacity() > RETAIN_BYTES {
@@ -240,7 +239,7 @@ impl LocalBackend {
                 let ring = Arc::new(Ring::new());
                 // Slot buffers grow, so messages stay unlimited. The
                 // slots are sized for two waves in flight; scheduler
-                // admission keeps the push transports' credit limit.
+                // admission keeps the default credit limit TCP uses too.
                 let chan = ChannelCore::bounded(SLOTS, SLOTS, usize::MAX)
                     .with_batching(batch)
                     .with_credit_limit(crate::chan::DEFAULT_PUSH_CREDITS);
@@ -380,6 +379,7 @@ impl CommBackend for LocalBackend {
         let t = self.target(node)?;
         t.alloc
             .lock()
+            .unwrap()
             .alloc(bytes, 8)
             .map_err(|e| OffloadError::Mem(e.to_string()))
     }
@@ -388,6 +388,7 @@ impl CommBackend for LocalBackend {
         let t = self.target(node)?;
         t.alloc
             .lock()
+            .unwrap()
             .free(addr)
             .map_err(|e| OffloadError::Mem(e.to_string()))
     }
@@ -429,7 +430,7 @@ impl CommBackend for LocalBackend {
                 t.ring.closed.store(true, SeqCst);
                 t.waker.unpark();
             }
-            if let Some(h) = t.thread.lock().take() {
+            if let Some(h) = t.thread.lock().unwrap().take() {
                 let _ = h.join();
             }
         }
@@ -647,13 +648,16 @@ mod tests {
         assert_eq!(slot.flag.load(SeqCst), 8);
         slot.consume(0, &mut out, |_| ());
         assert_eq!((out.len(), slot.flag.load(SeqCst)), (4096, 0));
-        assert!(slot.buf.lock().capacity() >= 4096, "small buffers are kept");
+        assert!(
+            slot.buf.lock().unwrap().capacity() >= 4096,
+            "small buffers are kept"
+        );
         out.clear();
         slot.publish(8, &vec![5; 4 * RETAIN_BYTES]);
         slot.consume(0, &mut out, |_| ());
         assert!(out == [5; 4 * RETAIN_BYTES]);
         assert!(
-            slot.buf.lock().capacity() <= RETAIN_BYTES,
+            slot.buf.lock().unwrap().capacity() <= RETAIN_BYTES,
             "large buffers shrink"
         );
     }

@@ -9,9 +9,8 @@ use crate::OffloadError;
 use aurora_sim_core::{HealthEventKind, MetricsSnapshot, NodeMetricsSnapshot, SimTime};
 use ham::registry::HandlerKey;
 use ham::ActiveMessage;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One queued message's worth of wire bytes: the divisor that folds
@@ -77,6 +76,10 @@ struct PoolState {
 }
 
 impl PoolState {
+    fn nodes(&self) -> Vec<NodeId> {
+        self.members.iter().map(|m| m.node).collect()
+    }
+
     fn member(&mut self, node: NodeId) -> Option<&mut Member> {
         let pos = self.members.binary_search_by_key(&node, |m| m.node).ok()?;
         Some(&mut self.members[pos])
@@ -222,7 +225,7 @@ impl TargetPool {
     /// included (reports cover lost targets until
     /// [`TargetPool::remove_target`] deletes them from the roster).
     pub fn targets(&self) -> Vec<NodeId> {
-        self.state.lock().members.iter().map(|m| m.node).collect()
+        self.state.lock().unwrap().nodes()
     }
 
     /// Snapshot the backend's metric registers scoped to this pool:
@@ -248,7 +251,7 @@ impl TargetPool {
     /// Members still in the running: those whose channel exists and
     /// is not evicted (a degraded one counts — it may heal).
     pub fn healthy(&self) -> Vec<NodeId> {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap();
         st.members
             .iter()
             .map(|m| m.node)
@@ -259,7 +262,7 @@ impl TargetPool {
     /// Number of healthy targets. Counts under the lock without
     /// collecting them — this sits on the admission path.
     pub fn len(&self) -> usize {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap();
         st.members
             .iter()
             .filter(|m| self.live(m.node).is_some())
@@ -301,7 +304,7 @@ impl TargetPool {
             return Err(e);
         }
         let grew = {
-            let mut st = self.state.lock();
+            let mut st = self.state.lock().unwrap();
             match st.members.binary_search_by_key(&target, |m| m.node) {
                 Ok(_) => false,
                 Err(pos) => {
@@ -327,7 +330,7 @@ impl TargetPool {
     /// member. Returns how many staged members were reclaimed.
     pub fn remove_target(&self, target: NodeId) -> Result<usize, OffloadError> {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.lock().unwrap();
             let Ok(pos) = st.members.binary_search_by_key(&target, |m| m.node) else {
                 return Err(OffloadError::BadNode(target));
             };
@@ -364,7 +367,7 @@ impl TargetPool {
     /// — so the `Degraded → healed` edge is driven without any caller
     /// touching the channel. Idempotent while a prober is already running.
     pub fn start_prober(&self) {
-        let mut guard = self.prober.lock();
+        let mut guard = self.prober.lock().unwrap();
         if guard.is_some() {
             return;
         }
@@ -385,7 +388,7 @@ impl TargetPool {
     /// rounds it ran, or `None` if none was running. Also called by
     /// `Drop`, so an exiting pool never leaks the thread.
     pub fn stop_prober(&self) -> Option<u64> {
-        let p = self.prober.lock().take()?;
+        let p = self.prober.lock().unwrap().take()?;
         p.stop.store(true, Ordering::SeqCst);
         p.handle.join().ok()
     }
@@ -403,7 +406,7 @@ impl TargetPool {
     /// caller can do other work — e.g. run a task on the host — instead
     /// of blocking), `Err` when no healthy target remains.
     pub fn try_pick(&self) -> Result<Option<NodeId>, OffloadError> {
-        self.select(&mut self.state.lock(), true)
+        self.select(&mut self.state.lock().unwrap(), true)
     }
 
     /// Blocking placement: flush staged batches (a full accumulator
@@ -424,7 +427,7 @@ impl TargetPool {
         let mut stall: Option<(Instant, u64)> = None;
         loop {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.lock().unwrap();
                 if let Some(t) = self.select(&mut st, true)? {
                     return Ok(t);
                 }
@@ -649,7 +652,7 @@ impl TargetPool {
     fn repost<T>(&self, fut: &mut PoolFuture<T>) -> Result<(), OffloadError> {
         loop {
             let target = self
-                .select(&mut self.state.lock(), false)?
+                .select(&mut self.state.lock().unwrap(), false)?
                 .ok_or_else(pool_empty)?;
             match self.resubmit(fut, target) {
                 Ok(()) => {
@@ -830,7 +833,7 @@ impl Drop for TargetPool {
 /// `(answered, missed)`.
 fn probe_round(offload: &Offload, state: &Mutex<PoolState>) -> (usize, usize) {
     let backend = offload.backend();
-    let members: Vec<NodeId> = state.lock().members.iter().map(|m| m.node).collect();
+    let members = state.lock().unwrap().nodes();
     let (mut answered, mut missed) = (0, 0);
     for t in members {
         let Ok(chan) = backend.channel(t) else {
@@ -840,7 +843,7 @@ fn probe_round(offload: &Offload, state: &Mutex<PoolState>) -> (usize, usize) {
             continue;
         }
         let epoch = chan.resumes();
-        if let Some(m) = state.lock().member(t) {
+        if let Some(m) = state.lock().unwrap().member(t) {
             if core::mem::replace(&mut m.resumes, epoch) != epoch {
                 // The transport resumed the session between rounds:
                 // that is the heal notification — forgive the streak
@@ -855,7 +858,7 @@ fn probe_round(offload: &Offload, state: &Mutex<PoolState>) -> (usize, usize) {
         } else {
             missed += 1;
         }
-        if let Some(m) = state.lock().member(t) {
+        if let Some(m) = state.lock().unwrap().member(t) {
             m.streak = if ok {
                 m.streak / 2
             } else {
@@ -1207,13 +1210,13 @@ mod tests {
         p.probe_now();
         let resumes = o.backend().channel(NodeId(2)).unwrap().resumes();
         assert_eq!(
-            p.state.lock().member(NodeId(2)).map(|m| m.resumes),
+            p.state.lock().unwrap().member(NodeId(2)).map(|m| m.resumes),
             Some(resumes)
         );
         p.remove_target(NodeId(2)).unwrap();
         assert_eq!(p.healthy(), vec![NodeId(1), NodeId(3)]);
         assert!(
-            p.state.lock().member(NodeId(2)).is_none(),
+            p.state.lock().unwrap().member(NodeId(2)).is_none(),
             "a removed target leaves no prober state behind"
         );
         assert!(
@@ -1411,11 +1414,11 @@ mod tests {
                     chan.evict(OffloadError::TargetLost(t));
                 }
                 for p in &pools {
-                    p.state.lock().member(t).unwrap().streak = streak;
+                    p.state.lock().unwrap().member(t).unwrap().streak = streak;
                 }
             }
             for p in &pools {
-                let mut st = p.state.lock();
+                let mut st = p.state.lock().unwrap();
                 if ghost {
                     st.members.push(Member::new(NodeId(n + 1)));
                 }

@@ -35,9 +35,8 @@
 use crate::rng::SplitMix64;
 use crate::time::SimTime;
 use crate::trace;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Named places in the simulated stack where faults are injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -256,7 +255,7 @@ impl FaultPlan {
     }
 
     fn log(&self, site: FaultSite, actor: u16, kind: FaultKind, at: SimTime) {
-        self.events.lock().push(FaultEvent {
+        self.events.lock().unwrap().push(FaultEvent {
             site,
             actor,
             kind,
@@ -381,7 +380,7 @@ impl FaultPlan {
 
     /// The full injected-fault timeline, in injection order.
     pub fn events(&self) -> Vec<FaultEvent> {
-        self.events.lock().clone()
+        self.events.lock().unwrap().clone()
     }
 
     /// Outcome-changing faults only (drops, kills, disconnects), for
@@ -392,6 +391,7 @@ impl FaultPlan {
         let mut v: Vec<FaultEvent> = self
             .events
             .lock()
+            .unwrap()
             .iter()
             .filter(|e| !e.kind.is_timing_only())
             .cloned()

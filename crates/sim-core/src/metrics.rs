@@ -30,10 +30,9 @@ use crate::stats::{Histogram, Summary};
 use crate::time::SimTime;
 use aurora_telemetry::metrics::bucket_ceil;
 use aurora_telemetry::{AtomicHistogram, Counter, Gauge, HealthEventKind, HealthRegistry, MinMax};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Targets that get their own completion-latency register. Node ids at
 /// or past the cap share the last register — harmless for this
@@ -385,13 +384,13 @@ impl BackendMetrics {
     pub fn on_alloc(&self, node: u16, addr: u64, bytes: u64) {
         self.allocs.incr();
         self.alloc_live.add(bytes as i64);
-        self.allocations.lock().insert((node, addr), bytes);
+        self.allocations.lock().unwrap().insert((node, addr), bytes);
     }
 
     /// `free` released the buffer at `(node, addr)`.
     pub fn on_free(&self, node: u16, addr: u64) {
         self.frees.incr();
-        if let Some(bytes) = self.allocations.lock().remove(&(node, addr)) {
+        if let Some(bytes) = self.allocations.lock().unwrap().remove(&(node, addr)) {
             self.alloc_live.add(-(bytes as i64));
         }
     }

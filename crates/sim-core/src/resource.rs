@@ -8,8 +8,7 @@
 //! sharing the privileged DMA engine) visible in the modeled numbers.
 
 use crate::time::SimTime;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A single-server FIFO resource on the virtual time base.
 #[derive(Clone, Debug, Default)]
@@ -51,7 +50,7 @@ impl Timeline {
     /// Returns the actual service window. FIFO within the lock: the
     /// reservation starts at `max(earliest, busy_until)`.
     pub fn reserve(&self, earliest: SimTime, duration: SimTime) -> Reservation {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let start = earliest.max(inner.busy_until);
         let end = start + duration;
         inner.busy_until = end;
@@ -62,22 +61,22 @@ impl Timeline {
 
     /// Virtual time until which the resource is currently committed.
     pub fn busy_until(&self) -> SimTime {
-        self.inner.lock().busy_until
+        self.inner.lock().unwrap().busy_until
     }
 
     /// Total busy time accumulated across all reservations.
     pub fn total_busy(&self) -> SimTime {
-        self.inner.lock().total_busy
+        self.inner.lock().unwrap().total_busy
     }
 
     /// Number of reservations served.
     pub fn reservations(&self) -> u64 {
-        self.inner.lock().reservations
+        self.inner.lock().unwrap().reservations
     }
 
     /// Reset utilization accounting and availability (benchmark reuse).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         *inner = TimelineInner::default();
     }
 }

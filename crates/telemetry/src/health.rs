@@ -23,9 +23,9 @@
 //! is not on the warm offload completion path — only fault-handling
 //! paths, the prober and the batching controller record events).
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Upper bound on retained events; older events are dropped (counted by
 /// [`HealthRegistry::dropped`], still counted by
@@ -171,6 +171,7 @@ impl HealthRegistry {
     pub fn register(&self, node: u16) {
         self.states
             .lock()
+            .unwrap()
             .entry(node)
             .or_insert(TargetState::Healthy);
     }
@@ -187,7 +188,7 @@ impl HealthRegistry {
     /// kinds, does not change state.
     pub fn record(&self, node: u16, kind: HealthEventKind, corr: u64, at_ps: u64) {
         {
-            let mut states = self.states.lock();
+            let mut states = self.states.lock().unwrap();
             let state = states.entry(node).or_insert(TargetState::Healthy);
             match kind {
                 HealthEventKind::FaultInjected
@@ -215,7 +216,7 @@ impl HealthRegistry {
             }
         }
         self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        let mut log = self.log.lock();
+        let mut log = self.log.lock().unwrap();
         if log.ring.len() == MAX_HEALTH_EVENTS {
             log.ring.pop_front();
         }
@@ -239,22 +240,27 @@ impl HealthRegistry {
     /// Current state of `node`, if registered (or mentioned by an
     /// event).
     pub fn state(&self, node: u16) -> Option<TargetState> {
-        self.states.lock().get(&node).copied()
+        self.states.lock().unwrap().get(&node).copied()
     }
 
     /// Every known target and its state, sorted by node id.
     pub fn states(&self) -> Vec<(u16, TargetState)> {
-        self.states.lock().iter().map(|(&n, &s)| (n, s)).collect()
+        self.states
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(&n, &s)| (n, s))
+            .collect()
     }
 
     /// The retained event log, oldest first.
     pub fn events(&self) -> Vec<HealthEvent> {
-        self.log.lock().ring.iter().copied().collect()
+        self.log.lock().unwrap().ring.iter().copied().collect()
     }
 
     /// Retained events concerning `node`, oldest first.
     pub fn events_for(&self, node: u16) -> Vec<HealthEvent> {
-        let log = self.log.lock();
+        let log = self.log.lock().unwrap();
         log.ring
             .iter()
             .filter(|e| e.node == node)
@@ -265,7 +271,7 @@ impl HealthRegistry {
     /// Events discarded because the ring was full: ordinals issued
     /// minus events retained.
     pub fn dropped(&self) -> u64 {
-        let log = self.log.lock();
+        let log = self.log.lock().unwrap();
         log.issued - log.ring.len() as u64
     }
 }

@@ -39,10 +39,9 @@ pub use export::Trace;
 pub use health::{HealthEvent, HealthEventKind, HealthRegistry, TargetState};
 pub use metrics::{AtomicHistogram, Counter, Gauge, MinMax, HISTOGRAM_BUCKETS};
 
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Node id used when a span is recorded outside any [`node_scope`].
 pub const NODE_UNKNOWN: u16 = u16::MAX;
@@ -130,7 +129,7 @@ thread_local! {
         let shard = Arc::new(Shard {
             events: Mutex::new(Vec::new()),
         });
-        SHARDS.lock().push(Arc::clone(&shard));
+        SHARDS.lock().unwrap().push(Arc::clone(&shard));
         shard
     };
     /// `(offload, node)` attribution for spans recorded by this thread.
@@ -165,13 +164,13 @@ fn record_slow(session: u64, category: &'static str, bytes: u64, start_ps: u64, 
         start_ps,
         end_ps,
     };
-    LOCAL.with(|shard| shard.events.lock().push((session, event)));
+    LOCAL.with(|shard| shard.events.lock().unwrap().push((session, event)));
 }
 
 fn drain_session(session: u64) -> Vec<Event> {
     let mut out = Vec::new();
-    for shard in SHARDS.lock().iter() {
-        let mut events = shard.events.lock();
+    for shard in SHARDS.lock().unwrap().iter() {
+        let mut events = shard.events.lock().unwrap();
         // Session ids are monotonic: anything tagged differently is stale
         // leftovers from an abandoned session — discard it all.
         for (tag, event) in events.drain(..) {
@@ -191,13 +190,13 @@ fn drain_session(session: u64) -> Vec<Event> {
 /// [`TraceSession::finish`] discards its events.
 pub struct TraceSession {
     session: u64,
-    _guard: parking_lot::MutexGuard<'static, ()>,
+    _guard: std::sync::MutexGuard<'static, ()>,
 }
 
 impl TraceSession {
     /// Begin recording (waits for any other live session to end).
     pub fn start() -> TraceSession {
-        let guard = SESSION_LOCK.lock();
+        let guard = SESSION_LOCK.lock().unwrap();
         let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
         ACTIVE.store(session, Ordering::SeqCst);
         TraceSession {
@@ -280,7 +279,7 @@ pub fn mark() -> Mark {
         return Mark { len: 0 };
     }
     Mark {
-        len: LOCAL.with(|shard| shard.events.lock().len()),
+        len: LOCAL.with(|shard| shard.events.lock().unwrap().len()),
     }
 }
 
@@ -291,7 +290,7 @@ pub fn retag_since(mark: &Mark, id: OffloadId) {
         return;
     }
     LOCAL.with(|shard| {
-        let mut events = shard.events.lock();
+        let mut events = shard.events.lock().unwrap();
         let start = mark.len.min(events.len());
         for (_, event) in &mut events[start..] {
             if event.offload == 0 {

@@ -3,8 +3,7 @@
 use crate::specs::VeSpecs;
 use aurora_mem::{Dmaatb, MemError, RangeAllocator, Region};
 use aurora_pcie::PcieLink;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Number of DMAATB entries per VE (small, as on real hardware).
 pub const DMAATB_ENTRIES: usize = 256;
@@ -76,17 +75,17 @@ impl VeDevice {
 
     /// Allocate `len` bytes of device memory (8-byte aligned minimum).
     pub fn alloc(&self, len: u64, align: u64) -> Result<u64, MemError> {
-        self.hbm_alloc.lock().alloc(len, align.max(8))
+        self.hbm_alloc.lock().unwrap().alloc(len, align.max(8))
     }
 
     /// Free a device allocation.
     pub fn free(&self, offset: u64) -> Result<(), MemError> {
-        self.hbm_alloc.lock().free(offset)
+        self.hbm_alloc.lock().unwrap().free(offset)
     }
 
     /// Bytes currently allocated on the device.
     pub fn allocated_bytes(&self) -> u64 {
-        self.hbm_alloc.lock().allocated_bytes()
+        self.hbm_alloc.lock().unwrap().allocated_bytes()
     }
 }
 

@@ -34,7 +34,7 @@ use std::sync::Arc;
 pub struct LhmShmUnit {
     link: Arc<PcieLink>,
     extra_one_way: SimTime,
-    credits_free_at: Arc<parking_lot::Mutex<SimTime>>,
+    credits_free_at: Arc<std::sync::Mutex<SimTime>>,
 }
 
 impl LhmShmUnit {
@@ -48,14 +48,14 @@ impl LhmShmUnit {
         Self {
             link,
             extra_one_way,
-            credits_free_at: Arc::new(parking_lot::Mutex::new(SimTime::ZERO)),
+            credits_free_at: Arc::new(std::sync::Mutex::new(SimTime::ZERO)),
         }
     }
 
     /// Available credit window at `now`, and mark the stream ending at
     /// `end` as having drained it.
     fn take_window(&self, now: SimTime, stream_cost: impl FnOnce(u64) -> SimTime) -> SimTime {
-        let mut free_at = self.credits_free_at.lock();
+        let mut free_at = self.credits_free_at.lock().unwrap();
         let window = if now >= *free_at {
             calib::shm_stream().window_words
         } else {

@@ -6,10 +6,10 @@ use crate::VeoError;
 use aurora_mem::ShmManager;
 use aurora_sim_core::{calib, Clock, SimTime};
 use aurora_ve::{LhmShmUnit, UserDma};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use veos_sim::VeProcess;
 
@@ -54,12 +54,12 @@ enum Command {
 pub struct VeoContext {
     tx: Sender<Command>,
     results: Arc<Mutex<HashMap<u64, (u64, SimTime)>>>,
-    next_req: Mutex<u64>,
+    next_req: AtomicU64,
     host_clock: Clock,
     worker: Mutex<Option<JoinHandle<()>>>,
     /// Cleared when the worker thread exits — including by panic (a
     /// crashed kernel must turn waiting callers into errors, not hangs).
-    alive: Arc<std::sync::atomic::AtomicBool>,
+    alive: Arc<AtomicBool>,
 }
 
 impl VeoContext {
@@ -70,17 +70,17 @@ impl VeoContext {
         let results: Arc<Mutex<HashMap<u64, (u64, SimTime)>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let results2 = Arc::clone(&results);
-        let alive = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let alive = Arc::new(AtomicBool::new(true));
         let alive2 = Arc::clone(&alive);
         let worker = std::thread::Builder::new()
             .name(format!("veo-ctx-ve{}", ve_ctx.proc.ve().id()))
             .spawn(move || {
                 // Clear the liveness flag on ANY exit path, panics
                 // included.
-                struct Liveness(Arc<std::sync::atomic::AtomicBool>);
+                struct Liveness(Arc<AtomicBool>);
                 impl Drop for Liveness {
                     fn drop(&mut self) {
-                        self.0.store(false, std::sync::atomic::Ordering::Release);
+                        self.0.store(false, Ordering::Release);
                     }
                 }
                 let _liveness = Liveness(alive2);
@@ -100,7 +100,7 @@ impl VeoContext {
                             let ret = (sym.func)(&ve_ctx, &args);
                             // Completion notification travels back.
                             let done = clock.now() + calib::VEO_CALL_ROUNDTRIP / 2;
-                            results2.lock().insert(req.0, (ret, done));
+                            results2.lock().unwrap().insert(req.0, (ret, done));
                         }
                     }
                 }
@@ -109,7 +109,7 @@ impl VeoContext {
         Arc::new(Self {
             tx,
             results,
-            next_req: Mutex::new(1),
+            next_req: AtomicU64::new(1),
             host_clock,
             worker: Mutex::new(Some(worker)),
             alive,
@@ -120,17 +120,12 @@ impl VeoContext {
     /// like `ham_main` counts as running). False after close or after a
     /// kernel panic killed the worker.
     pub fn is_alive(&self) -> bool {
-        self.alive.load(std::sync::atomic::Ordering::Acquire)
+        self.alive.load(Ordering::Acquire)
     }
 
     /// `veo_call_async`: enqueue a kernel call.
     pub fn call_async(&self, sym: &SymHandle, args: ArgsStack) -> Result<ReqId, VeoError> {
-        let req = {
-            let mut n = self.next_req.lock();
-            let r = ReqId(*n);
-            *n += 1;
-            r
-        };
+        let req = ReqId(self.next_req.fetch_add(1, Ordering::Relaxed));
         self.tx
             .send(Command::Call {
                 req,
@@ -144,7 +139,7 @@ impl VeoContext {
 
     /// `veo_call_peek_result`: non-blocking.
     pub fn peek_result(&self, req: ReqId) -> Option<u64> {
-        let mut results = self.results.lock();
+        let mut results = self.results.lock().unwrap();
         if let Some((ret, done)) = results.remove(&req.0) {
             self.host_clock.join(done);
             Some(ret)
@@ -173,7 +168,7 @@ impl VeoContext {
     /// after that kernel returns.
     pub fn close(&self) {
         let _ = self.tx.send(Command::Close);
-        if let Some(h) = self.worker.lock().take() {
+        if let Some(h) = self.worker.lock().unwrap().take() {
             let _ = h.join();
         }
     }

@@ -6,8 +6,7 @@ use crate::VeoError;
 use aurora_mem::{VeAddr, VhAddr};
 use aurora_sim_core::{Clock, SimTime};
 use aurora_ve::{LhmShmUnit, UserDma};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use veos_sim::{AuroraMachine, HostSlice, VeProcess};
 
 /// Host-side handle to a VE process (`veo_proc_create`).
@@ -70,12 +69,12 @@ impl VeoProc {
 
     /// `veo_load_library`: make `lib`'s symbols callable in the process.
     pub fn load_library(&self, lib: KernelLibrary) {
-        *self.lib.lock() = Some(Arc::new(lib));
+        *self.lib.lock().unwrap() = Some(Arc::new(lib));
     }
 
     /// `veo_get_sym`.
     pub fn get_sym(&self, name: &str) -> Result<SymHandle, VeoError> {
-        let guard = self.lib.lock();
+        let guard = self.lib.lock().unwrap();
         let lib = guard.as_ref().ok_or(VeoError::NoLibrary)?;
         lib.sym(name)
             .ok_or_else(|| VeoError::UnknownSymbol(name.to_string()))
@@ -327,6 +326,43 @@ mod tests {
         assert_eq!(c1.wait_result(r1).unwrap(), 10);
         c1.close();
         c2.close();
+    }
+
+    #[test]
+    fn concurrent_calls_get_distinct_req_ids() {
+        let m = small_machine();
+        let p = create(&m);
+        p.load_library(KernelLibrary::new().with("id", |_, args| args.get_u64(0)));
+        let ctx = p.open_context();
+        let sym = p.get_sym("id").unwrap();
+        let start = std::sync::Barrier::new(4);
+        let reqs: Vec<_> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (ctx, sym, start) = (&ctx, &sym, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..16u64)
+                            .map(|i| {
+                                let arg = t * 100 + i;
+                                let args = ArgsStack::new().push_u64(arg);
+                                (ctx.call_async(sym, args).unwrap(), arg)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+        let ids: std::collections::HashSet<_> = reqs.iter().map(|(req, _)| *req).collect();
+        assert_eq!(ids.len(), 64, "every call gets its own id");
+        for (req, arg) in reqs {
+            assert_eq!(ctx.wait_result(req).unwrap(), arg);
+        }
+        ctx.close();
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use crate::dma_manager::DmaManager;
 use crate::process::VeProcess;
 use aurora_ve::VeDevice;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One VEOS instance ("each VE has its own instance of VEOS", §I-B).
 #[derive(Debug)]
@@ -40,29 +39,29 @@ impl Veos {
     /// Create a VE process (what `veo_proc_create` triggers).
     pub fn create_process(&self) -> Arc<VeProcess> {
         let pid = {
-            let mut next = self.next_pid.lock();
+            let mut next = self.next_pid.lock().unwrap();
             let pid = *next;
             *next += 1;
             pid
         };
         let proc = VeProcess::new(pid, Arc::clone(&self.ve));
-        self.procs.lock().insert(pid, Arc::clone(&proc));
+        self.procs.lock().unwrap().insert(pid, Arc::clone(&proc));
         proc
     }
 
     /// Destroy a VE process (what `veo_proc_destroy` triggers).
     pub fn destroy_process(&self, pid: u32) -> bool {
-        self.procs.lock().remove(&pid).is_some()
+        self.procs.lock().unwrap().remove(&pid).is_some()
     }
 
     /// Look up a live process.
     pub fn process(&self, pid: u32) -> Option<Arc<VeProcess>> {
-        self.procs.lock().get(&pid).cloned()
+        self.procs.lock().unwrap().get(&pid).cloned()
     }
 
     /// Number of live processes.
     pub fn process_count(&self) -> usize {
-        self.procs.lock().len()
+        self.procs.lock().unwrap().len()
     }
 }
 
@@ -89,5 +88,25 @@ mod tests {
         assert!(improved.dma().improved());
         let classic = Veos::new(VeDevice::standalone(1, 1 << 20), false);
         assert!(!classic.dma().improved());
+    }
+
+    #[test]
+    fn concurrent_creates_mint_distinct_pids() {
+        let veos = Veos::new(VeDevice::standalone(0, 1 << 20), true);
+        let start = std::sync::Barrier::new(8);
+        let pids: Vec<u32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        veos.create_process().pid()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let distinct: std::collections::HashSet<u32> = pids.iter().copied().collect();
+        assert_eq!(distinct.len(), 8, "pids {pids:?}");
+        assert_eq!(veos.process_count(), 8);
     }
 }

@@ -4,8 +4,7 @@ use crate::daemon::Veos;
 use aurora_mem::{MemError, PageSize, PageTable, RangeAllocator, Region, ShmManager, VhAddr};
 use aurora_pcie::Topology;
 use aurora_ve::VeDevice;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Base of VH process virtual addresses in the simulation.
 pub const VH_VADDR_BASE: u64 = 0x7000_0000_0000;
@@ -78,10 +77,15 @@ impl VhMemory {
     pub fn alloc(&self, len: u64) -> Result<VhAddr, MemError> {
         let p = self.page.bytes();
         // Allocate page-aligned so the mapping is page-granular.
-        let off = self.alloc.lock().alloc(len.max(1).next_multiple_of(p), p)?;
+        let off = self
+            .alloc
+            .lock()
+            .unwrap()
+            .alloc(len.max(1).next_multiple_of(p), p)?;
         let vaddr = VH_VADDR_BASE + off;
         self.page_table
             .lock()
+            .unwrap()
             .map_range(vaddr, off, len.max(1).next_multiple_of(p))?;
         Ok(VhAddr(vaddr))
     }
@@ -92,20 +96,21 @@ impl VhMemory {
         let len = self
             .alloc
             .lock()
+            .unwrap()
             .allocation_len(off)
             .ok_or(MemError::BadFree { offset: off })?;
-        self.page_table.lock().unmap_range(addr.get(), len);
-        self.alloc.lock().free(off)
+        self.page_table.lock().unwrap().unmap_range(addr.get(), len);
+        self.alloc.lock().unwrap().free(off)
     }
 
     /// Number of live VH allocations.
     pub fn live_allocations(&self) -> usize {
-        self.alloc.lock().live_allocations()
+        self.alloc.lock().unwrap().live_allocations()
     }
 
     /// Translate a VH virtual address to its region offset.
     pub fn translate(&self, addr: VhAddr) -> Result<u64, MemError> {
-        self.page_table.lock().translate(addr.get())
+        self.page_table.lock().unwrap().translate(addr.get())
     }
 
     /// Copy host data into the simulated VH memory at `addr` (what a VH

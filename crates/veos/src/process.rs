@@ -3,9 +3,8 @@
 use aurora_mem::{MemError, PageSize, PageTable, Region, VeAddr};
 use aurora_sim_core::Clock;
 use aurora_ve::VeDevice;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Base of VE process virtual addresses (VEMVA), as on real VEs.
 pub const VEMVA_BASE: u64 = 0x6000_0000_0000;
@@ -58,7 +57,7 @@ impl VeProcess {
     /// The mapping is VEMVA = base + HBM offset, so translation is exact
     /// but still goes through the page table (and is checked).
     pub fn alloc_mem(&self, len: u64) -> Result<VeAddr, MemError> {
-        let p = self.page_table.lock().page_size();
+        let p = self.page_table.lock().unwrap().page_size();
         let hbm_off = self.ve.alloc(len.max(1), 8)?;
         let vaddr = VEMVA_BASE + hbm_off;
         // Map the pages this allocation touches (identity + base). Page
@@ -66,12 +65,15 @@ impl VeProcess {
         // identical mappings, so overwriting is harmless.
         let first_page = vaddr / p.bytes() * p.bytes();
         let last_end = (vaddr + len.max(1)).next_multiple_of(p.bytes());
-        self.page_table.lock().map_range(
+        self.page_table.lock().unwrap().map_range(
             first_page,
             first_page - VEMVA_BASE,
             last_end - first_page,
         )?;
-        self.allocations.lock().insert(vaddr, (hbm_off, len.max(1)));
+        self.allocations
+            .lock()
+            .unwrap()
+            .insert(vaddr, (hbm_off, len.max(1)));
         Ok(VeAddr(vaddr))
     }
 
@@ -80,6 +82,7 @@ impl VeProcess {
         let (hbm_off, _len) = self
             .allocations
             .lock()
+            .unwrap()
             .remove(&addr.get())
             .ok_or(MemError::BadFree { offset: addr.get() })?;
         // Pages stay mapped (other allocations may share them); the HBM
@@ -90,7 +93,7 @@ impl VeProcess {
     /// Translate a VEMVA to its HBM offset, checking `len` stays within
     /// the address space.
     pub fn translate(&self, addr: VeAddr, len: u64) -> Result<u64, MemError> {
-        let off = self.page_table.lock().translate(addr.get())?;
+        let off = self.page_table.lock().unwrap().translate(addr.get())?;
         if off + len > self.ve.hbm().len() {
             return Err(MemError::OutOfBounds {
                 offset: off,
@@ -120,7 +123,7 @@ impl VeProcess {
 
     /// Number of live allocations.
     pub fn live_allocations(&self) -> usize {
-        self.allocations.lock().len()
+        self.allocations.lock().unwrap().len()
     }
 
     /// Release-store a 64-bit protocol flag at `addr` (8-aligned VEMVA).

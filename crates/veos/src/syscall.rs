@@ -12,7 +12,7 @@
 //! on this platform is exactly that every socket operation would pay it.
 
 use aurora_sim_core::{calib, Clock, SimTime};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Cost of one reverse-offloaded syscall round trip: the same software
 /// hop a small VEO write pays (pseudo-process + VEOS + kernel modules).
@@ -76,7 +76,7 @@ impl PseudoProcess {
         let result = match call {
             Syscall::Write { fd, data } => {
                 let n = data.len();
-                self.output.lock().push((fd, data));
+                self.output.lock().unwrap().push((fd, data));
                 SyscallResult::Written(n)
             }
             Syscall::ClockGettime => SyscallResult::Time(self.host_clock.now().as_ps()),
@@ -89,7 +89,7 @@ impl PseudoProcess {
 
     /// Captured `write` output: `(fd, bytes)` in call order.
     pub fn captured_output(&self) -> Vec<(i32, Vec<u8>)> {
-        self.output.lock().clone()
+        self.output.lock().unwrap().clone()
     }
 }
 

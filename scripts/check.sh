@@ -3,9 +3,9 @@
 # --workspace` (which holds every virtual-time bound), examples, the
 # benchmark crate's `hotpath all --smoke`, the telemetry-overhead bench,
 # the fault matrix, the soak, clippy, rustdoc and rustfmt.
-# The offline stand-ins under vendor/ (parking_lot, proptest) are path
-# dependencies inside the workspace root, so cargo makes them members:
-# they are tested, linted and formatted like crates/*.
+# The one offline stand-in under vendor/ (proptest) is a path
+# dependency inside the workspace root, so cargo makes it a member: it
+# is tested, linted and formatted like crates/*.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -30,93 +30,74 @@ cd "$(dirname "$0")/.."
 
 PER_TEST_TIMEOUT="${PER_TEST_TIMEOUT:-120}"
 
-# Build the test binaries up front so the timeout below measures the
-# scenarios, not the compiler.
-cargo test -q --test fault_scenarios --no-run
-cargo test -q --test pool_scenarios --no-run
-cargo test -q --test reconnect_scenarios --no-run
-cargo test -q --test local_ring --no-run
+# run <test-binary> <name>...: run each named test of one binary on its
+# own, under the timeout. The binary is built first so the timeout
+# measures the scenario, not the compiler. `--exact` with a name that
+# matches no test runs nothing and still exits 0, so a run passes only
+# if it reports `1 passed`: a renamed scenario fails here instead of
+# silently dropping out of the matrix.
+passed=0
+run() {
+  local bin="$1" t out
+  shift
+  cargo test -q --test "$bin" --no-run
+  for t in "$@"; do
+    echo "-- $bin: $t"
+    if ! out="$(timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
+        cargo test -q --test "$bin" -- --exact "$t" 2>&1)"; then
+      printf '%s\n' "$out" >&2
+      echo "FAULT MATRIX FAILURE: '$t' failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
+      exit 1
+    fi
+    if ! grep -q 'test result: ok\. 1 passed;' <<<"$out"; then
+      printf '%s\n' "$out" >&2
+      echo "FAULT MATRIX FAILURE: '$t' matches no test in $bin" >&2
+      exit 1
+    fi
+    passed=$((passed + 1))
+  done
+}
 
-tests=(
-  kill_one_of_two_targets_veo
-  kill_one_of_two_targets_dma
-  kill_one_of_two_targets_tcp
-  drops_recovered_by_retries_veo
-  drops_recovered_by_retries_dma
-  total_loss_times_out_veo
-  total_loss_times_out_dma
-  timing_faults_change_no_outcome_veo
-  timing_faults_change_no_outcome_dma
+run fault_scenarios \
+  kill_one_of_two_targets_veo \
+  kill_one_of_two_targets_dma \
+  kill_one_of_two_targets_tcp \
+  drops_recovered_by_retries_veo \
+  drops_recovered_by_retries_dma \
+  total_loss_times_out_veo \
+  total_loss_times_out_dma \
+  timing_faults_change_no_outcome_veo \
+  timing_faults_change_no_outcome_dma \
   zero_plan_is_inert_everywhere
-)
 
-pool_tests=(
-  pool_kill_one_of_four_veo
-  pool_kill_one_of_four_dma
-  pool_kill_one_of_four_tcp
-  staged_batch_offloads_fail_over_to_survivors
-  killing_every_target_empties_the_pool
-  oversized_submit_leaves_the_pool_whole
-  kill_target_latches_eviction_before_returning
-  membership_add_target_mid_flight_matrix
-  membership_remove_target_reclaims_staged_work
-  flapping_target_probed_deprioritized_then_heals
-  all_degraded_cluster_submit_is_bounded_under_permanent_outage
+run pool_scenarios \
+  pool_kill_one_of_four_veo \
+  pool_kill_one_of_four_dma \
+  pool_kill_one_of_four_tcp \
+  staged_batch_offloads_fail_over_to_survivors \
+  killing_every_target_empties_the_pool \
+  oversized_submit_leaves_the_pool_whole \
+  kill_target_latches_eviction_before_returning \
+  membership_add_target_mid_flight_matrix \
+  membership_remove_target_reclaims_staged_work \
+  flapping_target_probed_deprioritized_then_heals \
+  all_degraded_cluster_submit_is_bounded_under_permanent_outage \
   all_degraded_cluster_heals_and_unblocks_placement
-)
 
-for t in "${tests[@]}"; do
-  echo "-- fault scenario: $t"
-  if ! timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
-      cargo test -q --test fault_scenarios -- --exact "$t"; then
-    echo "FAULT MATRIX FAILURE: '$t' failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
-    exit 1
-  fi
-done
-
-reconnect_tests=(
-  mid_batch_disconnect_matrix
-  disconnect_during_staged_accumulator_matrix
-  double_disconnect_matrix
-  reconnect_after_timeout_matrix
-  mid_wave_disconnect_matrix
-  replayed_timelines_are_deterministic
-  eviction_waits_for_the_reconnect_budget
+run reconnect_scenarios \
+  mid_batch_disconnect_matrix \
+  disconnect_during_staged_accumulator_matrix \
+  double_disconnect_matrix \
+  reconnect_after_timeout_matrix \
+  mid_wave_disconnect_matrix \
+  replayed_timelines_are_deterministic \
+  eviction_waits_for_the_reconnect_budget \
   discovery_announces_per_host_capabilities
-)
 
-for t in "${pool_tests[@]}"; do
-  echo "-- pool scenario: $t"
-  if ! timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
-      cargo test -q --test pool_scenarios -- --exact "$t"; then
-    echo "FAULT MATRIX FAILURE: '$t' failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
-    exit 1
-  fi
-done
-
-for t in "${reconnect_tests[@]}"; do
-  echo "-- reconnect scenario: $t"
-  if ! timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
-      cargo test -q --test reconnect_scenarios -- --exact "$t"; then
-    echo "FAULT MATRIX FAILURE: '$t' failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
-    exit 1
-  fi
-done
-
-ring_tests=(
-  four_hosts_share_one_target_rotation
-  syncs_after_the_target_parked_all_complete
-  shutdown_joins_a_parked_target
+run local_ring \
+  four_hosts_share_one_target_rotation \
+  syncs_after_the_target_parked_all_complete \
+  shutdown_joins_a_parked_target \
   shutdown_after_eviction_joins
-)
 
-for t in "${ring_tests[@]}"; do
-  echo "-- local ring: $t"
-  if ! timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
-      cargo test -q --test local_ring -- --exact "$t"; then
-    echo "FAULT MATRIX FAILURE: '$t' failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
-    exit 1
-  fi
-done
-
-echo "Fault matrix passed: ${#tests[@]} channel + ${#pool_tests[@]} pool + ${#reconnect_tests[@]} reconnect scenarios, 3 backends, 8 seeds; ${#ring_tests[@]} local ring tests."
+echo "Fault matrix passed: $passed scenario and local ring tests, 3 backends, 8 seeds."
