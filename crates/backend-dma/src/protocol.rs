@@ -32,7 +32,7 @@
 //! returns the SysV key to a free pool for reuse.
 
 use crate::reverse::{reverse_slot_bytes, ReverseService, VeReverseTransport};
-use aurora_mem::{MemError, ShmGuard, ShmManager, ShmSegment, VeAddr, Vehva};
+use aurora_mem::{DmaWindow, MemError, ShmGuard, ShmManager, ShmSegment, Vehva};
 use aurora_proto::{
     AuroraBackend, AuroraCore, Protocol, ProtocolConfig, Setup, VeTransport, SLOT_META,
 };
@@ -207,14 +207,13 @@ impl Protocol for DmaSegment {
                 reverse,
             },
             init_args: ArgsStack::new().push_u64(key as u64),
-            // Fig. 7 setup, VE side: attach the segment by key and
-            // register it in the DMAATB.
+            // Fig. 7 setup, VE side: attach the segment by key, register
+            // it in the DMAATB and resolve the window once; every later
+            // LHM/SHM/user-DMA access goes through the window alone.
             ve_init: Box::new(move |ve, args| {
                 let seg = ve.shm.attach(args.get_u64(0) as i32).expect("attach shm");
-                let vehva = ve
-                    .proc
-                    .ve()
-                    .dmaatb()
+                let atb = ve.proc.ve().dmaatb();
+                let vehva = atb
                     .register(
                         aurora_mem::DmaTarget {
                             region: Arc::clone(seg.region()),
@@ -223,25 +222,28 @@ impl Protocol for DmaSegment {
                         seg.len(),
                     )
                     .expect("DMAATB registration");
+                let window = atb.window(vehva).expect("just registered");
+                let stage = |at| ve.proc.translate(at, stride).expect("staging is mapped");
                 let side = DmaVe {
                     proc: Arc::clone(&ve.proc),
                     udma: ve.udma.clone(),
                     lhm_shm: ve.lhm_shm.clone(),
-                    vehva,
                     send_base: recv_bytes,
                     cfg,
-                    staging,
+                    stage: stage(staging),
                     shm: Arc::clone(&ve.shm),
                     seg,
                     reverse: reverse_staging.map(|staging| VeReverseTransport {
                         proc: Arc::clone(&ve.proc),
                         udma: ve.udma.clone(),
                         lhm_shm: ve.lhm_shm.clone(),
+                        window: window.clone(),
                         vehva: vehva.offset(recv_bytes + send_bytes),
                         cfg,
-                        staging,
+                        stage: stage(staging),
                         seq: Mutex::new(0),
                     }),
+                    window,
                 };
                 (vehva.get(), side)
             }),
@@ -334,60 +336,57 @@ impl Protocol for DmaSegment {
 }
 
 /// VE half of the protocol (Fig. 8): all transfers VE-initiated.
+///
+/// Everything a slot access needs is resolved at `ham_dma_init`: the
+/// DMAATB window of the shm segment and the HBM offset of the staging
+/// buffer. Reaching a slot or the staging buffer takes no lock and
+/// changes no reference count.
 pub struct DmaVe {
     proc: Arc<VeProcess>,
     udma: aurora_ve::UserDma,
     lhm_shm: aurora_ve::LhmShmUnit,
-    /// VEHVA window base of the registered shm segment.
-    vehva: Vehva,
+    /// The registered shm segment.
+    window: DmaWindow,
     /// Offset of the send-slot array within the segment.
     send_base: u64,
     cfg: ProtocolConfig,
-    /// VE-local staging buffer (VEMVA) for DMA.
-    staging: VeAddr,
+    /// HBM offset of the VE-local staging buffer for DMA.
+    stage: u64,
     shm: Arc<ShmManager>,
     seg: Arc<ShmSegment>,
     reverse: Option<VeReverseTransport>,
 }
 
 impl Drop for DmaVe {
-    /// shmdt when `ham_main` exits: drop the VE attachment so a doomed
-    /// segment (host guard dropped / explicit IPC_RMID) is actually
-    /// destroyed.
+    /// When `ham_main` exits: free the DMAATB entry, then shmdt so a
+    /// doomed segment (host guard dropped / explicit IPC_RMID) is
+    /// actually destroyed.
     fn drop(&mut self) {
+        let _ = self.proc.ve().dmaatb().unregister(self.window.base());
         self.shm.detach(&self.seg);
     }
 }
 
 impl DmaVe {
-    fn atb(&self) -> &aurora_mem::Dmaatb {
-        self.proc.ve().dmaatb()
-    }
-
     fn recv_flag(&self, i: usize) -> Vehva {
-        self.vehva.offset(i as u64 * self.cfg.slot_stride())
+        self.window.base().offset(i as u64 * self.cfg.slot_stride())
     }
     fn recv_msg(&self, i: usize) -> Vehva {
         self.recv_flag(i).offset(SLOT_META)
     }
     fn send_flag(&self, i: usize) -> Vehva {
-        self.vehva
+        self.window
+            .base()
             .offset(self.send_base + i as u64 * self.cfg.slot_stride())
     }
     fn send_msg(&self, i: usize) -> Vehva {
         self.send_flag(i).offset(SLOT_META)
     }
-
-    fn staging_off(&self, len: u64) -> u64 {
-        self.proc
-            .translate(self.staging, len)
-            .expect("staging is mapped")
-    }
 }
 
 impl VeTransport for DmaVe {
     fn peek(&self, i: usize) -> Result<Option<SimTime>, MemError> {
-        let ts = self.lhm_shm.peek_word(self.atb(), self.recv_flag(i))?;
+        let ts = self.lhm_shm.peek_word(&self.window, self.recv_flag(i))?;
         Ok((ts != 0).then(|| SimTime::from_ps(ts)))
     }
 
@@ -400,18 +399,16 @@ impl VeTransport for DmaVe {
         pool: &Arc<FramePool>,
     ) -> Option<(MsgHeader, PooledFrame)> {
         let flag = self.recv_flag(i);
-        let clock = self.proc.clock().clone();
+        let (clock, hbm, stage) = (self.proc.clock(), self.proc.hbm(), self.stage);
         // The successful poll: one charged LHM word after the flag's
         // landing time.
         clock.join(ts);
-        let _ = self.lhm_shm.lhm(&clock, self.atb(), flag).ok()?;
+        let _ = self.lhm_shm.lhm(clock, &self.window, flag).ok()?;
 
         // First DMA: header + up to SMALL_FETCH payload bytes in one TLP.
         let first = (HEADER_BYTES + SMALL_FETCH).min(HEADER_BYTES + self.cfg.msg_bytes) as u64;
-        let hbm = Arc::clone(self.proc.hbm());
-        let stage = self.staging_off(self.cfg.slot_stride());
         self.udma
-            .read_host(&clock, self.atb(), self.recv_msg(i), &hbm, stage, first)
+            .read_host(clock, &self.window, self.recv_msg(i), hbm, stage, first)
             .ok()?;
         let mut hdr = [0u8; HEADER_BYTES];
         hbm.read(stage, &mut hdr).ok()?;
@@ -429,10 +426,10 @@ impl VeTransport for DmaVe {
             let rest = (payload.len() - SMALL_FETCH) as u64;
             self.udma
                 .read_host(
-                    &clock,
-                    self.atb(),
+                    clock,
+                    &self.window,
                     self.recv_msg(i).offset(first),
-                    &hbm,
+                    hbm,
                     stage + first,
                     rest,
                 )
@@ -440,29 +437,27 @@ impl VeTransport for DmaVe {
             hbm.read(stage + first, &mut payload[SMALL_FETCH..]).ok()?;
         }
         // Release the slot: SHM store of 0 (host reuses after result).
-        self.lhm_shm.shm(&clock, self.atb(), flag, 0).ok()?;
+        self.lhm_shm.shm(clock, &self.window, flag, 0).ok()?;
         Some((header, payload))
     }
 
     /// Stage locally, deposit with user DMA, notify with an SHM
     /// timestamp flag.
     fn publish(&self, s: usize, _seq: u64, frame: &[u8]) {
-        let clock = self.proc.clock().clone();
-        let hbm = Arc::clone(self.proc.hbm());
-        let stage = self.staging_off(frame.len() as u64);
+        let (clock, hbm, stage) = (self.proc.clock(), self.proc.hbm(), self.stage);
         hbm.write(stage, frame).expect("stage result");
         self.udma
             .write_host(
-                &clock,
-                self.atb(),
-                &hbm,
+                clock,
+                &self.window,
+                hbm,
                 stage,
                 self.send_msg(s),
                 frame.len() as u64,
             )
             .expect("result DMA");
         self.lhm_shm
-            .shm_timestamp(&clock, self.atb(), self.send_flag(s))
+            .shm_timestamp(clock, &self.window, self.send_flag(s))
             .expect("result flag");
     }
 
@@ -608,6 +603,22 @@ mod tests {
         });
         assert_eq!(shm.segment_count(), before + 1);
         again.shutdown();
+    }
+
+    #[test]
+    fn backends_return_their_dmaatb_entry() {
+        // More backends, one after another, than the VE has DMAATB
+        // entries: each must give its window back when `ham_main` exits.
+        let m = machine();
+        let live = || m.ve(0).dmaatb().live_entries();
+        for _ in 0..300 {
+            let o = Offload::new(backend(Arc::clone(&m)));
+            o.sync(NodeId(1), f2f!(empty)).unwrap();
+            assert_eq!(live(), 1);
+            o.shutdown();
+            drop(o);
+            assert_eq!(live(), 0, "DMAATB entry leaked");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! One slot suffices: the VE target loop executes kernels serially, so at
 //! most one reverse call is in flight per target.
 
-use aurora_mem::{Region, VeAddr, Vehva};
+use aurora_mem::{DmaWindow, Region, Vehva};
 use aurora_proto::ProtocolConfig;
 use aurora_sim_core::{calib, Clock, SimTime};
 use ham::message::ReverseTransport;
@@ -171,18 +171,21 @@ impl ReverseService {
 
 /// VE-side transport: what `ctx.vhcall(...)` uses inside kernels.
 pub struct VeReverseTransport {
-    /// The VE process (for clock and staging translation).
+    /// The VE process (for its clock and HBM).
     pub proc: Arc<veos_sim::VeProcess>,
     /// This core's user DMA engine.
     pub udma: aurora_ve::UserDma,
     /// This core's LHM/SHM unit.
     pub lhm_shm: aurora_ve::LhmShmUnit,
+    /// The DMAATB window of the shm segment the reverse slot is in.
+    pub window: DmaWindow,
     /// VEHVA of the reverse slot.
     pub vehva: Vehva,
     /// Protocol geometry.
     pub cfg: ProtocolConfig,
-    /// VE-local staging buffer (VEMVA), distinct from the forward one.
-    pub staging: VeAddr,
+    /// HBM offset of the VE-local staging buffer, distinct from the
+    /// forward one.
+    pub stage: u64,
     /// Serialises calls (defensive; the target loop is serial anyway).
     pub seq: Mutex<u64>,
 }
@@ -200,8 +203,8 @@ impl ReverseTransport for VeReverseTransport {
         let seq = *seq_guard;
         *seq_guard += 1;
 
-        let clock = self.proc.clock().clone();
-        let atb = self.proc.ve().dmaatb();
+        let (clock, hbm, stage) = (self.proc.clock(), self.proc.hbm(), self.stage);
+        let win = &self.window;
         let err = |e: aurora_mem::MemError| HamError::Mem(e.to_string());
 
         let header = MsgHeader {
@@ -216,41 +219,32 @@ impl ReverseTransport for VeReverseTransport {
         bytes.extend_from_slice(payload);
 
         // Stage locally, DMA the request into the host slot, flag it.
-        let hbm = Arc::clone(self.proc.hbm());
-        let stage = self
-            .proc
-            .translate(self.staging, bytes.len() as u64)
-            .map_err(err)?;
         hbm.write(stage, &bytes).map_err(err)?;
         let req_msg = self.vehva.offset(16);
         self.udma
-            .write_host(&clock, atb, &hbm, stage, req_msg, bytes.len() as u64)
+            .write_host(clock, win, hbm, stage, req_msg, bytes.len() as u64)
             .map_err(err)?;
         self.lhm_shm
-            .shm_timestamp(&clock, atb, self.vehva)
+            .shm_timestamp(clock, win, self.vehva)
             .map_err(err)?;
 
         // Poll the response flag (arrival-driven), then fetch.
         let resp_flag = self.vehva.offset(8);
         let ts = loop {
-            match self.lhm_shm.peek_word(atb, resp_flag) {
+            match self.lhm_shm.peek_word(win, resp_flag) {
                 Ok(0) => std::thread::yield_now(),
                 Ok(ts) => break SimTime::from_ps(ts),
                 Err(e) => return Err(err(e)),
             }
         };
         clock.join(ts);
-        self.lhm_shm.lhm(&clock, atb, resp_flag).map_err(err)?;
+        self.lhm_shm.lhm(clock, win, resp_flag).map_err(err)?;
 
         let resp_msg = self.vehva.offset(16 + msg_stride(&self.cfg));
         let first =
             (HEADER_BYTES as u64 + 224).min(HEADER_BYTES as u64 + self.cfg.msg_bytes as u64);
-        let stage = self
-            .proc
-            .translate(self.staging, msg_stride(&self.cfg))
-            .map_err(err)?;
         self.udma
-            .read_host(&clock, atb, resp_msg, &hbm, stage, first)
+            .read_host(clock, win, resp_msg, hbm, stage, first)
             .map_err(err)?;
         let mut hdr = [0u8; HEADER_BYTES];
         hbm.read(stage, &mut hdr).map_err(err)?;
@@ -265,10 +259,10 @@ impl ReverseTransport for VeReverseTransport {
         if total > first {
             self.udma
                 .read_host(
-                    &clock,
-                    atb,
+                    clock,
+                    win,
                     resp_msg.offset(first),
-                    &hbm,
+                    hbm,
                     stage + first,
                     total - first,
                 )
@@ -278,7 +272,7 @@ impl ReverseTransport for VeReverseTransport {
         hbm.read(stage + HEADER_BYTES as u64, &mut frame)
             .map_err(err)?;
         // Clear the response flag for the next call.
-        self.lhm_shm.shm(&clock, atb, resp_flag, 0).map_err(err)?;
+        self.lhm_shm.shm(clock, win, resp_flag, 0).map_err(err)?;
 
         // Borrow to classify, then reuse the fetched buffer as the
         // result (shift out the frame tag) instead of copying the body.

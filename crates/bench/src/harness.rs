@@ -1,6 +1,6 @@
 //! Shared measurement machinery.
 
-use aurora_mem::{DmaTarget, Dmaatb, PageSize};
+use aurora_mem::{DmaTarget, DmaWindow, Dmaatb, PageSize};
 use aurora_sim_core::{Clock, SimTime};
 use aurora_ve::{LhmShmUnit, UserDma};
 use ham_offload::types::NodeId;
@@ -296,12 +296,12 @@ fn veo_transfer_time(
     elapsed
 }
 
-/// VE-side benchmark rig: a registered host segment, a DMAATB, fresh
-/// engines, and a VE clock — the raw mechanisms of §IV, driven directly
-/// as the paper's microbenchmarks do.
+/// VE-side benchmark rig: a host segment's resolved DMAATB window, fresh
+/// engines, and a VE clock — the raw mechanisms of §IV, reached the way
+/// the DMA protocol reaches them, driven directly as the paper's
+/// microbenchmarks do.
 struct VeRig {
-    atb: Dmaatb,
-    vehva: aurora_mem::Vehva,
+    window: DmaWindow,
     hbm: Arc<aurora_mem::Region>,
     hbm_off: u64,
     udma: UserDma,
@@ -322,11 +322,11 @@ fn ve_rig(machine: &Arc<AuroraMachine>, bytes: u64) -> VeRig {
             bytes.max(8),
         )
         .expect("register");
+    let window = atb.window(vehva).expect("just registered");
     let hbm_off = ve.alloc(bytes.max(8), 8).expect("HBM staging");
     let link = Arc::clone(ve.link());
     VeRig {
-        atb,
-        vehva,
+        window,
         hbm: Arc::clone(ve.hbm()),
         hbm_off,
         udma: UserDma::new(Arc::clone(&link)),
@@ -350,8 +350,8 @@ fn udma_transfer_time(
                     .udma
                     .read_host(
                         &rig.clock,
-                        &rig.atb,
-                        rig.vehva,
+                        &rig.window,
+                        rig.window.base(),
                         &rig.hbm,
                         rig.hbm_off,
                         bytes,
@@ -361,10 +361,10 @@ fn udma_transfer_time(
                     .udma
                     .write_host(
                         &rig.clock,
-                        &rig.atb,
+                        &rig.window,
                         &rig.hbm,
                         rig.hbm_off,
-                        rig.vehva,
+                        rig.window.base(),
                         bytes,
                     )
                     .expect("dma write"),
@@ -395,13 +395,13 @@ fn shm_lhm_transfer_time(
                 // LHM loads host memory into the VE.
                 Dir::Vh2Ve => {
                     rig.lhm_shm
-                        .lhm_stream(&rig.clock, &rig.atb, rig.vehva, &mut inbuf)
+                        .lhm_stream(&rig.clock, &rig.window, rig.window.base(), &mut inbuf)
                         .expect("lhm");
                 }
                 // SHM stores VE data into host memory.
                 Dir::Ve2Vh => {
                     rig.lhm_shm
-                        .shm_stream(&rig.clock, &rig.atb, rig.vehva, &outbuf)
+                        .shm_stream(&rig.clock, &rig.window, rig.window.base(), &outbuf)
                         .expect("shm");
                 }
             }

@@ -13,7 +13,8 @@
 //!   manager's cost model;
 //! * [`shm::ShmManager`] — the SysV shared-memory interface of Fig. 7;
 //! * [`dmaatb::Dmaatb`] — the VE-side DMA Address Translation Buffer that
-//!   user DMA and LHM/SHM require (§IV-A).
+//!   user DMA and LHM/SHM require (§IV-A), and [`dmaatb::DmaWindow`], one
+//!   registration resolved once for lock-free access.
 
 #![warn(missing_docs)]
 // The one crate built around unsafe: the Region façade (see region.rs
@@ -29,7 +30,7 @@ pub mod shm;
 
 pub use addr::{MemoryId, VeAddr, Vehva, VhAddr};
 pub use alloc::RangeAllocator;
-pub use dmaatb::{DmaTarget, Dmaatb};
+pub use dmaatb::{DmaTarget, DmaWindow, Dmaatb};
 pub use page::{PageSize, PageTable};
 pub use region::Region;
 pub use shm::{ShmGuard, ShmManager, ShmSegment};

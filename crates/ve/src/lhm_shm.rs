@@ -1,7 +1,8 @@
 //! LHM / SHM — the VE's Load/Store Host Memory instructions (§IV-A).
 //!
 //! Single-64-bit-word access to DMAATB-registered memory, issued from VE
-//! code (the paper uses inline assembly; here, methods on the unit):
+//! code (the paper uses inline assembly; here, methods on the unit) on
+//! VEHVAs inside a [`DmaWindow`] resolved at setup:
 //!
 //! * **LHM** (load): a synchronous, non-pipelined PCIe read round trip —
 //!   720 ns/word, hence Table IV's 0.01 GiB/s;
@@ -16,11 +17,11 @@
 //! LHM on the successful poll and join the producer's in-band timestamp,
 //! i.e. polling is modeled as arrival-driven (documented in DESIGN.md).
 
-use aurora_mem::{Dmaatb, MemError, Vehva};
+use aurora_mem::{DmaWindow, MemError, Vehva};
 use aurora_pcie::{Direction, PcieLink};
 use aurora_sim_core::calib;
 use aurora_sim_core::{Clock, SimTime};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The LHM/SHM execution unit of one VE core.
@@ -34,7 +35,9 @@ use std::sync::Arc;
 pub struct LhmShmUnit {
     link: Arc<PcieLink>,
     extra_one_way: SimTime,
-    credits_free_at: Arc<std::sync::Mutex<SimTime>>,
+    /// When the credit window is full again (ps). It publishes no other
+    /// data, so its update is `Relaxed`.
+    credits_free_at: Arc<AtomicU64>,
 }
 
 impl LhmShmUnit {
@@ -48,29 +51,34 @@ impl LhmShmUnit {
         Self {
             link,
             extra_one_way,
-            credits_free_at: Arc::new(std::sync::Mutex::new(SimTime::ZERO)),
+            credits_free_at: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Available credit window at `now`, and mark the stream ending at
-    /// `end` as having drained it.
-    fn take_window(&self, now: SimTime, stream_cost: impl FnOnce(u64) -> SimTime) -> SimTime {
-        let mut free_at = self.credits_free_at.lock().unwrap();
-        let window = if now >= *free_at {
-            calib::shm_stream().window_words
-        } else {
-            0
-        };
-        let cost = stream_cost(window);
-        *free_at = now + cost + calib::SHM_CREDIT_REPLENISH;
+    /// The cost `stream_cost` gives for the credit window available at
+    /// `now`; the stream drains the window until it ends plus the
+    /// replenish time.
+    fn take_window(&self, now: SimTime, stream_cost: impl Fn(u64) -> SimTime) -> SimTime {
+        let mut cost = SimTime::ZERO;
+        let _ =
+            self.credits_free_at
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free_at| {
+                    let window = if now.as_ps() >= free_at {
+                        calib::shm_stream().window_words
+                    } else {
+                        0
+                    };
+                    cost = stream_cost(window);
+                    Some((now + cost + calib::SHM_CREDIT_REPLENISH).as_ps())
+                });
         cost
     }
 
     /// LHM: load one 64-bit word from registered memory. Synchronous
     /// round trip; `clock` advances by the word cost.
-    pub fn lhm(&self, clock: &Clock, atb: &Dmaatb, src: Vehva) -> Result<u64, MemError> {
-        let t = atb.translate(src, 8)?;
-        let v = t.region.atomic_u64(t.offset)?.load(Ordering::Acquire);
+    pub fn lhm(&self, clock: &Clock, win: &DmaWindow, src: Vehva) -> Result<u64, MemError> {
+        let (region, off) = win.access(src, 8)?;
+        let v = region.atomic_u64(off)?.load(Ordering::Acquire);
         let t0 = clock.now();
         let t1 = clock.advance(calib::LHM_WORD + self.extra_one_way * 2);
         aurora_sim_core::trace::record("lhm.word", 8, t0, t1);
@@ -78,9 +86,9 @@ impl LhmShmUnit {
     }
 
     /// Zero-virtual-cost atomic peek for polling loops. See module docs.
-    pub fn peek_word(&self, atb: &Dmaatb, src: Vehva) -> Result<u64, MemError> {
-        let t = atb.translate(src, 8)?;
-        Ok(t.region.atomic_u64(t.offset)?.load(Ordering::Acquire))
+    pub fn peek_word(&self, win: &DmaWindow, src: Vehva) -> Result<u64, MemError> {
+        let (region, off) = win.access(src, 8)?;
+        Ok(region.atomic_u64(off)?.load(Ordering::Acquire))
     }
 
     /// SHM: store one 64-bit word to registered memory (Release). Posted;
@@ -89,19 +97,17 @@ impl LhmShmUnit {
     pub fn shm(
         &self,
         clock: &Clock,
-        atb: &Dmaatb,
+        win: &DmaWindow,
         dst: Vehva,
         value: u64,
     ) -> Result<SimTime, MemError> {
-        let t = atb.translate(dst, 8)?;
+        let (region, off) = win.access(dst, 8)?;
         let t0 = clock.now();
         let cost = self.take_window(t0, |w| calib::shm_stream().transfer_time_with_window(1, w))
             + self.extra_one_way;
         let done = clock.advance(cost);
         aurora_sim_core::trace::record("shm.word", 8, t0, done);
-        t.region
-            .atomic_u64(t.offset)?
-            .store(value, Ordering::Release);
+        region.atomic_u64(off)?.store(value, Ordering::Release);
         Ok(done)
     }
 
@@ -112,17 +118,17 @@ impl LhmShmUnit {
     pub fn shm_timestamp(
         &self,
         clock: &Clock,
-        atb: &Dmaatb,
+        win: &DmaWindow,
         dst: Vehva,
     ) -> Result<SimTime, MemError> {
-        let t = atb.translate(dst, 8)?;
+        let (region, off) = win.access(dst, 8)?;
         let t0 = clock.now();
         let cost = self.take_window(t0, |w| calib::shm_stream().transfer_time_with_window(1, w))
             + self.extra_one_way;
         let done = clock.advance(cost);
         aurora_sim_core::trace::record("shm.flag", 8, t0, done);
-        t.region
-            .atomic_u64(t.offset)?
+        region
+            .atomic_u64(off)?
             .store(done.as_ps(), std::sync::atomic::Ordering::Release);
         Ok(done)
     }
@@ -133,14 +139,14 @@ impl LhmShmUnit {
     pub fn shm_stream(
         &self,
         clock: &Clock,
-        atb: &Dmaatb,
+        win: &DmaWindow,
         dst: Vehva,
         words: &[u64],
     ) -> Result<SimTime, MemError> {
         let len = (words.len() * 8) as u64;
-        let t = atb.translate(dst, len)?;
+        let (region, off) = win.access(dst, len)?;
         for (i, w) in words.iter().enumerate() {
-            t.region.write_u64_le(t.offset + (i * 8) as u64, *w)?;
+            region.write_u64_le(off + (i * 8) as u64, *w)?;
         }
         let stream = self.take_window(clock.now(), |win| {
             calib::shm_stream().transfer_time_with_window(words.len() as u64, win)
@@ -156,14 +162,14 @@ impl LhmShmUnit {
     pub fn lhm_stream(
         &self,
         clock: &Clock,
-        atb: &Dmaatb,
+        win: &DmaWindow,
         src: Vehva,
         out: &mut [u64],
     ) -> Result<SimTime, MemError> {
         let len = (out.len() * 8) as u64;
-        let t = atb.translate(src, len)?;
+        let (region, off) = win.access(src, len)?;
         for (i, w) in out.iter_mut().enumerate() {
-            *w = t.region.read_u64_le(t.offset + (i * 8) as u64)?;
+            *w = region.read_u64_le(off + (i * 8) as u64)?;
         }
         let per_word = calib::LHM_WORD + self.extra_one_way * 2;
         Ok(clock.advance(per_word * out.len() as u64))
@@ -173,38 +179,41 @@ impl LhmShmUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aurora_mem::{DmaTarget, Region};
+    use aurora_mem::{DmaTarget, Dmaatb, Region};
 
-    fn setup() -> (LhmShmUnit, Dmaatb, Arc<Region>, Vehva) {
+    /// `host`, registered whole and resolved.
+    fn window(host: &Arc<Region>) -> DmaWindow {
+        let atb = Dmaatb::new(1);
+        let target = DmaTarget {
+            region: Arc::clone(host),
+            offset: 0,
+        };
+        atb.window(atb.register(target, host.len()).unwrap())
+            .unwrap()
+    }
+
+    fn setup() -> (LhmShmUnit, DmaWindow, Arc<Region>, Vehva) {
         let unit = LhmShmUnit::new(Arc::new(PcieLink::default()));
-        let atb = Dmaatb::new(8);
         let host = Region::new(1 << 20);
-        let vehva = atb
-            .register(
-                DmaTarget {
-                    region: Arc::clone(&host),
-                    offset: 0,
-                },
-                1 << 20,
-            )
-            .unwrap();
-        (unit, atb, host, vehva)
+        let win = window(&host);
+        let vehva = win.base();
+        (unit, win, host, vehva)
     }
 
     #[test]
     fn lhm_reads_host_word() {
-        let (unit, atb, host, vehva) = setup();
+        let (unit, win, host, vehva) = setup();
         host.store_u64(16, 0xABCD).unwrap();
         let clock = Clock::new();
-        assert_eq!(unit.lhm(&clock, &atb, vehva.offset(16)).unwrap(), 0xABCD);
+        assert_eq!(unit.lhm(&clock, &win, vehva.offset(16)).unwrap(), 0xABCD);
         assert_eq!(clock.now(), calib::LHM_WORD);
     }
 
     #[test]
     fn shm_writes_host_word() {
-        let (unit, atb, host, vehva) = setup();
+        let (unit, win, host, vehva) = setup();
         let clock = Clock::new();
-        let done = unit.shm(&clock, &atb, vehva.offset(8), 77).unwrap();
+        let done = unit.shm(&clock, &win, vehva.offset(8), 77).unwrap();
         assert_eq!(host.load_u64(8).unwrap(), 77);
         assert_eq!(done, clock.now());
         // One word ≈ 160 ns (§V-B derivation).
@@ -213,19 +222,19 @@ mod tests {
 
     #[test]
     fn peek_costs_nothing() {
-        let (unit, atb, host, vehva) = setup();
+        let (unit, win, host, vehva) = setup();
         host.store_u64(0, 5).unwrap();
         let clock = Clock::new();
-        assert_eq!(unit.peek_word(&atb, vehva).unwrap(), 5);
+        assert_eq!(unit.peek_word(&win, vehva).unwrap(), 5);
         assert_eq!(clock.now(), SimTime::ZERO);
     }
 
     #[test]
     fn shm_stream_two_regimes() {
-        let (unit, atb, host, vehva) = setup();
+        let (unit, win, host, vehva) = setup();
         let words: Vec<u64> = (0..64).collect();
         let clock = Clock::new();
-        unit.shm_stream(&clock, &atb, vehva, &words).unwrap();
+        unit.shm_stream(&clock, &win, vehva, &words).unwrap();
         for (i, w) in words.iter().enumerate() {
             assert_eq!(host.read_u64_le((i * 8) as u64).unwrap(), *w);
         }
@@ -237,13 +246,13 @@ mod tests {
 
     #[test]
     fn lhm_stream_is_per_word_round_trips() {
-        let (unit, atb, host, vehva) = setup();
+        let (unit, win, host, vehva) = setup();
         for i in 0..16u64 {
             host.write_u64_le(i * 8, i * i).unwrap();
         }
         let clock = Clock::new();
         let mut out = [0u64; 16];
-        unit.lhm_stream(&clock, &atb, vehva, &mut out).unwrap();
+        unit.lhm_stream(&clock, &win, vehva, &mut out).unwrap();
         assert_eq!(out[15], 225);
         assert_eq!(clock.now(), calib::LHM_WORD * 16);
     }
@@ -251,15 +260,15 @@ mod tests {
     #[test]
     fn shm_beats_udma_only_up_to_256_bytes() {
         // §V-B cross-check at the unit level.
-        let (unit, atb, _host, vehva) = setup();
+        let (unit, win, _host, vehva) = setup();
         let shm_32w = {
             let c = Clock::new();
-            unit.shm_stream(&c, &atb, vehva, &vec![0u64; 32]).unwrap();
+            unit.shm_stream(&c, &win, vehva, &vec![0u64; 32]).unwrap();
             c.now()
         };
         let shm_64w = {
             let c = Clock::new();
-            unit.shm_stream(&c, &atb, vehva, &vec![0u64; 64]).unwrap();
+            unit.shm_stream(&c, &win, vehva, &vec![0u64; 64]).unwrap();
             c.now()
         };
         assert!(shm_32w < calib::UDMA_SETUP, "SHM wins at 256 B");
@@ -271,21 +280,12 @@ mod tests {
         let link = Arc::new(PcieLink::default());
         let near = LhmShmUnit::new(Arc::clone(&link));
         let far = LhmShmUnit::with_extra_latency(link, calib::UPI_HOP);
-        let atb = Dmaatb::new(4);
-        let host = Region::new(64);
-        let vehva = atb
-            .register(
-                DmaTarget {
-                    region: host,
-                    offset: 0,
-                },
-                64,
-            )
-            .unwrap();
+        let win = window(&Region::new(64));
+        let vehva = win.base();
         let c1 = Clock::new();
-        near.lhm(&c1, &atb, vehva).unwrap();
+        near.lhm(&c1, &win, vehva).unwrap();
         let c2 = Clock::new();
-        far.lhm(&c2, &atb, vehva).unwrap();
+        far.lhm(&c2, &win, vehva).unwrap();
         assert_eq!(c2.now() - c1.now(), calib::UPI_HOP * 2);
     }
 }

@@ -12,7 +12,10 @@
 //!
 //! Everything the VE initiates operates on VEHVA addresses and requires a
 //! prior DMAATB registration — the constraint that shapes the paper's
-//! DMA-based protocol (Figs. 7–8).
+//! DMA-based protocol (Figs. 7–8). VE code resolves a registration once
+//! into an [`aurora_mem::DmaWindow`] and hands that to the units, so an
+//! LHM, SHM or user-DMA access takes no table lock and no reference
+//! count.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -2,14 +2,15 @@
 //!
 //! Each VE core owns a user DMA engine that VE code programs directly —
 //! no VEOS involvement, no on-the-fly translation: source/destination on
-//! the host side are VEHVAs resolved through the DMAATB that was filled
-//! at setup time. This is the fast path of the paper's DMA protocol.
+//! the host side are VEHVAs inside a [`DmaWindow`] that VE code resolved
+//! from the DMAATB once, at setup. This is the fast path of the paper's
+//! DMA protocol.
 //!
 //! Costs follow `calib::udma_*`: ~1.45 µs setup plus the streaming time
 //! at 10.6 (VH⇒VE) / 11.1 (VE⇒VH) GiB/s, serialized per engine and
 //! occupying the PCIe wire so contention is modeled.
 
-use aurora_mem::{Dmaatb, MemError, Region, Vehva};
+use aurora_mem::{DmaWindow, MemError, Region, Vehva};
 use aurora_pcie::{Direction, PcieLink};
 use aurora_sim_core::calib;
 use aurora_sim_core::{Clock, SimTime, Timeline};
@@ -49,15 +50,15 @@ impl UserDma {
     pub fn read_host(
         &self,
         clock: &Clock,
-        atb: &Dmaatb,
+        win: &DmaWindow,
         src: Vehva,
         dst: &Region,
         dst_off: u64,
         len: u64,
     ) -> Result<SimTime, MemError> {
-        let target = atb.translate(src, len)?;
+        let (host, host_off) = win.access(src, len)?;
         // Real data movement.
-        Region::copy_between(&target.region, target.offset, dst, dst_off, len)?;
+        Region::copy_between(host, host_off, dst, dst_off, len)?;
         // Virtual cost.
         let setup = calib::UDMA_SETUP + self.extra_one_way * 2;
         let issue = self.engine.reserve(clock.now(), setup);
@@ -76,14 +77,14 @@ impl UserDma {
     pub fn write_host(
         &self,
         clock: &Clock,
-        atb: &Dmaatb,
+        win: &DmaWindow,
         src: &Region,
         src_off: u64,
         dst: Vehva,
         len: u64,
     ) -> Result<SimTime, MemError> {
-        let target = atb.translate(dst, len)?;
-        Region::copy_between(src, src_off, &target.region, target.offset, len)?;
+        let (host, host_off) = win.access(dst, len)?;
+        Region::copy_between(src, src_off, host, host_off, len)?;
         let setup = calib::UDMA_SETUP + self.extra_one_way;
         let issue = self.engine.reserve(clock.now(), setup);
         let base = aurora_sim_core::time::time_at_gib_per_sec(len, calib::UDMA_VE2VH_GIB_S);
@@ -115,33 +116,36 @@ impl UserDma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aurora_mem::DmaTarget;
+    use aurora_mem::{DmaTarget, Dmaatb};
 
-    fn setup() -> (UserDma, Dmaatb, Arc<Region>, Vehva, Arc<Region>) {
+    /// `host`, registered whole and resolved.
+    fn window(host: &Arc<Region>) -> DmaWindow {
+        let atb = Dmaatb::new(1);
+        let target = DmaTarget {
+            region: Arc::clone(host),
+            offset: 0,
+        };
+        atb.window(atb.register(target, host.len()).unwrap())
+            .unwrap()
+    }
+
+    fn setup() -> (UserDma, DmaWindow, Arc<Region>, Vehva, Arc<Region>) {
         let link = Arc::new(PcieLink::default());
         let dma = UserDma::new(link);
-        let atb = Dmaatb::new(8);
         let host = Region::new(1 << 20);
-        let vehva = atb
-            .register(
-                DmaTarget {
-                    region: Arc::clone(&host),
-                    offset: 0,
-                },
-                1 << 20,
-            )
-            .unwrap();
+        let win = window(&host);
+        let vehva = win.base();
         let local = Region::new(1 << 20);
-        (dma, atb, host, vehva, local)
+        (dma, win, host, vehva, local)
     }
 
     #[test]
     fn read_host_moves_data_and_time() {
-        let (dma, atb, host, vehva, local) = setup();
+        let (dma, win, host, vehva, local) = setup();
         host.write(64, b"from the host").unwrap();
         let clock = Clock::new();
         let done = dma
-            .read_host(&clock, &atb, vehva.offset(64), &local, 0, 13)
+            .read_host(&clock, &win, vehva.offset(64), &local, 0, 13)
             .unwrap();
         let mut buf = [0u8; 13];
         local.read(0, &mut buf).unwrap();
@@ -154,10 +158,10 @@ mod tests {
 
     #[test]
     fn write_host_moves_data_and_time() {
-        let (dma, atb, host, vehva, local) = setup();
+        let (dma, win, host, vehva, local) = setup();
         local.write(0, b"to the host").unwrap();
         let clock = Clock::new();
-        dma.write_host(&clock, &atb, &local, 0, vehva.offset(128), 11)
+        dma.write_host(&clock, &win, &local, 0, vehva.offset(128), 11)
             .unwrap();
         let mut buf = [0u8; 11];
         host.read(128, &mut buf).unwrap();
@@ -166,10 +170,10 @@ mod tests {
 
     #[test]
     fn large_transfer_rate_matches_calibration() {
-        let (dma, atb, _host, vehva, local) = setup();
+        let (dma, win, _host, vehva, local) = setup();
         let clock = Clock::new();
         let len = 1 << 20;
-        let done = dma.read_host(&clock, &atb, vehva, &local, 0, len).unwrap();
+        let done = dma.read_host(&clock, &win, vehva, &local, 0, len).unwrap();
         let bw = aurora_sim_core::time::gib_per_sec(len, done);
         assert!(
             (bw - calib::UDMA_VH2VE_GIB_S).abs() / calib::UDMA_VH2VE_GIB_S < 0.05,
@@ -179,13 +183,13 @@ mod tests {
 
     #[test]
     fn ve2vh_faster_than_vh2ve() {
-        let (dma, atb, _host, vehva, local) = setup();
+        let (dma, win, _host, vehva, local) = setup();
         let len = 1 << 20;
         let c1 = Clock::new();
-        let t_read = dma.read_host(&c1, &atb, vehva, &local, 0, len).unwrap();
+        let t_read = dma.read_host(&c1, &win, vehva, &local, 0, len).unwrap();
         let dma2 = UserDma::new(Arc::new(PcieLink::default()));
         let c2 = Clock::new();
-        let t_write = dma2.write_host(&c2, &atb, &local, 0, vehva, len).unwrap();
+        let t_write = dma2.write_host(&c2, &win, &local, 0, vehva, len).unwrap();
         assert!(t_write < t_read, "posted writes beat non-posted reads");
     }
 
@@ -194,45 +198,36 @@ mod tests {
         let link = Arc::new(PcieLink::default());
         let near = UserDma::new(Arc::clone(&link));
         let far = UserDma::with_extra_latency(link, calib::UPI_HOP);
-        let atb = Dmaatb::new(8);
-        let host = Region::new(4096);
-        let vehva = atb
-            .register(
-                DmaTarget {
-                    region: host,
-                    offset: 0,
-                },
-                4096,
-            )
-            .unwrap();
+        let win = window(&Region::new(4096));
+        let vehva = win.base();
         let local = Region::new(4096);
         let c1 = Clock::new();
-        let t_near = near.read_host(&c1, &atb, vehva, &local, 0, 8).unwrap();
+        let t_near = near.read_host(&c1, &win, vehva, &local, 0, 8).unwrap();
         let c2 = Clock::new();
-        let t_far = far.read_host(&c2, &atb, vehva, &local, 0, 8).unwrap();
+        let t_far = far.read_host(&c2, &win, vehva, &local, 0, 8).unwrap();
         assert_eq!(t_far - t_near, calib::UPI_HOP * 2, "read = round trip");
     }
 
     #[test]
     fn unregistered_vehva_faults() {
-        let (dma, atb, _h, _v, local) = setup();
+        let (dma, win, _h, _v, local) = setup();
         let clock = Clock::new();
         assert!(matches!(
-            dma.read_host(&clock, &atb, Vehva(0x42), &local, 0, 8),
+            dma.read_host(&clock, &win, Vehva(0x42), &local, 0, 8),
             Err(MemError::NotMapped { .. })
         ));
     }
 
     #[test]
     fn engine_serializes_requests() {
-        let (dma, atb, _host, vehva, local) = setup();
+        let (dma, win, _host, vehva, local) = setup();
         let clock = Clock::new();
         let len = 1 << 16;
-        let t1 = dma.read_host(&clock, &atb, vehva, &local, 0, len).unwrap();
+        let t1 = dma.read_host(&clock, &win, vehva, &local, 0, len).unwrap();
         // Second request from the same virtual instant queues behind the
         // first on the engine timeline; issue from a fresh clock at 0.
         let clock2 = Clock::new();
-        let t2 = dma.read_host(&clock2, &atb, vehva, &local, 0, len).unwrap();
+        let t2 = dma.read_host(&clock2, &win, vehva, &local, 0, len).unwrap();
         assert!(t2 > t1, "engine busy-until serializes: {t1} then {t2}");
     }
 }
