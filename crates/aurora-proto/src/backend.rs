@@ -20,7 +20,7 @@ use ham::wire::{MsgHeader, MsgKind};
 use ham::Registry;
 use ham_offload::backend::{build_registry, CommBackend, RawBuffer};
 use ham_offload::chan::pool::{FramePool, PooledFrame};
-use ham_offload::chan::{engine, ChannelCore, PendingEntry, RecoveryPolicy, Reservation};
+use ham_offload::chan::{engine, ChannelCore, Idle, PendingEntry, RecoveryPolicy, Reservation};
 use ham_offload::device::{DeviceConfig, DeviceRuntime};
 use ham_offload::target_loop::{frame_result, result_header, Polled, TargetChannel, TargetEnv};
 use ham_offload::types::{NodeDescriptor, NodeId};
@@ -79,8 +79,8 @@ pub trait Protocol: Send + Sync + Sized + 'static {
         entry: &PendingEntry,
     ) -> Result<Option<u64>, OffloadError>;
 
-    /// Read the result frame whose flag was seen ready, paying the
-    /// protocol's virtual cost.
+    /// Read the result frame whose flag was seen ready into `out`,
+    /// paying the protocol's virtual cost.
     fn fetch_frame(
         &self,
         core: &AuroraCore,
@@ -88,7 +88,8 @@ pub trait Protocol: Send + Sync + Sized + 'static {
         seq: u64,
         entry: &PendingEntry,
         token: u64,
-    ) -> Result<Vec<u8>, OffloadError>;
+        out: &mut Vec<u8>,
+    ) -> Result<(), OffloadError>;
 
     /// Stop protocol-private host services; called once `ham_main` has
     /// exited, so nothing VE-initiated can still be in flight.
@@ -340,10 +341,11 @@ impl<P: Protocol> CommBackend for AuroraBackend<P> {
         seq: u64,
         entry: &PendingEntry,
         token: u64,
-    ) -> Result<Vec<u8>, OffloadError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), OffloadError> {
         self.link(target)?
             .transport
-            .fetch_frame(&self.core, target, seq, entry, token)
+            .fetch_frame(&self.core, target, seq, entry, token, out)
     }
 
     fn allocate(&self, node: NodeId, bytes: u64) -> Result<u64, OffloadError> {
@@ -466,11 +468,20 @@ impl<V: VeTransport> TargetChannel for VeChannel<V> {
     fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
         let i = self.slot();
         // Zero-cost peeks until the host publishes (arrival-driven
-        // polling; see DESIGN.md).
+        // polling; see DESIGN.md). The VE is a thread on the host's
+        // CPUs: it spins on the flag for up to `SPIN` where another CPU
+        // can run the host, then yields on every empty peek; where no
+        // other CPU can, it yields on every one, since the host cannot
+        // publish until it runs.
+        let mut idle = Idle::new();
         let ts = loop {
             self.check_killed();
             match self.ve.peek(i) {
-                Ok(None) => std::thread::yield_now(),
+                Ok(None) => {
+                    if !idle.spin() {
+                        std::thread::yield_now();
+                    }
+                }
                 Ok(Some(ts)) => break ts,
                 Err(_) => return None,
             }

@@ -298,7 +298,8 @@ impl Protocol for DmaSegment {
         _seq: u64,
         entry: &PendingEntry,
         token: u64,
-    ) -> Result<Vec<u8>, OffloadError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), OffloadError> {
         let clock = core.host_clock();
         clock.join(SimTime::from_ps(token));
         let t0 = clock.now();
@@ -312,15 +313,14 @@ impl Protocol for DmaSegment {
             .read(self.send_msg(s), &mut hdr)
             .map_err(|e| OffloadError::Mem(e.to_string()))?;
         let header = MsgHeader::decode(&hdr).map_err(|e| OffloadError::Backend(e.to_string()))?;
-        let mut frame = vec![0u8; header.payload_len as usize];
+        out.resize(header.payload_len as usize, 0);
         region
-            .read(self.send_msg(s) + HEADER_BYTES as u64, &mut frame)
+            .read(self.send_msg(s) + HEADER_BYTES as u64, out)
             .map_err(|e| OffloadError::Mem(e.to_string()))?;
         // Reset the (local) flag; the engine frees the slots.
         region
             .store_u64(self.send_flag(s), 0)
-            .map_err(|e| OffloadError::Mem(e.to_string()))?;
-        Ok(frame)
+            .map_err(|e| OffloadError::Mem(e.to_string()))
     }
 
     /// Stop the reverse service: `ham_main` has exited, so no more

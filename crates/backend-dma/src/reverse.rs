@@ -27,6 +27,7 @@ use ham::message::ReverseTransport;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 use ham::{ExecContext, HamError, Registry};
+use ham_offload::chan::Idle;
 use ham_offload::target_loop::{unframe_result_ref, write_framed};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -92,18 +93,22 @@ impl ReverseService {
         // (header ‖ status ‖ output) that the handler encodes into.
         let mut payload = Vec::new();
         let mut resp = Vec::new();
+        let mut idle = Idle::new();
         loop {
             let ts = match self.region.load_u64(req_flag) {
                 Ok(0) => {
                     if self.stop.load(Ordering::Acquire) {
                         return;
                     }
-                    std::thread::yield_now();
+                    if !idle.spin() {
+                        std::thread::yield_now();
+                    }
                     continue;
                 }
                 Ok(ts) => SimTime::from_ps(ts),
                 Err(_) => return,
             };
+            idle.reset();
             // Arrival-driven: join the request's landing time, pay the
             // local poll read.
             self.clock.join(ts);
@@ -230,9 +235,14 @@ impl ReverseTransport for VeReverseTransport {
 
         // Poll the response flag (arrival-driven), then fetch.
         let resp_flag = self.vehva.offset(8);
+        let mut idle = Idle::new();
         let ts = loop {
             match self.lhm_shm.peek_word(win, resp_flag) {
-                Ok(0) => std::thread::yield_now(),
+                Ok(0) => {
+                    if !idle.spin() {
+                        std::thread::yield_now();
+                    }
+                }
                 Ok(ts) => break SimTime::from_ps(ts),
                 Err(e) => return Err(err(e)),
             }

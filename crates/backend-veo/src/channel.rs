@@ -188,7 +188,8 @@ impl Protocol for VeoSlots {
         seq: u64,
         entry: &PendingEntry,
         _token: u64,
-    ) -> Result<Vec<u8>, OffloadError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), OffloadError> {
         let proc = &core.target(node)?.proc;
         let s = entry.send_slot;
 
@@ -217,14 +218,13 @@ impl Protocol for VeoSlots {
         debug_assert_eq!(header.seq, seq, "result sequence mismatch");
         let total = HEADER_BYTES as u64 + header.payload_len as u64;
         // Charged read 2: header + payload.
-        let mut frame = vec![0u8; header.payload_len as usize];
+        out.resize(header.payload_len as usize, 0);
         core.with_staging(total, |staging| {
             proc.read_mem(self.send.msg(s), staging, total)
                 .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            vh.read(staging.offset(HEADER_BYTES as u64), &mut frame)
+            vh.read(staging.offset(HEADER_BYTES as u64), out)
                 .map_err(|e| OffloadError::Mem(e.to_string()))
-        })?;
-        Ok(frame)
+        })
     }
 }
 

@@ -102,15 +102,17 @@ pub trait CommBackend: Send + Sync + 'static {
     }
 
     /// Polled transports: read the result frame of an offload whose
-    /// flag was seen ready, releasing the transport-side slot state.
-    /// Slot accounting itself is the engine's job.
+    /// flag was seen ready into `out` (an empty frame the engine checked
+    /// out of the channel's pool), releasing the transport-side slot
+    /// state. Slot accounting itself is the engine's job.
     fn fetch_frame(
         &self,
         _target: NodeId,
         _seq: u64,
         _entry: &PendingEntry,
         _token: u64,
-    ) -> Result<Vec<u8>, OffloadError> {
+        _out: &mut Vec<u8>,
+    ) -> Result<(), OffloadError> {
         Err(OffloadError::Backend(
             "push transport: results are deposited, not fetched".into(),
         ))

@@ -760,10 +760,9 @@ impl ChannelCore {
     /// Finish a frame claimed with [`Self::take_pending`]: retire it
     /// and park the result for its future (fanned out to members for a
     /// batch carrier).
-    pub fn finish(&self, seq: u64, result: Result<Vec<u8>, OffloadError>) {
+    pub fn finish(&self, seq: u64, result: Result<PooledFrame, OffloadError>) {
         let mut st = self.state.lock().unwrap();
         if let Some(rec) = st.retire(seq, true) {
-            let result = result.map(|v| self.pool.adopt(v));
             self.settle(&mut st, seq, rec, result, false);
         }
     }
@@ -1058,7 +1057,7 @@ mod tests {
         assert_eq!((r.seq, r.recv_slot, r.send_slot), (0, 0, 0));
         assert!(c.take_pending(r.seq).is_some());
         assert!(c.take_pending(r.seq).is_none(), "one sweeper owns it");
-        c.finish(r.seq, Ok(b"done".to_vec()));
+        c.finish(r.seq, Ok(c.pool().adopt(b"done".to_vec())));
         assert_eq!(
             c.take_completed(r.seq).unwrap().unwrap().as_slice(),
             b"done"

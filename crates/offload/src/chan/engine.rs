@@ -100,20 +100,24 @@ fn post_inner<B: CommBackend + ?Sized>(
     let offload = trace::current_offload();
     let mut backoff = Backoff::new();
     let wire_bytes = (HEADER_BYTES + payload.len()) as u64;
-    let res = loop {
+    let reserved = loop {
         match chan.try_reserve(control, offload, backend.host_clock().now(), wire_bytes) {
-            Reserve::Reserved(r) => break r,
-            Reserve::Shutdown => return Err(OffloadError::Shutdown),
-            Reserve::Lost(e) => return Err(e),
+            Reserve::Reserved(r) => break Ok(r),
+            Reserve::Shutdown => break Err(OffloadError::Shutdown),
+            Reserve::Lost(e) => break Err(e),
             Reserve::Full => {
                 // All slots in flight: sweep completions to free some.
                 // A dead target errors its pending entries out here, so
                 // this loop cannot spin forever.
-                sweep(backend, target)?;
+                if let Err(e) = sweep(backend, target) {
+                    break Err(e);
+                }
                 backoff.snooze();
             }
         }
     };
+    backoff.record(backend.metrics());
+    let res = reserved?;
     let header = MsgHeader {
         handler_key: key,
         payload_len: payload.len() as u32,
@@ -160,17 +164,24 @@ fn flush_staged<B: CommBackend + ?Sized>(
         return Ok(());
     }
     let mut backoff = Backoff::new();
-    loop {
+    let prep = loop {
         match chan.take_flush() {
-            FlushPrep::Empty => return Ok(()),
+            FlushPrep::Empty => break Ok(None),
             FlushPrep::Full => {
                 // Eviction empties the accumulator, so a dead target
                 // exits through `Empty` rather than spinning here.
-                sweep(backend, target)?;
+                if let Err(e) = sweep(backend, target) {
+                    break Err(e);
+                }
                 backoff.snooze();
             }
-            FlushPrep::Ready(f) => return send_envelope(backend, target, chan, f, slo),
+            FlushPrep::Ready(f) => break Ok(Some(f)),
         }
+    };
+    backoff.record(backend.metrics());
+    match prep? {
+        Some(f) => send_envelope(backend, target, chan, f, slo),
+        None => Ok(()),
     }
 }
 
@@ -365,7 +376,10 @@ fn sweep_with<B: CommBackend + ?Sized>(
                 // The fetch belongs to the span tree of the offload it
                 // completes, not whichever future's poll triggered it.
                 let _scope = trace::offload_scope(OffloadId(entry.offload));
-                let result = backend.fetch_frame(target, seq, &entry, token);
+                let mut frame = chan.pool().checkout();
+                let result = backend
+                    .fetch_frame(target, seq, &entry, token, &mut frame)
+                    .map(|()| frame);
                 chan.finish(seq, result);
                 completed += 1;
             }

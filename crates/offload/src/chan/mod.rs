@@ -54,7 +54,7 @@ pub use self::core::{
     DEFAULT_PUSH_CREDITS,
 };
 pub use adaptive::{AdaptiveDecision, AdaptivePolicy, Decision};
-pub use backoff::Backoff;
+pub use backoff::{Backoff, Idle};
 pub use batch::BatchConfig;
 pub use config::{ProtocolConfig, SLOT_META};
 pub use pending::PendingEntry;

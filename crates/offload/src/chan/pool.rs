@@ -67,12 +67,6 @@ impl PooledFrame {
     pub fn detached(buf: Vec<u8>) -> Self {
         Self { buf, pool: None }
     }
-
-    /// Take the buffer out, detaching it from the pool.
-    pub fn into_vec(mut self) -> Vec<u8> {
-        self.pool = None;
-        core::mem::take(&mut self.buf)
-    }
 }
 
 impl core::ops::Deref for PooledFrame {
@@ -119,14 +113,10 @@ mod tests {
     }
 
     #[test]
-    fn detached_and_into_vec_skip_the_pool() {
+    fn detached_skips_the_pool() {
         let pool = FramePool::new();
         drop(PooledFrame::detached(vec![1, 2, 3]));
         assert_eq!(pool.idle(), 0);
-        let f = pool.checkout();
-        let v = f.into_vec();
-        assert!(v.is_empty());
-        assert_eq!(pool.idle(), 0, "into_vec detaches");
     }
 
     #[test]

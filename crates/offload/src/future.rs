@@ -234,8 +234,10 @@ impl<T> Future<T> {
 /// rounds. `settle` is told whether a drain preceded the pass. `inner`
 /// finds the [`Future`] inside a wrapper.
 ///
-/// The backoff spins briefly, then yields, then sleeps, so a long wait
-/// stops starving the target thread (and the host core). This loop is
+/// The backoff spins briefly (only where another CPU can run the
+/// target), then yields, then sleeps, so a long wait stops starving the
+/// target thread (and the host core). A wait that paused is counted in
+/// the phase it ended in, on the first future's backend. This loop is
 /// also the one place a wake-up could replace the poll.
 pub(crate) fn wait<F, T, R>(
     futures: &mut [F],
@@ -261,6 +263,9 @@ pub(crate) fn wait<F, T, R>(
             }
         }
         if let Some(r) = settle(futures, true) {
+            if let Some(b) = futures.iter().find_map(|f| inner(f).backend.as_deref()) {
+                backoff.record(b.metrics());
+            }
             return r;
         }
         backoff.snooze();

@@ -20,12 +20,15 @@
 //! is never contended: the flag hands the slot from one side to the
 //! other.
 //!
-//! An idle target spins for [`SPIN`] of wall time, then parks; a host
-//! that raises a flag unparks it.
+//! An idle target polls its next receive slot under
+//! [`crate::chan::backoff::Idle`]: for up to
+//! [`crate::chan::backoff::SPIN`] of wall time where another CPU can
+//! run the host, not at all where none can. Then it parks; a host that
+//! raises a flag unparks it.
 
 use crate::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use crate::chan::pool::{FramePool, PooledFrame};
-use crate::chan::{engine, BatchConfig, ChannelCore, PendingEntry, Reservation};
+use crate::chan::{engine, BatchConfig, ChannelCore, Idle, PendingEntry, Reservation};
 use crate::device::{DeviceConfig, DeviceRuntime};
 use crate::target_loop::{Polled, TargetChannel, TargetEnv};
 use crate::types::{DeviceType, NodeDescriptor, NodeId};
@@ -39,7 +42,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
-use std::time::{Duration, Instant};
 
 /// Process seed of the "host binary".
 const HOST_SEED: u64 = 0x4841_4D00;
@@ -47,9 +49,6 @@ const HOST_SEED: u64 = 0x4841_4D00;
 /// Receive and send slots per target: room for two 64-offload waves in
 /// flight at once.
 const SLOTS: usize = 128;
-
-/// How long an idle target polls its next receive slot before it parks.
-pub const SPIN: Duration = Duration::from_micros(50);
 
 /// Slot buffers keep at most this much capacity once drained, so one
 /// burst of large messages does not pin `2 × SLOTS` large buffers.
@@ -147,19 +146,16 @@ impl ChannelEnd {
 
 impl TargetChannel for ChannelEnd {
     fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-        let mut spun_since = None;
+        let mut idle = Idle::new();
         loop {
             match self.try_recv(pool) {
                 Polled::Msg(h, p) => return Some((h, p)),
                 Polled::Closed => return None,
                 Polled::Empty => {}
             }
-            let since = *spun_since.get_or_insert_with(Instant::now);
-            if since.elapsed() < SPIN {
-                std::hint::spin_loop();
-            } else {
+            if !idle.spin() {
                 self.nap();
-                spun_since = None;
+                idle.reset();
             }
         }
     }
@@ -368,11 +364,11 @@ impl CommBackend for LocalBackend {
         _seq: u64,
         entry: &PendingEntry,
         _token: u64,
-    ) -> Result<Vec<u8>, OffloadError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), OffloadError> {
         let t = self.target(target)?;
-        let mut frame = t.chan.pool().checkout();
-        t.ring.send[entry.send_slot].consume(0, &mut frame, |_| ());
-        Ok(frame.into_vec())
+        t.ring.send[entry.send_slot].consume(0, out, |_| ());
+        Ok(())
     }
 
     fn allocate(&self, node: NodeId, bytes: u64) -> Result<u64, OffloadError> {

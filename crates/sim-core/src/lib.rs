@@ -41,7 +41,7 @@ pub use aurora_telemetry::{
 pub use clock::Clock;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSite};
 pub use metrics::{
-    BackendMetrics, LaneMetricsSnapshot, LaneStats, MetricsSnapshot, NodeMetricsSnapshot,
+    BackendMetrics, LaneMetricsSnapshot, LaneStats, MetricsSnapshot, NodeMetricsSnapshot, WaitPhase,
 };
 pub use model::{LinkModel, SegmentedModel, TransferCost};
 pub use resource::Timeline;

@@ -173,6 +173,18 @@ impl LaneStats {
     }
 }
 
+/// The phase of its pacing a blocking host wait ended in: the phase of
+/// its last pause.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaitPhase {
+    /// Spin hints only: the CPU was never given up.
+    Spin = 0,
+    /// `yield_now`: the CPU was offered to another thread.
+    Yield = 1,
+    /// A timed sleep.
+    Sleep = 2,
+}
+
 /// Live metric registers of one backend instance.
 #[derive(Debug)]
 pub struct BackendMetrics {
@@ -187,6 +199,8 @@ pub struct BackendMetrics {
     member_joins: Counter,
     /// Targets removed (drained) from a running pool's membership.
     member_leaves: Counter,
+    /// Blocking waits that paused, by the [`WaitPhase`] they ended in.
+    waits: [Counter; 3],
     puts: Counter,
     gets: Counter,
     bytes_put: Counter,
@@ -238,6 +252,7 @@ impl BackendMetrics {
             replayed: Counter::new(),
             member_joins: Counter::new(),
             member_leaves: Counter::new(),
+            waits: [Counter::new(), Counter::new(), Counter::new()],
             puts: Counter::new(),
             gets: Counter::new(),
             bytes_put: Counter::new(),
@@ -338,6 +353,11 @@ impl BackendMetrics {
     /// A target was removed (drained) from a running pool's membership.
     pub fn on_member_leave(&self) {
         self.member_leaves.incr();
+    }
+
+    /// A blocking wait that paused at least once ended in `phase`.
+    pub fn on_wait(&self, phase: WaitPhase) {
+        self.waits[phase as usize].incr();
     }
 
     /// A batch (or single-message frame) was flushed `delay` of virtual
@@ -441,6 +461,9 @@ impl BackendMetrics {
             probe_misses: events(HealthEventKind::ProbeMiss),
             member_joins: self.member_joins.get(),
             member_leaves: self.member_leaves.get(),
+            waits_spin: self.waits[WaitPhase::Spin as usize].get(),
+            waits_yield: self.waits[WaitPhase::Yield as usize].get(),
+            waits_sleep: self.waits[WaitPhase::Sleep as usize].get(),
             completions,
             puts: self.puts.get(),
             gets: self.gets.get(),
@@ -546,6 +569,12 @@ pub struct MetricsSnapshot {
     pub member_joins: u64,
     /// Targets removed (drained) from a running pool's membership.
     pub member_leaves: u64,
+    /// Blocking waits whose last pause was a spin.
+    pub waits_spin: u64,
+    /// Blocking waits whose last pause was a yield.
+    pub waits_yield: u64,
+    /// Blocking waits whose last pause was a sleep.
+    pub waits_sleep: u64,
     /// Offloads whose result was consumed (the per-target registers'
     /// sum).
     pub completions: u64,
@@ -604,7 +633,7 @@ type HistRow = (&'static str, fn(&MetricsSnapshot) -> &Histogram);
 
 /// Every exposed counter. The Prometheus name is `aurora_<key>_total`.
 /// Both expositions list the rows in this order.
-const COUNTERS: [Row<u64>; 26] = [
+const COUNTERS: [Row<u64>; 29] = [
     ("posts", |s| s.posts),
     ("frames_sent", |s| s.frames_sent),
     ("msgs_sent", |s| s.msgs_sent),
@@ -631,6 +660,9 @@ const COUNTERS: [Row<u64>; 26] = [
     ("batch_widens", |s| s.batch_widens),
     ("batch_narrows", |s| s.batch_narrows),
     ("batch_slo_flushes", |s| s.batch_slo_flushes),
+    ("waits_spin", |s| s.waits_spin),
+    ("waits_yield", |s| s.waits_yield),
+    ("waits_sleep", |s| s.waits_sleep),
 ];
 
 /// Every exposed gauge; the Prometheus name is `aurora_<key>`.

@@ -24,7 +24,14 @@
 # (tests/local_ring.rs) drive the in-process backend's slot arrays:
 # four host threads on one target's rotation, a target that parks
 # between posts, and shutdown of a parked or evicted target — a lost
-# wake-up there is a hang too.
+# wake-up there is a hang too. The idle-target tests
+# (tests/failure_modes.rs) let a DMA and a VEO target wait past their
+# spin window before the next `sync`, and kill a VE while it waits.
+#
+# Idle targets and host waits spin only where another CPU can run the
+# peer (`chan::backoff`). The idle-target and local ring tests run a
+# second time under `taskset -c 0`, so the one-CPU branch runs too; a
+# machine without `taskset` fails here rather than skipping it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,14 +43,16 @@ PER_TEST_TIMEOUT="${PER_TEST_TIMEOUT:-120}"
 # matches no test runs nothing and still exits 0, so a run passes only
 # if it reports `1 passed`: a renamed scenario fails here instead of
 # silently dropping out of the matrix.
+# Each test runs under `pin` (a command prefix, empty by default).
 passed=0
+pin=()
 run() {
   local bin="$1" t out
   shift
   cargo test -q --test "$bin" --no-run
   for t in "$@"; do
-    echo "-- $bin: $t"
-    if ! out="$(timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
+    echo "-- $bin: $t${pin[*]:+ (under ${pin[*]})}"
+    if ! out="$("${pin[@]}" timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
         cargo test -q --test "$bin" -- --exact "$t" 2>&1)"; then
       printf '%s\n' "$out" >&2
       echo "FAULT MATRIX FAILURE: '$t' failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
@@ -94,10 +103,26 @@ run reconnect_scenarios \
   eviction_waits_for_the_reconnect_budget \
   discovery_announces_per_host_capabilities
 
-run local_ring \
-  four_hosts_share_one_target_rotation \
-  syncs_after_the_target_parked_all_complete \
-  shutdown_joins_a_parked_target \
-  shutdown_after_eviction_joins
+idle_and_ring() {
+  run failure_modes \
+    idle_target_serves_the_next_sync_dma \
+    idle_target_serves_the_next_sync_veo \
+    a_ve_killed_during_its_idle_spin_is_evicted
 
-echo "Fault matrix passed: $passed scenario and local ring tests, 3 backends, 8 seeds."
+  run local_ring \
+    four_hosts_share_one_target_rotation \
+    syncs_after_the_target_parked_all_complete \
+    shutdown_joins_a_parked_target \
+    shutdown_after_eviction_joins
+}
+
+idle_and_ring
+
+if ! command -v taskset >/dev/null; then
+  echo "FAULT MATRIX FAILURE: no taskset, so the one-CPU pass cannot run" >&2
+  exit 1
+fi
+pin=(taskset -c 0)
+idle_and_ring
+
+echo "Fault matrix passed: $passed scenario, idle-target and local ring runs, 3 backends, 8 seeds."

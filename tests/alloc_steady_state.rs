@@ -753,6 +753,66 @@ fn warm_local_sync_allocates_once_per_offload() {
     );
 }
 
+/// Allocations of `offloads` rounds of `sync(whoami)` on a warm backend, counted on
+/// every thread: the host thread and the VE thread.
+fn warm_sync_allocs(o: &ham_aurora_repro::Offload, offloads: u64) -> u64 {
+    use aurora_workloads::kernels::whoami;
+    use ham::f2f;
+    use ham_aurora_repro::NodeId;
+
+    let sync = || assert_eq!(o.sync(NodeId(1), f2f!(whoami)).unwrap(), 1);
+    for _ in 0..200 {
+        sync();
+    }
+    EVERY_THREAD.store(true, Ordering::SeqCst);
+    let ((), allocs) = counted(|| {
+        for _ in 0..offloads {
+            sync();
+        }
+    });
+    EVERY_THREAD.store(false, Ordering::SeqCst);
+    allocs
+}
+
+/// A warm `sync` over the DMA protocol: the host encodes into a pooled
+/// frame and DMA-writes it, the VE reads it into a pooled body, and the
+/// host's flag sweep reads the result into a frame checked out of the
+/// channel's pool — what is left is the one exact-size `Vec` the device
+/// hands `send_result`. Counted on every thread.
+#[test]
+fn warm_dma_sync_allocates_once_per_offload() {
+    use ham_aurora_repro::dma_offload;
+
+    const OFFLOADS: u64 = 2000;
+    let _gate = gate();
+    let o = dma_offload(1, aurora_workloads::register_all);
+    let allocs = warm_sync_allocs(&o, OFFLOADS);
+    o.shutdown();
+    // One per offload; the slack absorbs a thread's one-off lazy
+    // allocations.
+    assert!(
+        allocs <= OFFLOADS + OFFLOADS / 50,
+        "{allocs} allocations over {OFFLOADS} warm DMA offloads"
+    );
+}
+
+/// The same over the VEO protocol: the host's two charged VEO reads
+/// land in the VH staging buffer and then in a pooled frame.
+#[test]
+fn warm_veo_sync_allocates_once_per_offload() {
+    use ham_aurora_repro::veo_offload;
+
+    const OFFLOADS: u64 = 2000;
+    let _gate = gate();
+    let o = veo_offload(1, aurora_workloads::register_all);
+    let allocs = warm_sync_allocs(&o, OFFLOADS);
+    o.shutdown();
+    assert!(
+        allocs <= OFFLOADS + OFFLOADS / 50,
+        "{allocs} allocations over {OFFLOADS} warm VEO offloads"
+    );
+}
+
 /// A warm Table II `put` + `get` on the DMA backend: the slice's own
 /// bytes go to the backend and come back into the caller's slice, and
 /// the VH staging buffer is the pooled one, so nothing is allocated.

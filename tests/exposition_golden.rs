@@ -13,7 +13,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test exposition_golden
 //! ```
 
-use aurora_sim_core::{BackendMetrics, HealthEventKind, SimTime};
+use aurora_sim_core::{BackendMetrics, HealthEventKind, SimTime, WaitPhase};
 use aurora_telemetry::json::Value;
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -109,6 +109,17 @@ fn build() -> BackendMetrics {
         m.on_alloc(1, addr, 1 << 10);
         m.on_free(1, addr);
     }
+    // Blocking waits by the backoff phase they ended in: 27 while
+    // spinning, 28 after a yield, 29 asleep.
+    for (phase, n) in [
+        (WaitPhase::Spin, 27),
+        (WaitPhase::Yield, 28),
+        (WaitPhase::Sleep, 29),
+    ] {
+        for _ in 0..n {
+            m.on_wait(phase);
+        }
+    }
     // Device-runtime lane registers: two lanes served work, 23 tasks
     // were stolen from a neighbour's deque.
     let lanes = m.lane_stats();
@@ -159,5 +170,5 @@ fn golden_load_is_distinctive() {
             }
         }
     }
-    assert_eq!(seen.len(), 30, "26 counters and 4 gauges");
+    assert_eq!(seen.len(), 33, "29 counters and 4 gauges");
 }

@@ -9,9 +9,31 @@ use ham_aurora_repro::{
 };
 use ham_backend_dma::DmaBackend;
 use ham_backend_veo::{ProtocolConfig, VeoBackend};
+use ham_offload::chan::backoff::SPIN;
 use ham_offload::Offload;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use veos_sim::{AuroraMachine, MachineConfig};
+
+/// Run `body` on its own thread; a run longer than `limit` fails as
+/// `what` hanging.
+fn watchdog(what: &str, limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(limit) {
+        Ok(()) => worker.join().expect("test body"),
+        // The body panicked: re-raise its message.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(p) = worker.join() {
+                std::panic::resume_unwind(p);
+            }
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung for more than {limit:?}"),
+    }
+}
 
 fn tiny_machine() -> Arc<AuroraMachine> {
     AuroraMachine::small(
@@ -287,6 +309,76 @@ fn refused_post_to_a_dead_ve_latches_the_eviction() {
         assert_eq!(latched, Some(OffloadError::TargetLost(dead)));
         assert_eq!(o.in_flight(dead).unwrap(), 0, "leaked pending entry");
         o.shutdown();
+    }
+}
+
+/// A VE that waited on an empty slot for longer than its spin window
+/// (it yields on every peek by then) still serves the next `sync`, and
+/// so does one caught inside the window.
+fn idle_target_serves_the_next_sync(make: fn() -> Offload, what: &'static str) {
+    watchdog(what, Duration::from_secs(60), move || {
+        let o = make();
+        let t = NodeId(1);
+        for idle in [SPIN * 20, Duration::ZERO, SPIN / 2, SPIN * 2, SPIN * 20] {
+            std::thread::sleep(idle);
+            assert_eq!(o.sync(t, f2f!(whoami)).unwrap(), 1, "after {idle:?} idle");
+        }
+        o.shutdown();
+    });
+}
+
+#[test]
+fn idle_target_serves_the_next_sync_dma() {
+    idle_target_serves_the_next_sync(
+        || dma_offload(1, aurora_workloads::register_all),
+        "a DMA target idle for 20 x SPIN",
+    );
+}
+
+#[test]
+fn idle_target_serves_the_next_sync_veo() {
+    idle_target_serves_the_next_sync(
+        || veo_offload(1, aurora_workloads::register_all),
+        "a VEO target idle for 20 x SPIN",
+    );
+}
+
+#[test]
+fn a_ve_killed_during_its_idle_spin_is_evicted() {
+    // Kill the VE right after a `sync`, while it polls its next slot:
+    // the poll loop checks the kill on every peek, spinning or not, so
+    // the VE dies there and the host evicts the channel.
+    for (make, what) in [
+        (
+            (|| veo_offload(1, aurora_workloads::register_all)) as fn() -> Offload,
+            "a VEO target killed while idle",
+        ),
+        (
+            || dma_offload(1, aurora_workloads::register_all),
+            "a DMA target killed while idle",
+        ),
+    ] {
+        watchdog(what, Duration::from_secs(60), move || {
+            let o = make();
+            let dead = NodeId(1);
+            assert_eq!(o.sync(dead, f2f!(whoami)).unwrap(), 1);
+            o.kill_target(dead).unwrap();
+            let err = loop {
+                match o.async_(dead, f2f!(whoami)) {
+                    Ok(f) => {
+                        if let Err(e) = f.get() {
+                            break e;
+                        }
+                    }
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, OffloadError::TargetLost(NodeId(1))), "{err}");
+            let latched = o.backend().channel(dead).unwrap().eviction();
+            assert_eq!(latched, Some(OffloadError::TargetLost(dead)));
+            assert_eq!(o.in_flight(dead).unwrap(), 0, "leaked pending entry");
+            o.shutdown();
+        });
     }
 }
 

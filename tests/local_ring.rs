@@ -7,7 +7,8 @@
 
 use aurora_workloads::kernels::{echo, whoami};
 use ham::f2f;
-use ham_aurora_repro::offload::local::{LocalBackend, SPIN};
+use ham_aurora_repro::offload::chan::backoff::SPIN;
+use ham_aurora_repro::offload::local::LocalBackend;
 use ham_aurora_repro::sim_core::rng::SplitMix64;
 use ham_aurora_repro::{NodeId, Offload, OffloadError};
 use std::collections::VecDeque;
