@@ -16,7 +16,11 @@ use crate::codec;
 use crate::message::{ActiveMessage, ExecContext};
 use crate::HamError;
 use aurora_sim_core::rng::SplitMix64;
-use std::collections::HashMap;
+
+/// Where synthesised local handler addresses start, and how far apart
+/// they lie.
+const ADDR_BASE: u64 = 0x4000_0000;
+const ADDR_STRIDE: u64 = 0x40;
 
 /// Globally valid message-type identifier: index into the sorted table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,53 +69,75 @@ impl RegistryBuilder {
 
         // Synthesise distinct local addresses, scrambled per process.
         let mut addresses: Vec<u64> = (0..entries.len() as u64)
-            .map(|i| 0x4000_0000 + i * 0x40)
+            .map(|i| ADDR_BASE + i * ADDR_STRIDE)
             .collect();
         SplitMix64::new(process_seed ^ 0x9E37_79B9).shuffle(&mut addresses);
 
-        let mut by_key = Vec::with_capacity(entries.len());
-        let mut handlers = HashMap::with_capacity(entries.len());
-        let mut key_by_name = HashMap::with_capacity(entries.len());
-        let mut names = Vec::with_capacity(entries.len());
-        for (i, ((name, h), addr)) in entries.into_iter().zip(addresses).enumerate() {
-            by_key.push(addr);
-            handlers.insert(addr, h);
-            key_by_name.insert(name, HandlerKey(i as u64));
-            names.push(name);
+        // Row k holds key k's name and address, and the handler whose
+        // address is `ADDR_BASE + k * ADDR_STRIDE` (moved there below).
+        let mut rows: Vec<Row> = entries
+            .iter()
+            .zip(&addresses)
+            .map(|(&(name, handler), &addr)| Row {
+                name,
+                addr,
+                handler,
+            })
+            .collect();
+        for (&(_, handler), &addr) in entries.iter().zip(&addresses) {
+            rows[slot_of(addr)].handler = handler;
         }
         Registry {
-            by_key,
-            handlers,
-            key_by_name,
-            names,
+            rows,
+            names: entries.into_iter().map(|(name, _)| name).collect(),
         }
     }
 }
 
-/// One process's sealed handler table.
+/// The row of the handler at synthesised address `addr`.
+fn slot_of(addr: u64) -> usize {
+    ((addr - ADDR_BASE) / ADDR_STRIDE) as usize
+}
+
+/// One row of a sealed table, on a cache line of its own. The table is
+/// read on every message (the host's `key_of`, the target's
+/// `execute_into`) while other threads write their own small heap
+/// objects; a row sharing a line with one of those would bounce that
+/// line between cores on every message.
+#[repr(align(64))]
+struct Row {
+    /// Type name of key `k` (rows are sorted by it).
+    name: &'static str,
+    /// Local handler address of key `k` (the O(1) translation of Fig. 6).
+    addr: u64,
+    /// The handler at the address this row's index stands for.
+    handler: HandlerFn,
+}
+
+/// One process's sealed handler table. Nothing on the per-message path
+/// hashes: a key is found by binary search of the sorted names, and an
+/// address indexes the rows.
 pub struct Registry {
-    /// key → local handler address (the O(1) translation of Fig. 6).
-    by_key: Vec<u64>,
-    /// local address → handler code.
-    handlers: HashMap<u64, HandlerFn>,
-    key_by_name: HashMap<&'static str, HandlerKey>,
+    rows: Vec<Row>,
+    /// The sorted type names again, for [`Registry::names`].
     names: Vec<&'static str>,
 }
 
 impl Registry {
     /// The handler key of message type `M` (sender side of Fig. 6).
     pub fn key_of<M: ActiveMessage>(&self) -> Result<HandlerKey, HamError> {
-        self.key_by_name
-            .get(M::type_tag())
-            .copied()
-            .ok_or(HamError::Unregistered(M::type_tag()))
+        let tag = M::type_tag();
+        self.rows
+            .binary_search_by(|row| row.name.cmp(tag))
+            .map(|i| HandlerKey(i as u64))
+            .map_err(|_| HamError::Unregistered(tag))
     }
 
     /// Translate a key to this process's local handler address.
     pub fn address_of(&self, key: HandlerKey) -> Result<u64, HamError> {
-        self.by_key
+        self.rows
             .get(key.0 as usize)
-            .copied()
+            .map(|row| row.addr)
             .ok_or(HamError::UnknownKey(key.0))
     }
 
@@ -127,11 +153,7 @@ impl Registry {
         out: &mut Vec<u8>,
     ) -> Result<(), HamError> {
         let addr = self.address_of(key)?;
-        let handler = self
-            .handlers
-            .get(&addr)
-            .ok_or(HamError::UnknownKey(key.0))?;
-        handler(payload, ctx, out)
+        (self.rows[slot_of(addr)].handler)(payload, ctx, out)
     }
 
     /// [`Self::execute_into`] a fresh buffer.
@@ -148,12 +170,12 @@ impl Registry {
 
     /// Number of registered message types.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.rows.len()
     }
 
     /// True when no messages are registered.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.rows.is_empty()
     }
 
     /// Sorted type names (the shared table layout).

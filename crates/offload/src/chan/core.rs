@@ -2,7 +2,7 @@
 
 use super::adaptive::{AdaptiveDecision, AdaptivePolicy, AdaptiveState};
 use super::batch::{self, BatchConfig};
-use super::pending::{FrameRecord, InFlight, PendingEntry};
+use super::pending::{FrameRecord, InFlight, PendingEntry, SeqTable};
 use super::pool::{FramePool, PooledFrame};
 use super::recovery::{MissVerdict, RecoveryPolicy, StoredFrame};
 use super::ring::SlotRing;
@@ -10,7 +10,6 @@ use crate::OffloadError;
 use aurora_sim_core::SimTime;
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -178,8 +177,8 @@ struct ChanState {
     /// deposit) parks *every* ready completion here, so sibling futures
     /// settle without touching the transport; transport errors park the
     /// same way, so a dead target errors every outstanding future
-    /// instead of hanging them.
-    parked: HashMap<u64, Parked>,
+    /// instead of hanging them. Parking a seq again replaces its entry.
+    parked: SeqTable<Parked>,
     seq: u64,
     shutdown: bool,
     /// `Some(why)` once the target was evicted: every in-flight offload
@@ -307,7 +306,7 @@ impl ChannelCore {
                 recv,
                 send,
                 frames: InFlight::default(),
-                parked: HashMap::new(),
+                parked: SeqTable::default(),
                 seq: 0,
                 shutdown: false,
                 evicted: None,
@@ -947,7 +946,7 @@ impl ChannelCore {
             .lock()
             .unwrap()
             .parked
-            .get_mut(&seq)
+            .get_mut(seq)
             .is_some_and(|p| core::mem::take(&mut p.unsent))
     }
 
@@ -1017,7 +1016,7 @@ impl ChannelCore {
 
     /// Claim a parked completion together with its unsent marker.
     pub(crate) fn claim(&self, seq: u64) -> Option<(Result<PooledFrame, OffloadError>, bool)> {
-        let p = self.state.lock().unwrap().parked.remove(&seq)?;
+        let p = self.state.lock().unwrap().parked.remove(seq)?;
         Some((p.result, p.unsent))
     }
 
@@ -2219,6 +2218,46 @@ mod tests {
                     prop_assert!(matches!(reserve(&c), Reserve::Reserved(_)), "a slot leaked");
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// The seq-ordered parked table against a `BTreeMap` model:
+        /// parks in any seq order, re-parks of a seq (the later result
+        /// wins), claims in any order, one-shot unsent markers, and
+        /// `tracked_seqs` counting exactly what is parked.
+        #[test]
+        fn parked_table_matches_a_btreemap(
+            ops in proptest::collection::vec((0u8..4, 0u64..24, any::<bool>()), 0..128),
+        ) {
+            use std::collections::BTreeMap;
+            let c = ChannelCore::unbounded();
+            // seq → (result body, unsent)
+            let mut model: BTreeMap<u64, (Vec<u8>, bool)> = BTreeMap::new();
+            for (step, (kind, seq, unsent)) in ops.into_iter().enumerate() {
+                let body = vec![step as u8, seq as u8];
+                match kind {
+                    // Park, or re-park over an earlier entry.
+                    0 | 1 => {
+                        let result = Ok(PooledFrame::detached(body.clone()));
+                        c.state.lock().unwrap().park(seq, result, unsent);
+                        model.insert(seq, (body, unsent));
+                    }
+                    // Claim, in whatever order the ops name seqs.
+                    2 => {
+                        let got = c.claim(seq).map(|(r, u)| (r.unwrap().to_vec(), u));
+                        prop_assert_eq!(got, model.remove(&seq));
+                    }
+                    // The one-shot unsent marker.
+                    _ => {
+                        let want = model.get_mut(&seq).is_some_and(|e| core::mem::take(&mut e.1));
+                        prop_assert_eq!(c.take_unsent(seq), want);
+                    }
+                }
+                prop_assert_eq!(c.tracked_seqs(), model.len());
+            }
+            let parked: Vec<u64> = c.state.lock().unwrap().parked.iter_mut().map(|(s, _)| s).collect();
+            prop_assert_eq!(parked, model.keys().copied().collect::<Vec<_>>(), "seq order");
         }
     }
 }

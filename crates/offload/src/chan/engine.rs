@@ -248,8 +248,10 @@ pub fn drain<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<usi
 
 /// Sweep the completion flags of *every* in-flight offload on `target`
 /// and park the ready ones for their futures — one poll pass
-/// retires any number of completions (O(completions) host work, not
-/// O(in-flight · polls)). Push transports have nothing to sweep; their
+/// retires any number of completions. The pass copies and polls every
+/// in-flight entry (`pending_into`), so its host work is O(in-flight),
+/// shared by every future waiting on the channel rather than repeated
+/// per future. Push transports have nothing to sweep; their
 /// receiver threads deposit directly. Returns how many offloads
 /// completed (transport errors count: they complete their futures with
 /// the error).

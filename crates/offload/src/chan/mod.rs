@@ -28,8 +28,9 @@
 //!   watermarks per channel from the observed flush-latency histogram,
 //!   under the `BatchConfig::slo_micros` time-in-accumulator bound;
 //! * buffer recycling — [`FramePool`] keeps the post → complete hot
-//!   path allocation-free by handing wire frames out of a per-channel
-//!   freelist.
+//!   path allocation-free by handing wire frames out of a per-thread
+//!   cache, with no lock, atomic or refcount on the warm path; caches
+//!   trade buffers in batches through one shared depot.
 //!
 //! Slot-layout constants shared by the Aurora transports
 //! ([`ProtocolConfig`], [`SLOT_META`]) also live here, so `ham-backend-dma`

@@ -1,5 +1,6 @@
 //! In-flight bookkeeping: one `FrameRecord` per frame on the wire,
-//! in a table ordered by sequence number.
+//! in a table ordered by sequence number (`SeqTable`, which also
+//! holds the channel's parked completions).
 
 use super::recovery::StoredFrame;
 use aurora_sim_core::SimTime;
@@ -58,16 +59,88 @@ impl FrameRecord {
     }
 }
 
-/// The in-flight table of one channel, kept sorted by seq in a
-/// `VecDeque`: seqs are minted in increasing order, so an insert is a
-/// `push_back` unless a batch carrier was flushed late, the oldest
-/// frames complete first, so a removal is near the front, and iterating
-/// is already the seq order a flag sweep needs. The buffer keeps its
-/// capacity, so a warm channel allocates nothing per insert (a
-/// `BTreeMap` would, a `HashMap` needs a sort per sweep).
+/// A table keyed by sequence number, kept sorted in a `VecDeque`: seqs
+/// are minted in increasing order, so an insert is a `push_back` unless
+/// a batch carrier was flushed late, the oldest entries leave first, so
+/// a removal is near the front, and iterating is already the seq order
+/// a flag sweep needs. The buffer keeps its capacity, so a warm channel
+/// allocates nothing per insert (a `BTreeMap` would, and a `HashMap`
+/// hashes every access and needs a sort per sweep).
+#[derive(Debug)]
+pub(super) struct SeqTable<T> {
+    entries: VecDeque<(u64, T)>,
+}
+
+impl<T> Default for SeqTable<T> {
+    fn default() -> Self {
+        Self {
+            entries: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> SeqTable<T> {
+    fn position(&self, seq: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&seq, |(s, _)| *s)
+    }
+
+    /// Store `value` under `seq`; returns what was stored there before.
+    #[inline]
+    pub fn insert(&mut self, seq: u64, value: T) -> Option<T> {
+        if self.entries.back().is_none_or(|(last, _)| *last < seq) {
+            self.entries.push_back((seq, value));
+            return None;
+        }
+        match self.position(seq) {
+            Ok(at) => Some(core::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                self.entries.insert(at, (seq, value));
+                None
+            }
+        }
+    }
+
+    /// Take the entry of `seq` out if `take` accepts it.
+    #[inline]
+    pub fn remove_if(&mut self, seq: u64, take: impl FnOnce(&T) -> bool) -> Option<T> {
+        let at = self.position(seq).ok()?;
+        if !take(&self.entries[at].1) {
+            return None;
+        }
+        let (_, value) = match at {
+            0 => self.entries.pop_front()?,
+            _ => self.entries.remove(at)?,
+        };
+        Some(value)
+    }
+
+    /// Take the entry of `seq` out.
+    #[inline]
+    pub fn remove(&mut self, seq: u64) -> Option<T> {
+        self.remove_if(seq, |_| true)
+    }
+
+    /// The entry of `seq`.
+    pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
+        let at = self.position(seq).ok()?;
+        Some(&mut self.entries[at].1)
+    }
+
+    /// Every entry, in seq order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
+        self.entries.iter_mut().map(|(s, v)| (*s, v))
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// The in-flight table of one channel: a [`SeqTable`] of frame records
+/// plus the message and byte counts the scheduler reads.
 #[derive(Debug, Default)]
 pub(super) struct InFlight {
-    frames: VecDeque<(u64, FrameRecord)>,
+    frames: SeqTable<FrameRecord>,
     msgs: usize,
     bytes: u64,
 }
@@ -76,21 +149,13 @@ pub(super) struct InFlight {
 // `#[inline]` so it is built and taken apart in place instead of being
 // copied through each call on the post → complete path.
 impl InFlight {
-    fn position(&self, seq: u64) -> Result<usize, usize> {
-        self.frames.binary_search_by_key(&seq, |(s, _)| *s)
-    }
-
     /// Record an in-flight frame under its (fresh) seq.
     #[inline]
     pub fn insert(&mut self, seq: u64, rec: FrameRecord) {
         self.msgs += rec.msgs();
         self.bytes += rec.entry.bytes;
-        if self.frames.back().is_none_or(|(last, _)| *last < seq) {
-            self.frames.push_back((seq, rec));
-        } else {
-            let at = self.position(seq).expect_err("seqs are never reused");
-            self.frames.insert(at, (seq, rec));
-        }
+        let reused = self.frames.insert(seq, rec).is_some();
+        assert!(!reused, "seqs are never reused");
     }
 
     /// Take a frame out of the table if its `claimed` state is the one
@@ -98,14 +163,7 @@ impl InFlight {
     /// other side.
     #[inline]
     pub fn remove(&mut self, seq: u64, claimed: bool) -> Option<FrameRecord> {
-        let at = self.position(seq).ok()?;
-        if self.frames[at].1.claimed != claimed {
-            return None;
-        }
-        let (_, rec) = match at {
-            0 => self.frames.pop_front()?,
-            _ => self.frames.remove(at)?,
-        };
+        let rec = self.frames.remove_if(seq, |r| r.claimed == claimed)?;
         self.msgs -= rec.msgs();
         self.bytes -= rec.entry.bytes;
         Some(rec)
@@ -113,16 +171,12 @@ impl InFlight {
 
     /// The record of `seq`, unless it left or a sweeper claimed it.
     pub fn unclaimed_mut(&mut self, seq: u64) -> Option<&mut FrameRecord> {
-        let at = self.position(seq).ok()?;
-        Some(&mut self.frames[at].1).filter(|r| !r.claimed)
+        self.frames.get_mut(seq).filter(|r| !r.claimed)
     }
 
     /// Every frame nobody has claimed yet, in seq order.
     pub fn unclaimed(&mut self) -> impl Iterator<Item = (u64, &mut FrameRecord)> {
-        self.frames
-            .iter_mut()
-            .filter(|(_, r)| !r.claimed)
-            .map(|(s, r)| (*s, r))
+        self.frames.iter_mut().filter(|(_, r)| !r.claimed)
     }
 
     /// Messages carried by the frames in the table.

@@ -240,7 +240,7 @@ fn execute_member(
 }
 
 /// The shared target-side engine. Owns the lane scheduler and the
-/// device-side frame pool that recv bodies recycle through.
+/// frame-pool handle recv bodies are checked out through.
 pub struct DeviceRuntime {
     cfg: DeviceConfig,
     pool: Arc<FramePool>,

@@ -92,8 +92,8 @@ impl<T> Future<T> {
     ///
     /// A `test` that finds nothing parked sweeps the whole channel:
     /// every in-flight offload whose flag is set is parked in this one
-    /// pass, so with N offloads in flight the host does O(completions)
-    /// work rather than one transport poll per future per round.
+    /// pass, so with N offloads in flight one round reads N flags for
+    /// all of them rather than N per future.
     pub fn test(&mut self) -> bool {
         // Polls run on the host thread but belong to the offload's span
         // tree.
@@ -119,9 +119,9 @@ impl<T> Future<T> {
         }
     }
 
-    /// [`Self::try_settle_completed`] as `test`/`get` count it: coming
+    /// [`Self::try_settle_completed`] as every wait counts it: coming
     /// up empty right after a sweep of the channel is a poll miss.
-    fn poll(&mut self, swept: bool) -> bool {
+    pub(crate) fn poll(&mut self, swept: bool) -> bool {
         let hit = self.try_settle_completed();
         if swept && !hit {
             if let Some(backend) = &self.backend {
@@ -143,10 +143,10 @@ impl<T> Future<T> {
 
     /// Settle from the channel's parked completions *without* a
     /// transport sweep — the one place a result is claimed, decoded
-    /// (straight out of the pooled frame; dropping it returns the buffer
-    /// to the channel) and accounted. Returns `true` if this future
+    /// (straight out of the pooled frame; dropping it recycles the
+    /// buffer) and accounted. Returns `true` if this future
     /// became (or already was) settled.
-    pub(crate) fn try_settle_completed(&mut self) -> bool {
+    fn try_settle_completed(&mut self) -> bool {
         if !self.is_pending() {
             return true;
         }

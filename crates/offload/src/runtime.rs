@@ -141,17 +141,17 @@ impl Offload {
     /// ready (empty slice, or every result already taken).
     ///
     /// One flag sweep per distinct channel serves the whole set: with N
-    /// offloads in flight this is O(completions) host work per round,
-    /// not N transport polls — the primitive load balancers used to
-    /// fake with round-robin [`Future::test`] loops.
+    /// offloads in flight a round reads each of their flags once, not
+    /// once per future — the primitive load balancers used to fake with
+    /// round-robin [`Future::test`] loops.
     pub fn wait_any<T>(&self, futures: &mut [Future<T>]) -> Option<usize> {
         future::wait(
             futures,
             |f| f,
-            |futures, _| {
+            |futures, swept| {
                 let mut pending = false;
                 for (i, f) in futures.iter_mut().enumerate() {
-                    if f.is_ready() || (f.is_pending() && f.try_settle_completed()) {
+                    if f.is_ready() || (f.is_pending() && f.poll(swept)) {
                         return Some(Some(i));
                     }
                     pending |= f.is_pending();
@@ -184,10 +184,10 @@ impl Offload {
         future::wait(
             futures,
             |f| f,
-            |futures, _| {
+            |futures, swept| {
                 let mut settled = true;
                 for f in futures.iter_mut() {
-                    settled &= f.try_settle_completed();
+                    settled &= f.poll(swept);
                 }
                 settled.then_some(())
             },

@@ -355,6 +355,7 @@ impl TargetPool {
                 let _ = engine::drain(backend.as_ref(), target);
                 backoff.snooze();
             }
+            backoff.record(backend.metrics());
         }
         backend.metrics().on_member_leave();
         Ok(reclaimed)
@@ -422,6 +423,13 @@ impl TargetPool {
     /// [`OffloadError::Timeout`] instead of hanging forever.
     fn pick(&self) -> Result<NodeId, OffloadError> {
         let mut backoff = Backoff::new();
+        let picked = self.pick_paced(&mut backoff);
+        backoff.record(self.offload.backend().metrics());
+        picked
+    }
+
+    /// [`Self::pick`]'s loop, pausing on `backoff`.
+    fn pick_paced(&self, backoff: &mut Backoff) -> Result<NodeId, OffloadError> {
         // `(deadline, resume_epoch)` while every healthy target is
         // degraded; `None` otherwise.
         let mut stall: Option<(Instant, u64)> = None;
@@ -675,12 +683,12 @@ impl TargetPool {
     }
 
     /// Settle `fut` from its channel's parked completions (no transport
-    /// sweep). `true` once the result is in (it stays inside the
-    /// future); a failure whose frame verifiably never reached the
-    /// transport is resubmitted here instead and stays pending on its
-    /// new target.
-    fn settle<T>(&self, fut: &mut PoolFuture<T>) -> bool {
-        if !fut.inner.try_settle_completed() {
+    /// sweep; `swept` says whether one just ran, so a miss counts). `true`
+    /// once the result is in (it stays inside the future); a failure
+    /// whose frame verifiably never reached the transport is
+    /// resubmitted here instead and stays pending on its new target.
+    fn settle<T>(&self, fut: &mut PoolFuture<T>, swept: bool) -> bool {
+        if !fut.inner.poll(swept) {
             return false;
         }
         let Some(err) = fut.inner.take_unsent() else {
@@ -774,11 +782,11 @@ impl TargetPool {
         future::wait(
             futures,
             |f| &f.inner,
-            |futures, _| {
+            |futures, swept| {
                 if futures.is_empty() {
                     return Some(None);
                 }
-                let ready = futures.iter_mut().position(|f| self.settle(f));
+                let ready = futures.iter_mut().position(|f| self.settle(f, swept));
                 if ready.is_none() {
                     self.rebalance();
                 }
@@ -794,10 +802,10 @@ impl TargetPool {
         future::wait(
             &mut futures,
             |f| &f.inner,
-            |futures, _| {
+            |futures, swept| {
                 let mut settled = true;
                 for f in futures.iter_mut() {
-                    settled &= self.settle(f);
+                    settled &= self.settle(f, swept);
                 }
                 if !settled {
                     self.rebalance();
@@ -813,7 +821,7 @@ impl TargetPool {
         future::wait(
             core::slice::from_mut(&mut fut),
             |f| &f.inner,
-            |f, _| self.settle(&mut f[0]).then_some(()),
+            |f, swept| self.settle(&mut f[0], swept).then_some(()),
         );
         fut.inner.get()
     }
@@ -1279,6 +1287,32 @@ mod tests {
         let rounds = p.stop_prober().expect("prober was running");
         assert!(rounds >= 2, "got {rounds}");
         assert!(p.stop_prober().is_none(), "already stopped");
+    }
+
+    /// A pool at its credit limit holds a `submit` in `pick` until a
+    /// completion frees a credit, and that placement stall is counted
+    /// in the wait-phase counters.
+    #[test]
+    fn a_submit_at_the_credit_limit_waits_and_is_counted() {
+        let (o, p) = pooled(1, SchedPolicy::RoundRobin);
+        let chan = o.backend().channel(NodeId(1)).unwrap();
+        let limit = chan.credit_limit();
+        let mut futs: Vec<_> = (0..limit)
+            .map(|i| p.submit(f2f!(pool_probe, i as u64)).unwrap())
+            .collect();
+        // Nothing sweeps the polled slots between posts, so every
+        // credit is still taken, however fast the target ran.
+        assert!(!chan.has_credit());
+        let waits = |o: &Offload| {
+            let s = o.metrics_snapshot();
+            s.waits_spin + s.waits_yield + s.waits_sleep
+        };
+        let before = waits(&o);
+        futs.push(p.submit(f2f!(pool_probe, limit as u64)).unwrap());
+        assert!(chan.in_flight() <= limit, "placed once a credit freed");
+        assert!(waits(&o) > before, "the placement stall is counted");
+        let got = p.wait_all(futs);
+        assert!(got.iter().all(Result::is_ok));
     }
 
     #[test]

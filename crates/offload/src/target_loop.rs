@@ -29,9 +29,9 @@ pub enum Polled {
 
 /// Target-side view of one backend channel.
 ///
-/// Bodies are returned as [`PooledFrame`]s checked out of the device
-/// runtime's [`FramePool`], so the warm receive path recycles buffers
-/// instead of allocating one per message.
+/// Bodies are returned as [`PooledFrame`]s checked out through the
+/// device runtime's [`FramePool`] handle, so the warm receive path
+/// recycles buffers instead of allocating one per message.
 pub trait TargetChannel {
     /// Receive the next message (blocking; backends poll flags inside).
     /// `None` means the channel is shut down.

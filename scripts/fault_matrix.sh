@@ -30,8 +30,9 @@
 #
 # Idle targets and host waits spin only where another CPU can run the
 # peer (`chan::backoff`). The idle-target and local ring tests run a
-# second time under `taskset -c 0`, so the one-CPU branch runs too; a
-# machine without `taskset` fails here rather than skipping it.
+# second time under `taskset -c 0`, so the one-CPU branch runs too, and
+# so do the allocation bounds of tests/alloc_steady_state.rs; a machine
+# without `taskset` fails here rather than skipping it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,4 +126,26 @@ fi
 pin=(taskset -c 0)
 idle_and_ring
 
-echo "Fault matrix passed: $passed scenario, idle-target and local ring runs, 3 backends, 8 seeds."
+# The allocation bounds hold on one CPU as well, the shape `batch_veo`,
+# `sync_tcp` and `pool_tcp` run in: there a thread that only checks out
+# frame buffers (the TCP link thread) and one that only drops them (the
+# host) meet only through the depot exchange of `chan::pool`.
+run alloc_steady_state \
+  steady_state_batched_cycle_allocates_nothing \
+  frames_recycle_from_a_dropping_thread_to_a_checking_out_thread \
+  warm_adaptive_tick_and_slo_check_allocate_nothing \
+  warm_metrics_and_health_recording_allocates_nothing \
+  warm_wait::warm_wait_all_loop_allocates_nothing \
+  warm_wait::warm_pool_admission_allocates_nothing \
+  warm_device::warm_device_allocates_once_per_plain_result \
+  warm_device::warm_device_allocates_once_per_batch_carrier_and_never_per_member \
+  warm_tcp_sync_allocates_once_per_offload \
+  warm_tcp_pipelined_allocates_once_per_offload \
+  warm_local_sync_allocates_once_per_offload \
+  warm_dma_sync_allocates_once_per_offload \
+  warm_veo_sync_allocates_once_per_offload \
+  warm_dma_put_get_allocates_nothing \
+  a_claimed_frame_length_is_not_preallocated \
+  a_claimed_codec_length_is_not_preallocated
+
+echo "Fault matrix passed: $passed scenario, idle-target, local ring and one-CPU allocation runs, 3 backends, 8 seeds."

@@ -144,7 +144,7 @@ fn cycle(chan: &ChannelCore) {
 fn steady_state_batched_cycle_allocates_nothing() {
     let _gate = gate();
     let chan = ChannelCore::bounded(8, 8, 4096).with_batching(BatchConfig::up_to(BATCH));
-    // Warm-up: fills the frame pool, the seq freelist, and the hash
+    // Warm-up: fills the frame pool, the seq freelist, and the seq
     // tables' capacity.
     for _ in 0..32 {
         cycle(&chan);
@@ -231,6 +231,80 @@ fn warm_metrics_and_health_recording_allocates_nothing() {
         allocs, 0,
         "warm metric/health recording must not touch the heap"
     );
+}
+
+/// Cross-thread recycling, in the shape of the TCP link thread handing
+/// result frames to the host: one thread checks out and fills frames,
+/// another drops them. The dropping thread's full cache spills into the
+/// depot and the checking-out thread's empty cache refills from it, so
+/// once that exchange is warm neither thread allocates, and both thread
+/// caches and the depot stay within their caps.
+#[test]
+fn frames_recycle_from_a_dropping_thread_to_a_checking_out_thread() {
+    use ham_offload::chan::pool::{FramePool, PooledFrame, DEPOT_CAP, THREAD_CAP};
+    use std::sync::mpsc::sync_channel;
+
+    const FRAME: [u8; 64] = [7; 64];
+    const WARM: usize = 16 * THREAD_CAP;
+    const CYCLES: usize = 64 * THREAD_CAP;
+    let _gate = gate();
+    let pool = FramePool::new();
+    // Warm the depot: the shared depot may still hold smaller buffers
+    // other tests left, so take every one of them (and more) through
+    // this thread, size each for a frame, and drop them all. The depot
+    // then holds `DEPOT_CAP` frame-sized buffers, more than the two
+    // threads' caches can hold between them, so how the exchanges
+    // interleave cannot make either thread allocate.
+    let primed: Vec<_> = (0..DEPOT_CAP + THREAD_CAP)
+        .map(|_| {
+            let mut frame = pool.checkout();
+            frame.extend_from_slice(&FRAME);
+            frame
+        })
+        .collect();
+    drop(primed);
+    assert_eq!(FramePool::depot_idle(), DEPOT_CAP);
+    let pool = &pool;
+    // A rendezvous channel: handing a frame over allocates nothing.
+    let (tx, rx) = sync_channel::<PooledFrame>(0);
+    let ((made, made_peak), (freed, freed_peak)) = std::thread::scope(|s| {
+        let producer = s.spawn(move || {
+            let mut peak = 0;
+            let mut fill = |i: usize| {
+                let mut frame = pool.checkout();
+                frame.extend_from_slice(&FRAME);
+                frame[0] = i as u8;
+                tx.send(frame).expect("the consumer outlives the producer");
+                peak = peak.max(pool.idle());
+            };
+            (0..WARM).for_each(&mut fill);
+            let ((), allocs) = counted(|| (0..CYCLES).for_each(&mut fill));
+            (allocs, peak)
+        });
+        let consumer = s.spawn(move || {
+            let mut peak = 0;
+            let mut drain = |n: usize| {
+                for _ in 0..n {
+                    drop(rx.recv().expect("the producer sends every frame"));
+                    peak = peak.max(pool.idle());
+                }
+            };
+            drain(WARM);
+            let ((), allocs) = counted(|| drain(CYCLES));
+            (allocs, peak)
+        });
+        (
+            producer.join().expect("producer thread"),
+            consumer.join().expect("consumer thread"),
+        )
+    });
+    assert_eq!(
+        (made, freed),
+        (0, 0),
+        "warm cross-thread recycling must not touch the heap"
+    );
+    assert!(made_peak <= THREAD_CAP && freed_peak <= THREAD_CAP);
+    assert!(FramePool::depot_idle() <= DEPOT_CAP);
 }
 
 // --- the same claim, end to end through the public API ------------------

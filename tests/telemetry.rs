@@ -185,3 +185,47 @@ fn metrics_snapshot_counts_table2_operations() {
     assert!(rendered.contains("posts"));
     o.shutdown();
 }
+
+/// A wait over a kernel that is still running after the first sweep
+/// counts that fruitless poll: `wait_all` settles through the same
+/// counted poll as `Future::get`, so `retries` rises. The kernel runs
+/// until the helper thread has seen the miss (or gives up after ten
+/// seconds, and the assert fails instead of the test hanging).
+#[test]
+fn wait_all_counts_a_poll_miss_on_a_running_kernel() {
+    use ham_aurora_repro::local_offload;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    static RELEASE: AtomicBool = AtomicBool::new(false);
+    ham::ham_kernel! {
+        pub fn held_until_released(_ctx) -> u64 {
+            while !RELEASE.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            7
+        }
+    }
+
+    let o = local_offload(1, |b| {
+        b.register::<held_until_released>();
+    });
+    let before = o.metrics_snapshot().retries;
+    let fut = o.async_(NodeId(1), f2f!(held_until_released)).unwrap();
+    let got = std::thread::scope(|s| {
+        s.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while o.metrics_snapshot().retries == before && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            RELEASE.store(true, Ordering::SeqCst);
+        });
+        o.wait_all(vec![fut])
+    });
+    assert_eq!(got.into_iter().map(Result::unwrap).collect::<Vec<_>>(), [7]);
+    assert!(
+        o.metrics_snapshot().retries > before,
+        "a pending future after a sweep is a poll miss"
+    );
+    o.shutdown();
+}
