@@ -32,7 +32,7 @@ use veos_sim::AuroraMachine;
 
 /// VE body of a protocol's init C-API call: builds the VE half of the
 /// transport and the call's return value.
-pub type VeInit<V> = Box<dyn Fn(&VeContext, &ArgsStack) -> (u64, V) + Send + Sync>;
+pub(crate) type VeInit<V> = Box<dyn Fn(&VeContext, &ArgsStack) -> (u64, V) + Send + Sync>;
 
 /// What [`Protocol::setup`] hands the spawn scaffold for one target.
 pub struct Setup<P: Protocol> {

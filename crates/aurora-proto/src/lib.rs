@@ -38,13 +38,13 @@ pub const VE_SEED_BASE: u64 = 0x5645_0100; // "VE"
 /// clock at the Table-I sustained rate — what makes offloaded kernel
 /// *durations* (and thus overlap and break-even behaviour) visible on
 /// the virtual timeline.
-pub struct VeComputeMeter {
+pub(crate) struct VeComputeMeter {
     clock: Clock,
 }
 
 impl VeComputeMeter {
     /// Meter advancing `clock` (the VE process's clock).
-    pub fn new(clock: Clock) -> Self {
+    pub(crate) fn new(clock: Clock) -> Self {
         Self { clock }
     }
 }
@@ -145,7 +145,7 @@ impl AuroraCore {
     }
 
     /// The shared registrar.
-    pub fn registrar(&self) -> &Arc<Registrar> {
+    pub(crate) fn registrar(&self) -> &Arc<Registrar> {
         &self.registrar
     }
 
@@ -171,12 +171,12 @@ impl AuroraCore {
 
     /// The backend's metric registers (shared by whichever protocol
     /// backend wraps this core).
-    pub fn metrics(&self) -> &BackendMetrics {
+    pub(crate) fn metrics(&self) -> &BackendMetrics {
         &self.metrics
     }
 
     /// Number of targets.
-    pub fn num_targets(&self) -> u16 {
+    pub(crate) fn num_targets(&self) -> u16 {
         self.targets.len() as u16
     }
 
@@ -191,7 +191,7 @@ impl AuroraCore {
     }
 
     /// Node descriptor (Table I data for VEs).
-    pub fn descriptor(&self, node: NodeId) -> Result<NodeDescriptor, OffloadError> {
+    pub(crate) fn descriptor(&self, node: NodeId) -> Result<NodeDescriptor, OffloadError> {
         if node.is_host() {
             let cpu = aurora_ve::CpuSpecs::xeon_gold_6126();
             return Ok(NodeDescriptor {
@@ -223,7 +223,7 @@ impl AuroraCore {
     }
 
     /// Free a target allocation.
-    pub fn free(&self, node: NodeId, addr: u64) -> Result<(), OffloadError> {
+    pub(crate) fn free(&self, node: NodeId, addr: u64) -> Result<(), OffloadError> {
         let t = self.target(node)?;
         t.proc
             .free_mem(VeAddr(addr))
@@ -270,7 +270,7 @@ impl AuroraCore {
     }
 
     /// Table II `put` over VEO write (both backends, §IV-B).
-    pub fn put_bytes(&self, dst: RawBuffer, data: &[u8]) -> Result<(), OffloadError> {
+    pub(crate) fn put_bytes(&self, dst: RawBuffer, data: &[u8]) -> Result<(), OffloadError> {
         let t = self.target(dst.node)?;
         let vh = self.machine.vh(self.host_socket);
         self.with_staging(data.len() as u64, |staging| {
@@ -284,7 +284,7 @@ impl AuroraCore {
     }
 
     /// Table II `get` over VEO read.
-    pub fn get_bytes(&self, src: RawBuffer, out: &mut [u8]) -> Result<(), OffloadError> {
+    pub(crate) fn get_bytes(&self, src: RawBuffer, out: &mut [u8]) -> Result<(), OffloadError> {
         let t = self.target(src.node)?;
         let vh = self.machine.vh(self.host_socket);
         self.with_staging(out.len() as u64, |staging| {

@@ -23,8 +23,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod protocol;
-pub mod reverse;
+mod protocol;
+mod reverse;
 
 pub use protocol::DmaBackend;
 

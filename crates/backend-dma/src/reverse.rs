@@ -38,14 +38,14 @@ fn msg_stride(cfg: &ProtocolConfig) -> u64 {
 }
 
 /// Total bytes of the reverse slot.
-pub fn reverse_slot_bytes(cfg: &ProtocolConfig) -> u64 {
+pub(crate) fn reverse_slot_bytes(cfg: &ProtocolConfig) -> u64 {
     16 + 2 * msg_stride(cfg)
 }
 
 /// Host-side service: polls the request flag, executes handlers with the
 /// *host* registry, posts responses. Runs on its own host thread with
 /// its own logical clock (another thread of the VH process).
-pub struct ReverseService {
+pub(crate) struct ReverseService {
     region: Arc<Region>,
     /// Byte offset of the reverse slot in the segment.
     base: u64,
@@ -53,36 +53,29 @@ pub struct ReverseService {
     registry: Arc<Registry>,
     clock: Clock,
     stop: Arc<AtomicBool>,
-    served: std::sync::atomic::AtomicU64,
 }
 
 impl ReverseService {
     /// Create a service over the reverse slot at `base`.
-    pub fn new(
+    pub(crate) fn new(
         region: Arc<Region>,
         base: u64,
         cfg: ProtocolConfig,
         registry: Arc<Registry>,
         stop: Arc<AtomicBool>,
-    ) -> Arc<Self> {
-        Arc::new(Self {
+    ) -> Self {
+        Self {
             region,
             base,
             cfg,
             registry,
             clock: Clock::new(),
             stop,
-            served: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    /// Number of reverse calls served so far.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        }
     }
 
     /// The service loop; returns when the stop flag is raised.
-    pub fn run(&self) {
+    pub(crate) fn run(&self) {
         let req_flag = self.base;
         let resp_flag = self.base + 8;
         let req_msg = self.base + 16;
@@ -169,13 +162,12 @@ impl ReverseService {
             let landing = self.clock.advance(calib::HAM_LOCAL_MEM_TOUCH);
             let _ = self.region.store_u64(req_flag, 0);
             let _ = self.region.store_u64(resp_flag, landing.as_ps());
-            self.served.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 /// VE-side transport: what `ctx.vhcall(...)` uses inside kernels.
-pub struct VeReverseTransport {
+pub(crate) struct VeReverseTransport {
     /// The VE process (for its clock and HBM).
     pub proc: Arc<veos_sim::VeProcess>,
     /// This core's user DMA engine.

@@ -3,7 +3,7 @@
 //! A frame is `u32 length ‖ body`. One `writev` per post; one write per
 //! window of results: [`write_frame`] hands a post's prefix and body to
 //! the socket in one vectored write, while a target queues a window's
-//! result frames in a buffer ([`write_frame_parts`] writes into a
+//! result frames in a buffer (`write_frame_parts` writes into a
 //! `Vec<u8>` as into a socket) that goes out whole. A [`FrameReader`]
 //! returns every frame a single `read` delivered before it reads again.
 
@@ -28,7 +28,11 @@ pub fn write_frame(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
 
 /// Write the frame `u32 length ‖ head ‖ tail` in one vectored write, so
 /// a caller holding the body in two places need not join them first.
-pub fn write_frame_parts(stream: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
+pub(crate) fn write_frame_parts(
+    stream: &mut impl Write,
+    head: &[u8],
+    tail: &[u8],
+) -> io::Result<()> {
     let len = u32::try_from(head.len() + tail.len())
         .ok()
         .filter(|len| *len <= MAX_FRAME)
@@ -133,7 +137,7 @@ impl FrameReader {
     /// True while received bytes wait in the buffer: the next
     /// [`Self::next_frame`] returns a frame without touching the stream,
     /// or finishes one whose first bytes are in.
-    pub fn has_buffered(&self) -> bool {
+    pub(crate) fn has_buffered(&self) -> bool {
         self.start != self.end
     }
 

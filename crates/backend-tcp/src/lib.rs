@@ -68,7 +68,7 @@
 #![deny(unsafe_code)]
 
 pub mod frame;
-pub mod transport;
+mod transport;
 
 pub use frame::Announce;
 pub use transport::{TargetSpec, TcpBackend};

@@ -567,7 +567,7 @@ fn run_link(
 
 impl TcpBackend {
     /// Default per-target memory.
-    pub const DEFAULT_MEM: u64 = 16 << 20;
+    pub(crate) const DEFAULT_MEM: u64 = 16 << 20;
 
     /// Spawn `n` default targets ([`TargetSpec::default`]) as in-process
     /// "remote" peers connected over loopback TCP, point-to-point: no

@@ -8,7 +8,7 @@ use aurora_sim_core::{calib, SimTime};
 
 /// The critical-path components of one empty offload over the DMA
 /// protocol (Fig. 8), in order.
-pub fn dma_offload_components() -> Vec<(&'static str, SimTime)> {
+pub(crate) fn dma_offload_components() -> Vec<(&'static str, SimTime)> {
     let shm_flag = calib::shm_stream().transfer_time(1);
     // Empty offload message: 32 B header + ~30 B functor payload fits
     // the first 256 B DMA fetch; result frame is a single small DMA.

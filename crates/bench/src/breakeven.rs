@@ -17,11 +17,11 @@ use aurora_ve::{CpuSpecs, VeSpecs};
 
 /// Sustained fraction of peak a well-vectorised kernel achieves (same
 /// assumption applied to both sides, so it cancels in the speedup).
-pub const EFFICIENCY: f64 = 0.5;
+pub(crate) const EFFICIENCY: f64 = 0.5;
 
 /// The execution-rate model used for the analysis.
 #[derive(Clone, Copy, Debug)]
-pub struct ExecModel {
+pub(crate) struct ExecModel {
     /// Host sustained GFLOPS.
     pub host_gflops: f64,
     /// VE sustained GFLOPS.
@@ -30,7 +30,7 @@ pub struct ExecModel {
 
 impl ExecModel {
     /// From Table I peaks at [`EFFICIENCY`].
-    pub fn table1() -> Self {
+    pub(crate) fn table1() -> Self {
         Self {
             host_gflops: CpuSpecs::xeon_gold_6126().peak_gflops * EFFICIENCY,
             ve_gflops: VeSpecs::type_10b().peak_gflops * EFFICIENCY,
@@ -38,19 +38,14 @@ impl ExecModel {
     }
 
     /// Host execution time of a kernel of `flops`.
-    pub fn host_time(&self, flops: f64) -> SimTime {
+    pub(crate) fn host_time(&self, flops: f64) -> SimTime {
         SimTime::from_secs_f64(flops / (self.host_gflops * 1e9))
-    }
-
-    /// VE execution time of a kernel of `flops`.
-    pub fn ve_time(&self, flops: f64) -> SimTime {
-        SimTime::from_secs_f64(flops / (self.ve_gflops * 1e9))
     }
 
     /// Minimum kernel size (flops) where `overhead + T_ve < T_host`.
     ///
     /// Solves `overhead = flops/host_rate − flops/ve_rate`.
-    pub fn breakeven_flops(&self, overhead: SimTime) -> f64 {
+    pub(crate) fn breakeven_flops(&self, overhead: SimTime) -> f64 {
         let host_rate = self.host_gflops * 1e9;
         let ve_rate = self.ve_gflops * 1e9;
         assert!(ve_rate > host_rate, "no win possible");
@@ -59,13 +54,13 @@ impl ExecModel {
 
     /// The host-side duration of the break-even kernel — the offload
     /// *granularity* each protocol makes feasible.
-    pub fn breakeven_host_time(&self, overhead: SimTime) -> SimTime {
+    pub(crate) fn breakeven_host_time(&self, overhead: SimTime) -> SimTime {
         self.host_time(self.breakeven_flops(overhead))
     }
 }
 
 /// Offload paths compared, `(label, per-offload overhead)`.
-pub fn overheads() -> Vec<(&'static str, SimTime)> {
+pub(crate) fn overheads() -> Vec<(&'static str, SimTime)> {
     vec![
         ("HAM-Offload (DMA backend)", calib::DMA_OFFLOAD_TARGET),
         ("VEO (native call)", calib::VEO_CALL_ROUNDTRIP),
@@ -212,7 +207,7 @@ mod tests {
         let overhead = calib::DMA_OFFLOAD_TARGET;
         let flops = m.breakeven_flops(overhead);
         let host = m.host_time(flops);
-        let offloaded = overhead + m.ve_time(flops);
+        let offloaded = overhead + SimTime::from_secs_f64(flops / (m.ve_gflops * 1e9));
         let rel = (host.as_ns_f64() - offloaded.as_ns_f64()).abs() / host.as_ns_f64();
         assert!(rel < 1e-6, "host {host}, offloaded {offloaded}");
     }

@@ -14,11 +14,11 @@ use ham_offload::Offload;
 
 /// Paper values (µs), derived in `calib`: VEO native 79.9, HAM/VEO 432,
 /// HAM/DMA 6.1.
-pub const PAPER_VEO_NATIVE_US: f64 = 79.9;
+pub(crate) const PAPER_VEO_NATIVE_US: f64 = 79.9;
 /// HAM over the VEO backend (5.4× the native call).
-pub const PAPER_HAM_VEO_US: f64 = 432.0;
+pub(crate) const PAPER_HAM_VEO_US: f64 = 432.0;
 /// HAM over the DMA backend.
-pub const PAPER_HAM_DMA_US: f64 = 6.1;
+pub(crate) const PAPER_HAM_DMA_US: f64 = 6.1;
 
 /// Run the Fig. 9 experiment.
 pub fn run(cfg: &BenchConfig) -> Vec<Row> {

@@ -134,7 +134,7 @@ pub fn benchmark_machine(cfg: &BenchConfig) -> Arc<AuroraMachine> {
 
 /// A machine with explicit page-size / DMA-manager configuration
 /// (ablations).
-pub fn machine_with(
+pub(crate) fn machine_with(
     cfg: &BenchConfig,
     vh_page: PageSize,
     improved_dma: bool,
@@ -189,7 +189,7 @@ pub fn mean_native_veo_call_us(machine: &Arc<AuroraMachine>, cfg: &BenchConfig) 
 
 /// Transfer methods of Fig. 10.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Method {
+pub(crate) enum Method {
     /// VH-initiated `veo_read_mem`/`veo_write_mem` (§III-D).
     VeoReadWrite,
     /// VE-initiated user DMA (§IV).
@@ -200,7 +200,7 @@ pub enum Method {
 
 impl Method {
     /// Display label matching the paper's legend.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Method::VeoReadWrite => "VEO Read/Write",
             Method::VeUserDma => "VE User DMA",
@@ -211,7 +211,7 @@ impl Method {
 
 /// Transfer directions of Fig. 10.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dir {
+pub(crate) enum Dir {
     /// Host to Vector Engine.
     Vh2Ve,
     /// Vector Engine to host.
@@ -220,7 +220,7 @@ pub enum Dir {
 
 impl Dir {
     /// Display label matching the paper.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Dir::Vh2Ve => "VH=>VE",
             Dir::Ve2Vh => "VE=>VH",
@@ -233,7 +233,7 @@ impl Dir {
 ///
 /// Each `(method, dir, size)` point uses fresh engines so occupancy from
 /// other points does not leak in — matching per-point benchmark runs.
-pub fn transfer_bandwidth(
+pub(crate) fn transfer_bandwidth(
     machine: &Arc<AuroraMachine>,
     method: Method,
     dir: Dir,
@@ -254,7 +254,7 @@ pub fn transfer_bandwidth(
 /// credit-replenished state a protocol's flag/notification stores see.
 /// Distinguishes §V-B's single-message claims from the saturated-loop
 /// bandwidths of Fig. 10 / Table IV.
-pub fn single_transfer_bandwidth(method: Method, dir: Dir, bytes: u64) -> f64 {
+pub(crate) fn single_transfer_bandwidth(method: Method, dir: Dir, bytes: u64) -> f64 {
     let cfg = BenchConfig {
         transfer_reps: 1,
         warmup: 0,
@@ -416,7 +416,7 @@ fn shm_lhm_transfer_time(
 
 /// The power-of-two size grid of Fig. 10: 8 B … `max` (SHM/LHM capped at
 /// 4 MiB in the paper "due to prohibitive runtimes").
-pub fn size_grid(max: u64) -> Vec<u64> {
+pub(crate) fn size_grid(max: u64) -> Vec<u64> {
     let mut sizes = Vec::new();
     let mut s = 8u64;
     while s <= max {
@@ -427,7 +427,7 @@ pub fn size_grid(max: u64) -> Vec<u64> {
 }
 
 /// The paper's SHM/LHM measurement cap.
-pub const SHM_LHM_MAX: u64 = 4 << 20;
+pub(crate) const SHM_LHM_MAX: u64 = 4 << 20;
 
 #[cfg(test)]
 mod tests {

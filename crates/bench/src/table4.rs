@@ -5,7 +5,7 @@ use crate::harness::{
 };
 
 /// The paper's Table IV, as `(method, VH⇒VE, VE⇒VH)` in GiB/s.
-pub const PAPER: [(&str, f64, f64); 3] = [
+pub(crate) const PAPER: [(&str, f64, f64); 3] = [
     ("VEO Read/Write", 9.9, 10.4),
     ("VE User DMA", 10.6, 11.1),
     ("VE SHM/LHM", 0.01, 0.06),

@@ -254,7 +254,7 @@ mod tests {
 
     crate::ham_kernel! {
         /// Carries every field type the codec implements.
-        pub fn every_shape(
+        pub(crate) fn every_shape(
             _ctx, a: u8, b: u16, c: u32, d: u64, e: i8, f: i16, g: i32, h: i64,
             x: f32, y: f64, flag: bool, unit: (), label: String, some: Option<u32>,
             none: Option<u64>, bytes: Vec<u8>, words: Vec<i16>, nested: Vec<Option<String>>,

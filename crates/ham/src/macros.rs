@@ -105,7 +105,7 @@ mod tests {
 
     ham_kernel! {
         /// Inner product over target memory, mirroring the paper's Fig. 2.
-        pub fn inner_product(ctx, a_addr: u64, b_addr: u64, n: u64) -> f64 {
+        pub(crate) fn inner_product(ctx, a_addr: u64, b_addr: u64, n: u64) -> f64 {
             let a = ctx.mem.read_f64s(a_addr, n as usize).unwrap();
             let b = ctx.mem.read_f64s(b_addr, n as usize).unwrap();
             a.iter().zip(&b).map(|(x, y)| x * y).sum()
@@ -113,13 +113,13 @@ mod tests {
     }
 
     ham_kernel! {
-        pub fn no_args(ctx) -> u16 {
+        pub(crate) fn no_args(ctx) -> u16 {
             ctx.node
         }
     }
 
     ham_kernel! {
-        pub fn stringy(_ctx, label: String, reps: u64) -> String {
+        pub(crate) fn stringy(_ctx, label: String, reps: u64) -> String {
             label.repeat(reps as usize)
         }
     }

@@ -29,7 +29,7 @@ pub struct HandlerKey(pub u64);
 /// A local handler: deserialises the payload, executes, and appends the
 /// encoded result to the caller's buffer (HAM serialises straight into
 /// the reply). Generated per message type.
-pub type HandlerFn = fn(&[u8], &mut ExecContext<'_>, &mut Vec<u8>) -> Result<(), HamError>;
+pub(crate) type HandlerFn = fn(&[u8], &mut ExecContext<'_>, &mut Vec<u8>) -> Result<(), HamError>;
 
 fn handler_of<M: ActiveMessage>() -> HandlerFn {
     |payload, ctx, out| {
@@ -225,19 +225,19 @@ mod tests {
     use proptest::prelude::*;
 
     crate::ham_kernel! {
-        pub fn Add(_ctx, a: u64, b: u64) -> u64 {
+        pub(crate) fn Add(_ctx, a: u64, b: u64) -> u64 {
             a + b
         }
     }
 
     crate::ham_kernel! {
-        pub fn Mul(_ctx, a: u64, b: u64) -> u64 {
+        pub(crate) fn Mul(_ctx, a: u64, b: u64) -> u64 {
             a.wrapping_mul(b)
         }
     }
 
     crate::ham_kernel! {
-        pub fn Greet(ctx, name: String) -> String {
+        pub(crate) fn Greet(ctx, name: String) -> String {
             format!("hello {} from node {}", name, ctx.node)
         }
     }
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn unregistered_type_is_rejected() {
         crate::ham_kernel! {
-            pub fn Ghost(_ctx) -> () {}
+            pub(crate) fn Ghost(_ctx) -> () {}
         }
         let r = build(1);
         assert!(matches!(

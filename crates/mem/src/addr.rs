@@ -19,9 +19,6 @@ macro_rules! addr_newtype {
         pub struct $name(pub u64);
 
         impl $name {
-            /// The null address.
-            pub const NULL: $name = $name(0);
-
             /// Raw numeric value.
             #[inline]
             pub const fn get(self) -> u64 {
@@ -32,12 +29,6 @@ macro_rules! addr_newtype {
             #[inline]
             pub const fn offset(self, d: u64) -> $name {
                 $name(self.0 + d)
-            }
-
-            /// True for the null address.
-            #[inline]
-            pub const fn is_null(self) -> bool {
-                self.0 == 0
             }
         }
 
@@ -71,30 +62,6 @@ addr_newtype! {
     Vehva
 }
 
-/// Identifies one simulated physical memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MemoryId {
-    /// DDR4 attached to a VH CPU socket.
-    VhDdr {
-        /// Socket index (0 or 1 on the A300-8).
-        socket: u8,
-    },
-    /// HBM2 of one Vector Engine.
-    VeHbm {
-        /// VE index (0..8 on the A300-8).
-        ve: u8,
-    },
-}
-
-impl fmt::Display for MemoryId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MemoryId::VhDdr { socket } => write!(f, "VH-DDR4[socket {socket}]"),
-            MemoryId::VeHbm { ve } => write!(f, "VE-HBM2[ve {ve}]"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,21 +77,13 @@ mod tests {
     }
 
     #[test]
-    fn offset_and_null() {
-        let a = VeAddr(0x100);
-        assert_eq!(a.offset(0x10), VeAddr(0x110));
-        assert!(VeAddr::NULL.is_null());
-        assert!(!a.is_null());
+    fn offset_moves_the_address() {
+        assert_eq!(VeAddr(0x100).offset(0x10), VeAddr(0x110));
     }
 
     #[test]
     fn display_is_hex() {
         assert_eq!(format!("{}", VhAddr(0xdead)), "0xdead");
         assert_eq!(format!("{:?}", VeAddr(0x10)), "VeAddr(0x10)");
-        assert_eq!(format!("{}", MemoryId::VeHbm { ve: 3 }), "VE-HBM2[ve 3]");
-        assert_eq!(
-            format!("{}", MemoryId::VhDdr { socket: 1 }),
-            "VH-DDR4[socket 1]"
-        );
     }
 }

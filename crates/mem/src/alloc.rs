@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 /// Offset allocator over `[0, size)`.
 #[derive(Debug, Clone)]
 pub struct RangeAllocator {
-    size: u64,
     /// Free ranges: offset → length; address-ordered, non-adjacent.
     free: BTreeMap<u64, u64>,
     /// Live allocations: offset → length.
@@ -27,20 +26,9 @@ impl RangeAllocator {
             free.insert(0, size);
         }
         Self {
-            size,
             free,
             allocated: BTreeMap::new(),
         }
-    }
-
-    /// Total managed size.
-    pub fn size(&self) -> u64 {
-        self.size
-    }
-
-    /// Sum of free bytes.
-    pub fn free_bytes(&self) -> u64 {
-        self.free.values().sum()
     }
 
     /// Sum of allocated bytes.
@@ -49,7 +37,7 @@ impl RangeAllocator {
     }
 
     /// Largest free contiguous range.
-    pub fn largest_free(&self) -> u64 {
+    pub(crate) fn largest_free(&self) -> u64 {
         self.free.values().copied().max().unwrap_or(0)
     }
 
@@ -129,13 +117,22 @@ impl RangeAllocator {
         }
         self.free.insert(offset, len);
     }
+}
+
+// Test-only accessors: the proptests assert them after every operation.
+#[cfg(test)]
+impl RangeAllocator {
+    /// Sum of free bytes.
+    fn free_bytes(&self) -> u64 {
+        self.free.values().sum()
+    }
 
     /// Debug invariant check: free list sorted, non-overlapping,
-    /// non-adjacent, within bounds, and disjoint from allocations.
-    pub fn check_invariants(&self) -> bool {
+    /// non-adjacent, within `[0, size)`, and disjoint from allocations.
+    fn check_invariants(&self, size: u64) -> bool {
         let mut prev_end: Option<u64> = None;
         for (&off, &len) in &self.free {
-            if len == 0 || off + len > self.size {
+            if len == 0 || off + len > size {
                 return false;
             }
             if let Some(pe) = prev_end {
@@ -150,7 +147,7 @@ impl RangeAllocator {
         }
         // Allocations must not overlap free ranges.
         for (&aoff, &alen) in &self.allocated {
-            if aoff + alen > self.size {
+            if aoff + alen > size {
                 return false;
             }
             for (&foff, &flen) in &self.free {
@@ -159,7 +156,7 @@ impl RangeAllocator {
                 }
             }
         }
-        self.free_bytes() + self.allocated_bytes() == self.size
+        self.free_bytes() + self.allocated_bytes() == size
     }
 }
 
@@ -179,7 +176,7 @@ mod tests {
         a.free(y).unwrap();
         assert_eq!(a.free_bytes(), 1024);
         assert_eq!(a.largest_free(), 1024, "coalesced back to one block");
-        assert!(a.check_invariants());
+        assert!(a.check_invariants(1024));
     }
 
     #[test]
@@ -190,7 +187,7 @@ mod tests {
         assert_eq!(x % 4096, 0);
         let y = a.alloc(10, 256).unwrap();
         assert_eq!(y % 256, 0);
-        assert!(a.check_invariants());
+        assert!(a.check_invariants(1 << 20));
     }
 
     #[test]
@@ -240,7 +237,7 @@ mod tests {
             a.free(o).unwrap();
         }
         assert_eq!(a.largest_free(), 1000);
-        assert!(a.check_invariants());
+        assert!(a.check_invariants(1000));
     }
 
     #[test]
@@ -270,7 +267,7 @@ mod tests {
                     let off = live.swap_remove(idx % live.len());
                     prop_assert!(a.free(off).is_ok());
                 }
-                prop_assert!(a.check_invariants());
+                prop_assert!(a.check_invariants(64 * 1024));
             }
             // Allocations never overlap.
             let mut ranges: Vec<(u64, u64)> = live

@@ -21,14 +21,14 @@
 // safety contract). Everything above it is #![deny(unsafe_code)], with
 // one exception: ham-offload's sealed `Scalar` byte view.
 
-pub mod addr;
+mod addr;
 pub mod alloc;
-pub mod dmaatb;
-pub mod page;
-pub mod region;
-pub mod shm;
+mod dmaatb;
+mod page;
+mod region;
+mod shm;
 
-pub use addr::{MemoryId, VeAddr, Vehva, VhAddr};
+pub use addr::{VeAddr, Vehva, VhAddr};
 pub use alloc::RangeAllocator;
 pub use dmaatb::{DmaTarget, DmaWindow, Dmaatb};
 pub use page::{PageSize, PageTable};

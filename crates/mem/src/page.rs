@@ -53,7 +53,6 @@ pub struct PageTable {
     page: PageSize,
     /// vpn → physical page offset (byte offset of the frame).
     map: HashMap<u64, u64>,
-    translations: std::cell::Cell<u64>,
 }
 
 impl PageTable {
@@ -62,7 +61,6 @@ impl PageTable {
         Self {
             page,
             map: HashMap::new(),
-            translations: std::cell::Cell::new(0),
         }
     }
 
@@ -109,58 +107,17 @@ impl PageTable {
     /// Translate one virtual address to its physical address.
     pub fn translate(&self, vaddr: u64) -> Result<u64, MemError> {
         let p = self.page.bytes();
-        self.translations.set(self.translations.get() + 1);
         let frame = self
             .map
             .get(&(vaddr / p))
             .ok_or(MemError::NotMapped { addr: vaddr })?;
         Ok(frame + vaddr % p)
     }
-
-    /// Translate a range page by page, returning `(paddr, chunk_len)`
-    /// pieces — the scatter list a DMA descriptor ring would receive.
-    pub fn translate_range(&self, vaddr: u64, len: u64) -> Result<Vec<(u64, u64)>, MemError> {
-        let p = self.page.bytes();
-        let mut out = Vec::new();
-        let mut cur = vaddr;
-        let end = vaddr
-            .checked_add(len)
-            .ok_or(MemError::NotMapped { addr: vaddr })?;
-        while cur < end {
-            let page_end = (cur / p + 1) * p;
-            let chunk = page_end.min(end) - cur;
-            let pa = self.translate(cur)?;
-            // Merge with the previous chunk when physically contiguous —
-            // what the improved DMA manager's bulk translation achieves.
-            if let Some(last) = out.last_mut() {
-                let (lpa, llen): &mut (u64, u64) = last;
-                if *lpa + *llen == pa {
-                    *llen += chunk;
-                    cur += chunk;
-                    continue;
-                }
-            }
-            out.push((pa, chunk));
-            cur += chunk;
-        }
-        Ok(out)
-    }
-
-    /// Number of `translate` calls served (cost accounting).
-    pub fn translation_count(&self) -> u64 {
-        self.translations.get()
-    }
-
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn page_sizes() {
@@ -186,7 +143,7 @@ mod tests {
         pt.map_range(0, 0, 64 * 1024).unwrap();
         assert_eq!(pt.translate(0).unwrap(), 0);
         assert_eq!(pt.translate(5000).unwrap(), 5000);
-        assert_eq!(pt.mapped_pages(), 16);
+        assert_eq!(pt.translate(64 * 1024 - 1).unwrap(), 64 * 1024 - 1);
         assert!(pt.translate(64 * 1024).is_err());
     }
 
@@ -198,17 +155,6 @@ mod tests {
         pt.map_range(4096, 4096, 4096).unwrap();
         assert_eq!(pt.translate(10).unwrap(), 100 * 4096 + 10);
         assert_eq!(pt.translate(4096 + 10).unwrap(), 4096 + 10);
-        let chunks = pt.translate_range(0, 8192).unwrap();
-        assert_eq!(chunks, vec![(100 * 4096, 4096), (4096, 4096)]);
-    }
-
-    #[test]
-    fn contiguous_chunks_merge() {
-        let mut pt = PageTable::new(PageSize::Small4K);
-        pt.map_range(0, 0x10000, 16 * 4096).unwrap();
-        let chunks = pt.translate_range(100, 8 * 4096).unwrap();
-        assert_eq!(chunks.len(), 1, "physically contiguous → one descriptor");
-        assert_eq!(chunks[0], (0x10000 + 100, 8 * 4096));
     }
 
     #[test]
@@ -233,44 +179,5 @@ mod tests {
             pt.map_range(0, 5, 4096),
             Err(MemError::Misaligned { .. })
         ));
-    }
-
-    #[test]
-    fn translation_counter_counts() {
-        let mut pt = PageTable::new(PageSize::Small4K);
-        pt.map_range(0, 0, 16 * 4096).unwrap();
-        pt.translate_range(0, 16 * 4096).unwrap();
-        assert_eq!(pt.translation_count(), 16);
-    }
-
-    proptest! {
-        /// translate_range pieces cover exactly [vaddr, vaddr+len) in order.
-        #[test]
-        fn translate_range_covers(len in 1u64..100_000, start in 0u64..50_000) {
-            let mut pt = PageTable::new(PageSize::Small4K);
-            pt.map_range(0, 1 << 20, 1 << 20).unwrap(); // identity + 1 MiB
-            prop_assume!(start + len <= 1 << 20);
-            let chunks = pt.translate_range(start, len).unwrap();
-            let total: u64 = chunks.iter().map(|c| c.1).sum();
-            prop_assert_eq!(total, len);
-            // Contiguous mapping ⇒ merged to a single chunk.
-            prop_assert_eq!(chunks.len(), 1);
-            prop_assert_eq!(chunks[0].0, (1 << 20) + start);
-        }
-
-        /// pages_touched equals the length of the unmerged scatter list.
-        #[test]
-        fn pages_touched_matches_chunking(addr in 0u64..1_000_000, len in 1u64..1_000_000) {
-            let ps = PageSize::Small4K;
-            let mut pt = PageTable::new(ps);
-            // Scattered mapping: frame order reversed so no merging happens.
-            let total_pages = 512u64;
-            for i in 0..total_pages {
-                pt.map_range(i * 4096, (total_pages - 1 - i) * 4096, 4096).unwrap();
-            }
-            prop_assume!(addr + len <= total_pages * 4096);
-            let chunks = pt.translate_range(addr, len).unwrap();
-            prop_assert_eq!(chunks.len() as u64, ps.pages_touched(addr, len));
-        }
     }
 }

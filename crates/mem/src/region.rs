@@ -33,7 +33,7 @@ unsafe impl Sync for Region {}
 
 impl Region {
     /// Alignment of every region base: one simulated small page.
-    pub const BASE_ALIGN: usize = 4096;
+    pub(crate) const BASE_ALIGN: usize = 4096;
 
     /// Allocate a zero-initialised region of `len` bytes.
     ///
@@ -93,16 +93,6 @@ impl Region {
         // SAFETY: range checked; caller upholds the single-writer contract.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.base.add(offset as usize), src.len());
-        }
-        Ok(())
-    }
-
-    /// Fill `[offset, offset+len)` with `byte`.
-    pub fn fill(&self, offset: u64, len: u64, byte: u8) -> Result<(), MemError> {
-        self.check(offset, len)?;
-        // SAFETY: range checked.
-        unsafe {
-            std::ptr::write_bytes(self.base.add(offset as usize), byte, len as usize);
         }
         Ok(())
     }
@@ -217,17 +207,6 @@ mod tests {
         ));
         // Exactly at the end is fine for zero-length... and for full fit.
         assert!(r.write(28, &[0; 4]).is_ok());
-    }
-
-    #[test]
-    fn fill_works() {
-        let r = Region::new(16);
-        r.fill(4, 8, 0xAB).unwrap();
-        let mut buf = [0u8; 16];
-        r.read(0, &mut buf).unwrap();
-        assert_eq!(&buf[4..12], &[0xAB; 8]);
-        assert_eq!(buf[3], 0);
-        assert_eq!(buf[12], 0);
     }
 
     #[test]

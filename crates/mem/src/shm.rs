@@ -40,7 +40,7 @@ impl ShmSegment {
     }
 
     /// Current number of attachments.
-    pub fn attach_count(&self) -> u32 {
+    pub(crate) fn attach_count(&self) -> u32 {
         *self.attach_count.lock().unwrap()
     }
 }
@@ -53,13 +53,6 @@ impl ShmSegment {
 pub struct ShmGuard {
     mgr: Arc<ShmManager>,
     seg: Arc<ShmSegment>,
-}
-
-impl ShmGuard {
-    /// The guarded segment.
-    pub fn segment(&self) -> &Arc<ShmSegment> {
-        &self.seg
-    }
 }
 
 impl std::ops::Deref for ShmGuard {
@@ -88,7 +81,7 @@ impl ShmManager {
         Self::default()
     }
 
-    /// [`ShmManager::create`] wrapped in a guard that issues
+    /// `ShmManager::create` wrapped in a guard that issues
     /// `shmctl(IPC_RMID)` when dropped.
     pub fn create_guarded(self: &Arc<Self>, key: i32, size: u64) -> Result<ShmGuard, MemError> {
         Ok(ShmGuard {
@@ -98,7 +91,7 @@ impl ShmManager {
     }
 
     /// `shmget(key, size, IPC_CREAT | IPC_EXCL)`: create a segment.
-    pub fn create(&self, key: i32, size: u64) -> Result<Arc<ShmSegment>, MemError> {
+    pub(crate) fn create(&self, key: i32, size: u64) -> Result<Arc<ShmSegment>, MemError> {
         let mut segs = self.segments.lock().unwrap();
         if segs.contains_key(&key) {
             return Err(MemError::ShmKey { key });
@@ -136,7 +129,7 @@ impl ShmManager {
 
     /// `shmctl(IPC_RMID)`: mark for removal; the segment disappears from
     /// the registry once all attachments are gone (SysV semantics).
-    pub fn mark_remove(&self, key: i32) -> Result<(), MemError> {
+    pub(crate) fn mark_remove(&self, key: i32) -> Result<(), MemError> {
         let mut segs = self.segments.lock().unwrap();
         let seg = segs.get(&key).ok_or(MemError::ShmKey { key })?;
         *seg.rmid.lock().unwrap() = true;

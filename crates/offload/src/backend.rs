@@ -41,7 +41,7 @@ pub fn build_registry(registrar: &Arc<Registrar>, seed: u64) -> Registry {
 /// Identifies an in-flight offload on a target's channel: the sequence
 /// number its [`ChannelCore`] minted at reservation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SlotId(pub u64);
+pub(crate) struct SlotId(pub u64);
 
 /// An untyped view of a target buffer for bulk transfers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -91,30 +91,6 @@ impl<T: Scalar> BufferPtr<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Size in bytes.
-    pub fn byte_len(&self) -> u64 {
-        self.len * T::SIZE as u64
-    }
-
-    /// A sub-buffer starting at element `idx` with `len` elements.
-    ///
-    /// Panics if the range exceeds the buffer (the simulated SIGSEGV
-    /// would otherwise fire on the target).
-    pub fn slice(&self, idx: u64, len: u64) -> Self {
-        assert!(idx + len <= self.len, "sub-buffer out of range");
-        Self {
-            node: self.node,
-            addr: self.addr + idx * T::SIZE as u64,
-            len,
-            _elem: PhantomData,
-        }
-    }
-
-    /// Address of element `idx` (for kernels doing pointer arithmetic).
-    pub fn elem_addr(&self, idx: u64) -> u64 {
-        self.addr + idx * T::SIZE as u64
-    }
 }
 
 #[cfg(test)]
@@ -127,23 +103,7 @@ mod tests {
         assert_eq!(p.node(), NodeId(2));
         assert_eq!(p.addr(), 0x1000);
         assert_eq!(p.len(), 8);
-        assert_eq!(p.byte_len(), 64);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn slicing() {
-        let p = BufferPtr::<f32>::from_raw(NodeId(1), 0x100, 16);
-        let s = p.slice(4, 8);
-        assert_eq!(s.addr(), 0x100 + 16);
-        assert_eq!(s.len(), 8);
-        assert_eq!(p.elem_addr(4), s.addr());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn slice_out_of_range_panics() {
-        BufferPtr::<f64>::from_raw(NodeId(1), 0, 4).slice(2, 3);
     }
 
     #[test]

@@ -40,11 +40,11 @@ use super::batch::BatchConfig;
 /// How many successful flushes between controller ticks. Reacting on
 /// every flush would chase noise; a small window keeps convergence
 /// within tens of envelopes.
-pub const TICK_FLUSHES: u64 = 4;
+pub(crate) const TICK_FLUSHES: u64 = 4;
 
 /// Tuning bounds and cadence derived from a [`BatchConfig`] ceiling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptivePolicy {
+pub(crate) struct AdaptivePolicy {
     /// Narrowing never drops the watermark below this (always ≥ 1).
     pub floor_msgs: usize,
     /// Widening never raises the watermark above this (the configured
@@ -58,7 +58,7 @@ pub struct AdaptivePolicy {
 
 impl AdaptivePolicy {
     /// The policy a [`BatchConfig`] with `adaptive` set implies.
-    pub fn from_batch(batch: &BatchConfig) -> Self {
+    pub(crate) fn from_batch(batch: &BatchConfig) -> Self {
         Self {
             floor_msgs: 1,
             ceil_msgs: batch.max_msgs.max(1),
@@ -81,7 +81,7 @@ pub enum Decision {
 
 /// The virtual-time observations one tick decides from.
 #[derive(Clone, Copy, Debug)]
-pub struct TickInputs {
+pub(crate) struct TickInputs {
     /// Mean staged messages per flush over the window, fixed-point ×16
     /// (so 7/8 of a watermark compares without floats).
     pub mean_occupancy_x16: u64,
@@ -94,7 +94,7 @@ pub struct TickInputs {
 }
 
 /// The pure decision function. Deterministic: same inputs, same verdict.
-pub fn decide(watermark: usize, policy: &AdaptivePolicy, inputs: &TickInputs) -> Decision {
+pub(crate) fn decide(watermark: usize, policy: &AdaptivePolicy, inputs: &TickInputs) -> Decision {
     let wm = watermark as u64;
     // Latency pressure: the accumulator aged out. The traffic cannot
     // fill this watermark inside its SLO — halve so envelopes close on
@@ -128,7 +128,7 @@ pub fn decide(watermark: usize, policy: &AdaptivePolicy, inputs: &TickInputs) ->
 }
 
 /// Apply a [`Decision`] to a watermark under a policy.
-pub fn apply(watermark: usize, policy: &AdaptivePolicy, decision: Decision) -> usize {
+pub(crate) fn apply(watermark: usize, policy: &AdaptivePolicy, decision: Decision) -> usize {
     match decision {
         Decision::Widen => (watermark * 2).min(policy.ceil_msgs),
         Decision::Narrow => (watermark / 2).max(policy.floor_msgs),
@@ -174,7 +174,7 @@ impl AdaptiveState {
     /// Arm the controller for a batch ceiling. Starts wide: the first
     /// waves keep the full static batching win and the SLO bound caps
     /// the tail while the controller converges downward if it must.
-    pub(crate) fn new(policy: AdaptivePolicy) -> Self {
+    pub(super) fn new(policy: AdaptivePolicy) -> Self {
         Self {
             policy,
             watermark_msgs: policy.ceil_msgs,

@@ -1,4 +1,4 @@
-//! Pacing of every wait loop: host-side waits ([`Backoff`]) and idle
+//! Pacing of every wait loop: host-side waits (`Backoff`) and idle
 //! targets ([`Idle`]).
 //!
 //! **The rule: spin only where another CPU can run the peer.** Targets
@@ -9,7 +9,7 @@
 //! mask and the cgroup CPU quota: under `taskset -c N` or in a
 //! one-CPU container it reads 1, and nothing spins.
 //!
-//! * [`Backoff`] paces a host wait: 6 spin rounds (exponentially more
+//! * `Backoff` paces a host wait: 6 spin rounds (exponentially more
 //!   spin hints each), 4 `yield_now` rounds, then sleeps that double up
 //!   to 50 µs. When spinning cannot pay, the 6 spin rounds become yield
 //!   rounds. Either way the first sleep comes after exactly 10 rounds:
@@ -53,7 +53,7 @@ pub(crate) fn spin_pays() -> bool {
 /// [`Backoff::snooze`] once per fruitless round and
 /// [`Backoff::record`] once the wait ends.
 #[derive(Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     round: u32,
     spin: bool,
 }
@@ -66,7 +66,7 @@ impl Default for Backoff {
 
 impl Backoff {
     /// Fresh state, spinning first if another CPU can run the peer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_spin(spin_pays())
     }
 
@@ -88,7 +88,7 @@ impl Backoff {
     /// Pause appropriately for how long this wait has been fruitless:
     /// spin hints → `yield_now` → exponentially longer sleeps capped at
     /// 50 µs.
-    pub fn snooze(&mut self) {
+    pub(crate) fn snooze(&mut self) {
         match self.phase_of(self.round) {
             WaitPhase::Spin => {
                 for _ in 0..(1u32 << self.round) {
@@ -112,7 +112,7 @@ impl Backoff {
 
     /// Count the wait that just ended in `metrics`' wait-phase counters.
     /// A wait that never paused is not counted.
-    pub fn record(&self, metrics: &BackendMetrics) {
+    pub(crate) fn record(&self, metrics: &BackendMetrics) {
         if let Some(phase) = self.phase() {
             metrics.on_wait(phase);
         }

@@ -30,7 +30,7 @@ use crate::chan::config::ProtocolConfig;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 
 /// Length of the `u32 count` field that follows the carrier header.
-pub const COUNT_BYTES: usize = 4;
+pub(crate) const COUNT_BYTES: usize = 4;
 
 /// Batching watermarks, configured per channel via
 /// [`ProtocolConfig::batch`] (VEO and DMA), `LocalBackend::spawn_batched`
@@ -50,7 +50,7 @@ pub struct BatchConfig {
     /// a filling batch. `0` (the default) disables the bound and keeps
     /// the wire traffic byte-identical to the static config.
     pub slo_micros: u64,
-    /// Arm the adaptive watermark controller ([`crate::chan::adaptive`]):
+    /// Arm the adaptive watermark controller (the `chan::adaptive` module):
     /// the effective `max_msgs`/byte watermarks are tuned per channel
     /// between 1 and the configured values from the observed flush
     /// latency histogram — deep pipelines widen, latency-sensitive
@@ -88,7 +88,7 @@ impl BatchConfig {
     /// Builder: arm the adaptive watermark controller. The configured
     /// `max_msgs` and the slot-size byte budget become the controller's
     /// *ceiling*.
-    pub fn self_tuning(mut self) -> Self {
+    pub(crate) fn self_tuning(mut self) -> Self {
         self.adaptive = true;
         self
     }
@@ -102,7 +102,7 @@ impl BatchConfig {
     }
 
     /// Whether batching is on at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.max_msgs > 1
     }
 }
@@ -144,7 +144,7 @@ fn read_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
 
 /// Patch the carrier header and count into a finished envelope frame
 /// (laid out as 32 zero bytes ‖ 4 zero bytes ‖ subs by the stager).
-pub fn patch_envelope(frame: &mut [u8], carrier: &MsgHeader, count: u32) {
+pub(crate) fn patch_envelope(frame: &mut [u8], carrier: &MsgHeader, count: u32) {
     frame[..HEADER_BYTES].copy_from_slice(&carrier.encode());
     frame[HEADER_BYTES..HEADER_BYTES + COUNT_BYTES].copy_from_slice(&count.to_le_bytes());
 }
@@ -218,7 +218,7 @@ impl<'a> Iterator for BatchIter<'a> {
 /// the count field was missing. Error strings match [`BatchIter`]'s so
 /// hostile envelopes produce identical error frames whichever parser a
 /// runtime uses.
-pub fn member_ranges(
+pub(crate) fn member_ranges(
     payload: &[u8],
     out: &mut Vec<(MsgHeader, core::ops::Range<usize>)>,
 ) -> Result<Option<String>, String> {
@@ -251,7 +251,7 @@ pub fn member_ranges(
 /// count bytes ‖ subs) down to its first `keep` sub-messages, dropping
 /// the tail — the splitting half of staged-member migration. Staged
 /// frames are host-built, so a malformed walk is a logic error.
-pub fn truncate_members(frame: &mut Vec<u8>, keep: usize) -> Result<(), String> {
+pub(crate) fn truncate_members(frame: &mut Vec<u8>, keep: usize) -> Result<(), String> {
     let mut pos = HEADER_BYTES + COUNT_BYTES;
     for i in 0..keep {
         let rest = frame
@@ -274,7 +274,7 @@ pub fn begin_result(out: &mut Vec<u8>, count: u32) {
 
 /// Bytes [`append_result_part`] writes ahead of each part: `u64 seq ‖
 /// u32 len`.
-pub const PART_PREFIX_BYTES: usize = 12;
+pub(crate) const PART_PREFIX_BYTES: usize = 12;
 
 /// Append one sub-result (`seq` ‖ length-prefixed framed result bytes)
 /// to a batch result body.
@@ -286,7 +286,7 @@ pub fn append_result_part(out: &mut Vec<u8>, seq: u64, part: &[u8]) {
 
 /// Iterate the `(seq, framed result bytes)` parts of a batch result
 /// body. Allocation-free; malformed bodies yield one `Err`.
-pub struct ResultPartIter<'a> {
+pub(crate) struct ResultPartIter<'a> {
     rest: &'a [u8],
     remaining: u32,
     poisoned: bool,
@@ -294,7 +294,7 @@ pub struct ResultPartIter<'a> {
 
 impl<'a> ResultPartIter<'a> {
     /// Parse the count prefix of a result body.
-    pub fn new(body: &'a [u8]) -> Result<Self, String> {
+    pub(crate) fn new(body: &'a [u8]) -> Result<Self, String> {
         let Some((count, rest)) = read_u32(body) else {
             return Err("batch result shorter than its count field".into());
         };

@@ -45,7 +45,7 @@ pub const SLOT_META: u64 = 16;
 impl ProtocolConfig {
     /// Smallest permitted `msg_bytes`: error frames (and their headers)
     /// must always fit a slot.
-    pub const MIN_MSG_BYTES: usize = 256;
+    pub(crate) const MIN_MSG_BYTES: usize = 256;
 
     /// Panics unless the configuration is usable (called at spawn).
     pub fn validate(&self) {

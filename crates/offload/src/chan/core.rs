@@ -361,7 +361,7 @@ impl ChannelCore {
     /// Set the batching watermarks (builder style). The default config
     /// (`max_msgs == 1`) keeps batching off and the wire traffic
     /// byte-identical to the unbatched protocol. `batch.adaptive` arms
-    /// the [`super::adaptive`] controller with the config as its
+    /// the adaptive controller (`chan::adaptive`) with the config as its
     /// ceiling. The credit limit becomes as many *messages* as the slot
     /// rings carry frames times the batch watermark.
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
@@ -375,7 +375,7 @@ impl ChannelCore {
 
     /// Whether offload posts go through the staging path. Lock-free —
     /// the disabled check on the default post path costs nothing.
-    pub fn batch_enabled(&self) -> bool {
+    pub(crate) fn batch_enabled(&self) -> bool {
         self.batch.enabled()
     }
 
@@ -407,7 +407,7 @@ impl ChannelCore {
     }
 
     /// Whether the scheduler may place another message here right now.
-    pub fn has_credit(&self) -> bool {
+    pub(crate) fn has_credit(&self) -> bool {
         self.in_flight() < self.credits
     }
 
@@ -415,7 +415,7 @@ impl ChannelCore {
     /// (`control = true`) may be posted into a shut-down channel — that
     /// is how shutdown itself is delivered. `bytes` is the wire size the
     /// message will occupy (header + payload), fed into
-    /// [`Self::bytes_in_flight`].
+    /// `Self::bytes_in_flight`.
     pub fn try_reserve(
         &self,
         control: bool,
@@ -563,7 +563,7 @@ impl ChannelCore {
     /// Record an SLO-forced flush with the controller (the engine calls
     /// this when it sends an envelope the age bound closed, whether
     /// [`Self::stage`] or [`Self::slo_flush_due`] noticed).
-    pub fn note_slo_trip(&self) {
+    pub(crate) fn note_slo_trip(&self) {
         if let Some(a) = self.state.lock().unwrap().adaptive.as_mut() {
             a.note_slo();
         }
@@ -851,7 +851,7 @@ impl ChannelCore {
     }
 
     /// Why the channel is degraded, if it is.
-    pub fn degradation(&self) -> Option<OffloadError> {
+    pub(crate) fn degradation(&self) -> Option<OffloadError> {
         self.state.lock().unwrap().degraded.clone()
     }
 
@@ -907,14 +907,14 @@ impl ChannelCore {
     /// target's liveness penalty without a probe round trip, and
     /// `TargetPool::pick` uses it to restart its
     /// all-degraded wait budget (a resume is progress).
-    pub fn resumes(&self) -> u64 {
+    pub(crate) fn resumes(&self) -> u64 {
         self.resumes.load(Ordering::Acquire)
     }
 
     /// The reconnect/retry budget of the armed [`RecoveryPolicy`]
     /// (`max_retries`), or `None` when no recovery is armed. Schedulers
     /// use it to bound how long a degraded target is worth waiting for.
-    pub fn recovery_budget(&self) -> Option<u32> {
+    pub(crate) fn recovery_budget(&self) -> Option<u32> {
         self.recovery.map(|p| p.max_retries)
     }
 
@@ -961,7 +961,7 @@ impl ChannelCore {
     /// another target. Each reclaimed seq is marked unsent and failed
     /// with [`OffloadError::Migrated`]; the earlier members stay staged
     /// in a correctly re-enveloped frame. Returns how many were taken.
-    pub fn take_staged_tail(&self, n: usize) -> usize {
+    pub(crate) fn take_staged_tail(&self, n: usize) -> usize {
         let mut st = self.state.lock().unwrap();
         if n == 0 || st.accum.seqs.is_empty() {
             return 0;
@@ -993,7 +993,7 @@ impl ChannelCore {
     /// rebalance cost adds this to its load term so a target holding a
     /// few dense batches does not look idler than one holding many
     /// small probes.
-    pub fn bytes_in_flight(&self) -> u64 {
+    pub(crate) fn bytes_in_flight(&self) -> u64 {
         let st = self.state.lock().unwrap();
         st.frames.bytes() + st.accum.frame.as_ref().map_or(0, |f| f.len() as u64)
     }

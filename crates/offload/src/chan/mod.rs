@@ -8,10 +8,10 @@
 //! flags, fetch or deposit a result frame) while everything a channel
 //! has to get right lives here exactly once:
 //!
-//! * slot accounting — [`SlotRing`] hands out receive/send slots with
+//! * slot accounting — `SlotRing` hands out receive/send slots with
 //!   the discipline each side expects (strict round-robin for the
 //!   target-polled receive array, first-free for results);
-//! * sequence management and in-flight bookkeeping — [`pending`] keeps
+//! * sequence management and in-flight bookkeeping — the `pending` module keeps
 //!   one record per frame on the wire (slots, post time, telemetry id,
 //!   batch members, stored wire image), ordered by sequence number;
 //! * the protocol state machine — [`ChannelCore`] holds the rings, the
@@ -24,7 +24,7 @@
 //!   envelope and [`BatchConfig`] its flush watermarks, so deep
 //!   pipelines pay one transport transaction per *batch* instead of per
 //!   message;
-//! * adaptive batching — [`adaptive`] closes the loop on those
+//! * adaptive batching — the `adaptive` module closes the loop on those
 //!   watermarks per channel from the observed flush-latency histogram,
 //!   under the `BatchConfig::slo_micros` time-in-accumulator bound;
 //! * buffer recycling — [`FramePool`] keeps the post → complete hot
@@ -39,26 +39,25 @@
 //! See `docs/channel-core.md` for the state machine diagram and a guide
 //! to writing a new backend on top of this module.
 
-pub mod adaptive;
+mod adaptive;
 pub mod backoff;
 pub mod batch;
-pub mod config;
+mod config;
 pub mod core;
 pub mod engine;
-pub mod pending;
+mod pending;
 pub mod pool;
-pub mod recovery;
-pub mod ring;
+mod recovery;
+mod ring;
 
 pub use self::core::{
     ChannelCore, FlushFrame, FlushPrep, ReplayFrame, Reservation, Reserve, ResumeReport, Stage,
     DEFAULT_PUSH_CREDITS,
 };
-pub use adaptive::{AdaptiveDecision, AdaptivePolicy, Decision};
-pub use backoff::{Backoff, Idle};
+pub(crate) use backoff::Backoff;
+pub use backoff::Idle;
 pub use batch::BatchConfig;
 pub use config::{ProtocolConfig, SLOT_META};
 pub use pending::PendingEntry;
 pub use pool::{FramePool, PooledFrame};
 pub use recovery::{MissVerdict, RecoveryPolicy};
-pub use ring::SlotRing;

@@ -44,7 +44,7 @@ pub(super) struct FrameRecord {
 
 impl FrameRecord {
     #[inline]
-    pub fn new(entry: PendingEntry, members: Vec<u64>) -> Self {
+    pub(super) fn new(entry: PendingEntry, members: Vec<u64>) -> Self {
         FrameRecord {
             entry,
             members,
@@ -54,7 +54,7 @@ impl FrameRecord {
     }
 
     /// Messages the frame carries (a plain frame is one).
-    pub fn msgs(&self) -> usize {
+    pub(super) fn msgs(&self) -> usize {
         self.members.len().max(1)
     }
 }
@@ -86,7 +86,7 @@ impl<T> SeqTable<T> {
 
     /// Store `value` under `seq`; returns what was stored there before.
     #[inline]
-    pub fn insert(&mut self, seq: u64, value: T) -> Option<T> {
+    pub(super) fn insert(&mut self, seq: u64, value: T) -> Option<T> {
         if self.entries.back().is_none_or(|(last, _)| *last < seq) {
             self.entries.push_back((seq, value));
             return None;
@@ -102,7 +102,7 @@ impl<T> SeqTable<T> {
 
     /// Take the entry of `seq` out if `take` accepts it.
     #[inline]
-    pub fn remove_if(&mut self, seq: u64, take: impl FnOnce(&T) -> bool) -> Option<T> {
+    pub(crate) fn remove_if(&mut self, seq: u64, take: impl FnOnce(&T) -> bool) -> Option<T> {
         let at = self.position(seq).ok()?;
         if !take(&self.entries[at].1) {
             return None;
@@ -116,22 +116,22 @@ impl<T> SeqTable<T> {
 
     /// Take the entry of `seq` out.
     #[inline]
-    pub fn remove(&mut self, seq: u64) -> Option<T> {
+    pub(super) fn remove(&mut self, seq: u64) -> Option<T> {
         self.remove_if(seq, |_| true)
     }
 
     /// The entry of `seq`.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
+    pub(super) fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
         let at = self.position(seq).ok()?;
         Some(&mut self.entries[at].1)
     }
 
     /// Every entry, in seq order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
+    pub(super) fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         self.entries.iter_mut().map(|(s, v)| (*s, v))
     }
 
-    pub fn len(&self) -> usize {
+    pub(super) fn len(&self) -> usize {
         self.entries.len()
     }
 }
@@ -151,7 +151,7 @@ pub(super) struct InFlight {
 impl InFlight {
     /// Record an in-flight frame under its (fresh) seq.
     #[inline]
-    pub fn insert(&mut self, seq: u64, rec: FrameRecord) {
+    pub(super) fn insert(&mut self, seq: u64, rec: FrameRecord) {
         self.msgs += rec.msgs();
         self.bytes += rec.entry.bytes;
         let reused = self.frames.insert(seq, rec).is_some();
@@ -162,7 +162,7 @@ impl InFlight {
     /// the caller expects; `None` if it already left or belongs to the
     /// other side.
     #[inline]
-    pub fn remove(&mut self, seq: u64, claimed: bool) -> Option<FrameRecord> {
+    pub(super) fn remove(&mut self, seq: u64, claimed: bool) -> Option<FrameRecord> {
         let rec = self.frames.remove_if(seq, |r| r.claimed == claimed)?;
         self.msgs -= rec.msgs();
         self.bytes -= rec.entry.bytes;
@@ -170,26 +170,26 @@ impl InFlight {
     }
 
     /// The record of `seq`, unless it left or a sweeper claimed it.
-    pub fn unclaimed_mut(&mut self, seq: u64) -> Option<&mut FrameRecord> {
+    pub(crate) fn unclaimed_mut(&mut self, seq: u64) -> Option<&mut FrameRecord> {
         self.frames.get_mut(seq).filter(|r| !r.claimed)
     }
 
     /// Every frame nobody has claimed yet, in seq order.
-    pub fn unclaimed(&mut self) -> impl Iterator<Item = (u64, &mut FrameRecord)> {
+    pub(crate) fn unclaimed(&mut self) -> impl Iterator<Item = (u64, &mut FrameRecord)> {
         self.frames.iter_mut().filter(|(_, r)| !r.claimed)
     }
 
     /// Messages carried by the frames in the table.
-    pub fn msgs(&self) -> usize {
+    pub(super) fn msgs(&self) -> usize {
         self.msgs
     }
 
     /// Wire bytes of the frames in the table.
-    pub fn bytes(&self) -> u64 {
+    pub(super) fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    pub fn len(&self) -> usize {
+    pub(super) fn len(&self) -> usize {
         self.frames.len()
     }
 }

@@ -66,7 +66,7 @@ impl RecoveryPolicy {
 
     /// Whether sweep misses may ever trigger a re-send (false for
     /// [`RecoveryPolicy::replay_only`] policies).
-    pub fn retries_on_miss(&self) -> bool {
+    pub(crate) fn retries_on_miss(&self) -> bool {
         self.retry_after_misses != u32::MAX
     }
 }
@@ -75,7 +75,7 @@ impl RecoveryPolicy {
 /// Lives in the frame's in-flight record, so it is dropped (and its
 /// buffer returned to the pool) when the frame retires.
 #[derive(Debug)]
-pub struct StoredFrame {
+pub(crate) struct StoredFrame {
     /// The wire header as originally sent (seq, slots, kind unchanged).
     pub header: MsgHeader,
     /// The full wire bytes (header ‖ payload) — the engine hands its
@@ -108,7 +108,7 @@ pub enum MissVerdict {
 
 impl StoredFrame {
     /// A just-sent frame (full wire bytes), deadline clock at zero.
-    pub fn new(header: MsgHeader, frame: PooledFrame) -> Self {
+    pub(super) fn new(header: MsgHeader, frame: PooledFrame) -> Self {
         StoredFrame {
             header,
             frame,
@@ -121,7 +121,7 @@ impl StoredFrame {
     /// resume replay): bumps the attempt counter, resets the miss clock,
     /// and hands back a cloned wire image. The frame stays stored — a
     /// second disconnect can replay it again.
-    pub fn resend(&mut self) -> (MsgHeader, Vec<u8>, u32) {
+    pub(super) fn resend(&mut self) -> (MsgHeader, Vec<u8>, u32) {
         self.retries += 1;
         self.misses = 0;
         (self.header, self.frame.to_vec(), self.retries)
@@ -129,7 +129,7 @@ impl StoredFrame {
 
     /// Count one fruitless sweep and apply `policy`'s deadline. After
     /// [`MissVerdict::TimedOut`] the caller drops the stored frame.
-    pub fn miss(&mut self, policy: &RecoveryPolicy) -> MissVerdict {
+    pub(super) fn miss(&mut self, policy: &RecoveryPolicy) -> MissVerdict {
         if !policy.retries_on_miss() {
             // Replay-only: frames are stored for resume, not re-sent on
             // deadline — a miss carries no information on a push

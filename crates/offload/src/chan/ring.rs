@@ -10,7 +10,7 @@
 /// them densely. Transports without slot arrays (TCP streams) use an
 /// unbounded ring that never refuses.
 #[derive(Debug)]
-pub struct SlotRing {
+pub(crate) struct SlotRing {
     mode: Mode,
 }
 
@@ -27,7 +27,7 @@ enum Mode {
 impl SlotRing {
     /// A ring of `n` slots handed out in strict rotation (receive
     /// arrays: the target polls them in order).
-    pub fn round_robin(n: usize) -> Self {
+    pub(crate) fn round_robin(n: usize) -> Self {
         Self {
             mode: Mode::RoundRobin {
                 busy: vec![false; n],
@@ -38,7 +38,7 @@ impl SlotRing {
 
     /// A ring of `n` slots handed out lowest-free-first (send arrays:
     /// the host harvests results by flag, in any order).
-    pub fn first_free(n: usize) -> Self {
+    pub(crate) fn first_free(n: usize) -> Self {
         Self {
             mode: Mode::FirstFree {
                 busy: vec![false; n],
@@ -48,7 +48,7 @@ impl SlotRing {
 
     /// A ring for transports without slot arrays: infinite capacity,
     /// every acquire returns slot 0, release is a no-op.
-    pub fn unbounded() -> Self {
+    pub(super) fn unbounded() -> Self {
         Self {
             mode: Mode::Unbounded,
         }
@@ -58,7 +58,7 @@ impl SlotRing {
     /// if the *next-in-rotation* slot is still busy, even when others
     /// are free — that is the protocol's ordering constraint, not a
     /// bug).
-    pub fn acquire(&mut self) -> Option<usize> {
+    pub(crate) fn acquire(&mut self) -> Option<usize> {
         match &mut self.mode {
             Mode::RoundRobin { busy, next } => {
                 let i = (*next % busy.len() as u64) as usize;
@@ -82,7 +82,7 @@ impl SlotRing {
     /// rollback before anything hit the transport). Unlike
     /// [`Self::release`], round-robin rewinds its rotation so the slot
     /// is offered again next — the target never saw it claimed.
-    pub fn unacquire(&mut self, i: usize) {
+    pub(crate) fn unacquire(&mut self, i: usize) {
         match &mut self.mode {
             Mode::RoundRobin { busy, next } => {
                 assert!(busy[i], "slot {i} unacquired while free");
@@ -102,7 +102,7 @@ impl SlotRing {
     /// # Panics
     /// If `i` is out of range or the slot is already free (double
     /// release is a protocol bug worth failing loudly on).
-    pub fn release(&mut self, i: usize) {
+    pub(super) fn release(&mut self, i: usize) {
         match &mut self.mode {
             Mode::RoundRobin { busy, .. } | Mode::FirstFree { busy } => {
                 assert!(busy[i], "slot {i} released while free");
@@ -114,15 +114,19 @@ impl SlotRing {
 
     /// Number of slots in the array, or `None` for unbounded rings.
     /// The scheduler derives per-target credit limits from this.
-    pub fn capacity(&self) -> Option<usize> {
+    pub(super) fn capacity(&self) -> Option<usize> {
         match &self.mode {
             Mode::RoundRobin { busy, .. } | Mode::FirstFree { busy } => Some(busy.len()),
             Mode::Unbounded => None,
         }
     }
+}
 
+// The proptest's invariant: the held count matches its own model.
+#[cfg(test)]
+impl SlotRing {
     /// Number of slots currently held (0 for unbounded rings).
-    pub fn in_use(&self) -> usize {
+    fn in_use(&self) -> usize {
         match &self.mode {
             Mode::RoundRobin { busy, .. } | Mode::FirstFree { busy } => {
                 busy.iter().filter(|b| **b).count()

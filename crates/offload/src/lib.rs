@@ -34,18 +34,18 @@
 #![deny(unsafe_code)]
 
 pub mod backend;
-pub mod buffer;
+mod buffer;
 pub mod chan;
 pub mod device;
-pub mod future;
+mod future;
 pub mod local;
-pub mod runtime;
-pub mod scalar;
+mod runtime;
+mod scalar;
 pub mod sched;
 pub mod target_loop;
 pub mod types;
 
-pub use backend::{CommBackend, RawBuffer, SlotId};
+pub use backend::{CommBackend, RawBuffer};
 pub use buffer::BufferPtr;
 pub use chan::{ChannelCore, ProtocolConfig, SLOT_META};
 pub use future::Future;

@@ -208,7 +208,7 @@ pub struct LocalBackend {
 
 impl LocalBackend {
     /// Default per-target memory.
-    pub const DEFAULT_MEM: u64 = 16 << 20;
+    pub(crate) const DEFAULT_MEM: u64 = 16 << 20;
 
     /// Spawn `n` in-process targets whose kernels are registered by
     /// `registrar` (the shared "source code" of all binaries).
@@ -625,7 +625,7 @@ mod tests {
         // flushes before spinning.
         assert_eq!(o.sync(NodeId(1), f2f!(which_node)).unwrap(), 1);
         // Explicit flush of an empty accumulator is a no-op.
-        o.flush(NodeId(1)).unwrap();
+        crate::chan::engine::flush(o.backend().as_ref(), NodeId(1)).unwrap();
         let snap = o.metrics_snapshot();
         assert!(
             snap.msgs_sent > snap.frames_sent,

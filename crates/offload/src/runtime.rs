@@ -122,17 +122,6 @@ impl Offload {
         self.async_(target, msg)?.get()
     }
 
-    /// Put staged (batched) offloads for `target` on the wire now.
-    /// No-op with batching off or nothing staged; blocking waits
-    /// ([`Future::get`], [`Offload::wait_any`]/[`Offload::wait_all`])
-    /// flush implicitly, so this is only needed to bound the latency of
-    /// posts nobody is waiting on yet.
-    pub fn flush(&self, target: NodeId) -> Result<(), OffloadError> {
-        self.check_target(target)?;
-        let _node = trace::node_scope(NodeId::HOST.0);
-        engine::flush(self.backend.as_ref(), target)
-    }
-
     // --- batched synchronisation ------------------------------------------
 
     /// Block until at least one future in `futures` is ready and return

@@ -29,7 +29,7 @@
 //! slot rings ([`crate::chan::ChannelCore::credit_limit`]): the number
 //! of messages the transport can usefully hold in flight. `submit`
 //! blocks (flushing staged batches, then backing off via
-//! [`crate::chan::Backoff`]) while every healthy target is at its
+//! `chan::Backoff`) while every healthy target is at its
 //! limit — admission control rather than unbounded queueing.
 //!
 //! **Failover.** A target evicted by the recovery policy (or killed by

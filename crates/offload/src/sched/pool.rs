@@ -1,7 +1,7 @@
 //! The multi-target pool: placement, admission control, failover.
 
 use super::policy::SchedPolicy;
-use crate::chan::{engine, Backoff, ChannelCore};
+use crate::chan::{engine, Backoff, ChannelCore, FramePool, PooledFrame};
 use crate::future::{self, Future};
 use crate::runtime::{decode_output, Offload};
 use crate::types::NodeId;
@@ -118,6 +118,8 @@ struct Prober {
 pub struct TargetPool {
     offload: Offload,
     policy: SchedPolicy,
+    /// Where each placed offload's kept payload is checked out.
+    frames: Arc<FramePool>,
     /// Shared with the background prober thread, which holds its own
     /// `Arc` so membership survives while the pool handle is in use.
     state: Arc<Mutex<PoolState>>,
@@ -148,7 +150,7 @@ pub struct PoolFuture<T> {
     /// claimed.
     inner: Future<T>,
     key: HandlerKey,
-    payload: Vec<u8>,
+    payload: PooledFrame,
     resubmits: u32,
     /// Affinity submissions ([`TargetPool::submit_to`]) are pinned to
     /// their target (their data lives there) and never fail over.
@@ -159,11 +161,6 @@ impl<T> PoolFuture<T> {
     /// The target currently serving (or having served) this offload.
     pub fn target(&self) -> NodeId {
         self.inner.target()
-    }
-
-    /// Result arrived (and not yet consumed)?
-    pub fn is_ready(&self) -> bool {
-        self.inner.is_ready()
     }
 
     /// How many times the offload was resubmitted to a survivor after
@@ -213,6 +210,7 @@ impl TargetPool {
         Ok(Self {
             offload,
             policy,
+            frames: FramePool::new(),
             state: Arc::new(Mutex::new(PoolState {
                 members: nodes.into_iter().map(Member::new).collect(),
                 last: NodeId::HOST,
@@ -241,11 +239,6 @@ impl TargetPool {
             .cloned()
             .collect();
         PoolMetricsSnapshot { backend, targets }
-    }
-
-    /// The placement policy this pool runs.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
     }
 
     /// Members still in the running: those whose channel exists and
@@ -392,14 +385,6 @@ impl TargetPool {
         let p = self.prober.lock().unwrap().take()?;
         p.stop.store(true, Ordering::SeqCst);
         p.handle.join().ok()
-    }
-
-    /// One synchronous probe round over the current roster — exactly
-    /// what the background prober runs per tick, callable inline for
-    /// deterministic tests and ad-hoc health sweeps. Returns
-    /// `(answered, missed)`.
-    pub fn probe_now(&self) -> (usize, usize) {
-        probe_round(&self.offload, &self.state)
     }
 
     /// Non-blocking placement: `Ok(Some(target))` when a healthy target
@@ -567,7 +552,7 @@ impl TargetPool {
 
     /// Flush every healthy target's staged batch and sweep its
     /// completion flags once.
-    pub fn drain_all(&self) {
+    pub(crate) fn drain_all(&self) {
         for t in self.healthy() {
             let backend = self.offload.backend().as_ref();
             // A degraded target's flush parks until its link heals;
@@ -605,9 +590,10 @@ impl TargetPool {
         msg: M,
         fixed: Option<NodeId>,
     ) -> Result<PoolFuture<M::Output>, OffloadError> {
-        // Encode into an owned buffer the future keeps: failover replays
-        // these bytes on a survivor without re-owning the functor.
-        let mut payload = Vec::new();
+        // Encode into a pooled buffer the future keeps: failover replays
+        // these bytes on a survivor without re-owning the functor, and
+        // the claimed future hands the buffer back to the pool.
+        let mut payload = self.frames.checkout();
         let key = self
             .offload
             .backend()
@@ -727,9 +713,9 @@ impl TargetPool {
     /// serves them now — and only from donors whose `rebalance_cost`
     /// exceeds that recipient's, so members never migrate *onto* a worse
     /// target. Half the donor's staged tail (rounded up) is reclaimed
-    /// via [`crate::chan::ChannelCore::take_staged_tail`] — provably
-    /// unsent, so the failover replay is exact — and each
-    /// member's [`PoolFuture`] resubmits itself on its next settle.
+    /// via `ChannelCore::take_staged_tail` — provably unsent, so the
+    /// failover replay is exact — and each member's [`PoolFuture`]
+    /// resubmits itself on its next settle.
     /// Runs automatically inside [`TargetPool::wait_any`] /
     /// [`TargetPool::wait_all`] rounds; returns how many members were
     /// reclaimed.
@@ -1215,7 +1201,7 @@ mod tests {
         assert!(served.contains(&NodeId(3)), "joiner got work: {served:?}");
         // Retiring a member drains it and stops new placements on it;
         // earlier results stay claimable.
-        p.probe_now();
+        probe_round(&p.offload, &p.state);
         let resumes = o.backend().channel(NodeId(2)).unwrap().resumes();
         assert_eq!(
             p.state.lock().unwrap().member(NodeId(2)).map(|m| m.resumes),
@@ -1249,11 +1235,11 @@ mod tests {
     fn probe_misses_deprioritize_then_resume_forgives() {
         use aurora_sim_core::TargetState;
         let (o, p) = pooled(2, SchedPolicy::RoundRobin);
-        assert_eq!(p.probe_now(), (2, 0), "all clean");
+        assert_eq!(probe_round(&p.offload, &p.state), (2, 0), "all clean");
         let chan = o.backend().channel(NodeId(1)).unwrap();
         chan.degrade(OffloadError::TargetLost(NodeId(1)));
-        assert_eq!(p.probe_now(), (1, 1));
-        assert_eq!(p.probe_now(), (1, 1));
+        assert_eq!(probe_round(&p.offload, &p.state), (1, 1));
+        assert_eq!(probe_round(&p.offload, &p.state), (1, 1));
         let health = o.backend().metrics().health();
         assert_eq!(health.state(1), Some(TargetState::Degraded));
         // The link heals. Before the next probe round the streak still
@@ -1263,7 +1249,7 @@ mod tests {
         assert_eq!(p.try_pick().unwrap(), Some(NodeId(2)));
         // ...and the next round sees the resume epoch advance, forgives
         // the streak, and the answered probe heals the registry.
-        assert_eq!(p.probe_now(), (2, 0));
+        assert_eq!(probe_round(&p.offload, &p.state), (2, 0));
         assert_eq!(health.state(1), Some(TargetState::Healthy));
         assert_eq!(p.try_pick().unwrap(), Some(NodeId(1)), "back in rotation");
         let m = o.backend().metrics().snapshot();

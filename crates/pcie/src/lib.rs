@@ -13,8 +13,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod link;
-pub mod topology;
+mod link;
+mod topology;
 
 pub use link::{Direction, LinkConfig, PcieLink};
 pub use topology::Topology;

@@ -14,33 +14,17 @@ pub enum Direction {
     Ve2Vh,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::Vh2Ve => Direction::Ve2Vh,
-            Direction::Ve2Vh => Direction::Vh2Ve,
-        }
-    }
-}
-
 /// Static parameters of one PCIe Gen3 x16 link.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkConfig {
-    /// One-way propagation + switching latency.
-    pub one_way: SimTime,
     /// Effective data bandwidth (payload bytes per second) in GiB/s.
     pub effective_gib_s: f64,
-    /// Maximum TLP payload in bytes (256 for the NEC VE).
-    pub max_payload: u64,
 }
 
 impl Default for LinkConfig {
     fn default() -> Self {
         Self {
-            one_way: calib::PCIE_ONE_WAY,
             effective_gib_s: calib::PCIE_EFFECTIVE_GIB_S,
-            max_payload: calib::PCIE_MAX_PAYLOAD,
         }
     }
 }
@@ -74,11 +58,6 @@ impl PcieLink {
         }
     }
 
-    /// Link configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.cfg
-    }
-
     /// Arm this link (and everything that shares it, e.g. the VE's user
     /// DMA engines) with a deterministic fault plan; `actor` keys the
     /// plan's draws for this link. Write-once: re-arming is ignored so a
@@ -92,28 +71,9 @@ impl PcieLink {
         self.faults.get()
     }
 
-    /// One-way latency.
-    pub fn one_way(&self) -> SimTime {
-        self.cfg.one_way
-    }
-
-    /// Round-trip latency (a non-posted read's floor).
-    pub fn round_trip(&self) -> SimTime {
-        self.cfg.one_way * 2
-    }
-
-    /// Number of TLPs a payload of `bytes` is segmented into.
-    pub fn tlps(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            0
-        } else {
-            bytes.div_ceil(self.cfg.max_payload)
-        }
-    }
-
     /// Pure wire time of `bytes` at the effective (overhead-adjusted)
     /// rate.
-    pub fn wire_time(&self, bytes: u64) -> SimTime {
+    pub(crate) fn wire_time(&self, bytes: u64) -> SimTime {
         aurora_sim_core::time::time_at_gib_per_sec(bytes, self.cfg.effective_gib_s)
     }
 
@@ -161,14 +121,6 @@ impl PcieLink {
         res
     }
 
-    /// Total busy time of a direction (utilization accounting).
-    pub fn busy(&self, dir: Direction) -> SimTime {
-        match dir {
-            Direction::Vh2Ve => self.down.total_busy(),
-            Direction::Ve2Vh => self.up.total_busy(),
-        }
-    }
-
     /// Reset occupancy accounting (benchmark harness reuse).
     pub fn reset(&self) {
         self.down.reset();
@@ -179,24 +131,6 @@ impl PcieLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_matches_paper_constants() {
-        let l = PcieLink::default();
-        assert_eq!(l.one_way(), SimTime::from_ns(600));
-        assert_eq!(l.round_trip(), SimTime::from_ns(1200), "1.2 us PCIe RTT");
-        assert_eq!(l.config().max_payload, 256);
-    }
-
-    #[test]
-    fn tlp_segmentation() {
-        let l = PcieLink::default();
-        assert_eq!(l.tlps(0), 0);
-        assert_eq!(l.tlps(1), 1);
-        assert_eq!(l.tlps(256), 1);
-        assert_eq!(l.tlps(257), 2);
-        assert_eq!(l.tlps(1024), 4);
-    }
 
     #[test]
     fn wire_time_matches_effective_rate() {
@@ -217,18 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn utilization_accounting() {
+    fn reset_frees_the_wire() {
         let l = PcieLink::default();
-        l.occupy(Direction::Vh2Ve, SimTime::ZERO, 1024);
-        assert_eq!(l.busy(Direction::Vh2Ve), l.wire_time(1024));
-        assert_eq!(l.busy(Direction::Ve2Vh), SimTime::ZERO);
+        let a = l.occupy(Direction::Vh2Ve, SimTime::ZERO, 1024);
+        assert_eq!(a.end, l.wire_time(1024));
         l.reset();
-        assert_eq!(l.busy(Direction::Vh2Ve), SimTime::ZERO);
-    }
-
-    #[test]
-    fn reverse_direction() {
-        assert_eq!(Direction::Vh2Ve.reverse(), Direction::Ve2Vh);
-        assert_eq!(Direction::Ve2Vh.reverse(), Direction::Vh2Ve);
+        let b = l.occupy(Direction::Vh2Ve, SimTime::ZERO, 1024);
+        assert_eq!(b.start, SimTime::ZERO, "reset releases the direction");
     }
 }

@@ -32,7 +32,7 @@ impl Topology {
     }
 
     /// Arbitrary topology: `ve_socket[v]` gives the hosting socket.
-    pub fn custom(sockets: u8, ve_socket: &[u8]) -> Self {
+    pub(crate) fn custom(sockets: u8, ve_socket: &[u8]) -> Self {
         assert!(sockets > 0);
         assert!(
             ve_socket.iter().all(|&s| s < sockets),
@@ -70,7 +70,7 @@ impl Topology {
 
     /// Number of UPI hops between a process on `socket` and VE `ve`
     /// (0 or 1 on the A300-8).
-    pub fn upi_hops(&self, socket: u8, ve: u8) -> u32 {
+    pub(crate) fn upi_hops(&self, socket: u8, ve: u8) -> u32 {
         u32::from(self.ve_socket(ve) != socket)
     }
 

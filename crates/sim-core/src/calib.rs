@@ -21,19 +21,10 @@ use crate::time::SimTime;
 // PCIe Gen3 x16 (§V, first paragraph)
 // ---------------------------------------------------------------------------
 
-/// Theoretical peak of a PCIe Gen3 x16 card: 14.7 GiB/s (§V).
-pub const PCIE_RAW_GIB_S: f64 = 14.7;
-
 /// Achievable ceiling given the VE's 256 B max payload and PCIe protocol
-/// overhead: 91 % of raw, i.e. 13.4 GiB/s (§V, citing \[25\]).
+/// overhead: 91 % of the 14.7 GiB/s raw Gen3 x16 peak, i.e. 13.4 GiB/s
+/// (§V, citing \[25\]).
 pub const PCIE_EFFECTIVE_GIB_S: f64 = 13.4;
-
-/// Maximum TLP payload of the NEC Vector Engine (§V): 256 byte.
-pub const PCIE_MAX_PAYLOAD: u64 = 256;
-
-/// One-way PCIe latency. The paper reports a measured PCIe round-trip
-/// time of 1.2 µs (§V-A, citing \[4\]); we split it evenly.
-pub const PCIE_ONE_WAY: SimTime = SimTime::from_ns(600);
 
 /// Extra one-way latency per UPI hop when the offloading process runs on
 /// the second CPU socket. §V-A: "adds up to 1 µs to the DMA measurement";
@@ -131,10 +122,10 @@ pub const VEO_READ_BASE: SimTime = SimTime::from_us(131);
 
 /// Sustained VEO write bandwidth VH ⇒ VE with huge pages + improved DMA
 /// manager (Table IV): 9.9 GiB/s.
-pub const VEO_WRITE_GIB_S: f64 = 9.9;
+pub(crate) const VEO_WRITE_GIB_S: f64 = 9.9;
 
 /// Sustained VEO read bandwidth VE ⇒ VH (Table IV): 10.4 GiB/s.
-pub const VEO_READ_GIB_S: f64 = 10.4;
+pub(crate) const VEO_READ_GIB_S: f64 = 10.4;
 
 /// Per-page translation overhead of the *improved* (1.3.2-4dma) DMA
 /// manager: bulk translations overlapped with descriptor generation and
@@ -212,10 +203,10 @@ pub const HAM_LOCAL_MEM_TOUCH: SimTime = SimTime::from_ns(150);
 
 /// Sustained fraction of peak a well-vectorised kernel achieves; applied
 /// to both sides so the VE/VH speedup matches the Table I peak ratio.
-pub const SUSTAINED_EFFICIENCY: f64 = 0.5;
+pub(crate) const SUSTAINED_EFFICIENCY: f64 = 0.5;
 
 /// VE sustained compute rate: Table I peak (2150.4 GFLOPS) x efficiency.
-pub const VE_SUSTAINED_GFLOPS: f64 = 2150.4 * SUSTAINED_EFFICIENCY;
+pub(crate) const VE_SUSTAINED_GFLOPS: f64 = 2150.4 * SUSTAINED_EFFICIENCY;
 
 /// Virtual compute time of `flops` on the VE.
 pub fn ve_compute_time(flops: u64) -> SimTime {
@@ -233,9 +224,6 @@ pub const PAPER_OFFLOAD_REPS: u64 = 1_000_000;
 
 /// Data-transfer repetitions per size used by the paper: 10³ (§V).
 pub const PAPER_TRANSFER_REPS: u64 = 1_000;
-
-/// Warm-up iterations before timing (§V).
-pub const PAPER_WARMUP: u64 = 10;
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@
 //! Timing-only faults (duplication replays, delay spikes, DMA stalls)
 //! stretch virtual time but never change protocol outcomes; their
 //! ordinals come from per-site counters whose order can vary across
-//! threads, which is why [`FaultKind::is_timing_only`] exists —
+//! threads, which is why `FaultKind::is_timing_only` exists —
 //! deterministic-replay comparisons use [`FaultPlan::semantic_events`].
 //!
 //! ## Zero plans are free
@@ -94,7 +94,7 @@ impl FaultKind {
     /// Timing-only faults stretch virtual time but cannot change any
     /// protocol outcome; deterministic-replay comparisons skip them
     /// because their injection order follows thread scheduling.
-    pub fn is_timing_only(&self) -> bool {
+    pub(crate) fn is_timing_only(&self) -> bool {
         matches!(
             self,
             FaultKind::TlpDup { .. }
@@ -224,22 +224,6 @@ impl FaultPlan {
             seed,
             rates: Rates::default(),
         }
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// True when every rate is zero — the plan can only act through
-    /// explicit [`FaultPlan::kill`] / [`FaultPlan::disconnect`] calls.
-    pub fn is_zero(&self) -> bool {
-        let r = &self.rates;
-        r.tlp_drop == 0.0
-            && r.tlp_dup == 0.0
-            && r.delay_spike == 0.0
-            && r.dma_stall == 0.0
-            && r.dma_partial == 0.0
     }
 
     /// Pure draw in `[0, 1)` for `(seed, site, actor, ordinal)` —
@@ -378,11 +362,6 @@ impl FaultPlan {
         trace::record("fault.disconnect", 0, now, now);
     }
 
-    /// The full injected-fault timeline, in injection order.
-    pub fn events(&self) -> Vec<FaultEvent> {
-        self.events.lock().unwrap().clone()
-    }
-
     /// Outcome-changing faults only (drops, kills, disconnects), for
     /// deterministic-replay comparison. Sorted by `(site, actor)` with
     /// per-actor injection order preserved, so runs compare regardless
@@ -401,6 +380,16 @@ impl FaultPlan {
     }
 }
 
+// The unit tests read the whole timeline; the runtime compares only
+// `semantic_events`.
+#[cfg(test)]
+impl FaultPlan {
+    /// The full injected-fault timeline, in injection order.
+    fn events(&self) -> Vec<FaultEvent> {
+        self.events.lock().unwrap().clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,7 +397,6 @@ mod tests {
     #[test]
     fn zero_plan_is_free_and_silent() {
         let p = FaultPlan::none();
-        assert!(p.is_zero());
         assert!(!p.drop_frame(1, 0, 0, SimTime::ZERO));
         assert_eq!(
             p.link_delay(0, SimTime::from_ns(100), SimTime::ZERO),

@@ -24,13 +24,13 @@
 #![deny(unsafe_code)]
 
 pub mod calib;
-pub mod clock;
+mod clock;
 pub mod fault;
 pub mod metrics;
 pub mod model;
 pub mod resource;
 pub mod rng;
-pub mod slo;
+mod slo;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -43,7 +43,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSite};
 pub use metrics::{
     BackendMetrics, LaneMetricsSnapshot, LaneStats, MetricsSnapshot, NodeMetricsSnapshot, WaitPhase,
 };
-pub use model::{LinkModel, SegmentedModel, TransferCost};
+pub use model::{LinkModel, SegmentedModel};
 pub use resource::Timeline;
 pub use slo::{SloReport, SloSpec};
 pub use stats::{Histogram, Summary};

@@ -38,12 +38,12 @@ use std::sync::{Arc, Mutex};
 /// or past the cap share the last register — harmless for this
 /// simulation (at most 8 VEs + the host) and it keeps the hot path a
 /// bounds-checked array index instead of a map lookup.
-pub const MAX_TRACKED_NODES: usize = 64;
+pub(crate) const MAX_TRACKED_NODES: usize = 64;
 
 /// Device worker lanes that get their own occupancy register. Lane ids
 /// at or past the cap share the last register (the VE has 8 cores, so
 /// this never triggers in practice).
-pub const MAX_TRACKED_LANES: usize = 16;
+pub(crate) const MAX_TRACKED_LANES: usize = 16;
 
 /// Smoothing factor of the per-node latency EWMA: each completion moves
 /// the estimate 20% toward the new sample.

@@ -7,8 +7,9 @@
 //! * [`SegmentedModel`] — a transfer that is chopped into fixed-size
 //!   segments, each paying a per-segment overhead (PCIe TLPs with 256 B
 //!   max payload, VEOS DMA descriptors, page-wise address translation).
-//! * [`TransferCost`] — a fully-broken-down cost (setup + wire + per-unit
-//!   overhead) so benches can report *why* a mechanism is slow.
+//! * [`BurstModel`] — a word stream whose first stores pipeline through
+//!   the PCIe posted-write credits and whose rest runs at a throttled
+//!   steady rate (the VE's SHM instruction).
 
 use crate::time::{time_at_gib_per_sec, SimTime};
 
@@ -35,11 +36,6 @@ impl LinkModel {
     pub fn transfer_time(&self, bytes: u64) -> SimTime {
         self.latency + time_at_gib_per_sec(bytes, self.gib_per_sec)
     }
-
-    /// The wire-only (no latency) time for `bytes`.
-    pub fn wire_time(&self, bytes: u64) -> SimTime {
-        time_at_gib_per_sec(bytes, self.gib_per_sec)
-    }
 }
 
 /// Segment-wise transfer: `setup + ceil(bytes/segment) * per_segment +
@@ -62,7 +58,7 @@ pub struct SegmentedModel {
 impl SegmentedModel {
     /// Number of segments a transfer of `bytes` needs (at least one for a
     /// non-empty transfer).
-    pub fn segments(&self, bytes: u64) -> u64 {
+    pub(crate) fn segments(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             0
         } else {
@@ -75,33 +71,6 @@ impl SegmentedModel {
         self.setup
             + self.per_segment * self.segments(bytes)
             + time_at_gib_per_sec(bytes, self.gib_per_sec)
-    }
-
-    /// Cost breakdown for reporting.
-    pub fn cost(&self, bytes: u64) -> TransferCost {
-        TransferCost {
-            setup: self.setup,
-            per_unit: self.per_segment * self.segments(bytes),
-            wire: time_at_gib_per_sec(bytes, self.gib_per_sec),
-        }
-    }
-}
-
-/// A transfer cost broken into the three terms benches report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransferCost {
-    /// Fixed setup (software path, engine programming, syscall hops).
-    pub setup: SimTime,
-    /// Sum of per-segment / per-page / per-descriptor overheads.
-    pub per_unit: SimTime,
-    /// Pure wire time at the sustained rate.
-    pub wire: SimTime,
-}
-
-impl TransferCost {
-    /// Total duration.
-    pub fn total(&self) -> SimTime {
-        self.setup + self.per_unit + self.wire
     }
 }
 
@@ -140,12 +109,6 @@ impl BurstModel {
         let steady = words - fast;
         self.setup + self.word_fast * fast + self.word_steady * steady
     }
-
-    /// Time to move `bytes`, rounded up to whole 8-byte words (the
-    /// instructions move one 64-bit word at a time).
-    pub fn transfer_time_bytes(&self, bytes: u64) -> SimTime {
-        self.transfer_time(bytes.div_ceil(8))
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +122,6 @@ mod tests {
         let t = m.transfer_time(10 * 1024 * 1024 * 1024);
         // 10 GiB at 10 GiB/s = 1 s, plus 1 us latency.
         assert_eq!(t, SimTime::from_secs_f64(1.0) + SimTime::from_us(1));
-        assert_eq!(m.wire_time(0), SimTime::ZERO);
     }
 
     #[test]
@@ -174,10 +136,10 @@ mod tests {
         assert_eq!(m.segments(1), 1);
         assert_eq!(m.segments(256), 1);
         assert_eq!(m.segments(257), 2);
-        let c = m.cost(512);
-        assert_eq!(c.setup, SimTime::from_ns(100));
-        assert_eq!(c.per_unit, SimTime::from_ns(20));
-        assert_eq!(c.total(), m.transfer_time(512));
+        assert_eq!(
+            m.transfer_time(512),
+            SimTime::from_ns(100) + SimTime::from_ns(20) + time_at_gib_per_sec(512, 13.4)
+        );
     }
 
     #[test]
@@ -212,7 +174,5 @@ mod tests {
             m.transfer_time(33),
             SimTime::from_ps(126_000 + 32 * 34_000 + 124_000)
         );
-        // bytes are rounded up to words.
-        assert_eq!(m.transfer_time_bytes(9), m.transfer_time(2));
     }
 }

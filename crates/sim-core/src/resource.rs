@@ -13,14 +13,8 @@ use std::sync::{Arc, Mutex};
 /// A single-server FIFO resource on the virtual time base.
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
-    inner: Arc<Mutex<TimelineInner>>,
-}
-
-#[derive(Debug, Default)]
-struct TimelineInner {
-    busy_until: SimTime,
-    total_busy: SimTime,
-    reservations: u64,
+    /// Virtual time until which the resource is committed.
+    busy_until: Arc<Mutex<SimTime>>,
 }
 
 /// Result of a [`Timeline::reserve`]: when service started and ended.
@@ -30,13 +24,6 @@ pub struct Reservation {
     pub start: SimTime,
     /// Virtual time at which the request completed.
     pub end: SimTime,
-}
-
-impl Reservation {
-    /// Time spent queued before service began.
-    pub fn queueing(&self, requested_at: SimTime) -> SimTime {
-        self.start.saturating_sub(requested_at)
-    }
 }
 
 impl Timeline {
@@ -50,34 +37,16 @@ impl Timeline {
     /// Returns the actual service window. FIFO within the lock: the
     /// reservation starts at `max(earliest, busy_until)`.
     pub fn reserve(&self, earliest: SimTime, duration: SimTime) -> Reservation {
-        let mut inner = self.inner.lock().unwrap();
-        let start = earliest.max(inner.busy_until);
+        let mut busy_until = self.busy_until.lock().unwrap();
+        let start = earliest.max(*busy_until);
         let end = start + duration;
-        inner.busy_until = end;
-        inner.total_busy += duration;
-        inner.reservations += 1;
+        *busy_until = end;
         Reservation { start, end }
     }
 
-    /// Virtual time until which the resource is currently committed.
-    pub fn busy_until(&self) -> SimTime {
-        self.inner.lock().unwrap().busy_until
-    }
-
-    /// Total busy time accumulated across all reservations.
-    pub fn total_busy(&self) -> SimTime {
-        self.inner.lock().unwrap().total_busy
-    }
-
-    /// Number of reservations served.
-    pub fn reservations(&self) -> u64 {
-        self.inner.lock().unwrap().reservations
-    }
-
-    /// Reset utilization accounting and availability (benchmark reuse).
+    /// Make the resource idle again (benchmark reuse).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        *inner = TimelineInner::default();
+        *self.busy_until.lock().unwrap() = SimTime::ZERO;
     }
 }
 
@@ -101,7 +70,6 @@ mod tests {
         assert_eq!(a.end, SimTime::from_ns(100));
         assert_eq!(b.start, SimTime::from_ns(100), "b waits for a");
         assert_eq!(b.end, SimTime::from_ns(150));
-        assert_eq!(b.queueing(SimTime::from_ns(30)), SimTime::from_ns(70));
     }
 
     #[test]
@@ -113,26 +81,22 @@ mod tests {
     }
 
     #[test]
-    fn accounting() {
+    fn reset_frees_the_resource() {
         let tl = Timeline::new();
         tl.reserve(SimTime::ZERO, SimTime::from_ns(10));
         tl.reserve(SimTime::ZERO, SimTime::from_ns(20));
-        assert_eq!(tl.total_busy(), SimTime::from_ns(30));
-        assert_eq!(tl.reservations(), 2);
-        assert_eq!(tl.busy_until(), SimTime::from_ns(30));
         tl.reset();
-        assert_eq!(tl.total_busy(), SimTime::ZERO);
-        assert_eq!(tl.reservations(), 0);
+        let r = tl.reserve(SimTime::ZERO, SimTime::from_ns(5));
+        assert_eq!(r.start, SimTime::ZERO, "reset frees the resource");
     }
 
     proptest::proptest! {
-        /// Reservations are FIFO, non-overlapping, and busy-time adds up,
-        /// for any interleaving of requested start times and durations.
+        /// Reservations are FIFO and non-overlapping for any interleaving
+        /// of requested start times and durations.
         #[test]
         fn prop_fifo_no_overlap(ops in proptest::collection::vec((0u64..10_000, 1u64..1_000), 1..50)) {
             let tl = Timeline::new();
             let mut windows = Vec::new();
-            let mut total = 0u64;
             for (earliest, dur) in ops {
                 let r = tl.reserve(SimTime::from_ns(earliest), SimTime::from_ns(dur));
                 proptest::prop_assert!(r.start >= SimTime::from_ns(earliest));
@@ -142,9 +106,7 @@ mod tests {
                     proptest::prop_assert!(r.start >= prev.end, "FIFO ordering");
                 }
                 windows.push(r);
-                total += dur;
             }
-            proptest::prop_assert_eq!(tl.total_busy(), SimTime::from_ns(total));
         }
     }
 
@@ -165,6 +127,7 @@ mod tests {
         for pair in sorted.windows(2) {
             assert!(pair[0].end <= pair[1].start, "overlap: {pair:?}");
         }
-        assert_eq!(tl.total_busy(), SimTime::from_ns(7 * 16));
+        // Back to back from zero: the last one ends after all sixteen.
+        assert_eq!(sorted.last().unwrap().end, SimTime::from_ns(7 * 16));
     }
 }

@@ -134,7 +134,7 @@ pub struct SloReport {
 
 impl SloReport {
     /// Did every objective hold?
-    pub fn pass(&self) -> bool {
+    pub(crate) fn pass(&self) -> bool {
         self.violations.is_empty()
     }
 

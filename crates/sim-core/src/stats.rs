@@ -6,7 +6,7 @@
 //! expose its variance.
 
 use crate::time::SimTime;
-use aurora_telemetry::metrics::{bucket_floor, bucket_index};
+use aurora_telemetry::metrics::bucket_floor;
 use aurora_telemetry::HISTOGRAM_BUCKETS;
 
 /// Count, total and extremes of a sample stream: what a lock-free
@@ -48,12 +48,12 @@ impl Summary {
     }
 
     /// Smallest sample (`NaN` if empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest sample (`NaN` if empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 }
@@ -86,15 +86,9 @@ impl Histogram {
         }
     }
 
-    /// Record a duration.
-    pub fn record(&mut self, t: SimTime) {
-        self.buckets[bucket_index(t.as_ps())] += 1;
-        self.count += 1;
-    }
-
     /// A histogram from a plain bucket array (e.g. an
     /// `AtomicHistogram` snapshot).
-    pub fn from_buckets(buckets: [u64; HISTOGRAM_BUCKETS]) -> Self {
+    pub(crate) fn from_buckets(buckets: [u64; HISTOGRAM_BUCKETS]) -> Self {
         Self {
             count: buckets.iter().sum(),
             buckets: buckets.to_vec(),
@@ -102,7 +96,7 @@ impl Histogram {
     }
 
     /// Number of samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -132,7 +126,7 @@ impl Histogram {
     }
 
     /// Add another histogram's counts into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
@@ -140,7 +134,7 @@ impl Histogram {
     }
 
     /// Iterate non-empty buckets as `(bucket_floor, count)`.
-    pub fn nonzero(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
+    pub(crate) fn nonzero(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -149,9 +143,21 @@ impl Histogram {
     }
 }
 
+// The unit tests build histograms sample by sample; the runtime only
+// builds them from `AtomicHistogram` snapshots.
+#[cfg(test)]
+impl Histogram {
+    /// Record a duration.
+    fn record(&mut self, t: SimTime) {
+        self.buckets[aurora_telemetry::metrics::bucket_index(t.as_ps())] += 1;
+        self.count += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aurora_telemetry::metrics::bucket_index;
     use aurora_telemetry::metrics::{bucket_ceil, bucket_octave, FINE_HI, FINE_LO};
 
     #[test]

@@ -40,20 +40,6 @@ impl SimTime {
         SimTime(ms * 1_000_000_000)
     }
 
-    /// Construct from a floating-point number of nanoseconds (rounded).
-    #[inline]
-    pub fn from_ns_f64(ns: f64) -> Self {
-        debug_assert!(ns >= 0.0, "negative duration");
-        SimTime((ns * 1e3).round() as u64)
-    }
-
-    /// Construct from a floating-point number of microseconds (rounded).
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative duration");
-        SimTime((us * 1e6).round() as u64)
-    }
-
     /// Construct from a floating-point number of seconds (rounded).
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
@@ -99,20 +85,8 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, rhs: SimTime) -> SimTime {
+    pub(crate) fn max(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.max(rhs.0))
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.min(rhs.0))
-    }
-
-    /// Scale a duration by an integer factor.
-    #[inline]
-    pub fn scaled(self, factor: u64) -> SimTime {
-        SimTime(self.0 * factor)
     }
 }
 
@@ -224,8 +198,8 @@ mod tests {
         assert_eq!(SimTime::from_ns(1), SimTime::from_ps(1_000));
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
-        assert_eq!(SimTime::from_us_f64(1.5), SimTime::from_ns(1_500));
-        assert_eq!(SimTime::from_ns_f64(0.5), SimTime::from_ps(500));
+        assert_eq!(SimTime::from_secs_f64(1.5e-6), SimTime::from_ns(1_500));
+        assert_eq!(SimTime::from_secs_f64(0.5e-9), SimTime::from_ps(500));
     }
 
     #[test]
@@ -238,12 +212,11 @@ mod tests {
         assert_eq!(a / 2, SimTime::from_ns(5));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
     }
 
     #[test]
     fn conversions_round_trip() {
-        let t = SimTime::from_us_f64(6.1);
+        let t = SimTime::from_secs_f64(6.1e-6);
         assert!((t.as_us_f64() - 6.1).abs() < 1e-9);
         assert!((t.as_ns_f64() - 6_100.0).abs() < 1e-6);
         assert!((t.as_secs_f64() - 6.1e-6).abs() < 1e-15);
@@ -266,7 +239,7 @@ mod tests {
     fn display_picks_sensible_units() {
         assert_eq!(format!("{}", SimTime::from_ps(5)), "5ps");
         assert_eq!(format!("{}", SimTime::from_ns(5)), "5.000ns");
-        assert_eq!(format!("{}", SimTime::from_us_f64(6.1)), "6.100us");
+        assert_eq!(format!("{}", SimTime::from_secs_f64(6.1e-6)), "6.100us");
         assert_eq!(format!("{}", SimTime::from_ms(3)), "3.000ms");
         assert_eq!(format!("{}", SimTime::ZERO), "0s");
     }

@@ -6,7 +6,7 @@
 //! A [`TraceSession`] collects those spans; the returned [`Trace`] keeps
 //! raw picoseconds (compare them against [`SimTime::as_ps`]) and exports
 //! text, JSONL, and Chrome trace-event JSON (see
-//! [`aurora_telemetry::export`]). The `repro_trace` harness renders the
+//! `aurora_telemetry::export`). The `repro_trace` harness renders the
 //! per-offload timeline — the measured counterpart of the §V-A cost
 //! breakdown.
 //!

@@ -68,7 +68,7 @@ impl Trace {
 
     /// Distinct engines present, ascending by name. The position of an
     /// engine in this list is its `tid` in the Chrome export.
-    pub fn engines(&self) -> Vec<&'static str> {
+    pub(crate) fn engines(&self) -> Vec<&'static str> {
         let mut engines: Vec<&'static str> = self.events.iter().map(Event::engine).collect();
         engines.sort_unstable();
         engines.dedup();
@@ -76,7 +76,7 @@ impl Trace {
     }
 
     /// Distinct nodes present, ascending ([`NODE_UNKNOWN`] last if any).
-    pub fn nodes(&self) -> Vec<u16> {
+    pub(crate) fn nodes(&self) -> Vec<u16> {
         let mut nodes: Vec<u16> = self.events.iter().map(|e| e.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
@@ -118,7 +118,7 @@ impl Trace {
     /// Chrome trace-event JSON (the Perfetto-compatible legacy format).
     ///
     /// Layout: `pid` = simulated node, `tid` = engine (index into
-    /// [`Trace::engines`]); every span is a complete event (`"ph":"X"`)
+    /// `Trace::engines`); every span is a complete event (`"ph":"X"`)
     /// with microsecond `ts`/`dur` and `offload_id`/`bytes` in `args`.
     /// Metadata events (`"ph":"M"`) name the processes and tracks.
     pub fn to_chrome_json(&self) -> String {

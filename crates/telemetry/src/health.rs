@@ -30,7 +30,7 @@ use std::sync::Mutex;
 /// Upper bound on retained events; older events are dropped (counted by
 /// [`HealthRegistry::dropped`], still counted by
 /// [`HealthRegistry::count`]) so a long soak cannot grow without bound.
-pub const MAX_HEALTH_EVENTS: usize = 4096;
+pub(crate) const MAX_HEALTH_EVENTS: usize = 4096;
 
 /// Coarse per-target health, derived from the event stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -243,16 +243,6 @@ impl HealthRegistry {
         self.states.lock().unwrap().get(&node).copied()
     }
 
-    /// Every known target and its state, sorted by node id.
-    pub fn states(&self) -> Vec<(u16, TargetState)> {
-        self.states
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&n, &s)| (n, s))
-            .collect()
-    }
-
     /// The retained event log, oldest first.
     pub fn events(&self) -> Vec<HealthEvent> {
         self.log.lock().unwrap().ring.iter().copied().collect()
@@ -266,13 +256,6 @@ impl HealthRegistry {
             .filter(|e| e.node == node)
             .copied()
             .collect()
-    }
-
-    /// Events discarded because the ring was full: ordinals issued
-    /// minus events retained.
-    pub fn dropped(&self) -> u64 {
-        let log = self.log.lock().unwrap();
-        log.issued - log.ring.len() as u64
     }
 }
 
@@ -359,7 +342,6 @@ mod tests {
         }
         let evs = r.events();
         assert_eq!(evs.len(), MAX_HEALTH_EVENTS);
-        assert_eq!(r.dropped(), 10);
         // Oldest retained event is the 11th ever recorded.
         assert_eq!(evs[0].ordinal, 10);
         // The count covers dropped events too.
@@ -394,16 +376,16 @@ mod tests {
         );
         let total = THREADS * PER_THREAD;
         assert_eq!(r.count(HealthEventKind::Probe), total);
-        assert_eq!(r.dropped() + evs.len() as u64, total);
+        // Every record drew an ordinal; the newest one is retained.
+        assert_eq!(evs.last().unwrap().ordinal + 1, total);
     }
 
     #[test]
-    fn states_sorted_by_node() {
+    fn registered_nodes_have_a_state() {
         let r = HealthRegistry::new();
         r.register(3);
         r.register(1);
-        r.register(2);
-        let nodes: Vec<u16> = r.states().iter().map(|&(n, _)| n).collect();
-        assert_eq!(nodes, vec![1, 2, 3]);
+        assert!(r.state(1).is_some() && r.state(3).is_some());
+        assert_eq!(r.state(2), None);
     }
 }

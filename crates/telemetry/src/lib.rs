@@ -30,8 +30,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod export;
-pub mod health;
+mod export;
+mod health;
 pub mod json;
 pub mod metrics;
 
@@ -98,7 +98,7 @@ impl Event {
 
     /// The phase: the category after the first `'.'` (`"udma.read"` →
     /// `"read"`).
-    pub fn phase(&self) -> &'static str {
+    pub(crate) fn phase(&self) -> &'static str {
         match self.category.split_once('.') {
             Some((_, phase)) => phase,
             None => self.category,

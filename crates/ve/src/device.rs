@@ -6,7 +6,7 @@ use aurora_pcie::PcieLink;
 use std::sync::{Arc, Mutex};
 
 /// Number of DMAATB entries per VE (small, as on real hardware).
-pub const DMAATB_ENTRIES: usize = 256;
+pub(crate) const DMAATB_ENTRIES: usize = 256;
 
 /// A Vector Engine device: HBM2, PCIe link, DMAATB, and specs.
 ///

@@ -2,7 +2,7 @@
 //!
 //! Device model of the NEC Vector Engine Type 10B:
 //!
-//! * [`specs`] — Table I hardware specifications (VE and host CPU);
+//! * `specs` — Table I hardware specifications (VE and host CPU);
 //! * [`device::VeDevice`] — one VE card: HBM2 memory with its allocator,
 //!   the PCIe link, the DMAATB;
 //! * [`udma::UserDma`] — the per-core user DMA engine VE code programs
@@ -21,9 +21,9 @@
 #![deny(unsafe_code)]
 
 pub mod device;
-pub mod lhm_shm;
-pub mod specs;
-pub mod udma;
+mod lhm_shm;
+mod specs;
+mod udma;
 
 pub use device::VeDevice;
 pub use lhm_shm::LhmShmUnit;

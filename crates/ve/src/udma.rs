@@ -106,11 +106,6 @@ impl UserDma {
             None => SimTime::ZERO,
         }
     }
-
-    /// Total busy time of this engine.
-    pub fn busy(&self) -> SimTime {
-        self.engine.total_busy()
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Native VEO calls are "limited to a few basic types for arguments and
 //! return types" (§V-A) — exactly why HAM-Offload's rich message-based
 //! semantics are worth their framework cost. The stack holds 64-bit
-//! slots; wider types are bit-cast.
+//! slots; callers bit-cast other types into them.
 
 /// Arguments for one VEO kernel call.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -23,21 +23,6 @@ impl ArgsStack {
         self
     }
 
-    /// Push an `i64`.
-    pub fn push_i64(self, v: i64) -> Self {
-        self.push_u64(v as u64)
-    }
-
-    /// Push a `f64` (bit-cast into a slot).
-    pub fn push_f64(self, v: f64) -> Self {
-        self.push_u64(v.to_bits())
-    }
-
-    /// Push a 32-bit value (zero-extended).
-    pub fn push_u32(self, v: u32) -> Self {
-        self.push_u64(v as u64)
-    }
-
     /// Number of argument slots.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -53,21 +38,6 @@ impl ArgsStack {
     pub fn get_u64(&self, i: usize) -> u64 {
         self.slots[i]
     }
-
-    /// Read slot `i` as `i64`.
-    pub fn get_i64(&self, i: usize) -> i64 {
-        self.slots[i] as i64
-    }
-
-    /// Read slot `i` as `f64`.
-    pub fn get_f64(&self, i: usize) -> f64 {
-        f64::from_bits(self.slots[i])
-    }
-
-    /// Read slot `i` as `u32` (truncating).
-    pub fn get_u32(&self, i: usize) -> u32 {
-        self.slots[i] as u32
-    }
 }
 
 #[cfg(test)]
@@ -76,16 +46,10 @@ mod tests {
 
     #[test]
     fn push_and_get() {
-        let a = ArgsStack::new()
-            .push_u64(7)
-            .push_f64(2.5)
-            .push_i64(-3)
-            .push_u32(9);
-        assert_eq!(a.len(), 4);
+        let a = ArgsStack::new().push_u64(7).push_u64(2.5f64.to_bits());
+        assert_eq!(a.len(), 2);
         assert_eq!(a.get_u64(0), 7);
-        assert_eq!(a.get_f64(1), 2.5);
-        assert_eq!(a.get_i64(2), -3);
-        assert_eq!(a.get_u32(3), 9);
+        assert_eq!(f64::from_bits(a.get_u64(1)), 2.5);
     }
 
     #[test]

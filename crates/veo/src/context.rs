@@ -9,12 +9,12 @@ use aurora_ve::{LhmShmUnit, UserDma};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use veos_sim::VeProcess;
 
 /// The VE-side world a kernel executes in: what code "running on the VE"
-/// can touch. Handed to every [`crate::KernelFn`].
+/// can touch. Handed to every kernel a [`crate::KernelLibrary`] holds.
 pub struct VeContext {
     /// The VE process (memory, VEMVA translation, clock).
     pub proc: Arc<VeProcess>,
@@ -53,13 +53,22 @@ enum Command {
 /// queue served by one VE worker thread.
 pub struct VeoContext {
     tx: Sender<Command>,
-    results: Arc<Mutex<HashMap<u64, (u64, SimTime)>>>,
+    shared: Arc<Shared>,
     next_req: AtomicU64,
     host_clock: Clock,
     worker: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What the worker thread publishes to its waiters.
+struct Shared {
+    /// Finished calls: request id → (return value, completion time).
+    results: Mutex<HashMap<u64, (u64, SimTime)>>,
+    /// Notified after each insert into `results` and when the worker
+    /// exits.
+    changed: Condvar,
     /// Cleared when the worker thread exits — including by panic (a
     /// crashed kernel must turn waiting callers into errors, not hangs).
-    alive: Arc<AtomicBool>,
+    alive: AtomicBool,
 }
 
 impl VeoContext {
@@ -67,23 +76,28 @@ impl VeoContext {
     /// `host_clock` is the submitting VH process's clock.
     pub(crate) fn open(ve_ctx: VeContext, host_clock: Clock) -> Arc<Self> {
         let (tx, rx) = channel::<Command>();
-        let results: Arc<Mutex<HashMap<u64, (u64, SimTime)>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let results2 = Arc::clone(&results);
-        let alive = Arc::new(AtomicBool::new(true));
-        let alive2 = Arc::clone(&alive);
+        let shared = Arc::new(Shared {
+            results: Mutex::new(HashMap::new()),
+            changed: Condvar::new(),
+            alive: AtomicBool::new(true),
+        });
+        let shared2 = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name(format!("veo-ctx-ve{}", ve_ctx.proc.ve().id()))
             .spawn(move || {
-                // Clear the liveness flag on ANY exit path, panics
-                // included.
-                struct Liveness(Arc<AtomicBool>);
+                // Clear the liveness flag and wake every waiter on ANY
+                // exit path, panics included. The flag is cleared under
+                // the results lock, so a waiter either sees it cleared
+                // or is already parked when the notification comes.
+                struct Liveness(Arc<Shared>);
                 impl Drop for Liveness {
                     fn drop(&mut self) {
-                        self.0.store(false, Ordering::Release);
+                        let _results = self.0.results.lock();
+                        self.0.alive.store(false, Ordering::Release);
+                        self.0.changed.notify_all();
                     }
                 }
-                let _liveness = Liveness(alive2);
+                let liveness = Liveness(shared2);
                 while let Ok(cmd) = rx.recv() {
                     match cmd {
                         Command::Close => break,
@@ -100,7 +114,9 @@ impl VeoContext {
                             let ret = (sym.func)(&ve_ctx, &args);
                             // Completion notification travels back.
                             let done = clock.now() + calib::VEO_CALL_ROUNDTRIP / 2;
-                            results2.lock().unwrap().insert(req.0, (ret, done));
+                            let shared = &liveness.0;
+                            shared.results.lock().unwrap().insert(req.0, (ret, done));
+                            shared.changed.notify_all();
                         }
                     }
                 }
@@ -108,11 +124,10 @@ impl VeoContext {
             .expect("spawn veo context worker");
         Arc::new(Self {
             tx,
-            results,
+            shared,
             next_req: AtomicU64::new(1),
             host_clock,
             worker: Mutex::new(Some(worker)),
-            alive,
         })
     }
 
@@ -120,7 +135,7 @@ impl VeoContext {
     /// like `ham_main` counts as running). False after close or after a
     /// kernel panic killed the worker.
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
+        self.shared.alive.load(Ordering::Acquire)
     }
 
     /// `veo_call_async`: enqueue a kernel call.
@@ -137,29 +152,22 @@ impl VeoContext {
         Ok(req)
     }
 
-    /// `veo_call_peek_result`: non-blocking.
-    pub fn peek_result(&self, req: ReqId) -> Option<u64> {
-        let mut results = self.results.lock().unwrap();
-        if let Some((ret, done)) = results.remove(&req.0) {
-            self.host_clock.join(done);
-            Some(ret)
-        } else {
-            None
-        }
-    }
-
-    /// `veo_call_wait_result`: block until the kernel finished; the host
-    /// clock joins the completion time (an empty kernel thus costs
-    /// exactly [`calib::VEO_CALL_ROUNDTRIP`]).
+    /// `veo_call_wait_result`: sleep until the kernel finished; the
+    /// host clock joins the completion time (an empty kernel thus costs
+    /// exactly [`calib::VEO_CALL_ROUNDTRIP`]). Fails with
+    /// [`VeoError::ContextClosed`] once the worker is gone without the
+    /// result.
     pub fn wait_result(&self, req: ReqId) -> Result<u64, VeoError> {
+        let mut results = self.shared.results.lock().unwrap();
         loop {
-            if let Some(ret) = self.peek_result(req) {
+            if let Some((ret, done)) = results.remove(&req.0) {
+                self.host_clock.join(done);
                 return Ok(ret);
             }
             if !self.is_alive() {
                 return Err(VeoError::ContextClosed);
             }
-            std::thread::yield_now();
+            results = self.shared.changed.wait(results).unwrap();
         }
     }
 

@@ -21,14 +21,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod args;
-pub mod context;
-pub mod library;
-pub mod proc;
+mod args;
+mod context;
+mod library;
+mod proc;
 
 pub use args::ArgsStack;
 pub use context::{VeContext, VeoContext};
-pub use library::{KernelFn, KernelLibrary, SymHandle};
+pub use library::{KernelLibrary, SymHandle};
 pub use proc::VeoProc;
 
 /// Errors of the VEO layer.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 /// A VE kernel: runs "on the VE" (a VE worker thread) with access to the
 /// VE-side world; returns a 64-bit value (the VEO ABI).
-pub type KernelFn = Arc<dyn Fn(&VeContext, &ArgsStack) -> u64 + Send + Sync>;
+pub(crate) type KernelFn = Arc<dyn Fn(&VeContext, &ArgsStack) -> u64 + Send + Sync>;
 
 /// Handle to a resolved symbol (`veo_get_sym`).
 #[derive(Clone)]
@@ -58,7 +58,7 @@ impl KernelLibrary {
     }
 
     /// Look up a symbol.
-    pub fn sym(&self, name: &str) -> Option<SymHandle> {
+    pub(crate) fn sym(&self, name: &str) -> Option<SymHandle> {
         self.symbols.get(name).map(|f| SymHandle {
             name: name.to_string(),
             func: Arc::clone(f),

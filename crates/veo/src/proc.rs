@@ -61,7 +61,7 @@ impl VeoProc {
     }
 
     /// Extra one-way link latency for this host-socket / VE pairing.
-    pub fn extra_one_way(&self) -> SimTime {
+    pub(crate) fn extra_one_way(&self) -> SimTime {
         self.machine
             .topology()
             .extra_one_way(self.host_socket, self.ve_id)
@@ -214,14 +214,19 @@ mod tests {
         let addr = p.alloc_mem(64).unwrap();
         p.load_library(KernelLibrary::new().with("store", |ve, args| {
             let target = VeAddr(args.get_u64(0));
-            let value = args.get_f64(1);
+            let value = f64::from_bits(args.get_u64(1));
             ve.proc.write(target, &value.to_le_bytes()).unwrap();
             1
         }));
         let ctx = p.open_context();
         let sym = p.get_sym("store").unwrap();
         let req = ctx
-            .call_async(&sym, ArgsStack::new().push_u64(addr.get()).push_f64(3.25))
+            .call_async(
+                &sym,
+                ArgsStack::new()
+                    .push_u64(addr.get())
+                    .push_u64(3.25f64.to_bits()),
+            )
             .unwrap();
         assert_eq!(ctx.wait_result(req).unwrap(), 1);
         let mut out = [0u8; 8];
@@ -275,22 +280,56 @@ mod tests {
         ctx.close();
     }
 
+    /// Run `body` on its own thread; a run longer than 30 s fails as a
+    /// hang instead of wedging the test binary.
+    fn watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                if let Err(p) = worker.join() {
+                    std::panic::resume_unwind(p);
+                }
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("wait_result hung"),
+        }
+    }
+
+    /// A waiter parks on the context's condvar: it wakes on its result
+    /// when a long kernel finishes, and with `ContextClosed` when the
+    /// kernel panics and takes the worker down.
     #[test]
-    fn peek_is_nonblocking() {
-        let m = small_machine();
-        let p = create(&m);
-        p.load_library(KernelLibrary::new().with("slow", |_, _| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            7
-        }));
-        let ctx = p.open_context();
-        let sym = p.get_sym("slow").unwrap();
-        let req = ctx.call_async(&sym, ArgsStack::new()).unwrap();
-        // Immediately after submission the result is (almost certainly)
-        // not there; peek must not block either way.
-        let _ = ctx.peek_result(req);
-        assert_eq!(ctx.wait_result(req).unwrap(), 7);
-        ctx.close();
+    fn wait_sleeps_until_the_result_or_the_worker_dies() {
+        watchdog(|| {
+            let m = small_machine();
+            let p = create(&m);
+            p.load_library(
+                KernelLibrary::new()
+                    .with("slow", |_, _| {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        7
+                    })
+                    .with("boom", |_, _| panic!("kernel crashed")),
+            );
+            let ctx = p.open_context();
+            let slow = ctx
+                .call_async(&p.get_sym("slow").unwrap(), ArgsStack::new())
+                .unwrap();
+            assert_eq!(ctx.wait_result(slow).unwrap(), 7);
+            let boom = ctx
+                .call_async(&p.get_sym("boom").unwrap(), ArgsStack::new())
+                .unwrap();
+            assert!(matches!(
+                ctx.wait_result(boom),
+                Err(VeoError::ContextClosed)
+            ));
+            assert!(!ctx.is_alive());
+            ctx.close();
+        });
     }
 
     #[test]

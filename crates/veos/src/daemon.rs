@@ -58,11 +58,6 @@ impl Veos {
     pub fn process(&self, pid: u32) -> Option<Arc<VeProcess>> {
         self.procs.lock().unwrap().get(&pid).cloned()
     }
-
-    /// Number of live processes.
-    pub fn process_count(&self) -> usize {
-        self.procs.lock().unwrap().len()
-    }
 }
 
 #[cfg(test)]
@@ -75,19 +70,11 @@ mod tests {
         let p1 = veos.create_process();
         let p2 = veos.create_process();
         assert_ne!(p1.pid(), p2.pid());
-        assert_eq!(veos.process_count(), 2);
         assert!(veos.process(p1.pid()).is_some());
         assert!(veos.destroy_process(p1.pid()));
         assert!(!veos.destroy_process(p1.pid()), "already gone");
-        assert_eq!(veos.process_count(), 1);
-    }
-
-    #[test]
-    fn dma_manager_mode() {
-        let improved = Veos::new(VeDevice::standalone(0, 1 << 20), true);
-        assert!(improved.dma().improved());
-        let classic = Veos::new(VeDevice::standalone(1, 1 << 20), false);
-        assert!(!classic.dma().improved());
+        assert!(veos.process(p1.pid()).is_none());
+        assert!(veos.process(p2.pid()).is_some(), "the other one lives on");
     }
 
     #[test]
@@ -107,6 +94,6 @@ mod tests {
         });
         let distinct: std::collections::HashSet<u32> = pids.iter().copied().collect();
         assert_eq!(distinct.len(), 8, "pids {pids:?}");
-        assert_eq!(veos.process_count(), 8);
+        assert!(pids.iter().all(|&pid| veos.process(pid).is_some()));
     }
 }

@@ -42,12 +42,6 @@ impl DmaManager {
         }
     }
 
-    /// Whether the improved (bulk-translation, overlapped) manager is in
-    /// use.
-    pub fn improved(&self) -> bool {
-        self.improved
-    }
-
     fn per_page(&self) -> SimTime {
         if self.improved {
             calib::VEOS_PAGE_COST_IMPROVED
@@ -154,11 +148,6 @@ impl DmaManager {
 
         // --- virtual cost (the SegmentedModel of `calib`) ------------
         self.quote(clock, host, proc, len, write)
-    }
-
-    /// Total engine busy time.
-    pub fn busy(&self) -> SimTime {
-        self.engine.total_busy()
     }
 }
 

@@ -22,9 +22,9 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod daemon;
-pub mod dma_manager;
-pub mod machine;
+mod daemon;
+mod dma_manager;
+mod machine;
 pub mod process;
 pub mod syscall;
 

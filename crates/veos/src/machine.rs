@@ -7,7 +7,7 @@ use aurora_ve::VeDevice;
 use std::sync::{Arc, Mutex};
 
 /// Base of VH process virtual addresses in the simulation.
-pub const VH_VADDR_BASE: u64 = 0x7000_0000_0000;
+pub(crate) const VH_VADDR_BASE: u64 = 0x7000_0000_0000;
 
 /// Configuration of a simulated machine.
 #[derive(Clone, Copy, Debug)]
@@ -38,7 +38,6 @@ impl Default for MachineConfig {
 /// One socket's VH process memory: region + allocator + page table.
 #[derive(Debug)]
 pub struct VhMemory {
-    socket: u8,
     region: Arc<Region>,
     alloc: Mutex<RangeAllocator>,
     page_table: Mutex<PageTable>,
@@ -46,20 +45,14 @@ pub struct VhMemory {
 }
 
 impl VhMemory {
-    /// Build VH memory of `bytes` for `socket` with the given page size.
-    pub fn new(socket: u8, bytes: u64, page: PageSize) -> Arc<Self> {
+    /// Build VH memory of `bytes` with the given page size.
+    pub fn new(bytes: u64, page: PageSize) -> Arc<Self> {
         Arc::new(Self {
-            socket,
             region: Region::new(bytes),
             alloc: Mutex::new(RangeAllocator::new(bytes)),
             page_table: Mutex::new(PageTable::new(page)),
             page,
         })
-    }
-
-    /// Socket index.
-    pub fn socket(&self) -> u8 {
-        self.socket
     }
 
     /// Backing region.
@@ -161,7 +154,7 @@ impl AuroraMachine {
             })
             .collect();
         let vh: Vec<Arc<VhMemory>> = (0..topology.sockets())
-            .map(|s| VhMemory::new(s, config.vh_bytes, config.vh_page))
+            .map(|_| VhMemory::new(config.vh_bytes, config.vh_page))
             .collect();
         let veos: Vec<Arc<Veos>> = ves
             .iter()
@@ -227,7 +220,6 @@ mod tests {
         assert_eq!(m.ves().len(), 8);
         assert_eq!(m.topology().sockets(), 2);
         assert_eq!(m.ve(5).socket(), 1);
-        assert_eq!(m.vh(0).socket(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Base of VE process virtual addresses (VEMVA), as on real VEs.
-pub const VEMVA_BASE: u64 = 0x6000_0000_0000;
+pub(crate) const VEMVA_BASE: u64 = 0x6000_0000_0000;
 
 /// A process running on a Vector Engine.
 ///

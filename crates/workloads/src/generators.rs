@@ -13,11 +13,6 @@ pub fn random_matrix(seed: u64, rows: usize, cols: usize) -> Vec<f64> {
     random_vector(seed ^ 0x9E37_79B9_7F4A_7C15, rows * cols)
 }
 
-/// Reference (host-side) inner product, for verifying offloaded results.
-pub fn reference_inner_product(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 /// Reference dense GEMM (row-major), for verifying offloaded results.
 pub fn reference_dgemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
     let mut c = vec![0.0; m * n];
@@ -56,6 +51,5 @@ mod tests {
         let eye = vec![1.0, 0.0, 0.0, 1.0];
         let m = vec![3.0, 4.0, 5.0, 6.0];
         assert_eq!(reference_dgemm(&eye, &m, 2, 2, 2), m);
-        assert_eq!(reference_inner_product(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 }

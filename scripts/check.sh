@@ -2,7 +2,7 @@
 # The repo's gate; CI runs exactly this: release build, `cargo test
 # --workspace` (which holds every virtual-time bound), examples, the
 # benchmark crate's `hotpath all --smoke`, the telemetry-overhead bench,
-# the fault matrix, the soak, clippy, rustdoc and rustfmt.
+# the fault matrix, the soak, the pub audit, clippy, rustdoc and rustfmt.
 # The one offline stand-in under vendor/ (proptest) is a path
 # dependency inside the workspace root, so cargo makes it a member: it
 # is tested, linted and formatted like crates/*.
@@ -44,7 +44,10 @@ echo "== fault matrix (8 seeds x {veo,dma,tcp}, hang = failure) =="
 echo "== soak gate (scaled down: all backends x 4 seeds, SLO-checked) =="
 ./scripts/soak.sh
 
-echo "== clippy (warnings are errors) =="
+echo "== pub audit: every pub item is named outside its crate or listed in scripts/pub_kept.txt =="
+./scripts/pub_audit.sh --check
+
+echo "== clippy (warnings are errors, unreachable_pub included) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (warnings are errors: broken, private or redundant links) =="

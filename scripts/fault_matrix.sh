@@ -141,6 +141,7 @@ run alloc_steady_state \
   warm_device::warm_device_allocates_once_per_batch_carrier_and_never_per_member \
   warm_tcp_sync_allocates_once_per_offload \
   warm_tcp_pipelined_allocates_once_per_offload \
+  warm_tcp_pool_submit_allocates_once_per_offload \
   warm_local_sync_allocates_once_per_offload \
   warm_dma_sync_allocates_once_per_offload \
   warm_veo_sync_allocates_once_per_offload \

@@ -788,6 +788,61 @@ fn warm_tcp_pipelined_allocates_once_per_offload() {
     );
 }
 
+/// Warm 64-deep waves of `busy_work` through a `TargetPool` over two
+/// loopback TCP targets, `submit` then `wait_all`: each placed offload
+/// keeps its encoded payload (the argument) for failover in a pooled
+/// frame, so the pool adds nothing per offload to the one exact-size
+/// result `Vec`. What is left per wave is `wait_all`'s result `Vec`, the
+/// caller's future list and the roster `rebalance` collects on each
+/// unsettled sweep. Counted on every thread.
+#[test]
+fn warm_tcp_pool_submit_allocates_once_per_offload() {
+    use aurora_workloads::kernels::busy_work;
+    use ham::f2f;
+    use ham_aurora_repro::{NodeId, Offload};
+    use ham_backend_tcp::TcpBackend;
+    use ham_offload::sched::SchedPolicy;
+
+    const DEPTH: usize = 64;
+    const WAVES: u64 = 40;
+    const OFFLOADS: u64 = WAVES * DEPTH as u64;
+    let _gate = gate();
+    let o = Offload::new(TcpBackend::spawn(2, |b| {
+        b.register::<busy_work>();
+    }));
+    let pool = o
+        .pool_with(&[NodeId(1), NodeId(2)], SchedPolicy::RoundRobin)
+        .unwrap();
+    let want = o.sync(NodeId(1), f2f!(busy_work, 16)).unwrap();
+    let wave = || {
+        let futures: Vec<_> = (0..DEPTH)
+            .map(|_| pool.submit(f2f!(busy_work, 16)).unwrap())
+            .collect();
+        for r in pool.wait_all(futures) {
+            assert_eq!(r.unwrap(), want);
+        }
+    };
+    for _ in 0..20 {
+        wave();
+    }
+    EVERY_THREAD.store(true, Ordering::SeqCst);
+    let ((), allocs) = counted(|| {
+        for _ in 0..WAVES {
+            wave();
+        }
+    });
+    EVERY_THREAD.store(false, Ordering::SeqCst);
+    drop(pool);
+    o.shutdown();
+    // One per offload, and at most 16 per wave for the wave's own
+    // lists and the rebalance rosters (sweeps per wave vary with the
+    // box). A payload `Vec` per offload would be twice the bound.
+    assert!(
+        allocs <= OFFLOADS + OFFLOADS / 4,
+        "{allocs} allocations over {OFFLOADS} warm pooled TCP offloads"
+    );
+}
+
 /// A warm `sync` over the in-process slot arrays, with a scalar
 /// argument and result: the host encodes the request into a pooled
 /// frame and copies it into a receive slot, the target copies it out
