@@ -14,7 +14,8 @@
 
 use crate::{AuroraCore, ProtocolConfig, VeComputeMeter, VeTargetMemory, VE_SEED_BASE};
 use aurora_mem::MemError;
-use aurora_sim_core::{calib, BackendMetrics, Clock, FaultPlan, SimTime};
+use aurora_sim_core::{calib, Clock, FaultPlan, SimTime};
+use aurora_telemetry::BackendMetrics;
 use ham::message::ReverseTransport;
 use ham::wire::{MsgHeader, MsgKind};
 use ham::Registry;
@@ -477,11 +478,7 @@ impl<V: VeTransport> TargetChannel for VeChannel<V> {
         let ts = loop {
             self.check_killed();
             match self.ve.peek(i) {
-                Ok(None) => {
-                    if !idle.spin() {
-                        std::thread::yield_now();
-                    }
-                }
+                Ok(None) => idle.pause(),
                 Ok(Some(ts)) => break ts,
                 Err(_) => return None,
             }

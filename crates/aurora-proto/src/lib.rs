@@ -14,7 +14,8 @@
 #![deny(unsafe_code)]
 
 use aurora_mem::{VeAddr, VhAddr};
-use aurora_sim_core::{BackendMetrics, Clock};
+use aurora_sim_core::Clock;
+use aurora_telemetry::BackendMetrics;
 use ham::{HamError, Registry, RegistryBuilder, TargetMemory};
 use ham_offload::backend::{build_registry, RawBuffer, Registrar};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};

@@ -93,9 +93,7 @@ impl ReverseService {
                     if self.stop.load(Ordering::Acquire) {
                         return;
                     }
-                    if !idle.spin() {
-                        std::thread::yield_now();
-                    }
+                    idle.pause();
                     continue;
                 }
                 Ok(ts) => SimTime::from_ps(ts),
@@ -169,22 +167,22 @@ impl ReverseService {
 /// VE-side transport: what `ctx.vhcall(...)` uses inside kernels.
 pub(crate) struct VeReverseTransport {
     /// The VE process (for its clock and HBM).
-    pub proc: Arc<veos_sim::VeProcess>,
+    pub(crate) proc: Arc<veos_sim::VeProcess>,
     /// This core's user DMA engine.
-    pub udma: aurora_ve::UserDma,
+    pub(crate) udma: aurora_ve::UserDma,
     /// This core's LHM/SHM unit.
-    pub lhm_shm: aurora_ve::LhmShmUnit,
+    pub(crate) lhm_shm: aurora_ve::LhmShmUnit,
     /// The DMAATB window of the shm segment the reverse slot is in.
-    pub window: DmaWindow,
+    pub(crate) window: DmaWindow,
     /// VEHVA of the reverse slot.
-    pub vehva: Vehva,
+    pub(crate) vehva: Vehva,
     /// Protocol geometry.
-    pub cfg: ProtocolConfig,
+    pub(crate) cfg: ProtocolConfig,
     /// HBM offset of the VE-local staging buffer, distinct from the
     /// forward one.
-    pub stage: u64,
+    pub(crate) stage: u64,
     /// Serialises calls (defensive; the target loop is serial anyway).
-    pub seq: Mutex<u64>,
+    pub(crate) seq: Mutex<u64>,
 }
 
 impl ReverseTransport for VeReverseTransport {
@@ -209,7 +207,7 @@ impl ReverseTransport for VeReverseTransport {
             payload_len: payload.len() as u32,
             kind: MsgKind::Offload,
             reply_slot: 0,
-            corr: aurora_sim_core::trace::current_offload(),
+            corr: aurora_telemetry::current_offload(),
             seq,
         };
         let mut bytes = header.encode().to_vec();
@@ -230,11 +228,7 @@ impl ReverseTransport for VeReverseTransport {
         let mut idle = Idle::new();
         let ts = loop {
             match self.lhm_shm.peek_word(win, resp_flag) {
-                Ok(0) => {
-                    if !idle.spin() {
-                        std::thread::yield_now();
-                    }
-                }
+                Ok(0) => idle.pause(),
                 Ok(ts) => break SimTime::from_ps(ts),
                 Err(e) => return Err(err(e)),
             }

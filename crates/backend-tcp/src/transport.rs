@@ -22,7 +22,8 @@ use crate::frame::{
     read_frame, write_frame, write_frame_parts, Announce, ControlOp, FrameReader, MAX_FRAME, PREFIX,
 };
 use aurora_mem::RangeAllocator;
-use aurora_sim_core::{BackendMetrics, Clock, FaultPlan, HealthEventKind, LaneStats};
+use aurora_sim_core::{Clock, FaultPlan};
+use aurora_telemetry::{BackendMetrics, HealthEventKind, LaneStats};
 use ham::codec::Wire;
 use ham::message::VecMemory;
 use ham::registry::HandlerKey;
@@ -1286,7 +1287,7 @@ mod tests {
     /// more than the bound, and the channel's queue never grows past it.
     #[test]
     fn queue_stays_bounded_and_emits_the_same_bytes_under_short_writes() {
-        let mut rng = aurora_sim_core::rng::SplitMix64::new(27);
+        let mut rng = ham::rng::SplitMix64::new(27);
         let sizes: Vec<usize> = (0..400)
             .map(|_| match rng.next_below(8) {
                 0 => RESULT_QUEUE + rng.next_below(4096) as usize,

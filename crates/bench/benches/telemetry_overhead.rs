@@ -28,7 +28,8 @@
 //! Run with: `cargo bench -p aurora-bench --bench telemetry_overhead`
 //! (`-- --smoke` for the small CI configuration).
 
-use aurora_sim_core::{trace, BackendMetrics, SimTime};
+use aurora_sim_core::{trace, SimTime};
+use aurora_telemetry::{BackendMetrics, TraceSession};
 use aurora_workloads::kernels::whoami;
 use ham::f2f;
 use ham_backend_dma::{DmaBackend, ProtocolConfig};
@@ -104,7 +105,7 @@ fn main() {
     let disabled = ns_per_op(n, |_| {
         trace::record(black_box("bench.disabled"), 64, t0, t1)
     });
-    let session = trace::TraceSession::start();
+    let session = TraceSession::start();
     let enabled = ns_per_op(n, |_| trace::record(black_box("bench.enabled"), 64, t0, t1));
     drop(session.finish());
 
@@ -115,12 +116,12 @@ fn main() {
     // EWMA), and the EWMA read the weighted scheduler makes.
     let m = BackendMetrics::new();
     for i in 0..10_000u64 {
-        m.on_complete_on((i % 4) as u16 + 1, SimTime::from_us(5));
+        m.on_complete_on((i % 4) as u16 + 1, SimTime::from_us(5).as_ps());
     }
     let hist_round = || {
         round_ns(n, |i| {
             m.on_post(black_box(64));
-            m.on_complete_on((i % 4) as u16 + 1, SimTime::from_us(5 + i % 7));
+            m.on_complete_on((i % 4) as u16 + 1, SimTime::from_us(5 + i % 7).as_ps());
             black_box(m.latency_ewma((i % 4) as u16 + 1));
         })
     };

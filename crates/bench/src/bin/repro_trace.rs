@@ -11,7 +11,7 @@
 //! by default; override with `--out-dir <dir>`.
 
 use aurora_bench::harness::{benchmark_machine, BenchConfig};
-use aurora_sim_core::trace;
+use aurora_telemetry::TraceSession;
 use aurora_workloads::kernels::{register_all, whoami};
 use ham::f2f;
 use ham_backend_dma::DmaBackend;
@@ -49,7 +49,7 @@ fn main() {
         o.sync(NodeId(1), f2f!(whoami)).unwrap();
     }
 
-    let session = trace::TraceSession::start();
+    let session = TraceSession::start();
     let t0 = o.backend().host_clock().now();
     o.sync(NodeId(1), f2f!(whoami)).unwrap();
     let t1 = o.backend().host_clock().now();

@@ -23,9 +23,9 @@ pub(crate) const EFFICIENCY: f64 = 0.5;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ExecModel {
     /// Host sustained GFLOPS.
-    pub host_gflops: f64,
+    pub(crate) host_gflops: f64,
     /// VE sustained GFLOPS.
-    pub ve_gflops: f64,
+    pub(crate) ve_gflops: f64,
 }
 
 impl ExecModel {

@@ -11,9 +11,9 @@ use crate::harness::BenchConfig;
 #[derive(Clone, Debug)]
 pub struct Claim {
     /// The claim, paraphrased from §V.
-    pub text: String,
+    pub(crate) text: String,
     /// Whether the reproduction satisfies it.
-    pub ok: bool,
+    pub(crate) ok: bool,
 }
 
 /// Evaluate every claim. Expensive: runs Fig. 9 and the Fig. 10 sweep.

@@ -14,13 +14,13 @@ use veos_sim::{AuroraMachine, MachineConfig};
 pub struct BenchConfig {
     /// Offload-cost repetitions (paper: 10⁶; deterministic sim needs far
     /// fewer for a stable mean).
-    pub offload_reps: u32,
+    pub(crate) offload_reps: u32,
     /// Data-transfer repetitions per size (paper: 10³).
-    pub transfer_reps: u32,
+    pub(crate) transfer_reps: u32,
     /// Warm-up iterations (paper: 10).
-    pub warmup: u32,
+    pub(crate) warmup: u32,
     /// Largest transfer size exercised (paper: 256 MiB).
-    pub max_transfer: u64,
+    pub(crate) max_transfer: u64,
 }
 
 impl Default for BenchConfig {

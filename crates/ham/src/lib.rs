@@ -15,6 +15,8 @@
 //! * [`message`] — the [`ActiveMessage`] trait and execution context;
 //! * [`registry`] — per-process handler tables with the sorted-type-name
 //!   key construction of the paper (`typeid` + lexicographic order);
+//! * [`rng`] — the seeded SplitMix64 generator that scrambles those
+//!   tables (and drives the simulator's other reproducible choices);
 //! * [`wire`] — the fixed message header (key, length, kind, timestamp);
 //! * [`ham_kernel!`]/[`f2f!`] — the user-facing sugar mirroring the
 //!   paper's `f2f()` function-to-functor conversion.
@@ -25,6 +27,7 @@
 pub mod codec;
 pub mod message;
 pub mod registry;
+pub mod rng;
 pub mod wire;
 
 #[macro_use]

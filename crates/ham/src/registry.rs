@@ -14,8 +14,8 @@
 
 use crate::codec;
 use crate::message::{ActiveMessage, ExecContext};
+use crate::rng::SplitMix64;
 use crate::HamError;
-use aurora_sim_core::rng::SplitMix64;
 
 /// Where synthesised local handler addresses start, and how far apart
 /// they lie.

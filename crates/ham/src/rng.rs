@@ -39,7 +39,7 @@ impl SplitMix64 {
     }
 
     /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;
             xs.swap(i, j);

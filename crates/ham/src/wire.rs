@@ -13,7 +13,7 @@
 //!     24     8  seq           (u64)  per-channel sequence number
 //! ```
 //!
-//! `corr` is the telemetry correlation id (`trace::OffloadId`) of the
+//! `corr` is the telemetry correlation id (`aurora_telemetry::OffloadId`) of the
 //! offload this message belongs to, carried in-band so the target side can
 //! attribute its work to the same span tree the host started (0 = not part
 //! of an offload). Virtual timestamps travel out-of-band through the

@@ -19,7 +19,8 @@
 use crate::chan::{ChannelCore, PendingEntry, Reservation};
 use crate::types::{NodeDescriptor, NodeId};
 use crate::OffloadError;
-use aurora_sim_core::{BackendMetrics, Clock};
+use aurora_sim_core::Clock;
+use aurora_telemetry::BackendMetrics;
 use ham::wire::MsgHeader;
 use ham::Registry;
 use std::sync::Arc;

@@ -46,14 +46,14 @@ pub(crate) const TICK_FLUSHES: u64 = 4;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AdaptivePolicy {
     /// Narrowing never drops the watermark below this (always ≥ 1).
-    pub floor_msgs: usize,
+    pub(crate) floor_msgs: usize,
     /// Widening never raises the watermark above this (the configured
     /// `BatchConfig::max_msgs`).
-    pub ceil_msgs: usize,
+    pub(crate) ceil_msgs: usize,
     /// Flushes per controller tick.
-    pub tick_flushes: u64,
+    pub(crate) tick_flushes: u64,
     /// The staged-age bound in picoseconds (0 = unbounded).
-    pub slo_ps: u64,
+    pub(crate) slo_ps: u64,
 }
 
 impl AdaptivePolicy {
@@ -70,7 +70,7 @@ impl AdaptivePolicy {
 
 /// One controller verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Decision {
+pub(crate) enum Decision {
     /// Double the watermark (capped at the ceiling).
     Widen,
     /// Halve the watermark (floored at `floor_msgs`).
@@ -84,13 +84,13 @@ pub enum Decision {
 pub(crate) struct TickInputs {
     /// Mean staged messages per flush over the window, fixed-point ×16
     /// (so 7/8 of a watermark compares without floats).
-    pub mean_occupancy_x16: u64,
+    pub(crate) mean_occupancy_x16: u64,
     /// p99 flush latency (time from first stage to wire) over the
     /// window, picoseconds. A window of [`TICK_FLUSHES`] flushes has no
     /// 1 % tail, so this is the largest one, floored to a power of two.
-    pub flush_p99_ps: u64,
+    pub(crate) flush_p99_ps: u64,
     /// SLO-triggered flushes observed since the last tick.
-    pub slo_flushes: u64,
+    pub(crate) slo_flushes: u64,
 }
 
 /// The pure decision function. Deterministic: same inputs, same verdict.
@@ -151,9 +151,9 @@ fn pow2_floor(ps: u64) -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveDecision {
     /// What the tick decided.
-    pub decision: Decision,
+    pub(crate) decision: Decision,
     /// The watermark after applying it.
-    pub watermark: usize,
+    pub(crate) watermark: usize,
 }
 
 /// Per-channel controller state. Lives inside the channel's existing

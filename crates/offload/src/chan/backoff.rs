@@ -19,14 +19,14 @@
 //!   of polls on every machine.
 //! * [`Idle`] paces an idle target's poll of its next receive slot: it
 //!   spins for at most [`SPIN`] of wall time when spinning pays, and
-//!   otherwise tells the caller at once to hand the CPU back (yield or
-//!   park).
+//!   otherwise hands the CPU back at once ([`Idle::pause`] yields; the
+//!   Local target parks).
 //!
 //! Only *wall-clock* scheduling changes; virtual time is untouched.
 //! Each blocking host wait that paused counts the [`WaitPhase`] it
 //! ended in (`waits_spin`, `waits_yield`, `waits_sleep`).
 
-use aurora_sim_core::{BackendMetrics, WaitPhase};
+use aurora_telemetry::{BackendMetrics, WaitPhase};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -120,7 +120,8 @@ impl Backoff {
 }
 
 /// An idle target's poll pacing. Create per idle stretch, call
-/// [`Idle::spin`] once per empty poll.
+/// [`Idle::pause`] once per empty poll (Local, which can park, calls
+/// `spin` and parks when it reads `false`).
 #[derive(Debug)]
 pub struct Idle {
     window: Duration,
@@ -152,7 +153,7 @@ impl Idle {
     /// One empty poll. `true`: a spin hint was issued and the window is
     /// still open, so poll again. `false`: the window is over (or there
     /// is none), so hand the CPU back before polling again.
-    pub fn spin(&mut self) -> bool {
+    pub(crate) fn spin(&mut self) -> bool {
         if self.window.is_zero() {
             return false;
         }
@@ -162,6 +163,15 @@ impl Idle {
             true
         } else {
             false
+        }
+    }
+
+    /// One empty poll of a loop that has nothing to park on: spin while
+    /// the window is open, then yield the CPU.
+    #[inline]
+    pub fn pause(&mut self) {
+        if !self.spin() {
+            std::thread::yield_now();
         }
     }
 

@@ -42,21 +42,21 @@ pub struct BatchConfig {
     /// Flush once this many messages are staged, or earlier when the
     /// next one would not fit the transport's message slot (the byte
     /// budget of an envelope is the slot size). `1` disables batching.
-    pub max_msgs: usize,
+    pub(crate) max_msgs: usize,
     /// Latency SLO: hard bound on how long (virtual µs) a staged
     /// message may sit in the accumulator. Staging past the bound trips
     /// an immediate flush, and the engine's flag sweep force-flushes any
     /// envelope older than it, so a lone small probe never waits behind
     /// a filling batch. `0` (the default) disables the bound and keeps
     /// the wire traffic byte-identical to the static config.
-    pub slo_micros: u64,
+    pub(crate) slo_micros: u64,
     /// Arm the adaptive watermark controller (the `chan::adaptive` module):
     /// the effective `max_msgs`/byte watermarks are tuned per channel
     /// between 1 and the configured values from the observed flush
     /// latency histogram — deep pipelines widen, latency-sensitive
     /// traffic narrows. Off by default; the static watermarks then
     /// apply verbatim.
-    pub adaptive: bool,
+    pub(crate) adaptive: bool,
 }
 
 impl Default for BatchConfig {

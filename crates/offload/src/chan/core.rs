@@ -96,10 +96,10 @@ pub struct FlushFrame {
     /// Full wire bytes: carrier header ‖ count ‖ sub-messages.
     pub frame: PooledFrame,
     /// Number of coalesced messages.
-    pub msgs: usize,
+    pub(crate) msgs: usize,
     /// When the first member was staged — the flush-latency metric
     /// measures from here to the envelope reaching the transport.
-    pub posted_at: SimTime,
+    pub(crate) posted_at: SimTime,
 }
 
 /// One in-flight frame the transport must re-send after a session
@@ -110,8 +110,6 @@ pub struct ReplayFrame {
     /// Wire seq — unchanged; the in-flight record stays keyed by it and
     /// the eventual result deposits under it as usual.
     pub seq: u64,
-    /// The wire header as originally sent.
-    pub header: MsgHeader,
     /// Full wire bytes (header ‖ payload), cloned from the stored wire
     /// image (replays are cold).
     pub frame: Vec<u8>,
@@ -882,10 +880,9 @@ impl ChannelCore {
             let provably_unexecuted = watermark.is_none_or(|w| seq > w);
             match rec.stored.as_mut().filter(|_| provably_unexecuted) {
                 Some(stored) => {
-                    let (header, frame, attempt) = stored.resend();
+                    let (_, frame, attempt) = stored.resend();
                     replay.push(ReplayFrame {
                         seq,
-                        header,
                         frame,
                         attempt,
                     });

@@ -16,8 +16,8 @@ use super::recovery::MissVerdict;
 use crate::backend::CommBackend;
 use crate::types::NodeId;
 use crate::OffloadError;
-use aurora_sim_core::trace::{self, OffloadId};
-use aurora_sim_core::HealthEventKind;
+use aurora_sim_core::trace;
+use aurora_telemetry::{current_offload, offload_scope, HealthEventKind, OffloadId};
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
 
@@ -36,7 +36,7 @@ pub fn post<B: CommBackend + ?Sized>(
 ) -> Result<u64, OffloadError> {
     let chan = backend.channel(target)?;
     if chan.batch_enabled() {
-        let offload = trace::current_offload();
+        let offload = current_offload();
         loop {
             match chan.stage(key, payload, offload, backend.host_clock().now()) {
                 Stage::Staged {
@@ -97,7 +97,7 @@ fn post_inner<B: CommBackend + ?Sized>(
         )));
     }
     let control = matches!(kind, MsgKind::Control);
-    let offload = trace::current_offload();
+    let offload = current_offload();
     let mut backoff = Backoff::new();
     let wire_bytes = (HEADER_BYTES + payload.len()) as u64;
     let reserved = loop {
@@ -207,7 +207,7 @@ fn send_envelope<B: CommBackend + ?Sized>(
         backend.metrics().health().record(
             target.0,
             HealthEventKind::SloFlush,
-            trace::current_offload(),
+            current_offload(),
             t0.as_ps(),
         );
     }
@@ -222,7 +222,7 @@ fn send_envelope<B: CommBackend + ?Sized>(
     // Flush latency: first member staged → envelope on the
     // transport, in virtual time.
     let flush = now.saturating_sub(f.posted_at);
-    metrics.on_flush(flush);
+    metrics.on_flush(flush.as_ps());
     trace::record("chan.batch_flush", f.msgs as u64, t0, now);
     chan.note_sent(f.res.seq, &f.header, f.frame);
     if let Some(d) = chan.adaptive_tick(f.msgs, flush.as_ps()) {
@@ -232,7 +232,7 @@ fn send_envelope<B: CommBackend + ?Sized>(
         };
         metrics
             .health()
-            .record(target.0, kind, trace::current_offload(), now.as_ps());
+            .record(target.0, kind, current_offload(), now.as_ps());
     }
     Ok(())
 }
@@ -315,7 +315,7 @@ fn sweep_with<B: CommBackend + ?Sized>(
                     frame,
                     attempt,
                 } => {
-                    let _scope = trace::offload_scope(OffloadId(entry.offload));
+                    let _scope = offload_scope(OffloadId(entry.offload));
                     let t0 = backend.host_clock().now();
                     let res = Reservation {
                         seq,
@@ -340,14 +340,14 @@ fn sweep_with<B: CommBackend + ?Sized>(
                     // distribution of the recovery policy.
                     backend
                         .metrics()
-                        .on_retry_delay(now.saturating_sub(entry.posted_at));
+                        .on_retry_delay(now.saturating_sub(entry.posted_at).as_ps());
                     trace::record("chan.retry", (frame.len() - HEADER_BYTES) as u64, t0, now);
                 }
                 MissVerdict::TimedOut => {
                     let Some(entry) = chan.take_pending(seq) else {
                         continue;
                     };
-                    let _scope = trace::offload_scope(OffloadId(entry.offload));
+                    let _scope = offload_scope(OffloadId(entry.offload));
                     let now = backend.host_clock().now();
                     trace::record("chan.timeout", 0, now, now);
                     backend.metrics().health().record(
@@ -377,7 +377,7 @@ fn sweep_with<B: CommBackend + ?Sized>(
                 };
                 // The fetch belongs to the span tree of the offload it
                 // completes, not whichever future's poll triggered it.
-                let _scope = trace::offload_scope(OffloadId(entry.offload));
+                let _scope = offload_scope(OffloadId(entry.offload));
                 let mut frame = chan.pool().checkout();
                 let result = backend
                     .fetch_frame(target, seq, &entry, token, &mut frame)
@@ -432,7 +432,7 @@ pub fn evict<B: CommBackend + ?Sized>(
     backend.metrics().health().record(
         target.0,
         HealthEventKind::Eviction,
-        trace::current_offload(),
+        current_offload(),
         now.as_ps(),
     );
     failed
@@ -455,7 +455,7 @@ pub fn probe<B: CommBackend + ?Sized>(backend: &B, target: NodeId) -> Result<(),
     backend.metrics().health().record(
         target.0,
         kind,
-        trace::current_offload(),
+        current_offload(),
         backend.host_clock().now().as_ps(),
     );
     result

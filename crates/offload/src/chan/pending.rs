@@ -10,19 +10,19 @@ use std::collections::VecDeque;
 #[derive(Clone, Copy, Debug)]
 pub struct PendingEntry {
     /// Receive slot (VH → VE message) the offload occupies.
-    pub recv_slot: usize,
+    pub(crate) recv_slot: usize,
     /// Send slot (VE → VH result) reserved for its reply.
     pub send_slot: usize,
-    /// Telemetry correlation id ([`aurora_sim_core::trace::OffloadId`])
+    /// Telemetry correlation id ([`aurora_telemetry::OffloadId`])
     /// — completions harvested on another future's poll are still
     /// attributed to *their* span tree.
-    pub offload: u64,
+    pub(crate) offload: u64,
     /// Virtual post time, for the completion-latency metric.
-    pub posted_at: SimTime,
+    pub(crate) posted_at: SimTime,
     /// Wire bytes the offload occupies (header + payload; the whole
     /// frame for a batch carrier) — feeds the channel's bytes-in-flight
     /// gauge the scheduler's weighted policy reads.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// Everything the channel holds for one in-flight frame. It leaves the
@@ -30,16 +30,16 @@ pub struct PendingEntry {
 /// stored wire image, the member list) goes with it.
 #[derive(Debug)]
 pub(super) struct FrameRecord {
-    pub entry: PendingEntry,
+    pub(crate) entry: PendingEntry,
     /// Member seqs of a batch carrier in wire order; empty for a plain
     /// frame.
-    pub members: Vec<u64>,
+    pub(crate) members: Vec<u64>,
     /// The wire image and its deadline counters, kept only while a
     /// [`super::RecoveryPolicy`] is armed and the frame is retryable.
-    pub stored: Option<StoredFrame>,
+    pub(crate) stored: Option<StoredFrame>,
     /// A sweeping thread took this completion and is fetching the
     /// result outside the lock; nobody else may complete or fail it.
-    pub claimed: bool,
+    pub(crate) claimed: bool,
 }
 
 impl FrameRecord {

@@ -77,15 +77,15 @@ impl RecoveryPolicy {
 #[derive(Debug)]
 pub(crate) struct StoredFrame {
     /// The wire header as originally sent (seq, slots, kind unchanged).
-    pub header: MsgHeader,
+    pub(crate) header: MsgHeader,
     /// The full wire bytes (header ‖ payload) — the engine hands its
     /// pooled send buffer here instead of copying, so the hot path is
     /// allocation-free.
-    pub frame: PooledFrame,
+    pub(crate) frame: PooledFrame,
     /// Fruitless sweeps since the last send of this frame.
-    pub misses: u32,
+    pub(crate) misses: u32,
     /// Re-sends performed so far.
-    pub retries: u32,
+    pub(crate) retries: u32,
 }
 
 /// What a flag-sweep miss means for one in-flight offload.

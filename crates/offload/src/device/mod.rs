@@ -42,8 +42,9 @@
 use crate::chan::batch;
 use crate::chan::pool::{FramePool, PooledFrame};
 use crate::target_loop::{frame_result, write_framed, Polled, TargetChannel, TargetEnv};
-use aurora_sim_core::trace::{self, OffloadId};
-use aurora_sim_core::{Clock, LaneStats, SimTime};
+use aurora_sim_core::trace;
+use aurora_sim_core::{Clock, SimTime};
+use aurora_telemetry::{node_scope, offload_scope, retag_since, LaneStats, OffloadId};
 use ham::message::ComputeMeter;
 use ham::wire::{MsgHeader, MsgKind};
 use ham::{ExecContext, HamError};
@@ -63,15 +64,15 @@ const WINDOW: usize = 64;
 pub struct DeviceConfig {
     /// Worker lanes (simulated VE cores). `0` is clamped to `1`; `1`
     /// reproduces the serial loop's timeline exactly.
-    pub lanes: usize,
+    pub(crate) lanes: usize,
     /// The device's virtual clock, joined to each carrier's completion
     /// barrier at publication. `None` (clock-less transports: local,
     /// TCP) publishes immediately — their kernels carry no meter, so
     /// every barrier is at the window base anyway.
-    pub clock: Option<Clock>,
+    pub(crate) clock: Option<Clock>,
     /// Lane occupancy / steal registers to report into, usually
-    /// [`aurora_sim_core::BackendMetrics::lane_stats`].
-    pub stats: Option<Arc<LaneStats>>,
+    /// [`aurora_telemetry::BackendMetrics::lane_stats`].
+    pub(crate) stats: Option<Arc<LaneStats>>,
 }
 
 impl Default for DeviceConfig {
@@ -274,7 +275,7 @@ impl DeviceRuntime {
         chan: &dyn TargetChannel,
         initial_watermark: Option<u64>,
     ) -> SessionEnd {
-        let _node = trace::node_scope(env.node);
+        let _node = node_scope(env.node);
         let lanes = self.cfg.lanes.max(1);
         let mut served: u64 = 0;
         let mut watermark: Option<u64> = initial_watermark;
@@ -300,22 +301,22 @@ impl DeviceRuntime {
         loop {
             // ---- Drain: one blocking recv, then whatever is ready ----
             window.clear();
-            let mark = trace::mark();
+            let mark = aurora_telemetry::mark();
             let Some((h, p)) = chan.recv(&self.pool) else {
                 break;
             };
             if h.corr != 0 {
-                trace::retag_since(&mark, OffloadId(h.corr));
+                retag_since(&mark, OffloadId(h.corr));
             }
             let mut closed = false;
             let mut saw_control = h.kind == MsgKind::Control;
             window.push((h, p));
             while !saw_control && window.len() < WINDOW {
-                let mark = trace::mark();
+                let mark = aurora_telemetry::mark();
                 match chan.try_recv(&self.pool) {
                     Polled::Msg(h, p) => {
                         if h.corr != 0 {
-                            trace::retag_since(&mark, OffloadId(h.corr));
+                            retag_since(&mark, OffloadId(h.corr));
                         }
                         saw_control = h.kind == MsgKind::Control;
                         window.push((h, p));
@@ -451,7 +452,7 @@ impl DeviceRuntime {
                     meter.begin(avail[lane]);
                     let start = arena.len();
                     {
-                        let _of = trace::offload_scope(OffloadId(item.header.corr));
+                        let _of = offload_scope(OffloadId(item.header.corr));
                         let body = &window[item.msg].1[item.payload.clone()];
                         execute_member(env, &meter, &item.header, body, &mut arena);
                     }
@@ -479,8 +480,7 @@ impl DeviceRuntime {
                 // The publication's transport spans (result DMA, flag
                 // store, target overhead) belong to the offload being
                 // answered, same as under the serial loop.
-                let _of =
-                    (c.header.corr != 0).then(|| trace::offload_scope(OffloadId(c.header.corr)));
+                let _of = (c.header.corr != 0).then(|| offload_scope(OffloadId(c.header.corr)));
                 let join_barrier = |c: &Carrier| {
                     if let Some(clock) = &self.cfg.clock {
                         clock.join(SimTime::from_ps(c.finish_ps));

@@ -16,8 +16,8 @@ use crate::backend::{CommBackend, SlotId};
 use crate::chan::{engine, Backoff};
 use crate::types::NodeId;
 use crate::OffloadError;
-use aurora_sim_core::trace::{self, OffloadId};
 use aurora_sim_core::SimTime;
+use aurora_telemetry::{node_scope, offload_scope, OffloadId};
 use ham::HamError;
 use std::sync::Arc;
 
@@ -97,7 +97,7 @@ impl<T> Future<T> {
     pub fn test(&mut self) -> bool {
         // Polls run on the host thread but belong to the offload's span
         // tree.
-        let _scope = trace::offload_scope(self.offload);
+        let _scope = offload_scope(self.offload);
         self.poll(false) || {
             self.drain_channel();
             self.poll(true)
@@ -107,7 +107,7 @@ impl<T> Future<T> {
     /// Blocking accessor (Table II `get()`): polls until the result
     /// message arrives, then decodes and returns it.
     pub fn get(mut self) -> Result<T, OffloadError> {
-        let _scope = trace::offload_scope(self.offload);
+        let _scope = offload_scope(self.offload);
         wait(
             core::slice::from_mut(&mut self),
             |f| f,
@@ -167,7 +167,7 @@ impl<T> Future<T> {
         let now = backend.host_clock().now();
         backend
             .metrics()
-            .on_complete_on(self.target.0, now.saturating_sub(self.posted_at));
+            .on_complete_on(self.target.0, now.saturating_sub(self.posted_at).as_ps());
         let decoded = done.and_then(|frame| {
             let bytes =
                 crate::target_loop::unframe_result_ref(&frame).map_err(OffloadError::Backend)?;
@@ -205,7 +205,7 @@ impl<T> Future<T> {
     /// futures). Completions are parked for any sibling future.
     fn drain_channel(&self) {
         if let Some(backend) = &self.backend {
-            let _node = trace::node_scope(NodeId::HOST.0);
+            let _node = node_scope(NodeId::HOST.0);
             let _ = engine::drain(backend.as_ref(), self.target);
         }
     }

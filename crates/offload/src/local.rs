@@ -34,7 +34,8 @@ use crate::target_loop::{Polled, TargetChannel, TargetEnv};
 use crate::types::{DeviceType, NodeDescriptor, NodeId};
 use crate::OffloadError;
 use aurora_mem::RangeAllocator;
-use aurora_sim_core::{BackendMetrics, Clock};
+use aurora_sim_core::Clock;
+use aurora_telemetry::BackendMetrics;
 use ham::message::VecMemory;
 use ham::wire::{MsgHeader, HEADER_BYTES};
 use ham::{Registry, RegistryBuilder};

@@ -7,7 +7,10 @@ use crate::future::{self, Future};
 use crate::scalar::Scalar;
 use crate::types::{NodeDescriptor, NodeId};
 use crate::OffloadError;
-use aurora_sim_core::{calib, trace, MetricsSnapshot};
+use aurora_sim_core::{calib, trace};
+use aurora_telemetry::{
+    next_offload_id, node_scope, offload_scope, HealthEventKind, MetricsSnapshot,
+};
 use ham::registry::HandlerKey;
 use ham::{ActiveMessage, HamError};
 use std::sync::Arc;
@@ -94,9 +97,9 @@ impl Offload {
         // in this scope — and by the backend while posting — joins its
         // span tree. The id also travels in the wire header (`corr`) so
         // the target side attributes its work to the same tree.
-        let id = trace::next_offload_id();
-        let _of = trace::offload_scope(id);
-        let _node = trace::node_scope(NodeId::HOST.0);
+        let id = next_offload_id();
+        let _of = offload_scope(id);
+        let _node = node_scope(NodeId::HOST.0);
         // Host-side framework cost: serialisation, bookkeeping, future.
         let t0 = self.backend.host_clock().now();
         let t1 = self.backend.host_clock().advance(calib::HAM_HOST_OVERHEAD);
@@ -237,7 +240,7 @@ impl Offload {
             )));
         }
         let bytes = T::as_le_bytes(src);
-        let _node = trace::node_scope(NodeId::HOST.0);
+        let _node = node_scope(NodeId::HOST.0);
         self.backend.put_bytes(
             RawBuffer {
                 node: dst.node(),
@@ -260,7 +263,7 @@ impl Offload {
             )));
         }
         let bytes = T::as_le_bytes_mut(dst);
-        let _node = trace::node_scope(NodeId::HOST.0);
+        let _node = node_scope(NodeId::HOST.0);
         self.backend.get_bytes(
             RawBuffer {
                 node: src.node(),
@@ -307,7 +310,7 @@ impl Offload {
             )));
         }
         let mut staging = vec![0u8; (len as usize) * T::SIZE];
-        let _node = trace::node_scope(NodeId::HOST.0);
+        let _node = node_scope(NodeId::HOST.0);
         self.backend.get_bytes(
             RawBuffer {
                 node: src.node(),
@@ -334,7 +337,7 @@ impl Offload {
     /// Point-in-time copy of the backend's metric registers: posts,
     /// polls/retries, put/get byte totals, live allocation bytes and the
     /// offload latency distribution. Always on — independent of whether a
-    /// [`aurora_sim_core::trace::TraceSession`] is recording.
+    /// [`aurora_telemetry::TraceSession`] is recording.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.backend.metrics().snapshot()
     }
@@ -358,7 +361,7 @@ impl Offload {
         self.backend.kill_target(target)?;
         self.backend.metrics().health().record(
             target.0,
-            aurora_sim_core::HealthEventKind::FaultInjected,
+            HealthEventKind::FaultInjected,
             0,
             self.backend.host_clock().now().as_ps(),
         );

@@ -22,7 +22,7 @@
 //! staged members only onto an idle peer whose
 //! `(in_flight + 1 + bytes_in_flight/4096 + staged) · EWMA(latency)` is
 //! lower, reading the per-target completion-latency register
-//! [`aurora_sim_core::BackendMetrics`] keeps (the same histogram-backed
+//! [`aurora_telemetry::BackendMetrics`] keeps (the same histogram-backed
 //! register the exposition surface reports).
 //!
 //! **Credits.** Every channel exposes a credit limit derived from its

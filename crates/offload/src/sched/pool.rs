@@ -6,7 +6,8 @@ use crate::future::{self, Future};
 use crate::runtime::{decode_output, Offload};
 use crate::types::NodeId;
 use crate::OffloadError;
-use aurora_sim_core::{HealthEventKind, MetricsSnapshot, NodeMetricsSnapshot, SimTime};
+use aurora_sim_core::SimTime;
+use aurora_telemetry::{HealthEventKind, NodeMetricsSnapshot};
 use ham::registry::HandlerKey;
 use ham::ActiveMessage;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,14 +127,11 @@ pub struct TargetPool {
     prober: Mutex<Option<Prober>>,
 }
 
-/// A [`MetricsSnapshot`] scoped to one pool: the backend-wide registers
-/// plus the per-target breakdown restricted to the pool's targets.
+/// A [`MetricsSnapshot`](aurora_telemetry::MetricsSnapshot) scoped to
+/// one pool: the per-target breakdown restricted to the pool's targets.
 /// Produced by [`TargetPool::metrics_snapshot`].
 #[derive(Clone, Debug)]
 pub struct PoolMetricsSnapshot {
-    /// The backend-wide register snapshot (aggregate histograms,
-    /// counters, gauges).
-    pub backend: MetricsSnapshot,
     /// Per-target registers for the pool's targets, sorted by node id.
     /// Their histogram buckets and completion counts sum to the
     /// aggregate when the pool covers every target the backend serves.
@@ -226,19 +224,21 @@ impl TargetPool {
         self.state.lock().unwrap().nodes()
     }
 
-    /// Snapshot the backend's metric registers scoped to this pool:
-    /// the aggregate plus a per-target breakdown covering all
-    /// configured targets (evicted ones keep their final registers).
+    /// Snapshot the backend's metric registers scoped to this pool: a
+    /// per-target breakdown covering all configured targets (evicted
+    /// ones keep their final registers).
     pub fn metrics_snapshot(&self) -> PoolMetricsSnapshot {
         let members = self.targets();
-        let backend = self.offload.backend().metrics().snapshot();
-        let targets = backend
+        let targets = self
+            .offload
+            .backend()
+            .metrics()
+            .snapshot()
             .per_node
-            .iter()
+            .into_iter()
             .filter(|n| members.iter().any(|t| t.0 == n.node))
-            .cloned()
             .collect();
-        PoolMetricsSnapshot { backend, targets }
+        PoolMetricsSnapshot { targets }
     }
 
     /// Members still in the running: those whose channel exists and
@@ -531,10 +531,9 @@ impl TargetPool {
     /// The smallest completion-latency EWMA among `targets` (1.0 when
     /// none has completed anything): what a cold target scores with, so
     /// it is tried rather than starved.
-    fn ewma_floor(&self, targets: &[NodeId]) -> f64 {
+    fn ewma_floor(&self, targets: impl Iterator<Item = NodeId>) -> f64 {
         let metrics = self.offload.backend().metrics();
         let min = targets
-            .iter()
             .filter_map(|t| metrics.latency_ewma(t.0))
             .fold(f64::INFINITY, f64::min);
         if min.is_finite() {
@@ -720,18 +719,22 @@ impl TargetPool {
     /// [`TargetPool::wait_all`] rounds; returns how many members were
     /// reclaimed.
     pub fn rebalance(&self) -> usize {
-        let backend = self.offload.backend();
-        let healthy = self.healthy();
-        if healthy.len() < 2 {
+        // Walk the roster under the pool lock (the order `healthy` takes
+        // too: pool, then channels) instead of collecting it: this runs
+        // on every unsettled wait sweep and must not allocate.
+        let st = self.state.lock().unwrap();
+        let healthy = || {
+            st.members
+                .iter()
+                .filter_map(|m| Some((m.node, self.live(m.node)?)))
+        };
+        if healthy().nth(1).is_none() {
             return 0;
         }
-        let floor = self.ewma_floor(&healthy);
+        let floor = self.ewma_floor(healthy().map(|(t, _)| t));
         // The cheapest completely idle recipient.
         let mut recipient = f64::INFINITY;
-        for &t in &healthy {
-            let Ok(chan) = backend.channel(t) else {
-                continue;
-            };
+        for (t, chan) in healthy() {
             if chan.is_degraded() || chan.in_flight() != 0 || !chan.has_credit() {
                 continue;
             }
@@ -741,10 +744,7 @@ impl TargetPool {
             return 0;
         }
         let mut moved = 0;
-        for &t in &healthy {
-            let Ok(chan) = backend.channel(t) else {
-                continue;
-            };
+        for (t, chan) in healthy() {
             let staged = chan.staged_len();
             if staged == 0 || chan.in_flight() == staged {
                 continue;
@@ -1092,8 +1092,8 @@ mod tests {
         // donor (~4 x 1us) still beats the idle-but-slow recipient
         // (1 x 1ms), so the gate keeps the member where it is.
         let m = b.metrics();
-        m.on_complete_on(1, SimTime::from_us(1));
-        m.on_complete_on(2, SimTime::from_ms(1));
+        m.on_complete_on(1, SimTime::from_us(1).as_ps());
+        m.on_complete_on(2, SimTime::from_ms(1).as_ps());
         assert_eq!(
             p.rebalance(),
             0,
@@ -1103,7 +1103,7 @@ mod tests {
         // A run of fast completions converges the recipient's EWMA
         // down; the same gate now favours migration.
         for _ in 0..400 {
-            m.on_complete_on(2, SimTime::from_us(1));
+            m.on_complete_on(2, SimTime::from_us(1).as_ps());
         }
         assert_eq!(p.rebalance(), 1, "fast idle recipient attracts the member");
         assert_eq!(b.channel(NodeId(1)).unwrap().staged_len(), 0);
@@ -1233,7 +1233,7 @@ mod tests {
     /// probe.
     #[test]
     fn probe_misses_deprioritize_then_resume_forgives() {
-        use aurora_sim_core::TargetState;
+        use aurora_telemetry::TargetState;
         let (o, p) = pooled(2, SchedPolicy::RoundRobin);
         assert_eq!(probe_round(&p.offload, &p.state), (2, 0), "all clean");
         let chan = o.backend().channel(NodeId(1)).unwrap();

@@ -18,7 +18,7 @@ pub enum Direction {
 #[derive(Clone, Copy, Debug)]
 pub struct LinkConfig {
     /// Effective data bandwidth (payload bytes per second) in GiB/s.
-    pub effective_gib_s: f64,
+    pub(crate) effective_gib_s: f64,
 }
 
 impl Default for LinkConfig {

@@ -32,9 +32,9 @@
 //! cannot perturb virtual time or results — the cross-backend
 //! equivalence tests pin this down.
 
-use crate::rng::SplitMix64;
 use crate::time::SimTime;
 use crate::trace;
+use ham::rng::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -115,7 +115,7 @@ pub struct FaultEvent {
     /// What was injected.
     pub kind: FaultKind,
     /// Virtual time of the injection.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
 }
 
 /// Fault probabilities and magnitudes. All-zero means no faults.

@@ -1,9 +1,11 @@
 //! # aurora-sim-core
 //!
-//! Foundation of the simulated NEC SX-Aurora TSUBASA platform: a virtual
+//! The model of the simulated NEC SX-Aurora TSUBASA platform: a virtual
 //! time base, per-process logical clocks, shared hardware-resource
 //! timelines, transfer cost models, calibration constants derived from the
-//! paper, and measurement statistics.
+//! paper, and seeded fault plans. Observability (spans, metric registers,
+//! health events, SLOs) lives in `aurora-telemetry`; [`trace::record`] is
+//! its `SimTime`-typed recording facade.
 //!
 //! ## Why virtual time?
 //!
@@ -26,25 +28,20 @@
 pub mod calib;
 mod clock;
 pub mod fault;
-pub mod metrics;
 pub mod model;
 pub mod resource;
-pub mod rng;
-mod slo;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use aurora_telemetry::{
-    HealthEvent, HealthEventKind, HealthRegistry, TargetState, HISTOGRAM_BUCKETS,
-};
 pub use clock::Clock;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSite};
-pub use metrics::{
-    BackendMetrics, LaneMetricsSnapshot, LaneStats, MetricsSnapshot, NodeMetricsSnapshot, WaitPhase,
-};
 pub use model::{LinkModel, SegmentedModel};
 pub use resource::Timeline;
-pub use slo::{SloReport, SloSpec};
-pub use stats::{Histogram, Summary};
 pub use time::SimTime;
+
+// `benchmark/src` still imports these observability names through this
+// crate (and `trace::TraceSession`, re-exported in `trace.rs`). Every
+// other crate imports them from `aurora_telemetry`. The change that
+// points `benchmark/` at `aurora_telemetry` deletes this block and that
+// line.
+pub use aurora_telemetry::{BackendMetrics, HealthEventKind, MetricsSnapshot};

@@ -17,9 +17,9 @@ use crate::time::{time_at_gib_per_sec, SimTime};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkModel {
     /// One-way latency paid once per transfer.
-    pub latency: SimTime,
+    pub(crate) latency: SimTime,
     /// Sustained bandwidth in GiB/s.
-    pub gib_per_sec: f64,
+    pub(crate) gib_per_sec: f64,
 }
 
 impl LinkModel {
@@ -48,9 +48,9 @@ pub struct SegmentedModel {
     pub setup: SimTime,
     /// Segment size in bytes (e.g. 256 B PCIe TLP payload, 64 KiB DMA
     /// descriptor, 2 MiB huge page).
-    pub segment_bytes: u64,
+    pub(crate) segment_bytes: u64,
     /// Overhead paid per segment.
-    pub per_segment: SimTime,
+    pub(crate) per_segment: SimTime,
     /// Streaming bandwidth in GiB/s for the payload itself.
     pub gib_per_sec: f64,
 }

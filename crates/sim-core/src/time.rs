@@ -153,20 +153,7 @@ impl fmt::Debug for SimTime {
 impl fmt::Display for SimTime {
     /// Human-readable rendering with an auto-selected unit.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ps = self.0;
-        if ps == 0 {
-            write!(f, "0s")
-        } else if ps < 1_000 {
-            write!(f, "{}ps", ps)
-        } else if ps < 1_000_000 {
-            write!(f, "{:.3}ns", self.as_ns_f64())
-        } else if ps < 1_000_000_000 {
-            write!(f, "{:.3}us", self.as_us_f64())
-        } else if ps < 1_000_000_000_000 {
-            write!(f, "{:.3}ms", self.as_ms_f64())
-        } else {
-            write!(f, "{:.3}s", self.as_secs_f64())
-        }
+        f.write_str(&aurora_telemetry::fmt_ps(self.0))
     }
 }
 

@@ -1,29 +1,18 @@
-//! Virtual-time event tracing — `SimTime`-typed recording facade over
-//! the [`aurora_telemetry`] flight recorder.
+//! Virtual-time event tracing — the `SimTime`-typed recording facade
+//! over the [`aurora_telemetry`] flight recorder.
 //!
 //! Simulated hardware components call [`record`] for every costed
 //! operation (engine reservations, wire occupancy, framework overheads).
-//! A [`TraceSession`] collects those spans; the returned [`Trace`] keeps
-//! raw picoseconds (compare them against [`SimTime::as_ps`]) and exports
-//! text, JSONL, and Chrome trace-event JSON (see
-//! `aurora_telemetry::export`). The `repro_trace` harness renders the
-//! per-offload timeline — the measured counterpart of the §V-A cost
-//! breakdown.
-//!
-//! Recording state is process-global but guarded: sessions are RAII
-//! ([`TraceSession`]) and mutually exclusive, so concurrently running
-//! traced tests serialize instead of polluting each other. When no
-//! session is active, [`record`] costs a single relaxed atomic load.
+//! Sessions, attribution scopes and exports are `aurora_telemetry`'s.
 
 use crate::time::SimTime;
 
-pub use aurora_telemetry::{
-    current_offload, enabled, mark, next_offload_id, node_scope, offload_scope, retag_since,
-    ContextGuard, Mark, OffloadId, Trace, TraceSession, NODE_UNKNOWN,
-};
+// For `benchmark/src` only; see the re-export block in `lib.rs`.
+pub use aurora_telemetry::TraceSession;
 
 /// Record one operation (no-op unless a session is active). Attribution
-/// comes from the calling thread's [`offload_scope`] / [`node_scope`].
+/// comes from the calling thread's `aurora_telemetry::offload_scope` /
+/// `node_scope`.
 #[inline]
 pub fn record(category: &'static str, bytes: u64, start: SimTime, end: SimTime) {
     aurora_telemetry::record(category, bytes, start.as_ps(), end.as_ps());
@@ -32,6 +21,7 @@ pub fn record(category: &'static str, bytes: u64, start: SimTime, end: SimTime) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aurora_telemetry::{next_offload_id, node_scope, offload_scope, Trace, TraceSession};
 
     // These tests each hold a TraceSession; the session lock serializes
     // them, so — unlike the pre-session-guard implementation, which needed

@@ -3,16 +3,15 @@
 //! Every communication backend owns a [`BackendMetrics`]; the offload
 //! runtime bumps it on the paper's API operations (post, poll, put/get,
 //! allocate/free), so all four backends are measured identically and for
-//! free — counters are single relaxed atomics (see
-//! [`aurora_telemetry::metrics`]) and stay on even when no trace session
-//! is recording. No register takes a lock on the offload path: a sample
-//! is one relaxed RMW per word it feeds, and extremes are a relaxed load
-//! that writes only on a new extreme.
+//! free — counters are single relaxed atomics and stay on even when no
+//! trace session is recording. No register takes a lock on the offload
+//! path: a sample is one relaxed RMW per word it feeds, and extremes are
+//! a relaxed load that writes only on a new extreme.
 //!
 //! The latency registers are lock-free log-linear histograms
-//! ([`aurora_telemetry::AtomicHistogram`], 12.5 % resolution): batch
-//! flush latency, retry/backoff delay and — per target only — offload
-//! completion latency, all in virtual time. The aggregate completion
+//! ([`AtomicHistogram`], 12.5 % resolution): batch flush latency,
+//! retry/backoff delay and — per target only — offload completion
+//! latency, all in virtual-time picoseconds. The aggregate completion
 //! histogram, its count and mean are derived at snapshot time by summing
 //! the per-target registers. Each backend also owns a [`HealthRegistry`]
 //! its targets register with; the counters that count target events
@@ -26,10 +25,8 @@
 //! JSON ([`MetricsSnapshot::to_json`]). Both expositions read one table
 //! row per counter, gauge and histogram: its JSON key and an accessor.
 
-use crate::stats::{Histogram, Summary};
-use crate::time::SimTime;
-use aurora_telemetry::metrics::bucket_ceil;
-use aurora_telemetry::{AtomicHistogram, Counter, Gauge, HealthEventKind, HealthRegistry, MinMax};
+use crate::metrics::{bucket_ceil, AtomicHistogram, Counter, Gauge, Histogram, MinMax, Summary};
+use crate::{fmt_ps, HealthEventKind, HealthRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,15 +76,14 @@ impl NodeRegister {
     }
 
     #[inline]
-    fn record(&self, latency: SimTime) {
-        let ps = latency.as_ps();
+    fn record(&self, ps: u64) {
         self.hist.record_ps(ps);
         self.sum_ps.add(ps);
         self.extremes_ps.record(ps);
         // A load and a plain store, not a CAS loop: two completions on
         // one target racing here keep one of their updates, which moves
         // a smoothed estimate by one sample's weight at most.
-        let sample = latency.as_ns_f64();
+        let sample = ps as f64 / 1e3;
         let next = match self.ewma() {
             None => sample, // first sample seeds the estimate
             Some(e) => e + LATENCY_EWMA_ALPHA * (sample - e),
@@ -360,24 +356,24 @@ impl BackendMetrics {
         self.waits[phase as usize].incr();
     }
 
-    /// A batch (or single-message frame) was flushed `delay` of virtual
-    /// time after its first member was staged.
-    pub fn on_flush(&self, delay: SimTime) {
-        self.flush_hist.record_ps(delay.as_ps());
+    /// A batch (or single-message frame) was flushed `delay_ps` of
+    /// virtual time after its first member was staged.
+    pub fn on_flush(&self, delay_ps: u64) {
+        self.flush_hist.record_ps(delay_ps);
     }
 
-    /// A recovery re-send fired `delay` of virtual time after the
+    /// A recovery re-send fired `delay_ps` of virtual time after the
     /// offload was posted (the retry/backoff delay distribution).
-    pub fn on_retry_delay(&self, delay: SimTime) {
-        self.retry_hist.record_ps(delay.as_ps());
+    pub fn on_retry_delay(&self, delay_ps: u64) {
+        self.retry_hist.record_ps(delay_ps);
     }
 
-    /// An offload served by target `node` completed after `latency` of
-    /// virtual time post→result. Recorded into that target's register
+    /// An offload served by target `node` completed after `latency_ps`
+    /// of virtual time post→result. Recorded into that target's register
     /// only: histogram, sum, extremes, and the EWMA the scheduler's
     /// latency-weighted policy reads.
-    pub fn on_complete_on(&self, node: u16, latency: SimTime) {
-        self.node_register(node).record(latency);
+    pub fn on_complete_on(&self, node: u16, latency_ps: u64) {
+        self.node_register(node).record(latency_ps);
     }
 
     /// The EWMA completion latency (ns) of offloads served by `node`,
@@ -424,11 +420,10 @@ impl BackendMetrics {
         let mut latency_hist = Histogram::new();
         let (mut sum_ps, mut extremes) = (0u128, None::<(u64, u64)>);
         for (n, r) in self.nodes.iter().enumerate() {
-            let buckets = r.hist.snapshot();
-            if buckets.iter().all(|&c| c == 0) {
+            let hist = r.hist.snapshot();
+            if hist.count() == 0 {
                 continue;
             }
-            let hist = Histogram::from_buckets(buckets);
             latency_hist.merge(&hist);
             sum_ps += r.sum_ps.get() as u128;
             if let Some((lo, hi)) = r.extremes_ps.get() {
@@ -441,7 +436,7 @@ impl BackendMetrics {
                 latency_hist: hist,
             });
         }
-        let ns = |ps: u64| SimTime::from_ps(ps).as_ns_f64();
+        let ns = |ps: u64| ps as f64 / 1e3;
         let posts = self.posts.get();
         let completions = latency_hist.count();
         let events = |kind| self.health.count(kind);
@@ -491,8 +486,8 @@ impl BackendMetrics {
                 extremes.map(|(lo, hi)| (ns(lo), ns(hi))),
             ),
             latency_hist,
-            flush_hist: Histogram::from_buckets(self.flush_hist.snapshot()),
-            retry_hist: Histogram::from_buckets(self.retry_hist.snapshot()),
+            flush_hist: self.flush_hist.snapshot(),
+            retry_hist: self.retry_hist.snapshot(),
             per_node,
             lanes: self
                 .lanes
@@ -529,7 +524,7 @@ pub struct NodeMetricsSnapshot {
     /// Offloads this target completed.
     pub completions: u64,
     /// EWMA completion latency (ns).
-    pub ewma_ns: f64,
+    pub(crate) ewma_ns: f64,
     /// Log-linear histogram of this target's completion latencies.
     pub latency_hist: Histogram,
 }
@@ -605,16 +600,16 @@ pub struct MetricsSnapshot {
     /// Highest live allocation level observed.
     pub alloc_bytes_peak: i64,
     /// Posted payload sizes (bytes): count, mean and extremes.
-    pub payload_bytes: Summary,
+    pub(crate) payload_bytes: Summary,
     /// Offload completion latency (ns): count, mean and extremes.
     pub latency: Summary,
     /// Histogram of offload completion latencies (ps buckets), the sum
     /// of the per-target ones.
     pub latency_hist: Histogram,
     /// Histogram of batch flush latencies (first stage → send).
-    pub flush_hist: Histogram,
+    pub(crate) flush_hist: Histogram,
     /// Histogram of retry/backoff delays (post → re-send).
-    pub retry_hist: Histogram,
+    pub(crate) retry_hist: Histogram,
     /// Per-target registers, sorted by node id (only targets with at
     /// least one completion appear).
     pub per_node: Vec<NodeMetricsSnapshot>,
@@ -710,7 +705,7 @@ fn json_hist(out: &mut String, h: &Histogram) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[{},{}]", floor.as_ps(), count));
+        out.push_str(&format!("[{floor},{count}]"));
     }
     out.push(']');
 }
@@ -810,7 +805,7 @@ impl MetricsSnapshot {
                 ),
             );
             for (floor, count) in self.latency_hist.nonzero() {
-                line(&format!("  latency ≥ {floor}"), count.to_string());
+                line(&format!("  latency ≥ {}", fmt_ps(floor)), count.to_string());
             }
         }
         out
@@ -875,7 +870,7 @@ impl MetricsSnapshot {
             ] {
                 out.push_str(&format!("# TYPE {name} gauge\n"));
                 for n in &self.per_node {
-                    let v = n.latency_hist.percentile(p).map_or(0, |t| t.as_ps());
+                    let v = n.latency_hist.percentile(p).unwrap_or(0);
                     out.push_str(&format!("{name}{{node=\"{}\"}} {v}\n", n.node));
                 }
             }
@@ -940,6 +935,9 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    const NS: u64 = 1_000;
+    const US: u64 = 1_000_000;
+
     #[test]
     fn counters_and_gauges_accumulate() {
         let m = BackendMetrics::new();
@@ -947,7 +945,7 @@ mod tests {
         m.on_post(300);
         m.on_poll(false);
         m.on_poll(true);
-        m.on_complete_on(1, SimTime::from_us(6));
+        m.on_complete_on(1, 6 * US);
         let s = m.snapshot();
         assert_eq!(s.posts, 2);
         assert_eq!(s.polls, 2);
@@ -975,7 +973,7 @@ mod tests {
             }
             for _ in 0..=round {
                 m.on_poll(true);
-                m.on_complete_on(1, SimTime::from_us(5));
+                m.on_complete_on(1, 5 * US);
             }
         }
         let s = m.snapshot();
@@ -1031,17 +1029,17 @@ mod tests {
         let m = BackendMetrics::new();
         assert_eq!(m.latency_ewma(1), None, "no completions yet");
         m.on_post(8);
-        m.on_complete_on(1, SimTime::from_us(10));
+        m.on_complete_on(1, 10 * US);
         assert!(
             (m.latency_ewma(1).unwrap() - 10_000.0).abs() < 1e-9,
             "first sample seeds"
         );
         m.on_post(8);
-        m.on_complete_on(1, SimTime::from_us(20));
+        m.on_complete_on(1, 20 * US);
         // 10000 + 0.2·(20000 − 10000) = 12000.
         assert!((m.latency_ewma(1).unwrap() - 12_000.0).abs() < 1e-9);
         m.on_post(8);
-        m.on_complete_on(2, SimTime::from_us(5));
+        m.on_complete_on(2, 5 * US);
         assert!((m.latency_ewma(2).unwrap() - 5_000.0).abs() < 1e-9);
         let s = m.snapshot();
         assert_eq!(s.completions, 3, "the registers sum to the total");
@@ -1058,7 +1056,7 @@ mod tests {
         let m = BackendMetrics::new();
         for (node, us) in [(1, 10), (1, 20), (2, 5), (2, 40)] {
             m.on_post(8);
-            m.on_complete_on(node, SimTime::from_us(us));
+            m.on_complete_on(node, us * US);
         }
         let s = m.snapshot();
         assert_eq!(s.per_node.len(), 2);
@@ -1071,12 +1069,11 @@ mod tests {
         assert_eq!(merged.buckets(), s.latency_hist.buckets());
         // Per-node percentiles come from the same buckets: node 1's
         // median lands in the 10 µs sample's bucket.
-        let b10 = aurora_telemetry::metrics::bucket_index(SimTime::from_us(10).as_ps());
+        let ten = AtomicHistogram::new();
+        ten.record_ps(10 * US);
         assert_eq!(
             s.per_node[0].latency_hist.percentile(50.0),
-            Some(SimTime::from_ps(aurora_telemetry::metrics::bucket_floor(
-                b10
-            )))
+            ten.snapshot().percentile(50.0)
         );
         // 10, 20, 5 and 40 µs: the mean and extremes are exact.
         assert_eq!(s.latency.mean(), 18_750.0);
@@ -1097,7 +1094,7 @@ mod tests {
                         m.on_poll(false);
                         m.on_poll(true);
                         let node = ((t + i) % 3) as u16 + 1;
-                        m.on_complete_on(node, SimTime::from_ns(1_000 + i % 1_000));
+                        m.on_complete_on(node, (1_000 + i % 1_000) * NS);
                     }
                 });
             }
@@ -1134,9 +1131,9 @@ mod tests {
     #[test]
     fn flush_and_retry_histograms_record() {
         let m = BackendMetrics::new();
-        m.on_flush(SimTime::from_ns(100));
-        m.on_flush(SimTime::from_us(3));
-        m.on_retry_delay(SimTime::from_us(50));
+        m.on_flush(100 * NS);
+        m.on_flush(3 * US);
+        m.on_retry_delay(50 * US);
         let s = m.snapshot();
         assert_eq!(s.flush_hist.count(), 2);
         assert_eq!(s.retry_hist.count(), 1);
@@ -1146,7 +1143,7 @@ mod tests {
     fn prometheus_text_is_parseable_shape() {
         let m = BackendMetrics::new();
         m.on_post(64);
-        m.on_complete_on(1, SimTime::from_us(6));
+        m.on_complete_on(1, 6 * US);
         let text = m.snapshot().to_prometheus_text();
         assert!(text.contains("# TYPE aurora_posts_total counter"));
         assert!(text.contains("aurora_posts_total 1"));
@@ -1163,9 +1160,9 @@ mod tests {
     fn json_is_valid_and_carries_registers() {
         let m = BackendMetrics::new();
         m.on_post(64);
-        m.on_complete_on(1, SimTime::from_us(6));
+        m.on_complete_on(1, 6 * US);
         let doc = m.snapshot().to_json();
-        let v = aurora_telemetry::json::parse(&doc).expect("valid json");
+        let v = crate::json::parse(&doc).expect("valid json");
         assert_eq!(
             v.get("counters").unwrap().get("posts").unwrap().as_u64(),
             Some(1)
@@ -1196,7 +1193,7 @@ mod tests {
         assert!(text.contains("aurora_lane_steals_total 1"));
         assert!(text.contains("aurora_lane_tasks_total{lane=\"2\"} 2"));
         assert!(text.contains("aurora_lane_busy_ps_total{lane=\"0\"} 100"));
-        let v = aurora_telemetry::json::parse(&s.to_json()).expect("valid json");
+        let v = crate::json::parse(&s.to_json()).expect("valid json");
         assert_eq!(
             v.get("counters")
                 .unwrap()
@@ -1249,7 +1246,7 @@ mod tests {
 
     #[test]
     fn health_registry_is_per_backend() {
-        use aurora_telemetry::{HealthEventKind, TargetState};
+        use crate::TargetState;
         let a = BackendMetrics::new();
         let b = BackendMetrics::new();
         a.health().register(1);

@@ -21,9 +21,9 @@ pub struct Trace {
     pub events: Vec<Event>,
 }
 
-/// Format picoseconds with an auto-selected unit (mirrors `SimTime`'s
-/// `Display` without depending on `sim-core`).
-fn fmt_ps(ps: u64) -> String {
+/// Format picoseconds with an auto-selected unit: `0s`, `750ps`,
+/// `6.015us`, `1.250s`. `SimTime`'s `Display` is this function.
+pub fn fmt_ps(ps: u64) -> String {
     if ps == 0 {
         "0s".into()
     } else if ps < 1_000 {
@@ -32,8 +32,10 @@ fn fmt_ps(ps: u64) -> String {
         format!("{:.3}ns", ps as f64 / 1e3)
     } else if ps < 1_000_000_000 {
         format!("{:.3}us", ps as f64 / 1e6)
-    } else {
+    } else if ps < 1_000_000_000_000 {
         format!("{:.3}ms", ps as f64 / 1e9)
+    } else {
+        format!("{:.3}s", ps as f64 / 1e12)
     }
 }
 

@@ -121,7 +121,7 @@ impl HealthEventKind {
 pub struct HealthEvent {
     /// Position in the registry's total event stream (0-based, counts
     /// dropped events too) — a stable ordering key.
-    pub ordinal: u64,
+    pub(crate) ordinal: u64,
     /// The target the event concerns.
     pub node: u16,
     /// What happened.
@@ -129,9 +129,9 @@ pub struct HealthEvent {
     /// Offload correlation id (0 when the event is not tied to one
     /// offload, e.g. an injected kill). Matches the flight recorder's
     /// `OffloadId` and the wire header's `corr` field.
-    pub corr: u64,
+    pub(crate) corr: u64,
     /// Virtual time of the event, raw picoseconds.
-    pub at_ps: u64,
+    pub(crate) at_ps: u64,
 }
 
 /// Aggregates per-target state, the bounded event log and the per-kind

@@ -1,4 +1,13 @@
-//! Flight-recorder telemetry for the simulation stack.
+//! Observability for the simulation stack: the flight recorder, the
+//! per-backend metric registers with their snapshots and expositions,
+//! the health registry, and service-level objectives.
+//!
+//! Every communication backend owns a [`BackendMetrics`] (relaxed atomic
+//! counters, [`AtomicHistogram`] latency registers, per-target and
+//! per-lane registers) and a [`HealthRegistry`].
+//! [`BackendMetrics::snapshot`] reads them into a [`MetricsSnapshot`],
+//! which renders as text, Prometheus exposition or JSON, and which an
+//! [`SloSpec`] checks.
 //!
 //! Every simulated hardware component records *spans* — costed windows of
 //! virtual time such as a uDMA descriptor, a PCIe wire occupancy, or the
@@ -23,28 +32,34 @@
 //!    Events recorded outside any session are dropped; events from a
 //!    previous session are never visible to the next one.
 //!
-//! Times are raw `u64` picoseconds — this crate sits *below* `sim-core`
-//! (which re-exports it as `aurora_sim_core::trace`) and must not depend
-//! on its `SimTime`.
+//! Times are raw `u64` picoseconds: this crate depends on no other crate
+//! of the workspace, so it cannot see `sim-core`'s `SimTime`
+//! (`aurora_sim_core::trace::record` is the `SimTime`-typed facade).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+mod backend;
 mod export;
 mod health;
 pub mod json;
-pub mod metrics;
+mod metrics;
+mod slo;
 
-pub use export::Trace;
+pub use backend::{
+    BackendMetrics, LaneMetricsSnapshot, LaneStats, MetricsSnapshot, NodeMetricsSnapshot, WaitPhase,
+};
+pub use export::{fmt_ps, Trace};
 pub use health::{HealthEvent, HealthEventKind, HealthRegistry, TargetState};
-pub use metrics::{AtomicHistogram, Counter, Gauge, MinMax, HISTOGRAM_BUCKETS};
+pub use metrics::{AtomicHistogram, Histogram, Summary};
+pub use slo::{SloReport, SloSpec};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Node id used when a span is recorded outside any [`node_scope`].
-pub const NODE_UNKNOWN: u16 = u16::MAX;
+pub(crate) const NODE_UNKNOWN: u16 = u16::MAX;
 
 /// Correlation id of one offload (an `async_`/`sync` call), unique within
 /// the process. Id 0 means "no offload" and is never handed out.
@@ -71,10 +86,10 @@ pub struct Event {
     pub category: &'static str,
     /// Correlation id of the offload this span served (0 = unattributed).
     pub offload: u64,
-    /// Node the work ran on ([`NODE_UNKNOWN`] if outside a `node_scope`).
+    /// Node the work ran on (`u16::MAX` if outside a [`node_scope`]).
     pub node: u16,
     /// Operation size in bytes (0 when not applicable).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Virtual start time in picoseconds.
     pub start_ps: u64,
     /// Virtual end time in picoseconds.

@@ -1,22 +1,24 @@
-//! Lock-free metric primitives.
+//! Lock-free metric primitives and their plain-data readings.
 //!
 //! Counters and gauges are plain atomics: safe to bump from the host
 //! thread and every simulated target thread without coordination. Unlike
 //! spans they are always on — the cost is one relaxed RMW — so steady
 //! counters (posts, polls, bytes moved) are available even when no trace
-//! session is running.
+//! session is running. An [`AtomicHistogram`] reads out as a
+//! [`Histogram`]; a counter, a sum and a [`MinMax`] read out as a
+//! [`Summary`].
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Monotonically increasing event count.
 #[derive(Debug, Default)]
-pub struct Counter {
+pub(crate) struct Counter {
     value: AtomicU64,
 }
 
 impl Counter {
     /// A zeroed counter.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Counter {
             value: AtomicU64::new(0),
         }
@@ -24,18 +26,18 @@ impl Counter {
 
     /// Add one; returns the new value.
     #[inline]
-    pub fn incr(&self) -> u64 {
+    pub(crate) fn incr(&self) -> u64 {
         self.value.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Add `n`.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -43,14 +45,14 @@ impl Counter {
 /// Signed level that rises and falls (live allocator bytes), with a
 /// high-water mark.
 #[derive(Debug, Default)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     value: AtomicI64,
     peak: AtomicI64,
 }
 
 impl Gauge {
     /// A zeroed gauge.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Gauge {
             value: AtomicI64::new(0),
             peak: AtomicI64::new(0),
@@ -62,7 +64,7 @@ impl Gauge {
     /// that does not beat it costs a relaxed load, so the CAS runs only
     /// on a new maximum.
     #[inline]
-    pub fn add(&self, delta: i64) {
+    pub(crate) fn add(&self, delta: i64) {
         let now = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
         if delta > 0 && now > self.peak.load(Ordering::Relaxed) {
             self.peak.fetch_max(now, Ordering::Relaxed);
@@ -70,12 +72,12 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 
     /// Highest level ever observed.
-    pub fn peak(&self) -> i64 {
+    pub(crate) fn peak(&self) -> i64 {
         self.peak.load(Ordering::Relaxed)
     }
 }
@@ -84,7 +86,7 @@ impl Gauge {
 /// loads; a CAS runs only when the sample is a new extreme, so a steady
 /// stream writes nothing.
 #[derive(Debug)]
-pub struct MinMax {
+pub(crate) struct MinMax {
     min: AtomicU64,
     max: AtomicU64,
 }
@@ -97,7 +99,7 @@ impl Default for MinMax {
 
 impl MinMax {
     /// No samples yet.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         MinMax {
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -106,7 +108,7 @@ impl MinMax {
 
     /// Fold one sample into the extremes.
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         if v < self.min.load(Ordering::Relaxed) {
             self.min.fetch_min(v, Ordering::Relaxed);
         }
@@ -116,7 +118,7 @@ impl MinMax {
     }
 
     /// `(min, max)`, or `None` before the first sample.
-    pub fn get(&self) -> Option<(u64, u64)> {
+    pub(crate) fn get(&self) -> Option<(u64, u64)> {
         let (min, max) = (
             self.min.load(Ordering::Relaxed),
             self.max.load(Ordering::Relaxed),
@@ -132,26 +134,25 @@ const SUB: usize = 1 << SUB_BITS;
 
 /// First octave with sub-buckets: samples from `2^10` ps (≈ 1 ns) up
 /// resolve to 12.5 %.
-pub const FINE_LO: u32 = 10;
+const FINE_LO: u32 = 10;
 
 /// First octave past the sub-bucketed range: `2^42` ps ≈ 4.4 s. Samples
 /// at or past it (and below `2^FINE_LO`) keep one bucket per octave.
-pub const FINE_HI: u32 = 42;
+const FINE_HI: u32 = 42;
 
 const FINE_START: usize = FINE_LO as usize;
 const FINE_END: usize = FINE_START + (FINE_HI - FINE_LO) as usize * SUB;
 
-/// Buckets of an [`AtomicHistogram`] (and of `sim-core`'s `Histogram`,
-/// which shares the layout): one per octave below [`FINE_LO`], eight per
-/// octave in `[FINE_LO, FINE_HI)`, one per octave from [`FINE_HI`] to 63.
-/// Every `u64` lands somewhere.
-pub const HISTOGRAM_BUCKETS: usize = FINE_END + (64 - FINE_HI as usize);
+/// Buckets of an [`AtomicHistogram`] and of its [`Histogram`] snapshot:
+/// one per octave below `2^10` ps, eight per octave in `[2^10, 2^42)` ps,
+/// one per octave from `2^42` to `2^63`. Every `u64` lands somewhere.
+pub(crate) const HISTOGRAM_BUCKETS: usize = FINE_END + (64 - FINE_HI as usize);
 
 /// Bucket of sample `ps`. Its log₂ octave (`63 - leading_zeros`, with 0
 /// sharing octave 0) picks the octave; inside the fine range the next
 /// three bits below the leading one pick the sub-bucket.
 #[inline]
-pub const fn bucket_index(ps: u64) -> usize {
+const fn bucket_index(ps: u64) -> usize {
     let oct = 63 - (ps | 1).leading_zeros();
     if oct < FINE_LO {
         oct as usize
@@ -166,7 +167,7 @@ pub const fn bucket_index(ps: u64) -> usize {
 /// The log₂ octave bucket `i` lies in: `63 - leading_zeros` of its
 /// samples (0 for the samples 0 and 1).
 #[inline]
-pub const fn bucket_octave(i: usize) -> usize {
+const fn bucket_octave(i: usize) -> usize {
     if i < FINE_START {
         i
     } else if i < FINE_END {
@@ -178,7 +179,7 @@ pub const fn bucket_octave(i: usize) -> usize {
 
 /// Lower bound (ps) of bucket `i`. Bucket 0 also holds the sample 0; it
 /// reports 1, the floor of octave 0.
-pub const fn bucket_floor(i: usize) -> u64 {
+const fn bucket_floor(i: usize) -> u64 {
     let oct = bucket_octave(i) as u32;
     if FINE_START <= i && i < FINE_END {
         let sub = ((i - FINE_START) % SUB) as u64;
@@ -190,7 +191,7 @@ pub const fn bucket_floor(i: usize) -> u64 {
 
 /// Exclusive upper bound (ps) of bucket `i`: the next bucket's floor,
 /// `2^64` for the last one. A Prometheus `le` edge.
-pub const fn bucket_ceil(i: usize) -> u128 {
+pub(crate) const fn bucket_ceil(i: usize) -> u128 {
     if i + 1 < HISTOGRAM_BUCKETS {
         bucket_floor(i + 1) as u128
     } else {
@@ -199,8 +200,9 @@ pub const fn bucket_ceil(i: usize) -> u128 {
 }
 
 /// Lock-free log-linear histogram of `u64` samples (picoseconds by
-/// convention), HdrHistogram-style: see [`HISTOGRAM_BUCKETS`] for the
-/// layout.
+/// convention), HdrHistogram-style: 288 buckets, one per octave below
+/// `2^10` ps, eight per octave in `[2^10, 2^42)` ps (12.5 % wide), one
+/// per octave above.
 ///
 /// Recording is one relaxed RMW on one bucket — always on, safe from any
 /// thread, and allocation-free, which is what lets the warm offload
@@ -234,12 +236,131 @@ impl AtomicHistogram {
     }
 
     /// A plain copy of the buckets.
-    pub fn snapshot(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0u64; HISTOGRAM_BUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
+    pub fn snapshot(&self) -> Histogram {
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        Histogram {
+            count: buckets.iter().sum(),
+            buckets,
         }
-        out
+    }
+}
+
+/// Plain-data log-linear histogram: an [`AtomicHistogram`] snapshot, or
+/// the sum of several. Values are picoseconds.
+#[derive(Clone, Debug)]
+pub struct Histogram {
+    /// `buckets[i]` counts samples in
+    /// `[bucket_floor(i), bucket_floor(i + 1))` picoseconds.
+    buckets: Vec<u64>,
+    count: u64,
+}
+
+impl Histogram {
+    /// Empty histogram (its buckets cover the whole `u64` ps range).
+    pub(crate) fn new() -> Self {
+        Self {
+            buckets: vec![0; HISTOGRAM_BUCKETS],
+            count: 0,
+        }
+    }
+
+    /// Number of samples.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The raw buckets, in the [`AtomicHistogram`] layout.
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
+    /// Nearest-rank percentile `p` in [0, 100], in ps, resolved to the
+    /// *floor* of the bucket the rank lands in — within 12.5 % of the
+    /// sample in the sub-bucketed range. `None` if empty.
+    pub fn percentile(&self, p: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Some(bucket_floor(i));
+            }
+        }
+        // p > 100 lands past the last sample; report the top bucket.
+        self.nonzero().last().map(|(floor, _)| floor)
+    }
+
+    /// Add another histogram's counts into this one.
+    pub(crate) fn merge(&mut self, other: &Histogram) {
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        self.count += other.count;
+    }
+
+    /// Iterate non-empty buckets as `(bucket_floor_ps, count)`.
+    pub(crate) fn nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (bucket_floor(i), c))
+    }
+}
+
+/// Count, total and extremes of a sample stream: what a lock-free
+/// register keeps with one relaxed write per sample. The mean is derived;
+/// there is no variance.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Summary {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Summary {
+    /// `count` samples adding up to `sum`, with `extremes` as
+    /// `(min, max)` (`None` when empty).
+    pub(crate) fn new(count: u64, sum: f64, extremes: Option<(f64, f64)>) -> Self {
+        let (min, max) = extremes.unwrap_or((f64::NAN, f64::NAN));
+        Self {
+            count,
+            sum,
+            min,
+            max,
+        }
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Arithmetic mean (0 if empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Smallest sample (`NaN` if empty).
+    pub(crate) fn min(&self) -> f64 {
+        self.min
+    }
+
+    /// Largest sample (`NaN` if empty).
+    pub(crate) fn max(&self) -> f64 {
+        self.max
     }
 }
 
@@ -320,12 +441,13 @@ mod tests {
         h.record_ps(1024 + 3 * 128); // octave 10, sub-bucket 3
         h.record_ps(u64::MAX); // the last bucket
         let snap = h.snapshot();
-        assert_eq!(snap[0], 2);
-        assert_eq!(snap[1], 2);
-        assert_eq!(snap[FINE_START], 1);
-        assert_eq!(snap[FINE_START + 3], 1);
-        assert_eq!(snap[HISTOGRAM_BUCKETS - 1], 1);
-        assert_eq!(snap.iter().sum::<u64>(), 7);
+        let b = snap.buckets();
+        assert_eq!(b[0], 2);
+        assert_eq!(b[1], 2);
+        assert_eq!(b[FINE_START], 1);
+        assert_eq!(b[FINE_START + 3], 1);
+        assert_eq!(b[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(snap.count(), 7);
     }
 
     #[test]
@@ -338,5 +460,92 @@ mod tests {
         assert_eq!(bucket_floor(FINE_START), 1 << FINE_LO);
         assert_eq!(bucket_floor(FINE_END), 1 << FINE_HI);
         assert_eq!(bucket_ceil(HISTOGRAM_BUCKETS - 1), 1u128 << 64);
+    }
+
+    /// A histogram of `samples` (ps), through the atomic register.
+    fn hist_of(samples: impl IntoIterator<Item = u64>) -> Histogram {
+        let h = AtomicHistogram::new();
+        for ps in samples {
+            h.record_ps(ps);
+        }
+        h.snapshot()
+    }
+
+    #[test]
+    fn summary_derives_mean_and_keeps_extremes() {
+        let s = Summary::new(4, 20.0, Some((2.0, 9.0)));
+        assert_eq!(s.count(), 4);
+        assert_eq!(s.mean(), 5.0);
+        assert_eq!((s.min(), s.max()), (2.0, 9.0));
+        let e = Summary::new(0, 0.0, None);
+        assert_eq!(e.mean(), 0.0);
+        assert!(e.min().is_nan() && e.max().is_nan());
+    }
+
+    #[test]
+    fn histogram_buckets() {
+        let h = hist_of([1, 3, 1024, 1100, 0]);
+        assert_eq!(h.count(), 5);
+        let buckets: Vec<_> = h.nonzero().collect();
+        assert!(buckets.contains(&(1, 2))); // 0 and 1
+        assert!(buckets.contains(&(2, 1))); // 3
+        assert!(buckets.contains(&(1024, 2))); // 1024..1152
+    }
+
+    #[test]
+    fn histogram_percentiles_are_sub_bucket_floors() {
+        // p50 and p99 in the same octave: 90 samples at 5 µs, 10 at
+        // 7.5 µs, both in [2^22, 2^23) ps.
+        let h =
+            hist_of(std::iter::repeat_n(5_000_000, 90).chain(std::iter::repeat_n(7_500_000, 10)));
+        let p50 = h.percentile(50.0).unwrap();
+        let p99 = h.percentile(99.0).unwrap();
+        assert!(p50 < p99, "same octave, different sub-buckets");
+        for (floor, sample) in [(p50, 5_000_000u64), (p99, 7_500_000)] {
+            assert!(floor <= sample && sample - floor <= floor / 8);
+        }
+        assert_eq!(h.percentile(90.0), h.percentile(50.0));
+        assert_eq!(h.percentile(100.0), h.percentile(99.0));
+        assert_eq!(Histogram::new().percentile(50.0), None);
+    }
+
+    #[test]
+    fn histogram_merge_adds_counts() {
+        let h = hist_of([8, 8, 8, 8, 8, u64::MAX]);
+        let mut a = hist_of([8]);
+        a.merge(&h);
+        assert_eq!(a.count(), 7);
+        assert_eq!(a.buckets()[3], 6);
+        assert_eq!(a.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+    }
+
+    proptest::proptest! {
+        /// Every sample in the sub-bucketed range lands in a bucket whose
+        /// `[floor, ceil)` holds it, and that bucket is at most 12.5 % of
+        /// its floor wide.
+        #[test]
+        fn prop_fine_buckets_hold_their_samples(
+            oct in FINE_LO..FINE_HI,
+            bits in proptest::arbitrary::any::<u64>(),
+        ) {
+            let ps = (1u64 << oct) | (bits & ((1u64 << oct) - 1));
+            let i = bucket_index(ps);
+            proptest::prop_assert!(bucket_floor(i) <= ps);
+            proptest::prop_assert!((ps as u128) < bucket_ceil(i));
+            let width = bucket_ceil(i) - bucket_floor(i) as u128;
+            proptest::prop_assert!(width * 8 <= bucket_floor(i) as u128);
+        }
+
+        /// Every `u64` lands in a bucket of its log₂ octave
+        /// (`63 - leading_zeros`, 0 in octave 0).
+        #[test]
+        fn prop_bucket_octave_matches_leading_zeros(
+            oct in 0u32..64,
+            bits in proptest::arbitrary::any::<u64>(),
+        ) {
+            let ps = if oct == 0 { bits & 1 } else { (1u64 << oct) | (bits & ((1u64 << oct) - 1)) };
+            let old = if ps == 0 { 0 } else { 63 - ps.leading_zeros() as usize };
+            proptest::prop_assert_eq!(bucket_octave(bucket_index(ps)), old);
+        }
     }
 }

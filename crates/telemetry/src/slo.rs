@@ -5,23 +5,25 @@
 //! how many pending entries may leak — and
 //! [`SloSpec::evaluate`] checks a [`MetricsSnapshot`] plus a health
 //! event log against it, producing an [`SloReport`] the soak harness
-//! (`examples/soak.rs`) turns into an exit code. All times are virtual.
+//! (`examples/soak.rs`) turns into an exit code. All times are
+//! virtual-time picoseconds.
 
-use crate::metrics::MetricsSnapshot;
-use crate::time::SimTime;
-use aurora_telemetry::{HealthEvent, HealthEventKind};
+use crate::{fmt_ps, HealthEvent, HealthEventKind, MetricsSnapshot};
+
+/// One millisecond in picoseconds.
+const MS: u64 = 1_000_000_000;
 
 /// What an offload run must achieve to pass.
 #[derive(Clone, Copy, Debug)]
 pub struct SloSpec {
-    /// Median offload completion latency bound.
-    pub p50_completion: SimTime,
-    /// 99th-percentile offload completion latency bound.
-    pub p99_completion: SimTime,
-    /// Worst allowed fault → failover delay: from a `FaultInjected` or
-    /// `Eviction` event to the `Failover` event that re-homed the
+    /// Median offload completion latency bound (ps).
+    pub p50_completion_ps: u64,
+    /// 99th-percentile offload completion latency bound (ps).
+    pub p99_completion_ps: u64,
+    /// Worst allowed fault → failover delay (ps): from a `FaultInjected`
+    /// or `Eviction` event to the `Failover` event that re-homed the
     /// stranded work.
-    pub max_failover: SimTime,
+    pub max_failover_ps: u64,
     /// In-flight frame records left in a channel after the run drained.
     pub max_leaked_pending: usize,
 }
@@ -32,9 +34,9 @@ impl Default for SloSpec {
     /// pathologies (retry storms, a wedged target), not normal jitter.
     fn default() -> Self {
         SloSpec {
-            p50_completion: SimTime::from_ms(1),
-            p99_completion: SimTime::from_ms(50),
-            max_failover: SimTime::from_ms(1000),
+            p50_completion_ps: MS,
+            p99_completion_ps: 50 * MS,
+            max_failover_ps: 1000 * MS,
             max_leaked_pending: 0,
         }
     }
@@ -58,18 +60,20 @@ impl SloSpec {
         let p50 = snapshot.latency_hist.percentile(50.0);
         let p99 = snapshot.latency_hist.percentile(99.0);
         if let Some(p50) = p50 {
-            if p50 > self.p50_completion {
+            if p50 > self.p50_completion_ps {
                 violations.push(format!(
-                    "p50 completion latency {p50} exceeds {}",
-                    self.p50_completion
+                    "p50 completion latency {} exceeds {}",
+                    fmt_ps(p50),
+                    fmt_ps(self.p50_completion_ps)
                 ));
             }
         }
         if let Some(p99) = p99 {
-            if p99 > self.p99_completion {
+            if p99 > self.p99_completion_ps {
                 violations.push(format!(
-                    "p99 completion latency {p99} exceeds {}",
-                    self.p99_completion
+                    "p99 completion latency {} exceeds {}",
+                    fmt_ps(p99),
+                    fmt_ps(self.p99_completion_ps)
                 ));
             }
         }
@@ -83,7 +87,7 @@ impl SloSpec {
                 }
                 HealthEventKind::Failover => {
                     if let Some(fault_at) = last_fault {
-                        let d = SimTime::from_ps(e.at_ps.saturating_sub(fault_at));
+                        let d = e.at_ps.saturating_sub(fault_at);
                         if worst_failover.is_none_or(|w| d > w) {
                             worst_failover = Some(d);
                         }
@@ -93,8 +97,12 @@ impl SloSpec {
             }
         }
         if let Some(w) = worst_failover {
-            if w > self.max_failover {
-                violations.push(format!("worst failover {w} exceeds {}", self.max_failover));
+            if w > self.max_failover_ps {
+                violations.push(format!(
+                    "worst failover {} exceeds {}",
+                    fmt_ps(w),
+                    fmt_ps(self.max_failover_ps)
+                ));
             }
         }
 
@@ -118,15 +126,16 @@ impl SloSpec {
 /// Outcome of one [`SloSpec::evaluate`].
 #[derive(Clone, Debug)]
 pub struct SloReport {
-    /// Measured median completion latency (bucket floor), if any
+    /// Measured median completion latency (ps, bucket floor), if any
     /// completions happened.
-    pub p50_completion: Option<SimTime>,
-    /// Measured p99 completion latency (bucket floor).
-    pub p99_completion: Option<SimTime>,
-    /// Worst fault → failover delay observed, if any failover happened.
-    pub worst_failover: Option<SimTime>,
+    p50_completion: Option<u64>,
+    /// Measured p99 completion latency (ps, bucket floor).
+    p99_completion: Option<u64>,
+    /// Worst fault → failover delay observed (ps), if any failover
+    /// happened.
+    worst_failover: Option<u64>,
     /// Leaked pending entries.
-    pub leaked: usize,
+    leaked: usize,
     /// Human-readable description of every violated objective; empty
     /// means the run passed.
     pub violations: Vec<String>,
@@ -140,7 +149,7 @@ impl SloReport {
 
     /// Text rendering for soak-run output.
     pub fn render(&self) -> String {
-        let fmt = |t: Option<SimTime>| t.map_or("-".to_string(), |t| t.to_string());
+        let fmt = |t: Option<u64>| t.map_or("-".to_string(), fmt_ps);
         let mut out = format!(
             "p50 {}  p99 {}  worst-failover {}  leaked {}\n",
             fmt(self.p50_completion),
@@ -162,14 +171,15 @@ impl SloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::BackendMetrics;
-    use aurora_telemetry::HealthRegistry;
+    use crate::{BackendMetrics, HealthRegistry};
+
+    const US: u64 = 1_000_000;
 
     fn snap_with_latencies(lat_us: &[u64]) -> MetricsSnapshot {
         let m = BackendMetrics::new();
         for &us in lat_us {
             m.on_post(8);
-            m.on_complete_on(1, SimTime::from_us(us));
+            m.on_complete_on(1, us * US);
         }
         m.snapshot()
     }
@@ -212,17 +222,16 @@ mod tests {
     #[test]
     fn failover_distance_measured_from_latest_fault() {
         let r = HealthRegistry::new();
-        let us = |n: u64| SimTime::from_us(n).as_ps();
-        r.record(1, HealthEventKind::FaultInjected, 0, us(100));
-        r.record(1, HealthEventKind::Eviction, 0, us(150));
-        r.record(2, HealthEventKind::Failover, 7, us(250)); // 100 µs after the eviction
+        r.record(1, HealthEventKind::FaultInjected, 0, 100 * US);
+        r.record(1, HealthEventKind::Eviction, 0, 150 * US);
+        r.record(2, HealthEventKind::Failover, 7, 250 * US); // 100 µs after the eviction
         let snap = snap_with_latencies(&[5]);
         let tight = SloSpec {
-            max_failover: SimTime::from_us(50),
+            max_failover_ps: 50 * US,
             ..Default::default()
         };
         let report = tight.evaluate(&snap, &r.events(), 0);
-        assert_eq!(report.worst_failover, Some(SimTime::from_us(100)));
+        assert_eq!(report.worst_failover, Some(100 * US));
         assert!(!report.pass());
         let loose = SloSpec::default().evaluate(&snap, &r.events(), 0);
         assert!(loose.pass(), "{:?}", loose.violations);

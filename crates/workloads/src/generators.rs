@@ -1,6 +1,6 @@
 //! Deterministic input generators for examples, tests and benchmarks.
 
-use aurora_sim_core::rng::SplitMix64;
+use ham::rng::SplitMix64;
 
 /// A reproducible random vector of `n` doubles in `[-1, 1)`.
 pub fn random_vector(seed: u64, n: usize) -> Vec<f64> {

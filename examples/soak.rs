@@ -27,7 +27,7 @@ const TARGETS: u16 = 4;
 /// Offloads posted per target per wave. Deliberately not a multiple of
 /// the TCP batch watermark, so the kill always catches a partial batch
 /// still staged on the victim — the failover path the SLO's
-/// `max_failover` objective measures.
+/// `max_failover_ps` objective measures.
 const PER_TARGET_PER_WAVE: usize = 30;
 /// TCP batch watermark (see above).
 const TCP_BATCH: usize = 8;
@@ -41,8 +41,8 @@ const TCP_BATCH: usize = 8;
 fn spec_for(kind: BackendKind) -> SloSpec {
     match kind {
         BackendKind::Veo => SloSpec {
-            p50_completion: SimTime::from_ms(50),
-            p99_completion: SimTime::from_ms(200),
+            p50_completion_ps: SimTime::from_ms(50).as_ps(),
+            p99_completion_ps: SimTime::from_ms(200).as_ps(),
             ..Default::default()
         },
         _ => SloSpec::default(),

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The repo's gate; CI runs exactly this: release build, `cargo test
-# --workspace` (which holds every virtual-time bound), examples, the
+# The repo's gate; CI runs exactly this: release build, the dependency
+# direction of the bottom crates, `cargo test --workspace` (which holds
+# every virtual-time bound), examples, the
 # benchmark crate's `hotpath all --smoke`, the telemetry-overhead bench,
 # the fault matrix, the soak, the pub audit, clippy, rustdoc and rustfmt.
 # The one offline stand-in under vendor/ (proptest) is a path
@@ -12,6 +13,20 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: release build =="
 # --locked: a stale root Cargo.lock fails here instead of being rewritten.
 cargo build --release --locked
+
+echo "== dependency direction: ham, then aurora-telemetry, sit at the bottom =="
+# ham (wire header, codec, registry) and aurora-telemetry (every
+# observability type) depend on no crate of the workspace; the model
+# (aurora-sim-core) and everything above depend on them. A normal
+# dependency edge out of either fails here.
+for bottom in ham aurora-telemetry; do
+    edges="$(cargo tree --offline --locked -e normal -p "$bottom" --prefix none | tail -n +2)"
+    if [ -n "$edges" ]; then
+        echo "$bottom must depend on no workspace crate, but depends on:" >&2
+        echo "$edges" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: tests (root package + the unit tests inside crates/*) =="
 # One run: `--workspace` includes the root package's tests/*.rs, which

@@ -47,7 +47,7 @@ pub use veos_sim as veos;
 pub mod fault_scenario;
 
 pub use aurora_sim_core::{FaultEvent, FaultKind, FaultPlan, FaultSite};
-pub use aurora_sim_core::{
+pub use aurora_telemetry::{
     HealthEvent, HealthEventKind, HealthRegistry, MetricsSnapshot, NodeMetricsSnapshot, SloReport,
     SloSpec, TargetState,
 };

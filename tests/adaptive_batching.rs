@@ -9,7 +9,8 @@
 
 use aurora_workloads::kernels::whoami;
 use ham::f2f;
-use ham_aurora_repro::sim_core::{HealthEventKind, SimTime};
+use ham_aurora_repro::sim_core::SimTime;
+use ham_aurora_repro::HealthEventKind;
 use ham_aurora_repro::{
     offload_with, BackendKind, BatchConfig, FaultPlan, NodeId, OffloadOptions, RecoveryPolicy,
 };

@@ -166,7 +166,7 @@ fn steady_state_batched_cycle_allocates_nothing() {
 /// arming adaptation must not cost the zero-alloc guarantee.
 #[test]
 fn warm_adaptive_tick_and_slo_check_allocate_nothing() {
-    use ham_aurora_repro::sim_core::BackendMetrics;
+    use aurora_telemetry::BackendMetrics;
 
     let _gate = gate();
     let chan =
@@ -175,7 +175,7 @@ fn warm_adaptive_tick_and_slo_check_allocate_nothing() {
     let tick = |i: u64| {
         cycle(&chan);
         let flush = SimTime::from_us(2 + i % 5);
-        m.on_flush(flush);
+        m.on_flush(flush.as_ps());
         let _ = chan.adaptive_tick(BATCH, flush.as_ps());
         // The sweep-side age check, both arms: the staged-empty lock
         // path here (the accumulator was just flushed), the lock-free
@@ -204,15 +204,15 @@ fn warm_adaptive_tick_and_slo_check_allocate_nothing() {
 /// events reuses its capacity and is heap-silent too.
 #[test]
 fn warm_metrics_and_health_recording_allocates_nothing() {
-    use ham_aurora_repro::sim_core::{BackendMetrics, HealthEventKind};
+    use aurora_telemetry::{BackendMetrics, HealthEventKind};
 
     let _gate = gate();
     let m = BackendMetrics::new();
     let record = |i: u64| {
         m.on_post(64);
-        m.on_complete_on((i % 4) as u16 + 1, SimTime::from_us(5 + i % 7));
-        m.on_flush(SimTime::from_us(2));
-        m.on_retry_delay(SimTime::from_us(40));
+        m.on_complete_on((i % 4) as u16 + 1, SimTime::from_us(5 + i % 7).as_ps());
+        m.on_flush(SimTime::from_us(2).as_ps());
+        m.on_retry_delay(SimTime::from_us(40).as_ps());
         assert!(m.latency_ewma((i % 4) as u16 + 1).is_some());
         m.health()
             .record((i % 4) as u16 + 1, HealthEventKind::Retry, i, i);
@@ -317,9 +317,10 @@ fn frames_recycle_from_a_dropping_thread_to_a_checking_out_thread() {
 // receiver loop.
 
 mod warm_wait {
+    use aurora_telemetry::BackendMetrics;
     use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
     use ham::{f2f, ham_kernel, Registry, RegistryBuilder};
-    use ham_aurora_repro::sim_core::{BackendMetrics, Clock};
+    use ham_aurora_repro::sim_core::Clock;
     use ham_offload::backend::{CommBackend, RawBuffer};
     use ham_offload::chan::batch::{append_result_part, begin_result, BatchIter};
     use ham_offload::chan::{BatchConfig, ChannelCore, Reservation};
@@ -792,9 +793,9 @@ fn warm_tcp_pipelined_allocates_once_per_offload() {
 /// loopback TCP targets, `submit` then `wait_all`: each placed offload
 /// keeps its encoded payload (the argument) for failover in a pooled
 /// frame, so the pool adds nothing per offload to the one exact-size
-/// result `Vec`. What is left per wave is `wait_all`'s result `Vec`, the
-/// caller's future list and the roster `rebalance` collects on each
-/// unsettled sweep. Counted on every thread.
+/// result `Vec`. What is left per wave is `wait_all`'s result `Vec` and
+/// the caller's future list: `rebalance` walks the roster in place on
+/// each unsettled sweep. Counted on every thread.
 #[test]
 fn warm_tcp_pool_submit_allocates_once_per_offload() {
     use aurora_workloads::kernels::busy_work;
@@ -806,6 +807,7 @@ fn warm_tcp_pool_submit_allocates_once_per_offload() {
     const DEPTH: usize = 64;
     const WAVES: u64 = 40;
     const OFFLOADS: u64 = WAVES * DEPTH as u64;
+    const SWEEPS: usize = 8;
     let _gate = gate();
     let o = Offload::new(TcpBackend::spawn(2, |b| {
         b.register::<busy_work>();
@@ -818,6 +820,12 @@ fn warm_tcp_pool_submit_allocates_once_per_offload() {
         let futures: Vec<_> = (0..DEPTH)
             .map(|_| pool.submit(f2f!(busy_work, 16)).unwrap())
             .collect();
+        // `wait_all` rebalances once per unsettled sweep, a number of
+        // times that varies with the box; these calls make a roster
+        // allocation show at any sweep count.
+        for _ in 0..SWEEPS {
+            assert_eq!(pool.rebalance(), 0, "nothing is staged unbatched");
+        }
         for r in pool.wait_all(futures) {
             assert_eq!(r.unwrap(), want);
         }
@@ -834,11 +842,12 @@ fn warm_tcp_pool_submit_allocates_once_per_offload() {
     EVERY_THREAD.store(false, Ordering::SeqCst);
     drop(pool);
     o.shutdown();
-    // One per offload, and at most 16 per wave for the wave's own
-    // lists and the rebalance rosters (sweeps per wave vary with the
-    // box). A payload `Vec` per offload would be twice the bound.
+    // One per offload, and at most 8 per wave for the wave's own lists
+    // and a remainder that varies from run to run. A roster `Vec` per
+    // `rebalance` adds `SWEEPS` per wave and breaks this bound; a
+    // payload `Vec` per offload would be twice it.
     assert!(
-        allocs <= OFFLOADS + OFFLOADS / 4,
+        allocs <= OFFLOADS + 8 * WAVES,
         "{allocs} allocations over {OFFLOADS} warm pooled TCP offloads"
     );
 }

@@ -13,8 +13,9 @@
 //! UPDATE_GOLDEN=1 cargo test --test exposition_golden
 //! ```
 
-use aurora_sim_core::{BackendMetrics, HealthEventKind, SimTime, WaitPhase};
+use aurora_sim_core::SimTime;
 use aurora_telemetry::json::Value;
+use aurora_telemetry::{BackendMetrics, HealthEventKind, WaitPhase};
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -57,15 +58,15 @@ fn build() -> BackendMetrics {
         m.on_poll(true);
     }
     m.on_post(128);
-    m.on_complete_on(1, SimTime::from_us(6));
-    m.on_complete_on(1, SimTime::from_us(8));
-    m.on_complete_on(2, SimTime::from_us(120));
+    m.on_complete_on(1, SimTime::from_us(6).as_ps());
+    m.on_complete_on(1, SimTime::from_us(8).as_ps());
+    m.on_complete_on(2, SimTime::from_us(120).as_ps());
     // Four wire frames carrying eleven messages.
     for msgs in [3, 2, 4, 2] {
         m.on_frame(msgs);
     }
-    m.on_flush(SimTime::from_us(2));
-    m.on_retry_delay(SimTime::from_us(40));
+    m.on_flush(SimTime::from_us(2).as_ps());
+    m.on_retry_delay(SimTime::from_us(40).as_ps());
     // Target events are recorded once, into the health registry; the
     // event-backed counters are its per-kind counts.
     let events = |kind, n| {

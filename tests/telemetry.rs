@@ -2,7 +2,7 @@
 //! well-formedness for a real offload through the DMA protocol, Chrome
 //! trace-event export round-trip, and the always-on metric registers.
 
-use aurora_sim_core::trace;
+use aurora_telemetry::TraceSession;
 use aurora_workloads::kernels::whoami;
 use ham::f2f;
 use ham_aurora_repro::{dma_offload, NodeId};
@@ -13,7 +13,7 @@ fn offload_span_tree_is_well_formed() {
     for _ in 0..10 {
         o.sync(NodeId(1), f2f!(whoami)).unwrap();
     }
-    let session = trace::TraceSession::start();
+    let session = TraceSession::start();
     let t0 = o.backend().host_clock().now();
     let fut = o.async_(NodeId(1), f2f!(whoami)).unwrap();
     let id = fut.offload_id();
@@ -79,7 +79,7 @@ fn chrome_export_round_trips_offload_correlation() {
     for _ in 0..5 {
         o.sync(NodeId(1), f2f!(whoami)).unwrap();
     }
-    let session = trace::TraceSession::start();
+    let session = TraceSession::start();
     let fut = o.async_(NodeId(1), f2f!(whoami)).unwrap();
     let id = fut.offload_id();
     fut.get().unwrap();

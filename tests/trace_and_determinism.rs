@@ -35,7 +35,7 @@ fn assert_critical_path(o: Offload, expected: &[(&str, SimTime)]) {
     for _ in 0..10 {
         o.sync(NodeId(1), f2f!(whoami)).unwrap();
     }
-    let session = aurora_sim_core::trace::TraceSession::start();
+    let session = aurora_telemetry::TraceSession::start();
     let t0 = o.backend().host_clock().now();
     let fut = o.async_(NodeId(1), f2f!(whoami)).unwrap();
     let id = fut.offload_id();
