@@ -13,14 +13,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-use aurora_mem::{VeAddr, VhAddr};
+use aurora_mem::VeAddr;
 use aurora_sim_core::Clock;
 use aurora_telemetry::BackendMetrics;
 use ham::{HamError, Registry, RegistryBuilder, TargetMemory};
 use ham_offload::backend::{build_registry, RawBuffer, Registrar};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use veo_api::VeoProc;
 use veos_sim::{AuroraMachine, VeProcess};
 
@@ -106,9 +106,6 @@ pub struct AuroraCore {
     registrar: Arc<Registrar>,
     targets: Vec<TargetCore>,
     metrics: BackendMetrics,
-    /// Idle VH staging buffers and their page-rounded capacities: one per
-    /// caller that was ever inside [`AuroraCore::with_staging`] at once.
-    staging: Mutex<Vec<(VhAddr, u64)>>,
 }
 
 impl AuroraCore {
@@ -141,7 +138,6 @@ impl AuroraCore {
             registrar,
             targets,
             metrics,
-            staging: Mutex::new(Vec::new()),
         }
     }
 
@@ -231,86 +227,23 @@ impl AuroraCore {
             .map_err(|e| OffloadError::Mem(e.to_string()))
     }
 
-    /// Run `f` with a staging buffer of `len` bytes in VH memory (the
-    /// host-pinned pages a real program's buffers occupy).
-    ///
-    /// Buffers are page-aligned and reused: an idle one with enough
-    /// capacity is taken, else an idle one that is too small is replaced,
-    /// so at most one buffer exists per concurrent caller. A transfer's
-    /// virtual cost depends only on the pages `[addr, addr + len)` touches,
-    /// which is the same for every page-aligned buffer.
-    pub fn with_staging<R>(
-        &self,
-        len: u64,
-        f: impl FnOnce(VhAddr) -> Result<R, OffloadError>,
-    ) -> Result<R, OffloadError> {
-        let len = len.max(1);
-        let idle = {
-            let mut pool = self.staging.lock().unwrap();
-            let fit = pool.iter().position(|&(_, cap)| cap >= len);
-            fit.or(pool.len().checked_sub(1))
-                .map(|i| pool.swap_remove(i))
-        };
-        let buf = match idle {
-            Some(buf) if buf.1 >= len => buf,
-            small => {
-                let vh = self.machine.vh(self.host_socket);
-                if let Some((addr, _)) = small {
-                    vh.free(addr)
-                        .map_err(|e| OffloadError::Mem(e.to_string()))?;
-                }
-                let addr = vh
-                    .alloc(len)
-                    .map_err(|e| OffloadError::Mem(e.to_string()))?;
-                (addr, len.next_multiple_of(vh.page_size().bytes()))
-            }
-        };
-        let result = f(buf.0);
-        self.staging.lock().unwrap().push(buf);
-        result
-    }
-
-    /// Table II `put` over VEO write (both backends, §IV-B).
+    /// Table II `put` over VEO write (both backends, §IV-B): the
+    /// caller's bytes go straight to VE memory.
     pub(crate) fn put_bytes(&self, dst: RawBuffer, data: &[u8]) -> Result<(), OffloadError> {
-        let t = self.target(dst.node)?;
-        let vh = self.machine.vh(self.host_socket);
-        self.with_staging(data.len() as u64, |staging| {
-            vh.write(staging, data)
-                .map_err(|e| OffloadError::Mem(e.to_string()))?;
-            t.proc
-                .write_mem(staging, VeAddr(dst.addr), data.len() as u64)
-                .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            Ok(())
-        })
+        self.target(dst.node)?
+            .proc
+            .write_mem_from(data, VeAddr(dst.addr))
+            .map(drop)
+            .map_err(|e| OffloadError::Mem(e.to_string()))
     }
 
-    /// Table II `get` over VEO read.
+    /// Table II `get` over VEO read, straight into `out`.
     pub(crate) fn get_bytes(&self, src: RawBuffer, out: &mut [u8]) -> Result<(), OffloadError> {
-        let t = self.target(src.node)?;
-        let vh = self.machine.vh(self.host_socket);
-        self.with_staging(out.len() as u64, |staging| {
-            t.proc
-                .read_mem(VeAddr(src.addr), staging, out.len() as u64)
-                .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            vh.read(staging, out)
-                .map_err(|e| OffloadError::Mem(e.to_string()))?;
-            Ok(())
-        })
-    }
-}
-
-/// Return the pooled staging buffers to VH memory.
-impl Drop for AuroraCore {
-    fn drop(&mut self) {
-        let vh = self.machine.vh(self.host_socket);
-        // This can run during an unwind: take the pool even if poisoned.
-        let pool = self
-            .staging
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        for (addr, _) in pool.drain(..) {
-            let _ = vh.free(addr);
-        }
+        self.target(src.node)?
+            .proc
+            .read_mem_into(VeAddr(src.addr), out)
+            .map(drop)
+            .map_err(|e| OffloadError::Mem(e.to_string()))
     }
 }
 
@@ -375,82 +308,6 @@ mod tests {
             c.host_clock().now()
                 >= aurora_sim_core::calib::VEO_WRITE_BASE + aurora_sim_core::calib::VEO_READ_BASE
         );
-    }
-
-    #[test]
-    fn staging_buffers_are_reused_and_freed_on_drop() {
-        let m = machine();
-        let vh = Arc::clone(m.vh(0));
-        let before = vh.live_allocations();
-        let c = AuroraCore::new(Arc::clone(&m), 0, &[0], |_b| {});
-        let addr = c.allocate(NodeId(1), 1 << 20).unwrap();
-        let buf = RawBuffer {
-            node: NodeId(1),
-            addr,
-            len: 1 << 20,
-        };
-        let mut data = vec![0u8; 1 << 20];
-        for i in 0..1000 {
-            let len = if i % 3 == 0 { 1 << 20 } else { 4096 };
-            if i % 2 == 0 {
-                data[..len].fill(i as u8);
-                c.put_bytes(buf, &data[..len]).unwrap();
-            } else {
-                c.get_bytes(buf, &mut data[..len]).unwrap();
-            }
-            assert!(vh.live_allocations() <= before + 1, "call {i}");
-        }
-        drop(c);
-        assert_eq!(vh.live_allocations(), before);
-    }
-
-    #[test]
-    fn a_too_small_idle_buffer_is_replaced_not_kept() {
-        let m = AuroraMachine::small(
-            1,
-            MachineConfig {
-                hbm_bytes: 16 << 20,
-                vh_bytes: 32 << 20,
-                vh_page: aurora_mem::PageSize::Small4K,
-                ..Default::default()
-            },
-        );
-        let vh = Arc::clone(m.vh(0));
-        let c = AuroraCore::new(Arc::clone(&m), 0, &[0], |_b| {});
-        let before = vh.live_allocations();
-        let mut seen = Vec::new();
-        for len in [4096, 1 << 20, 4096] {
-            c.with_staging(len, |addr| {
-                assert_eq!(addr.get() % 4096, 0, "page-aligned");
-                seen.push(addr);
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(vh.live_allocations(), before + 1);
-        }
-        assert_eq!(seen[1], seen[2], "the 1 MiB buffer serves the next 4 KiB");
-    }
-
-    #[test]
-    fn callers_inside_at_once_never_share_a_staging_buffer() {
-        let c = core();
-        c.with_staging(4096, |_| Ok(())).unwrap(); // one idle buffer
-        let both_inside = std::sync::Barrier::new(2);
-        let addrs: Vec<VhAddr> = std::thread::scope(|s| {
-            let callers: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        c.with_staging(4096, |addr| {
-                            both_inside.wait();
-                            Ok(addr)
-                        })
-                        .unwrap()
-                    })
-                })
-                .collect();
-            callers.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_ne!(addrs[0], addrs[1]);
     }
 
     #[test]

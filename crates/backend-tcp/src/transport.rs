@@ -85,6 +85,10 @@ struct Link {
     /// Test hook: while set, reconnect attempts fail deterministically
     /// without touching the network (a simulated network blackout).
     blackout: AtomicBool,
+    /// Test hook: a reconnect that has its fresh sockets clears this,
+    /// waits for the shutdown latch and lets `shutdown` close the old
+    /// sockets before it tries to install the fresh ones.
+    stall_swap: AtomicBool,
 }
 
 impl Link {
@@ -159,6 +163,7 @@ fn spawn_target(
         ctrl: Mutex::new(ctrl),
         chan: Arc::new(chan),
         blackout: AtomicBool::new(false),
+        stall_swap: AtomicBool::new(false),
     });
     let link2 = Arc::clone(&link);
     let metrics2 = Arc::clone(metrics);
@@ -519,14 +524,28 @@ fn run_link(
                 connect_pair(link.addr)
             };
             if let Ok((msg, ctrl, announce)) = attempt {
-                if link.chan.is_shutdown() {
-                    return;
+                if link.stall_swap.swap(false, Ordering::SeqCst) {
+                    while !link.chan.is_shutdown() {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
                 }
                 let Ok(rx) = msg.try_clone() else {
                     continue;
                 };
-                *link.msg_tx.lock().unwrap() = msg;
-                *link.ctrl.lock().unwrap() = ctrl;
+                // Install under both locks and re-check the latch there:
+                // `shutdown` latches before `close_sockets` takes these
+                // locks, so it either closes the fresh sockets or this
+                // sees the latch and drops them, and the target sees EOF.
+                {
+                    let mut msg_tx = link.msg_tx.lock().unwrap();
+                    let mut ctrl_tx = link.ctrl.lock().unwrap();
+                    if link.chan.is_shutdown() {
+                        return;
+                    }
+                    *msg_tx = msg;
+                    *ctrl_tx = ctrl;
+                }
                 // Resume: replay what the watermark proves unexecuted,
                 // fail the possibly-executed rest with `TargetLost`.
                 let mut replay_ok = true;
@@ -1051,6 +1070,45 @@ mod tests {
         assert_eq!(err, OffloadError::TargetLost(NodeId(1)));
         assert!(link.chan.eviction().is_some());
         o.shutdown();
+    }
+
+    /// A reconnect whose fresh sockets are ready while `shutdown` runs
+    /// must not install them past `close_sockets`: otherwise nothing
+    /// shuts them, the target's session never sees EOF and `shutdown`'s
+    /// join of the target thread never returns.
+    #[test]
+    fn a_reconnect_landing_during_shutdown_cannot_outlive_it() {
+        for i in 0..50 {
+            let backend = TcpBackend::spawn_cluster(
+                &[TargetSpec::default()],
+                &[],
+                Some(RecoveryPolicy::replay_only(3)),
+                BatchConfig::default(),
+                FaultPlan::none(),
+                registrar,
+            );
+            let link = Arc::clone(&backend.target(NodeId(1)).unwrap().link);
+            link.stall_swap.store(true, Ordering::SeqCst);
+            link.close_sockets();
+            // The supervisor clears the hook once it holds fresh sockets.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while link.stall_swap.load(Ordering::SeqCst) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "iteration {i}: no reconnect"
+                );
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                backend.shutdown();
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("iteration {i}: shutdown hung"));
+            assert!(link.chan.is_shutdown());
+        }
     }
 
     /// A bare target on a loopback port, no backend around it: tests

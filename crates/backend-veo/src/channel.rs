@@ -40,7 +40,7 @@ use ham_offload::types::NodeId;
 use ham_offload::OffloadError;
 use std::sync::Arc;
 use veo_api::ArgsStack;
-use veos_sim::{HostSlice, VeProcess};
+use veos_sim::VeProcess;
 
 /// Geometry of one slot array.
 #[derive(Clone, Copy, Debug)]
@@ -130,37 +130,25 @@ impl Protocol for VeoSlots {
 
         // Write 1: the message body — the engine-assembled wire frame,
         // verbatim.
-        let vh = core.machine().vh(core.host_socket());
-        core.with_staging(frame.len() as u64, |staging| {
-            vh.write(staging, frame)
-                .map_err(|e| OffloadError::Mem(e.to_string()))?;
-            proc.write_mem(staging, self.recv.msg(r), frame.len() as u64)
-                .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            Ok(())
-        })?;
+        proc.write_mem_from(frame, self.recv.msg(r))
+            .map_err(|e| OffloadError::Backend(e.to_string()))?;
 
         // Write 2: ts + flag, priced as one 16-byte VEO write. The DMA
         // manager is quoted first so the flag's landing time can be
         // embedded; the raw stores happen payload-before-flag.
-        core.with_staging(SLOT_META, |staging| {
-            let host = HostSlice {
-                vh: Arc::clone(vh),
-                vaddr: staging,
-            };
-            let landing = core
-                .machine()
-                .veos(proc.ve_id())
-                .dma()
-                .quote_write(core.host_clock(), &host, proc.process(), SLOT_META)
-                .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            proc.process()
-                .write(self.recv.ts(r), &landing.as_ps().to_le_bytes())
-                .map_err(|e| OffloadError::Mem(e.to_string()))?;
-            proc.process()
-                .store_flag(self.recv.flag(r), res.seq + 1)
-                .map_err(|e| OffloadError::Mem(e.to_string()))?;
-            Ok(())
-        })
+        let vh_page = core.machine().vh(core.host_socket()).page_size();
+        let landing = core.machine().veos(proc.ve_id()).dma().quote_write(
+            core.host_clock(),
+            vh_page,
+            proc.process(),
+            SLOT_META,
+        );
+        proc.process()
+            .write(self.recv.ts(r), &landing.as_ps().to_le_bytes())
+            .map_err(|e| OffloadError::Mem(e.to_string()))?;
+        proc.process()
+            .store_flag(self.recv.flag(r), res.seq + 1)
+            .map_err(|e| OffloadError::Mem(e.to_string()))
     }
 
     /// Free peek of the result flag (`seq+1` = ready).
@@ -201,13 +189,10 @@ impl Protocol for VeoSlots {
         core.host_clock()
             .join(SimTime::from_ps(u64::from_le_bytes(ts_bytes)));
 
-        let vh = core.machine().vh(core.host_socket());
         // Charged read 1: flag + ts.
-        core.with_staging(SLOT_META, |staging| {
-            proc.read_mem(self.send.flag(s), staging, SLOT_META)
-                .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            Ok(())
-        })?;
+        let mut meta = [0u8; SLOT_META as usize];
+        proc.read_mem_into(self.send.flag(s), &mut meta)
+            .map_err(|e| OffloadError::Backend(e.to_string()))?;
         // Peek the header (free) to size the charged message read.
         let mut hdr_bytes = [0u8; HEADER_BYTES];
         proc.process()
@@ -216,15 +201,13 @@ impl Protocol for VeoSlots {
         let header =
             MsgHeader::decode(&hdr_bytes).map_err(|e| OffloadError::Backend(e.to_string()))?;
         debug_assert_eq!(header.seq, seq, "result sequence mismatch");
-        let total = HEADER_BYTES as u64 + header.payload_len as u64;
-        // Charged read 2: header + payload.
-        out.resize(header.payload_len as usize, 0);
-        core.with_staging(total, |staging| {
-            proc.read_mem(self.send.msg(s), staging, total)
-                .map_err(|e| OffloadError::Backend(e.to_string()))?;
-            vh.read(staging.offset(HEADER_BYTES as u64), out)
-                .map_err(|e| OffloadError::Mem(e.to_string()))
-        })
+        // Charged read 2: header + payload, straight into `out`; the
+        // header is dropped after.
+        out.resize(HEADER_BYTES + header.payload_len as usize, 0);
+        proc.read_mem_into(self.send.msg(s), out)
+            .map_err(|e| OffloadError::Backend(e.to_string()))?;
+        out.drain(..HEADER_BYTES);
+        Ok(())
     }
 }
 

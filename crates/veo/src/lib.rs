@@ -11,7 +11,9 @@
 //!   `veo_call_wait_result`: an in-order command queue executing kernels
 //!   on a VE worker thread;
 //! * `read_mem`/`write_mem`/`alloc_mem`/`free_mem` on [`proc::VeoProc`] —
-//!   data movement through VEOS's privileged DMA manager.
+//!   data movement through VEOS's privileged DMA manager, from a VH
+//!   buffer or, as libveo takes a host pointer, straight from the
+//!   caller's slice (`write_mem_from`/`read_mem_into`).
 //!
 //! Kernels execute with a [`context::VeContext`] in hand: the VE-side
 //! world (process memory, the user DMA engine, the LHM/SHM unit, SysV

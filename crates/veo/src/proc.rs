@@ -7,7 +7,7 @@ use aurora_mem::{VeAddr, VhAddr};
 use aurora_sim_core::{Clock, SimTime};
 use aurora_ve::{LhmShmUnit, UserDma};
 use std::sync::{Arc, Mutex};
-use veos_sim::{AuroraMachine, HostSlice, VeProcess};
+use veos_sim::{AuroraMachine, HostBuf, VeProcess};
 
 /// Host-side handle to a VE process (`veo_proc_create`).
 pub struct VeoProc {
@@ -108,32 +108,31 @@ impl VeoProc {
     /// manager. The buffer must live in this machine's VH memory (so the
     /// page-wise translation cost is accounted against real pages).
     pub fn write_mem(&self, vh_src: VhAddr, ve_dst: VeAddr, len: u64) -> Result<SimTime, VeoError> {
-        let host = HostSlice {
-            vh: Arc::clone(self.machine.vh(self.host_socket)),
-            vaddr: vh_src,
-        };
-        Ok(self.machine.veos(self.ve_id).dma().write_ve(
-            &self.host_clock,
-            &host,
-            &self.proc,
-            ve_dst,
-            len,
-        )?)
+        self.transfer(HostBuf::VhToVe(vh_src, len), ve_dst)
     }
 
     /// `veo_read_mem`: VE memory → VH buffer.
     pub fn read_mem(&self, ve_src: VeAddr, vh_dst: VhAddr, len: u64) -> Result<SimTime, VeoError> {
-        let host = HostSlice {
-            vh: Arc::clone(self.machine.vh(self.host_socket)),
-            vaddr: vh_dst,
-        };
-        Ok(self.machine.veos(self.ve_id).dma().read_ve(
-            &self.host_clock,
-            &host,
-            &self.proc,
-            ve_src,
-            len,
-        )?)
+        self.transfer(HostBuf::VeToVh(vh_dst, len), ve_src)
+    }
+
+    /// `veo_write_mem` from the caller's own bytes, as libveo takes a
+    /// host pointer: one copy, priced as a page-aligned VH buffer of
+    /// `src.len()` bytes.
+    pub fn write_mem_from(&self, src: &[u8], ve_dst: VeAddr) -> Result<SimTime, VeoError> {
+        self.transfer(HostBuf::SliceToVe(src), ve_dst)
+    }
+
+    /// `veo_read_mem` straight into the caller's slice; a rejected read
+    /// leaves `dst` untouched.
+    pub fn read_mem_into(&self, ve_src: VeAddr, dst: &mut [u8]) -> Result<SimTime, VeoError> {
+        self.transfer(HostBuf::VeToSlice(dst), ve_src)
+    }
+
+    fn transfer(&self, host: HostBuf<'_>, ve: VeAddr) -> Result<SimTime, VeoError> {
+        let vh = self.machine.vh(self.host_socket);
+        let dma = self.machine.veos(self.ve_id).dma();
+        Ok(dma.transfer(&self.host_clock, vh, host, &self.proc, ve)?)
     }
 
     /// Destroy the process (`veo_proc_destroy`).
@@ -252,6 +251,12 @@ mod tests {
         // Two ops: one write (85 us) + one read (131 us) minimum.
         let total = p.host_clock().now();
         assert!(total >= calib::VEO_WRITE_BASE + calib::VEO_READ_BASE);
+        // The slice forms cost what the VH-buffer forms cost.
+        p.write_mem_from(b"the caller's bytes!!", ve_buf).unwrap();
+        let mut back = [0u8; 20];
+        p.read_mem_into(ve_buf, &mut back).unwrap();
+        assert_eq!(&back, b"the caller's bytes!!");
+        assert_eq!(p.host_clock().now(), total + total);
     }
 
     #[test]

@@ -12,18 +12,25 @@
 
 use crate::machine::VhMemory;
 use crate::process::VeProcess;
-use aurora_mem::{MemError, VeAddr, VhAddr};
+use aurora_mem::{MemError, PageSize, Region, VeAddr, VhAddr};
 use aurora_pcie::Direction;
 use aurora_sim_core::{calib, Clock, SimTime, Timeline};
-use std::sync::Arc;
 
-/// A VH-side buffer handed to the DMA manager.
-#[derive(Clone, Debug)]
-pub struct HostSlice {
-    /// The socket memory the buffer lives in.
-    pub vh: Arc<VhMemory>,
-    /// VH virtual address of the buffer start.
-    pub vaddr: VhAddr,
+/// The VH end of a transfer; the variant names the direction.
+///
+/// A VH buffer is priced by the pages `[addr, addr + len)` touches. The
+/// caller's own bytes are priced as a page-aligned VH buffer of their
+/// length, which is what every buffer [`VhMemory::alloc`] hands out is.
+#[derive(Debug)]
+pub enum HostBuf<'a> {
+    /// VH buffer → VE: `len` bytes at a VH virtual address.
+    VhToVe(VhAddr, u64),
+    /// VE → VH buffer: `len` bytes to a VH virtual address.
+    VeToVh(VhAddr, u64),
+    /// The caller's bytes → VE, copied once.
+    SliceToVe(&'a [u8]),
+    /// VE → the caller's slice, copied once.
+    VeToSlice(&'a mut [u8]),
 }
 
 /// The privileged DMA manager of one VEOS instance.
@@ -50,33 +57,9 @@ impl DmaManager {
         }
     }
 
-    /// `veo_write_mem`: VH buffer → VE process memory. Advances `clock`
-    /// (the calling VH process) to completion and returns that time.
-    pub fn write_ve(
-        &self,
-        clock: &Clock,
-        host: &HostSlice,
-        proc: &VeProcess,
-        dst: VeAddr,
-        len: u64,
-    ) -> Result<SimTime, MemError> {
-        self.transfer(clock, host, proc, dst, len, true)
-    }
-
-    /// `veo_read_mem`: VE process memory → VH buffer.
-    pub fn read_ve(
-        &self,
-        clock: &Clock,
-        host: &HostSlice,
-        proc: &VeProcess,
-        src: VeAddr,
-        len: u64,
-    ) -> Result<SimTime, MemError> {
-        self.transfer(clock, host, proc, src, len, false)
-    }
-
-    /// Two-phase variant: reserve engine + wire for a transfer of `len`
-    /// bytes and return the completion time **without moving data**.
+    /// Two-phase variant: reserve engine + wire for a write of `len`
+    /// bytes from a page-aligned buffer in `vh_page` pages and return the
+    /// completion time **without moving data**.
     ///
     /// The paper's protocols need a notification flag whose *value*
     /// encodes the virtual time at which it lands in VE memory; a caller
@@ -85,23 +68,27 @@ impl DmaManager {
     pub fn quote_write(
         &self,
         clock: &Clock,
-        host: &HostSlice,
+        vh_page: PageSize,
         proc: &VeProcess,
         len: u64,
-    ) -> Result<SimTime, MemError> {
-        self.quote(clock, host, proc, len, true)
+    ) -> SimTime {
+        self.quote(clock, vh_page, 0, proc, len, true)
     }
 
+    /// The one pricing routine: per-operation setup plus the translation
+    /// of the VH pages `[vh_start, vh_start + len)` touches on the engine,
+    /// then the wire. Advances `clock` to completion and returns it.
     fn quote(
         &self,
         clock: &Clock,
-        host: &HostSlice,
+        vh_page: PageSize,
+        vh_start: u64,
         proc: &VeProcess,
         len: u64,
         write: bool,
-    ) -> Result<SimTime, MemError> {
-        let model = calib::veo_transfer(write, host.vh.page_size().bytes(), self.improved);
-        let pages = host.vh.page_size().pages_touched(host.vaddr.get(), len);
+    ) -> SimTime {
+        let model = calib::veo_transfer(write, vh_page.bytes(), self.improved);
+        let pages = vh_page.pages_touched(vh_start, len);
         let setup = model.setup + self.per_page() * pages;
         let issue = self.engine.reserve(clock.now(), setup);
         let dir = if write {
@@ -125,29 +112,54 @@ impl DmaManager {
             issue.start,
             wire.end,
         );
-        Ok(clock.join(wire.end))
+        clock.join(wire.end)
     }
 
-    fn transfer(
+    /// `veo_write_mem`/`veo_read_mem`: move the bytes between `host` and
+    /// `proc`'s memory at `ve_addr`, then price the transfer. `vh` is the
+    /// calling process's VH memory: it holds a VH buffer and sets the
+    /// page size every transfer is priced in. Advances `clock` (the
+    /// calling VH process) to completion and returns that time. Both
+    /// ranges are checked before a byte moves, so a rejected read leaves
+    /// the caller's slice untouched.
+    pub fn transfer(
         &self,
         clock: &Clock,
-        host: &HostSlice,
+        vh: &VhMemory,
+        host: HostBuf<'_>,
         proc: &VeProcess,
         ve_addr: VeAddr,
-        len: u64,
-        write: bool,
     ) -> Result<SimTime, MemError> {
+        let (len, write) = match &host {
+            HostBuf::VhToVe(_, len) => (*len, true),
+            HostBuf::VeToVh(_, len) => (*len, false),
+            HostBuf::SliceToVe(src) => (src.len() as u64, true),
+            HostBuf::VeToSlice(dst) => (dst.len() as u64, false),
+        };
         // --- real data movement -------------------------------------
-        let vh_off = host.vh.translate(host.vaddr)?;
         let ve_off = proc.translate(ve_addr, len)?;
-        if write {
-            aurora_mem::Region::copy_between(host.vh.region(), vh_off, proc.hbm(), ve_off, len)?;
-        } else {
-            aurora_mem::Region::copy_between(proc.hbm(), ve_off, host.vh.region(), vh_off, len)?;
-        }
+        let hbm = proc.hbm();
+        let vh_start = match host {
+            HostBuf::VhToVe(src, _) => {
+                Region::copy_between(vh.region(), vh.translate(src)?, hbm, ve_off, len)?;
+                src.get()
+            }
+            HostBuf::VeToVh(dst, _) => {
+                Region::copy_between(hbm, ve_off, vh.region(), vh.translate(dst)?, len)?;
+                dst.get()
+            }
+            HostBuf::SliceToVe(src) => {
+                hbm.write(ve_off, src)?;
+                0
+            }
+            HostBuf::VeToSlice(dst) => {
+                hbm.read(ve_off, dst)?;
+                0
+            }
+        };
 
         // --- virtual cost (the SegmentedModel of `calib`) ------------
-        self.quote(clock, host, proc, len, write)
+        Ok(self.quote(clock, vh.page_size(), vh_start, proc, len, write))
     }
 }
 
@@ -155,8 +167,8 @@ impl DmaManager {
 mod tests {
     use super::*;
     use crate::machine::{AuroraMachine, MachineConfig};
-    use aurora_mem::PageSize;
     use aurora_sim_core::time::gib_per_sec;
+    use std::sync::Arc;
 
     fn setup(cfg: MachineConfig) -> (Arc<AuroraMachine>, Arc<VeProcess>, DmaManager) {
         let m = AuroraMachine::small(1, cfg);
@@ -168,12 +180,12 @@ mod tests {
     #[test]
     fn write_moves_data_to_ve() {
         let (m, proc, mgr) = setup(MachineConfig::default());
-        let vh = Arc::clone(m.vh(0));
+        let vh = m.vh(0);
         let src = vh.alloc(64).unwrap();
         vh.write(src, b"payload for ve").unwrap();
         let dst = proc.alloc_mem(64).unwrap();
         let clock = Clock::new();
-        mgr.write_ve(&clock, &HostSlice { vh, vaddr: src }, &proc, dst, 14)
+        mgr.transfer(&clock, vh, HostBuf::VhToVe(src, 14), &proc, dst)
             .unwrap();
         let mut out = [0u8; 14];
         proc.read(dst, &mut out).unwrap();
@@ -187,22 +199,13 @@ mod tests {
     #[test]
     fn read_moves_data_to_vh() {
         let (m, proc, mgr) = setup(MachineConfig::default());
-        let vh = Arc::clone(m.vh(0));
+        let vh = m.vh(0);
         let dst = vh.alloc(64).unwrap();
         let src = proc.alloc_mem(64).unwrap();
         proc.write(src, b"result from ve").unwrap();
         let clock = Clock::new();
         let t = mgr
-            .read_ve(
-                &clock,
-                &HostSlice {
-                    vh: Arc::clone(&vh),
-                    vaddr: dst,
-                },
-                &proc,
-                src,
-                14,
-            )
+            .transfer(&clock, vh, HostBuf::VeToVh(dst, 14), &proc, src)
             .unwrap();
         let mut out = [0u8; 14];
         vh.read(dst, &mut out).unwrap();
@@ -210,16 +213,79 @@ mod tests {
         assert!(t >= calib::VEO_READ_BASE);
     }
 
+    /// A rejected transfer moves no byte and charges no time.
+    #[test]
+    fn an_unmapped_or_out_of_range_ve_address_moves_nothing() {
+        let (m, proc, mgr) = setup(MachineConfig {
+            hbm_bytes: 16 << 20,
+            vh_bytes: 16 << 20,
+            ..Default::default()
+        });
+        // Maps the one 64 MiB VE page, which holds the end of HBM.
+        proc.alloc_mem(64).unwrap();
+        let clock = Clock::new();
+        let mut dst = [7u8; 16];
+        let past_hbm_end = VeAddr(crate::process::VEMVA_BASE + proc.hbm().len() - 8);
+        for ve in [VeAddr(0x1234), past_hbm_end] {
+            let read = HostBuf::VeToSlice(&mut dst);
+            assert!(mgr.transfer(&clock, m.vh(0), read, &proc, ve).is_err());
+        }
+        assert_eq!(dst, [7; 16]);
+        assert_eq!(clock.now(), SimTime::ZERO);
+    }
+
+    /// The caller's bytes are priced as a page-aligned VH buffer of the
+    /// same length: every length, page size, manager and direction
+    /// completes at the same virtual time as a [`VhMemory::alloc`]
+    /// buffer on a fresh machine.
+    #[test]
+    fn a_slice_costs_what_a_page_aligned_vh_buffer_costs() {
+        const MIB: u64 = 1 << 20;
+        for len in [1, 4096, 4097, 2 * MIB, 2 * MIB + 1, 16 * MIB] {
+            for vh_page in [PageSize::Small4K, PageSize::Huge2M] {
+                for improved_dma in [true, false] {
+                    let cfg = MachineConfig {
+                        vh_page,
+                        improved_dma,
+                        hbm_bytes: 32 * MIB,
+                        vh_bytes: 32 * MIB,
+                    };
+                    for write in [true, false] {
+                        let time = |slice: bool| {
+                            let (m, proc, mgr) = setup(cfg);
+                            let vh = m.vh(0);
+                            let ve = proc.alloc_mem(len).unwrap();
+                            let at = vh.alloc(len).unwrap();
+                            let mut bytes = vec![0u8; len as usize];
+                            let host = match (slice, write) {
+                                (true, true) => HostBuf::SliceToVe(&bytes),
+                                (true, false) => HostBuf::VeToSlice(&mut bytes),
+                                (false, true) => HostBuf::VhToVe(at, len),
+                                (false, false) => HostBuf::VeToVh(at, len),
+                            };
+                            mgr.transfer(&Clock::new(), vh, host, &proc, ve).unwrap()
+                        };
+                        assert_eq!(
+                            time(true),
+                            time(false),
+                            "{len} bytes, {vh_page:?}, improved {improved_dma}, write {write}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn improved_hugepages_hits_table4_peak() {
         let (m, proc, mgr) = setup(MachineConfig::default());
-        let vh = Arc::clone(m.vh(0));
+        let vh = m.vh(0);
         let len = 64u64 << 20;
         let src = vh.alloc(len).unwrap();
         let dst = proc.alloc_mem(len).unwrap();
         let clock = Clock::new();
         let t = mgr
-            .write_ve(&clock, &HostSlice { vh, vaddr: src }, &proc, dst, len)
+            .transfer(&clock, vh, HostBuf::VhToVe(src, len), &proc, dst)
             .unwrap();
         let bw = gib_per_sec(len, t);
         assert!((bw - 9.9).abs() / 9.9 < 0.05, "write bw = {bw}");
@@ -233,13 +299,13 @@ mod tests {
             ..Default::default()
         };
         let (m, proc, mgr) = setup(cfg);
-        let vh = Arc::clone(m.vh(0));
+        let vh = m.vh(0);
         let len = 16u64 << 20;
         let src = vh.alloc(len).unwrap();
         let dst = proc.alloc_mem(len).unwrap();
         let clock = Clock::new();
         let t = mgr
-            .write_ve(&clock, &HostSlice { vh, vaddr: src }, &proc, dst, len)
+            .transfer(&clock, vh, HostBuf::VhToVe(src, len), &proc, dst)
             .unwrap();
         let bw = gib_per_sec(len, t);
         assert!(bw < 2.0, "classic/4K bw = {bw} (motivates 1.3.2-4dma)");
@@ -247,47 +313,36 @@ mod tests {
 
     #[test]
     fn read_direction_is_faster_at_peak() {
-        let (m, proc, mgr) = setup(MachineConfig::default());
-        let vh = Arc::clone(m.vh(0));
         let len = 64u64 << 20;
-        let a = vh.alloc(len).unwrap();
-        let d = proc.alloc_mem(len).unwrap();
-        let cw = Clock::new();
-        let tw = mgr
-            .write_ve(
-                &cw,
-                &HostSlice {
-                    vh: Arc::clone(&vh),
-                    vaddr: a,
-                },
-                &proc,
-                d,
-                len,
-            )
-            .unwrap();
-        // Fresh manager/link so occupancy does not carry over.
-        let (m2, proc2, mgr2) = setup(MachineConfig::default());
-        let vh2 = Arc::clone(m2.vh(0));
-        let a2 = vh2.alloc(len).unwrap();
-        let d2 = proc2.alloc_mem(len).unwrap();
-        let cr = Clock::new();
-        let tr = mgr2
-            .read_ve(&cr, &HostSlice { vh: vh2, vaddr: a2 }, &proc2, d2, len)
-            .unwrap();
-        assert!(tr < tw, "VE⇒VH beats VH⇒VE (Table IV)");
+        // A fresh machine and manager per direction, so occupancy does
+        // not carry over.
+        let time = |write: bool| {
+            let (m, proc, mgr) = setup(MachineConfig::default());
+            let vh = m.vh(0);
+            let a = vh.alloc(len).unwrap();
+            let d = proc.alloc_mem(len).unwrap();
+            let host = if write {
+                HostBuf::VhToVe(a, len)
+            } else {
+                HostBuf::VeToVh(a, len)
+            };
+            mgr.transfer(&Clock::new(), vh, host, &proc, d).unwrap()
+        };
+        assert!(time(false) < time(true), "VE⇒VH beats VH⇒VE (Table IV)");
     }
 
     #[test]
     fn engine_is_shared_and_serializes() {
         let (m, proc, mgr) = setup(MachineConfig::default());
-        let vh = Arc::clone(m.vh(0));
+        let vh = m.vh(0);
         let src = vh.alloc(64).unwrap();
         let dst = proc.alloc_mem(64).unwrap();
-        let host = HostSlice { vh, vaddr: src };
-        let c1 = Clock::new();
-        let t1 = mgr.write_ve(&c1, &host, &proc, dst, 8).unwrap();
-        let c2 = Clock::new();
-        let t2 = mgr.write_ve(&c2, &host, &proc, dst, 8).unwrap();
+        let t1 = mgr
+            .transfer(&Clock::new(), vh, HostBuf::VhToVe(src, 8), &proc, dst)
+            .unwrap();
+        let t2 = mgr
+            .transfer(&Clock::new(), vh, HostBuf::VhToVe(src, 8), &proc, dst)
+            .unwrap();
         assert!(t2 > t1, "second op queues behind the first");
     }
 }

@@ -29,6 +29,6 @@ pub mod process;
 pub mod syscall;
 
 pub use daemon::Veos;
-pub use dma_manager::{DmaManager, HostSlice};
+pub use dma_manager::{DmaManager, HostBuf};
 pub use machine::{AuroraMachine, MachineConfig, VhMemory};
 pub use process::VeProcess;

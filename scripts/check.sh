@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The repo's gate; CI runs exactly this: release build, the dependency
 # direction of the bottom crates, `cargo test --workspace` (which holds
-# every virtual-time bound), examples, the
-# benchmark crate's `hotpath all --smoke`, the telemetry-overhead bench,
-# the fault matrix, the soak, the pub audit, clippy, rustdoc and rustfmt.
+# every virtual-time bound), examples, the Fig. 9/10 and Table IV repro
+# goldens, the benchmark crate's `hotpath all --smoke`, the
+# telemetry-overhead bench, the fault matrix, the soak, the pub audit,
+# clippy, rustdoc and rustfmt.
 # The one offline stand-in under vendor/ (proptest) is a path
 # dependency inside the workspace root, so cargo makes it a member: it
 # is tested, linted and formatted like crates/*.
@@ -35,6 +36,18 @@ cargo test --workspace -q
 
 echo "== examples build =="
 cargo build --release --examples
+
+echo "== repro goldens: Fig. 9, Fig. 10 and Table IV stdout, byte for byte =="
+# The simulator is deterministic, so these three figures' stdout must
+# match the committed goldens exactly; a diff means virtual-time math
+# moved. repro_all is left out: its pipelined-ablation rows vary run to
+# run. Re-bless a deliberate change with
+#   cargo run --release -q -p aurora-bench --bin repro_X > tests/golden/repro_X.txt
+for fig in repro_fig9 repro_fig10 repro_table4; do
+    cargo run --release --locked -q -p aurora-bench --bin "$fig" \
+        | diff -u "tests/golden/$fig.txt" - \
+        || { echo "$fig stdout differs from tests/golden/$fig.txt" >&2; exit 1; }
+done
 
 echo "== benchmark crate: build against this tree + schema smoke =="
 # benchmark/ is a package of its own that reaches into crates/* through

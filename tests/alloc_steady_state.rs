@@ -935,7 +935,7 @@ fn warm_dma_sync_allocates_once_per_offload() {
 }
 
 /// The same over the VEO protocol: the host's two charged VEO reads
-/// land in the VH staging buffer and then in a pooled frame.
+/// land in a stack array and in a pooled frame.
 #[test]
 fn warm_veo_sync_allocates_once_per_offload() {
     use ham_aurora_repro::veo_offload;
@@ -953,7 +953,7 @@ fn warm_veo_sync_allocates_once_per_offload() {
 
 /// A warm Table II `put` + `get` on the DMA backend: the slice's own
 /// bytes go to the backend and come back into the caller's slice, and
-/// the VH staging buffer is the pooled one, so nothing is allocated.
+/// no VH staging buffer sits between, so nothing is allocated.
 #[test]
 fn warm_dma_put_get_allocates_nothing() {
     use ham_aurora_repro::{dma_offload, NodeId};

@@ -1,13 +1,16 @@
 //! The Table II bulk data path: `put`/`get` hand a scalar slice's own
 //! little-endian bytes to the backend. These tests pin that wire layout,
 //! round-trip every scalar type bit for bit, keep the length checks, and
-//! show that concurrent callers on one Aurora runtime each get their own
-//! VH staging buffer, all of which the runtime returns when dropped.
+//! show that on both Aurora protocols the caller's bytes go straight to
+//! and from VE memory: any length round-trips, a bad VE address is a
+//! `Mem` error that leaves the destination untouched, concurrent callers
+//! keep their own bytes, and no transfer takes VH memory.
 
 use ham_aurora_repro::offload::backend::RawBuffer;
 use ham_aurora_repro::offload::Scalar;
 use ham_aurora_repro::{offload_with, BackendKind, NodeId, Offload, OffloadError, OffloadOptions};
 use ham_backend_dma::{DmaBackend, ProtocolConfig};
+use ham_backend_veo::VeoBackend;
 use proptest::prelude::*;
 use std::sync::Arc;
 use veos_sim::{AuroraMachine, MachineConfig};
@@ -18,7 +21,7 @@ fn offload(kind: BackendKind) -> Offload {
     offload_with(kind, 1, OffloadOptions::default(), |_b| {})
 }
 
-fn dma_machine() -> Arc<AuroraMachine> {
+fn aurora_machine() -> Arc<AuroraMachine> {
     AuroraMachine::small(
         1,
         MachineConfig {
@@ -27,6 +30,31 @@ fn dma_machine() -> Arc<AuroraMachine> {
             ..Default::default()
         },
     )
+}
+
+/// Both Aurora protocols over `machine`, one VE each.
+fn aurora_offloads(machine: &Arc<AuroraMachine>) -> [(&'static str, Offload); 2] {
+    let cfg = ProtocolConfig::default();
+    let m = || Arc::clone(machine);
+    [
+        (
+            "dma",
+            Offload::new(DmaBackend::spawn(m(), 0, &[0], cfg, |_b| {})),
+        ),
+        (
+            "veo",
+            Offload::new(VeoBackend::spawn(m(), 0, &[0], cfg, |_b| {})),
+        ),
+    ]
+}
+
+/// A target span of `len` bytes at `addr` on VE 1.
+fn raw(addr: u64, len: usize) -> RawBuffer {
+    RawBuffer {
+        node: NodeId(1),
+        addr,
+        len: len as u64,
+    }
 }
 
 /// `put` then `get` `xs` through a fresh buffer; returns what came back.
@@ -155,10 +183,57 @@ proptest! {
     }
 }
 
+/// Lengths around the page and word edges, and one past a mebibyte.
+#[test]
+fn any_length_round_trips_on_both_aurora_protocols() {
+    let machine = aurora_machine();
+    for (name, o) in aurora_offloads(&machine) {
+        for len in [0usize, 1, 8, 4095, 4097, (1 << 20) + 8] {
+            let b = o.allocate::<u8>(NodeId(1), len.max(1) as u64).unwrap();
+            let src: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+            o.put(&src, b).unwrap();
+            let mut dst = vec![0u8; len];
+            o.get(b, &mut dst).unwrap();
+            assert!(dst == src, "{name}: {len} bytes");
+            o.free(b).unwrap();
+        }
+        o.shutdown();
+    }
+}
+
+/// The VE side is checked before a byte moves: a `get` from an unmapped
+/// VE address or one that runs past the end of HBM is `Err(Mem)`, never
+/// a panic, and the caller's slice keeps its bytes; a `put` there is
+/// refused the same way.
+#[test]
+fn a_bad_ve_address_is_a_mem_error_that_moves_nothing() {
+    let machine = aurora_machine();
+    let hbm = machine.ve(0).hbm().len();
+    for (name, o) in aurora_offloads(&machine) {
+        let b = o.allocate::<u8>(NodeId(1), 64).unwrap();
+        // VEMVA = a 64 MiB-aligned base + HBM offset, and `b` mapped the
+        // one 64 MiB VE page: its last 8 bytes of HBM are mapped.
+        let near_end = b.addr() - b.addr() % (64 << 20) + hbm - 8;
+        for addr in [0x1234, near_end] {
+            let mut dst = [0xa5u8; 16];
+            let err = o.backend().get_bytes(raw(addr, 16), &mut dst).unwrap_err();
+            assert!(matches!(err, OffloadError::Mem(_)), "{name} get: {err:?}");
+            assert_eq!(
+                dst, [0xa5; 16],
+                "{name}: a rejected get leaves dst untouched"
+            );
+            let err = o.backend().put_bytes(raw(addr, 16), &dst).unwrap_err();
+            assert!(matches!(err, OffloadError::Mem(_)), "{name} put: {err:?}");
+        }
+        o.free(b).unwrap();
+        o.shutdown();
+    }
+}
+
 #[test]
 fn concurrent_dma_callers_keep_their_own_bytes() {
     const THREADS: u64 = 4;
-    let machine = dma_machine();
+    let machine = aurora_machine();
     let vh = Arc::clone(machine.vh(0));
     let o = Offload::new(DmaBackend::spawn(
         machine,
@@ -188,27 +263,31 @@ fn concurrent_dma_callers_keep_their_own_bytes() {
             });
         }
     });
-    assert!(vh.live_allocations() <= spawned + THREADS as usize);
+    assert_eq!(
+        vh.live_allocations(),
+        spawned,
+        "no transfer takes VH memory"
+    );
     o.shutdown();
 }
 
+/// A transfer takes no VH memory: the count of live VH allocations
+/// stays where setup left it across puts and gets of both sizes.
 #[test]
-fn dropping_the_runtime_returns_its_staging_buffers() {
-    let machine = dma_machine();
+fn puts_and_gets_take_no_vh_memory() {
+    let machine = aurora_machine();
     let vh = Arc::clone(machine.vh(0));
-    let before = vh.live_allocations();
-    let o = Offload::new(DmaBackend::spawn(
-        machine,
-        0,
-        &[0],
-        ProtocolConfig::default(),
-        |_b| {},
-    ));
-    let b = o.allocate::<u8>(NodeId(1), 1 << 20).unwrap();
-    let mut data = vec![0u8; 1 << 20];
-    o.put(&data, b).unwrap();
-    o.get(b, &mut data[..4096]).unwrap();
-    o.shutdown();
-    drop(o);
-    assert_eq!(vh.live_allocations(), before);
+    for (name, o) in aurora_offloads(&machine) {
+        let b = o.allocate::<u8>(NodeId(1), 1 << 20).unwrap();
+        let mut data = vec![0x3cu8; 1 << 20];
+        let spawned = vh.live_allocations();
+        for i in 0..64 {
+            let len = if i % 8 == 0 { 1 << 20 } else { 4096 };
+            o.put(&data[..len], b).unwrap();
+            o.get(b, &mut data[..len]).unwrap();
+            assert_eq!(vh.live_allocations(), spawned, "{name} call {i}");
+        }
+        o.free(b).unwrap();
+        o.shutdown();
+    }
 }
