@@ -391,13 +391,12 @@ impl<P: Protocol> CommBackend for AuroraBackend<P> {
             let Ok(link) = self.link(target) else {
                 continue;
             };
-            if link.chan.begin_shutdown() {
+            // Deliver the termination message, then stop ham_main and
+            // join the context worker.
+            let Some(posted) = engine::shutdown(self, target) else {
                 continue;
-            }
-            // Deliver the termination message (control frames bypass the
-            // shutdown gate; a dead target is ignored), then stop
-            // ham_main and join the context worker.
-            if engine::post_control(self, target).is_err() && link.ctx.is_alive() {
+            };
+            if posted.is_err() && link.ctx.is_alive() {
                 // The control frame cannot reach the target (evicted
                 // channel: its slot cursor is wedged on a lost frame's
                 // hole). Reap the stranded VE process — the moral

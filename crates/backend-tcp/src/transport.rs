@@ -21,27 +21,26 @@
 use crate::frame::{
     read_frame, write_frame, write_frame_parts, Announce, ControlOp, FrameReader, MAX_FRAME, PREFIX,
 };
-use aurora_mem::RangeAllocator;
 use aurora_sim_core::{Clock, FaultPlan};
 use aurora_telemetry::{BackendMetrics, HealthEventKind, LaneStats};
 use ham::codec::Wire;
-use ham::message::VecMemory;
-use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
-use ham::{Registry, RegistryBuilder, TargetMemory};
+use ham::{Registry, RegistryBuilder};
 use ham_offload::backend::{build_registry, CommBackend, RawBuffer, Registrar};
 use ham_offload::chan::pool::{FramePool, PooledFrame};
 use ham_offload::chan::{engine, BatchConfig, ChannelCore, RecoveryPolicy, Reservation};
 use ham_offload::device::{DeviceConfig, DeviceRuntime, HaltReason};
+use ham_offload::local::TargetStore;
 use ham_offload::target_loop::{result_header, Polled, TargetChannel, TargetEnv};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn io_err(e: std::io::Error) -> OffloadError {
     OffloadError::Backend(format!("tcp: {e}"))
@@ -114,10 +113,10 @@ impl Link {
 
 struct TcpTarget {
     link: Arc<Link>,
-    reader: Mutex<Option<JoinHandle<()>>>,
-    server: Mutex<Option<JoinHandle<u64>>>,
-    mem_bytes: u64,
-    lanes: u32,
+    /// The target's thread, then its link supervisor: joined in order.
+    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// What the target announced when it joined.
+    announce: Announce,
 }
 
 /// Registry seed of the host "binary"; target `n` seals with `+ n`.
@@ -135,14 +134,16 @@ fn spawn_target(
     budget: u32,
     metrics: &Arc<BackendMetrics>,
     clock: &Clock,
-) -> std::io::Result<(TcpTarget, Announce)> {
+) -> std::io::Result<TcpTarget> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let registry = build_registry(registrar, HOST_SEED + u64::from(node));
     let lane_stats = Arc::clone(metrics.lane_stats());
     let server = std::thread::Builder::new()
         .name(format!("tcp-target-{node}"))
-        .spawn(move || target_main(node, listener, spec, registry, lane_stats))?;
+        .spawn(move || {
+            target_main(node, listener, spec, registry, lane_stats);
+        })?;
 
     let (msg, ctrl, announce) = connect_pair(addr)?;
     let msg_rx = msg.try_clone()?;
@@ -171,16 +172,11 @@ fn spawn_target(
     let reader = std::thread::Builder::new()
         .name(format!("tcp-link-{node}"))
         .spawn(move || run_link(&link2, msg_rx, &metrics2, &clock2, budget))?;
-    Ok((
-        TcpTarget {
-            link,
-            reader: Mutex::new(Some(reader)),
-            server: Mutex::new(Some(server)),
-            mem_bytes: announce.mem_bytes,
-            lanes: announce.lanes,
-        },
+    Ok(TcpTarget {
+        link,
+        threads: Mutex::new(vec![server, reader]),
         announce,
-    ))
+    })
 }
 
 /// The TCP/IP communication backend.
@@ -217,19 +213,20 @@ const RESULT_QUEUE: usize = 64 << 10;
 /// the message socket itself: `recv` blocks in `read`, and `try_recv`
 /// hands out what that `read` delivered beyond the first frame. Results
 /// queue behind the write half until the device runtime's per-window
-/// `flush`, which writes them all at once.
+/// `flush`, which writes them all at once. Only the device thread
+/// touches either half, so neither takes a lock.
 struct TcpSideChannel {
-    /// Read half and its buffer. Only the device thread takes this lock.
-    rx: Mutex<(TcpStream, FrameReader)>,
+    /// Read half and its buffer.
+    rx: RefCell<(TcpStream, FrameReader)>,
     /// Write half and the result frames queued since the last flush.
-    tx: Mutex<(TcpStream, Vec<u8>)>,
+    tx: RefCell<(TcpStream, Vec<u8>)>,
 }
 
 impl TcpSideChannel {
     fn new(stream: TcpStream) -> std::io::Result<Self> {
         Ok(Self {
-            rx: Mutex::new((stream.try_clone()?, FrameReader::new())),
-            tx: Mutex::new((stream, Vec::with_capacity(RESULT_QUEUE))),
+            rx: RefCell::new((stream.try_clone()?, FrameReader::new())),
+            tx: RefCell::new((stream, Vec::with_capacity(RESULT_QUEUE))),
         })
     }
 }
@@ -283,13 +280,13 @@ fn next_msg(
 
 impl TargetChannel for TcpSideChannel {
     fn recv(&self, pool: &Arc<FramePool>) -> Option<(MsgHeader, PooledFrame)> {
-        next_msg(&mut self.rx.lock().unwrap(), pool)
+        next_msg(&mut self.rx.borrow_mut(), pool)
     }
 
     /// Never waits for a *new* frame, but does finish one whose first
     /// bytes are already in the buffer (the rest is in flight).
     fn try_recv(&self, pool: &Arc<FramePool>) -> Polled {
-        let mut rx = self.rx.lock().unwrap();
+        let mut rx = self.rx.borrow_mut();
         if !rx.1.has_buffered() {
             return Polled::Empty;
         }
@@ -301,45 +298,31 @@ impl TargetChannel for TcpSideChannel {
 
     fn send_result(&self, reply_slot: u16, seq: u64, payload: Vec<u8>) {
         let header = result_header(reply_slot, seq, payload.len()).encode();
-        let (stream, queue) = &mut *self.tx.lock().unwrap();
+        let (stream, queue) = &mut *self.tx.borrow_mut();
         let _ = queue_frame(stream, queue, &header, &payload);
     }
 
     fn flush(&self) {
-        let (stream, queue) = &mut *self.tx.lock().unwrap();
+        let (stream, queue) = &mut *self.tx.borrow_mut();
         let _ = write_queued(stream, queue);
     }
 }
 
-/// Serve control RPCs over one connection until EOF/error.
-fn serve_ctrl(mut stream: TcpStream, mem: &VecMemory, alloc: &Mutex<RangeAllocator>) {
+/// Serve control RPCs against `store` over one connection until
+/// EOF/error.
+fn serve_ctrl(mut stream: TcpStream, store: &TargetStore) {
     while let Ok(Some(body)) = read_frame(&mut stream) {
         let result: Result<Vec<u8>, String> = match ControlOp::decode(&body) {
             Err(e) => Err(e),
-            Ok(ControlOp::Alloc { bytes }) => alloc
-                .lock()
-                .unwrap()
-                .alloc(bytes, 8)
-                .map(|a| a.to_le_bytes().to_vec())
-                .map_err(|e| e.to_string()),
-            Ok(ControlOp::Free { addr }) => alloc
-                .lock()
-                .unwrap()
-                .free(addr)
-                .map(|_| Vec::new())
-                .map_err(|e| e.to_string()),
-            Ok(ControlOp::Put { addr, data }) => mem
-                .mem_write(addr, data)
-                .map(|_| Vec::new())
-                .map_err(|e| e.to_string()),
+            Ok(ControlOp::Alloc { bytes }) => store.alloc(bytes).map(|a| a.to_le_bytes().to_vec()),
+            Ok(ControlOp::Free { addr }) => store.free(addr).map(|()| Vec::new()),
+            Ok(ControlOp::Put { addr, data }) => store.write(addr, data).map(|()| Vec::new()),
             Ok(ControlOp::Get { len, .. }) if len > u64::from(MAX_FRAME) => {
                 Err(format!("get of {len} bytes exceeds the frame bound"))
             }
             Ok(ControlOp::Get { addr, len }) => {
                 let mut out = vec![0u8; len as usize];
-                mem.mem_read(addr, &mut out)
-                    .map(|_| out)
-                    .map_err(|e| e.to_string())
+                store.read(addr, &mut out).map(|()| out)
             }
             Ok(ControlOp::Ping { echo }) => Ok(echo.to_le_bytes().to_vec()),
         };
@@ -369,8 +352,7 @@ fn target_main(
     registry: Registry,
     lane_stats: Arc<LaneStats>,
 ) -> u64 {
-    let mem = Arc::new(VecMemory::new(spec.mem_bytes as usize));
-    let alloc = Arc::new(Mutex::new(RangeAllocator::new(spec.mem_bytes)));
+    let store = Arc::new(TargetStore::new(spec.mem_bytes));
     let runtime = DeviceRuntime::new(
         DeviceConfig::new()
             .with_lanes(spec.lanes as usize)
@@ -419,17 +401,19 @@ fn target_main(
             continue;
         }
 
-        let mem2 = Arc::clone(&mem);
-        let alloc2 = Arc::clone(&alloc);
+        // Shutting this clone down ends the ctrl thread even while the
+        // host keeps its end open, so the join below cannot hang.
+        let ctrl_end = ctrl_stream.try_clone().expect("clone ctrl stream");
+        let store2 = Arc::clone(&store);
         let ctrl_thread = std::thread::Builder::new()
             .name(format!("tcp-target-{node}-ctrl"))
-            .spawn(move || serve_ctrl(ctrl_stream, &mem2, &alloc2))
+            .spawn(move || serve_ctrl(ctrl_stream, &store2))
             .expect("spawn ctrl thread");
         let chan = TcpSideChannel::new(msg_stream).expect("clone msg stream");
         let env = TargetEnv {
             node,
             registry: &registry,
-            mem: &*mem,
+            mem: &store.mem,
             reverse: None,
             meter: None,
             // Push transport: many host threads post, seqs may reach the
@@ -443,7 +427,8 @@ fn target_main(
         watermark = end.watermark;
         served_total += end.served;
         // Shut the session's sockets down so the ctrl thread unblocks.
-        let _ = chan.tx.lock().unwrap().0.shutdown(Shutdown::Both);
+        let _ = chan.tx.borrow().0.shutdown(Shutdown::Both);
+        let _ = ctrl_end.shutdown(Shutdown::Both);
         let _ = ctrl_thread.join();
         if end.reason == HaltReason::Control {
             return served_total;
@@ -469,6 +454,10 @@ fn connect_pair(addr: std::net::SocketAddr) -> std::io::Result<(TcpStream, TcpSt
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     Ok((msg, ctrl, announce))
 }
+
+/// How long a reconnect waits for posts already past their reservation
+/// to record their frames before it resumes without them.
+const SEND_DRAIN: Duration = Duration::from_secs(1);
 
 /// Per-target link supervisor. Deposits result frames into the channel
 /// core; on EOF it degrades the channel (posts park, nothing is
@@ -515,15 +504,8 @@ fn run_link(
                 return;
             }
             metrics.on_reconnect_attempt();
-            let attempt = if link.blackout.load(Ordering::SeqCst) {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionRefused,
-                    "reconnect blackout",
-                ))
-            } else {
-                connect_pair(link.addr)
-            };
-            if let Ok((msg, ctrl, announce)) = attempt {
+            let attempt = (!link.blackout.load(Ordering::SeqCst)).then(|| connect_pair(link.addr));
+            if let Some(Ok((msg, ctrl, announce))) = attempt {
                 if link.stall_swap.swap(false, Ordering::SeqCst) {
                     while !link.chan.is_shutdown() {
                         std::thread::yield_now();
@@ -533,10 +515,22 @@ fn run_link(
                 let Ok(rx) = msg.try_clone() else {
                     continue;
                 };
-                // Install under both locks and re-check the latch there:
-                // `shutdown` latches before `close_sockets` takes these
-                // locks, so it either closes the fresh sockets or this
-                // sees the latch and drops them, and the target sees EOF.
+                // `resume` fails a post that has no stored frame yet.
+                // The degraded channel takes no new reservation, so
+                // this count only drains.
+                let drained = Instant::now() + SEND_DRAIN;
+                while link.chan.in_send() > 0 && Instant::now() < drained {
+                    if link.chan.is_shutdown() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                // Install, resume and replay under both locks, after
+                // re-checking the latch: `shutdown` latches before
+                // `close_sockets` takes them, so it closes the fresh
+                // sockets or this drops them. The resume fails what may
+                // have executed with `TargetLost` and replays the rest.
+                let mut replay_ok = true;
                 {
                     let mut msg_tx = link.msg_tx.lock().unwrap();
                     let mut ctrl_tx = link.ctrl.lock().unwrap();
@@ -545,21 +539,14 @@ fn run_link(
                     }
                     *msg_tx = msg;
                     *ctrl_tx = ctrl;
-                }
-                // Resume: replay what the watermark proves unexecuted,
-                // fail the possibly-executed rest with `TargetLost`.
-                let mut replay_ok = true;
-                if let Some(report) = link.chan.resume(announce.watermark, lost()) {
-                    let mut tx = link.msg_tx.lock().unwrap();
-                    let mut replayed = 0u64;
-                    for f in &report.replay {
-                        if write_frame(&mut *tx, &f.frame).is_err() {
-                            replay_ok = false;
-                            break;
-                        }
-                        replayed += 1;
+                    if let Some(report) = link.chan.resume(announce.watermark, lost()) {
+                        let replay = report.replay.iter();
+                        let replayed = replay
+                            .take_while(|f| write_frame(&mut *msg_tx, &f.frame).is_ok())
+                            .count();
+                        replay_ok = replayed == report.replay.len();
+                        metrics.on_replay(replayed as u64);
                     }
-                    metrics.on_replay(replayed);
                 }
                 metrics
                     .health()
@@ -576,11 +563,7 @@ fn run_link(
             backoff = (backoff * 2).min(Duration::from_millis(20));
         }
         // ---- Budget exhausted: the disconnect becomes an eviction ----
-        if link.chan.evict(lost()).is_some() {
-            metrics
-                .health()
-                .record(node, HealthEventKind::Eviction, 0, clock.now().as_ps());
-        }
+        engine::evict(&link.chan, metrics, clock, NodeId(node), lost());
         return;
     }
 }
@@ -650,10 +633,8 @@ impl TcpBackend {
             .iter()
             .zip(1u16..)
             .map(|(spec, node)| {
-                let (target, _announce) =
-                    spawn_target(node, *spec, &registrar, batch, budget, &metrics, &clock)
-                        .expect("tcp handshake");
-                OnceLock::from(target)
+                let target = spawn_target(node, *spec, &registrar, batch, budget, &metrics, &clock);
+                OnceLock::from(target.expect("tcp handshake"))
             })
             .collect();
         // Reserve slots: known to the address book, vacant until joined.
@@ -694,7 +675,7 @@ impl TcpBackend {
                 node.0
             )));
         }
-        let (t, announce) = spawn_target(
+        let t = spawn_target(
             node.0,
             self.book[idx],
             &self.registrar,
@@ -704,6 +685,7 @@ impl TcpBackend {
             &self.clock,
         )
         .map_err(io_err)?;
+        let announce = t.announce;
         let _ = self.targets[idx].set(t);
         self.metrics.health().register(node.0);
         Ok(announce)
@@ -789,8 +771,8 @@ impl CommBackend for TcpBackend {
             node,
             name: format!("tcp target {} @ {}", node.0, t.link.addr),
             device_type: DeviceType::Generic,
-            memory_bytes: t.mem_bytes,
-            cores: t.lanes.max(1),
+            memory_bytes: t.announce.mem_bytes,
+            cores: t.announce.lanes.max(1),
         })
     }
 
@@ -809,14 +791,11 @@ impl CommBackend for TcpBackend {
         match write_frame(&mut *t.link.msg_tx.lock().unwrap(), frame) {
             Ok(()) => Ok(()),
             Err(_) if self.budget > 0 && t.link.chan.eviction().is_none() => {
-                // The socket died under this post. Degrade (the link
-                // supervisor also sees EOF) and report success: the
-                // engine then stores the frame in the replay buffer, and
-                // the resume handshake replays it iff the watermark
-                // proves it never executed — a partially-flushed frame
-                // that *did* reach the target lands at or below the
-                // watermark and fails with `TargetLost` instead of
-                // double-executing.
+                // The socket died under this post. Degrade and report
+                // success: `note_sent` stores the frame, and the resume
+                // replays it iff the watermark proves it never executed
+                // (a partly written frame that did execute fails with
+                // `TargetLost` instead of running twice).
                 t.link.disconnect(&self.metrics, &self.clock);
                 Ok(())
             }
@@ -888,66 +867,31 @@ impl CommBackend for TcpBackend {
         self.plan.disconnect(target.0, self.clock.now());
         t.link.close_sockets();
         if self.budget == 0 {
-            // Latch the eviction before returning rather than leaving
-            // it to the supervisor's EOF handling: otherwise a
-            // caller can observe every in-flight future failed (via
-            // send-side errors) while `eviction()` is still unset for a
-            // scheduling beat — a `TargetPool` would briefly keep
-            // placing on the dead target. `evict` is idempotent, so
-            // whichever of this call and the supervisor loses the race
-            // becomes a no-op.
+            // Latch the eviction before returning, not at the
+            // supervisor's EOF: a `TargetPool` would otherwise keep
+            // placing here while `eviction()` is still unset. `evict`
+            // is idempotent, so whichever side loses the race is a no-op.
             let lost = OffloadError::TargetLost(target);
-            engine::evict(self, target, &t.link.chan, lost);
+            engine::evict(&t.link.chan, &self.metrics, &self.clock, target, lost);
         }
         Ok(())
     }
 
     fn shutdown(&self) {
-        for node in 1..=self.num_targets() {
-            let t = match self.target(NodeId(node)) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
-            // The latch also stops the link supervisor from reconnecting
-            // past this point.
-            if t.link.chan.begin_shutdown() {
+        for node in (1..=self.num_targets()).map(NodeId) {
+            // The latch also stops the link supervisor from reconnecting.
+            // A failed control frame means the peer is already gone.
+            let (Some(_), Ok(t)) = (engine::shutdown(self, node), self.target(node)) else {
                 continue;
-            }
-            if t.link.chan.is_degraded() {
-                // Shutting down mid-reconnect: there is no live link to
-                // drain staged work into, so fail what's left instead of
-                // spinning on a parked flush.
-                let _ = t.link.chan.evict(OffloadError::Shutdown);
-            } else {
-                // Staged batch members must reach the wire before the
-                // terminator (the shutdown gate lets an accumulated batch
-                // drain); errors mean the peer is already gone.
-                let _ = engine::flush(self, NodeId(node));
-                // Terminate the message loop with a Control frame, written
-                // directly (no reservation: a terminating target sends no
-                // result back).
-                let header = MsgHeader {
-                    handler_key: HandlerKey(0),
-                    payload_len: 0,
-                    kind: MsgKind::Control,
-                    reply_slot: 0,
-                    corr: 0,
-                    seq: u64::MAX,
-                };
-                let _ = write_frame(&mut *t.link.msg_tx.lock().unwrap(), &header.encode());
-            }
+            };
             // Close the sockets so the ctrl loop and reader unblock.
             t.link.close_sockets();
             // A target that lost its session parks in `accept`; a 'Q'
-            // hello tells it to exit instead of waiting for a connection
-            // that will never come.
+            // hello tells it to exit.
             if let Ok(mut s) = TcpStream::connect(t.link.addr) {
                 let _ = s.write_all(b"Q");
             }
-            if let Some(h) = t.server.lock().unwrap().take() {
-                let _ = h.join();
-            }
-            if let Some(h) = t.reader.lock().unwrap().take() {
+            for h in t.threads.lock().unwrap().drain(..) {
                 let _ = h.join();
             }
         }
@@ -1164,6 +1108,25 @@ mod tests {
         drop((_msg, _ctrl));
         TcpStream::connect(addr).unwrap().write_all(b"Q").unwrap();
         assert_eq!(server.join().expect("target must not panic"), 0);
+    }
+
+    /// A session whose message socket drops ends even while the host
+    /// keeps its control socket open: the target shuts its own end of
+    /// that socket before it joins the ctrl thread, so it gets back to
+    /// `accept` and a `'Q'` ends it.
+    #[test]
+    fn a_session_ends_without_the_host_closing_its_control_socket() {
+        let (addr, server) = raw_target();
+        let (msg, ctrl, _) = connect_pair(addr).expect("target must accept");
+        drop(msg);
+        TcpStream::connect(addr).unwrap().write_all(b"Q").unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(server.join().expect("target must not panic"));
+        });
+        let served = done_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(served, Ok(0), "the target hung on its ctrl thread");
+        drop(ctrl);
     }
 
     /// Any peer can write a well-formed header: a `Result` message, a
@@ -1388,7 +1351,7 @@ mod tests {
         });
         for (i, p) in frames.iter().enumerate() {
             chan.send_result(0, i as u64, p.clone());
-            let cap = chan.tx.lock().unwrap().1.capacity();
+            let cap = chan.tx.borrow().1.capacity();
             assert!(
                 cap <= RESULT_QUEUE + PREFIX + HEADER_BYTES + p.len(),
                 "{cap}"
@@ -1398,7 +1361,7 @@ mod tests {
             }
         }
         chan.flush();
-        chan.tx.lock().unwrap().0.shutdown(Shutdown::Write).unwrap();
+        chan.tx.borrow().0.shutdown(Shutdown::Write).unwrap();
         assert!(
             reader.join().unwrap() == expect,
             "the socket saw other bytes"

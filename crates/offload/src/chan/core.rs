@@ -187,6 +187,8 @@ struct ChanState {
     /// park with [`Reserve::Full`] until [`ChannelCore::resume`] or
     /// [`ChannelCore::evict`] settles the session.
     degraded: Option<OffloadError>,
+    /// [`ChannelCore::in_send`], counted only under a recovery policy.
+    sending: usize,
     /// Staged messages awaiting flush (batching enabled only).
     accum: BatchAccum,
     /// Recycled member-seq vectors (keeps settling allocation-free).
@@ -309,6 +311,7 @@ impl ChannelCore {
                 shutdown: false,
                 evicted: None,
                 degraded: None,
+                sending: 0,
                 accum: BatchAccum::new(),
                 seq_pool: Vec::new(),
                 adaptive: None,
@@ -442,6 +445,7 @@ impl ChannelCore {
         };
         let seq = st.seq;
         st.seq += 1;
+        st.sending += usize::from(self.recovery.is_some());
         let entry = PendingEntry {
             recv_slot,
             send_slot,
@@ -613,6 +617,7 @@ impl ChannelCore {
         let Some((recv_slot, send_slot)) = st.acquire_slots() else {
             return FlushPrep::Full;
         };
+        st.sending += usize::from(self.recovery.is_some());
         let mut frame = st.accum.frame.take().expect("staged frame");
         let recycled = st.seq_pool.pop().unwrap_or_default();
         let seqs = core::mem::replace(&mut st.accum.seqs, recycled);
@@ -733,13 +738,25 @@ impl ChannelCore {
     /// transport: slots return, every member fails with `err` — marked
     /// unsent, since no member can have executed.
     pub fn fail_batch(&self, carrier: u64, err: OffloadError) {
-        self.complete(&mut self.state.lock().unwrap(), carrier, Err(err), true);
+        let mut st = self.state.lock().unwrap();
+        st.sending -= usize::from(self.recovery.is_some());
+        self.complete(&mut st, carrier, Err(err), true);
     }
 
     /// Retire a reservation whose frame never made it onto the
     /// transport: slots return to the rings, the seq is abandoned.
     pub fn cancel(&self, seq: u64) {
-        self.state.lock().unwrap().retire(seq, false);
+        let mut st = self.state.lock().unwrap();
+        st.sending -= usize::from(self.recovery.is_some());
+        st.retire(seq, false);
+    }
+
+    /// Frames past [`Self::try_reserve`] or [`Self::take_flush`] and not
+    /// yet settled by [`Self::note_sent`], [`Self::cancel`] or
+    /// [`Self::fail_batch`]: their wire image is not stored yet. Always
+    /// 0 without a recovery policy.
+    pub fn in_send(&self) -> usize {
+        self.state.lock().unwrap().sending
     }
 
     /// Claim an in-flight frame for completion: the caller fetches the
@@ -769,10 +786,13 @@ impl ChannelCore {
     /// armed [`RecoveryPolicy`], or when the result already came back,
     /// the buffer just returns to the pool.
     pub fn note_sent(&self, seq: u64, header: &MsgHeader, frame: PooledFrame) {
-        if self.recovery.is_none() || !matches!(header.kind, MsgKind::Offload | MsgKind::Batch) {
+        if self.recovery.is_none() {
             return;
         }
-        if let Some(rec) = self.state.lock().unwrap().frames.unclaimed_mut(seq) {
+        let mut st = self.state.lock().unwrap();
+        st.sending -= 1;
+        let retryable = matches!(header.kind, MsgKind::Offload | MsgKind::Batch);
+        if let Some(rec) = st.frames.unclaimed_mut(seq).filter(|_| retryable) {
             rec.stored = Some(StoredFrame::new(*header, frame));
         }
     }
@@ -871,6 +891,8 @@ impl ChannelCore {
     /// Returns `None` if the channel was not degraded (racing eviction
     /// or a double resume). The staged accumulator is untouched — it
     /// never reached the wire and flushes normally after resume.
+    /// A frame still [`Self::in_send`] has no image and is failed,
+    /// though it may never reach the wire: resume once that reads 0.
     pub fn resume(&self, watermark: Option<u64>, err: OffloadError) -> Option<ResumeReport> {
         let mut st = self.state.lock().unwrap();
         st.degraded.take()?;
@@ -1024,11 +1046,11 @@ impl ChannelCore {
 
     /// Mark the channel shut down; returns the *previous* state so the
     /// first caller (and only the first) runs the shutdown protocol.
-    pub fn begin_shutdown(&self) -> bool {
+    pub(crate) fn begin_shutdown(&self) -> bool {
         core::mem::replace(&mut self.state.lock().unwrap().shutdown, true)
     }
 
-    /// True once [`Self::begin_shutdown`] has run.
+    /// True once [`super::engine::shutdown`] has latched the channel.
     pub fn is_shutdown(&self) -> bool {
         self.state.lock().unwrap().shutdown
     }
@@ -1245,14 +1267,21 @@ mod tests {
         for _ in 0..10 {
             assert!(matches!(c.note_miss(r2.seq), MissVerdict::Keep));
         }
-        // Control frames are never stored.
+        // Control frames are never stored, but do leave the send count.
+        assert!(c.take_pending(r.seq).is_some());
+        c.finish(r.seq, Err(OffloadError::Timeout));
+        let Reserve::Reserved(r3) = c.try_reserve(true, 0, SimTime::ZERO, 32) else {
+            panic!("reserve failed");
+        };
         let ctrl = MsgHeader {
             kind: MsgKind::Control,
-            ..header(99)
+            ..header(r3.seq)
         };
-        c.note_sent(99, &ctrl, PooledFrame::detached(vec![]));
+        assert_eq!(c.in_send(), 1);
+        c.note_sent(r3.seq, &ctrl, PooledFrame::detached(vec![]));
+        assert_eq!(c.in_send(), 0);
         for _ in 0..10 {
-            assert!(matches!(c.note_miss(99), MissVerdict::Keep));
+            assert!(matches!(c.note_miss(r3.seq), MissVerdict::Keep));
         }
     }
 
@@ -1300,6 +1329,38 @@ mod tests {
         // The in-flight offload was not failed.
         assert_eq!(c.in_flight(), 2, "pending survives degradation");
         assert!(c.take_completed(r.seq).is_none());
+    }
+
+    /// A post that reserved before the link dropped records its frame
+    /// after the degrade. Until it does, `in_send` holds the
+    /// transport's resume off; the resume then replays the frame
+    /// instead of failing it.
+    #[test]
+    fn a_frame_recorded_after_the_degrade_is_replayed_not_failed() {
+        use crate::types::NodeId;
+        let c = degradable();
+        let Reserve::Reserved(r) = reserve(&c) else {
+            panic!("reserve failed");
+        };
+        assert_eq!(c.in_send(), 1, "reserved, not yet recorded");
+        let lost = OffloadError::TargetLost(NodeId(3));
+        assert!(c.degrade(lost.clone()).is_some());
+        let wire = PooledFrame::detached(b"wire".to_vec());
+        c.note_sent(r.seq, &offload_header(r.seq), wire);
+        assert_eq!(c.in_send(), 0);
+        let rep = c.resume(None, lost).unwrap();
+        assert_eq!(rep.lost, 0);
+        assert_eq!(rep.replay.len(), 1);
+        assert_eq!(
+            (rep.replay[0].seq, &rep.replay[0].frame[..]),
+            (r.seq, &b"wire"[..])
+        );
+        c.deposit_frame(r.seq, PooledFrame::detached(b"ok".to_vec()));
+        assert_eq!(c.take_completed(r.seq).unwrap().unwrap().as_slice(), b"ok");
+        // Without a recovery policy nothing is counted.
+        let plain = ChannelCore::unbounded();
+        assert!(matches!(reserve(&plain), Reserve::Reserved(_)));
+        assert_eq!(plain.in_send(), 0);
     }
 
     #[test]
@@ -1930,6 +1991,18 @@ mod tests {
         carrier: bool,
     }
 
+    /// A frame the engine is still sending: past `try_reserve` or
+    /// `take_flush`, not yet settled by `note_sent`, `cancel` or
+    /// `fail_batch`.
+    struct InSend {
+        frame: WireFrame,
+        header: MsgHeader,
+        image: PooledFrame,
+        /// A resume or eviction already retired it and parked its
+        /// messages' failures; the send still settles.
+        retired: bool,
+    }
+
     /// Sequential reference model of one channel: every minted seq is in
     /// exactly one [`Life`] state, and the channel's observable counts
     /// must agree with it after every step.
@@ -1938,6 +2011,9 @@ mod tests {
         life: Vec<Life>,
         staged: Vec<u64>,
         wire: Vec<WireFrame>,
+        sending: Vec<InSend>,
+        /// A recovery policy is armed, so the channel counts `sending`.
+        counted: bool,
         degraded: bool,
         evicted: bool,
     }
@@ -1967,7 +2043,56 @@ mod tests {
         }
 
         fn wire_msgs(&self) -> usize {
-            self.wire.iter().map(|f| f.msgs.len()).sum()
+            let sending = self.live_sending().map(|s| s.frame.msgs.len());
+            self.wire.iter().map(|f| f.msgs.len()).sum::<usize>() + sending.sum::<usize>()
+        }
+
+        fn live_sending(&self) -> impl Iterator<Item = &InSend> {
+            self.sending.iter().filter(|s| !s.retired)
+        }
+
+        /// Some frame holds a slot pair.
+        fn holds_slots(&self) -> bool {
+            !self.wire.is_empty() || self.live_sending().next().is_some()
+        }
+
+        /// A resume or eviction fails every frame still being sent: it
+        /// has no stored image to replay. Returns the messages failed.
+        fn fail_sending(&mut self) -> usize {
+            let mut failed = Vec::new();
+            for s in self.sending.iter_mut().filter(|s| !s.retired) {
+                s.retired = true;
+                failed.extend_from_slice(&s.frame.msgs);
+            }
+            self.park(&failed, false, false);
+            failed.len()
+        }
+
+        /// Settle the `i`-th send the way the engine does: recorded
+        /// (`sent`) or given back after a failed transport write.
+        fn settle_send(&mut self, c: &ChannelCore, i: usize, sent: bool) {
+            let s = self.sending.remove(i);
+            let seq = s.frame.seq;
+            match (sent, s.frame.carrier) {
+                (true, _) => {
+                    c.note_sent(seq, &s.header, s.image);
+                    if !s.retired {
+                        self.wire.push(s.frame);
+                    }
+                }
+                (false, true) => {
+                    c.fail_batch(seq, OffloadError::Shutdown);
+                    if !s.retired {
+                        self.park(&s.frame.msgs, false, true);
+                    }
+                }
+                (false, false) => {
+                    c.cancel(seq);
+                    if !s.retired {
+                        self.life[seq as usize] = Life::Cancelled;
+                    }
+                }
+            }
         }
 
         fn parked(&self) -> usize {
@@ -1979,7 +2104,10 @@ mod tests {
         /// left (claimed or cancelled) has anything parked again.
         fn check(&self, c: &ChannelCore) {
             assert_eq!(c.in_flight(), self.wire_msgs() + self.staged.len());
-            assert_eq!(c.tracked_seqs(), self.wire.len() + self.parked());
+            let frames = self.wire.len() + self.live_sending().count();
+            assert_eq!(c.tracked_seqs(), frames + self.parked());
+            let sending = if self.counted { self.sending.len() } else { 0 };
+            assert_eq!(c.in_send(), sending);
             for (s, l) in self.life.iter().enumerate() {
                 if matches!(l, Life::Claimed | Life::Cancelled) {
                     assert!(c.take_completed(s as u64).is_none(), "seq {s} came back");
@@ -1987,23 +2115,27 @@ mod tests {
             }
         }
 
-        /// Put whatever is staged on the wire, as the engine would.
+        /// Claim whatever is staged for sending, as the engine would.
         fn flush(&mut self, c: &ChannelCore) {
             match c.take_flush() {
                 FlushPrep::Empty => assert!(self.staged.is_empty(), "lost staging"),
-                FlushPrep::Full => assert!(self.degraded || !self.wire.is_empty()),
+                FlushPrep::Full => assert!(self.degraded || self.holds_slots()),
                 FlushPrep::Ready(f) => {
                     assert!(!self.degraded && !self.evicted);
                     assert_eq!(Some(&f.res.seq), self.staged.last());
-                    c.note_sent(f.res.seq, &f.header, f.frame);
                     let msgs = core::mem::take(&mut self.staged);
                     for &m in &msgs {
                         self.life[m as usize] = Life::OnWire;
                     }
-                    self.wire.push(WireFrame {
-                        seq: f.res.seq,
-                        msgs,
-                        carrier: true,
+                    self.sending.push(InSend {
+                        frame: WireFrame {
+                            seq: f.res.seq,
+                            msgs,
+                            carrier: true,
+                        },
+                        header: f.header,
+                        image: f.frame,
+                        retired: false,
                     });
                 }
             }
@@ -2055,7 +2187,7 @@ mod tests {
             slots in 0usize..4,
             max_msgs in 2usize..5,
             recovery in 0u8..3,
-            ops in proptest::collection::vec((0u8..12, 0usize..16), 0..96),
+            ops in proptest::collection::vec((0u8..13, 0usize..16), 0..96),
         ) {
             // `slots == 0` stands for an unbounded channel.
             let c = if slots == 0 {
@@ -2074,19 +2206,22 @@ mod tests {
                 None => c,
             };
             let lost = OffloadError::TargetLost(crate::types::NodeId(1));
-            let mut m = Model::default();
+            let mut m = Model { counted: policy.is_some(), ..Model::default() };
             for (kind, i) in ops {
                 match kind {
-                    // reserve + send a plain frame
+                    // reserve a plain frame; op 12 sends it
                     0 => match reserve(&c) {
                         Reserve::Reserved(r) => {
                             prop_assert!(!m.evicted && !m.degraded);
                             m.mint(r.seq, Life::OnWire);
-                            let wire = PooledFrame::detached(r.seq.to_le_bytes().to_vec());
-                            c.note_sent(r.seq, &offload_header(r.seq), wire);
-                            m.wire.push(WireFrame { seq: r.seq, msgs: vec![r.seq], carrier: false });
+                            m.sending.push(InSend {
+                                frame: WireFrame { seq: r.seq, msgs: vec![r.seq], carrier: false },
+                                header: offload_header(r.seq),
+                                image: PooledFrame::detached(r.seq.to_le_bytes().to_vec()),
+                                retired: false,
+                            });
                         }
-                        Reserve::Full => prop_assert!(m.degraded || !m.wire.is_empty()),
+                        Reserve::Full => prop_assert!(m.degraded || m.holds_slots()),
                         Reserve::Lost(_) => prop_assert!(m.evicted),
                         Reserve::Shutdown => prop_assert!(false, "never shut down"),
                     },
@@ -2106,18 +2241,9 @@ mod tests {
                     },
                     2 => m.flush(&c),
                     3 if !m.wire.is_empty() => m.deposit(&c, i % m.wire.len()),
-                    // cancel a plain frame / fail a carrier's send
-                    4 | 5 if !m.wire.is_empty() => {
-                        let at = i % m.wire.len();
-                        if m.wire[at].carrier {
-                            let f = m.retire(at, false, true);
-                            c.fail_batch(f.seq, OffloadError::Shutdown);
-                        } else {
-                            let f = m.wire.remove(at);
-                            c.cancel(f.seq);
-                            m.life[f.seq as usize] = Life::Cancelled;
-                        }
-                    }
+                    // a failed send: cancel a plain frame, fail a carrier
+                    4 | 5 if !m.sending.is_empty() => m.settle_send(&c, i % m.sending.len(), false),
+                    12 if !m.sending.is_empty() => m.settle_send(&c, i % m.sending.len(), true),
                     // miss a frame until its deadline policy gives up
                     6 if !m.wire.is_empty() => {
                         let at = i % m.wire.len();
@@ -2142,12 +2268,14 @@ mod tests {
                             Some(rep) => {
                                 prop_assert!(core::mem::take(&mut m.degraded));
                                 let replayed: Vec<u64> = rep.replay.iter().map(|f| f.seq).collect();
-                                let mut failed = 0;
+                                let mut failed = m.fail_sending();
                                 for at in (0..m.wire.len()).rev() {
                                     let seq = m.wire[at].seq;
-                                    if replayed.contains(&seq) {
-                                        prop_assert!(policy.is_some() && watermark.is_none_or(|w| seq > w));
-                                    } else {
+                                    // A recorded frame above the watermark
+                                    // is replayed, never failed.
+                                    let replay = policy.is_some() && watermark.is_none_or(|w| seq > w);
+                                    prop_assert_eq!(replayed.contains(&seq), replay, "seq {}", seq);
+                                    if !replay {
                                         failed += m.retire(at, false, false).msgs.len();
                                     }
                                 }
@@ -2160,6 +2288,7 @@ mod tests {
                         let doomed = m.wire_msgs() + m.staged.len();
                         let first = !core::mem::replace(&mut m.evicted, true);
                         prop_assert_eq!(c.evict(lost.clone()), first.then_some(doomed));
+                        m.fail_sending();
                         m.degraded = false;
                         while !m.wire.is_empty() {
                             m.retire(0, false, false);
@@ -2186,7 +2315,11 @@ mod tests {
                 }
                 m.check(&c);
             }
-            // Drive the traffic to the end: heal, flush, answer, claim.
+            // Drive the traffic to the end: send, heal, flush, answer,
+            // claim.
+            while !m.sending.is_empty() {
+                m.settle_send(&c, 0, true);
+            }
             if m.degraded {
                 prop_assert!(c.resume(None, lost.clone()).is_some());
                 m.degraded = false;
@@ -2201,6 +2334,9 @@ mod tests {
                     m.deposit(&c, 0);
                 }
                 m.flush(&c);
+                while !m.sending.is_empty() {
+                    m.settle_send(&c, 0, true);
+                }
             }
             for s in 0..m.life.len() as u64 {
                 if matches!(m.life[s as usize], Life::Parked { .. }) {

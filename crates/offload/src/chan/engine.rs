@@ -16,7 +16,7 @@ use super::recovery::MissVerdict;
 use crate::backend::CommBackend;
 use crate::types::NodeId;
 use crate::OffloadError;
-use aurora_sim_core::trace;
+use aurora_sim_core::{trace, Clock};
 use aurora_telemetry::{current_offload, offload_scope, HealthEventKind, OffloadId};
 use ham::registry::HandlerKey;
 use ham::wire::{MsgHeader, MsgKind, HEADER_BYTES};
@@ -69,16 +69,26 @@ pub fn post<B: CommBackend + ?Sized>(
     post_inner(backend, target, key, payload, MsgKind::Offload)
 }
 
-/// Post a control message (shutdown). Control frames bypass the
-/// shutdown gate — they are how shutdown is delivered — but share the
-/// reservation path so slot discipline holds to the very last frame.
-/// Staged messages are flushed first so nothing outruns them.
-pub fn post_control<B: CommBackend + ?Sized>(
+/// The shutdown edge each backend's `shutdown` runs per channel: latch
+/// it (`None` if already latched), then fail what is left with
+/// [`OffloadError::Shutdown`] on a degraded channel (no event), or
+/// flush and post the terminating `Control` frame. `Some(Err)`: no
+/// control frame reached the transport.
+pub fn shutdown<B: CommBackend + ?Sized>(
     backend: &B,
     target: NodeId,
-) -> Result<u64, OffloadError> {
-    flush(backend, target)?;
-    post_inner(backend, target, HandlerKey(0), &[], MsgKind::Control)
+) -> Option<Result<(), OffloadError>> {
+    let chan = backend.channel(target).ok()?;
+    if chan.begin_shutdown() {
+        return None;
+    }
+    if chan.is_degraded() {
+        chan.evict(OffloadError::Shutdown);
+        return Some(Err(OffloadError::Shutdown));
+    }
+    let posted = flush(backend, target)
+        .and_then(|()| post_inner(backend, target, HandlerKey(0), &[], MsgKind::Control));
+    Some(posted.map(drop))
 }
 
 fn post_inner<B: CommBackend + ?Sized>(
@@ -332,7 +342,8 @@ fn sweep_with<B: CommBackend + ?Sized>(
                         t0.as_ps(),
                     );
                     if let Err(e) = backend.send_frame(target, &res, &header, &frame) {
-                        completed += evict(backend, target, chan, e);
+                        completed +=
+                            evict(chan, backend.metrics(), backend.host_clock(), target, e);
                         break;
                     }
                     let now = backend.host_clock().now();
@@ -365,7 +376,8 @@ fn sweep_with<B: CommBackend + ?Sized>(
                     // is unreachable from here on — evict it so the
                     // remaining in-flight offloads fail immediately
                     // instead of timing out one by one.
-                    completed += evict(backend, target, chan, OffloadError::TargetLost(target));
+                    let lost = OffloadError::TargetLost(target);
+                    completed += evict(chan, backend.metrics(), backend.host_clock(), target, lost);
                     break;
                 }
             },
@@ -389,7 +401,7 @@ fn sweep_with<B: CommBackend + ?Sized>(
                 // A dead transport fails every in-flight offload at
                 // once: eviction parks the error for each future and
                 // frees the slots so posting paths stop blocking.
-                completed += evict(backend, target, chan, e);
+                completed += evict(chan, backend.metrics(), backend.host_clock(), target, e);
                 break;
             }
         }
@@ -410,26 +422,34 @@ fn evict_if_lost<B: CommBackend + ?Sized>(
     err: &OffloadError,
 ) {
     if matches!(err, OffloadError::TargetLost(_)) {
-        evict(backend, target, chan, err.clone());
+        evict(
+            chan,
+            backend.metrics(),
+            backend.host_clock(),
+            target,
+            err.clone(),
+        );
     }
 }
 
-/// Evict `target` behind `chan`: fail every in-flight offload with
-/// `err`, latch the channel so future posts are refused, record the
-/// `chan.evict` span and the health `Eviction` event. Idempotent;
-/// returns how many offloads it failed.
-pub fn evict<B: CommBackend + ?Sized>(
-    backend: &B,
-    target: NodeId,
+/// The eviction edge: fail every in-flight offload of `target` with
+/// `err`, latch `chan` so future posts are refused, record the
+/// `chan.evict` span and the `Eviction` event. Takes no backend, so a
+/// link supervisor thread evicts through it too. Idempotent; returns
+/// how many offloads it failed.
+pub fn evict(
     chan: &ChannelCore,
+    metrics: &aurora_telemetry::BackendMetrics,
+    clock: &Clock,
+    target: NodeId,
     err: OffloadError,
 ) -> usize {
     let Some(failed) = chan.evict(err) else {
         return 0;
     };
-    let now = backend.host_clock().now();
+    let now = clock.now();
     trace::record("chan.evict", failed as u64, now, now);
-    backend.metrics().health().record(
+    metrics.health().record(
         target.0,
         HealthEventKind::Eviction,
         current_offload(),

@@ -38,7 +38,7 @@ use aurora_sim_core::Clock;
 use aurora_telemetry::BackendMetrics;
 use ham::message::VecMemory;
 use ham::wire::{MsgHeader, HEADER_BYTES};
-use ham::{Registry, RegistryBuilder};
+use ham::{Registry, RegistryBuilder, TargetMemory};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
@@ -189,13 +189,53 @@ impl TargetChannel for ChannelEnd {
     }
 }
 
+/// One target's memory, its allocator and the memory verbs, served in
+/// process: [`LocalBackend`]'s and the TCP target's. An error is the
+/// message the host reports as [`OffloadError::Mem`].
+pub struct TargetStore {
+    /// The memory kernels run against.
+    pub mem: VecMemory,
+    alloc: Mutex<RangeAllocator>,
+}
+
+impl TargetStore {
+    /// A zeroed store of `bytes` bytes, nothing allocated.
+    pub fn new(bytes: u64) -> Self {
+        Self {
+            mem: VecMemory::new(bytes as usize),
+            alloc: Mutex::new(RangeAllocator::new(bytes)),
+        }
+    }
+
+    /// Allocate `bytes` bytes, 8-byte aligned.
+    pub fn alloc(&self, bytes: u64) -> Result<u64, String> {
+        let alloc = self.alloc.lock().unwrap().alloc(bytes, 8);
+        alloc.map_err(|e| e.to_string())
+    }
+
+    /// Free the allocation at `addr`.
+    pub fn free(&self, addr: u64) -> Result<(), String> {
+        let freed = self.alloc.lock().unwrap().free(addr);
+        freed.map_err(|e| e.to_string())
+    }
+
+    /// Copy `data` into memory at `addr`.
+    pub fn write(&self, addr: u64, data: &[u8]) -> Result<(), String> {
+        self.mem.mem_write(addr, data).map_err(|e| e.to_string())
+    }
+
+    /// Fill `out` from memory at `addr`.
+    pub fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), String> {
+        self.mem.mem_read(addr, out).map_err(|e| e.to_string())
+    }
+}
+
 struct Target {
     ring: Arc<Ring>,
     /// The target thread, to unpark after raising a flag.
     waker: Thread,
     chan: ChannelCore,
-    mem: Arc<VecMemory>,
-    alloc: Mutex<RangeAllocator>,
+    store: Arc<TargetStore>,
     thread: Mutex<Option<JoinHandle<u64>>>,
 }
 
@@ -240,7 +280,7 @@ impl LocalBackend {
                 let chan = ChannelCore::bounded(SLOTS, SLOTS, usize::MAX)
                     .with_batching(batch)
                     .with_credit_limit(crate::chan::DEFAULT_PUSH_CREDITS);
-                let mem = Arc::new(VecMemory::new(mem_bytes as usize));
+                let store = Arc::new(TargetStore::new(mem_bytes));
                 // Each target is its own "binary": same registrar,
                 // different seed → different local handler addresses.
                 let registry = build_registry(&registrar, 0x5645_0000 + node as u64);
@@ -248,14 +288,14 @@ impl LocalBackend {
                     ring: Arc::clone(&ring),
                     cursor: Cell::new(0),
                 };
-                let mem2 = Arc::clone(&mem);
+                let store2 = Arc::clone(&store);
                 let thread = std::thread::Builder::new()
                     .name(format!("local-target-{node}"))
                     .spawn(move || {
                         let env = TargetEnv {
                             node,
                             registry: &registry,
-                            mem: &*mem2,
+                            mem: &store2.mem,
                             reverse: None,
                             meter: None,
                             dedup: false,
@@ -267,8 +307,7 @@ impl LocalBackend {
                     ring,
                     waker: thread.thread().clone(),
                     chan,
-                    mem,
-                    alloc: Mutex::new(RangeAllocator::new(mem_bytes)),
+                    store,
                     thread: Mutex::new(Some(thread)),
                 }
             })
@@ -373,37 +412,23 @@ impl CommBackend for LocalBackend {
     }
 
     fn allocate(&self, node: NodeId, bytes: u64) -> Result<u64, OffloadError> {
-        let t = self.target(node)?;
-        t.alloc
-            .lock()
-            .unwrap()
-            .alloc(bytes, 8)
-            .map_err(|e| OffloadError::Mem(e.to_string()))
+        let store = &self.target(node)?.store;
+        store.alloc(bytes).map_err(OffloadError::Mem)
     }
 
     fn free(&self, node: NodeId, addr: u64) -> Result<(), OffloadError> {
-        let t = self.target(node)?;
-        t.alloc
-            .lock()
-            .unwrap()
-            .free(addr)
-            .map_err(|e| OffloadError::Mem(e.to_string()))
+        let store = &self.target(node)?.store;
+        store.free(addr).map_err(OffloadError::Mem)
     }
 
     fn put_bytes(&self, dst: RawBuffer, data: &[u8]) -> Result<(), OffloadError> {
-        use ham::TargetMemory;
-        let t = self.target(dst.node)?;
-        t.mem
-            .mem_write(dst.addr, data)
-            .map_err(|e| OffloadError::Mem(e.to_string()))
+        let store = &self.target(dst.node)?.store;
+        store.write(dst.addr, data).map_err(OffloadError::Mem)
     }
 
     fn get_bytes(&self, src: RawBuffer, out: &mut [u8]) -> Result<(), OffloadError> {
-        use ham::TargetMemory;
-        let t = self.target(src.node)?;
-        t.mem
-            .mem_read(src.addr, out)
-            .map_err(|e| OffloadError::Mem(e.to_string()))
+        let store = &self.target(src.node)?.store;
+        store.read(src.addr, out).map_err(OffloadError::Mem)
     }
 
     fn host_clock(&self) -> &Clock {
@@ -416,14 +441,10 @@ impl CommBackend for LocalBackend {
 
     fn shutdown(&self) {
         for (i, t) in self.targets.iter().enumerate() {
-            if !t.chan.begin_shutdown() {
-                // The control frame follows everything posted so far in
-                // the rotation. The engine refuses it on an evicted
-                // channel, and a reservation that never carried a frame
-                // leaves a slot the target cannot pass; closing the ring
-                // ends the loop at the first empty slot either way, so
-                // the join below cannot hang.
-                let _ = engine::post_control(self, NodeId(i as u16 + 1));
+            if engine::shutdown(self, NodeId(i as u16 + 1)).is_some() {
+                // Closing the ring ends the target's loop at the first
+                // empty slot, whether or not the control frame went out
+                // (an evicted channel refuses it), so the join cannot hang.
                 t.ring.closed.store(true, SeqCst);
                 t.waker.unpark();
             }

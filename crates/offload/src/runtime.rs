@@ -219,14 +219,14 @@ impl Offload {
         self.check_target(node)?;
         let bytes = len * T::SIZE as u64;
         let addr = self.backend.allocate(node, bytes)?;
-        self.backend.metrics().on_alloc(node.0, addr, bytes);
+        self.backend.metrics().on_alloc(bytes);
         Ok(BufferPtr::from_raw(node, addr, len))
     }
 
     /// Free a buffer previously returned by [`Offload::allocate`].
     pub fn free<T: Scalar>(&self, ptr: BufferPtr<T>) -> Result<(), OffloadError> {
         self.backend.free(ptr.node(), ptr.addr())?;
-        self.backend.metrics().on_free(ptr.node().0, ptr.addr());
+        self.backend.metrics().on_free(ptr.len() * T::SIZE as u64);
         Ok(())
     }
 

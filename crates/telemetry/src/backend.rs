@@ -27,9 +27,8 @@
 
 use crate::metrics::{bucket_ceil, AtomicHistogram, Counter, Gauge, Histogram, MinMax, Summary};
 use crate::{fmt_ps, HealthEventKind, HealthRegistry};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Targets that get their own completion-latency register. Node ids at
 /// or past the cap share the last register — harmless for this
@@ -225,8 +224,6 @@ pub struct BackendMetrics {
     /// Device-lane occupancy + steal registers, shared with the
     /// target-side runtimes.
     lanes: Arc<LaneStats>,
-    /// `(node, addr) → bytes`, to credit frees against the live gauge.
-    allocations: Mutex<HashMap<(u16, u64), u64>>,
 }
 
 impl Default for BackendMetrics {
@@ -266,7 +263,6 @@ impl BackendMetrics {
                 .collect(),
             health: Arc::new(HealthRegistry::new()),
             lanes: Arc::new(LaneStats::new()),
-            allocations: Mutex::new(HashMap::new()),
         }
     }
 
@@ -396,19 +392,16 @@ impl BackendMetrics {
         self.bytes_get.add(bytes);
     }
 
-    /// `allocate` reserved `bytes` at `(node, addr)`.
-    pub fn on_alloc(&self, node: u16, addr: u64, bytes: u64) {
+    /// `allocate` reserved a buffer of `bytes` bytes.
+    pub fn on_alloc(&self, bytes: u64) {
         self.allocs.incr();
         self.alloc_live.add(bytes as i64);
-        self.allocations.lock().unwrap().insert((node, addr), bytes);
     }
 
-    /// `free` released the buffer at `(node, addr)`.
-    pub fn on_free(&self, node: u16, addr: u64) {
+    /// `free` released a buffer of `bytes` bytes.
+    pub fn on_free(&self, bytes: u64) {
         self.frees.incr();
-        if let Some(bytes) = self.allocations.lock().unwrap().remove(&(node, addr)) {
-            self.alloc_live.add(-(bytes as i64));
-        }
+        self.alloc_live.add(-(bytes as i64));
     }
 
     /// Copy the registers into a plain-data snapshot. The aggregate
@@ -983,14 +976,12 @@ mod tests {
     #[test]
     fn allocation_gauge_credits_frees() {
         let m = BackendMetrics::new();
-        m.on_alloc(1, 0x1000, 512);
-        m.on_alloc(1, 0x2000, 256);
-        m.on_free(1, 0x1000);
-        // Double free of an unknown address must not underflow.
-        m.on_free(1, 0x1000);
+        m.on_alloc(512);
+        m.on_alloc(256);
+        m.on_free(512);
         let s = m.snapshot();
         assert_eq!(s.allocs, 2);
-        assert_eq!(s.frees, 2);
+        assert_eq!(s.frees, 1);
         assert_eq!(s.alloc_bytes_live, 256);
         assert_eq!(s.alloc_bytes_peak, 768);
     }

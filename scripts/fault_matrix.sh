@@ -16,7 +16,8 @@
 # cluster-TCP session-resume path: mid-batch and mid-wave disconnects,
 # double disconnects, blackouts that exhaust (or nearly exhaust) the reconnect
 # budget, and the discovery handshake, asserting exactly-once-or-lost
-# outcomes and zero leaked pending entries throughout. The membership
+# outcomes and zero leaked pending entries throughout; they run one at a
+# time and then 20 times as a whole binary, all at once. The membership
 # churn scenarios (also tests/pool_scenarios.rs) add dynamic pool
 # rosters: a reserve target joining mid-flight, a member retired with
 # staged work, a flapping link deprioritized by the background prober,
@@ -104,6 +105,22 @@ run reconnect_scenarios \
   eviction_waits_for_the_reconnect_budget \
   discovery_announces_per_host_capabilities
 
+# The reconnect scenarios again, the way tier-1 runs them: the whole
+# binary, all its tests at once, a fixed 20 times, each run under the
+# timeout. The races of the reconnect path showed only in concurrent
+# runs; a hang or a failed scenario fails the matrix.
+for i in $(seq 1 20); do
+  echo "-- reconnect_scenarios: whole binary, run $i of 20"
+  if ! out="$(timeout --kill-after=10 "$PER_TEST_TIMEOUT" \
+      cargo test -q --test reconnect_scenarios 2>&1)" ||
+    ! grep -q 'test result: ok\.' <<<"$out"; then
+    printf '%s\n' "$out" >&2
+    echo "FAULT MATRIX FAILURE: whole reconnect_scenarios run $i failed or hung (> ${PER_TEST_TIMEOUT}s)" >&2
+    exit 1
+  fi
+  passed=$((passed + 1))
+done
+
 idle_and_ring() {
   run failure_modes \
     idle_target_serves_the_next_sync_dma \
@@ -149,4 +166,4 @@ run alloc_steady_state \
   a_claimed_frame_length_is_not_preallocated \
   a_claimed_codec_length_is_not_preallocated
 
-echo "Fault matrix passed: $passed scenario, idle-target, local ring and one-CPU allocation runs, 3 backends, 8 seeds."
+echo "Fault matrix passed: $passed scenario, whole-binary reconnect, idle-target, local ring and one-CPU allocation runs, 3 backends, 8 seeds."

@@ -104,11 +104,10 @@ fn build() -> BackendMetrics {
     }
     // One 1 MiB buffer stays live; 21 short-lived 1 KiB ones come and
     // go, so the peak is one of them above the live level.
-    m.on_alloc(1, 0x1000, 1 << 20);
-    for i in 0..21u64 {
-        let addr = 0x20_0000 + i * 0x1000;
-        m.on_alloc(1, addr, 1 << 10);
-        m.on_free(1, addr);
+    m.on_alloc(1 << 20);
+    for _ in 0..21 {
+        m.on_alloc(1 << 10);
+        m.on_free(1 << 10);
     }
     // Blocking waits by the backoff phase they ended in: 27 while
     // spinning, 28 after a yield, 29 asleep.

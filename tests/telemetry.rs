@@ -229,3 +229,67 @@ fn wait_all_counts_a_poll_miss_on_a_running_kernel() {
     );
     o.shutdown();
 }
+
+/// `free` credits the live-bytes gauge with the buffer's own size, for
+/// any element type: two types allocated side by side peak at their
+/// sum, and the gauge returns to 0 once both are freed.
+#[test]
+fn alloc_gauge_returns_to_zero_across_element_types() {
+    use ham_aurora_repro::local_offload;
+    let o = local_offload(1, aurora_workloads::register_all);
+    let t = NodeId(1);
+    let wide = o.allocate::<f64>(t, 100).unwrap();
+    let narrow = o.allocate::<u16>(t, 37).unwrap();
+    assert_eq!(o.metrics_snapshot().alloc_bytes_live, 800 + 74);
+    o.free(wide).unwrap();
+    assert_eq!(o.metrics_snapshot().alloc_bytes_live, 74);
+    let small = o.allocate::<u32>(t, 10).unwrap();
+    o.free(narrow).unwrap();
+    o.free(small).unwrap();
+    let s = o.metrics_snapshot();
+    assert_eq!((s.allocs, s.frees), (3, 3));
+    assert_eq!(s.alloc_bytes_live, 0);
+    assert_eq!(s.alloc_bytes_peak, 800 + 74);
+    o.shutdown();
+}
+
+/// A TCP target whose reconnect budget runs out is evicted by its link
+/// supervisor through the engine's eviction edge, so the eviction
+/// leaves the same record as any other: one `chan.evict` span and one
+/// `Eviction` health event.
+#[test]
+fn a_tcp_budget_eviction_records_the_engine_span_and_event() {
+    use ham_aurora_repro::{
+        BatchConfig, FaultPlan, HealthEventKind, RecoveryPolicy, TargetSpec, TargetState,
+    };
+    use ham_backend_tcp::TcpBackend;
+    use ham_offload::backend::CommBackend;
+    use std::time::{Duration, Instant};
+
+    let session = TraceSession::start();
+    let backend = TcpBackend::spawn_cluster(
+        &[TargetSpec::default()],
+        &[],
+        Some(RecoveryPolicy::replay_only(1)),
+        BatchConfig::default(),
+        FaultPlan::none(),
+        aurora_workloads::register_all,
+    );
+    let t = NodeId(1);
+    backend.block_reconnect(t, true).unwrap();
+    backend.kill_target(t).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while backend.metrics().health().state(t.0) != Some(TargetState::Evicted) {
+        assert!(Instant::now() < deadline, "the budget never evicted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let trace = session.finish();
+    let spans = trace.events.iter().filter(|e| e.category == "chan.evict");
+    assert_eq!(spans.count(), 1);
+    let events = backend.metrics().health().events_for(t.0);
+    let evictions = events
+        .iter()
+        .filter(|e| e.kind == HealthEventKind::Eviction);
+    assert_eq!(evictions.count(), 1);
+    backend.shutdown();
+}
